@@ -163,6 +163,16 @@ class ProtocolConfig:
                 f"unknown consensus {self.consensus!r}; "
                 f"choose from {CONSENSUS_KINDS}"
             )
+        if self.mempool == "sharded-stratus" and (
+            self.load_balancing or self.pab_quorum is not None
+        ):
+            # Neither reaches the sharded mempool (its quorum is the
+            # shard's f_s + 1 and there is no shard-aware DLB), so taking
+            # them would run something other than what was asked for.
+            raise ValueError(
+                "mempool='sharded-stratus' supports neither load_balancing "
+                "nor pab_quorum (the shard quorum is f_s + 1)"
+            )
         if self.pab_quorum is not None and not (
             self.f + 1 <= self.pab_quorum <= 2 * self.f + 1
         ):

@@ -11,12 +11,7 @@ simulation whose measurements deliberately exclude crypto cost
 """
 
 from repro.crypto.signatures import Signature, sign, verify_signature
-from repro.crypto.proofs import (
-    AvailabilityProof,
-    ProofError,
-    make_availability_proof,
-    verify_availability_proof,
-)
+from repro.crypto.proofs import AvailabilityProof, ProofError
 from repro.crypto.certificates import (
     GENESIS_QC,
     QuorumCert,
@@ -33,8 +28,6 @@ __all__ = [
     "verify_signature",
     "AvailabilityProof",
     "ProofError",
-    "make_availability_proof",
-    "verify_availability_proof",
     "QuorumCert",
     "make_quorum_cert",
     "verify_quorum_cert",

@@ -7,13 +7,16 @@ at least one of them is correct, so the microblock can always be fetched
 
 The prototype realizes proofs as ``f + 1`` concatenated ECDSA signatures
 (Section VI); :attr:`AvailabilityProof.size_bytes` models that wire cost.
+
+Minting and verifying live with the PAB scope that fixes ``quorum`` and
+``n`` (:class:`repro.mempool.stratus.pab.NetworkScope`); this module is
+the wire object and its error type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.signatures import Signature, verify_signature
 from repro.types import sizes
 
 
@@ -45,45 +48,3 @@ class AvailabilityProof:
     # re-checked on every call.
     _verified_quorum = -1
     _verified_n = -1
-
-
-def make_availability_proof(
-    mb_id: int, acks: list[Signature], quorum: int, n: int
-) -> AvailabilityProof:
-    """Aggregate ack signatures into a proof (``threshold-sign`` in Alg. 1).
-
-    Raises :class:`ProofError` if the acks do not form a valid quorum:
-    too few distinct valid signers, wrong digest, or forged signatures.
-    """
-    valid_signers: set[int] = set()
-    for ack in acks:
-        if verify_signature(ack, mb_id, n):
-            valid_signers.add(ack.signer)
-    if len(valid_signers) < quorum:
-        raise ProofError(
-            f"need {quorum} distinct valid acks over mb {mb_id}, "
-            f"got {len(valid_signers)}"
-        )
-    return AvailabilityProof(mb_id=mb_id, signers=tuple(sorted(valid_signers)))
-
-
-def verify_availability_proof(
-    proof: AvailabilityProof, mb_id: int, quorum: int, n: int
-) -> bool:
-    """``threshold-verify`` in Algorithms 2 and 3."""
-    if proof.mb_id != mb_id:
-        return False
-    if proof._verified_quorum == quorum and proof._verified_n == n:
-        return True
-    if proof.forged:
-        return False
-    signers = set(proof.signers)
-    if len(signers) != len(proof.signers):
-        return False
-    if any(not 0 <= signer < n for signer in signers):
-        return False
-    if len(signers) < quorum:
-        return False
-    object.__setattr__(proof, "_verified_quorum", quorum)
-    object.__setattr__(proof, "_verified_n", n)
-    return True

@@ -53,12 +53,16 @@ def tuned_protocol(
 
     ``overrides`` win over every tuned default, so benches can pin the
     exact parameter a figure sweeps (batch size, PAB quorum, d, ...).
+    An overridden ``mempool`` or ``consensus`` also steers the defaults
+    derived from them (load balancing, timers, proposal cap).
     """
     if preset not in PROTOCOL_PRESETS:
         raise ValueError(
             f"unknown preset {preset!r}; choose from {sorted(PROTOCOL_PRESETS)}"
         )
     mempool, consensus = PROTOCOL_PRESETS[preset]
+    mempool = overrides.get("mempool", mempool)
+    consensus = overrides.get("consensus", consensus)
     is_wan = topology_kind in ("wan", "geo")
     one_way_delay = 0.050 if is_wan else 0.002
     bandwidth = 100 * MBPS if is_wan else GBPS

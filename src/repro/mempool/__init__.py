@@ -1,7 +1,7 @@
 """Mempool implementations.
 
 Five mempool families back the protocols evaluated in the paper
-(Table II):
+(Table II), and the fifth comes in two scopes:
 
 * :class:`~repro.mempool.native.NativeMempool` — leader ships full
   transaction data (N-HS, N-SL);
@@ -12,10 +12,10 @@ Five mempool families back the protocols evaluated in the paper
 * :class:`~repro.mempool.narwhal.NarwhalMempool` — Bracha reliable
   broadcast, quadratic message complexity (Narwhal baseline);
 * :class:`~repro.mempool.stratus.StratusMempool` — PAB + DLB
-  (this paper's contribution);
-* :class:`~repro.mempool.sharded.ShardedStratusMempool` — per-shard PAB
-  quorums and certificate-only consensus ordering (Arma / BigDipper
-  directions; see DESIGN.md "Sharding").
+  (this paper's contribution), with its subclass
+  :class:`~repro.mempool.sharded.ShardedStratusMempool` — the same PAB
+  engine over a per-shard scope plus certificate-only consensus
+  ordering (Arma / BigDipper directions; see DESIGN.md "Sharding").
 """
 
 from repro.mempool.base import Mempool, MessageKinds

@@ -1,177 +1,59 @@
 """The sharded Stratus shared mempool (``sharded-stratus``).
 
-Stratus with the dissemination fan-out cut by sharding: a replica's
-microblocks are pushed only to its shard's members
-(:class:`repro.sharding.ShardPabEngine`), a per-shard quorum mints a
-compact :class:`repro.sharding.ShardCertificate`, and consensus orders
-certificates instead of proven bodies. Replicas vote on certificate
-validity alone; bodies are resolved lazily — shard members already hold
+Stratus with the dissemination fan-out cut by sharding: the one PAB
+engine runs over a :class:`repro.sharding.ShardScope`, so a replica's
+microblocks are pushed only to its shard's members, a per-shard quorum
+mints a compact :class:`repro.sharding.ShardCertificate`, and consensus
+orders certificates instead of proven bodies. The queueing, proposal,
+GC and restart bookkeeping is :class:`StratusMempool`'s, unchanged.
+
+What is genuinely different lives here: replicas vote on certificate
+validity alone and resolve bodies lazily — shard members already hold
 them, an attached executor fetches the rest from certificate signers,
 and everyone else commits on certificates without ever seeing a byte of
 foreign-shard payload. Commit metrics (throughput, latency) come from
 the certificate's embedded scalars, so accounting stays exact even
-where bodies never arrive.
+where bodies never arrive. There is no load balancer: a shard-aware DLB
+does not exist, and ``ProtocolConfig`` rejects the combination.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig, ShardingConfig
-from repro.mempool.base import Mempool, OnFull, OnReady
-from repro.mempool.batching import MicroBlockBatcher
-from repro.mempool.fetching import FetchManager
-from repro.mempool.store import MicroBlockStore
-from repro.mempool.stratus.estimator import StableTimeEstimator
-from repro.sharding import (
-    ShardCertificate,
-    ShardMap,
-    ShardPabEngine,
-    verify_shard_certificate,
-)
-from repro.sim.network import Envelope
-from repro.types import TxBatch
-from repro.types.microblock import MicroBlock, MicroBlockId
-from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
+from repro.mempool.stratus.mempool import StratusMempool
+from repro.sharding import ShardMap, ShardScope
+from repro.types.microblock import MicroBlock
+from repro.types.proposal import Block, PayloadEntry, Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
 
-class ShardedStratusMempool(Mempool):
+class ShardedStratusMempool(StratusMempool):
     """Per-shard PAB quorums + certificate-only consensus ordering."""
 
     name = "sharded-stratus"
 
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
+        self.shard_map = ShardMap(
+            config.n, config.sharding or ShardingConfig()
+        )
+        #: The shard this replica's own microblocks land in.
+        self.own_shard = self.shard_map.shard_of_origin(host.node_id)
         super().__init__(host, config)
-        sharding = config.sharding or ShardingConfig()
-        self.shard_map = ShardMap(config.n, sharding)
-        self.store = MicroBlockStore()
-        self.fetcher = FetchManager(host, config, self.store)
-        self.estimator = StableTimeEstimator(
-            window=config.estimator_window,
-            percentile=config.estimator_percentile,
-            busy_margin=config.busy_margin,
-            busy_slack=config.busy_slack,
-        )
-        self.pab = ShardPabEngine(
-            host, config, self.shard_map, self.store, self.fetcher,
-            on_certificate=self._on_remote_certificate,
-            on_stable=self._on_stable,
-            retry_floor=self.estimator.estimate,
-        )
-        self._batcher = MicroBlockBatcher(
-            host, config, self._on_new_microblock
-        )
-        self._ava_queue: deque[MicroBlockId] = deque()
-        self._certs: dict[MicroBlockId, ShardCertificate] = {}
-        self._queued: set[MicroBlockId] = set()
-        self._referenced: set[MicroBlockId] = set()
-        self._committed: set[MicroBlockId] = set()
 
-    # -- client / dissemination ----------------------------------------
-
-    @property
-    def batcher(self) -> MicroBlockBatcher:
-        return self._batcher
-
-    def on_client_batch(self, batch: TxBatch) -> None:
-        self._batcher.add(batch)
-
-    def rebase_microblock_ids(self, base: int) -> None:
-        self._batcher.rebase(base)
+    def _scope(self) -> ShardScope:
+        """The PAB scope: this replica's own shard, ``f_s + 1`` acks."""
+        return ShardScope(self.host.node_id, self.shard_map)
 
     def _on_new_microblock(self, microblock: MicroBlock) -> None:
         self.host.trace(
             "mb_new", mb=microblock.id, txs=microblock.tx_count,
-            shard=self.pab.own_shard,
+            shard=self.own_shard,
         )
-        self.pab.push(microblock, self._on_self_certified)
-
-    def _on_stable(self, mb_id: MicroBlockId, elapsed: float) -> None:
-        self.host.trace("mb_stable", mb=mb_id, st=round(elapsed, 6))
-        self.estimator.record(elapsed)
-        self.host.metrics.record_stable_time(elapsed)
-
-    def _add_available(
-        self, mb_id: MicroBlockId, cert: ShardCertificate
-    ) -> None:
-        self._certs[mb_id] = cert
-        if (
-            mb_id not in self._queued
-            and mb_id not in self._referenced
-            and mb_id not in self._committed
-        ):
-            self._queued.add(mb_id)
-            self._ava_queue.append(mb_id)
-
-    def _on_self_certified(
-        self, mb_id: MicroBlockId, cert: ShardCertificate
-    ) -> None:
-        """A shard quorum formed for a microblock this replica pushed.
-
-        Broadcast the certificate (everyone can now reference/vote on
-        the id) and queue it for proposal. A certificate-withholding
-        attacker suppresses this, wasting only its own clients' txs.
-        """
-        if self.host.behavior.withholds_proofs:
-            return
-        self.pab.broadcast_certificate(cert)
-        self._add_available(mb_id, cert)
-
-    def _on_remote_certificate(
-        self, mb_id: MicroBlockId, cert: ShardCertificate
-    ) -> None:
-        """A verified SHARD_CERT broadcast arrived."""
-        self._add_available(mb_id, cert)
-
-    def on_restart(self) -> None:
-        super().on_restart()
-        repushed = self.pab.repush_pending()
-        if repushed:
-            self.host.trace("mb_repush", count=repushed)
-
-    # -- leader side ---------------------------------------------------
-
-    def make_payload(self) -> Payload:
-        """MakeProposal: pull certified ids (with certs) from the queue."""
-        entries: list[PayloadEntry] = []
-        limit = self.config.proposal_max_microblocks
-        while self._ava_queue:
-            if limit and len(entries) >= limit:
-                break
-            mb_id = self._ava_queue.popleft()
-            self._queued.discard(mb_id)
-            if mb_id in self._referenced or mb_id in self._committed:
-                continue
-            self._referenced.add(mb_id)
-            entries.append(
-                PayloadEntry(mb_id=mb_id, cert=self._certs[mb_id])
-            )
-        return Payload(entries=tuple(entries))
-
-    # -- follower side -------------------------------------------------
-
-    def verify_payload(self, payload: Payload) -> bool:
-        """Vote on certificate validity; failure triggers a view-change."""
-        for entry in payload.entries:
-            if entry.cert is None:
-                return False
-            if not verify_shard_certificate(
-                entry.cert, entry.mb_id, self.shard_map
-            ):
-                return False
-        return True
-
-    def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
-        """Valid certificates guarantee availability: vote immediately."""
-        for entry in proposal.payload.entries:
-            self._referenced.add(entry.mb_id)
-            if entry.cert is not None:
-                self._certs.setdefault(entry.mb_id, entry.cert)
-        on_ready()
+        self.pab.push_own(microblock, self._on_self_available)
 
     def _resolvable(self, entries) -> list[PayloadEntry]:
         """Entries this replica materializes bodies for.
@@ -192,29 +74,6 @@ class ShardedStratusMempool(Mempool):
                 picked.append(entry)
         return picked
 
-    def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
-        block = Block(proposal=proposal)
-        entries = self._resolvable(proposal.payload.entries)
-        if not entries:
-            block.filled_at = self.host.sim.now
-            on_full(block)
-            return
-        remaining = {"count": len(entries)}
-
-        def collect(microblock: MicroBlock) -> None:
-            block.microblocks[microblock.id] = microblock
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                block.filled_at = self.host.sim.now
-                on_full(block)
-
-        for entry in entries:
-            self.store.on_delivery(entry.mb_id, collect)
-            if entry.mb_id not in self.store:
-                cert = entry.cert or self._certs.get(entry.mb_id)
-                if cert is not None:
-                    self.pab.fetch(entry.mb_id, cert)
-
     def on_commit(self, proposal: Proposal, commit_time: float) -> None:
         """Certificate-level commit: account from certs, resolve lazily.
 
@@ -228,9 +87,7 @@ class ShardedStratusMempool(Mempool):
         tx_total = 0
         cert_count = 0
         for entry in proposal.payload.entries:
-            cert = entry.cert or self._certs.get(entry.mb_id)
-            if cert is None:
-                continue
+            cert = entry.cert
             cert_count += 1
             tx_total += cert.tx_count
             latencies.append(
@@ -251,36 +108,3 @@ class ShardedStratusMempool(Mempool):
             self.garbage_collect(proposal)
 
         self.resolve(proposal, finish)
-
-    def mark_committed(self, proposal: Proposal) -> None:
-        for mb_id in proposal.payload.microblock_ids:
-            self._committed.add(mb_id)
-
-    def garbage_collect(self, proposal: Proposal) -> None:
-        ids = list(proposal.payload.microblock_ids)
-        retention = self.config.gc_retention
-        if retention > 0:
-            self.host.sim.schedule(
-                retention, lambda: self._discard_bodies(ids)
-            )
-
-    def _discard_bodies(self, ids: list[MicroBlockId]) -> None:
-        for mb_id in ids:
-            self.store.discard(mb_id)
-            self._certs.pop(mb_id, None)
-            self.pab.discard(mb_id)
-
-    def on_abandoned(self, proposal: Proposal) -> None:
-        """Re-queue certified ids from a lost fork (SMP-Inclusion)."""
-        for entry in proposal.payload.entries:
-            self._referenced.discard(entry.mb_id)
-            if entry.mb_id in self._committed:
-                continue
-            cert = self._certs.get(entry.mb_id) or entry.cert
-            if cert is not None:
-                self._add_available(entry.mb_id, cert)
-
-    # -- network -------------------------------------------------------
-
-    def on_message(self, envelope: Envelope) -> None:
-        self.pab.on_message(envelope)

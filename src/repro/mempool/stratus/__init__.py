@@ -1,9 +1,9 @@
 """Stratus: the paper's robust shared mempool.
 
-Three cooperating pieces:
+Four cooperating pieces:
 
 * :mod:`repro.mempool.stratus.pab` — provably available broadcast
-  (Algorithms 1 and 2);
+  (Algorithms 1 and 2), one engine parameterised by a scope;
 * :mod:`repro.mempool.stratus.estimator` — stable-time workload
   estimation (Section V-B);
 * :mod:`repro.mempool.stratus.dlb` — distributed load balancing with

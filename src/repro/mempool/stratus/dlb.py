@@ -89,10 +89,7 @@ class LoadBalancer:
         self._forward(microblock)
 
     def _push_self(self, microblock: MicroBlock) -> None:
-        targets = self._host.behavior.share_targets(
-            self._host, self._all_others()
-        )
-        self._pab.push(microblock, self._on_available, targets=targets)
+        self._pab.push_own(microblock, self._on_available)
 
     def _forward(self, microblock: MicroBlock) -> None:
         """LB-ForwardLoad: sample d candidates and query their load."""
@@ -104,7 +101,7 @@ class LoadBalancer:
         state.replies = {}
         state.proxy = None
         candidates = [
-            node for node in self._all_others() if node not in self.ban_list
+            node for node in self._pab.peers if node not in self.ban_list
         ]
         if not candidates:
             self._settle(state)
@@ -252,9 +249,3 @@ class LoadBalancer:
             )
 
         self._pab.push(microblock, hand_back)
-
-    def _all_others(self) -> list[int]:
-        return [
-            node for node in range(self._config.n)
-            if node != self._host.node_id
-        ]

@@ -8,22 +8,27 @@ proof*; a replica that verifies those proofs can vote immediately —
 missing bodies are fetched from proof signers over the data channel
 without blocking consensus (Solution-I). Load balancing (Solution-II) is
 delegated to :class:`repro.mempool.stratus.dlb.LoadBalancer`.
+
+Which replicas a microblock is pushed to, and what its proof looks like,
+is the PAB scope's business (:meth:`StratusMempool._scope`); everything
+here works on "the scope's proof" and is shared with the sharded
+variant (:class:`repro.mempool.sharded.ShardedStratusMempool`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.crypto import AvailabilityProof, verify_availability_proof
-from repro.mempool.base import Mempool, MessageKinds, OnFull, OnReady
+from repro.mempool.base import Mempool, OnFull, OnReady
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager
 from repro.mempool.store import MicroBlockStore
 from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.estimator import StableTimeEstimator
-from repro.mempool.stratus.pab import PabEngine
+from repro.mempool.stratus.pab import NetworkScope, PabEngine
 from repro.sim.network import Envelope
 from repro.types import TxBatch
 from repro.types.microblock import MicroBlock, MicroBlockId
@@ -48,22 +53,40 @@ class StratusMempool(Mempool):
             busy_margin=config.busy_margin,
             busy_slack=config.busy_slack,
         )
+        scope = self._scope()
         self.pab = PabEngine(
-            host, config, self.store, self.fetcher,
-            on_proof=self._on_remote_proof,
+            host, config, scope, self.store, self.fetcher,
+            # Without DLB there is no forward for a proof to settle.
+            on_proof=(
+                self._on_remote_proof if config.load_balancing
+                else self._add_available
+            ),
             on_stable=self._on_stable,
             retry_floor=self.estimator.estimate,
         )
-        self.balancer = LoadBalancer(
+        # Bound once, like the engine's copies: verify_payload runs per
+        # entry of every proposal at every replica.
+        self._verify = scope.verify
+        self._slot: str = scope.slot
+        self._proof_of = attrgetter(scope.slot)
+        #: DLB endpoint, or None with load balancing off — which it
+        #: always is under sharding (ProtocolConfig rejects the pair).
+        self.balancer: Optional[LoadBalancer] = LoadBalancer(
             host, config, self.estimator, self.pab,
             on_available=self._on_self_available,
-        )
+        ) if config.load_balancing else None
         self._batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
         self._ava_queue: deque[MicroBlockId] = deque()  # avaQue
-        self._proofs: dict[MicroBlockId, AvailabilityProof] = {}  # pMap
+        self._proofs: dict[MicroBlockId, object] = {}  # pMap
         self._queued: set[MicroBlockId] = set()
         self._referenced: set[MicroBlockId] = set()
         self._committed: set[MicroBlockId] = set()
+
+    def _scope(self):
+        """The PAB scope: all ``n`` replicas, ``stability_quorum`` acks."""
+        return NetworkScope(
+            self.host.node_id, self.config.n, self.config.stability_quorum
+        )
 
     # -- client / dissemination -------------------------------------------
 
@@ -81,19 +104,17 @@ class StratusMempool(Mempool):
         self.host.trace(
             "mb_new", mb=microblock.id, txs=microblock.tx_count,
         )
-        self.balancer.handle_new_microblock(microblock)
+        if self.balancer is not None:
+            self.balancer.handle_new_microblock(microblock)
+        else:
+            self.pab.push_own(microblock, self._on_self_available)
 
     def _on_stable(self, mb_id: MicroBlockId, elapsed: float) -> None:
         self.host.trace("mb_stable", mb=mb_id, st=round(elapsed, 6))
         self.estimator.record(elapsed)
         self.host.metrics.record_stable_time(elapsed)
-        # A self-push completing means this replica ran the push phase;
-        # broadcast the proof (recovery phase) and queue the id. Forwarded
-        # pushes settle through the LoadBalancer instead.
 
-    def _add_available(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> None:
+    def _add_available(self, mb_id: MicroBlockId, proof) -> None:
         """Record ``(id, proof)`` in pMap and push the id onto avaQue."""
         self._proofs[mb_id] = proof
         if (
@@ -104,9 +125,7 @@ class StratusMempool(Mempool):
             self._queued.add(mb_id)
             self._ava_queue.append(mb_id)
 
-    def _on_self_available(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> None:
+    def _on_self_available(self, mb_id: MicroBlockId, proof) -> None:
         """A PAB instance this replica owns became available.
 
         Covers both a completed self-push and a settled forward (where the
@@ -126,10 +145,8 @@ class StratusMempool(Mempool):
         if repushed:
             self.host.trace("mb_repush", count=repushed)
 
-    def _on_remote_proof(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> None:
-        """A PAB-Proof message arrived (already verified by the engine)."""
+    def _on_remote_proof(self, mb_id: MicroBlockId, proof) -> None:
+        """A verified PAB-Proof message arrived and DLB is on."""
         if self.balancer.on_proof_received(mb_id, proof):
             return  # settled a forwarded microblock; balancer recovered it
         self._add_available(mb_id, proof)
@@ -149,7 +166,7 @@ class StratusMempool(Mempool):
                 continue
             self._referenced.add(mb_id)
             entries.append(
-                PayloadEntry(mb_id=mb_id, proof=self._proofs[mb_id])
+                PayloadEntry(mb_id, **{self._slot: self._proofs[mb_id]})
             )
         return Payload(entries=tuple(entries))
 
@@ -157,13 +174,11 @@ class StratusMempool(Mempool):
 
     def verify_payload(self, payload: Payload) -> bool:
         """threshold-verify every proof; failure triggers a view-change."""
+        verify = self._verify
+        proof_of = self._proof_of
         for entry in payload.entries:
-            if entry.proof is None:
-                return False
-            if not verify_availability_proof(
-                entry.proof, entry.mb_id,
-                self.config.stability_quorum, self.config.n,
-            ):
+            proof = proof_of(entry)
+            if proof is None or not verify(proof, entry.mb_id):
                 return False
         return True
 
@@ -174,15 +189,23 @@ class StratusMempool(Mempool):
         (FillProposal runs on a thread independent of consensus in the
         prototype; here, on the data channel via ``resolve``).
         """
+        proof_of = self._proof_of
         for entry in proposal.payload.entries:
             self._referenced.add(entry.mb_id)
-            if entry.proof is not None:
-                self._proofs.setdefault(entry.mb_id, entry.proof)
+            proof = proof_of(entry)
+            if proof is not None:
+                self._proofs.setdefault(entry.mb_id, proof)
         on_ready()
+
+    def _resolvable(self, entries):
+        """Entries this replica materializes bodies for: all of them."""
+        return entries
 
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
         block = Block(proposal=proposal)
         entries = proposal.payload.entries
+        if entries:
+            entries = self._resolvable(entries)
         if not entries:
             block.filled_at = self.host.sim.now
             on_full(block)
@@ -196,10 +219,13 @@ class StratusMempool(Mempool):
                 block.filled_at = self.host.sim.now
                 on_full(block)
 
+        proof_of = self._proof_of
         for entry in entries:
             self.store.on_delivery(entry.mb_id, collect)
-            if entry.mb_id not in self.store and entry.proof is not None:
-                self.pab.fetch(entry.mb_id, entry.proof)
+            if entry.mb_id not in self.store:
+                proof = proof_of(entry)
+                if proof is not None:
+                    self.pab.fetch(entry.mb_id, proof)
 
     def mark_committed(self, proposal: Proposal) -> None:
         """Commit hook (Section VIII): ids must never re-enter avaQue."""
@@ -239,6 +265,6 @@ class StratusMempool(Mempool):
     # -- network -----------------------------------------------------------
 
     def on_message(self, envelope: Envelope) -> None:
-        if self.balancer.on_message(envelope):
+        if self.balancer is not None and self.balancer.on_message(envelope):
             return
         self.pab.on_message(envelope)

@@ -13,6 +13,17 @@ sample of the proof's signers, retrying every ``delta`` seconds
 (:class:`repro.mempool.fetching.FetchManager`). Recovery traffic stays
 off the consensus critical path: requests ride the control channel and
 the returned bodies ride the data channel.
+
+**Scopes.** The protocol is one loop; *whom* it runs over is a
+parameter. A scope object decides the push peers, the ack quorum, the
+three wire kinds, how a proof is minted and verified, which
+:class:`~repro.types.proposal.PayloadEntry` slot carries it, and
+whether a replica that learns of a proof for a body it lacks fetches
+right away. :class:`NetworkScope` is unsharded Stratus (all ``n``
+replicas, ``stability_quorum`` acks, :class:`AvailabilityProof`);
+:class:`repro.sharding.ShardScope` is the host's own shard
+(:class:`~repro.sharding.ShardCertificate`). "Proof" below means
+whichever of the two the scope mints.
 """
 
 from __future__ import annotations
@@ -24,9 +35,8 @@ from repro.crypto import (
     AvailabilityProof,
     ProofError,
     Signature,
-    make_availability_proof,
     sign,
-    verify_availability_proof,
+    verify_signature,
 )
 from repro.mempool.base import MessageKinds
 from repro.mempool.fetching import (
@@ -43,13 +53,79 @@ from repro.types.microblock import MicroBlock, MicroBlockId
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
-OnAvailable = Callable[[MicroBlockId, AvailabilityProof], None]
-OnProof = Callable[[MicroBlockId, AvailabilityProof], None]
+#: Callback taking ``(microblock id, the scope's proof)``.
+OnProof = Callable[[MicroBlockId, object], None]
 
 #: EWMA smoothing weight for the push->first-remote-ack RTT sample.
 RTT_EWMA_ALPHA = 0.2
 
-__all__ = ["PabEngine", "RETRY_STABLE_TIME_FACTOR"]
+__all__ = ["NetworkScope", "PabEngine", "RETRY_STABLE_TIME_FACTOR"]
+
+
+class NetworkScope:
+    """PAB over all ``n`` replicas with concatenated-signature proofs."""
+
+    body_kind = MessageKinds.MICROBLOCK
+    ack_kind = MessageKinds.ACK
+    proof_kind = MessageKinds.PROOF
+    #: The :class:`PayloadEntry` field that carries this scope's proofs.
+    slot = "proof"
+
+    def __init__(self, node_id: int, n: int, quorum: int) -> None:
+        self.n = n
+        #: Acks needed to mint a proof, and signers needed to accept one.
+        self.quorum = quorum
+        self.peers: tuple[int, ...] = tuple(
+            node for node in range(n) if node != node_id
+        )
+
+    def make(
+        self, microblock: MicroBlock, acks: list[Signature]
+    ) -> AvailabilityProof:
+        """Aggregate acks into a proof (``threshold-sign`` in Alg. 1).
+
+        Raises :class:`ProofError` if the acks do not form a valid
+        quorum: too few distinct valid signers, wrong digest, or forged
+        signatures.
+        """
+        mb_id = microblock.id
+        valid_signers: set[int] = set()
+        for ack in acks:
+            if verify_signature(ack, mb_id, self.n):
+                valid_signers.add(ack.signer)
+        if len(valid_signers) < self.quorum:
+            raise ProofError(
+                f"need {self.quorum} distinct valid acks over mb {mb_id}, "
+                f"got {len(valid_signers)}"
+            )
+        return AvailabilityProof(
+            mb_id=mb_id, signers=tuple(sorted(valid_signers))
+        )
+
+    def verify(self, proof: AvailabilityProof, mb_id: MicroBlockId) -> bool:
+        """``threshold-verify`` in Algorithms 2 and 3."""
+        if proof.mb_id != mb_id:
+            return False
+        quorum = self.quorum
+        n = self.n
+        if proof._verified_quorum == quorum and proof._verified_n == n:
+            return True
+        if proof.forged:
+            return False
+        signers = set(proof.signers)
+        if len(signers) != len(proof.signers):
+            return False
+        if any(not 0 <= signer < n for signer in signers):
+            return False
+        if len(signers) < quorum:
+            return False
+        object.__setattr__(proof, "_verified_quorum", quorum)
+        object.__setattr__(proof, "_verified_n", n)
+        return True
+
+    def fetches_eagerly(self, proof: AvailabilityProof) -> bool:
+        """Every replica is a witness-to-be: recover as soon as proven."""
+        return True
 
 
 class _PushState:
@@ -64,7 +140,7 @@ class _PushState:
         self,
         microblock: MicroBlock,
         started_at: float,
-        on_available: OnAvailable,
+        on_available: OnProof,
         targets,
     ) -> None:
         self.microblock = microblock
@@ -87,6 +163,7 @@ class PabEngine:
         self,
         host: "Replica",
         config: ProtocolConfig,
+        scope,
         store: MicroBlockStore,
         fetcher: FetchManager,
         on_proof: OnProof,
@@ -107,47 +184,73 @@ class PabEngine:
         #: the stable-time estimator has a full window.
         self._ack_rtt: Optional[float] = None
         self._pushes: dict[MicroBlockId, _PushState] = {}
-        self._proofs: dict[MicroBlockId, AvailabilityProof] = {}
-        #: Default push fan-out (everyone else), computed once.
-        self._all_peers: tuple[int, ...] = tuple(
-            node for node in range(config.n) if node != host.node_id
-        )
+        self._proofs: dict[MicroBlockId, object] = {}
+        # Everything the scope decides, bound once: the handlers below
+        # run per ack, body and proof message, where an indirection
+        # through the scope object would be paid n times a microblock.
+        #: Default push fan-out (the scope's other replicas).
+        self.peers: tuple[int, ...] = scope.peers
+        self._peer_set = frozenset(scope.peers)
+        self._quorum: int = scope.quorum
+        self._body_kind: str = scope.body_kind
+        self._ack_kind: str = scope.ack_kind
+        self._proof_kind: str = scope.proof_kind
+        self._make = scope.make
+        self._verify = scope.verify
+        self._fetches_eagerly = scope.fetches_eagerly
 
     # -- pusher role -------------------------------------------------------
 
     def push(
         self,
         microblock: MicroBlock,
-        on_available: OnAvailable,
+        on_available: OnProof,
         targets: Optional[list[int]] = None,
     ) -> None:
         """Start the push phase for ``microblock``.
 
-        ``targets`` defaults to every other replica; Byzantine senders
+        ``targets`` defaults to the scope's peers; Byzantine senders
         restrict it to mount the censoring attack of Fig. 8. The pusher's
         own ack is counted immediately (Algorithm 1, quorum includes the
-        sender).
+        sender — under sharding every origin is a member of its shard).
         """
         self._store.add(microblock)
-        explicit = targets is not None
         state = _PushState(
             microblock, self._host.sim.now, on_available,
-            list(targets) if explicit else self._all_peers,
+            self.peers if targets is None else targets,
         )
         self._pushes[microblock.id] = state
         state.acks.append(sign(self._host.node_id, microblock.id))
         state.signers.add(self._host.node_id)
         self._host.network.broadcast(
             self._host.node_id,
-            MessageKinds.MICROBLOCK,
+            self._body_kind,
             microblock.size_bytes,
             microblock,
-            # None lets the network use its cached default fan-out
-            # (everyone else) without re-validating a recipient list.
-            recipients=list(targets) if explicit else None,
+            recipients=list(state.targets),
         )
         self._arm_retry(state)
         self._maybe_complete(state)
+
+    def push_own(
+        self, microblock: MicroBlock, on_available: OnProof
+    ) -> None:
+        """Push a microblock this replica cut itself.
+
+        The host's behaviour picks the recipients: everyone for an
+        honest sender, a subset for the Byzantine senders of Fig. 8.
+        Picks outside the scope's peers are dropped — a censor's
+        favoured leader need not be a member of its shard, and only
+        members witness.
+        """
+        targets = self._host.behavior.share_targets(
+            self._host, list(self.peers)
+        )
+        peers = self._peer_set
+        self.push(
+            microblock, on_available,
+            [node for node in targets if node in peers],
+        )
 
     def repush_pending(self) -> int:
         """Immediately retransmit pushes that never reached a quorum.
@@ -195,25 +298,25 @@ class PabEngine:
         if missing:
             self._host.network.broadcast(
                 self._host.node_id,
-                MessageKinds.MICROBLOCK,
+                self._body_kind,
                 state.microblock.size_bytes,
                 state.microblock,
                 recipients=missing,
             )
         self._arm_retry(state)
 
-    def broadcast_proof(self, mb_id: MicroBlockId, proof: AvailabilityProof) -> None:
+    def broadcast_proof(self, mb_id: MicroBlockId, proof) -> None:
         """Start the recovery phase: disseminate the availability proof."""
         self._proofs[mb_id] = proof
         self._host.network.broadcast(
             self._host.node_id,
-            MessageKinds.PROOF,
+            self._proof_kind,
             proof.size_bytes,
             (mb_id, proof),
             Channel.CONTROL,
         )
 
-    def proof_for(self, mb_id: MicroBlockId) -> Optional[AvailabilityProof]:
+    def proof_for(self, mb_id: MicroBlockId):
         return self._proofs.get(mb_id)
 
     def discard(self, mb_id: MicroBlockId) -> None:
@@ -229,7 +332,7 @@ class PabEngine:
             state.timer.cancel()
         self._fetcher.cancel(mb_id)
 
-    def fetch(self, mb_id: MicroBlockId, proof: AvailabilityProof) -> None:
+    def fetch(self, mb_id: MicroBlockId, proof) -> None:
         """``PAB-Fetch``: retrieve a missing body from the proof's signers.
 
         The first round is deferred by a grace period: in the normal case
@@ -249,16 +352,13 @@ class PabEngine:
     def on_message(self, envelope: Envelope) -> bool:
         """Process PAB traffic; returns False for non-PAB kinds."""
         kind = envelope.kind
-        if kind in (
-            MessageKinds.MICROBLOCK,
-            MessageKinds.MICROBLOCK_FETCH,
-        ):
+        if kind == self._body_kind or kind == MessageKinds.MICROBLOCK_FETCH:
             self._on_body(envelope)
             return True
-        if kind == MessageKinds.ACK:
+        if kind == self._ack_kind:
             self._on_ack(envelope)
             return True
-        if kind == MessageKinds.PROOF:
+        if kind == self._proof_kind:
             self._on_proof_message(envelope)
             return True
         if kind == MessageKinds.FETCH_REQUEST:
@@ -270,7 +370,7 @@ class PabEngine:
         microblock: MicroBlock = envelope.payload
         self._store.add(microblock)
         if (
-            envelope.kind == MessageKinds.MICROBLOCK
+            envelope.kind == self._body_kind
             and self._host.behavior.acks_microblocks
         ):
             # Witness: ack back to the pusher, even for duplicates — a
@@ -278,7 +378,7 @@ class PabEngine:
             self._host.network.send(
                 self._host.node_id,
                 envelope.src,
-                MessageKinds.ACK,
+                self._ack_kind,
                 sizes.ACK,
                 sign(self._host.node_id, microblock.id),
                 Channel.CONTROL,
@@ -301,13 +401,10 @@ class PabEngine:
         self._maybe_complete(state)
 
     def _maybe_complete(self, state: _PushState) -> None:
-        quorum = self._config.stability_quorum
-        if len(state.signers) < quorum:
+        if len(state.signers) < self._quorum:
             return
         try:
-            proof = make_availability_proof(
-                state.microblock.id, state.acks, quorum, self._config.n
-            )
+            proof = self._make(state.microblock, state.acks)
         except ProofError:
             return
         state.done = True
@@ -322,13 +419,11 @@ class PabEngine:
 
     def _on_proof_message(self, envelope: Envelope) -> None:
         mb_id, proof = envelope.payload
-        if not verify_availability_proof(
-            proof, mb_id, self._config.stability_quorum, self._config.n
-        ):
+        if not self._verify(proof, mb_id):
             return
         first_time = mb_id not in self._proofs
         self._proofs[mb_id] = proof
-        if mb_id not in self._store:
+        if mb_id not in self._store and self._fetches_eagerly(proof):
             self.fetch(mb_id, proof)
         if first_time:
             self._on_proof(mb_id, proof)

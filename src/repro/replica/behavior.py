@@ -76,9 +76,10 @@ class CensoringSender(Behavior):
     Against the simple SMP it shares each microblock with the leader
     only; against availability-guaranteeing mempools it must additionally
     reach enough witnesses for its content to become proposable at all —
-    an ack quorum minus its own ack under Stratus (PAB), an echo quorum
-    minus its own echo under reliable broadcast (Narwhal). It refuses to
-    serve the resulting fetches.
+    an ack quorum minus its own ack under Stratus (PAB; the shard quorum
+    under sharding, where a leader outside the shard is no witness), an
+    echo quorum minus its own echo under reliable
+    broadcast (Narwhal). It refuses to serve the resulting fetches.
 
     ``min_witnesses`` is that number of *other* replicas; 0 models the
     pure leader-only attack on the simple SMP.
@@ -99,7 +100,11 @@ class CensoringSender(Behavior):
     ) -> list[int]:
         leader = host.consensus.current_leader()
         targets = {leader} - {host.node_id}
-        missing = self._min_witnesses - len(targets)
+        # Only recipients that can ack count as witnesses: under sharding
+        # the leader may sit outside the sender's shard.
+        missing = self._min_witnesses - len(
+            targets.intersection(default_targets)
+        )
         if missing > 0:
             candidates = [
                 node for node in default_targets if node not in targets
@@ -144,9 +149,9 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
     """Build a behavior from its name, tuned to the protocol under test.
 
     The censoring attacker needs protocol-specific witness counts: under
-    Stratus it must reach an ack quorum minus its own ack, under Narwhal
-    an echo quorum minus its own echo; against the simple SMP the pure
-    leader-only attack suffices.
+    Stratus it must reach an ack quorum (the shard's, when sharded) minus
+    its own ack, under Narwhal an echo quorum minus its own echo; against
+    the simple SMP the pure leader-only attack suffices.
     """
     if kind in ("none", "honest"):
         return HonestBehavior()
@@ -155,6 +160,14 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
     if kind == "censor":
         if config.mempool == "stratus":
             witnesses = config.stability_quorum - 1
+        elif config.mempool == "sharded-stratus":
+            from repro.config import ShardingConfig
+            from repro.sharding import ShardMap
+
+            shard_map = ShardMap(
+                config.n, config.sharding or ShardingConfig()
+            )
+            witnesses = shard_map.quorum(0) - 1
         elif config.mempool == "narwhal":
             witnesses = 2 * config.f
         else:

@@ -2,25 +2,20 @@
 
 Partitions the microblock space into shards with independent per-shard
 PAB quorums; consensus orders compact :class:`ShardCertificate`s instead
-of bodies. See DESIGN.md "Sharding" for the architecture.
+of bodies. The PAB loop itself is the one in
+:mod:`repro.mempool.stratus.pab`, run over a :class:`ShardScope`. See
+DESIGN.md "Sharding" for the architecture.
 """
 
 from repro.config import ShardingConfig
-from repro.sharding.certificate import (
-    CertificateError,
-    ShardCertificate,
-    make_shard_certificate,
-    verify_shard_certificate,
-)
+from repro.sharding.certificate import CertificateError, ShardCertificate
 from repro.sharding.map import ShardMap
-from repro.sharding.pab import ShardPabEngine
+from repro.sharding.scope import ShardScope
 
 __all__ = [
     "CertificateError",
     "ShardCertificate",
     "ShardMap",
-    "ShardPabEngine",
+    "ShardScope",
     "ShardingConfig",
-    "make_shard_certificate",
-    "verify_shard_certificate",
 ]

@@ -10,19 +10,20 @@ Unlike :class:`repro.crypto.AvailabilityProof`, the certificate carries
 the commit-accounting scalars (``tx_count``, ``mean_arrival``) so a
 replica outside the shard can record throughput and latency for a
 committed block without ever receiving the bodies.
+
+Minting and verifying live in :class:`repro.sharding.scope.ShardScope`,
+which fixes the shard map they are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.signatures import Signature, verify_signature
-from repro.sharding.map import ShardMap
+from repro.crypto.proofs import ProofError
 from repro.types import sizes
-from repro.types.microblock import MicroBlock, microblock_origin
 
 
-class CertificateError(ValueError):
+class CertificateError(ProofError):
     """Raised when a certificate cannot be assembled from the given acks."""
 
 
@@ -53,75 +54,3 @@ class ShardCertificate:
     # successful checks are cached; the ``mb_id`` binding is re-checked
     # on every call.
     _verified_key = None
-
-
-def make_shard_certificate(
-    microblock: MicroBlock,
-    shard: int,
-    acks: list[Signature],
-    members: tuple[int, ...],
-    quorum: int,
-    n: int,
-) -> ShardCertificate:
-    """Aggregate member acks into a certificate.
-
-    Raises :class:`CertificateError` if the acks do not form a valid
-    shard quorum: too few distinct valid *member* signers, wrong digest,
-    or forged signatures. Acks from non-members are discarded — a quorum
-    of outsiders says nothing about the shard's availability.
-    """
-    member_set = set(members)
-    valid_signers: set[int] = set()
-    for ack in acks:
-        if ack.signer in member_set and verify_signature(
-            ack, microblock.id, n
-        ):
-            valid_signers.add(ack.signer)
-    if len(valid_signers) < quorum:
-        raise CertificateError(
-            f"need {quorum} distinct member acks over mb {microblock.id} "
-            f"in shard {shard}, got {len(valid_signers)}"
-        )
-    return ShardCertificate(
-        mb_id=microblock.id,
-        shard=shard,
-        origin=microblock.origin,
-        tx_count=microblock.tx_count,
-        mean_arrival=microblock.mean_arrival,
-        signers=tuple(sorted(valid_signers)),
-    )
-
-
-def verify_shard_certificate(
-    cert: ShardCertificate, mb_id: int, shard_map: ShardMap
-) -> bool:
-    """Certificate-validity vote: structural + binding checks.
-
-    The verifier recomputes the owning shard from the microblock id, so
-    a certificate signed by the wrong shard's members (or claiming a
-    foreign origin) is rejected even if its signatures check out.
-    """
-    if cert.mb_id != mb_id:
-        return False
-    key = (shard_map.n, shard_map.config)
-    if cert._verified_key == key:
-        return True
-    if cert.forged:
-        return False
-    if cert.tx_count <= 0:
-        return False
-    if cert.origin != microblock_origin(mb_id):
-        return False
-    if not 0 <= cert.shard < shard_map.shards:
-        return False
-    if cert.shard != shard_map.shard_of_origin(cert.origin):
-        return False
-    signers = set(cert.signers)
-    if len(signers) != len(cert.signers):
-        return False
-    if not signers <= shard_map.member_set(cert.shard):
-        return False
-    if len(signers) < shard_map.quorum(cert.shard):
-        return False
-    object.__setattr__(cert, "_verified_key", key)
-    return True

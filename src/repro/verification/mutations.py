@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.consensus.hotstuff import GENESIS_ID, HotStuff
+from repro.mempool import MEMPOOL_CLASSES
 from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.types.microblock import make_microblock_id
 from repro.types.proposal import Payload, PayloadEntry, Proposal
@@ -122,6 +123,22 @@ class SilentPrepareMempool(SimpleSharedMempool):
         # BUG under test: on_ready is never invoked.
 
 
+class ShortQuorumScope:
+    """Mixin for the Stratus mempools: a PAB scope one ack short.
+
+    The scope's quorum is what both minting and verifying read, so the
+    whole network agrees on the weakened rule (ROADMAP's "quorum f_s
+    instead of f_s + 1") and nothing but the availability oracle can
+    notice: a proof may now form, and be voted on, while fewer honest
+    stores hold the body than the real quorum promises.
+    """
+
+    def _scope(self):
+        scope = super()._scope()
+        scope.quorum -= 1
+        return scope
+
+
 @dataclass(frozen=True)
 class Mutant:
     """One seeded bug plus the scenario under which it must be caught."""
@@ -192,6 +209,33 @@ MUTANTS: dict[str, Mutant] = {
                      "rate": 0.8, "channel": "data"},
                 ],
             ),
+        ),
+        # One engine, so one mixin covers both scopes: the same seeded
+        # bug and schedule, registered per Stratus kind.
+        *(
+            Mutant(
+                name=f"short-quorum-{kind}",
+                description=(
+                    "PAB scope mints and accepts proofs one ack short of "
+                    "its quorum; under body loss a microblock commits "
+                    "while held by fewer honest stores than promised"
+                ),
+                expected_oracle="availability",
+                mempool_cls=type(
+                    f"ShortQuorum{MEMPOOL_CLASSES[kind].__name__}",
+                    (ShortQuorumScope, MEMPOOL_CLASSES[kind]), {},
+                ),
+                scenario=_scenario(
+                    mempool=kind,
+                    n=7,
+                    duration=4.0,
+                    fault_spec=[
+                        {"event": "loss", "at": 0.6, "duration": 1.5,
+                         "rate": 0.8, "channel": "data"},
+                    ],
+                ),
+            )
+            for kind in ("stratus", "sharded-stratus")
         ),
         Mutant(
             name="replay-payload",

@@ -7,7 +7,7 @@ but using the production wiring from the harness.
 
 from __future__ import annotations
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, ShardingConfig
 from repro.harness import ExperimentConfig, build_experiment
 from repro.types import TxBatch
 
@@ -54,6 +54,24 @@ def make_cluster(
         **experiment_overrides,
     )
     return build_experiment(config)
+
+
+#: The two mempool kinds that share the PAB engine and Stratus mempool.
+STRATUS_KINDS = ("stratus", "sharded-stratus")
+
+
+def stratus_cluster(kind, **kwargs):
+    """A cluster per Stratus kind: n=4 flat (everyone is a push peer),
+    or n=8 in 2 shards ({0,2,4,6} and {1,3,5,7}), where membership is a
+    strict subset and non-members only ever see the certificate."""
+    if kind == "stratus":
+        return make_cluster(n=kwargs.pop("n", 4), mempool=kind, **kwargs)
+    overrides = dict(kwargs.pop("protocol_overrides", None) or {})
+    overrides["sharding"] = ShardingConfig(shards=2)
+    return make_cluster(
+        n=kwargs.pop("n", 8), mempool=kind, protocol_overrides=overrides,
+        **kwargs,
+    )
 
 
 def inject(experiment, replica_id, count=4, payload=128):

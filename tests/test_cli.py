@@ -62,6 +62,18 @@ def test_fault_arguments(capsys):
     assert code == 0
 
 
+def test_shards_flag_on_an_unsharded_preset(capsys):
+    """``--shards`` swaps the mempool under S-HS, whose tuned default is
+    DLB on; the run must still construct (and commit)."""
+    code = run_cli([
+        "--preset", "S-HS", "--shards", "2", "--n", "8",
+        "--rate", "1000", "--duration", "1.0", "--warmup", "0.5",
+        "--batch-bytes", "1024",
+    ])
+    assert code == 0
+    assert "S-HS" in capsys.readouterr().out
+
+
 def test_disturbance_window(capsys):
     code = run_cli([
         "--preset", "S-HS", "--n", "4", "--topology", "wan",

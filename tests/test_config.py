@@ -85,3 +85,15 @@ def test_with_updates_returns_modified_copy():
     assert updated.batch_bytes == 999
     assert config.batch_bytes != 999
     assert updated.n == 4
+
+
+@pytest.mark.parametrize(
+    "ignored", [{"load_balancing": True}, {"pab_quorum": 2}],
+    ids=["load_balancing", "pab_quorum"],
+)
+def test_sharded_stratus_rejects_settings_it_would_ignore(ignored):
+    """The shard quorum is f_s + 1 from the shard map and there is no
+    shard-aware DLB: accepting either would silently run something else."""
+    ProtocolConfig(n=4, mempool="stratus", **ignored)  # fine when flat
+    with pytest.raises(ValueError, match="sharded-stratus"):
+        ProtocolConfig(n=4, mempool="sharded-stratus", **ignored)

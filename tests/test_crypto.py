@@ -8,14 +8,14 @@ from repro.crypto import (
     ProofError,
     QuorumCert,
     Signature,
-    make_availability_proof,
     make_quorum_cert,
     sign,
-    verify_availability_proof,
     verify_quorum_cert,
     verify_signature,
     vote_signature,
 )
+from repro.mempool.stratus.pab import NetworkScope
+from repro.types.microblock import MicroBlock
 
 
 class TestSignatures:
@@ -37,48 +37,56 @@ class TestSignatures:
 
 
 class TestAvailabilityProofs:
+    """Minting and verifying under the flat PAB scope (3-of-4)."""
+
+    scope = NetworkScope(node_id=0, n=4, quorum=3)
+    mb = MicroBlock(
+        id=7, origin=0, tx_count=1, tx_payload=128, created_at=0.0,
+        sum_arrival=0.0,
+    )
+
     def acks(self, signers, mb_id=7):
         return [sign(s, mb_id) for s in signers]
 
     def test_make_and_verify(self):
-        proof = make_availability_proof(7, self.acks([0, 1, 2]), quorum=3, n=4)
+        proof = self.scope.make(self.mb, self.acks([0, 1, 2]))
         assert proof.quorum == 3
-        assert verify_availability_proof(proof, 7, quorum=3, n=4)
+        assert self.scope.verify(proof, 7)
 
     def test_insufficient_acks(self):
         with pytest.raises(ProofError):
-            make_availability_proof(7, self.acks([0, 1]), quorum=3, n=4)
+            self.scope.make(self.mb, self.acks([0, 1]))
 
     def test_duplicate_signers_not_counted(self):
         acks = self.acks([0, 0, 0, 1])
         with pytest.raises(ProofError):
-            make_availability_proof(7, acks, quorum=3, n=4)
+            self.scope.make(self.mb, acks)
 
     def test_forged_acks_not_counted(self):
         acks = self.acks([0, 1]) + [Signature(2, 7, forged=True)]
         with pytest.raises(ProofError):
-            make_availability_proof(7, acks, quorum=3, n=4)
+            self.scope.make(self.mb, acks)
 
     def test_wrong_digest_acks_not_counted(self):
         acks = self.acks([0, 1]) + [sign(2, digest=8)]
         with pytest.raises(ProofError):
-            make_availability_proof(7, acks, quorum=3, n=4)
+            self.scope.make(self.mb, acks)
 
     def test_forged_proof_rejected(self):
         forged = AvailabilityProof(mb_id=7, signers=(0, 1, 2), forged=True)
-        assert not verify_availability_proof(forged, 7, quorum=3, n=4)
+        assert not self.scope.verify(forged, 7)
 
     def test_mismatched_id_rejected(self):
-        proof = make_availability_proof(7, self.acks([0, 1, 2]), quorum=3, n=4)
-        assert not verify_availability_proof(proof, 8, quorum=3, n=4)
+        proof = self.scope.make(self.mb, self.acks([0, 1, 2]))
+        assert not self.scope.verify(proof, 8)
 
     def test_undersized_proof_rejected(self):
         proof = AvailabilityProof(mb_id=7, signers=(0, 1))
-        assert not verify_availability_proof(proof, 7, quorum=3, n=4)
+        assert not self.scope.verify(proof, 7)
 
     def test_out_of_range_signers_rejected(self):
         proof = AvailabilityProof(mb_id=7, signers=(0, 1, 99))
-        assert not verify_availability_proof(proof, 7, quorum=3, n=4)
+        assert not self.scope.verify(proof, 7)
 
     def test_proof_size_scales_with_quorum(self):
         small = AvailabilityProof(mb_id=1, signers=(0, 1))

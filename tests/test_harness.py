@@ -42,6 +42,23 @@ class TestPresets:
         assert tuned_protocol("S-HS", 16).load_balancing
         assert not tuned_protocol("SMP-HS", 16).load_balancing
 
+    def test_tuning_follows_an_overridden_mempool_or_consensus(self):
+        """``repro run --protocol S-HS --shards 4`` overrides the mempool:
+        what is derived from it must follow, or the preset's DLB default
+        would reach a mempool that rejects it."""
+        sharded = tuned_protocol("S-HS", 16, mempool="sharded-stratus")
+        assert sharded == tuned_protocol("SS-HS", 16)
+        assert not sharded.load_balancing
+        assert tuned_protocol("N-HS", 16, mempool="stratus").load_balancing
+        assert (
+            tuned_protocol("S-HS", 16, consensus="streamlet")
+            == tuned_protocol("S-SL", 16)
+        )
+        assert (
+            tuned_protocol("S-SL", 16, mempool="native").view_timeout
+            == tuned_protocol("N-SL", 16).view_timeout
+        )
+
     def test_native_wan_view_timeout_covers_proposal(self):
         config = tuned_protocol("N-HS", 64, topology_kind="wan")
         transmit = 63 * config.native_block_bytes * 8 / 100e6

@@ -1,7 +1,8 @@
 """Mutation self-test: every seeded bug must trip its target oracle.
 
 This is the verification layer's own verification. Each mutant plants a
-classic BFT/SMP bug (1-chain commits, skipped availability gates, payload
+classic BFT/SMP bug (1-chain commits, skipped availability gates, a PAB
+quorum one ack short under both the flat and the shard scope, payload
 replay/fabrication, muted votes); if a refactor blinds an oracle, the
 corresponding case here fails. The reverse direction — oracles stay
 silent on correct stacks — is covered by ``tests/test_fuzz_corpus.py``.

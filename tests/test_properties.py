@@ -4,17 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ProtocolConfig
-from repro.crypto import (
-    make_availability_proof,
-    sign,
-    verify_availability_proof,
-)
+from repro.crypto import sign
 from repro.metrics import WeightedDigest
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.stratus.estimator import StableTimeEstimator
+from repro.mempool.stratus.pab import NetworkScope
 from repro.sim.engine import Simulator
 from repro.sim.network import TokenBucket
 from repro.types import TxBatch
+from repro.types.microblock import MicroBlock
 from repro.workload import ZipfSelector, zipf_weights
 
 
@@ -82,15 +80,20 @@ def test_proof_roundtrip_iff_quorum(n, data):
     signer_count = data.draw(st.integers(min_value=0, max_value=n))
     signers = data.draw(st.permutations(range(n))) [:signer_count]
     acks = [sign(s, 7) for s in signers]
+    scope = NetworkScope(node_id=0, n=n, quorum=quorum)
+    mb = MicroBlock(
+        id=7, origin=0, tx_count=1, tx_payload=128, created_at=0.0,
+        sum_arrival=0.0,
+    )
     if len(set(signers)) >= quorum:
-        proof = make_availability_proof(7, acks, quorum, n)
-        assert verify_availability_proof(proof, 7, quorum, n)
+        proof = scope.make(mb, acks)
+        assert scope.verify(proof, 7)
         # At most f Byzantine replicas: a quorum of f+1 must contain a
         # correct one, i.e. the signer set cannot fit inside any f-subset.
         assert len(set(proof.signers)) > f or quorum <= f
     else:
         try:
-            make_availability_proof(7, acks, quorum, n)
+            scope.make(mb, acks)
             assert False, "proof formed without a quorum"
         except ValueError:
             pass

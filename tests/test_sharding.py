@@ -15,8 +15,7 @@ from repro.sharding import (
     CertificateError,
     ShardCertificate,
     ShardMap,
-    make_shard_certificate,
-    verify_shard_certificate,
+    ShardScope,
 )
 from repro.types.microblock import MicroBlock, make_microblock_id
 
@@ -82,6 +81,20 @@ def test_quorum_tolerates_f_byzantine_members():
         assert shard_map.quorum(shard) <= m - f
 
 
+def test_every_shard_has_the_same_size_and_quorum():
+    # ShardScope verifies certificates of *any* shard against its own
+    # shard's quorum; that rests on the map padding every membership to
+    # shard_size, whatever n, shard count and epoch.
+    for n, shards, kwargs in (
+        (7, 2, {}), (10, 3, {}), (16, 8, {}), (13, 4, {"epoch": 5}),
+        (64, 4, {}), (9, 2, {"shard_size": 6}),
+    ):
+        shard_map = make_map(n, shards, **kwargs)
+        for shard in range(shards):
+            assert len(shard_map.members(shard)) == shard_map.shard_size
+            assert shard_map.quorum(shard) == shard_map.quorum(0)
+
+
 def test_epoch_rotation_rebalances_but_keeps_own_membership():
     base = make_map(16, 4)
     rotated = make_map(16, 4, epoch=3)
@@ -111,16 +124,22 @@ def _quorum_acks(shard_map, mb, shard):
     return [sign(node, mb.id) for node in members[:shard_map.quorum(shard)]]
 
 
+def scope_of(shard_map, node=1):
+    """The PAB scope replica ``node`` mints and verifies under."""
+    return ShardScope(node, shard_map)
+
+
 def test_make_certificate_from_quorum_acks():
     shard_map = make_map(16, 4)
     mb = make_mb(origin=1)
     shard = shard_map.shard_of_origin(1)
-    cert = make_shard_certificate(
-        mb, shard, _quorum_acks(shard_map, mb, shard),
-        shard_map.members(shard), shard_map.quorum(shard), 16,
-    )
+    scope = scope_of(shard_map)
+    cert = scope.make(mb, _quorum_acks(shard_map, mb, shard))
     assert cert.tx_count == mb.tx_count
-    assert verify_shard_certificate(cert, mb.id, shard_map)
+    assert cert.shard == shard
+    assert scope.verify(cert, mb.id)
+    # Any replica verifies any shard's certificate, member or not.
+    assert scope_of(shard_map, node=2).verify(cert, mb.id)
 
 
 def test_non_member_acks_do_not_count():
@@ -132,10 +151,7 @@ def test_non_member_acks_do_not_count():
     ]
     acks = [sign(node, mb.id) for node in outsiders]
     with pytest.raises(CertificateError, match="distinct member acks"):
-        make_shard_certificate(
-            mb, shard, acks, shard_map.members(shard),
-            shard_map.quorum(shard), 16,
-        )
+        scope_of(shard_map).make(mb, acks)
 
 
 def test_duplicate_and_forged_acks_do_not_count():
@@ -148,18 +164,14 @@ def test_duplicate_and_forged_acks_do_not_count():
                   forged=True)
     ]
     with pytest.raises(CertificateError):
-        make_shard_certificate(
-            mb, shard, acks, shard_map.members(shard),
-            shard_map.quorum(shard), 16,
-        )
+        scope_of(shard_map).make(mb, acks)
 
 
 def _valid_cert(shard_map, origin=1):
     mb = make_mb(origin=origin)
     shard = shard_map.shard_of_origin(origin)
-    return mb, make_shard_certificate(
-        mb, shard, _quorum_acks(shard_map, mb, shard),
-        shard_map.members(shard), shard_map.quorum(shard), shard_map.n,
+    return mb, scope_of(shard_map, origin).make(
+        mb, _quorum_acks(shard_map, mb, shard)
     )
 
 
@@ -167,21 +179,21 @@ def test_verify_rejects_wrong_binding_and_structure():
     shard_map = make_map(16, 4)
     mb, cert = _valid_cert(shard_map)
     # Wrong microblock id binding.
-    assert not verify_shard_certificate(cert, mb.id + 1, shard_map)
+    assert not scope_of(shard_map).verify(cert, mb.id + 1)
     # Wrong claimed shard for the origin.
     wrong_shard = ShardCertificate(
         mb_id=cert.mb_id, shard=(cert.shard + 1) % 4, origin=cert.origin,
         tx_count=cert.tx_count, mean_arrival=cert.mean_arrival,
         signers=cert.signers,
     )
-    assert not verify_shard_certificate(wrong_shard, mb.id, shard_map)
+    assert not scope_of(shard_map).verify(wrong_shard, mb.id)
     # Sub-quorum signer set.
     thin = ShardCertificate(
         mb_id=cert.mb_id, shard=cert.shard, origin=cert.origin,
         tx_count=cert.tx_count, mean_arrival=cert.mean_arrival,
         signers=cert.signers[:shard_map.quorum(cert.shard) - 1] or (),
     )
-    assert not verify_shard_certificate(thin, mb.id, shard_map)
+    assert not scope_of(shard_map).verify(thin, mb.id)
     # Signers outside the owning shard's membership.
     outsider = next(
         node for node in range(16)
@@ -192,7 +204,7 @@ def test_verify_rejects_wrong_binding_and_structure():
         tx_count=cert.tx_count, mean_arrival=cert.mean_arrival,
         signers=tuple(list(cert.signers[:-1]) + [outsider]),
     )
-    assert not verify_shard_certificate(foreign, mb.id, shard_map)
+    assert not scope_of(shard_map).verify(foreign, mb.id)
 
 
 def test_verify_rejects_cert_under_different_map():
@@ -208,16 +220,16 @@ def test_verify_rejects_cert_under_different_map():
         )
         and cert.shard == new_map.shard_of_origin(cert.origin)
     )
-    assert verify_shard_certificate(cert, mb_id, new_map) == valid_under_new
+    assert scope_of(new_map).verify(cert, mb_id) == valid_under_new
 
 
 def test_verification_is_memoized_per_map():
     shard_map = make_map(16, 4)
     mb, cert = _valid_cert(shard_map)
-    assert verify_shard_certificate(cert, mb.id, shard_map)
+    assert scope_of(shard_map).verify(cert, mb.id)
     assert cert._verified_key == (shard_map.n, shard_map.config)
     # The binding check still runs on the memoized path.
-    assert not verify_shard_certificate(cert, mb.id + 1, shard_map)
+    assert not scope_of(shard_map).verify(cert, mb.id + 1)
 
 
 def test_certificate_wire_size_is_aggregate_not_concatenated():

@@ -1,13 +1,40 @@
-"""Unit/integration tests for Stratus mempool bookkeeping (Algorithm 3)."""
+"""Unit/integration tests for Stratus mempool bookkeeping (Algorithm 3).
 
-from repro.crypto import AvailabilityProof
-from repro.types.proposal import Payload, PayloadEntry
+``StratusMempool`` and its sharded subclass share the avaQue / pMap /
+commit / GC bookkeeping, so each case runs under both kinds (see
+``tests.helpers.stratus_cluster`` for the two cluster shapes).
+"""
 
-from tests.helpers import inject, make_cluster
+import dataclasses
+
+import pytest
+
+from repro.crypto import GENESIS_QC
+from repro.types.proposal import Payload, PayloadEntry, Proposal, make_block_id
+
+from tests.helpers import (
+    STRATUS_KINDS as KINDS,
+    inject,
+    stratus_cluster as cluster,
+)
+
+pytestmark = pytest.mark.parametrize("kind", KINDS)
 
 
 def stratus_of(exp, node):
     return exp.replicas[node].mempool
+
+
+def proof_of(mempool, entry):
+    """The entry's evidence, from the slot the mempool's scope uses."""
+    return getattr(entry, mempool._slot)
+
+
+def proposal_of(payload, counter):
+    return Proposal(
+        block_id=make_block_id(0, counter), view=9, height=9, proposer=0,
+        parent_id=0, justify=GENESIS_QC, payload=payload,
+    )
 
 
 def freeze_consensus(exp):
@@ -16,20 +43,22 @@ def freeze_consensus(exp):
         replica.consensus._try_propose = lambda *args, **kwargs: None
 
 
-def test_payload_entries_carry_proofs():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_payload_entries_carry_proofs(kind):
+    exp = cluster(kind)
     freeze_consensus(exp)
     inject(exp, 0, count=4)
     exp.sim.run_until(0.5)
-    payload = stratus_of(exp, 0).make_payload()
+    mempool = stratus_of(exp, 0)
+    payload = mempool.make_payload()
     assert payload.entries
     for entry in payload.entries:
-        assert entry.proof is not None
-        assert entry.proof.mb_id == entry.mb_id
+        assert proof_of(mempool, entry).mb_id == entry.mb_id
+        # Exactly one evidence slot is filled: the scope's.
+        assert (entry.proof is None) != (entry.cert is None)
 
 
-def test_make_payload_drains_ava_queue():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_make_payload_drains_ava_queue(kind):
+    exp = cluster(kind)
     freeze_consensus(exp)
     inject(exp, 0, count=4)
     exp.sim.run_until(0.5)
@@ -40,11 +69,8 @@ def test_make_payload_drains_ava_queue():
     assert second.is_empty  # ids are not proposed twice
 
 
-def test_proposal_cap_respected():
-    exp = make_cluster(
-        n=4, mempool="stratus",
-        protocol_overrides={"proposal_max_microblocks": 2},
-    )
+def test_proposal_cap_respected(kind):
+    exp = cluster(kind, protocol_overrides={"proposal_max_microblocks": 2})
     freeze_consensus(exp)
     for _ in range(5):
         inject(exp, 0, count=4)
@@ -54,38 +80,34 @@ def test_proposal_cap_respected():
     assert len(payload.entries) <= 2
 
 
-def test_verify_payload_accepts_honest_and_rejects_forged():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_verify_payload_accepts_honest_and_rejects_forged(kind):
+    exp = cluster(kind)
     freeze_consensus(exp)
     inject(exp, 0, count=4)
     exp.sim.run_until(0.5)
     mempool = stratus_of(exp, 1)
     honest = stratus_of(exp, 0).make_payload()
     assert mempool.verify_payload(honest)
-    forged = Payload(entries=(
-        PayloadEntry(
-            mb_id=42,
-            proof=AvailabilityProof(mb_id=42, signers=(0, 1), forged=True),
-        ),
-    ))
-    assert not mempool.verify_payload(forged)
-    missing_proof = Payload(entries=(PayloadEntry(mb_id=42),))
+    entry = honest.entries[0]
+    slot = mempool._slot
+    forged = dataclasses.replace(proof_of(mempool, entry), forged=True)
+    assert not mempool.verify_payload(Payload(entries=(
+        PayloadEntry(entry.mb_id, **{slot: forged}),
+    )))
+    rebound = PayloadEntry(entry.mb_id + 1, **{slot: proof_of(mempool, entry)})
+    assert not mempool.verify_payload(Payload(entries=(rebound,)))
+    missing_proof = Payload(entries=(PayloadEntry(mb_id=entry.mb_id),))
     assert not mempool.verify_payload(missing_proof)
 
 
-def test_garbage_collect_blocks_reproposal():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_garbage_collect_blocks_reproposal(kind):
+    exp = cluster(kind)
     freeze_consensus(exp)
     inject(exp, 0, count=4)
     exp.sim.run_until(0.5)
     mempool = stratus_of(exp, 0)
     payload = mempool.make_payload()
-    from repro.crypto import GENESIS_QC
-    from repro.types.proposal import Proposal, make_block_id
-    proposal = Proposal(
-        block_id=make_block_id(0, 500), view=9, height=9, proposer=0,
-        parent_id=0, justify=GENESIS_QC, payload=payload,
-    )
+    proposal = proposal_of(payload, 500)
     # Commit hooks as base.on_commit runs them: mark_committed fires
     # synchronously at commit time, garbage_collect after resolution.
     mempool.mark_committed(proposal)
@@ -95,19 +117,14 @@ def test_garbage_collect_blocks_reproposal():
     assert follow_up.is_empty  # committed ids never re-enter avaQue
 
 
-def test_abandoned_unreferenced_ids_requeue():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_abandoned_unreferenced_ids_requeue(kind):
+    exp = cluster(kind)
     freeze_consensus(exp)
     inject(exp, 0, count=4)
     exp.sim.run_until(0.5)
     mempool = stratus_of(exp, 0)
     payload = mempool.make_payload()
-    from repro.crypto import GENESIS_QC
-    from repro.types.proposal import Proposal, make_block_id
-    proposal = Proposal(
-        block_id=make_block_id(0, 501), view=9, height=9, proposer=0,
-        parent_id=0, justify=GENESIS_QC, payload=payload,
-    )
+    proposal = proposal_of(payload, 501)
     mempool.on_abandoned(proposal)  # fork lost without committing
     requeued = mempool.make_payload()
     assert {e.mb_id for e in requeued.entries} == {
@@ -115,8 +132,30 @@ def test_abandoned_unreferenced_ids_requeue():
     }
 
 
-def test_remote_proof_populates_ava_queue():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_abandoned_fork_with_unverified_proof_does_not_requeue(kind):
+    """A fork this replica never voted on may carry anything — a
+    proposal is stored before its payload is verified — so only proofs
+    the replica verified itself (pMap) re-enter avaQue."""
+    exp = cluster(kind)
+    freeze_consensus(exp)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(0.5)
+    mempool = stratus_of(exp, 1)
+    known = mempool.make_payload().entries[0]
+    unknown_id = known.mb_id + 1
+    forged = dataclasses.replace(
+        proof_of(mempool, known), mb_id=unknown_id, forged=True,
+    )
+    payload = Payload(entries=(
+        PayloadEntry(unknown_id, **{mempool._slot: forged}),
+    ))
+    assert not mempool.verify_payload(payload)
+    mempool.on_abandoned(proposal_of(payload, 503))
+    assert mempool.make_payload().is_empty
+
+
+def test_remote_proof_populates_ava_queue(kind):
+    exp = cluster(kind)
     inject(exp, 2, count=4)
     exp.sim.run_until(1.0)
     # Replica 0 saw only the proof broadcast, yet can propose the id.
@@ -130,32 +169,30 @@ def test_remote_proof_populates_ava_queue():
         assert mb_id in stratus_of(exp, 0)._referenced
 
 
-def test_resolve_produces_full_block():
-    exp = make_cluster(n=4, mempool="stratus")
+def test_resolve_produces_full_block(kind):
+    exp = cluster(kind)
     freeze_consensus(exp)
     inject(exp, 0, count=4)
     exp.sim.run_until(0.5)
-    mempool = stratus_of(exp, 1)
-    payload = stratus_of(exp, 0).make_payload()
-    from repro.crypto import GENESIS_QC
-    from repro.types.proposal import Proposal, make_block_id
-    proposal = Proposal(
-        block_id=make_block_id(0, 502), view=9, height=9, proposer=0,
-        parent_id=0, justify=GENESIS_QC, payload=payload,
-    )
+    pusher = stratus_of(exp, 0)
+    proposal = proposal_of(pusher.make_payload(), 502)
     blocks = []
-    mempool.resolve(proposal, blocks.append)
+    stratus_of(exp, pusher.pab.peers[0]).resolve(proposal, blocks.append)
     exp.sim.run_until(3.0)
     assert len(blocks) == 1
     assert blocks[0].is_full
     assert blocks[0].tx_count == 4
+    if kind == "sharded-stratus":
+        # A replica outside the shard (and without an executor) resolves
+        # on the certificate alone: done at once, no body, no fetch.
+        outsider = stratus_of(exp, 1)
+        outsider.resolve(proposal, blocks.append)
+        assert len(blocks) == 2 and not blocks[1].microblocks
+        assert outsider.fetcher.outstanding == 0
 
 
-def test_garbage_collection_discards_bodies_after_retention():
-    exp = make_cluster(
-        n=4, mempool="stratus",
-        protocol_overrides={"gc_retention": 1.0},
-    )
+def test_garbage_collection_discards_bodies_after_retention(kind):
+    exp = cluster(kind, protocol_overrides={"gc_retention": 1.0})
     inject(exp, 0, count=4)
     exp.sim.run_until(2.0)
     mempool = stratus_of(exp, 0)
@@ -170,11 +207,8 @@ def test_garbage_collection_discards_bodies_after_retention():
     assert mempool.pab.proof_for(next(iter(mempool._committed))) is None
 
 
-def test_gc_disabled_keeps_bodies():
-    exp = make_cluster(
-        n=4, mempool="stratus",
-        protocol_overrides={"gc_retention": 0.0},
-    )
+def test_gc_disabled_keeps_bodies(kind):
+    exp = cluster(kind, protocol_overrides={"gc_retention": 0.0})
     inject(exp, 0, count=4)
     exp.sim.run_until(6.0)
     assert exp.metrics.committed_tx_total == 4
