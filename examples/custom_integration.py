@@ -133,6 +133,7 @@ class TwoPhaseToy(ConsensusEngine):
     def _on_proposal(self, proposal):
         if not self.mempool.verify_payload(proposal.payload):
             return
+        self.mempool.on_proposal(proposal)
         self.mempool.prepare(proposal, lambda: self.send(
             0, MessageKinds.VOTE, sizes.VOTE, proposal))
 

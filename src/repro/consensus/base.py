@@ -18,8 +18,12 @@ class ConsensusEngine(abc.ABC):
     """One replica's consensus endpoint.
 
     The engine drives views/epochs, asks the mempool for payloads when
-    this replica leads, gates votes through :meth:`Mempool.prepare`, and
-    reports commits back through :meth:`Mempool.on_commit`.
+    this replica leads, reports every valid proposal it stores through
+    :meth:`Mempool.on_proposal` (voted on or not: a leader that entered
+    the next view before the proposal landed stores it without voting,
+    and must still not propose its ids again), gates votes through
+    :meth:`Mempool.prepare`, and reports commits back through
+    :meth:`Mempool.on_commit`.
     """
 
     name = "abstract"

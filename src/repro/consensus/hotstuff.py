@@ -12,6 +12,7 @@ Mempool integration points:
 * ``make_payload`` when this replica proposes;
 * ``verify_payload`` on receipt — a failing payload (bad availability
   proof) triggers a view-change against the leader;
+* ``on_proposal`` for every valid proposal stored, voted on or not;
 * ``prepare`` gates the vote: the engine votes only when the mempool says
   the proposal may enter the commit phase;
 * ``on_commit`` / ``on_abandoned`` on three-chain commits.
@@ -232,17 +233,22 @@ class HotStuff(ConsensusEngine):
             return
         self._orphaned.discard(proposal.block_id)
         self.proposals[proposal.block_id] = proposal
-        self._unresolved[proposal.block_id] = proposal
         self._process_qc(proposal.justify)
         if proposal.view > self.cur_view:
             self._enter_view(proposal.view)
-        if not self.mempool.verify_payload(proposal.payload):
+        payload = proposal.payload
+        if not self.mempool.verify_payload(payload):
             # Invalid availability proof: blame the leader, change view
             # (CE-VIEWCHANGE in Algorithm 3). _on_timeout records the
-            # view-change metric.
+            # view-change metric. The block can never gather a quorum
+            # and the mempool never saw its ids, so it is not tracked
+            # for abandonment either.
             self._on_timeout(self.cur_view)
             self._release_dependents(proposal)
             return
+        if payload.entries:
+            self.mempool.on_proposal(proposal)
+        self._unresolved[proposal.block_id] = proposal
         self._maybe_vote(proposal)
         self._release_dependents(proposal)
 

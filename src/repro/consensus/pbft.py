@@ -187,8 +187,11 @@ class Pbft(ConsensusEngine):
             if not slot.committed and not self.host.behavior.silent:
                 self._resend_votes(seq, slot)
             return
-        if not self.mempool.verify_payload(proposal.payload):
+        payload = proposal.payload
+        if not self.mempool.verify_payload(payload):
             return
+        if payload.entries:
+            self.mempool.on_proposal(proposal)
         slot.proposal = proposal
         if self.host.behavior.silent:
             return

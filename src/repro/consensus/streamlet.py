@@ -167,7 +167,15 @@ class Streamlet(ConsensusEngine):
             return
         self._orphaned.discard(proposal.block_id)
         self.proposals[proposal.block_id] = proposal
-        self._unresolved[proposal.block_id] = proposal
+        # Stored whether or not a vote follows (the epoch may be over):
+        # the mempool must still see its ids as referenced. An invalid
+        # payload gets no votes and is not tracked for abandonment.
+        payload = proposal.payload
+        payload_valid = self.mempool.verify_payload(payload)
+        if payload_valid:
+            if payload.entries:
+                self.mempool.on_proposal(proposal)
+            self._unresolved[proposal.block_id] = proposal
         self._adopt_cert(proposal.justify)
         self._release_orphans(proposal)
         # Votes can outrun the proposal under loss-induced reordering;
@@ -186,7 +194,7 @@ class Streamlet(ConsensusEngine):
             return
         if parent.height < longest.height:
             return
-        if not self.mempool.verify_payload(proposal.payload):
+        if not payload_valid:
             return
         self._voted_epochs.add(proposal.view)
 

@@ -9,6 +9,9 @@ engine needs:
 * :meth:`Mempool.verify_payload` — can this payload be trusted? Stratus
   verifies availability proofs here; an invalid payload triggers a
   view-change in the engine.
+* :meth:`Mempool.on_proposal` — consensus stored a valid proposal, voted
+  on or not: its ids are referenced from now on, so this replica never
+  proposes them a second time.
 * :meth:`Mempool.prepare` — may the replica vote yet? Native and simple
   SMP require the full data before the commit phase; Stratus only needs
   valid proofs, so it reports readiness immediately (the heart of
@@ -78,6 +81,47 @@ OnReady = Callable[[], None]
 OnFull = Callable[[Block], None]
 
 
+class ReferenceCounts(dict):
+    """``microblock id -> stored, unresolved proposals that carry it``.
+
+    A key's presence is what keeps an id out of the next payload; the
+    count is what makes :meth:`Mempool.on_abandoned` safe. Two stored
+    proposals can carry one id (a leader cut off by loss proposes it on
+    a fork nobody saw, a later leader proposes it again on the chain
+    that wins); when the fork is abandoned the id must stay referenced,
+    or this replica proposes it a third time on top of the block that
+    is about to commit it. ``make_payload`` enters an id at 0 — held by
+    this replica's own payload until its own proposal is stored.
+    """
+
+    __slots__ = ()
+
+    def acquire(self, mb_ids) -> None:
+        """One more stored proposal carries each of ``mb_ids``."""
+        get = self.get
+        for mb_id in mb_ids:
+            self[mb_id] = get(mb_id, 0) + 1
+
+    def drop(self, mb_ids) -> None:
+        """``mb_ids`` were committed: whoever carried them, it is over."""
+        for mb_id in mb_ids:
+            if mb_id in self:
+                del self[mb_id]
+
+    def release(self, mb_ids) -> list:
+        """One proposal fewer carries each id; returns the ids no stored
+        proposal carries any more, in order."""
+        freed = []
+        for mb_id in mb_ids:
+            left = self.get(mb_id, 0) - 1
+            if left > 0:
+                self[mb_id] = left
+            else:
+                self.pop(mb_id, None)
+                freed.append(mb_id)
+        return freed
+
+
 class Mempool(abc.ABC):
     """Abstract mempool bound to one replica."""
 
@@ -125,6 +169,17 @@ class Mempool(abc.ABC):
     def verify_payload(self, payload: Payload) -> bool:
         """Validate an incoming payload; ``False`` triggers a view-change."""
         return True
+
+    def on_proposal(self, proposal: Proposal) -> None:
+        """Consensus stored ``proposal`` and its payload verified.
+
+        Called once per stored proposal that references microblocks by
+        id (``payload.entries``), whether or not this replica votes on
+        it (a replica that already left the proposal's view stores it
+        without voting), so implementations mark its ids as referenced
+        here and nowhere else: an id is in exactly one of proposable /
+        referenced / committed, and :meth:`on_abandoned` is the only way
+        back to proposable."""
 
     @abc.abstractmethod
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
@@ -178,10 +233,10 @@ class Mempool(abc.ABC):
     def on_abandoned(self, proposal: Proposal) -> None:
         """A fork containing ``proposal`` lost; re-queue its content.
 
-        Called once per replica when a commit reveals that a stored block
-        is not on the canonical chain. Implementations re-queue payload
-        they own so the content is eventually proposed again
-        (SMP-Inclusion)."""
+        Called once per replica when a commit reveals that a block
+        reported through :meth:`on_proposal` is not on the canonical
+        chain. Implementations re-queue payload they own so the content
+        is eventually proposed again (SMP-Inclusion)."""
 
     @property
     def batcher(self):

@@ -16,7 +16,13 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import Mempool, MessageKinds, OnFull, OnReady
+from repro.mempool.base import (
+    Mempool,
+    MessageKinds,
+    OnFull,
+    OnReady,
+    ReferenceCounts,
+)
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager
 from repro.mempool.store import MicroBlockStore
@@ -54,7 +60,7 @@ class NarwhalMempool(Mempool):
         self._batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
         self._states: dict[MicroBlockId, _RBState] = {}
         self._proposable: deque[MicroBlockId] = deque()
-        self._referenced: set[MicroBlockId] = set()
+        self._referenced = ReferenceCounts()
         self._committed: set[MicroBlockId] = set()
 
     # -- dissemination -------------------------------------------------
@@ -152,16 +158,17 @@ class NarwhalMempool(Mempool):
             mb_id = self._proposable.popleft()
             if mb_id in self._referenced or mb_id in self._committed:
                 continue
-            self._referenced.add(mb_id)
+            self._referenced[mb_id] = 0
             entries.append(PayloadEntry(mb_id=mb_id))
         return Payload(entries=tuple(entries))
 
     # -- follower side -----------------------------------------------------
 
+    def on_proposal(self, proposal: Proposal) -> None:
+        self._referenced.acquire(proposal.payload.microblock_ids)
+
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Certified ids are provably available: vote without the bodies."""
-        for entry in proposal.payload.entries:
-            self._referenced.add(entry.mb_id)
         on_ready()
 
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
@@ -189,12 +196,15 @@ class NarwhalMempool(Mempool):
                     self._fetch_from(mb_id, holders)
 
     def mark_committed(self, proposal: Proposal) -> None:
-        for mb_id in proposal.payload.microblock_ids:
-            self._committed.add(mb_id)
+        ids = proposal.payload.microblock_ids
+        if ids:
+            self._committed.update(ids)
+            self._referenced.drop(ids)
 
     def on_abandoned(self, proposal: Proposal) -> None:
-        for mb_id in proposal.payload.microblock_ids:
-            self._referenced.discard(mb_id)
+        for mb_id in self._referenced.release(
+            proposal.payload.microblock_ids
+        ):
             state = self._states.get(mb_id)
             if (
                 state is not None

@@ -14,7 +14,13 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import Mempool, MessageKinds, OnFull, OnReady
+from repro.mempool.base import (
+    Mempool,
+    MessageKinds,
+    OnFull,
+    OnReady,
+    ReferenceCounts,
+)
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager, single_target
 from repro.mempool.store import MicroBlockStore
@@ -38,7 +44,7 @@ class SimpleSharedMempool(Mempool):
         self.fetcher = FetchManager(host, config, self.store)
         self._batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
         self._proposable: deque[MicroBlockId] = deque()
-        self._referenced: set[MicroBlockId] = set()
+        self._referenced = ReferenceCounts()
         self._committed: set[MicroBlockId] = set()
 
     # -- client / dissemination -------------------------------------------
@@ -85,16 +91,17 @@ class SimpleSharedMempool(Mempool):
             mb_id = self._proposable.popleft()
             if mb_id in self._referenced or mb_id in self._committed:
                 continue
-            self._referenced.add(mb_id)
+            self._referenced[mb_id] = 0
             entries.append(PayloadEntry(mb_id=mb_id))
         return Payload(entries=tuple(entries))
 
     # -- follower side -----------------------------------------------------
 
+    def on_proposal(self, proposal: Proposal) -> None:
+        self._referenced.acquire(proposal.payload.microblock_ids)
+
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Voting requires the full data: fetch missing from the proposer."""
-        for entry in proposal.payload.entries:
-            self._referenced.add(entry.mb_id)
         missing = [
             entry.mb_id
             for entry in proposal.payload.entries
@@ -142,8 +149,10 @@ class SimpleSharedMempool(Mempool):
                 )
 
     def mark_committed(self, proposal: Proposal) -> None:
-        for mb_id in proposal.payload.microblock_ids:
-            self._committed.add(mb_id)
+        ids = proposal.payload.microblock_ids
+        if ids:
+            self._committed.update(ids)
+            self._referenced.drop(ids)
 
     def garbage_collect(self, proposal: Proposal) -> None:
         ids = list(proposal.payload.microblock_ids)
@@ -156,8 +165,9 @@ class SimpleSharedMempool(Mempool):
 
     def on_abandoned(self, proposal: Proposal) -> None:
         """Re-queue ids from a lost fork so they are proposed again."""
-        for mb_id in proposal.payload.microblock_ids:
-            self._referenced.discard(mb_id)
+        for mb_id in self._referenced.release(
+            proposal.payload.microblock_ids
+        ):
             if mb_id in self.store and mb_id not in self._committed:
                 self._proposable.append(mb_id)
 

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import Mempool, OnFull, OnReady
+from repro.mempool.base import Mempool, OnFull, OnReady, ReferenceCounts
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager
 from repro.mempool.store import MicroBlockStore
@@ -79,7 +79,7 @@ class StratusMempool(Mempool):
         self._ava_queue: deque[MicroBlockId] = deque()  # avaQue
         self._proofs: dict[MicroBlockId, object] = {}  # pMap
         self._queued: set[MicroBlockId] = set()
-        self._referenced: set[MicroBlockId] = set()
+        self._referenced = ReferenceCounts()
         self._committed: set[MicroBlockId] = set()
 
     def _scope(self):
@@ -164,7 +164,7 @@ class StratusMempool(Mempool):
             self._queued.discard(mb_id)
             if mb_id in self._referenced or mb_id in self._committed:
                 continue
-            self._referenced.add(mb_id)
+            self._referenced[mb_id] = 0
             entries.append(
                 PayloadEntry(mb_id, **{self._slot: self._proofs[mb_id]})
             )
@@ -182,6 +182,19 @@ class StratusMempool(Mempool):
                 return False
         return True
 
+    def on_proposal(self, proposal: Proposal) -> None:
+        """Mark the ids referenced and keep their (verified) proofs."""
+        # ReferenceCounts.acquire, in the one pass over the entries that
+        # the proofs need anyway: this runs per entry of every proposal
+        # at every replica.
+        refs = self._referenced
+        proof_of = self._proof_of
+        for entry in proposal.payload.entries:
+            refs[entry.mb_id] = refs.get(entry.mb_id, 0) + 1
+            proof = proof_of(entry)
+            if proof is not None:
+                self._proofs.setdefault(entry.mb_id, proof)
+
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Valid proofs guarantee availability: enter the commit phase now.
 
@@ -189,12 +202,6 @@ class StratusMempool(Mempool):
         (FillProposal runs on a thread independent of consensus in the
         prototype; here, on the data channel via ``resolve``).
         """
-        proof_of = self._proof_of
-        for entry in proposal.payload.entries:
-            self._referenced.add(entry.mb_id)
-            proof = proof_of(entry)
-            if proof is not None:
-                self._proofs.setdefault(entry.mb_id, proof)
         on_ready()
 
     def _resolvable(self, entries):
@@ -229,8 +236,10 @@ class StratusMempool(Mempool):
 
     def mark_committed(self, proposal: Proposal) -> None:
         """Commit hook (Section VIII): ids must never re-enter avaQue."""
-        for mb_id in proposal.payload.microblock_ids:
-            self._committed.add(mb_id)
+        ids = proposal.payload.microblock_ids
+        if ids:
+            self._committed.update(ids)
+            self._referenced.drop(ids)
 
     def garbage_collect(self, proposal: Proposal) -> None:
         """Retire a resolved proposal's microblock bodies.
@@ -253,14 +262,11 @@ class StratusMempool(Mempool):
 
     def on_abandoned(self, proposal: Proposal) -> None:
         """Re-queue proven ids from a lost fork (SMP-Inclusion)."""
-        for entry in proposal.payload.entries:
-            self._referenced.discard(entry.mb_id)
-            if (
-                entry.mb_id not in self._committed
-                and entry.mb_id in self._proofs
-            ):
-                proof = self._proofs[entry.mb_id]
-                self._add_available(entry.mb_id, proof)
+        for mb_id in self._referenced.release(
+            proposal.payload.microblock_ids
+        ):
+            if mb_id not in self._committed and mb_id in self._proofs:
+                self._add_available(mb_id, self._proofs[mb_id])
 
     # -- network -----------------------------------------------------------
 

@@ -65,8 +65,6 @@ class UngatedSimpleMempool(SimpleSharedMempool):
     name = "simple-ungated"
 
     def prepare(self, proposal: Proposal, on_ready) -> None:
-        for entry in proposal.payload.entries:
-            self._referenced.add(entry.mb_id)
         on_ready()
 
 
@@ -118,9 +116,7 @@ class SilentPrepareMempool(SimpleSharedMempool):
     name = "simple-mute"
 
     def prepare(self, proposal: Proposal, on_ready) -> None:
-        for entry in proposal.payload.entries:
-            self._referenced.add(entry.mb_id)
-        # BUG under test: on_ready is never invoked.
+        """BUG under test: ``on_ready`` is never invoked."""
 
 
 class ShortQuorumScope:
@@ -137,6 +133,21 @@ class ShortQuorumScope:
         scope = super()._scope()
         scope.quorum -= 1
         return scope
+
+
+class ForgetReferenced:
+    """Mixin for the Stratus mempools: ``on_proposal`` marks nothing.
+
+    Ids then count as referenced only where a replica built the payload
+    itself. A leader that enters its view before the previous proposal
+    lands — the votes outran its copy — still has that proposal's ids
+    in avaQue and proposes them a second time, on top of the block that
+    already carries them, which the ledger oracle's ancestor rule must
+    flag.
+    """
+
+    def on_proposal(self, proposal: Proposal) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -234,6 +245,23 @@ MUTANTS: dict[str, Mutant] = {
                          "rate": 0.8, "channel": "data"},
                     ],
                 ),
+            )
+            for kind in ("stratus", "sharded-stratus")
+        ),
+        *(
+            Mutant(
+                name=f"forget-referenced-{kind}",
+                description=(
+                    "on_proposal marks nothing: a leader proposes ids the "
+                    "block it builds on already carries, and they commit "
+                    "twice on one chain"
+                ),
+                expected_oracle="smp-integrity",
+                mempool_cls=type(
+                    f"ForgetReferenced{MEMPOOL_CLASSES[kind].__name__}",
+                    (ForgetReferenced, MEMPOOL_CLASSES[kind]), {},
+                ),
+                scenario=_scenario(mempool=kind),
             )
             for kind in ("stratus", "sharded-stratus")
         ),

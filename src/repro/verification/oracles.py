@@ -436,6 +436,9 @@ class LedgerOracle(Oracle):
         # same microblock applies once (real deployments dedupe there).
         self._committed_tx = 0
         self._seen_blocks: set[int] = set()
+        # block_id -> (parent_id, height) of every committed block: the
+        # parent links the duplicate check walks.
+        self._links: dict[int, tuple[int, int]] = {}
         self._resolved_blocks: set[int] = set()
         # Per-shard conservation (sharded-stratus only). The getattr
         # chain tolerates the live replay's duck-typed suite, which may
@@ -475,6 +478,7 @@ class LedgerOracle(Oracle):
         if proposal.block_id in self._seen_blocks:
             return
         self._seen_blocks.add(proposal.block_id)
+        self._links[proposal.block_id] = (proposal.parent_id, proposal.height)
         certs = {
             entry.mb_id: entry.cert
             for entry in proposal.payload.entries
@@ -483,25 +487,37 @@ class LedgerOracle(Oracle):
         for mb_id in proposal.payload.microblock_ids:
             owner = self._committed.get(mb_id)
             if owner is not None and owner != proposal.block_id:
-                # Only flag *knowing* replays: the proposer had already
-                # committed this microblock locally before building the
-                # block. An honest leader cut off by a partition can
-                # legitimately re-propose ids whose first commit it never
-                # saw — real deployments dedupe those at execution.
-                first = self._local_commits.get((proposal.proposer, mb_id))
-                if first is not None and first < proposal.created_at:
-                    self.report(
-                        "duplicate",
-                        f"microblock {mb_id:#x} committed twice: in blocks "
-                        f"{owner:#x} and {proposal.block_id:#x}, and "
-                        f"proposer {proposal.proposer} had committed it "
-                        f"locally at t={first:.3f} before proposing again "
-                        f"at t={proposal.created_at:.3f}",
-                        node=replica.node_id,
-                        microblock=mb_id,
-                        blocks=[owner, proposal.block_id],
-                        proposer=proposal.proposer,
+                # Only flag *knowing* replays. Either the first
+                # occurrence is in an ancestor of this block — engines
+                # propose on a block only once they hold it and its
+                # whole ancestry, so the proposer stored that ancestor —
+                # or the proposer had already committed the microblock
+                # locally before building the block. Otherwise an honest
+                # leader cut off by a partition can legitimately
+                # re-propose ids whose first commit it never saw — real
+                # deployments dedupe those at execution.
+                if self._is_ancestor(owner, proposal):
+                    knew = "built on the first block's chain"
+                else:
+                    first = self._local_commits.get(
+                        (proposal.proposer, mb_id)
                     )
+                    if first is None or first >= proposal.created_at:
+                        continue
+                    knew = (
+                        f"had committed it locally at t={first:.3f} before "
+                        f"proposing again at t={proposal.created_at:.3f}"
+                    )
+                self.report(
+                    "duplicate",
+                    f"microblock {mb_id:#x} committed twice: in blocks "
+                    f"{owner:#x} and {proposal.block_id:#x}, and "
+                    f"proposer {proposal.proposer} {knew}",
+                    node=replica.node_id,
+                    microblock=mb_id,
+                    blocks=[owner, proposal.block_id],
+                    proposer=proposal.proposer,
+                )
                 continue
             self._committed[mb_id] = proposal.block_id
             created_tx = self._created.get(mb_id, (0, 0))[0]
@@ -532,6 +548,22 @@ class LedgerOracle(Oracle):
                     node=replica.node_id,
                     microblock=mb_id, block=proposal.block_id,
                 )
+
+    def _is_ancestor(self, block_id: int, proposal: "Proposal") -> bool:
+        """Is committed block ``block_id`` on ``proposal``'s parent chain?
+
+        Walks committed parent links down to the block's height. PBFT
+        slots all name genesis as parent, so nothing is an ancestor
+        there and only the local-commit rule applies.
+        """
+        height = self._links[block_id][1]
+        cursor = proposal.parent_id
+        while cursor != block_id:
+            link = self._links.get(cursor)
+            if link is None or link[1] <= height:
+                return False
+            cursor = link[0]
+        return True
 
     def on_block_resolved(self, replica: "Replica", block: "Block") -> None:
         if block.block_id in self._resolved_blocks:

@@ -2,8 +2,9 @@
 
 This is the verification layer's own verification. Each mutant plants a
 classic BFT/SMP bug (1-chain commits, skipped availability gates, a PAB
-quorum one ack short under both the flat and the shard scope, payload
-replay/fabrication, muted votes); if a refactor blinds an oracle, the
+quorum one ack short and a proposal hook that marks nothing, each under
+both the flat and the shard scope, payload replay/fabrication, muted
+votes); if a refactor blinds an oracle, the
 corresponding case here fails. The reverse direction — oracles stay
 silent on correct stacks — is covered by ``tests/test_fuzz_corpus.py``.
 """
@@ -35,6 +36,17 @@ def test_eager_commit_caught_by_safety_only():
     outcome = run_mutant("eager-commit")
     oracles = {v.oracle for v in outcome.violations}
     assert oracles == {"safety"}
+
+
+@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+def test_forget_referenced_needs_the_ancestor_rule(kind):
+    """The re-proposal lands one view after the first occurrence, before
+    its proposer has committed anything: only the ancestor rule of the
+    ledger oracle's ``duplicate`` check can see it."""
+    outcome = run_mutant(f"forget-referenced-{kind}")
+    duplicates = [v for v in outcome.violations if v.kind == "duplicate"]
+    assert duplicates
+    assert all("built on" in v.message for v in duplicates)
 
 
 def test_mutant_scenarios_pass_without_the_bug():

@@ -143,6 +143,23 @@ def test_ledger_flags_knowing_replay():
     assert "duplicate" in kinds(suite)
 
 
+def test_ledger_flags_replay_on_top_of_the_first_occurrence():
+    """Proposer 2 never committed mb 5 locally (the old rule's only
+    evidence), but its block descends from the one that carries it —
+    and an engine proposes only on ancestry it holds."""
+    suite = stub_suite(LedgerOracle())
+    suite.on_microblock_created(replica(0), microblock(5))
+    suite.on_local_commit(replica(1), proposal(10, 1, mb_ids=(5,)))
+    suite.on_local_commit(replica(1), proposal(11, 2, parent_id=10))
+    suite.on_local_commit(
+        replica(1),
+        proposal(20, 3, parent_id=11, proposer=2, mb_ids=(5,),
+                 created_at=0.5),
+    )
+    assert kinds(suite) == ["duplicate"]
+    assert suite.violations[0].details["blocks"] == [10, 20]
+
+
 def test_ledger_conservation_counts_unique_microblocks():
     """A fork-race double commit counts tx once; only fabrication-style
     over-commit trips conservation."""
