@@ -5,7 +5,11 @@ stores it and returns a signed ack. Once ``q`` distinct acks accumulate
 (the pusher's own counts), the pusher aggregates them into an
 availability proof and reports it via ``on_available``. With
 ``q >= f + 1`` at least one ack came from a correct replica, so the body
-is retrievable forever.
+is retrievable forever. A proof ends the push phase for everyone who
+sees it: a receiver that already holds a verified proof stores a late
+body without acking (the proof rides the control channel and overtakes
+bodies still serialising), and a pusher that receives one for a
+microblock it is still pushing stops and reports that proof.
 
 **Recovery phase.** Whoever owns the PAB instance broadcasts the proof;
 replicas that verify a proof for a body they lack fetch it from a random
@@ -213,8 +217,15 @@ class PabEngine:
         restrict it to mount the censoring attack of Fig. 8. The pusher's
         own ack is counted immediately (Algorithm 1, quorum includes the
         sender — under sharding every origin is a member of its shard).
+        A body already proven (a DLB forward that lost the race with the
+        proof of an earlier proxy) is not pushed at all: no witness
+        would ack it.
         """
         self._store.add(microblock)
+        proof = self._proofs.get(microblock.id)
+        if proof is not None:
+            on_available(microblock.id, proof)
+            return
         state = _PushState(
             microblock, self._host.sim.now, on_available,
             self.peers if targets is None else targets,
@@ -371,10 +382,13 @@ class PabEngine:
         self._store.add(microblock)
         if (
             envelope.kind == self._body_kind
+            and microblock.id not in self._proofs
             and self._host.behavior.acks_microblocks
         ):
             # Witness: ack back to the pusher, even for duplicates — a
-            # proxy re-pushing an already-seen body needs its own quorum.
+            # proxy re-pushing an already-seen body needs its own quorum
+            # — unless the quorum is known to exist: once a verified
+            # proof is held, one more ack proves nothing.
             self._host.network.send(
                 self._host.node_id,
                 envelope.src,
@@ -407,15 +421,20 @@ class PabEngine:
             proof = self._make(state.microblock, state.acks)
         except ProofError:
             return
-        state.done = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
+        self._finish(state)
         elapsed = self._host.sim.now - state.started_at
         if self._on_stable is not None:
             self._on_stable(state.microblock.id, elapsed)
         del self._pushes[state.microblock.id]
         state.on_available(state.microblock.id, proof)
+
+    @staticmethod
+    def _finish(state: _PushState) -> None:
+        """The push phase is over: no more acks counted, no more retries."""
+        state.done = True
+        if state.timer is not None:
+            state.timer.cancel()
+            state.timer = None
 
     def _on_proof_message(self, envelope: Envelope) -> None:
         mb_id, proof = envelope.payload
@@ -423,6 +442,16 @@ class PabEngine:
             return
         first_time = mb_id not in self._proofs
         self._proofs[mb_id] = proof
+        state = self._pushes.pop(mb_id, None)
+        if state is not None:
+            # Someone else's push of this body reached a quorum first
+            # (DLB: the proxy finished after the origin took the push
+            # back, or an earlier proxy after a later one started).
+            # Witnesses that hold the proof no longer ack, so this push
+            # would retransmit to "missing" peers forever: it is over,
+            # and the proof in hand is what it set out to obtain.
+            self._finish(state)
+            state.on_available(mb_id, proof)
         if mb_id not in self._store and self._fetches_eagerly(proof):
             self.fetch(mb_id, proof)
         if first_time:

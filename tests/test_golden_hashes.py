@@ -73,10 +73,13 @@ GOLDEN = {
     # Re-recorded with "one proposal per microblock" (PR 14, step 1): at
     # 10 Mb/s the leader hand-off hole was open at n=7 too, and 145 of
     # this cell's 1,721 committed microblocks were committed twice
-    # (7,189 counted them twice); none of its 1,798 is now.
+    # (7,189 counted them twice); none of its 1,798 is now. And again
+    # with "no ack once proven" (step 2; 4b88afe8... before it): the
+    # same 1,798 microblocks and 6,921 tx commit, at other instants —
+    # bodies that arrive after their proof no longer draw acks.
     "shs7-dlb-zipf1-crash-restart": (
         _shs_dlb_skew_crash,
-        "4b88afe88c37ed2f72bd6654e437a36c0e5f3c4cfb2d7e651dae1f5c4df84204",
+        "60848b1bde595e6268e33fa293561aaac6fc23da5e0380efc8e5cc23f79cf258",
         6921,
     ),
     "sshs8x2-crash-partition": (

@@ -212,3 +212,203 @@ def test_no_duplicate_commits_across_views(kind):
     # Each injected batch fills exactly one microblock; commits must not
     # double-count any of them.
     assert exp.metrics.committed_tx_total == 12
+
+
+# -- a proof ends the push phase ---------------------------------------------
+
+
+def pab_of(experiment, node):
+    return stratus_of(experiment, node).pab
+
+
+def acks_sent(experiment, node):
+    """Ack messages ``node`` has sent so far (they are fixed-size)."""
+    from repro.types import sizes
+
+    kind = pab_of(experiment, node)._ack_kind
+    return experiment.network.stats.node_bytes(node, kind) / sizes.ACK
+
+
+def body_bytes_sent(experiment, node):
+    kind = pab_of(experiment, node)._body_kind
+    return experiment.network.stats.node_bytes(node, kind)
+
+
+def deliver(experiment, src, dst, kind, payload):
+    """Hand one PAB message to ``dst``'s engine, as if ``src`` sent it."""
+    from repro.sim.network import Channel, Envelope
+
+    pab_of(experiment, dst).on_message(Envelope(
+        src=src, dst=dst, kind=kind, size_bytes=0.0, payload=payload,
+        channel=Channel.DATA,
+    ))
+
+
+def mute_acks(experiment, nodes):
+    """Witnesses that store bodies but never ack: pushes stay pending."""
+    from repro.replica.behavior import Behavior
+
+    class StoresOnly(Behavior):
+        acks_microblocks = False
+
+    for node in nodes:
+        experiment.replicas[node].behavior = StoresOnly()
+
+
+def proof_from(experiment, pusher, microblock):
+    """A valid proof of the pusher's scope, minted from a bare quorum."""
+    from repro.crypto import sign
+
+    pab = pab_of(experiment, pusher)
+    signers = (pusher, *pab.peers)[:pab._quorum]
+    return pab._make(microblock, [sign(s, microblock.id) for s in signers])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_witness_holding_the_proof_stores_a_late_body_without_acking(kind):
+    exp = cluster(kind)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    microblock = pusher.store.get(mb_id)
+    witness, other = pusher.pab.peers[:2]
+    assert pab_of(exp, witness).proof_for(mb_id) is not None
+    # The proof overtook the body: the witness has one and not the other.
+    stratus_of(exp, witness).store.discard(mb_id)
+    before = acks_sent(exp, witness)
+    deliver(exp, other, witness, pusher.pab._body_kind, microblock)
+    assert mb_id in stratus_of(exp, witness).store
+    assert acks_sent(exp, witness) == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_duplicate_body_without_a_known_proof_is_still_acked(kind):
+    """A proxy re-pushing a body the witness already stored needs its
+    own quorum — as long as nobody has shown that one exists."""
+    from repro.replica.behavior import ProofWithholder
+
+    exp = cluster(kind)
+    exp.replicas[0].behavior = ProofWithholder()
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    witness, other = pusher.pab.peers[:2]
+    assert mb_id in stratus_of(exp, witness).store
+    assert pab_of(exp, witness).proof_for(mb_id) is None
+    before = acks_sent(exp, witness)
+    deliver(
+        exp, other, witness, pusher.pab._body_kind, pusher.store.get(mb_id)
+    )
+    assert acks_sent(exp, witness) == before + 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verified_foreign_proof_retires_a_pending_push(kind):
+    """Witnesses that hold the proof stop acking, so a push still below
+    quorum when the proof arrives would retransmit forever: it ends, and
+    the proof in hand is what it reports."""
+    exp = cluster(kind)
+    pab = pab_of(exp, 0)
+    mute_acks(exp, pab.peers)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(0.2)
+    mempool = stratus_of(exp, 0)
+    mb_id = mempool.store.ids[0]
+    state = pab._pushes[mb_id]
+    assert not state.done and state.timer is not None
+    proof = proof_from(exp, 0, mempool.store.get(mb_id))
+    deliver(exp, pab.peers[0], 0, pab._proof_kind, (mb_id, proof))
+    assert mb_id not in pab._pushes
+    assert state.done and state.timer is None
+    # Reported as available: proof broadcast, id proposable.
+    assert mb_id in mempool._queued or mb_id in mempool._referenced
+    sent = body_bytes_sent(exp, 0)
+    exp.sim.run_until(5.0)
+    assert body_bytes_sent(exp, 0) == sent
+    for node in range(exp.config.protocol.n):
+        assert pab_of(exp, node).proof_for(mb_id) is not None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forged_proof_retires_nothing(kind):
+    import dataclasses
+
+    exp = cluster(kind)
+    pab = pab_of(exp, 0)
+    mute_acks(exp, pab.peers)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(0.2)
+    mempool = stratus_of(exp, 0)
+    mb_id = mempool.store.ids[0]
+    forged = dataclasses.replace(
+        proof_from(exp, 0, mempool.store.get(mb_id)), forged=True
+    )
+    deliver(exp, pab.peers[0], 0, pab._proof_kind, (mb_id, forged))
+    assert mb_id in pab._pushes and not pab._pushes[mb_id].done
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_already_proven_body_is_not_pushed(kind):
+    """A DLB forward that lost the race with an earlier proxy's proof:
+    the late proxy reports the proof it holds instead of pushing a body
+    no witness would ack."""
+    exp = cluster(kind)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    late = pab_of(exp, pusher.pab.peers[0])
+    sent = body_bytes_sent(exp, pusher.pab.peers[0])
+    reported = []
+    late.push(pusher.store.get(mb_id), lambda *args: reported.append(args))
+    assert reported == [(mb_id, late.proof_for(mb_id))]
+    assert mb_id not in late._pushes
+    assert body_bytes_sent(exp, pusher.pab.peers[0]) == sent
+
+
+def test_origin_that_took_its_push_back_settles_on_the_proxys_proof():
+    """DLB: the forward timed out, the origin (no longer busy) pushed the
+    microblock itself, and then the proxy's proof arrives after all. The
+    origin's push ends there, the proof is broadcast as if the forward
+    had settled in time, and nothing is left to retransmit."""
+    exp = make_cluster(
+        n=4, mempool="stratus",
+        protocol_overrides={"load_balancing": True, "lb_samples": 2},
+    )
+    mempool = stratus_of(exp, 0)
+    pab = mempool.pab
+    mute_acks(exp, pab.peers)
+    inject(exp, 0, count=4)  # not busy: pushed by the origin itself
+    exp.sim.run_until(0.2)
+    mb_id = mempool.store.ids[0]
+    assert mb_id in pab._pushes and not mempool.balancer._forwards
+    proof = proof_from(exp, 1, mempool.store.get(mb_id))
+    from repro.mempool.base import MessageKinds
+
+    deliver(exp, 1, 0, MessageKinds.PROOF, (mb_id, proof))
+    assert mb_id not in pab._pushes
+    sent = body_bytes_sent(exp, 0)
+    exp.sim.run_until(3.0)
+    assert body_bytes_sent(exp, 0) == sent
+    for node in range(4):
+        assert pab_of(exp, node).proof_for(mb_id) is not None
+    assert exp.metrics.committed_tx_total == 4
+
+
+@pytest.mark.parametrize("fault", ("withhold", "censor"))
+def test_without_a_proof_in_circulation_every_body_is_acked(fault):
+    """The two Byzantine senders whose proofs do not circulate while
+    their bodies travel (withheld; or minted from a bare quorum, once
+    every recipient has acked) get exactly the acks they always got."""
+    from repro.replica.behavior import behavior_for
+
+    exp = make_cluster(n=7, mempool="stratus")
+    exp.replicas[6].behavior = behavior_for(fault, exp.config.protocol)
+    inject(exp, 6, count=4)
+    exp.sim.run_until(0.3)
+    pab = pab_of(exp, 6)
+    sent = exp.network.stats.messages_sent
+    assert sent[pab._body_kind] >= pab._quorum - 1
+    assert sent[pab._ack_kind] == sent[pab._body_kind]
