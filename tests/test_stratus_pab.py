@@ -5,9 +5,16 @@ under both scopes (``tests.helpers.stratus_cluster`` has the two cluster
 shapes).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.config import ShardingConfig
+from repro.crypto import sign
+from repro.mempool.base import MessageKinds
+from repro.replica.behavior import Behavior, ProofWithholder, behavior_for
+from repro.sim.network import Channel, Envelope
+from repro.types import sizes
 
 from tests.helpers import (
     STRATUS_KINDS as KINDS,
@@ -223,8 +230,6 @@ def pab_of(experiment, node):
 
 def acks_sent(experiment, node):
     """Ack messages ``node`` has sent so far (they are fixed-size)."""
-    from repro.types import sizes
-
     kind = pab_of(experiment, node)._ack_kind
     return experiment.network.stats.node_bytes(node, kind) / sizes.ACK
 
@@ -236,29 +241,26 @@ def body_bytes_sent(experiment, node):
 
 def deliver(experiment, src, dst, kind, payload):
     """Hand one PAB message to ``dst``'s engine, as if ``src`` sent it."""
-    from repro.sim.network import Channel, Envelope
-
     pab_of(experiment, dst).on_message(Envelope(
         src=src, dst=dst, kind=kind, size_bytes=0.0, payload=payload,
         channel=Channel.DATA,
     ))
 
 
+class StoresOnly(Behavior):
+    """A witness that stores bodies but never acks."""
+
+    acks_microblocks = False
+
+
 def mute_acks(experiment, nodes):
-    """Witnesses that store bodies but never ack: pushes stay pending."""
-    from repro.replica.behavior import Behavior
-
-    class StoresOnly(Behavior):
-        acks_microblocks = False
-
+    """Keep every push to ``nodes`` pending: nobody there acks."""
     for node in nodes:
         experiment.replicas[node].behavior = StoresOnly()
 
 
 def proof_from(experiment, pusher, microblock):
     """A valid proof of the pusher's scope, minted from a bare quorum."""
-    from repro.crypto import sign
-
     pab = pab_of(experiment, pusher)
     signers = (pusher, *pab.peers)[:pab._quorum]
     return pab._make(microblock, [sign(s, microblock.id) for s in signers])
@@ -286,8 +288,6 @@ def test_witness_holding_the_proof_stores_a_late_body_without_acking(kind):
 def test_duplicate_body_without_a_known_proof_is_still_acked(kind):
     """A proxy re-pushing a body the witness already stored needs its
     own quorum — as long as nobody has shown that one exists."""
-    from repro.replica.behavior import ProofWithholder
-
     exp = cluster(kind)
     exp.replicas[0].behavior = ProofWithholder()
     inject(exp, 0, count=4)
@@ -333,8 +333,6 @@ def test_verified_foreign_proof_retires_a_pending_push(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_forged_proof_retires_nothing(kind):
-    import dataclasses
-
     exp = cluster(kind)
     pab = pab_of(exp, 0)
     mute_acks(exp, pab.peers)
@@ -385,8 +383,6 @@ def test_origin_that_took_its_push_back_settles_on_the_proxys_proof():
     mb_id = mempool.store.ids[0]
     assert mb_id in pab._pushes and not mempool.balancer._forwards
     proof = proof_from(exp, 1, mempool.store.get(mb_id))
-    from repro.mempool.base import MessageKinds
-
     deliver(exp, 1, 0, MessageKinds.PROOF, (mb_id, proof))
     assert mb_id not in pab._pushes
     sent = body_bytes_sent(exp, 0)
@@ -402,8 +398,6 @@ def test_without_a_proof_in_circulation_every_body_is_acked(fault):
     """The two Byzantine senders whose proofs do not circulate while
     their bodies travel (withheld; or minted from a bare quorum, once
     every recipient has acked) get exactly the acks they always got."""
-    from repro.replica.behavior import behavior_for
-
     exp = make_cluster(n=7, mempool="stratus")
     exp.replicas[6].behavior = behavior_for(fault, exp.config.protocol)
     inject(exp, 6, count=4)
