@@ -1,0 +1,222 @@
+"""The block tree every chained engine keeps, written once.
+
+HotStuff (both commit rules) and Streamlet differ in how a block gets
+certified and when a certified block commits. What happens to a proposal
+around those two decisions is the same — ``stored -> unresolved ->
+committed | abandoned``, orphans parked until chain sync delivers their
+parent — and lives here (DESIGN.md, "One proposal lifecycle").
+
+Inheritance, not a delegate: ``on_message`` and ``_handle_proposal`` stay
+in the subclasses and reach this state through ``self`` with no extra
+call per message.
+"""
+
+from __future__ import annotations
+
+import abc
+from typing import Optional, TYPE_CHECKING
+
+from repro.config import ProtocolConfig
+from repro.consensus.base import ConsensusEngine
+from repro.crypto import GENESIS_QC, QuorumCert
+from repro.mempool.base import MessageKinds
+from repro.sim.engine import Timer
+from repro.types import sizes
+from repro.types.proposal import Payload, Proposal, make_block_id
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mempool.base import Mempool
+    from repro.replica.node import Replica
+
+GENESIS_ID = 0
+
+
+class ChainedEngine(ConsensusEngine):
+    """Block tree, chain sync and the commit walk of a chained engine.
+
+    ``sync_period`` is how long to wait for a requested block before
+    asking the next holder (HotStuff's view timeout, Streamlet's epoch).
+    """
+
+    def __init__(
+        self,
+        host: "Replica",
+        mempool: "Mempool",
+        config: ProtocolConfig,
+        sync_period: float,
+    ) -> None:
+        super().__init__(host, mempool, config)
+        self._sync_period = sync_period
+        genesis = Proposal(
+            block_id=GENESIS_ID, view=0, height=0, proposer=-1,
+            parent_id=GENESIS_ID, justify=GENESIS_QC, payload=Payload(),
+        )
+        self.proposals: dict[int, Proposal] = {GENESIS_ID: genesis}
+        self.committed: set[int] = {GENESIS_ID}
+        self.committed_height = 0
+        # Proposals neither committed nor abandoned yet, in insertion
+        # order. The abandonment sweep walks this instead of the full
+        # proposal store, which otherwise makes every commit O(all
+        # proposals ever seen).
+        self._unresolved: dict[int, Proposal] = {}
+        self._block_counter = 0
+        #: The engine's one self-scheduled clock (view timer, epoch
+        #: clock); cancelled while the replica is crashed.
+        self._timer: Optional[Timer] = None
+        # Large parent proposals can still be in flight (or lost) when
+        # their children arrive; children park here until the parent
+        # lands, so one dropped proposal cannot hide the rest of the
+        # chain forever.
+        self._orphans: dict[int, list[Proposal]] = {}
+        # Block ids sitting in ``_orphans`` — already received, only
+        # waiting on ancestry, so sync must not re-request them.
+        self._orphaned: set[int] = set()
+        self._sync_requested: set[int] = set()
+
+    @abc.abstractmethod
+    def _handle_proposal(self, proposal: Proposal) -> None:
+        """Store ``proposal`` if its parent is known (then report it to
+        the mempool, vote, and :meth:`_release_orphans`), else
+        :meth:`_park_orphan` it. Re-entered for each released orphan."""
+
+    def suspend(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def rebase_block_ids(self, base: int) -> None:
+        if self._block_counter:
+            raise RuntimeError("cannot rebase after proposing blocks")
+        self._block_counter = base
+
+    def _propose_block(
+        self, parent: Proposal, view: int, justify: QuorumCert,
+        payload: Payload,
+    ) -> None:
+        """Mint this replica's next block — a child of ``parent`` for
+        ``view`` — broadcast it, and deliver it to ourselves."""
+        node = self.node_id
+        proposal = Proposal(
+            block_id=make_block_id(node, self._block_counter),
+            view=view,
+            height=parent.height + 1,
+            proposer=node,
+            parent_id=parent.block_id,
+            justify=justify,
+            payload=payload,
+            created_at=self.host.sim.now,
+        )
+        self._block_counter += 1
+        self.host.trace(
+            "propose", view=view, block=proposal.block_id,
+            entries=len(payload.microblock_ids),
+        )
+        self.broadcast(MessageKinds.PROPOSAL, proposal.size_bytes, proposal)
+        self._handle_proposal(proposal)
+
+    # -- orphans and chain sync --------------------------------------------
+
+    def _park_orphan(self, proposal: Proposal) -> None:
+        """Hold ``proposal`` until its parent arrives, and ask its
+        proposer (who must hold the whole ancestry it extended) for a
+        retransmission in case the parent was actually lost."""
+        self._orphans.setdefault(proposal.parent_id, []).append(proposal)
+        self._orphaned.add(proposal.block_id)
+        self._request_sync(proposal.parent_id, proposal.proposer)
+
+    def _release_orphans(self, proposal: Proposal) -> None:
+        """``proposal`` was stored: hand its parked children back to the
+        subclass, in arrival order."""
+        for orphan in self._orphans.pop(proposal.block_id, ()):
+            self._orphaned.discard(orphan.block_id)
+            self._handle_proposal(orphan)
+
+    def _request_sync(self, block_id: int, holder: int) -> None:
+        """Ask ``holder`` (who extended the block) to retransmit it.
+
+        Chain sync: broadcast delivers proposals exactly once, so a
+        dropped copy would otherwise leave this replica parked on an
+        orphan forever. Requests repeat every ``sync_period`` against
+        rotating holders until the block arrives.
+        """
+        if block_id in self.proposals or self.host.behavior.silent:
+            return
+        if block_id in self._sync_requested or block_id in self._orphaned:
+            return
+        self._sync_requested.add(block_id)
+        if holder == self.node_id:
+            # A respawned replica walking back through its lost chain
+            # hits blocks it proposed in a previous incarnation; asking
+            # itself wastes a whole retry round per ancestor and turns
+            # catch-up from O(RTT) into O(sync_period) per block.
+            holder = self._next_sync_holder(holder)
+        self._send_sync_round(block_id, holder, rounds_left=10)
+
+    def _next_sync_holder(self, holder: int) -> int:
+        """Next replica to ask for a retransmission — never ourselves."""
+        leaders = self.host.leader_set
+        index = leaders.index(holder) if holder in leaders else -1
+        for step in range(1, len(leaders) + 1):
+            candidate = leaders[(index + step) % len(leaders)]
+            if candidate != self.node_id:
+                return candidate
+        return holder
+
+    def _send_sync_round(
+        self, block_id: int, holder: int, rounds_left: int
+    ) -> None:
+        if (block_id in self.proposals or block_id in self._orphaned
+                or rounds_left <= 0):
+            self._sync_requested.discard(block_id)
+            return
+        self.send(holder, MessageKinds.SYNC_REQUEST, sizes.FETCH_REQUEST,
+                  block_id)
+        self.host.sim.schedule(
+            self._sync_period,
+            lambda: self._send_sync_round(
+                block_id, self._next_sync_holder(holder), rounds_left - 1
+            ),
+        )
+
+    def _serve_sync(self, requester: int, block_id: int) -> None:
+        proposal = self.proposals.get(block_id)
+        if proposal is None or self.host.behavior.silent:
+            return
+        self.send(requester, MessageKinds.PROPOSAL, proposal.size_bytes,
+                  proposal)
+
+    # -- commit and abandonment --------------------------------------------
+
+    def _commit_chain(self, tip: Proposal) -> None:
+        """Commit ``tip`` and its uncommitted ancestors, oldest first."""
+        chain: list[Proposal] = []
+        cursor: Optional[Proposal] = tip
+        while cursor is not None and cursor.block_id not in self.committed:
+            chain.append(cursor)
+            cursor = self.proposals.get(cursor.parent_id)
+        for proposal in reversed(chain):
+            self.committed.add(proposal.block_id)
+            if proposal.height > self.committed_height:
+                self.committed_height = proposal.height
+            self._unresolved.pop(proposal.block_id, None)
+            self.host.trace(
+                "commit", block=proposal.block_id, height=proposal.height,
+            )
+            self.handle_commit(proposal)
+        self._sweep_abandoned()
+
+    def _sweep_abandoned(self) -> None:
+        """Notify the mempool of forks ruled out by the latest commit.
+
+        Only unresolved proposals (neither committed nor abandoned) are
+        scanned; each is visited at most once across the whole run, in
+        proposal insertion order — ``on_abandoned`` ordering is part of
+        the event schedule.
+        """
+        abandoned = [
+            proposal for proposal in self._unresolved.values()
+            if proposal.height <= self.committed_height
+        ]
+        for proposal in abandoned:
+            del self._unresolved[proposal.block_id]
+            self.mempool.on_abandoned(proposal)

@@ -7,15 +7,10 @@ proposal, and a block commits when it heads a three-chain of
 consecutive-view certified blocks. View changes use timeout (new-view)
 messages carrying the sender's highest QC.
 
-Mempool integration points:
-
-* ``make_payload`` when this replica proposes;
-* ``verify_payload`` on receipt — a failing payload (bad availability
-  proof) triggers a view-change against the leader;
-* ``on_proposal`` for every valid proposal stored, voted on or not;
-* ``prepare`` gates the vote: the engine votes only when the mempool says
-  the proposal may enter the commit phase;
-* ``on_commit`` / ``on_abandoned`` on three-chain commits.
+The mempool seam (:class:`ConsensusEngine`) is crossed in
+``_try_propose``, ``_handle_proposal`` — where a payload that fails
+``verify_payload`` (bad availability proof) triggers a view-change
+against the leader — ``_maybe_vote`` and the base's commit walk.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.consensus.base import ConsensusEngine
+from repro.consensus.chain import GENESIS_ID, ChainedEngine
 from repro.crypto import (
     GENESIS_QC,
     QuorumCert,
@@ -33,59 +28,37 @@ from repro.crypto import (
     vote_signature,
 )
 from repro.mempool.base import MessageKinds
-from repro.sim.engine import Timer
 from repro.sim.network import Envelope
 from repro.types import sizes
-from repro.types.proposal import Payload, Proposal, make_block_id
+from repro.types.proposal import Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mempool.base import Mempool
     from repro.replica.node import Replica
 
-GENESIS_ID = 0
 
-
-class HotStuff(ConsensusEngine):
-    """Chained HotStuff engine for one replica."""
+class HotStuff(ChainedEngine):
+    """Chained HotStuff for one replica: pacemaker, votes and QCs, and
+    the commit rule, over :class:`ChainedEngine`'s block tree."""
 
     name = "hotstuff"
 
     def __init__(
         self, host: "Replica", mempool: "Mempool", config: ProtocolConfig
     ) -> None:
-        super().__init__(host, mempool, config)
-        genesis = Proposal(
-            block_id=GENESIS_ID, view=0, height=0, proposer=-1,
-            parent_id=GENESIS_ID, justify=GENESIS_QC, payload=Payload(),
-        )
-        self.proposals: dict[int, Proposal] = {GENESIS_ID: genesis}
+        super().__init__(host, mempool, config, config.view_timeout)
         self.cur_view = 0
         self.voted_view = 0
         self.high_qc: QuorumCert = GENESIS_QC
         self.locked_view = 0
-        self.committed: set[int] = {GENESIS_ID}
-        self.committed_height = 0
-        self._abandoned: set[int] = set()
-        # Proposals neither committed nor abandoned yet, in insertion
-        # order. The abandonment sweep walks this instead of the full
-        # proposal store, which otherwise makes every commit O(all
-        # proposals ever seen).
-        self._unresolved: dict[int, Proposal] = {}
         self._votes: dict[tuple[int, int], dict[int, Signature]] = {}
         self._qc_done: set[tuple[int, int]] = set()
         self._new_views: dict[int, dict[int, QuorumCert]] = {}
         self._proposed_views: set[int] = set()
-        self._view_timer: Optional[Timer] = None
-        self._block_counter = 0
         self._pacing_view: Optional[int] = None
-        # Large parent proposals can still be in flight when small votes
-        # or child proposals arrive; both are parked until the parent lands.
-        self._orphans: dict[int, list[Proposal]] = {}
-        # Block ids sitting in ``_orphans`` — already received, only
-        # waiting on ancestry, so sync must not re-request them.
-        self._orphaned: set[int] = set()
+        # Votes can outrun the (large) proposal they certify: the QC's
+        # view is proposed for once the certified block lands.
         self._deferred_propose: dict[int, tuple[int, QuorumCert]] = {}
-        self._sync_requested: set[int] = set()
         # Highest view each peer has announced via NEW_VIEW. When f + 1
         # distinct peers claim a higher view, at least one honest replica
         # is there, so jumping is safe — without this, a long fault can
@@ -102,23 +75,13 @@ class HotStuff(ConsensusEngine):
     def current_leader(self) -> int:
         return self.leader_of(max(self.cur_view, 1))
 
-    def suspend(self) -> None:
-        if self._view_timer is not None:
-            self._view_timer.cancel()
-            self._view_timer = None
-
     def resume(self) -> None:
         view = self.cur_view
         if view <= 0:
             return
-        self._view_timer = self.host.sim.schedule(
+        self._timer = self.host.sim.schedule(
             self.config.view_timeout, lambda: self._on_timeout(view)
         )
-
-    def rebase_block_ids(self, base: int) -> None:
-        if self._block_counter:
-            raise RuntimeError("cannot rebase after proposing blocks")
-        self._block_counter = base
 
     # -- view management -----------------------------------------------
 
@@ -126,9 +89,9 @@ class HotStuff(ConsensusEngine):
         if view <= self.cur_view:
             return
         self.cur_view = view
-        if self._view_timer is not None:
-            self._view_timer.cancel()
-        self._view_timer = self.host.sim.schedule(
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self.host.sim.schedule(
             self.config.view_timeout, lambda: self._on_timeout(view)
         )
         if (
@@ -181,26 +144,9 @@ class HotStuff(ConsensusEngine):
         if view in self._proposed_views or self.cur_view > view:
             return
         self._proposed_views.add(view)
-        parent = self.proposals[justify.block_id]
-        proposal = Proposal(
-            block_id=make_block_id(self.node_id, self._block_counter),
-            view=view,
-            height=parent.height + 1,
-            proposer=self.node_id,
-            parent_id=parent.block_id,
-            justify=justify,
-            payload=payload,
-            created_at=self.host.sim.now,
+        self._propose_block(
+            self.proposals[justify.block_id], view, justify, payload
         )
-        self._block_counter += 1
-        self.host.trace(
-            "propose", view=view, block=proposal.block_id,
-            entries=len(payload.microblock_ids),
-        )
-        self.broadcast(
-            MessageKinds.PROPOSAL, proposal.size_bytes, proposal
-        )
-        self._handle_proposal(proposal)
 
     # -- message handling ----------------------------------------------
 
@@ -225,13 +171,8 @@ class HotStuff(ConsensusEngine):
         ):
             return
         if proposal.parent_id not in self.proposals:
-            # Parent still in flight (or lost): park until it arrives and
-            # ask for a retransmission in case it was actually lost.
-            self._orphans.setdefault(proposal.parent_id, []).append(proposal)
-            self._orphaned.add(proposal.block_id)
-            self._request_sync(proposal.parent_id, proposal.proposer)
+            self._park_orphan(proposal)
             return
-        self._orphaned.discard(proposal.block_id)
         self.proposals[proposal.block_id] = proposal
         self._process_qc(proposal.justify)
         if proposal.view > self.cur_view:
@@ -276,60 +217,6 @@ class HotStuff(ConsensusEngine):
 
         self.mempool.prepare(proposal, cast_vote)
 
-    def _request_sync(self, block_id: int, holder: int) -> None:
-        """Ask ``holder`` (who extended the block) to retransmit it.
-
-        Chain sync: broadcast delivers proposals exactly once, so a
-        dropped copy would otherwise leave this replica parked on an
-        orphan forever. Requests repeat on a view-timeout cadence against
-        rotating holders until the block arrives.
-        """
-        if block_id in self.proposals or self.host.behavior.silent:
-            return
-        if block_id in self._sync_requested or block_id in self._orphaned:
-            return
-        self._sync_requested.add(block_id)
-        if holder == self.node_id:
-            # A respawned replica walking back through its lost chain
-            # hits blocks it proposed in a previous incarnation; asking
-            # itself wastes a whole retry round per ancestor and turns
-            # catch-up from O(RTT) into O(view_timeout) per block.
-            holder = self._next_sync_holder(holder)
-        self._send_sync_round(block_id, holder, rounds_left=10)
-
-    def _next_sync_holder(self, holder: int) -> int:
-        """Next replica to ask for a retransmission — never ourselves."""
-        leaders = self.host.leader_set
-        index = leaders.index(holder) if holder in leaders else -1
-        for step in range(1, len(leaders) + 1):
-            candidate = leaders[(index + step) % len(leaders)]
-            if candidate != self.node_id:
-                return candidate
-        return holder
-
-    def _send_sync_round(
-        self, block_id: int, holder: int, rounds_left: int
-    ) -> None:
-        if (block_id in self.proposals or block_id in self._orphaned
-                or rounds_left <= 0):
-            self._sync_requested.discard(block_id)
-            return
-        self.send(holder, MessageKinds.SYNC_REQUEST, sizes.FETCH_REQUEST,
-                  block_id)
-        self.host.sim.schedule(
-            self.config.view_timeout,
-            lambda: self._send_sync_round(
-                block_id, self._next_sync_holder(holder), rounds_left - 1
-            ),
-        )
-
-    def _serve_sync(self, requester: int, block_id: int) -> None:
-        proposal = self.proposals.get(block_id)
-        if proposal is None or self.host.behavior.silent:
-            return
-        self.send(requester, MessageKinds.PROPOSAL, proposal.size_bytes,
-                  proposal)
-
     def _release_dependents(self, proposal: Proposal) -> None:
         """Process work that was blocked on this proposal's arrival."""
         deferred = self._deferred_propose.pop(proposal.block_id, None)
@@ -338,8 +225,7 @@ class HotStuff(ConsensusEngine):
             if view >= self.cur_view:
                 self._enter_view(view)
                 self._try_propose(view, justify)
-        for orphan in self._orphans.pop(proposal.block_id, []):
-            self._handle_proposal(orphan)
+        self._release_orphans(proposal)
 
     def _handle_vote(
         self, block_id: int, view: int, signature: Signature
@@ -417,37 +303,3 @@ class HotStuff(ConsensusEngine):
         )
         if consecutive and grandparent.block_id not in self.committed:
             self._commit_chain(grandparent)
-
-    def _commit_chain(self, tip: Proposal) -> None:
-        chain: list[Proposal] = []
-        cursor: Optional[Proposal] = tip
-        while cursor is not None and cursor.block_id not in self.committed:
-            chain.append(cursor)
-            cursor = self.proposals.get(cursor.parent_id)
-        for proposal in reversed(chain):
-            self.committed.add(proposal.block_id)
-            self.committed_height = max(self.committed_height, proposal.height)
-            self._unresolved.pop(proposal.block_id, None)
-            self.host.trace(
-                "commit", block=proposal.block_id, height=proposal.height,
-            )
-            self.handle_commit(proposal)
-        self._sweep_abandoned()
-
-    def _sweep_abandoned(self) -> None:
-        """Notify the mempool of forks ruled out by the latest commit.
-
-        Only unresolved proposals (neither committed nor abandoned) are
-        scanned; each is visited at most once across the whole run. The
-        walk preserves proposal insertion order, exactly like the full
-        store scan it replaces, so ``on_abandoned`` ordering — and with
-        it the event schedule — is unchanged.
-        """
-        abandoned = [
-            proposal for proposal in self._unresolved.values()
-            if proposal.height <= self.committed_height
-        ]
-        for proposal in abandoned:
-            del self._unresolved[proposal.block_id]
-            self._abandoned.add(proposal.block_id)
-            self.mempool.on_abandoned(proposal)

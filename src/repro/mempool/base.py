@@ -3,8 +3,8 @@
 Every mempool implements the four primitives from the paper —
 ``ReceiveTx`` (:meth:`Mempool.on_client_batch`), ``ShareTx`` (internal to
 the implementation), ``MakeProposal`` (:meth:`Mempool.make_payload`), and
-``FillProposal`` (:meth:`Mempool.resolve`) — plus two hooks the consensus
-engine needs:
+``FillProposal`` (:meth:`Mempool.resolve`) — plus three hooks the
+consensus engine needs:
 
 * :meth:`Mempool.verify_payload` — can this payload be trusted? Stratus
   verifies availability proofs here; an invalid payload triggers a
@@ -16,6 +16,10 @@ engine needs:
   SMP require the full data before the commit phase; Stratus only needs
   valid proofs, so it reports readiness immediately (the heart of
   Solution-I).
+
+Mempools that propose microblocks by id (all but native) share one
+implementation of what happens to an id between those calls:
+:class:`repro.mempool.id_mempool.IdMempool`.
 """
 
 from __future__ import annotations
@@ -81,47 +85,6 @@ OnReady = Callable[[], None]
 OnFull = Callable[[Block], None]
 
 
-class ReferenceCounts(dict):
-    """``microblock id -> stored, unresolved proposals that carry it``.
-
-    A key's presence is what keeps an id out of the next payload; the
-    count is what makes :meth:`Mempool.on_abandoned` safe. Two stored
-    proposals can carry one id (a leader cut off by loss proposes it on
-    a fork nobody saw, a later leader proposes it again on the chain
-    that wins); when the fork is abandoned the id must stay referenced,
-    or this replica proposes it a third time on top of the block that
-    is about to commit it. ``make_payload`` enters an id at 0 — held by
-    this replica's own payload until its own proposal is stored.
-    """
-
-    __slots__ = ()
-
-    def acquire(self, mb_ids) -> None:
-        """One more stored proposal carries each of ``mb_ids``."""
-        get = self.get
-        for mb_id in mb_ids:
-            self[mb_id] = get(mb_id, 0) + 1
-
-    def drop(self, mb_ids) -> None:
-        """``mb_ids`` were committed: whoever carried them, it is over."""
-        for mb_id in mb_ids:
-            if mb_id in self:
-                del self[mb_id]
-
-    def release(self, mb_ids) -> list:
-        """One proposal fewer carries each id; returns the ids no stored
-        proposal carries any more, in order."""
-        freed = []
-        for mb_id in mb_ids:
-            left = self.get(mb_id, 0) - 1
-            if left > 0:
-                self[mb_id] = left
-            else:
-                self.pop(mb_id, None)
-                freed.append(mb_id)
-        return freed
-
-
 class Mempool(abc.ABC):
     """Abstract mempool bound to one replica."""
 
@@ -176,10 +139,8 @@ class Mempool(abc.ABC):
         Called once per stored proposal that references microblocks by
         id (``payload.entries``), whether or not this replica votes on
         it (a replica that already left the proposal's view stores it
-        without voting), so implementations mark its ids as referenced
-        here and nowhere else: an id is in exactly one of proposable /
-        referenced / committed, and :meth:`on_abandoned` is the only way
-        back to proposable."""
+        without voting), so its ids are marked as referenced here and
+        nowhere else."""
 
     @abc.abstractmethod
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
@@ -238,14 +199,11 @@ class Mempool(abc.ABC):
         chain. Implementations re-queue payload they own so the content
         is eventually proposed again (SMP-Inclusion)."""
 
-    @property
-    def batcher(self):
-        """The mempool's :class:`MicroBlockBatcher`, or None.
-
-        Batching mempools override this; the aggregate workload mode
-        needs it to wire per-replica arrival streams, and the crash /
-        restart hooks below forward through it."""
-        return None
+    #: The mempool's :class:`MicroBlockBatcher`, or None. Batching
+    #: mempools set it; the aggregate workload mode needs it to wire
+    #: per-replica arrival streams, and the crash / restart hooks below
+    #: forward through it.
+    batcher = None
 
     def on_crash(self) -> None:
         """The host replica is about to crash (gate still open).
@@ -253,9 +211,8 @@ class Mempool(abc.ABC):
         Called by ``Replica.crash`` *before* the crashed flag is set, so
         an attached arrival stream can digest the ticks that reached the
         replica while it was still up."""
-        batcher = self.batcher
-        if batcher is not None:
-            batcher.on_crash()
+        if self.batcher is not None:
+            self.batcher.on_crash()
 
     def on_restart(self) -> None:
         """The host replica restarted after a crash.
@@ -265,9 +222,8 @@ class Mempool(abc.ABC):
         whose availability proofs never formed because the acks were
         dropped. Overrides must call ``super().on_restart()`` so an
         attached arrival stream resumes too."""
-        batcher = self.batcher
-        if batcher is not None:
-            batcher.on_restart()
+        if self.batcher is not None:
+            self.batcher.on_restart()
 
     # -- network ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ class GossipSharedMempool(SimpleSharedMempool):
 
     def _on_new_microblock(self, microblock: MicroBlock) -> None:
         self.store.add(microblock)
-        self._enqueue_proposable(microblock.id)
+        self._enqueue(microblock.id)
         self._gossip(microblock, exclude={self.node_id})
 
     def _gossip(self, microblock: MicroBlock, exclude: set[int]) -> None:
@@ -47,7 +47,7 @@ class GossipSharedMempool(SimpleSharedMempool):
         if envelope.kind == MessageKinds.MICROBLOCK_GOSSIP:
             microblock = envelope.payload
             if self.store.add(microblock):
-                self._enqueue_proposable(microblock.id)
+                self._enqueue(microblock.id)
                 self._gossip(
                     microblock,
                     exclude={self.node_id, envelope.src, microblock.origin},

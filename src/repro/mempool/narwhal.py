@@ -12,24 +12,15 @@ machines (Section II-B).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import (
-    Mempool,
-    MessageKinds,
-    OnFull,
-    OnReady,
-    ReferenceCounts,
-)
-from repro.mempool.batching import MicroBlockBatcher
-from repro.mempool.fetching import FetchManager
-from repro.mempool.store import MicroBlockStore
+from repro.mempool.base import MessageKinds, OnReady
+from repro.mempool.id_mempool import IdMempool
 from repro.sim.network import Channel, Envelope
-from repro.types import TxBatch, sizes
+from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
-from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
+from repro.types.proposal import PayloadEntry, Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
@@ -48,48 +39,21 @@ class _RBState:
         self.certified = False
 
 
-class NarwhalMempool(Mempool):
+class NarwhalMempool(IdMempool):
     """Reliable-broadcast mempool (Narwhal comparison baseline)."""
 
     name = "narwhal"
 
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         super().__init__(host, config)
-        self.store = MicroBlockStore()
-        self.fetcher = FetchManager(host, config, self.store)
-        self._batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
         self._states: dict[MicroBlockId, _RBState] = {}
-        self._proposable: deque[MicroBlockId] = deque()
-        self._referenced = ReferenceCounts()
-        self._committed: set[MicroBlockId] = set()
 
     # -- dissemination -------------------------------------------------
 
-    @property
-    def batcher(self) -> MicroBlockBatcher:
-        return self._batcher
-
-    def on_client_batch(self, batch: TxBatch) -> None:
-        self._batcher.add(batch)
-
-    def rebase_microblock_ids(self, base: int) -> None:
-        self._batcher.rebase(base)
-
     def _on_new_microblock(self, microblock: MicroBlock) -> None:
         self.store.add(microblock)
-        targets = self.host.behavior.share_targets(
-            self.host, self._all_others()
-        )
-        self.broadcast(
-            MessageKinds.MICROBLOCK,
-            microblock.size_bytes,
-            microblock,
-            recipients=targets,
-        )
+        self._broadcast_body(microblock)
         self._send_echo(microblock.id)
-
-    def _all_others(self) -> list[int]:
-        return [node for node in range(self.config.n) if node != self.node_id]
 
     def _state(self, mb_id: MicroBlockId) -> _RBState:
         if mb_id not in self._states:
@@ -129,14 +93,15 @@ class NarwhalMempool(Mempool):
 
     def _on_certified(self, mb_id: MicroBlockId) -> None:
         """A ready quorum certifies availability; the id becomes proposable."""
-        if mb_id not in self._referenced and mb_id not in self._committed:
-            self._proposable.append(mb_id)
+        self._enqueue(mb_id)
         if mb_id not in self.store:
-            state = self._states[mb_id]
-            holders = tuple(sorted(state.readies - {self.node_id}))
-            self._fetch_from(mb_id, holders)
+            self._fetch_from_readies(mb_id)
 
-    def _fetch_from(self, mb_id: MicroBlockId, holders: tuple[int, ...]) -> None:
+    def _fetch_from_readies(self, mb_id: MicroBlockId) -> None:
+        """Whoever sent a ready holds the body: ask them, one at a time."""
+        holders = tuple(sorted(self._state(mb_id).readies - {self.node_id}))
+        if not holders:
+            return
         rng = self.host.rng
 
         def provider(requested: set[int]) -> list[int]:
@@ -147,71 +112,19 @@ class NarwhalMempool(Mempool):
 
         self.fetcher.request(mb_id, provider)
 
-    # -- leader side -----------------------------------------------------
-
-    def make_payload(self) -> Payload:
-        entries: list[PayloadEntry] = []
-        limit = self.config.proposal_max_microblocks
-        while self._proposable:
-            if limit and len(entries) >= limit:
-                break
-            mb_id = self._proposable.popleft()
-            if mb_id in self._referenced or mb_id in self._committed:
-                continue
-            self._referenced[mb_id] = 0
-            entries.append(PayloadEntry(mb_id=mb_id))
-        return Payload(entries=tuple(entries))
-
     # -- follower side -----------------------------------------------------
-
-    def on_proposal(self, proposal: Proposal) -> None:
-        self._referenced.acquire(proposal.payload.microblock_ids)
 
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Certified ids are provably available: vote without the bodies."""
         on_ready()
 
-    def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
-        block = Block(proposal=proposal)
-        ids = proposal.payload.microblock_ids
-        if not ids:
-            block.filled_at = self.host.sim.now
-            on_full(block)
-            return
-        remaining = {"count": len(ids)}
+    def _fetch_missing(self, entry: PayloadEntry, proposal: Proposal) -> None:
+        self._fetch_from_readies(entry.mb_id)
 
-        def collect(microblock: MicroBlock) -> None:
-            block.microblocks[microblock.id] = microblock
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                block.filled_at = self.host.sim.now
-                on_full(block)
-
-        for mb_id in ids:
-            self.store.on_delivery(mb_id, collect)
-            if mb_id not in self.store:
-                state = self._state(mb_id)
-                holders = tuple(sorted(state.readies - {self.node_id}))
-                if holders:
-                    self._fetch_from(mb_id, holders)
-
-    def mark_committed(self, proposal: Proposal) -> None:
-        ids = proposal.payload.microblock_ids
-        if ids:
-            self._committed.update(ids)
-            self._referenced.drop(ids)
-
-    def on_abandoned(self, proposal: Proposal) -> None:
-        for mb_id in self._referenced.release(
-            proposal.payload.microblock_ids
-        ):
-            state = self._states.get(mb_id)
-            if (
-                state is not None
-                and state.certified
-                and mb_id not in self._committed
-            ):
-                self._proposable.append(mb_id)
+    def _requeue(self, mb_id: MicroBlockId) -> None:
+        state = self._states.get(mb_id)
+        if state is not None and state.certified:
+            self._proposable.append(mb_id)
 
     # -- network -----------------------------------------------------------
 

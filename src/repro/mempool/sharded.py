@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.mempool.stratus.mempool import StratusMempool
 from repro.sharding import ShardMap, ShardScope
-from repro.types.microblock import MicroBlock
 from repro.types.proposal import Block, PayloadEntry, Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,20 +39,11 @@ class ShardedStratusMempool(StratusMempool):
         self.shard_map = ShardMap(
             config.n, config.sharding or ShardingConfig()
         )
-        #: The shard this replica's own microblocks land in.
-        self.own_shard = self.shard_map.shard_of_origin(host.node_id)
         super().__init__(host, config)
 
     def _scope(self) -> ShardScope:
         """The PAB scope: this replica's own shard, ``f_s + 1`` acks."""
         return ShardScope(self.host.node_id, self.shard_map)
-
-    def _on_new_microblock(self, microblock: MicroBlock) -> None:
-        self.host.trace(
-            "mb_new", mb=microblock.id, txs=microblock.tx_count,
-            shard=self.own_shard,
-        )
-        self.pab.push_own(microblock, self._on_self_available)
 
     def _resolvable(self, entries) -> list[PayloadEntry]:
         """Entries this replica materializes bodies for.

@@ -43,13 +43,14 @@ class MicroBlockStore:
     def get(self, mb_id: MicroBlockId) -> Optional[MicroBlock]:
         return self._blocks.get(mb_id)
 
-    def on_delivery(self, mb_id: MicroBlockId, waiter: Waiter) -> None:
-        """Run ``waiter`` when ``mb_id`` arrives (immediately if present)."""
+    def on_delivery(self, mb_id: MicroBlockId, waiter: Waiter) -> bool:
+        """Run ``waiter`` when ``mb_id`` arrives: now, and True, if present."""
         existing = self._blocks.get(mb_id)
         if existing is not None:
             waiter(existing)
-            return
+            return True
         self._waiters.setdefault(mb_id, []).append(waiter)
+        return False
 
     def discard(self, mb_id: MicroBlockId) -> None:
         """Garbage-collect one microblock (committed and executed)."""

@@ -2,11 +2,11 @@
 
 Bookkeeping mirrors the paper: ``mbMap`` is the microblock store,
 ``pMap`` maps microblock ids to availability proofs, and ``avaQue``
-queues provably-available ids for proposal. A proposal built by
-:meth:`StratusMempool.make_payload` carries each referenced id *with its
-proof*; a replica that verifies those proofs can vote immediately —
-missing bodies are fetched from proof signers over the data channel
-without blocking consensus (Solution-I). Load balancing (Solution-II) is
+(:class:`IdMempool`'s proposable queue) holds provably-available ids
+for proposal. A proposal carries each referenced id *with its proof*; a
+replica that verifies those proofs can vote immediately — missing
+bodies are fetched from proof signers over the data channel without
+blocking consensus (Solution-I). Load balancing (Solution-II) is
 delegated to :class:`repro.mempool.stratus.dlb.LoadBalancer`.
 
 Which replicas a microblock is pushed to, and what its proof looks like,
@@ -17,36 +17,30 @@ variant (:class:`repro.mempool.sharded.ShardedStratusMempool`).
 
 from __future__ import annotations
 
-from collections import deque
 from operator import attrgetter
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import Mempool, OnFull, OnReady, ReferenceCounts
-from repro.mempool.batching import MicroBlockBatcher
-from repro.mempool.fetching import FetchManager
-from repro.mempool.store import MicroBlockStore
+from repro.mempool.base import OnReady
+from repro.mempool.id_mempool import IdMempool
 from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import NetworkScope, PabEngine
 from repro.sim.network import Envelope
-from repro.types import TxBatch
 from repro.types.microblock import MicroBlock, MicroBlockId
-from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
+from repro.types.proposal import Payload, PayloadEntry, Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
 
-class StratusMempool(Mempool):
+class StratusMempool(IdMempool):
     """Shared mempool with PAB availability proofs and DLB (S-HS, S-SL)."""
 
     name = "stratus"
 
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         super().__init__(host, config)
-        self.store = MicroBlockStore()  # mbMap
-        self.fetcher = FetchManager(host, config, self.store)
         self.estimator = StableTimeEstimator(
             window=config.estimator_window,
             percentile=config.estimator_percentile,
@@ -75,12 +69,7 @@ class StratusMempool(Mempool):
             host, config, self.estimator, self.pab,
             on_available=self._on_self_available,
         ) if config.load_balancing else None
-        self._batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
-        self._ava_queue: deque[MicroBlockId] = deque()  # avaQue
         self._proofs: dict[MicroBlockId, object] = {}  # pMap
-        self._queued: set[MicroBlockId] = set()
-        self._referenced = ReferenceCounts()
-        self._committed: set[MicroBlockId] = set()
 
     def _scope(self):
         """The PAB scope: all ``n`` replicas, ``stability_quorum`` acks."""
@@ -89,16 +78,6 @@ class StratusMempool(Mempool):
         )
 
     # -- client / dissemination -------------------------------------------
-
-    @property
-    def batcher(self) -> MicroBlockBatcher:
-        return self._batcher
-
-    def on_client_batch(self, batch: TxBatch) -> None:
-        self._batcher.add(batch)
-
-    def rebase_microblock_ids(self, base: int) -> None:
-        self._batcher.rebase(base)
 
     def _on_new_microblock(self, microblock: MicroBlock) -> None:
         self.host.trace(
@@ -115,7 +94,12 @@ class StratusMempool(Mempool):
         self.host.metrics.record_stable_time(elapsed)
 
     def _add_available(self, mb_id: MicroBlockId, proof) -> None:
-        """Record ``(id, proof)`` in pMap and push the id onto avaQue."""
+        """Record ``(id, proof)`` in pMap and push the id onto avaQue.
+
+        ``IdMempool._enqueue`` spelled out (this runs per microblock at
+        every replica), plus at-most-once: one id can be announced by a
+        push's completion and again by the proof broadcast.
+        """
         self._proofs[mb_id] = proof
         if (
             mb_id not in self._queued
@@ -123,7 +107,7 @@ class StratusMempool(Mempool):
             and mb_id not in self._committed
         ):
             self._queued.add(mb_id)
-            self._ava_queue.append(mb_id)
+            self._proposable.append(mb_id)
 
     def _on_self_available(self, mb_id: MicroBlockId, proof) -> None:
         """A PAB instance this replica owns became available.
@@ -151,24 +135,9 @@ class StratusMempool(Mempool):
             return  # settled a forwarded microblock; balancer recovered it
         self._add_available(mb_id, proof)
 
-    # -- leader side ---------------------------------------------------
-
-    def make_payload(self) -> Payload:
-        """MakeProposal: pull proven ids (with proofs) from avaQue."""
-        entries: list[PayloadEntry] = []
-        limit = self.config.proposal_max_microblocks
-        while self._ava_queue:
-            if limit and len(entries) >= limit:
-                break
-            mb_id = self._ava_queue.popleft()
-            self._queued.discard(mb_id)
-            if mb_id in self._referenced or mb_id in self._committed:
-                continue
-            self._referenced[mb_id] = 0
-            entries.append(
-                PayloadEntry(mb_id, **{self._slot: self._proofs[mb_id]})
-            )
-        return Payload(entries=tuple(entries))
+    def _entry(self, mb_id: MicroBlockId) -> PayloadEntry:
+        """MakeProposal pulls proven ids from avaQue *with* their proofs."""
+        return PayloadEntry(mb_id, **{self._slot: self._proofs[mb_id]})
 
     # -- follower side -----------------------------------------------------
 
@@ -184,7 +153,7 @@ class StratusMempool(Mempool):
 
     def on_proposal(self, proposal: Proposal) -> None:
         """Mark the ids referenced and keep their (verified) proofs."""
-        # ReferenceCounts.acquire, in the one pass over the entries that
+        # IdMempool.on_proposal, in the one pass over the entries that
         # the proofs need anyway: this runs per entry of every proposal
         # at every replica.
         refs = self._referenced
@@ -204,69 +173,22 @@ class StratusMempool(Mempool):
         """
         on_ready()
 
-    def _resolvable(self, entries):
-        """Entries this replica materializes bodies for: all of them."""
-        return entries
+    def _fetch_missing(self, entry: PayloadEntry, proposal: Proposal) -> None:
+        """The proof's signers hold the body (``PAB-Fetch``)."""
+        proof = self._proof_of(entry)
+        if proof is not None:
+            self.pab.fetch(entry.mb_id, proof)
 
-    def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
-        block = Block(proposal=proposal)
-        entries = proposal.payload.entries
-        if entries:
-            entries = self._resolvable(entries)
-        if not entries:
-            block.filled_at = self.host.sim.now
-            on_full(block)
-            return
-        remaining = {"count": len(entries)}
-
-        def collect(microblock: MicroBlock) -> None:
-            block.microblocks[microblock.id] = microblock
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                block.filled_at = self.host.sim.now
-                on_full(block)
-
-        proof_of = self._proof_of
-        for entry in entries:
-            self.store.on_delivery(entry.mb_id, collect)
-            if entry.mb_id not in self.store:
-                proof = proof_of(entry)
-                if proof is not None:
-                    self.pab.fetch(entry.mb_id, proof)
-
-    def mark_committed(self, proposal: Proposal) -> None:
-        """Commit hook (Section VIII): ids must never re-enter avaQue."""
-        ids = proposal.payload.microblock_ids
-        if ids:
-            self._committed.update(ids)
-            self._referenced.drop(ids)
-
-    def garbage_collect(self, proposal: Proposal) -> None:
-        """Retire a resolved proposal's microblock bodies.
-
-        Bodies and proofs are discarded after the retention window so
-        straggling replicas can still fetch them meanwhile.
-        """
-        ids = list(proposal.payload.microblock_ids)
-        retention = self.config.gc_retention
-        if retention > 0:
-            self.host.sim.schedule(
-                retention, lambda: self._discard_bodies(ids)
-            )
-
-    def _discard_bodies(self, ids: list[MicroBlockId]) -> None:
+    def _discard(self, ids) -> None:
+        """Bodies, proofs and PAB state go together."""
         for mb_id in ids:
             self.store.discard(mb_id)
             self._proofs.pop(mb_id, None)
             self.pab.discard(mb_id)
 
-    def on_abandoned(self, proposal: Proposal) -> None:
-        """Re-queue proven ids from a lost fork (SMP-Inclusion)."""
-        for mb_id in self._referenced.release(
-            proposal.payload.microblock_ids
-        ):
-            if mb_id not in self._committed and mb_id in self._proofs:
-                self._add_available(mb_id, self._proofs[mb_id])
+    def _requeue(self, mb_id: MicroBlockId) -> None:
+        if mb_id in self._proofs:
+            self._add_available(mb_id, self._proofs[mb_id])
 
     # -- network -----------------------------------------------------------
 

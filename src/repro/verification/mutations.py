@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.consensus.hotstuff import GENESIS_ID, HotStuff
+from repro.consensus.chain import GENESIS_ID
+from repro.consensus.hotstuff import HotStuff
 from repro.mempool import MEMPOOL_CLASSES
 from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.types.microblock import make_microblock_id

@@ -157,7 +157,7 @@ class Oracle:
     def on_microblock_created(
         self, replica: "Replica", microblock: "MicroBlock"
     ) -> None:
-        """An honest replica batched a new microblock."""
+        """A replica, honest or not, batched a new microblock."""
 
     def on_block_resolved(self, replica: "Replica", block: "Block") -> None:
         """A committed block became full at an honest replica."""
@@ -216,8 +216,10 @@ class OracleSuite:
     def on_microblock_created(
         self, replica: "Replica", microblock: "MicroBlock"
     ) -> None:
-        if replica.node_id not in self._honest:
-            return
+        # Not filtered by honesty: a creation record is client content
+        # leaving a batcher, whoever hosts it. A censoring or lying
+        # sender's microblocks are genuine and do commit; dropping their
+        # records made every one of them read as ``fabricated``.
         for oracle in self.oracles:
             oracle.on_microblock_created(replica, microblock)
 
@@ -543,8 +545,8 @@ class LedgerOracle(Oracle):
                 self.report(
                     "fabricated",
                     f"committed microblock {mb_id:#x} (block "
-                    f"{proposal.block_id:#x}) was never produced by any "
-                    f"honest replica",
+                    f"{proposal.block_id:#x}) never came out of any "
+                    f"replica's batcher",
                     node=replica.node_id,
                     microblock=mb_id, block=proposal.block_id,
                 )

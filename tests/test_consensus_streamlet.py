@@ -38,7 +38,7 @@ def test_finalized_chains_agree():
     canonical: dict[int, int] = {}
     for replica in exp.replicas:
         engine = replica.consensus
-        for block_id in engine.finalized:
+        for block_id in engine.committed:
             height = engine.proposals[block_id].height
             assert canonical.setdefault(height, block_id) == block_id
 

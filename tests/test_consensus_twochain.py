@@ -45,8 +45,7 @@ def test_two_chain_commit_rule_whitebox():
     exp = make_twochain(mempool="stratus")
     for replica in exp.replicas:
         replica.consensus._try_propose = lambda *a, **k: None
-        if replica.consensus._view_timer:
-            replica.consensus._view_timer.cancel()
+        replica.consensus.suspend()
     engine = exp.replicas[3].consensus
 
     def qc(block_id, view, n=4):

@@ -6,7 +6,6 @@ from repro.crypto import (
     make_quorum_cert,
     vote_signature,
 )
-from repro.mempool.base import MessageKinds
 from repro.types.proposal import Payload, Proposal, make_block_id
 
 from tests.helpers import make_cluster
@@ -34,8 +33,7 @@ def frozen_cluster():
     for replica in exp.replicas:
         replica.consensus._try_propose = lambda *a, **k: None
         # stop timers from firing during white-box manipulation
-        if replica.consensus._view_timer:
-            replica.consensus._view_timer.cancel()
+        replica.consensus.suspend()
     return exp
 
 
@@ -106,47 +104,6 @@ def test_votes_only_once_per_view():
     assert prepared == [first]
 
 
-def test_orphan_chain_releases_in_order():
-    exp = frozen_cluster()
-    engine = engine_of(exp, 3)
-    b1 = make_proposal(make_block_id(0, 1), 1, 1, 0, GENESIS_QC)
-    qc1 = make_qc(b1.block_id, 1)
-    b2 = make_proposal(make_block_id(1, 1), 2, 2, b1.block_id, qc1)
-    qc2 = make_qc(b2.block_id, 2)
-    b3 = make_proposal(make_block_id(2, 1), 3, 3, b2.block_id, qc2)
-    # Deliver children first: both park as orphans.
-    engine._handle_proposal(b3)
-    engine._handle_proposal(b2)
-    assert b2.block_id not in engine.proposals
-    assert b3.block_id not in engine.proposals
-    engine._handle_proposal(b1)  # parent lands: chain unrolls
-    assert b2.block_id in engine.proposals
-    assert b3.block_id in engine.proposals
-
-
-def test_sync_request_served():
-    exp = make_cluster(n=4, mempool="stratus")
-    exp.sim.run_until(0.5)  # build some chain
-    for replica in exp.replicas:  # freeze further proposing
-        replica.consensus._try_propose = lambda *a, **k: None
-    exp.sim.run_until(1.0)  # drain in-flight traffic
-    serving = engine_of(exp, 0)
-    receiving = engine_of(exp, 2)
-    block_id = next(iter(serving.committed - {0}))
-    # Make replica 2 forget the block, then ask replica 0 for it.
-    forgotten = receiving.proposals.pop(block_id)
-    receiving.committed.discard(block_id)
-    from repro.sim.network import Channel, Envelope
-    request = Envelope(
-        src=2, dst=0, kind=MessageKinds.SYNC_REQUEST, size_bytes=48,
-        payload=block_id, channel=Channel.CONSENSUS,
-    )
-    serving.on_message(request)
-    exp.sim.run_until(exp.sim.now + 0.5)
-    assert block_id in receiving.proposals
-    assert receiving.proposals[block_id].height == forgotten.height
-
-
 def test_invalid_justify_rejected():
     exp = frozen_cluster()
     engine = engine_of(exp, 3)
@@ -159,8 +116,7 @@ def test_invalid_justify_rejected():
 def test_new_view_quorum_triggers_proposal():
     exp = make_cluster(n=4, mempool="stratus")
     for replica in exp.replicas:
-        if replica.consensus._view_timer:
-            replica.consensus._view_timer.cancel()
+        replica.consensus.suspend()
     # Replica 2 leads view 2 (leader_set rotation: view % 4).
     leader = engine_of(exp, 2)
     proposed = []

@@ -73,31 +73,6 @@ def test_commit_without_body_then_fetch():
         assert mb_id in mempool_of(exp, node).store
 
 
-def test_abandoned_certified_ids_requeue():
-    exp = make_cluster(n=4, mempool="narwhal")
-    inject(exp, 0, count=4)
-    exp.sim.run_until(2.0)
-    mempool = mempool_of(exp, 0)
-    mb_id = mempool.store.ids[0]
-    state = mempool._states[mb_id]
-    assert state.certified
-
-    class FakeProposal:
-        class payload:
-            microblock_ids = (mb_id,)
-
-    # Simulate the consensus engine abandoning a fork that referenced
-    # the id after it was already committed: no requeue.
-    mempool._committed.add(mb_id)
-    before = len(mempool._proposable)
-    mempool.on_abandoned(FakeProposal)
-    assert len(mempool._proposable) == before
-    # But an uncommitted certified id from a lost fork does requeue.
-    mempool._committed.discard(mb_id)
-    mempool.on_abandoned(FakeProposal)
-    assert mb_id in mempool._proposable
-
-
 def test_control_channel_carries_rb_votes():
     exp = make_cluster(n=4, mempool="narwhal")
     inject(exp, 0, count=4)

@@ -44,7 +44,7 @@ def test_waiter_fires_immediately_if_present():
     mb = make_mb()
     store.add(mb)
     seen = []
-    store.on_delivery(mb.id, seen.append)
+    assert store.on_delivery(mb.id, seen.append)  # present: ran at once
     assert seen == [mb]
 
 
@@ -53,7 +53,7 @@ def test_multiple_waiters_all_fire():
     mb = make_mb()
     seen = []
     for _ in range(3):
-        store.on_delivery(mb.id, seen.append)
+        assert not store.on_delivery(mb.id, seen.append)
     store.add(mb)
     assert seen == [mb, mb, mb]
 

@@ -9,6 +9,7 @@ suite on a healthy cluster and asserting silence.
 from types import SimpleNamespace
 
 from repro.crypto.certificates import GENESIS_QC
+from repro.types.microblock import microblock_origin
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 from repro.verification.oracles import (
     LedgerOracle,
@@ -18,7 +19,9 @@ from repro.verification.oracles import (
     standard_suite,
 )
 
-from tests.helpers import make_cluster
+import pytest
+
+from tests.helpers import make_cluster, stratus_cluster
 
 
 def stub_suite(oracle, honest=(0, 1, 2, 3), emitted_tx=10_000):
@@ -116,6 +119,19 @@ def test_ledger_flags_fabricated_id():
     assert kinds(suite) == ["fabricated"]
 
 
+def test_ledger_sees_what_a_byzantine_sender_batched():
+    """A censoring or lying sender's own microblock is client content
+    like any other: committing it is not fabrication, and it counts
+    towards conservation."""
+    oracle = LedgerOracle()
+    suite = stub_suite(oracle, honest=(0, 1, 2), emitted_tx=4)
+    suite.on_microblock_created(replica(3), microblock(5, origin=3))
+    suite.on_local_commit(replica(0), proposal(10, 1, mb_ids=(5,)))
+    oracle.finalize()
+    assert suite.violations == []
+    assert oracle._committed_tx == 4
+
+
 def test_ledger_accepts_honest_replay_after_partition():
     """A re-proposal by a leader that never saw the first commit is NOT
     a duplicate (partition races are legitimate)."""
@@ -183,6 +199,26 @@ def test_honest_ids_excludes_configured_byzantine():
 
 
 # -- end to end ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+@pytest.mark.parametrize("fault", ("censor", "lying"))
+def test_standard_suite_silent_under_byzantine_senders(fault, kind):
+    """The senders' own microblocks are batched, proven and committed
+    for real; none of them may read as ``fabricated``."""
+    exp = stratus_cluster(
+        kind, n=8, rate_tps=800.0, fault=fault, fault_count=2,
+    )
+    suite = standard_suite().attach(exp)
+    exp.sim.run_until(3.0)
+    byzantine = exp.config.byzantine_ids
+    committed_from_byzantine = [
+        mb_id
+        for mb_id in exp.replicas[0].mempool._committed
+        if microblock_origin(mb_id) in byzantine
+    ]
+    assert committed_from_byzantine
+    assert suite.finalize() == []
 
 
 def test_standard_suite_silent_on_healthy_cluster():

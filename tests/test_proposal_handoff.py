@@ -84,6 +84,20 @@ def captured_payloads(mempool):
     return payloads
 
 
+def captured_abandonments(mempool):
+    """Record the block id of every proposal ``mempool`` is told was
+    abandoned from now on — the hand-off the engines' sweep exists for."""
+    abandoned = []
+    on_abandoned = mempool.on_abandoned
+
+    def recording(proposal):
+        abandoned.append(proposal.block_id)
+        on_abandoned(proposal)
+
+    mempool.on_abandoned = recording
+    return abandoned
+
+
 def commit_fork_past_height_one(exp, engine, payloads=None):
     """Deliver a competing chain a1..a4 (views 2-5) from genesis: a1
     commits, so any other block at height 1 is abandoned. Blocks are
@@ -184,8 +198,9 @@ def test_abandoned_ids_come_back_exactly_once(consensus, mempool):
     engine = exp.replicas[3].consensus
     engine._handle_proposal(lost)
     assert engine.mempool.make_payload().is_empty  # referenced by `lost`
+    abandoned = captured_abandonments(engine.mempool)
     commit_fork_past_height_one(exp, engine)
-    assert lost.block_id in engine._abandoned
+    assert abandoned == [lost.block_id]
     again = engine.mempool.make_payload()
     assert again.microblock_ids == lost.payload.microblock_ids
     assert engine.mempool.make_payload().is_empty
@@ -207,8 +222,9 @@ def test_abandoned_fork_frees_nothing_a_pending_block_carries(mempool):
     engine._handle_proposal(lost)
     # a3 (height 3) carries the id again and is still uncommitted when
     # a4's justify commits a1 and sweeps `lost`.
+    abandoned = captured_abandonments(engine.mempool)
     commit_fork_past_height_one(exp, engine, payloads={4: payload})
-    assert lost.block_id in engine._abandoned
+    assert abandoned == [lost.block_id]
     assert engine.committed_height < 3
     assert engine.mempool.make_payload().is_empty
 
@@ -236,8 +252,9 @@ def test_bad_proof_proposal_strands_nothing(mempool):
     assert entry.mb_id not in engine.mempool._referenced
     own = engine.mempool.make_payload()
     assert own.microblock_ids == (entry.mb_id,)
+    abandoned = captured_abandonments(engine.mempool)
     commit_fork_past_height_one(exp, engine)
-    assert bad.block_id not in engine._abandoned
+    assert abandoned == []
     assert engine.mempool.make_payload().is_empty
 
 

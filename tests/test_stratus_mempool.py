@@ -100,38 +100,6 @@ def test_verify_payload_accepts_honest_and_rejects_forged(kind):
     assert not mempool.verify_payload(missing_proof)
 
 
-def test_garbage_collect_blocks_reproposal(kind):
-    exp = cluster(kind)
-    freeze_consensus(exp)
-    inject(exp, 0, count=4)
-    exp.sim.run_until(0.5)
-    mempool = stratus_of(exp, 0)
-    payload = mempool.make_payload()
-    proposal = proposal_of(payload, 500)
-    # Commit hooks as base.on_commit runs them: mark_committed fires
-    # synchronously at commit time, garbage_collect after resolution.
-    mempool.mark_committed(proposal)
-    mempool.garbage_collect(proposal)
-    mempool.on_abandoned(proposal)  # even if the fork is later abandoned,
-    follow_up = mempool.make_payload()
-    assert follow_up.is_empty  # committed ids never re-enter avaQue
-
-
-def test_abandoned_unreferenced_ids_requeue(kind):
-    exp = cluster(kind)
-    freeze_consensus(exp)
-    inject(exp, 0, count=4)
-    exp.sim.run_until(0.5)
-    mempool = stratus_of(exp, 0)
-    payload = mempool.make_payload()
-    proposal = proposal_of(payload, 501)
-    mempool.on_abandoned(proposal)  # fork lost without committing
-    requeued = mempool.make_payload()
-    assert {e.mb_id for e in requeued.entries} == {
-        e.mb_id for e in payload.entries
-    }
-
-
 def test_abandoned_fork_with_unverified_proof_does_not_requeue(kind):
     """A fork this replica never voted on may carry anything — a
     proposal is stored before its payload is verified — so only proofs

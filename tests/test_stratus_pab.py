@@ -161,15 +161,9 @@ def test_sharded_censor_reaches_a_bare_shard_quorum_and_commits():
     (the shard quorum is 2); the certificate still forms, the microblock
     commits, and the members it skipped — the censor serves no fetches —
     recover the body from the certificate's other signer."""
-    from repro.replica.behavior import behavior_for
-
-    exp, suite = _sharded_with_oracles()
-    # Swapped in by hand rather than through ``fault="censor"``: the
-    # oracle suite drops what Byzantine-configured replicas report, so
-    # the ledger oracle would call the censor's own (legitimately
-    # committed) microblock fabricated.
+    exp, suite = _sharded_with_oracles(fault="censor", fault_count=1)
     censor = exp.replicas[7]
-    censor.behavior = behavior_for("censor", exp.config.protocol)
+    assert exp.config.byzantine_ids == {7}
     inject(exp, 7, count=4)
     exp.sim.run_until(0.05)
     mb_id = censor.mempool.store.ids[0]

@@ -56,11 +56,11 @@ def test_three_consecutive_epochs_finalize_middle():
     b3 = make_proposal(make_block_id(2, 1), 4, 3, b2.block_id)
     notarize(engine, b1)
     notarize(engine, b2)
-    assert b1.block_id not in engine.finalized
+    assert b1.block_id not in engine.committed
     notarize(engine, b3)
-    assert b1.block_id in engine.finalized
-    assert b2.block_id in engine.finalized
-    assert b3.block_id not in engine.finalized  # only the prefix commits
+    assert b1.block_id in engine.committed
+    assert b2.block_id in engine.committed
+    assert b3.block_id not in engine.committed  # only the prefix commits
 
 
 def test_genesis_counts_as_epoch_zero():
@@ -71,7 +71,7 @@ def test_genesis_counts_as_epoch_zero():
     b2 = make_proposal(make_block_id(1, 1), 2, 2, b1.block_id)
     notarize(engine, b1)
     notarize(engine, b2)
-    assert b1.block_id in engine.finalized
+    assert b1.block_id in engine.committed
 
 
 def test_epoch_gap_blocks_finalization():
@@ -83,7 +83,7 @@ def test_epoch_gap_blocks_finalization():
     notarize(engine, b1)
     notarize(engine, b2)
     notarize(engine, b4)
-    assert engine.finalized == {0}  # nothing finalizes across the gap
+    assert engine.committed == {0}  # nothing finalizes across the gap
 
 
 def test_forged_votes_ignored():
