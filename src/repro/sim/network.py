@@ -51,7 +51,7 @@ from repro.sim.interfaces import Channel, Envelope, Handler, Transport
 #: ``__new__`` + direct slot stores, skipping the ``__init__`` frame.
 _env_new = Envelope.__new__
 from repro.sim.rng import RngRegistry
-from repro.sim.topology import Topology, transmission_time
+from repro.sim.topology import Topology
 
 __all__ = [
     "Channel", "Envelope", "Handler", "NetworkStats", "TokenBucket",
@@ -93,15 +93,8 @@ class NetworkStats:
     _node_totals: dict[int, float] = field(default_factory=dict)
     _kind_totals: dict[str, float] = field(default_factory=dict)
 
-    def record_send(self, node: int, kind: str, size_bytes: float) -> None:
-        key = (node, kind)
-        self.bytes_sent[key] = self.bytes_sent.get(key, 0.0) + size_bytes
-        self.messages_sent[kind] = self.messages_sent.get(kind, 0) + 1
-        self._node_totals[node] = self._node_totals.get(node, 0.0) + size_bytes
-        self._kind_totals[kind] = self._kind_totals.get(kind, 0.0) + size_bytes
-
-    def record_send_batch(
-        self, node: int, kind: str, size_bytes: float, count: int
+    def record_send(
+        self, node: int, kind: str, size_bytes: float, count: int = 1
     ) -> None:
         """Account ``count`` same-size copies with one set of dict ops."""
         total = size_bytes * count
@@ -205,6 +198,30 @@ class _Flow:
 _QueueItem = Union[Envelope, _Flow]
 
 
+def _queued_bytes(queues, channel: Optional[Channel]) -> float:
+    """Bytes waiting in one node's egress FIFOs (one class, or all)."""
+    if channel is not None:
+        queues = [queues[channel.value]]
+    total = 0.0
+    for queue in queues:
+        for item in queue:
+            if type(item) is Envelope:
+                total += item.size_bytes
+            else:
+                total += item.size_bytes * item.remaining
+    return total
+
+
+def _drop_queued(queues) -> int:
+    """Empty one node's egress FIFOs (it crashed); returns the count."""
+    dropped = 0
+    for queue in queues:
+        for item in queue:
+            dropped += 1 if type(item) is Envelope else item.remaining
+        queue.clear()
+    return dropped
+
+
 def _uplink_drain(uplink: "_Uplink") -> None:
     """Segment-end continuation for a serial uplink (fire-path callback)."""
     uplink.transmitting = False
@@ -262,29 +279,10 @@ class _Uplink:
         whose serialization had not finished when the sender went down
         (see ``Network._deliver_copy``).
         """
-        dropped = 0
-        for queue in self.queues:
-            for item in queue:
-                dropped += 1 if type(item) is Envelope else item.remaining
-            queue.clear()
         if self._wait_timer is not None:
             self._wait_timer.cancel()
             self._wait_timer = None
-        return dropped
-
-    def queued_bytes(self, channel: Optional[Channel] = None) -> float:
-        queues = (
-            [self.queues[channel.value]] if channel is not None
-            else self.queues
-        )
-        total = 0.0
-        for queue in queues:
-            for item in queue:
-                if type(item) is Envelope:
-                    total += item.size_bytes
-                else:
-                    total += item.size_bytes * item.remaining
-        return total
+        return _drop_queued(self.queues)
 
     def _start_next(self) -> None:
         if self.transmitting:
@@ -312,13 +310,10 @@ class _Uplink:
                 return
             self.limiter.consume(now, head.size_bytes)
         node = self.node
-        topo = network.topology
-        if topo._bandwidth_overrides or topo._bandwidth_scales or topo._schedules:
-            bandwidth = topo.bandwidth(node, now=now)
-        else:
-            bandwidth = topo._default_bandwidth
-            if bandwidth < 1.0:
-                bandwidth = 1.0
+        topology = network.topology
+        bandwidth = topology._plain_bandwidth
+        if bandwidth is None:
+            bandwidth = topology.bandwidth(node, now=now)
         stats = network.stats
         if type(head) is Envelope:
             queue.popleft()
@@ -348,7 +343,6 @@ class _Uplink:
             payload = head.payload
             channel = head.channel
             enqueued_at = head.enqueued_at
-            topology = network.topology
             if not topology._schedules and not topology._delay_overrides:
                 # Fast path: no active schedules or per-link overrides,
                 # so the delay is just base + jitter. The arithmetic
@@ -400,7 +394,7 @@ class _Uplink:
             head.next_index = index + copies
             if head.next_index >= len(recipients):
                 queue.popleft()
-            stats.record_send_batch(node, kind, size, copies)
+            stats.record_send(node, kind, size, copies)
         self.transmitting = True
         seq = sim._seq
         sim._seq = seq + 1
@@ -471,21 +465,6 @@ class _Ingress:
         self.busy = False
         self.current: Optional[Envelope] = None
 
-    def accept(self, envelope: Envelope) -> None:
-        network = self.network
-        if self.busy:
-            index = (
-                envelope.channel.value
-                if network.priority_channels else _DATA
-            )
-            self.queues[index].append(envelope)
-            return
-        # Idle CPU: start processing immediately, skipping the queue
-        # round-trip (the common case at moderate load).
-        self.busy = True
-        self.current = envelope
-        network.sim.schedule_fire(network._proc, _ingress_finish, self)
-
     def flush(self) -> int:
         """Drop every queued-but-unprocessed message (the node crashed)."""
         dropped = sum(len(queue) for queue in self.queues)
@@ -523,15 +502,17 @@ def _transfer_wake(state) -> None:
     fair, transfer = state
     if transfer.done:
         return
-    now = fair.network.sim.now
-    if transfer.finish_at > now + 1e-12:
+    sim = fair.network.sim
+    now = sim._now
+    finish = transfer.finish_at
+    if finish > now + 1e-12:
         if transfer.next_wake <= now:
-            transfer.next_wake = transfer.finish_at
-            fair.network.sim.schedule_fire_at(
-                transfer.finish_at, _transfer_wake, state
-            )
+            transfer.next_wake = finish
+            seq = sim._seq
+            sim._seq = seq + 1
+            _heappush(sim._queue, (finish, seq, _transfer_wake, state))
         return
-    fair._complete(transfer)
+    fair._complete(transfer, now)
 
 
 def _fair_flush(fair: "_FairShareLinks") -> None:
@@ -545,22 +526,75 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     and the recompute. Batching turns a B-transfer burst on one uplink
     from ~B^2/2 per-transfer settles (every start re-rated every active
     flow) into ~B: each burst instant settles each touched flow once.
+
+    A link's share ``B / |active|`` moves only with its membership, so
+    on a plain topology it is computed once per dirty link, kept in
+    ``up_share``/``down_share`` (a clean link's stored share is still
+    current) and looked up by the settle loop, which makes no call per
+    transfer. Otherwise ``B`` may have moved with no membership change
+    (a squeeze, a ``FluctuationWindow`` edge): every link the flush
+    touches is read through ``Topology.bandwidth`` at this instant and
+    nothing outlives the flush.
     """
     fair._flush_armed = False
     up = fair.up_active
     down = fair.down_active
-    pending: dict[_Transfer, None] = {}
-    for node in sorted(fair._dirty_up):
-        pending.update(up[node])
-    for node in sorted(fair._dirty_down):
-        pending.update(down[node])
+    dirty_up = sorted(fair._dirty_up)
+    dirty_down = sorted(fair._dirty_down)
     fair._dirty_up.clear()
     fair._dirty_down.clear()
-    topology = fair.network.topology
-    now = fair.network.sim.now
+    pending: dict[_Transfer, None] = {}
+    for node in dirty_up:
+        pending.update(up[node])
+    for node in dirty_down:
+        pending.update(down[node])
+    sim = fair.network.sim
+    now = sim._now
+    bandwidth = fair.network.topology._plain_bandwidth
+    if bandwidth is None:
+        fair._shares_stale = True
+        up_share, down_share = {}, {}
+        read = fair.network.topology.bandwidth
+        for transfer in pending:
+            src, dst = transfer.envelope.src, transfer.envelope.dst
+            if src not in up_share:
+                up_share[src] = read(src, now=now) / len(up[src])
+            if dst not in down_share:
+                down_share[dst] = read(dst, now=now) / len(down[dst])
+    else:
+        up_share, down_share = fair.up_share, fair.down_share
+        if fair._shares_stale:
+            fair._shares_stale = False
+            dirty_up = dirty_down = range(len(up))
+        for node in dirty_up:
+            if up[node]:
+                up_share[node] = bandwidth / len(up[node])
+        for node in dirty_down:
+            if down[node]:
+                down_share[node] = bandwidth / len(down[node])
+    fair.settle_ops += len(pending)
+    heap = sim._queue
+    seq = sim._seq
     for transfer in pending:
-        if not transfer.done:
-            fair._re_rate(transfer, topology, now, up, down)
+        elapsed = now - transfer.updated
+        if elapsed > 0.0:
+            transfer.remaining_bits -= transfer.rate * elapsed
+            if transfer.remaining_bits < 0.0:
+                transfer.remaining_bits = 0.0
+        transfer.updated = now
+        envelope = transfer.envelope
+        rate = up_share[envelope.src]
+        share = down_share[envelope.dst]
+        if share < rate:
+            rate = share
+        transfer.rate = rate
+        finish = now + transfer.remaining_bits / rate if rate > 0 else now
+        transfer.finish_at = finish
+        if transfer.next_wake < now or finish < transfer.next_wake - 1e-12:
+            transfer.next_wake = finish
+            _heappush(heap, (finish, seq, _transfer_wake, (fair, transfer)))
+            seq += 1
+    sim._seq = seq
 
 
 class _FairShareLinks:
@@ -600,6 +634,12 @@ class _FairShareLinks:
         self._dirty_up: set[int] = set()
         self._dirty_down: set[int] = set()
         self._flush_armed = False
+        #: A plain topology's ``B / |active|`` per non-empty link as of
+        #: its last flush; ``_shares_stale`` says a flush ran while the
+        #: topology was not plain, so the next plain one recomputes all.
+        self.up_share: list[float] = [0.0] * n
+        self.down_share: list[float] = [0.0] * n
+        self._shares_stale = False
         #: Per-transfer settle/re-rate operations performed — the
         #: O(1)-amortized claim is asserted against this counter by
         #: ``tests/test_fair_share.py``.
@@ -609,14 +649,22 @@ class _FairShareLinks:
 
     def submit(self, item: _QueueItem, src: int, index: int) -> None:
         self.queues[src][index].append(item)
-        self._admit(src)
+        self._admit(src, self.network.sim._now)
 
-    def _admit(self, src: int) -> None:
-        """Start as many queued transfers as admission rules allow."""
+    def _admit(self, src: int, now: float, changed: bool = False) -> None:
+        """Start as many queued transfers as admission rules allow.
+
+        Every link whose membership changes goes dirty — each started
+        transfer's downlink, and ``src``'s uplink if anything started or
+        a transfer just left it (``changed``) — and one flush is armed
+        for this instant. The zero-delay flush event lands after every
+        already-queued same-instant event, so a whole burst of starts
+        and finishes is settled in one pass over the touched links.
+        """
         queues = self.queues[src]
         network = self.network
-        now = network.sim.now
-        started: list[_Transfer] = []
+        up = self.up_active[src]
+        dirty_down = self._dirty_down
         while True:
             if queues[_CONSENSUS]:
                 queue = queues[_CONSENSUS]
@@ -642,113 +690,57 @@ class _FairShareLinks:
                     queue.popleft()
             network.stats.record_send(src, envelope.kind, envelope.size_bytes)
             transfer = _Transfer(envelope, now)
-            self.up_active[src][transfer] = None
+            up[transfer] = None
             self.down_active[envelope.dst][transfer] = None
-            started.append(transfer)
-        for transfer in started:
-            self._mark(transfer.envelope.src, transfer.envelope.dst)
-
-    # -- rate bookkeeping ----------------------------------------------
-
-    def _mark(self, src: int, dst: int) -> None:
-        """Record a membership change; arm one flush for this instant.
-
-        The zero-delay flush event lands after every already-queued
-        same-instant event, so an entire burst of starts/finishes is
-        settled with a single pass over the touched links instead of one
-        O(active flows) sweep per change.
-        """
-        self._dirty_up.add(src)
-        self._dirty_down.add(dst)
-        if not self._flush_armed:
-            self._flush_armed = True
-            self.network.sim.schedule_fire(0.0, _fair_flush, self)
-
-    def _re_rate(self, transfer, topology, now, up, down) -> None:
-        self.settle_ops += 1
-        elapsed = now - transfer.updated
-        if elapsed > 0.0:
-            transfer.remaining_bits -= transfer.rate * elapsed
-            if transfer.remaining_bits < 0.0:
-                transfer.remaining_bits = 0.0
-        transfer.updated = now
-        envelope = transfer.envelope
-        src, dst = envelope.src, envelope.dst
-        rate = min(
-            topology.bandwidth(src, now=now) / len(up[src]),
-            topology.bandwidth(dst, now=now) / len(down[dst]),
-        )
-        transfer.rate = rate
-        finish = now + transfer.remaining_bits / rate if rate > 0 else now
-        transfer.finish_at = finish
-        if transfer.next_wake < now or finish < transfer.next_wake - 1e-12:
-            transfer.next_wake = finish
-            self.network.sim.schedule_fire_at(
-                finish, _transfer_wake, (self, transfer)
-            )
+            dirty_down.add(envelope.dst)
+            changed = True
+        if changed:
+            self._dirty_up.add(src)
+            if not self._flush_armed:
+                self._flush_armed = True
+                network.sim.schedule_fire(0.0, _fair_flush, self)
 
     # -- completion / teardown -----------------------------------------
 
-    def _complete(self, transfer: _Transfer) -> None:
+    def _complete(self, transfer: _Transfer, now: float) -> None:
         transfer.done = True
         envelope = transfer.envelope
         src, dst = envelope.src, envelope.dst
         del self.up_active[src][transfer]
         del self.down_active[dst][transfer]
-        if envelope.channel is Channel.DATA or not self.network.priority_channels:
+        network = self.network
+        if envelope.channel is _DATA_MEMBER or not network.priority_channels:
             self.data_in_flight[src] -= 1
-        envelope.sent_at = self.network.sim.now
-        self.network._dispatch_copy(envelope, self.network.sim.now)
-        self._admit(src)
-        self._mark(src, dst)
+        envelope.sent_at = now
+        network._dispatch_copy(envelope, now)
+        self._dirty_down.add(dst)
+        self._admit(src, now, True)
 
     def flush(self, node: int) -> int:
         """Crash teardown: clear the node's queues, kill its transfers."""
-        dropped = 0
-        for queue in self.queues[node]:
-            for item in queue:
-                dropped += 1 if type(item) is Envelope else item.remaining
-            queue.clear()
-        touched: list[tuple[int, int]] = []
-        for transfer in list(self.up_active[node]):
-            dropped += 1
+        dropped = _drop_queued(self.queues[node])
+        victims = [*self.up_active[node], *self.down_active[node]]
+        for transfer in victims:
             self._kill(transfer)
-            touched.append((transfer.envelope.src, transfer.envelope.dst))
-        for transfer in list(self.down_active[node]):
-            dropped += 1
-            self._kill(transfer)
-            touched.append((transfer.envelope.src, transfer.envelope.dst))
-        for src, dst in touched:
-            self._admit(src)
-            self._mark(src, dst)
-        return dropped
+        now = self.network.sim._now
+        for transfer in victims:
+            self._dirty_down.add(transfer.envelope.dst)
+            self._admit(transfer.envelope.src, now, True)
+        return dropped + len(victims)
 
     def _kill(self, transfer: _Transfer) -> None:
         transfer.done = True
         envelope = transfer.envelope
         del self.up_active[envelope.src][transfer]
         del self.down_active[envelope.dst][transfer]
-        if (
-            envelope.channel is Channel.DATA
-            or not self.network.priority_channels
-        ):
+        if envelope.channel is _DATA_MEMBER or not self.network.priority_channels:
             self.data_in_flight[envelope.src] -= 1
         self.network.stats.cancel_send(
             envelope.src, envelope.kind, envelope.size_bytes
         )
 
     def queued_bytes(self, node: int, channel: Optional[Channel]) -> float:
-        queues = (
-            [self.queues[node][channel.value]] if channel is not None
-            else self.queues[node]
-        )
-        total = 0.0
-        for queue in queues:
-            for item in queue:
-                if type(item) is Envelope:
-                    total += item.size_bytes
-                else:
-                    total += item.size_bytes * item.remaining
+        total = _queued_bytes(self.queues[node], channel)
         now = self.network.sim.now
         for transfer in self.up_active[node]:
             if channel is None or transfer.envelope.channel is channel:
@@ -1017,7 +1009,7 @@ class Network(Transport):
         """Bytes currently waiting in ``node``'s egress queues."""
         if self._fair is not None:
             return self._fair.queued_bytes(node, channel)
-        return self._uplinks[node].queued_bytes(channel)
+        return _queued_bytes(self._uplinks[node].queues, channel)
 
     def expected_transfer_seconds(
         self, src: int, size_bytes: float, copies: int = 1
@@ -1056,9 +1048,10 @@ class Network(Transport):
             delay = topology._base_delay
             jit = topology._jitter
             if jit > 0:
-                delay = max(
-                    0.0, delay + self._jitter_rngs[src].uniform(-jit, jit)
-                )
+                neg = -jit
+                delay += neg + (jit - neg) * self._jitter_rngs[src].random()
+                if delay < 0.0:
+                    delay = 0.0
         else:
             delay = topology.delay(
                 src, envelope.dst, self.sim.now, self._jitter_rngs[src]
@@ -1127,24 +1120,13 @@ class Network(Transport):
             handler(envelope)
 
     def _deliver(self, envelope: Envelope) -> None:
-        if envelope.dst in self._down or (
-            self._filters_active and self._should_drop(envelope)
+        """Loopback arrival (``send`` with dst == src): no wire, no CPU."""
+        handler = self._handler_list[envelope.dst]
+        if (
+            envelope.dst in self._down
+            or (self._filters_active and self._should_drop(envelope))
+            or handler is None
         ):
-            self.stats.messages_dropped += 1
-            return
-        if envelope.dst not in self._handlers:
-            self.stats.messages_dropped += 1
-            return
-        if self._proc > 0 and envelope.src != envelope.dst:
-            self._ingress[envelope.dst].accept(envelope)
-        else:
-            self._dispatch(envelope)
-
-    def _dispatch(self, envelope: Envelope) -> None:
-        handler = self._handlers.get(envelope.dst)
-        if handler is None or envelope.dst in self._down:
-            # The down check repeats here because an ingress CPU may have
-            # been mid-message when the node crashed.
             self.stats.messages_dropped += 1
             return
         self.stats.messages_delivered += 1

@@ -123,6 +123,13 @@ class Topology:
         self._bandwidth_scales: dict[int, float] = {}
         self._delay_overrides: dict[tuple[int, int], float] = {}
         self._schedules: list[DelaySchedule] = []
+        #: What :meth:`bandwidth` returns for every node and instant while
+        #: no override, scale or schedule is installed, else ``None``: the
+        #: link models' one "is the topology plain" test, kept current by
+        #: the four mutators below.
+        self._plain_bandwidth: Optional[float] = (
+            self._default_bandwidth if self._default_bandwidth > 1.0 else 1.0
+        )
 
     # -- configuration ----------------------------------------------------
 
@@ -132,6 +139,7 @@ class Topology:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         self._bandwidth_overrides[node] = float(bandwidth_bps)
+        self._bandwidth_changed()
 
     def set_link_delay(self, src: int, dst: int, one_way_delay: float) -> None:
         """Override the base delay of one directed link."""
@@ -144,6 +152,7 @@ class Topology:
     def add_schedule(self, schedule: DelaySchedule) -> None:
         """Layer a time-varying delay schedule over every link."""
         self._schedules.append(schedule)
+        self._bandwidth_changed()
 
     def scale_bandwidth(self, node: int, factor: float) -> None:
         """Multiply ``node``'s effective egress bandwidth by ``factor``.
@@ -157,6 +166,7 @@ class Topology:
         self._bandwidth_scales[node] = (
             self._bandwidth_scales.get(node, 1.0) * factor
         )
+        self._bandwidth_changed()
 
     def unscale_bandwidth(self, node: int, factor: float) -> None:
         """Undo one matching :meth:`scale_bandwidth` call."""
@@ -168,6 +178,13 @@ class Topology:
             self._bandwidth_scales.pop(node, None)
         else:
             self._bandwidth_scales[node] = current
+        self._bandwidth_changed()
+
+    def _bandwidth_changed(self) -> None:
+        self._plain_bandwidth = None if (
+            self._bandwidth_overrides or self._bandwidth_scales
+            or self._schedules
+        ) else max(self._default_bandwidth, 1.0)
 
     # -- queries -----------------------------------------------------------
 

@@ -14,11 +14,20 @@ from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
 
 
-def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0, **kwargs):
+def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
+             scaled=False, **kwargs):
+    """``scaled`` reaches the same bandwidths through ``scale_bandwidth``
+    (twice the base, halved per node — exact in binary floating point),
+    so the link model reads ``Topology.bandwidth`` at every flush
+    instead of the plain topology's stored shares."""
     topology = Topology(
-        n=n, one_way_delay=delay, bandwidth_bps=bandwidth,
+        n=n, one_way_delay=delay,
+        bandwidth_bps=bandwidth * 2 if scaled else bandwidth,
         delay_jitter=jitter, proc_per_message=proc,
     )
+    if scaled:
+        for node in range(n):
+            topology.scale_bandwidth(node, 0.5)
     sim = Simulator()
     network = Network(
         sim, topology, RngRegistry(7), link_model="fair-share", **kwargs
@@ -52,7 +61,21 @@ def test_downlink_capacity_is_split_between_concurrent_senders():
     assert [t for t, *_ in log] == [2.0, 2.0]
 
 
-def test_rate_is_min_of_uplink_and_downlink_share():
+@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+def test_rate_is_min_of_uplink_and_downlink_share(scaled):
+    # 1->0 has sender 1's uplink to itself but shares receiver 0's
+    # downlink with 2->0 (downlink-bound); 2->1 has receiver 1's
+    # downlink to itself but shares sender 2's uplink (uplink-bound).
+    # All three run at 4 of 8 Mbit/s and take 2 s.
+    sim, network, log = make_net(scaled=scaled)
+    network.send(1, 0, "bulk", 1_000_000, None)
+    network.send(2, 0, "bulk", 1_000_000, None)
+    network.send(2, 1, "bulk", 1_000_000, None)
+    sim.run()
+    assert [t for t, *_ in log] == [2.0, 2.0, 2.0]
+
+
+def test_bandwidth_override_bounds_the_downlink_share():
     # Receiver 0 has a 4 Mbit/s downlink while sender 1 has the default
     # 8 Mbit/s uplink: the transfer is downlink-bound and takes 2 s.
     sim, network, log = make_net()
@@ -122,10 +145,11 @@ def test_receiver_crash_kills_inbound_transfer():
     assert log == []
 
 
-def test_peer_crash_restores_survivor_to_full_rate():
+@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+def test_peer_crash_restores_survivor_to_full_rate(scaled):
     # 0->1 and 0->2 share the uplink; when 2 dies at t=1 the surviving
     # transfer has 500 KB left and finishes it at full rate in 0.5 s.
-    sim, network, log = make_net()
+    sim, network, log = make_net(scaled=scaled)
     network.send(0, 1, "bulk", 1_000_000, None)
     network.send(0, 2, "bulk", 1_000_000, None)
     sim.run_until(1.0)
@@ -184,6 +208,68 @@ def test_settle_flush_is_batched_per_instant():
     assert ops_before == 0  # nothing settled until the flush event runs
     sim.run_until(0.0)
     assert network._fair.settle_ops == 100
+
+
+def _burst(squeeze):
+    """Three senders each fan out 100 KB bodies through two DATA slots
+    and send replica 3 a vote, over jittered links; with ``squeeze``
+    replica 0 drops to a quarter of its bandwidth from 0.1 s to 0.3 s
+    (under live transfers) while replica 3 joins in. Returns the exact
+    delivery instants, the settle count and the nodes whose bandwidth
+    was read through ``Topology.bandwidth``."""
+    topology = Topology(
+        n=4, one_way_delay=0.01, bandwidth_bps=8e6, delay_jitter=0.002
+    )
+    sim = Simulator()
+    network = Network(
+        sim, topology, RngRegistry(7), link_model="fair-share",
+        fair_share_slots=2,
+    )
+    times = []
+    for node in range(4):
+        network.register(node, lambda env: times.append(sim.now))
+    reads = []
+    read = topology.bandwidth
+    topology.bandwidth = lambda node, now=None: (
+        reads.append(node), read(node, now=now)
+    )[1]
+    for src in range(3):
+        network.broadcast(src, "mb", 100_000, None)
+        network.send(src, 3, "vote", 2_000, None, Channel.CONSENSUS)
+    if squeeze:
+        sim.run_until(0.1)
+        topology.scale_bandwidth(0, 0.25)
+        network.broadcast(3, "mb", 50_000, None)
+        sim.run_until(0.3)
+        topology.unscale_bandwidth(0, 0.25)
+    sim.run()
+    return times, network._fair.settle_ops, reads
+
+
+# Both bursts' figures were recorded on the parent of the per-link share
+# rewrite (4b99379), where every settle read the bandwidth twice.
+
+def test_plain_burst_settles_as_often_without_reading_bandwidth():
+    times, settle_ops, reads = _burst(squeeze=False)
+    assert len(times) == 12
+    assert times[-1] == 0.5121589959139867
+    assert settle_ops == 18  # fewer calls, not fewer settles
+    assert reads == []  # the plain topology's shares need no lookup
+
+
+def test_squeeze_mid_burst_reproduces_recorded_delivery_times():
+    times, settle_ops, reads = _burst(squeeze=True)
+    assert times == [
+        0.014985692520550365, 0.015667445056402305, 0.017083211927443716,
+        0.21323805402371737, 0.2135984194533579, 0.2614536717672898,
+        0.26247182858095, 0.3585671077915223, 0.4479980297322285,
+        0.48593242605946074, 0.4921475594566065, 0.49247678651987054,
+        0.5187675043060935, 0.5371589959139867, 0.5756594404739531,
+    ]
+    assert settle_ops == 43
+    # Read while squeezed, once per touched link per flush (the parent
+    # read twice per settle), and not at all once the squeeze is over.
+    assert 0 < len(reads) < settle_ops
 
 
 def test_fair_share_runs_are_deterministic():

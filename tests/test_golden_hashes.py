@@ -1,24 +1,34 @@
 """Commit hashes pinned across commits: the sub-minute behaviour gate.
 
 Every other tier-1 determinism check compares two runs of the *same*
-checkout; these three cells compare this checkout against the hashes
-recorded on the commit before the One-PAB collapse (PR 13), so a
-refactor that claims "same behaviour" has something to hold it to. The
-cells are picked to cover what the collapse items touch: DLB forwards
-and recovery fetches under skew and a crash (flat scope), certificate-
-only ordering under crash + partition + loss (shard scope), and the
-Streamlet engine over Stratus.
+checkout; these cells compare this checkout against recorded hashes, so
+a refactor that claims "same behaviour" has something to hold it to.
+Three were recorded on the commit before the One-PAB collapse (PR 13)
+and cover what the collapse items touch: DLB forwards and recovery
+fetches under skew and a crash (flat scope), certificate-only ordering
+under crash + partition + loss (shard scope), and the Streamlet engine
+over Stratus. Three run ``link_model="fair-share"`` and were recorded on
+the parent of the per-link share rewrite (PR 16): the ledger's crash
+cell at a short horizon, a bandwidth squeeze that takes the topology
+plain -> scaled -> plain under live transfers, and the same squeeze with
+a ``FluctuationWindow`` (which stays in the topology's schedule list, so
+that run never sees a plain topology and its bandwidth moves with
+``now`` alone).
 
 A change that is *meant* to move behaviour re-records the hash here and
 justifies it with the ledger diff in CHANGES.md.
 """
 
+from typing import Optional
+
 import pytest
 
 from repro.config import ProtocolConfig, ShardingConfig
+from repro.faults import BandwidthSqueeze, FaultSchedule
 from repro.harness.config import ExperimentConfig
-from repro.harness.presets import chaos_schedule
+from repro.harness.presets import chaos_schedule, tuned_protocol
 from repro.harness.runner import build_experiment
+from repro.sim.topology import FluctuationWindow
 from repro.verification import standard_suite
 
 QUICK = {
@@ -66,6 +76,45 @@ def _ssl_plain() -> ExperimentConfig:
     )
 
 
+def _shs_wan_fair_skew_crash() -> ExperimentConfig:
+    # benchmarks/ledger's shs-wan-skew-crash-16 cut to 4.5 sim-s: the
+    # crash (t=2) tears down live transfers, the restart (t=4) refetches.
+    return ExperimentConfig(
+        tuned_protocol(
+            "S-HS", 16, "wan", batch_bytes=16_384, batch_timeout=0.1,
+            lb_samples=3,
+        ),
+        topology_kind="wan", link_model="fair-share", selector="zipf1",
+        rate_tps=30_000, faults=chaos_schedule("crash-restart", 16),
+        warmup=1.0, duration=3.5, seed=7,
+        label="golden-shs16-wan-fair-zipf1-crash-restart",
+    )
+
+
+def _shs_wan_fair_squeeze(
+    fluctuation: Optional[FluctuationWindow] = None,
+) -> ExperimentConfig:
+    protocol = ProtocolConfig(
+        n=4, mempool="stratus", consensus="hotstuff", **QUICK,
+    )
+    return ExperimentConfig(
+        protocol=protocol, topology_kind="wan", link_model="fair-share",
+        bandwidth_bps=10e6, rate_tps=2000.0, duration=4.0, warmup=0.5,
+        seed=13, fluctuation=fluctuation,
+        faults=FaultSchedule([
+            BandwidthSqueeze(at=1.0, duration=1.0, factor=0.2, nodes=(0, 1)),
+        ]),
+        label="golden-shs4-wan-fair-squeeze",
+    )
+
+
+def _shs_wan_fair_squeeze_fluctuation() -> ExperimentConfig:
+    return _shs_wan_fair_squeeze(FluctuationWindow(
+        start=2.5, duration=1.0, base=0.06, jitter=0.03,
+        throughput_factor=0.5,
+    ))
+
+
 #: (config builder, commit hash, committed tx in the window) — recorded
 #: on commit 87085fb, the parent of the One-PAB collapse, except where a
 #: cell says what moved it since.
@@ -91,6 +140,22 @@ GOLDEN = {
         _ssl_plain,
         "62b10ee0f9b11ede6528407dbf5ee12c99f67b1dc22a1a8d8bf01f0930fe942b",
         1312,
+    ),
+    # The three fair-share cells, recorded on 4b99379 (parent of PR 16).
+    "shs16-wan-fair-zipf1-crash-restart": (
+        _shs_wan_fair_skew_crash,
+        "688b826b116bb13c908834368fb9876272037686156d7b4d125ac5029ac9dfa2",
+        85309,
+    ),
+    "shs4-wan-fair-squeeze": (
+        _shs_wan_fair_squeeze,
+        "4423c4df780cc82f41d51ace4c3dff32c78725f3945dcffa913bfafc783a47fa",
+        7596,
+    ),
+    "shs4-wan-fair-squeeze-fluctuation": (
+        _shs_wan_fair_squeeze_fluctuation,
+        "bed0a834aaec0b743d5c63e7b83fc3055ed31ffc54bfaf7eaf01cd1067fb989a",
+        5260,
     ),
 }
 
