@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
-from repro.parallel import RunSummary, sweep as parallel_sweep
+from repro.parallel import sweep as parallel_sweep
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -124,20 +124,14 @@ def measure_at_rate(
 
 
 def run_grid(configs: list, jobs=None) -> list:
-    """Run independent grid cells; :class:`RunSummary` list in order.
+    """Run independent grid cells; ``RunResult`` list in order.
 
     ``jobs=None`` defers to ``REPRO_BENCH_JOBS`` (default 1 = serial,
-    in-process). The serial path flattens each result through the same
-    :meth:`RunSummary.from_result` a worker would use, so a figure's
+    in-process). Either way a cell's result makes the same
+    ``to_dict``/``from_dict`` trip a worker's would, so a figure's
     numbers do not depend on how it was executed.
     """
-    if jobs is None:
-        jobs = BENCH_JOBS
-    if jobs > 1:
-        return parallel_sweep(configs, jobs=jobs)
-    return [
-        RunSummary.from_result(run_experiment(config)) for config in configs
-    ]
+    return parallel_sweep(configs, jobs=BENCH_JOBS if jobs is None else jobs)
 
 
 def run_once(benchmark, fn):

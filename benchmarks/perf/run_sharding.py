@@ -124,7 +124,7 @@ def grid(scale: float) -> list:
 
 
 def cell_entry(n: int, shards: Optional[int], summary: dict) -> dict:
-    """Flatten one worker summary into the report's cell schema."""
+    """Flatten one worker's ``RunResult.to_dict()`` into the cell schema."""
     return {
         "n": n,
         "shards": shards,
@@ -244,11 +244,11 @@ def main(argv: Optional[list] = None) -> int:
                     f"[sharding] {cell_label(n, shards)} failed after "
                     f"{job.attempts} attempt(s): {job.error}"
                 )
-            summaries.append(job.value["summary"])
+            summaries.append(job.value["result"])
     else:
         summaries = []
         for (n, shards, _), spec in zip(work, specs):
-            summaries.append(execute_job(spec.to_dict())["summary"])
+            summaries.append(execute_job(spec.to_dict())["result"])
             print(f"[sharding]   {cell_label(n, shards)}: "
                   f"{summaries[-1]['committed_tx']} tx committed", flush=True)
     elapsed = time.perf_counter() - started

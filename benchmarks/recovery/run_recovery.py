@@ -157,9 +157,11 @@ def run_live_crash_restart() -> dict:
             protocol=protocol, rate_tps=200.0, duration=8.0, warmup=0.5,
             seed=7, label="bench-recovery-live",
             faults=chaos_schedule("crash-restart", 4),
+            durability=DurabilityConfig(
+                fsync="interval", checkpoint_interval=8,
+            ),
         ),
         startup_grace=3.0,
-        durability=DurabilityConfig(fsync="interval", checkpoint_interval=8),
     ))
     return {
         "committed_tx": result.committed_tx,

@@ -18,13 +18,12 @@ from repro.config import ProtocolConfig
 from repro.consensus.base import ConsensusEngine
 from repro.consensus.hotstuff import HotStuff
 from repro.crypto import GENESIS_QC
-from repro.kvstore import KVStore
+from repro.harness import assemble_replica
 from repro.mempool.base import Mempool, MessageKinds
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.store import MicroBlockStore
 from repro.mempool.stratus import StratusMempool
 from repro.metrics import MetricsHub
-from repro.replica import Replica
 from repro.sim import Network, RngRegistry, Simulator, lan_topology
 from repro.types import TxBatch, sizes
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal, make_block_id
@@ -156,12 +155,13 @@ def build(n, mempool_cls, consensus_cls):
     metrics = MetricsHub(sim)
     replicas = []
     for node in range(n):
-        replica = Replica(node, config, sim, network,
-                          rng.stream(f"replica.{node}"), metrics)
-        mempool = mempool_cls(replica, config)
-        consensus = consensus_cls(replica, mempool, config)
-        replica.attach(mempool, consensus, KVStore())
-        replicas.append(replica)
+        # The same assembly the simulator harness and a live replica
+        # process use; the two class arguments are the extension seam.
+        replicas.append(assemble_replica(
+            node, config, sim, network, rng.stream(f"replica.{node}"),
+            metrics, mempool_cls=mempool_cls, consensus_cls=consensus_cls,
+            attach_executor=True,
+        ))
     generator = WorkloadGenerator(sim, replicas, rate_tps=2_000,
                                   tx_payload=128,
                                   selector=UniformSelector(n))

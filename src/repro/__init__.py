@@ -22,7 +22,7 @@ Quickstart::
 from repro.config import ProtocolConfig
 from repro.harness import (
     ExperimentConfig,
-    ExperimentResult,
+    RunResult,
     build_experiment,
     run_experiment,
     run_replicated,
@@ -35,7 +35,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ProtocolConfig",
     "ExperimentConfig",
-    "ExperimentResult",
+    "RunResult",
     "build_experiment",
     "run_experiment",
     "run_replicated",

@@ -50,16 +50,29 @@ import pstats
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.config import MEMPOOL_KINDS, ShardingConfig
+from repro.config import (
+    CONSENSUS_KINDS,
+    MEMPOOL_KINDS,
+    ProtocolConfig,
+    ShardingConfig,
+)
+from repro.durability import DurabilityConfig
 from repro.faults import FaultSchedule
 from repro.harness import (
     CHAOS_PRESET_NAMES,
     ExperimentConfig,
     PROTOCOL_PRESETS,
+    RunResult,
     format_table,
     resolve_fault_spec,
-    run_experiment,
     tuned_protocol,
+)
+from repro.harness.config import (
+    FAULTS,
+    LINK_MODELS,
+    SELECTORS,
+    TOPOLOGIES,
+    WORKLOAD_MODES,
 )
 from repro.sim.topology import FluctuationWindow
 
@@ -136,8 +149,6 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
 def _durability_from_args(args):
     if args.durability is None:
         return None
-    from repro.durability import DurabilityConfig
-
     return DurabilityConfig(
         fsync=args.durability,
         checkpoint_interval=args.checkpoint_interval,
@@ -167,6 +178,45 @@ def _print_recovery_report(label: str, report: list[dict]) -> None:
     ))
 
 
+def _print_results_table(
+    where: str, rate: float, duration: float,
+    cells: list[tuple[str, int, RunResult]],
+) -> None:
+    """One row per run: the table sim sweeps and live runs both lead with."""
+    print(format_table(
+        ["protocol", "n", "tput (tx/s)", "lat mean (ms)", "lat p99 (ms)",
+         "view chg", "committed"],
+        [
+            [
+                name, n,
+                f"{result.throughput_tps:,.0f}",
+                f"{result.latency_mean * 1000:.1f}",
+                f"{result.latency_percentile(99) * 1000:.1f}",
+                result.view_changes,
+                f"{result.committed_tx:,}",
+            ]
+            for name, n, result in cells
+        ],
+        title=(f"{where} @ {rate:,.0f} tx/s offered, "
+               f"{duration:.0f}s window"),
+    ))
+
+
+def _print_reports(results: list[RunResult]) -> None:
+    """Fault windows, durable recoveries and timelines of sim or live runs."""
+    for result in results:
+        if result.fault_report is not None:
+            _print_fault_report(result.label, result.fault_report)
+    for result in results:
+        if result.recovery_report:
+            _print_recovery_report(result.label, result.recovery_report)
+    for result in results:
+        if result.timeline is not None:
+            print(f"\n{result.label} timeline (t -> tx/s):")
+            for t, value in result.timeline:
+                print(f"  {t:5.0f}s  {value:>12,.0f}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -187,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard count for the sharded-stratus "
                              "mempool (implies --mempool sharded-stratus "
                              "when no mempool is given)")
-    parser.add_argument("--topology", choices=["lan", "wan", "geo"],
-                        default="lan")
+    parser.add_argument("--topology", choices=TOPOLOGIES, default="lan")
     parser.add_argument("--rate", type=float, default=20_000.0,
                         help="offered load, tx/s")
     parser.add_argument("--duration", type=float, default=3.0,
@@ -197,21 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bandwidth", type=float, default=None,
                         help="per-replica bandwidth override, bits/s")
-    parser.add_argument("--selector", choices=["uniform", "zipf1", "zipf10"],
-                        default="uniform")
-    parser.add_argument("--fault", choices=["none", "silent", "censor",
-                                            "lying"], default="none")
+    parser.add_argument("--selector", choices=SELECTORS, default="uniform")
+    parser.add_argument("--fault", choices=FAULTS, default="none")
     parser.add_argument("--fault-count", type=int, default=0)
     parser.add_argument("--batch-bytes", type=int, default=None)
     parser.add_argument("--batch-timeout", type=float, default=None)
     parser.add_argument("--pab-quorum", type=int, default=None)
     parser.add_argument("--lb-samples", type=int, default=None)
     parser.add_argument("--view-timeout", type=float, default=None)
-    parser.add_argument("--link-model", choices=["serial", "fair-share"],
+    parser.add_argument("--link-model", choices=LINK_MODELS,
                         default="serial",
                         help="uplink model: store-and-forward serialization "
                              "or fair-share capacity splitting")
-    parser.add_argument("--workload-mode", choices=["ticks", "aggregate"],
+    parser.add_argument("--workload-mode", choices=WORKLOAD_MODES,
                         default="ticks",
                         help="client arrival generation: per-tick batches "
                              "or lazily-replayed aggregate streams "
@@ -338,8 +385,6 @@ def run_fuzz(argv: Sequence[str]) -> int:
 
 
 def build_live_parser() -> argparse.ArgumentParser:
-    from repro.config import CONSENSUS_KINDS, MEMPOOL_KINDS
-
     parser = argparse.ArgumentParser(
         prog="repro live",
         description="Run the real protocol stack over asyncio TCP on "
@@ -359,8 +404,7 @@ def build_live_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rate", type=float, default=1_000.0,
                         help="offered load, tx/s")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--selector", choices=["uniform", "zipf1", "zipf10"],
-                        default="uniform")
+    parser.add_argument("--selector", choices=SELECTORS, default="uniform")
     parser.add_argument("--tick", type=float, default=0.01,
                         help="client submission tick, seconds")
     parser.add_argument("--view-timeout", type=float, default=None,
@@ -384,7 +428,6 @@ def build_live_parser() -> argparse.ArgumentParser:
 
 
 def run_live_cmd(argv: Sequence[str]) -> int:
-    from repro.config import ProtocolConfig
     from repro.live import LiveConfig, run_live
 
     args = build_live_parser().parse_args(argv)
@@ -405,15 +448,12 @@ def run_live_cmd(argv: Sequence[str]) -> int:
         seed=args.seed,
         selector=args.selector,
         tick=args.tick,
-        label=f"live-{args.mempool}/{args.protocol}-n{args.n}",
-    )
-    live = LiveConfig(
-        experiment=config,
         faults=_resolve_faults_arg(args.faults, args.n, live=True),
-        wire_codec=args.wire_codec,
         durability=_durability_from_args(args),
         data_dir=args.data_dir,
+        label=f"live-{args.mempool}/{args.protocol}-n{args.n}",
     )
+    live = LiveConfig(experiment=config, wire_codec=args.wire_codec)
     if args.startup_grace is not None:
         live.startup_grace = args.startup_grace
 
@@ -423,9 +463,14 @@ def run_live_cmd(argv: Sequence[str]) -> int:
           + (f", faults: {args.faults}" if args.faults else ""))
     result = run_live(live)
 
+    _print_results_table(
+        f"LIVE ({args.wire_codec} frames)", config.rate_tps, config.duration,
+        [(f"{args.mempool}/{args.protocol}", args.n, result)],
+    )
     # Backpressure drops (bounded send queues) and chaos sheds (shaper
     # partitions/loss) are different failure modes; conflating them in
     # one column made saturated runs look like chaos and vice versa.
+    print()
     print(format_table(
         ["node", "gen", "commits", "MB in", "MB out", "msgs", "bp-drop",
          "shed", "reconn"],
@@ -443,25 +488,19 @@ def run_live_cmd(argv: Sequence[str]) -> int:
             ]
             for entry in result.per_replica
         ],
-        title=f"{result.label}: {result.throughput_tps:,.0f} tx/s, "
-              f"lat mean {result.latency.mean * 1000:.1f} ms / "
-              f"p99 {result.latency.percentile(99) * 1000:.1f} ms, "
-              f"{result.committed_blocks} blocks "
-              f"({result.committed_tx:,} tx) committed",
+        title=f"{result.label}: {result.committed_blocks} blocks committed",
     ))
     for entry in result.fault_timeline:
         print(f"  fault: {entry['event']} node {entry['node']} "
               f"scheduled t={entry['at']:.2f} "
               f"applied t={entry['applied_at']:.2f}")
-    if result.fault_report:
-        _print_fault_report(result.label, result.fault_report)
-    if result.recovery_report:
-        _print_recovery_report(result.label, result.recovery_report)
+    _print_reports([result])
     for violation in result.violations:
         print(f"  VIOLATION {violation}")
     if args.json is not None:
         Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json).write_text(json.dumps(result.to_dict(), indent=2))
+        document = {"config": config.to_dict(), **result.to_dict()}
+        Path(args.json).write_text(json.dumps(document, indent=2))
         print(f"live: wrote {args.json}")
     if not result.ok:
         print("live: FAILED "
@@ -576,65 +615,27 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 label=f"{preset}-n{n}",
             )))
 
-    timeline_bucket = 1.0 if args.timeline else None
+    from repro.parallel import sweep
+
+    # One path at any --jobs: at 1 the sweep runs in this process, which
+    # is what lets cProfile see it.
     profiler: Optional[cProfile.Profile] = None
-    if jobs > 1:
-        from repro.parallel import sweep
+    if args.profile:
+        profiler = cProfile.Profile()
+        profiler.enable()
+    results = sweep(
+        [config for _, _, config in cells],
+        jobs=jobs,
+        timeline_bucket=1.0 if args.timeline else None,
+    )
+    if profiler is not None:
+        profiler.disable()
 
-        summaries = sweep(
-            [config for _, _, config in cells],
-            jobs=jobs,
-            timeline_bucket=timeline_bucket,
-        )
-    else:
-        from repro.parallel import RunSummary
-
-        if args.profile:
-            profiler = cProfile.Profile()
-            profiler.enable()
-        summaries = [
-            RunSummary.from_result(
-                run_experiment(config), timeline_bucket=timeline_bucket,
-            )
-            for _, _, config in cells
-        ]
-        if profiler is not None:
-            profiler.disable()
-
-    rows = []
-    timelines = []
-    fault_reports = []
-    recovery_reports = []
-    for (preset, n, _), summary in zip(cells, summaries):
-        if summary.fault_report is not None:
-            fault_reports.append((summary.label, summary.fault_report))
-        if summary.recovery_report:
-            recovery_reports.append((summary.label, summary.recovery_report))
-        rows.append([
-            preset, n,
-            f"{summary.throughput_tps:,.0f}",
-            f"{summary.latency_mean * 1000:.1f}",
-            f"{summary.latency_percentile(99) * 1000:.1f}",
-            summary.view_changes,
-            f"{summary.committed_tx:,}",
-        ])
-        if summary.timeline is not None:
-            timelines.append((summary.label, summary.timeline))
-    print(format_table(
-        ["protocol", "n", "tput (tx/s)", "lat mean (ms)", "lat p99 (ms)",
-         "view chg", "committed"],
-        rows,
-        title=(f"{args.topology.upper()} @ {args.rate:,.0f} tx/s offered, "
-               f"{args.duration:.0f}s window"),
-    ))
-    for label, report in fault_reports:
-        _print_fault_report(label, report)
-    for label, report in recovery_reports:
-        _print_recovery_report(label, report)
-    for label, series in timelines:
-        print(f"\n{label} timeline (t -> tx/s):")
-        for t, value in series:
-            print(f"  {t:5.0f}s  {value:>12,.0f}")
+    _print_results_table(
+        args.topology.upper(), args.rate, args.duration,
+        [(preset, n, result) for (preset, n, _), result in zip(cells, results)],
+    )
+    _print_reports(results)
     if profiler is not None:
         print(f"\ncProfile — top {args.profile_top} by internal time:")
         stats = pstats.Stats(profiler)
@@ -642,11 +643,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _fmt_time(value: Optional[float]) -> str:
-    # None is the JSON-serialized form of "never" (see LiveRunResult).
-    if value is None or math.isinf(value):
-        return "never"
-    return f"{value:.2f}"
+def _fmt_time(value: float) -> str:
+    return "never" if math.isinf(value) else f"{value:.2f}"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,12 +11,43 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 MEMPOOL_KINDS = (
     "native", "simple", "gossip", "narwhal", "stratus", "sharded-stratus",
 )
 CONSENSUS_KINDS = ("hotstuff", "twochain", "streamlet", "pbft")
+
+
+def encode_fields(obj, **encoders: Callable) -> dict:
+    """``{field name: value}`` over the constructor fields of ``obj``.
+
+    The one codec of everything that crosses a process boundary or lands
+    in a JSON artifact: a dataclass serialises by walking its own
+    fields, so a new field cannot be forgotten. A field whose value is
+    not plain JSON data names the function that flattens it (skipped
+    while the value is ``None``).
+    """
+    data = {}
+    for spec in dataclasses.fields(obj):
+        if not spec.init:
+            continue  # a cache, not an input: from_dict could not pass it
+        value = getattr(obj, spec.name)
+        encode = encoders.get(spec.name)
+        if encode is not None and value is not None:
+            value = encode(value)
+        data[spec.name] = value
+    return data
+
+
+def decode_fields(cls, data: dict, **decoders: Callable):
+    """Inverse of :func:`encode_fields`: ``cls(**data)`` after restoring
+    the fields named in ``decoders`` from their flattened form."""
+    data = dict(data)
+    for name, decode in decoders.items():
+        if data.get(name) is not None:
+            data[name] = decode(data[name])
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -57,11 +88,11 @@ class ShardingConfig:
             raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return encode_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardingConfig":
-        return cls(**data)
+        return decode_fields(cls, data)
 
 
 @dataclass
@@ -71,6 +102,15 @@ class ProtocolConfig:
     Fields default to the paper's settings (Section VII-A): 128-byte
     transaction payloads, 128 KB microblocks, PAB quorum ``f + 1``,
     power-of-d sampling with ``d = 1``.
+
+    Four derived quantities are computed once at construction and read
+    as plain attributes on the event path: ``f`` (fault tolerance, the
+    largest f with n >= 3f + 1), ``consensus_quorum`` (votes per quorum
+    certificate, 2f + 1), ``stability_quorum`` (PAB ack quorum q in
+    [f+1, 2f+1], default f + 1) and ``txs_per_microblock``
+    (transactions that fill a microblock at the batch size). They are
+    not dataclass fields — not serialised, not compared — and
+    :meth:`with_updates` recomputes them because it constructs anew.
     """
 
     n: int
@@ -90,12 +130,12 @@ class ProtocolConfig:
 
     # -- PAB ---------------------------------------------------------------
     pab_quorum: Optional[int] = None  # None = f + 1
-    fetch_timeout: float = 0.5  # delta in Algorithm 2
-    # Grace period before a PAB recovery fetch: in the prototype, per-peer
-    # TCP FIFO means a correct sender's body always precedes its proof, so
-    # an immediate fetch would duplicate an in-flight transfer. None means
-    # "use fetch_timeout". Recovery is background traffic (Section IV-B).
-    recovery_fetch_delay: Optional[float] = None
+    # delta in Algorithm 2. Also the grace period before a PAB recovery
+    # fetch: in the prototype, per-peer TCP FIFO means a correct sender's
+    # body always precedes its proof, so an immediate fetch would
+    # duplicate an in-flight transfer. Recovery is background traffic
+    # (Section IV-B).
+    fetch_timeout: float = 0.5
     fetch_sample_fraction: float = 0.25  # share of signers asked per round
     fetch_max_targets: int = 4
     # Retry rounds back off exponentially with jitter so a dead or
@@ -114,8 +154,6 @@ class ProtocolConfig:
     lb_query_timeout: float = 0.2  # tau
     lb_forward_timeout: float = 1.0  # tau'
     lb_probe_interval: int = 8  # self-push every k-th mb while busy
-    estimator_window: int = 100
-    estimator_percentile: float = 95.0
     busy_margin: float = 2.0  # busy if ST_p > margin * baseline + slack
     busy_slack: float = 0.05  # seconds of absolute slack (epsilon + beta)
 
@@ -145,10 +183,12 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError(f"BFT needs n >= 4, got n={self.n}")
-        if isinstance(self.sharding, dict):
-            # from_dict / **overrides convenience: accept the plain-dict
-            # form and normalize it.
-            self.sharding = ShardingConfig.from_dict(self.sharding)
+        self.f = (self.n - 1) // 3
+        self.consensus_quorum = 2 * self.f + 1
+        self.stability_quorum = (
+            self.pab_quorum if self.pab_quorum is not None else self.f + 1
+        )
+        self.txs_per_microblock = max(1, self.batch_bytes // self.tx_payload)
         if self.sharding is not None and self.sharding.shards > self.n:
             raise ValueError(
                 f"cannot split {self.n} replicas into "
@@ -205,35 +245,6 @@ class ProtocolConfig:
                 f"{len(self.byzantine)} Byzantine replicas exceeds f={self.f}"
             )
 
-    @property
-    def f(self) -> int:
-        """Fault tolerance: largest f with n >= 3f + 1."""
-        return (self.n - 1) // 3
-
-    @property
-    def consensus_quorum(self) -> int:
-        """Votes needed for a quorum certificate (2f + 1)."""
-        return 2 * self.f + 1
-
-    @property
-    def stability_quorum(self) -> int:
-        """PAB ack quorum q, in [f+1, 2f+1]; defaults to f + 1."""
-        if self.pab_quorum is not None:
-            return self.pab_quorum
-        return self.f + 1
-
-    @property
-    def effective_recovery_delay(self) -> float:
-        """Grace period before fetching a missing microblock."""
-        if self.recovery_fetch_delay is not None:
-            return self.recovery_fetch_delay
-        return self.fetch_timeout
-
-    @property
-    def txs_per_microblock(self) -> int:
-        """Transactions needed to fill a microblock at the batch size."""
-        return max(1, self.batch_bytes // self.tx_payload)
-
     def with_updates(self, **changes) -> "ProtocolConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
@@ -244,12 +255,12 @@ class ProtocolConfig:
         Used by ``repro.parallel`` to ship configurations into spawned
         worker processes without pickling live objects.
         """
-        data = dataclasses.asdict(self)
-        data["byzantine"] = sorted(self.byzantine)
-        return data
+        return encode_fields(
+            self, sharding=ShardingConfig.to_dict, byzantine=sorted,
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        data = dict(data)
-        data["byzantine"] = frozenset(data.get("byzantine", ()))
-        return cls(**data)
+        return decode_fields(
+            cls, data, sharding=ShardingConfig.from_dict, byzantine=frozenset,
+        )

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.config import decode_fields, encode_fields
 from repro.durability.checkpoint import Checkpoint, CheckpointStore
 from repro.durability.wal import (
     FSYNC_POLICIES,
@@ -62,21 +63,11 @@ class DurabilityConfig:
             raise ValueError("checkpoint_interval must be positive")
 
     def to_spec(self) -> dict:
-        return {
-            "fsync": self.fsync,
-            "fsync_interval": self.fsync_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-            "snapshot_transfer": self.snapshot_transfer,
-        }
+        return encode_fields(self)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "DurabilityConfig":
-        return cls(
-            fsync=spec.get("fsync", "always"),
-            fsync_interval=float(spec.get("fsync_interval", 0.05)),
-            checkpoint_interval=int(spec.get("checkpoint_interval", 32)),
-            snapshot_transfer=bool(spec.get("snapshot_transfer", True)),
-        )
+        return decode_fields(cls, spec)
 
 
 @dataclass

@@ -8,9 +8,10 @@ from repro.harness.presets import (
     tuned_protocol,
 )
 from repro.harness.config import ExperimentConfig
+from repro.harness.result import RunResult
 from repro.harness.runner import (
-    ExperimentResult,
     RunningExperiment,
+    assemble_replica,
     build_experiment,
     run_experiment,
 )
@@ -27,8 +28,9 @@ __all__ = [
     "resolve_fault_spec",
     "tuned_protocol",
     "ExperimentConfig",
-    "ExperimentResult",
+    "RunResult",
     "RunningExperiment",
+    "assemble_replica",
     "build_experiment",
     "run_experiment",
     "NetBenchConfig",

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, decode_fields, encode_fields
 from repro.durability import DurabilityConfig
 from repro.faults import FaultSchedule
 from repro.sim.topology import FluctuationWindow
 
+TOPOLOGIES = ("lan", "wan", "geo")
 SELECTORS = ("uniform", "zipf1", "zipf10")
 FAULTS = ("none", "silent", "censor", "lying")
 LINK_MODELS = ("serial", "fair-share")
@@ -22,7 +23,7 @@ class ExperimentConfig:
     """Everything needed to build and run one experiment."""
 
     protocol: ProtocolConfig
-    topology_kind: str = "lan"  # "lan" | "wan" | "geo"
+    topology_kind: str = "lan"  # one of TOPOLOGIES
     bandwidth_bps: Optional[float] = None  # override topology default
     # Per-replica bandwidth overrides (node -> bits/s): models the
     # heterogeneous-capacity deployments of Problem-II.
@@ -60,20 +61,18 @@ class ExperimentConfig:
     #: unset and durability is enabled.
     data_dir: Optional[str] = None
     label: str = ""
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.topology_kind not in ("lan", "wan", "geo"):
-            raise ValueError(
-                "topology_kind must be 'lan', 'wan', or 'geo', "
-                f"got {self.topology_kind!r}"
-            )
-        if self.selector not in SELECTORS:
-            raise ValueError(
-                f"selector must be one of {SELECTORS}, got {self.selector!r}"
-            )
-        if self.fault not in FAULTS:
-            raise ValueError(f"fault must be one of {FAULTS}, got {self.fault!r}")
+        for name, choices in (
+            ("topology_kind", TOPOLOGIES), ("selector", SELECTORS),
+            ("fault", FAULTS), ("link_model", LINK_MODELS),
+            ("workload_mode", WORKLOAD_MODES),
+        ):
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"{name} must be one of {choices}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.fault == "none" and self.fault_count:
             raise ValueError("fault_count requires a fault kind")
         if self.fault != "none" and self.fault_count <= 0:
@@ -84,16 +83,15 @@ class ExperimentConfig:
             )
         if self.duration <= 0 or self.warmup < 0:
             raise ValueError("duration must be > 0 and warmup >= 0")
-        if self.link_model not in LINK_MODELS:
+        if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
             raise ValueError(
-                f"link_model must be one of {LINK_MODELS}, "
-                f"got {self.link_model!r}"
+                f"bandwidth_bps must be > 0, got {self.bandwidth_bps}"
             )
-        if self.workload_mode not in WORKLOAD_MODES:
-            raise ValueError(
-                f"workload_mode must be one of {WORKLOAD_MODES}, "
-                f"got {self.workload_mode!r}"
-            )
+        for node, bandwidth in (self.bandwidth_map or {}).items():
+            if bandwidth <= 0:
+                raise ValueError(
+                    f"bandwidth_map[{node}] must be > 0, got {bandwidth}"
+                )
         if self.offered_clients is not None and self.offered_clients <= 0:
             raise ValueError(
                 f"offered_clients must be positive, got {self.offered_clients}"
@@ -119,68 +117,30 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """JSON-able form; round-trips through :meth:`from_dict`.
 
-        This is the spawn-safe wire format ``repro.parallel`` uses to
-        hand a job to a worker process: every nested object (protocol,
-        fault schedule, fluctuation window) flattens to plain dicts and
-        lists. ``extra`` must itself hold JSON-able values.
+        This is the spawn-safe wire format ``repro.parallel`` and the
+        live spawn spec use to hand a run to another process. Plain
+        fields serialise as they are; the nested objects (protocol, fault
+        schedule, fluctuation window, durability), the int-keyed map and
+        the tuple each name their flattening here.
         """
-        return {
-            "protocol": self.protocol.to_dict(),
-            "topology_kind": self.topology_kind,
-            "bandwidth_bps": self.bandwidth_bps,
-            "bandwidth_map": (
-                {str(node): bw for node, bw in self.bandwidth_map.items()}
-                if self.bandwidth_map is not None else None
-            ),
-            "rate_tps": self.rate_tps,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "selector": self.selector,
-            "fault": self.fault,
-            "fault_count": self.fault_count,
-            "tick": self.tick,
-            "attach_executor": self.attach_executor,
-            "priority_channels": self.priority_channels,
-            "link_model": self.link_model,
-            "workload_mode": self.workload_mode,
-            "offered_clients": self.offered_clients,
-            "fluctuation": (
-                dataclasses.asdict(self.fluctuation)
-                if self.fluctuation is not None else None
-            ),
-            "faults": (
-                self.faults.to_spec() if self.faults is not None else None
-            ),
-            "data_limiter": (
-                list(self.data_limiter)
-                if self.data_limiter is not None else None
-            ),
-            "durability": (
-                self.durability.to_spec()
-                if self.durability is not None else None
-            ),
-            "data_dir": self.data_dir,
-            "label": self.label,
-            "extra": dict(self.extra),
-        }
+        return encode_fields(
+            self,
+            protocol=ProtocolConfig.to_dict,
+            bandwidth_map=lambda m: {str(node): bw for node, bw in m.items()},
+            fluctuation=dataclasses.asdict,
+            faults=FaultSchedule.to_spec,
+            data_limiter=list,
+            durability=DurabilityConfig.to_spec,
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        from repro.config import ProtocolConfig
-
-        data = dict(data)
-        data["protocol"] = ProtocolConfig.from_dict(data["protocol"])
-        if data.get("bandwidth_map") is not None:
-            data["bandwidth_map"] = {
-                int(node): bw for node, bw in data["bandwidth_map"].items()
-            }
-        if data.get("fluctuation") is not None:
-            data["fluctuation"] = FluctuationWindow(**data["fluctuation"])
-        if data.get("faults") is not None:
-            data["faults"] = FaultSchedule.from_spec(data["faults"])
-        if data.get("data_limiter") is not None:
-            data["data_limiter"] = tuple(data["data_limiter"])
-        if data.get("durability") is not None:
-            data["durability"] = DurabilityConfig.from_spec(data["durability"])
-        return cls(**data)
+        return decode_fields(
+            cls, data,
+            protocol=ProtocolConfig.from_dict,
+            bandwidth_map=lambda m: {int(node): bw for node, bw in m.items()},
+            fluctuation=lambda window: FluctuationWindow(**window),
+            faults=FaultSchedule.from_spec,
+            data_limiter=tuple,
+            durability=DurabilityConfig.from_spec,
+        )

@@ -1,6 +1,6 @@
 """Dissemination microbench: the network fabric at full load, no protocol.
 
-The perf suite's protocol scenarios measure the whole stack, so their
+The ledger's protocol workloads measure the whole stack, so their
 events/sec number is dominated by consensus and mempool handler cost.
 This bench isolates the layer the flow-level dissemination work
 optimizes: ``n`` replicas each broadcast a fixed-size payload on a fixed
@@ -24,6 +24,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 
+from repro.config import decode_fields, encode_fields
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel
 from repro.sim.network import Network
@@ -53,21 +54,11 @@ class NetBenchConfig:
     label: str = "netbench"
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "msg_bytes": self.msg_bytes,
-            "rate_per_node": self.rate_per_node,
-            "duration": self.duration,
-            "seed": self.seed,
-            "bandwidth_bps": self.bandwidth_bps,
-            "one_way_delay": self.one_way_delay,
-            "proc_per_message": self.proc_per_message,
-            "label": self.label,
-        }
+        return encode_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetBenchConfig":
-        return cls(**data)
+        return decode_fields(cls, data)
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 The paper reports each data point "as an average over 3 runs" (Fig. 7
 uses 10). ``run_replicated`` re-runs an :class:`ExperimentConfig` with a
-sequence of seeds and aggregates throughput/latency statistics. With
-``jobs > 1`` the seed replicas fan out across worker processes (see
-:mod:`repro.parallel`); the aggregate is bit-for-bit the serial one
-because each replica is a deterministic function of its config and the
-results are collected in seed order.
+sequence of seeds and aggregates throughput/latency statistics. The
+seed replicas run through :func:`repro.parallel.sweep` — in this
+process at ``jobs=1``, across worker processes above that; the
+aggregate is bit-for-bit the same either way because each replica is a
+deterministic function of its config and the results are collected in
+seed order.
 """
 
 from __future__ import annotations
@@ -17,19 +18,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.runner import ExperimentResult, run_experiment
+from repro.harness.result import RunResult
 
 
 @dataclass
 class ReplicatedResult:
-    """Mean and spread over seed-replicated runs.
+    """Mean and spread over seed-replicated runs."""
 
-    ``runs`` holds either full :class:`ExperimentResult` objects (serial
-    path) or compact :class:`~repro.parallel.jobs.RunSummary` objects
-    (parallel path); both expose the attribute slice aggregated here.
-    """
-
-    runs: list
+    runs: list[RunResult]
 
     @property
     def throughput_mean(self) -> float:
@@ -83,15 +79,10 @@ def run_replicated(
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
-    if executor is not None or jobs > 1:
-        from repro.parallel import sweep
+    from repro.parallel import sweep
 
-        return ReplicatedResult(
-            runs=sweep(configs, jobs=jobs, executor=executor)
-        )
-    runs: list[ExperimentResult] = [run_experiment(c) for c in configs]
-    return ReplicatedResult(runs=runs)
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    return ReplicatedResult(runs=sweep(configs, jobs=jobs, executor=executor))
 
 
 def _mean(values: list[float]) -> float:

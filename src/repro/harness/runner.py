@@ -3,25 +3,31 @@
 ``build_experiment`` assembles a full replica network (simulator, links,
 replicas, mempools, consensus engines, workload generator) from an
 :class:`ExperimentConfig`; ``run_experiment`` runs it and summarizes the
-measurement window into an :class:`ExperimentResult`.
+measurement window into a :class:`~repro.harness.result.RunResult`.
+:func:`assemble_replica` is the one place a replica's stack is put
+together: the simulator calls it n times over one scheduler, a live
+replica process (``repro.live.replica_proc``) once over its own.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import random
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.config import ProtocolConfig
 from repro.consensus import CONSENSUS_CLASSES
-from repro.durability import DurableKVStore
+from repro.durability import DurabilityConfig, DurableKVStore
 from repro.faults import FaultInjector
 from repro.harness.config import ExperimentConfig
+from repro.harness.result import RunResult, measure_window
 from repro.kvstore import KVStore
 from repro.mempool import MEMPOOL_CLASSES, NativeMempool, SharedPendingPool
-from repro.metrics import MetricsHub, WeightedDigest
+from repro.metrics import MetricsHub
 from repro.replica import Behavior, HonestBehavior, Replica, behavior_for
 from repro.sim import (
     Network,
@@ -32,7 +38,10 @@ from repro.sim import (
     lan_topology,
     wan_topology,
 )
+from repro.sim.interfaces import Scheduler, Transport
 from repro.workload import UniformSelector, WorkloadGenerator, ZipfSelector
+
+_TOPOLOGIES = {"lan": lan_topology, "wan": wan_topology, "geo": geo_topology}
 
 
 @dataclass
@@ -53,11 +62,11 @@ class RunningExperiment:
     #: Root of the per-replica durable data dirs (durability runs only).
     data_dir: Optional[str] = None
 
-    def run(self) -> "ExperimentResult":
+    def run(self) -> RunResult:
         # Pause the cyclic GC for the timed section: the event loop's
         # allocations (envelopes, heap tuples, batches) are acyclic and
         # refcount-freed, so generational scans only add jitter to the
-        # wall-clock the perf harness divides events by. Pre-built
+        # wall-clock the benchmark ledger divides events by. Pre-built
         # long-lived state is frozen out of the collector first.
         was_enabled = gc.isenabled()
         gc.collect()
@@ -77,92 +86,22 @@ class RunningExperiment:
         return summarize(self, wall_clock_s=wall)
 
 
-@dataclass
-class ExperimentResult:
-    """Summary of one run's measurement window."""
-
-    label: str
-    throughput_tps: float
-    latency: WeightedDigest
-    committed_tx: int
-    emitted_tx: int
-    view_changes: int
-    metrics: MetricsHub
-    network: Network
-    config: ExperimentConfig
-    #: Simulator-engine instrumentation: how many events the run executed
-    #: and how long the event loop took on the host (0.0 when the
-    #: experiment was driven manually rather than via ``run()``).
-    events_processed: int = 0
-    wall_clock_s: float = 0.0
-    #: Invariant-oracle violations observed during the run (empty when no
-    #: oracle suite was armed; see ``repro.verification``).
-    violations: list = field(default_factory=list)
-
-    @property
-    def events_per_sec(self) -> float:
-        """Host-side event-loop rate; the perf harness's headline gauge."""
-        if self.wall_clock_s <= 0:
-            return 0.0
-        return self.events_processed / self.wall_clock_s
-
-    @property
-    def commit_hash(self) -> str:
-        """Determinism fingerprint over the committed sequence.
-
-        Same format as the perf harness's hash (block id, commit time,
-        tx count, microblock count), so a result can be compared against
-        BENCH_perf baselines and against a parallel worker's summary.
-        """
-        from repro.metrics import commit_sequence_hash
-
-        return commit_sequence_hash(self.metrics.commits)
-
-    @property
-    def latency_mean(self) -> float:
-        return self.latency.mean
-
-    def latency_percentile(self, p: float) -> float:
-        return self.latency.percentile(p)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ExperimentResult({self.label!r}, "
-            f"tput={self.throughput_tps:.0f} tps, "
-            f"lat={self.latency_mean * 1000:.1f} ms, "
-            f"vc={self.view_changes})"
-        )
-
-
 def _make_topology(config: ExperimentConfig) -> Topology:
+    make = _TOPOLOGIES[config.topology_kind]
     n = config.protocol.n
-    if config.topology_kind == "geo":
-        topo = (
-            geo_topology(n, config.bandwidth_bps)
-            if config.bandwidth_bps
-            else geo_topology(n)
-        )
-    elif config.topology_kind == "wan":
-        topo = (
-            wan_topology(n, config.bandwidth_bps)
-            if config.bandwidth_bps
-            else wan_topology(n)
-        )
-    else:
-        topo = (
-            lan_topology(n, config.bandwidth_bps)
-            if config.bandwidth_bps
-            else lan_topology(n)
-        )
-    if config.bandwidth_map:
-        for node, bandwidth in config.bandwidth_map.items():
-            topo.set_bandwidth(node, bandwidth)
+    topo = (
+        make(n) if config.bandwidth_bps is None
+        else make(n, config.bandwidth_bps)
+    )
+    for node, bandwidth in (config.bandwidth_map or {}).items():
+        topo.set_bandwidth(node, bandwidth)
     if config.fluctuation is not None:
         topo.add_schedule(config.fluctuation)
     return topo
 
 
-def _make_selector(config: ExperimentConfig):
+def make_selector(config: ExperimentConfig):
+    """The client-to-replica selector a config names (sim and live)."""
     n = config.protocol.n
     if config.selector == "uniform":
         return UniformSelector(n)
@@ -177,6 +116,68 @@ def _make_behavior(
     if node_id not in config.byzantine_ids:
         return HonestBehavior()
     return behavior_for(config.fault, config.protocol)
+
+
+def assemble_replica(
+    node_id: int,
+    protocol: ProtocolConfig,
+    scheduler: Scheduler,
+    transport: Transport,
+    rng: random.Random,
+    metrics: MetricsHub,
+    *,
+    behavior: Optional[Behavior] = None,
+    leader_set: Optional[tuple[int, ...]] = None,
+    shared_pool: Optional[SharedPendingPool] = None,
+    mempool_cls: Optional[type] = None,
+    consensus_cls: Optional[type] = None,
+    durability: Optional[DurabilityConfig] = None,
+    data_dir: Optional[str] = None,
+    attach_executor: bool = False,
+) -> Replica:
+    """One replica's whole stack on any scheduler/transport pair.
+
+    Makes the :class:`Replica`, its mempool and consensus engine (from
+    the protocol's names unless a class is given) and its executor:
+    durable under ``data_dir/replica-<id>`` when ``durability`` is set,
+    in-memory when only ``attach_executor`` is, else none. The native
+    mempool draws from ``shared_pool`` — run-wide in the simulator, the
+    replica's own when none is passed (a live process: clients submit to
+    every replica, so rotating leaders still find transactions).
+    """
+    if mempool_cls is None:
+        mempool_cls = MEMPOOL_CLASSES[protocol.mempool]
+    if consensus_cls is None:
+        consensus_cls = CONSENSUS_CLASSES[protocol.consensus]
+    replica = Replica(
+        node_id=node_id,
+        config=protocol,
+        sim=scheduler,
+        network=transport,
+        rng=rng,
+        metrics=metrics,
+        behavior=behavior,
+        leader_set=leader_set,
+    )
+    if issubclass(mempool_cls, NativeMempool):
+        if shared_pool is None:
+            shared_pool = SharedPendingPool(protocol.tx_payload)
+        mempool = mempool_cls(replica, protocol, shared_pool)
+    else:
+        mempool = mempool_cls(replica, protocol)
+    consensus = consensus_cls(replica, mempool, protocol)
+    if durability is not None:
+        # Keyed by node id alone: a respawned live incarnation recovers
+        # from the directory its predecessor wrote.
+        executor = DurableKVStore(
+            os.path.join(data_dir, f"replica-{node_id}"), config=durability,
+        )
+    elif attach_executor:
+        executor = KVStore()
+    else:
+        executor = None
+    replica.attach(mempool, consensus, executor)
+    return replica
 
 
 def build_experiment(
@@ -208,11 +209,8 @@ def build_experiment(
         node for node in range(protocol.n)
         if node not in config.byzantine_ids
     )
+    # In-sim the native mempool's pending pool is one run-wide object.
     shared_pool = SharedPendingPool(protocol.tx_payload)
-    if mempool_cls is None:
-        mempool_cls = MEMPOOL_CLASSES[protocol.mempool]
-    if consensus_cls is None:
-        consensus_cls = CONSENSUS_CLASSES[protocol.consensus]
 
     data_dir: Optional[str] = None
     if config.durability is not None:
@@ -221,42 +219,28 @@ def build_experiment(
 
     replicas: list[Replica] = []
     for node_id in range(protocol.n):
-        replica = Replica(
-            node_id=node_id,
-            config=protocol,
-            sim=sim,
-            network=network,
-            rng=rng.stream(f"replica.{node_id}"),
-            metrics=metrics,
+        replicas.append(assemble_replica(
+            node_id, protocol, sim, network,
+            rng.stream(f"replica.{node_id}"), metrics,
             behavior=_make_behavior(config, node_id),
             leader_set=leader_set,
-        )
-        if issubclass(mempool_cls, NativeMempool):
-            mempool = mempool_cls(replica, protocol, shared_pool)
-        else:
-            mempool = mempool_cls(replica, protocol)
-        consensus = consensus_cls(replica, mempool, protocol)
-        if config.durability is not None:
-            executor = DurableKVStore(
-                os.path.join(data_dir, f"replica-{node_id}"),
-                config=config.durability,
-            )
-        elif config.attach_executor:
-            executor = KVStore()
-        else:
-            executor = None
-        replica.attach(mempool, consensus, executor)
+            shared_pool=shared_pool,
+            mempool_cls=mempool_cls,
+            consensus_cls=consensus_cls,
+            durability=config.durability,
+            data_dir=data_dir,
+            attach_executor=config.attach_executor,
+        ))
         if config.data_limiter is not None:
             rate, burst = config.data_limiter
             network.set_data_limiter(node_id, rate, burst)
-        replicas.append(replica)
 
     generator = WorkloadGenerator(
         sim=sim,
         replicas=replicas,
         rate_tps=config.rate_tps,
         tx_payload=protocol.tx_payload,
-        selector=_make_selector(config),
+        selector=make_selector(config),
         tick=config.tick,
         mode=config.workload_mode,
         offered_clients=config.offered_clients,
@@ -297,27 +281,18 @@ def build_experiment(
 
 def summarize(
     experiment: RunningExperiment, wall_clock_s: float = 0.0
-) -> ExperimentResult:
+) -> RunResult:
     """Measure the window ``[warmup, warmup + duration)``."""
-    config = experiment.config
-    start, end = config.warmup, config.end_time
-    metrics = experiment.metrics
-    return ExperimentResult(
-        label=config.label or _default_label(config),
-        throughput_tps=metrics.throughput_tps(start, end),
-        latency=metrics.latency_stats(start, end),
-        committed_tx=metrics.committed_tx_total,
+    oracles = experiment.oracles
+    return measure_window(
+        experiment.config,
+        experiment.metrics,
         emitted_tx=experiment.generator.emitted_tx_count,
-        view_changes=metrics.view_change_count,
-        metrics=metrics,
-        network=experiment.network,
-        config=config,
+        violations=list(oracles.violations) if oracles is not None else [],
         events_processed=experiment.sim.processed,
         wall_clock_s=wall_clock_s,
-        violations=(
-            list(experiment.oracles.violations)
-            if experiment.oracles is not None else []
-        ),
+        net_bytes_sent=experiment.network.stats.total_bytes(),
+        network=experiment.network,
     )
 
 
@@ -327,16 +302,9 @@ def run_experiment(
     *,
     mempool_cls: Optional[type] = None,
     consensus_cls: Optional[type] = None,
-) -> ExperimentResult:
+) -> RunResult:
     """Build, run, and summarize in one call."""
     return build_experiment(
         config, oracles,
         mempool_cls=mempool_cls, consensus_cls=consensus_cls,
     ).run()
-
-
-def _default_label(config: ExperimentConfig) -> str:
-    return (
-        f"{config.protocol.mempool}/{config.protocol.consensus}"
-        f"-n{config.protocol.n}-{config.topology_kind}"
-    )

@@ -25,7 +25,7 @@ link faults become per-frame egress shaping (:class:`LinkShaper`) — see
 """
 
 from repro.live.chaos import LinkShaper, LiveFaultInjector
-from repro.live.orchestrator import LiveConfig, LiveRunResult, run_live
+from repro.live.orchestrator import LiveConfig, run_live
 from repro.live.scheduler import RealtimeScheduler
 from repro.live.wire import (
     CODECS,
@@ -43,7 +43,6 @@ from repro.live.wire import (
 
 __all__ = [
     "LiveConfig",
-    "LiveRunResult",
     "run_live",
     "LinkShaper",
     "LiveFaultInjector",

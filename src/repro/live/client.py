@@ -11,12 +11,13 @@ from __future__ import annotations
 import asyncio
 
 from repro.harness.config import ExperimentConfig
+from repro.harness.runner import make_selector
 from repro.live.network import LiveNetwork
 from repro.live.scheduler import RealtimeScheduler
 from repro.live.wire import CLIENT_BATCH
 from repro.sim.interfaces import Channel
 from repro.types import TxBatch
-from repro.workload import UniformSelector, WorkloadGenerator, ZipfSelector
+from repro.workload import WorkloadGenerator
 
 #: Node id the client stamps as frame source. Replicas never route on
 #: it (``client.batch`` has its own dispatch hook), it only has to stay
@@ -38,15 +39,6 @@ class _ReplicaProxy:
         )
 
 
-def _make_selector(config: ExperimentConfig):
-    n = config.protocol.n
-    if config.selector == "uniform":
-        return UniformSelector(n)
-    if config.selector == "zipf1":
-        return ZipfSelector(n, s=1.01, v=1.0)
-    return ZipfSelector(n, s=1.01, v=10.0)
-
-
 async def run_client(
     config: ExperimentConfig,
     ports: dict[int, int],
@@ -65,7 +57,7 @@ async def run_client(
         replicas=proxies,
         rate_tps=config.rate_tps,
         tx_payload=config.protocol.tx_payload,
-        selector=_make_selector(config),
+        selector=make_selector(config),
         tick=config.tick,
     )
 

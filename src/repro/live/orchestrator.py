@@ -12,7 +12,7 @@ every block it commits locally, and the parent deduplicates by block id
 keeping the *earliest* wall-clock commit — the live equivalent of "the
 first correct replica to commit reports it".
 
-Chaos runs (``LiveConfig.faults``) execute the schedule's crash/restart
+Chaos runs (``experiment.faults``) execute the schedule's crash/restart
 timeline via :class:`~repro.live.chaos.LiveFaultInjector` — SIGKILL and
 fresh-interpreter respawn against the same port map — while its link
 faults ship to every replica as shaping windows. The merged report then
@@ -30,19 +30,19 @@ import multiprocessing
 import socket
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
-from repro.durability import DurabilityConfig
-from repro.faults import FaultSchedule
 from repro.harness.config import ExperimentConfig
+from repro.harness.result import RunResult, measure_window
 from repro.live.chaos import LiveFaultInjector
 from repro.live.client import run_client
 from repro.live.replica_proc import replica_main
 from repro.live.verify import verify_events
 from repro.live.wire import get_codec
-from repro.metrics import MetricsHub, WeightedDigest
+from repro.metrics import MetricsHub
 from repro.verification.oracles import Violation
 
 #: Wall-clock seconds between process spawn and protocol t=0. Must cover
@@ -57,109 +57,40 @@ JOIN_SLACK = 10.0
 
 @dataclass
 class LiveConfig:
-    """Live-specific knobs layered over an :class:`ExperimentConfig`."""
+    """Live-specific knobs layered over an :class:`ExperimentConfig`.
+
+    What to run stays the experiment's business, as in the simulator:
+    ``experiment.faults`` runs as real chaos (crash/restart as
+    SIGKILL/respawn, link faults as frame shaping); ``durability`` and
+    ``data_dir`` (inside the run's scratch dir, deleted with it, when
+    None) put the durable state machine under every replica.
+    """
 
     experiment: ExperimentConfig
     host: str = "127.0.0.1"
     startup_grace: float = DEFAULT_STARTUP_GRACE
     #: Directory for per-replica result JSON files (a temp dir when None).
     scratch_dir: Optional[str] = None
-    #: Scripted fault schedule executed against the live cluster
-    #: (crash/restart as SIGKILL/respawn, link faults as frame shaping).
-    #: Falls back to ``experiment.faults`` so a config written for the
-    #: simulator runs unchanged.
-    faults: Optional[FaultSchedule] = None
     #: Frame format on the wire: ``binary`` (struct-packed v2, the
     #: default hot path) or ``json`` (v1, kept for comparison and
     #: debugging). Every process in the run uses the same codec; the
     #: per-connection preamble rejects a mismatched peer.
     wire_codec: str = "binary"
-    #: Durable state machine under every replica (WAL + checkpoints).
-    #: Falls back to ``experiment.durability`` like ``faults`` does.
-    durability: Optional[DurabilityConfig] = None
-    #: Root for the per-replica data dirs; inside the run's scratch dir
-    #: (deleted with it) when None.
-    data_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.faults is None:
-            self.faults = self.experiment.faults
-        if self.faults is not None:
-            self.faults.validate_live(self.experiment.protocol.n)
-        if self.durability is None:
-            self.durability = self.experiment.durability
-        if self.data_dir is None:
-            self.data_dir = self.experiment.data_dir
+        if self.experiment.faults is not None:
+            self.experiment.faults.validate_live(self.experiment.protocol.n)
         get_codec(self.wire_codec)  # fail fast on unknown codec names
 
 
-class _FixedClock:
-    """Minimal ``now`` holder for the merged (post-run) MetricsHub."""
-
-    def __init__(self, now: float) -> None:
-        self.now = now
-
-
-@dataclass
-class LiveRunResult:
-    """Merged outcome of one live run (mirrors ``ExperimentResult``)."""
-
-    label: str
-    throughput_tps: float
-    latency: WeightedDigest
-    committed_blocks: int
-    committed_tx: int
-    emitted_tx: int
-    view_changes: int
-    metrics: MetricsHub
-    config: ExperimentConfig
-    per_replica: list[dict]
-    violations: list[Violation]
-    wall_clock_s: float
-    #: Per-fault-window recovery metrics (same shape as the sim's
-    #: ``MetricsHub.fault_report``); empty for fault-free runs.
-    fault_report: list[dict] = field(default_factory=list)
-    #: Process faults as applied: scheduled vs actual wall time.
-    fault_timeline: list[dict] = field(default_factory=list)
-    #: Frame format the run used on the wire.
-    wire_codec: str = "binary"
-    #: Per-incarnation durable-recovery rows (source, recovery_time,
-    #: WAL replay throughput, checkpoint bytes); empty when the run had
-    #: no durability layer.
-    recovery_report: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.committed_blocks > 0
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": "live",
-            "label": self.label,
-            "wire_codec": self.wire_codec,
-            "throughput_tps": self.throughput_tps,
-            "latency_mean_ms": self.latency.mean * 1000,
-            "latency_p50_ms": self.latency.percentile(50) * 1000,
-            "latency_p99_ms": self.latency.percentile(99) * 1000,
-            "committed_blocks": self.committed_blocks,
-            "committed_tx": self.committed_tx,
-            "emitted_tx": self.emitted_tx,
-            "view_changes": self.view_changes,
-            "wall_clock_s": self.wall_clock_s,
-            "per_replica": self.per_replica,
-            "violations": [v.to_dict() for v in self.violations],
-            "fault_report": [
-                {
-                    key: (None if isinstance(value, float)
-                          and value == float("inf") else value)
-                    for key, value in entry.items()
-                }
-                for entry in self.fault_report
-            ],
-            "fault_timeline": self.fault_timeline,
-            "recovery_report": self.recovery_report,
-            "config": self.config.to_dict(),
-        }
+#: What a replica's result document says of itself, copied into its
+#: ``per_replica`` row as it is.
+_ROW_KEYS = (
+    "node_id", "generation", "bytes_in", "bytes_out", "messages_delivered",
+    "frames_dropped", "queue_high_watermark", "reconnects", "frames_shed",
+    "executed_height", "state_digest", "snapshot_installs",
+    "snapshots_served",
+)
 
 
 def allocate_ports(n: int, host: str = "127.0.0.1") -> dict[int, int]:
@@ -279,11 +210,11 @@ def _merge(
     events: list[dict],
     emitted_tx: int,
     wall_clock_s: float,
-    schedule: Optional[FaultSchedule] = None,
     fault_timeline: Optional[list[dict]] = None,
     wire_codec: str = "binary",
-) -> LiveRunResult:
-    hub = MetricsHub(_FixedClock(config.end_time))
+) -> RunResult:
+    # The merged hub's clock is the end of the run, for good.
+    hub = MetricsHub(SimpleNamespace(now=config.end_time))
     commits = sorted(
         (
             commit
@@ -300,74 +231,52 @@ def _merge(
             latencies=[tuple(pair) for pair in commit["latencies"]],
             commit_time=commit["commit_time"],
         )
-
-    violations = verify_events(events, emitted_tx, config.protocol)
-
-    fault_report: list[dict] = []
-    if schedule is not None:
-        for window in schedule.windows():
+    if config.faults is not None:
+        for window in config.faults.windows():
             hub.record_fault_window(window)
-        fault_report = hub.fault_report()
 
-    recovery_report = [
-        {
-            "node": result["node_id"],
-            "generation": result.get("generation", 0),
-            **result["recovery"],
-        }
-        for result in sorted(
-            replica_results,
-            key=lambda r: (r["node_id"], r.get("generation", 0)),
-        )
-        if result.get("recovery") is not None
-    ]
-
-    start, end = config.warmup, config.end_time
-    return LiveRunResult(
+    replica_results = sorted(
+        replica_results, key=lambda r: (r["node_id"], r["generation"]),
+    )
+    recovery_report = None
+    if config.durability is not None:
+        recovery_report = [
+            {
+                "node": result["node_id"],
+                "generation": result["generation"],
+                **result["recovery"],
+            }
+            for result in replica_results
+            if result["recovery"] is not None
+        ]
+    return measure_window(
+        config,
+        hub,
+        emitted_tx=emitted_tx,
+        violations=verify_events(events, emitted_tx, config.protocol),
         label=(config.label or (
             f"live-{config.protocol.mempool}/{config.protocol.consensus}"
             f"-n{config.protocol.n}"
         )),
-        throughput_tps=hub.throughput_tps(start, end),
-        latency=hub.latency_stats(start, end),
-        committed_blocks=len(hub.commits),
-        committed_tx=hub.committed_tx_total,
-        emitted_tx=emitted_tx,
+        # The merged hub holds commits only: view changes and bytes
+        # arrive as per-replica counts, recoveries as per-incarnation rows.
         view_changes=sum(r["view_changes"] for r in replica_results),
-        metrics=hub,
-        config=config,
+        net_bytes_sent=sum(r["bytes_out"] for r in replica_results),
+        recovery_report=recovery_report,
+        wall_clock_s=wall_clock_s,
         per_replica=[
             {
-                "node_id": result["node_id"],
-                "generation": result.get("generation", 0),
+                **{key: result[key] for key in _ROW_KEYS},
                 "commits": len(result["commits"]),
-                "bytes_in": result["bytes_in"],
-                "bytes_out": result["bytes_out"],
-                "messages_delivered": result["messages_delivered"],
-                "frames_dropped": result.get("frames_dropped", 0),
-                "queue_high_watermark": result.get("queue_high_watermark", 0),
-                "reconnects": result.get("reconnects", 0),
-                "frames_shed": result.get("frames_shed", 0),
                 "recovery_source": (
                     result["recovery"]["source"]
-                    if result.get("recovery") is not None else None
+                    if result["recovery"] is not None else None
                 ),
-                "executed_height": result.get("executed_height"),
-                "state_digest": result.get("state_digest"),
-                "snapshot_installs": result.get("snapshot_installs"),
-                "snapshots_served": result.get("snapshots_served"),
             }
-            for result in sorted(
-                replica_results,
-                key=lambda r: (r["node_id"], r.get("generation", 0)),
-            )
+            for result in replica_results
         ],
-        violations=violations,
-        wall_clock_s=wall_clock_s,
-        fault_report=fault_report,
         fault_timeline=list(fault_timeline or []),
         wire_codec=wire_codec,
-        recovery_report=recovery_report,
     )
 
 
@@ -396,14 +305,14 @@ async def _drive(
     return emitted
 
 
-def run_live(live: LiveConfig) -> LiveRunResult:
+def run_live(live: LiveConfig) -> RunResult:
     """Execute one live run end to end; blocks until all processes exit."""
     config = live.experiment
     n = config.protocol.n
     started = time.perf_counter()
     ports = allocate_ports(n, live.host)
     epoch = time.time() + live.startup_grace
-    schedule = live.faults
+    schedule = config.faults
 
     context = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(dir=live.scratch_dir) as scratch:
@@ -419,10 +328,10 @@ def run_live(live: LiveConfig) -> LiveRunResult:
             shaping = schedule.shaping_spec()
             if shaping:
                 base_spec["shaping"] = shaping
-        if live.durability is not None:
-            data_root = Path(live.data_dir or Path(scratch) / "data")
+        if config.durability is not None:
+            data_root = Path(config.data_dir or Path(scratch) / "data")
             data_root.mkdir(parents=True, exist_ok=True)
-            base_spec["durability"] = live.durability.to_spec()
+            base_spec["durability"] = config.durability.to_spec()
             base_spec["data_root"] = str(data_root)
         table = _ProcessTable(context, base_spec, scratch)
         for node_id in range(n):
@@ -480,7 +389,6 @@ def run_live(live: LiveConfig) -> LiveRunResult:
     result = _merge(
         config, replica_results, events, emitted_tx,
         wall_clock_s=time.perf_counter() - started,
-        schedule=schedule,
         fault_timeline=injector.timeline if injector is not None else None,
         wire_codec=live.wire_codec,
     )

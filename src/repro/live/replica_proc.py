@@ -1,19 +1,18 @@
 """One live replica: the OS-process entry point.
 
 ``replica_main`` is the target handed to ``multiprocessing`` (spawn
-context — nothing here may rely on inherited state). It rebuilds the
-exact stack :func:`repro.harness.runner.build_experiment` wires in-sim —
-``Replica`` + mempool class + consensus class from the same registries —
-but on the live backends: :class:`RealtimeScheduler` over asyncio and
-:class:`LiveNetwork` over TCP. No protocol code is forked.
+context — nothing here may rely on inherited state). It builds its
+replica with the same :func:`repro.harness.runner.assemble_replica` the
+simulator calls n times, but on the live backends:
+:class:`RealtimeScheduler` over asyncio and :class:`LiveNetwork` over
+TCP. No protocol code is forked.
 
 Differences from the sim wiring, all environmental:
 
 * every process seeds its own ``random.Random`` from ``(seed, node_id)``
   instead of drawing a stream from the run-wide registry;
-* the native mempool's :class:`SharedPendingPool` is per-process — in-sim
-  it is a run-wide object, which no real deployment can have. Clients
-  submit to every replica, so rotating leaders still find transactions;
+* the native mempool's pending pool is per-process — in-sim it is a
+  run-wide object, which no real deployment can have;
 * commits are recorded by *every* replica into its local
   :class:`MetricsHub`; the orchestrator deduplicates by block id when
   merging, recovering the sim's first-commit semantics.
@@ -36,18 +35,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import random
 import signal
 
 from repro.config import ProtocolConfig
-from repro.consensus import CONSENSUS_CLASSES
-from repro.durability import DurabilityConfig, DurableKVStore
+from repro.durability import DurabilityConfig
+from repro.harness.runner import assemble_replica
 from repro.live.chaos import LinkShaper
 from repro.live.network import LiveNetwork
 from repro.live.scheduler import RealtimeScheduler
 from repro.live.wire import to_wire
-from repro.mempool import MEMPOOL_CLASSES, NativeMempool, SharedPendingPool
 from repro.metrics import MetricsHub
 from repro.replica import Replica
 from repro.sim.interfaces import Scheduler
@@ -136,28 +133,19 @@ class LiveRecorder:
 def build_replica(
     spec: dict, scheduler: Scheduler, network: LiveNetwork
 ) -> tuple[Replica, LiveRecorder]:
-    """Wire one replica from a spawn spec (mirrors ``build_experiment``)."""
+    """One replica from a spawn spec: the shared assembly, then what
+    only a live process needs (id rebase, event recorder, client hook)."""
     protocol = ProtocolConfig.from_dict(spec["protocol"])
     node_id = spec["node_id"]
-    metrics = RecordingMetricsHub(scheduler)
-    replica = Replica(
-        node_id=node_id,
-        config=protocol,
-        sim=scheduler,
-        network=network,
-        rng=random.Random((spec["seed"] << 16) | node_id),
-        metrics=metrics,
-        leader_set=tuple(range(protocol.n)),
-    )
-    mempool_cls = MEMPOOL_CLASSES[protocol.mempool]
-    if issubclass(mempool_cls, NativeMempool):
-        mempool = mempool_cls(
-            replica, protocol, SharedPendingPool(protocol.tx_payload)
-        )
-    else:
-        mempool = mempool_cls(replica, protocol)
-    consensus = CONSENSUS_CLASSES[protocol.consensus](
-        replica, mempool, protocol
+    durability = spec.get("durability")
+    replica = assemble_replica(
+        node_id, protocol, scheduler, network,
+        random.Random((spec["seed"] << 16) | node_id),
+        RecordingMetricsHub(scheduler),
+        durability=(
+            DurabilityConfig.from_spec(durability) if durability else None
+        ),
+        data_dir=spec.get("data_root"),
     )
     generation = spec.get("generation", 0)
     if generation:
@@ -168,18 +156,8 @@ def build_replica(
         # Without the block rebase, peers silently drop the new
         # incarnation's proposals as duplicates of pre-crash ids and
         # every view it leads times out.
-        mempool.rebase_microblock_ids(generation << 32)
-        consensus.rebase_block_ids(generation << 32)
-    executor = None
-    if spec.get("durability"):
-        # The data dir is keyed by node id, NOT generation: a respawned
-        # incarnation recovers from the directory its predecessor wrote
-        # (checkpoint + WAL tail), which is the whole point.
-        executor = DurableKVStore(
-            os.path.join(spec["data_root"], f"replica-{node_id}"),
-            config=DurabilityConfig.from_spec(spec["durability"]),
-        )
-    replica.attach(mempool, consensus, executor)
+        replica.mempool.rebase_microblock_ids(generation << 32)
+        replica.consensus.rebase_block_ids(generation << 32)
     recorder = LiveRecorder(scheduler, node_id, spec["events_path"])
     replica.observer = recorder
     network.client_handler = (
@@ -274,15 +252,8 @@ async def _run(spec: dict) -> dict:
         "executed_height": (
             executor.last_height if executor is not None else None
         ),
-        "tx_applied": executor.tx_applied if executor is not None else None,
         "state_digest": (
             executor.state_digest() if executor is not None else None
-        ),
-        "checkpoints_written": (
-            executor.checkpoints_written if executor is not None else None
-        ),
-        "checkpoint_bytes": (
-            executor.checkpoint_bytes if executor is not None else None
         ),
         "snapshot_installs": (
             executor.snapshot_installs if executor is not None else None
@@ -292,25 +263,7 @@ async def _run(spec: dict) -> dict:
 
 
 def replica_main(spec: dict) -> None:
-    """Process entry point: run one replica, write its result JSON.
-
-    Set ``REPRO_LIVE_PROFILE=<dir>`` to cProfile the whole replica
-    lifetime and drop ``replica-<id>-g<gen>.prof`` into that directory —
-    the saturation bench's way of asking *where* a knee comes from.
-    """
-    profile_dir = os.environ.get("REPRO_LIVE_PROFILE")
-    profiler = None
-    if profile_dir:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
+    """Process entry point: run one replica, write its result JSON."""
     result = asyncio.run(_run(spec))
-    if profiler is not None:
-        profiler.disable()
-        stem = (
-            f"replica-{spec['node_id']}-g{spec.get('generation', 0)}.prof"
-        )
-        profiler.dump_stats(os.path.join(profile_dir, stem))
     with open(spec["result_path"], "w", encoding="utf-8") as handle:
         json.dump(result, handle)

@@ -37,7 +37,7 @@ class SimpleSharedMempool(IdMempool):
         """Only the proposer is known to hold what it proposed."""
         self.fetcher.request(
             entry.mb_id, single_target(proposal.proposer),
-            delay=self.config.effective_recovery_delay,
+            delay=self.config.fetch_timeout,
         )
 
     def _requeue(self, mb_id: MicroBlockId) -> None:

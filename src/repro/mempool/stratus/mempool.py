@@ -42,8 +42,6 @@ class StratusMempool(IdMempool):
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         super().__init__(host, config)
         self.estimator = StableTimeEstimator(
-            window=config.estimator_window,
-            percentile=config.estimator_percentile,
             busy_margin=config.busy_margin,
             busy_slack=config.busy_slack,
         )

@@ -355,7 +355,7 @@ class PabEngine:
             self._config, self._host.rng, proof.signers, self._host.node_id
         )
         self._fetcher.request(
-            mb_id, provider, delay=self._config.effective_recovery_delay
+            mb_id, provider, delay=self._config.fetch_timeout
         )
 
     # -- message handling ----------------------------------------------

@@ -218,15 +218,6 @@ class MetricsHub:
         return self._latency
 
     @property
-    def latency_samples(self) -> list[tuple[float, float, float]]:
-        """Raw ``(commit_time, latency, tx_weight)`` samples.
-
-        The live runtime ships these across process boundaries so the
-        orchestrator can rebuild windowed digests after merging runs.
-        """
-        return list(self._latency_samples)
-
-    @property
     def stable_times(self) -> WeightedDigest:
         return self._stable_times
 

@@ -121,7 +121,7 @@ def commit_sequence_hash(
     process's hash must equal the serial run's.
 
     ``include_microblocks`` selects between the two historical formats
-    (the perf harness hashes the per-block microblock count too; the
+    (run results hash the per-block microblock count too; the
     fuzzer does not). ``length`` truncates the hex digest (0 = full).
     """
     digest = hashlib.sha256()

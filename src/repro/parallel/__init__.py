@@ -10,8 +10,8 @@ Quickstart::
 
     from repro.parallel import sweep
 
-    summaries = sweep(configs, jobs=4)       # order == configs order
-    hashes = [s.commit_hash for s in summaries]
+    results = sweep(configs, jobs=4)         # order == configs order
+    hashes = [r.commit_hash for r in results]
 """
 
 from repro.parallel.executor import (
@@ -23,7 +23,6 @@ from repro.parallel.executor import (
 from repro.parallel.jobs import (
     JOB_KINDS,
     JobSpec,
-    RunSummary,
     execute_job,
     experiment_job,
     netbench_job,
@@ -36,7 +35,6 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "ParallelExecutor",
-    "RunSummary",
     "default_jobs",
     "execute_job",
     "experiment_job",

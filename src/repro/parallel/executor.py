@@ -41,9 +41,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+from repro.harness.result import RunResult
 from repro.parallel.jobs import (
     JobSpec,
-    RunSummary,
     execute_job,
     experiment_job,
     worker_main,
@@ -79,11 +79,11 @@ class JobResult:
         return self.error is None
 
     @property
-    def summary(self) -> Optional[RunSummary]:
-        """Decode an experiment job's summary (None for other kinds)."""
-        if self.value is None or "summary" not in self.value:
+    def result(self) -> Optional[RunResult]:
+        """Decode an experiment job's result (None for other kinds)."""
+        if self.value is None or "result" not in self.value:
             return None
-        return RunSummary.from_dict(self.value["summary"])
+        return RunResult.from_dict(self.value["result"])
 
 
 @dataclass
@@ -327,8 +327,8 @@ def sweep(
     retries: int = 1,
     executor: Optional[ParallelExecutor] = None,
     timeline_bucket: Optional[float] = None,
-) -> List[RunSummary]:
-    """Run independent :class:`ExperimentConfig` cells; summaries in order.
+) -> List[RunResult]:
+    """Run independent :class:`ExperimentConfig` cells; results in order.
 
     The workhorse behind the CLI's ``--jobs`` sweep and the benchmark
     grids. Results arrive in submission order, so a parallel sweep's
@@ -343,15 +343,15 @@ def sweep(
         experiment_job(config, timeline_bucket=timeline_bucket)
         for config in configs
     ]
-    summaries: List[RunSummary] = []
+    results: List[RunResult] = []
     failures: List[str] = []
     for job in executor.map(specs):
         if job.error is not None:
             failures.append(f"{job.spec.label}: {job.error}")
             continue
-        summaries.append(job.summary)
+        results.append(job.result)
     if failures:
         raise RuntimeError(
             f"{len(failures)} sweep cell(s) failed:\n" + "\n".join(failures)
         )
-    return summaries
+    return results

@@ -1,4 +1,4 @@
-"""Spawn-safe job specifications and compact run summaries.
+"""Spawn-safe job specifications and their executors.
 
 A :class:`JobSpec` is the unit of work the :class:`~repro.parallel.
 executor.ParallelExecutor` ships to a worker process. It deliberately
@@ -9,12 +9,11 @@ fuzz jobs) — so a spec survives the ``spawn`` start method, where the
 child interpreter re-imports this module from scratch and receives the
 spec by pickling plain dicts, never live simulator objects.
 
-The worker's answer crosses the boundary the same way: a
-:class:`RunSummary` flattens the interesting slice of an
-:class:`~repro.harness.runner.ExperimentResult` (throughput, latency
-percentiles, commit-sequence hash, counters, optional fault report and
-timeline) into primitives. The full ``MetricsHub``/``Network`` object
-graph stays in the worker and dies with it.
+The worker's answer crosses the boundary the same way: an experiment
+job ships :meth:`repro.harness.result.RunResult.to_dict`, the plain-data
+fields of the result the run produced. Its handles — the full
+``MetricsHub``/``Network`` object graph — stay in the worker and die
+with it.
 """
 
 from __future__ import annotations
@@ -24,16 +23,12 @@ import platform
 import resource
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from repro.config import decode_fields, encode_fields
 from repro.harness.config import ExperimentConfig
-from repro.harness.runner import ExperimentResult, run_experiment
-
-#: Latency percentiles every summary carries. Benchmarks and the CLI
-#: only ever render p50/p95/p99; carrying the values (rather than the
-#: digest) keeps the summary a few hundred bytes.
-SUMMARY_PERCENTILES = (50, 95, 99)
+from repro.harness.runner import run_experiment
 
 
 def worker_peak_rss_bytes() -> int:
@@ -42,144 +37,6 @@ def worker_peak_rss_bytes() -> int:
     if platform.system() == "Darwin":  # pragma: no cover
         return int(peak)
     return int(peak) * 1024
-
-
-@dataclass
-class RunSummary:
-    """Compact, process-boundary-safe summary of one experiment run.
-
-    Attribute names mirror :class:`~repro.harness.runner.
-    ExperimentResult` (``throughput_tps``, ``latency_mean``,
-    ``view_changes``, ``events_per_sec``, ``commit_hash``...) so
-    aggregation code — :class:`repro.harness.repeat.ReplicatedResult`,
-    the CLI's results table, the benchmark grids — works identically on
-    either type.
-    """
-
-    label: str
-    seed: int
-    throughput_tps: float
-    latency_mean: float
-    latency_percentiles: dict
-    committed_tx: int
-    emitted_tx: int
-    view_changes: int
-    events_processed: int
-    wall_clock_s: float
-    commit_hash: str
-    violations: list = field(default_factory=list)
-    fetch_count: int = 0
-    forwarded_microblocks: int = 0
-    #: Bytes serialized network-wide (``NetworkStats.total_bytes``);
-    #: benches divide by n for mean per-replica link load.
-    net_bytes_sent: float = 0.0
-    peak_rss_bytes: int = 0
-    fault_report: Optional[list] = None
-    timeline: Optional[list] = None
-    #: Durable-executor recovery rows (durability runs only); recovery
-    #: durations are host wall clock, so parallel and serial runs may
-    #: differ here — keep it out of determinism-gated output.
-    recovery_report: Optional[list] = None
-
-    @property
-    def events_per_sec(self) -> float:
-        if self.wall_clock_s <= 0:
-            return 0.0
-        return self.events_processed / self.wall_clock_s
-
-    def latency_percentile(self, p: float) -> float:
-        """Latency percentile, limited to :data:`SUMMARY_PERCENTILES`."""
-        key = int(p)
-        if key not in self.latency_percentiles:
-            raise ValueError(
-                f"summary only carries percentiles "
-                f"{sorted(self.latency_percentiles)}, asked for {p}"
-            )
-        return self.latency_percentiles[key]
-
-    @classmethod
-    def from_result(
-        cls,
-        result: ExperimentResult,
-        timeline_bucket: Optional[float] = None,
-    ) -> "RunSummary":
-        """Flatten a full result; the one place the conversion lives.
-
-        The serial (``jobs=1``) paths run this in-process on the same
-        :class:`ExperimentResult` a worker would have produced, so serial
-        and parallel sweeps render from identical summaries.
-        """
-        metrics = result.metrics
-        timeline = None
-        if timeline_bucket is not None:
-            timeline = [
-                (t, tps) for t, tps in metrics.throughput_series(
-                    0.0, result.config.end_time, timeline_bucket,
-                )
-            ]
-        fault_report = None
-        if result.config.faults is not None:
-            fault_report = metrics.fault_report()
-        recovery_report = None
-        if result.config.durability is not None:
-            recovery_report = metrics.recovery_report()
-        return cls(
-            label=result.label,
-            seed=result.config.seed,
-            throughput_tps=result.throughput_tps,
-            latency_mean=result.latency_mean,
-            latency_percentiles={
-                p: result.latency_percentile(p) for p in SUMMARY_PERCENTILES
-            },
-            committed_tx=result.committed_tx,
-            emitted_tx=result.emitted_tx,
-            view_changes=result.view_changes,
-            events_processed=result.events_processed,
-            wall_clock_s=result.wall_clock_s,
-            commit_hash=result.commit_hash,
-            violations=[v.to_dict() for v in result.violations],
-            fetch_count=metrics.fetch_count,
-            forwarded_microblocks=metrics.forwarded_microblocks,
-            net_bytes_sent=result.network.stats.total_bytes(),
-            peak_rss_bytes=worker_peak_rss_bytes(),
-            fault_report=fault_report,
-            timeline=timeline,
-            recovery_report=recovery_report,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "seed": self.seed,
-            "throughput_tps": self.throughput_tps,
-            "latency_mean": self.latency_mean,
-            "latency_percentiles": dict(self.latency_percentiles),
-            "committed_tx": self.committed_tx,
-            "emitted_tx": self.emitted_tx,
-            "view_changes": self.view_changes,
-            "events_processed": self.events_processed,
-            "wall_clock_s": self.wall_clock_s,
-            "commit_hash": self.commit_hash,
-            "violations": list(self.violations),
-            "fetch_count": self.fetch_count,
-            "forwarded_microblocks": self.forwarded_microblocks,
-            "net_bytes_sent": self.net_bytes_sent,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "fault_report": self.fault_report,
-            "timeline": self.timeline,
-            "recovery_report": self.recovery_report,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSummary":
-        data = dict(data)
-        data["latency_percentiles"] = {
-            int(p): value
-            for p, value in data["latency_percentiles"].items()
-        }
-        if data.get("timeline") is not None:
-            data["timeline"] = [tuple(point) for point in data["timeline"]]
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -197,16 +54,11 @@ class JobSpec:
     label: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "payload": self.payload,
-            "options": dict(self.options),
-            "label": self.label,
-        }
+        return encode_fields(self, options=dict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        return cls(**data)
+        return decode_fields(cls, data)
 
 
 def experiment_job(
@@ -217,7 +69,7 @@ def experiment_job(
     """Spec for one harness experiment (sweep cell, replicated seed...).
 
     With ``oracles=True`` the worker arms the standard invariant suite
-    and the summary's ``violations`` list carries whatever it found —
+    and the result's ``violations`` list carries whatever it found —
     how the sharding bench keeps every measured point oracle-checked.
     """
     options: dict = {}
@@ -278,28 +130,19 @@ def _run_experiment_job(payload: dict, options: dict) -> dict:
 
         suite = standard_suite()
     result = run_experiment(config, suite)
-    summary = RunSummary.from_result(
-        result, timeline_bucket=options.get("timeline_bucket"),
-    )
-    return {"summary": summary.to_dict()}
+    bucket = options.get("timeline_bucket")
+    if bucket is not None:
+        result.timeline = result.metrics.throughput_series(
+            0.0, config.end_time, bucket,
+        )
+    return {"result": result.to_dict()}
 
 
 def _run_netbench_job(payload: dict, options: dict) -> dict:
     from repro.harness.netbench import NetBenchConfig, run_netbench
 
     result = run_netbench(NetBenchConfig.from_dict(payload))
-    return {
-        "netbench": {
-            "label": result.label,
-            "seed": result.seed,
-            "events_processed": result.events_processed,
-            "wall_clock_s": result.wall_clock_s,
-            "delivered": result.delivered,
-            "dropped": result.dropped,
-            "sim_seconds": result.sim_seconds,
-            "fingerprint": result.fingerprint,
-        }
-    }
+    return {"netbench": asdict(result)}
 
 
 def _run_scenario_job(payload: dict, options: dict) -> dict:

@@ -15,13 +15,23 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.config import CONSENSUS_KINDS, ProtocolConfig
+from repro.config import (
+    CONSENSUS_KINDS,
+    ProtocolConfig,
+    decode_fields,
+    encode_fields,
+)
 from repro.faults.schedule import FaultSchedule
 from repro.harness.config import ExperimentConfig
-from repro.harness.runner import ExperimentResult, run_experiment
+from repro.harness.result import RunResult
+from repro.harness.runner import run_experiment
 from repro.metrics import commit_sequence_hash as metrics_commit_hash
 from repro.sim.rng import RngRegistry
-from repro.verification.oracles import OracleSuite, standard_suite
+from repro.verification.oracles import (
+    OracleSuite,
+    Violation,
+    standard_suite,
+)
 
 #: Protocol overrides shared by every fuzz scenario: small microblocks
 #: and fast timers so short simulated runs still exercise full commit
@@ -217,23 +227,11 @@ class Scenario:
         return self._experiment_cache
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "consensus": self.consensus,
-            "mempool": self.mempool,
-            "n": self.n,
-            "duration": self.duration,
-            "topology": self.topology,
-            "rate_tps": self.rate_tps,
-            "warmup": self.warmup,
-            "fault_spec": self.fault_spec,
-            "index": self.index,
-            "root_seed": self.root_seed,
-        }
+        return encode_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        return cls(**data)
+        return decode_fields(cls, data)
 
     def replaced(self, **changes) -> "Scenario":
         data = self.to_dict()
@@ -256,30 +254,22 @@ class FuzzOutcome:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "violations": [v.to_dict() for v in self.violations],
-            "committed_tx": self.committed_tx,
-            "commit_hash": self.commit_hash,
-            "events_processed": self.events_processed,
-        }
+        return encode_fields(
+            self,
+            scenario=Scenario.to_dict,
+            violations=lambda vs: [v.to_dict() for v in vs],
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzOutcome":
-        from repro.verification.oracles import Violation
-
-        return cls(
-            scenario=Scenario.from_dict(data["scenario"]),
-            violations=[
-                Violation.from_dict(v) for v in data["violations"]
-            ],
-            committed_tx=data["committed_tx"],
-            commit_hash=data["commit_hash"],
-            events_processed=data.get("events_processed", 0),
+        return decode_fields(
+            cls, data,
+            scenario=Scenario.from_dict,
+            violations=lambda vs: [Violation.from_dict(v) for v in vs],
         )
 
 
-def commit_sequence_hash(result: ExperimentResult) -> str:
+def commit_sequence_hash(result: RunResult) -> str:
     """Digest of the committed sequence — the determinism fingerprint.
 
     Two runs of the same scenario must produce identical hashes; any

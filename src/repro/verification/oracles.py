@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
+from repro.config import decode_fields, encode_fields
 from repro.faults.schedule import SwapBehavior
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,18 +71,11 @@ class Violation:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "oracle": self.oracle,
-            "kind": self.kind,
-            "time": self.time,
-            "message": self.message,
-            "node": self.node,
-            "details": self.details,
-        }
+        return encode_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Violation":
-        return cls(**data)
+        return decode_fields(cls, data)
 
     def __str__(self) -> str:
         where = f" (replica {self.node})" if self.node is not None else ""

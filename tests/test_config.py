@@ -87,6 +87,21 @@ def test_with_updates_returns_modified_copy():
     assert updated.n == 4
 
 
+def test_derived_quantities_are_recomputed_not_serialised():
+    """f, the quorums and txs_per_microblock are computed once per
+    instance: a copy gets its own, and none of them is a field."""
+    config = ProtocolConfig(n=4, batch_bytes=1024, tx_payload=128)
+    grown = config.with_updates(n=100, pab_quorum=40, batch_bytes=4096)
+    assert (config.f, config.consensus_quorum, config.stability_quorum,
+            config.txs_per_microblock) == (1, 3, 2, 8)
+    assert (grown.f, grown.consensus_quorum, grown.stability_quorum,
+            grown.txs_per_microblock) == (33, 67, 40, 32)
+    derived = {"f", "consensus_quorum", "stability_quorum",
+               "txs_per_microblock"}
+    assert not derived & set(grown.to_dict())
+    assert ProtocolConfig.from_dict(grown.to_dict()).stability_quorum == 40
+
+
 @pytest.mark.parametrize(
     "ignored", [{"load_balancing": True}, {"pab_quorum": 2}],
     ids=["load_balancing", "pab_quorum"],

@@ -1,16 +1,24 @@
 """Unit tests for the experiment harness."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, ShardingConfig
+from repro.durability import DurabilityConfig
 from repro.harness import (
     ExperimentConfig,
+    NetBenchConfig,
     PROTOCOL_PRESETS,
     build_experiment,
+    chaos_schedule,
     run_experiment,
+    run_netbench,
     tuned_protocol,
 )
 from repro.harness.report import format_series, format_table, mbps
+from repro.sim.topology import FluctuationWindow
 from repro.replica.behavior import (
     CensoringSender,
     HonestBehavior,
@@ -102,6 +110,82 @@ class TestExperimentConfig:
         config = self.make(duration=5.0, warmup=2.0)
         assert config.end_time == 7.0
 
+    @pytest.mark.parametrize("bandwidth", [0, 0.0, -1e6])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        """A zero override used to be read as "no override" and run at
+        the topology default instead of failing."""
+        with pytest.raises(ValueError, match="bandwidth_bps"):
+            self.make(bandwidth_bps=bandwidth)
+        with pytest.raises(ValueError, match=r"bandwidth_map\[2\]"):
+            self.make(bandwidth_map={1: 5e6, 2: bandwidth})
+        config = self.make(bandwidth_bps=5e6, bandwidth_map={1: 2e6})
+        topology = build_experiment(config).topology
+        assert topology.bandwidth(0) == 5e6
+        assert topology.bandwidth(1) == 2e6
+
+
+def recorded_configs():
+    """The three configs whose ``to_dict()`` was recorded at af5a57f,
+    before the codec walked ``dataclasses.fields``."""
+    return {
+        "shs-wan-skew-crash-16": ExperimentConfig(
+            tuned_protocol(
+                "S-HS", 16, "wan", batch_bytes=16_384, batch_timeout=0.1,
+                lb_samples=3,
+            ),
+            topology_kind="wan", link_model="fair-share", selector="zipf1",
+            rate_tps=30_000, faults=chaos_schedule("crash-restart", 16),
+            warmup=1.0, duration=9.0, seed=7,
+        ),
+        "sshs-every-optional-part": ExperimentConfig(
+            tuned_protocol(
+                "SS-HS", 16, "lan", sharding=ShardingConfig(shards=4),
+            ),
+            bandwidth_bps=100e6, bandwidth_map={3: 5e6, 11: 2.5e7},
+            fluctuation=FluctuationWindow(
+                start=2.0, duration=1.5, base=0.1, jitter=0.05,
+                throughput_factor=0.15,
+            ),
+            data_limiter=(1.25e6, 65_536.0),
+            durability=DurabilityConfig(
+                fsync="interval", checkpoint_interval=8,
+            ),
+            data_dir="/tmp/repro-recorded", workload_mode="aggregate",
+            offered_clients=1000, fault="silent", fault_count=2,
+            attach_executor=True, label="recorded",
+        ),
+        "netbench": NetBenchConfig(
+            n=16, msg_bytes=65_536, rate_per_node=40.0, duration=0.5,
+            seed=3, one_way_delay=0.00012, label="recorded-netbench",
+        ),
+    }
+
+
+#: Fields deleted since the recording (options nothing ever set).
+DELETED_KEYS = {
+    "extra", "recovery_fetch_delay", "estimator_window",
+    "estimator_percentile",
+}
+
+
+def without_deleted(data):
+    return {
+        key: without_deleted(value) if key == "protocol" else value
+        for key, value in data.items() if key not in DELETED_KEYS
+    }
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize("name", sorted(recorded_configs()))
+    def test_to_dict_equals_the_recorded_parent_dict(self, name):
+        recorded = json.loads(
+            (Path(__file__).parent / "recorded_config_dicts.json").read_text()
+        )[name]
+        config = recorded_configs()[name]
+        emitted = json.loads(json.dumps(config.to_dict()))
+        assert emitted == without_deleted(recorded)
+        assert type(config).from_dict(emitted) == config
+
 
 class TestBuildExperiment:
     def test_wiring(self):
@@ -171,6 +255,22 @@ class TestBuildExperiment:
         assert first.latency_mean == second.latency_mean
         # A different seed perturbs jitter and thus latencies.
         assert different.latency_mean != first.latency_mean
+
+
+class TestNetBench:
+    def test_netbench_run_is_deterministic(self):
+        config = NetBenchConfig(n=8, rate_per_node=50.0, duration=0.3, seed=11)
+        first = run_netbench(config)
+        second = run_netbench(config)
+        assert first.delivered > 0
+        assert first.events_processed > 0
+        assert first.fingerprint == second.fingerprint
+        assert first.delivered == second.delivered
+        # The fingerprint is sensitive to the workload, not just the seed.
+        other = run_netbench(
+            NetBenchConfig(n=8, rate_per_node=60.0, duration=0.3, seed=11)
+        )
+        assert other.fingerprint != first.fingerprint
 
 
 class TestReport:

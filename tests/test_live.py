@@ -7,9 +7,11 @@ import time
 
 import pytest
 
-from repro.config import ProtocolConfig
+from repro.config import CONSENSUS_KINDS, MEMPOOL_KINDS, ProtocolConfig
+from repro.harness import build_experiment
 from repro.harness.config import ExperimentConfig
 from repro.live.network import LiveNetwork
+from repro.live.replica_proc import build_replica
 from repro.live.orchestrator import (
     LiveConfig,
     allocate_ports,
@@ -22,6 +24,8 @@ from repro.mempool.base import MessageKinds
 from repro.sim.interfaces import Channel, Scheduler, Transport
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.sim.rng import RngRegistry
+from repro.sim.topology import lan_topology
 from repro.types.microblock import MicroBlock
 from repro.types.proposal import Payload, Proposal
 from repro.crypto.certificates import QuorumCert
@@ -254,6 +258,39 @@ def test_verify_events_flags_fabricated_microblocks():
         _commit_event(1.0, 0, committed),
     ]
     assert verify_events(events, emitted_tx=100) == []
+
+
+# -- one assembly --------------------------------------------------------------
+
+@pytest.mark.parametrize("consensus", CONSENSUS_KINDS)
+@pytest.mark.parametrize("mempool", MEMPOOL_KINDS)
+def test_sim_and_live_assemble_the_same_stack(mempool, consensus, tmp_path):
+    """A live replica process and the simulator put a replica together
+    through one function: same classes, equal protocol parameters."""
+    config = ExperimentConfig(
+        protocol=ProtocolConfig(n=4, mempool=mempool, consensus=consensus),
+        rate_tps=0.0, seed=7,
+    )
+    simulated = build_experiment(config).replicas[2]
+
+    scheduler = Simulator()
+    network = Network(scheduler, lan_topology(4), RngRegistry(config.seed))
+    spec = {
+        "protocol": config.protocol.to_dict(),
+        "node_id": 2,
+        "seed": config.seed,
+        "events_path": str(tmp_path / "events.jsonl"),
+    }
+    live, recorder = build_replica(spec, scheduler, network)
+    recorder.close()
+
+    assert type(live.mempool) is type(simulated.mempool)
+    assert type(live.consensus) is type(simulated.consensus)
+    assert live.config == simulated.config
+    assert live.leader_set == simulated.leader_set
+    assert type(live.behavior) is type(simulated.behavior)
+    assert live.executor is None and simulated.executor is None
+    assert live.observer is recorder
 
 
 # -- 4-replica localhost smoke runs ------------------------------------------

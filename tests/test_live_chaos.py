@@ -315,7 +315,9 @@ def test_live_crash_restart_recovers_from_durable_state():
     from repro.durability import DurabilityConfig
 
     config = _chaos_config("crash-restart")
-    config.durability = DurabilityConfig(fsync="interval", checkpoint_interval=8)
+    config.experiment.durability = DurabilityConfig(
+        fsync="interval", checkpoint_interval=8,
+    )
     result = run_live(config)
     assert result.violations == []
     assert result.committed_blocks > 0

@@ -8,16 +8,27 @@ isolation) through the self-test job kind, which needs no simulator.
 """
 
 import dataclasses
+import json
+import math
 
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.harness import ExperimentConfig, run_experiment, run_replicated
+from repro.faults import CrashReplica, FaultSchedule
+from repro.harness import (
+    ExperimentConfig,
+    NetBenchConfig,
+    RunResult,
+    run_experiment,
+    run_netbench,
+    run_replicated,
+)
 from repro.parallel import (
     JobSpec,
     ParallelExecutor,
-    RunSummary,
+    execute_job,
     experiment_job,
+    netbench_job,
     sweep,
 )
 from repro.verification import MUTANTS, ScenarioFuzzer, run_scenario
@@ -37,15 +48,10 @@ def selftest(action, **payload):
     return JobSpec(kind="selftest", payload=payload, label=action)
 
 
-# Deterministic fields of a RunSummary: everything except host-side
-# timing and memory, which legitimately differ run to run.
-HOST_FIELDS = ("wall_clock_s", "peak_rss_bytes")
-
-
-def deterministic_dict(summary: RunSummary) -> dict:
-    data = summary.to_dict()
-    for field in HOST_FIELDS:
-        data.pop(field)
+def deterministic_dict(result: RunResult) -> dict:
+    """Everything but host-side timing, which differs run to run."""
+    data = result.to_dict()
+    data.pop("wall_clock_s")
     return data
 
 
@@ -134,21 +140,50 @@ class TestJobSpecs:
         assert clone.options == {"timeline_bucket": 1.0}
 
     def test_summary_round_trips_with_int_percentiles(self):
-        summary = RunSummary.from_result(run_experiment(small_config()))
-        clone = RunSummary.from_dict(summary.to_dict())
-        assert clone == summary
+        result = run_experiment(small_config())
+        clone = RunResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert clone == result
         assert all(isinstance(p, int) for p in clone.latency_percentiles)
         assert clone.latency_percentile(99) >= clone.latency_percentile(50)
+        # The digest stayed behind: only p50/p95/p99 are carried, while
+        # the in-process result still answers any percentile.
+        assert (clone.metrics, clone.network, clone.latency) == (None,) * 3
         with pytest.raises(ValueError):
-            clone.latency_percentile(75)  # only p50/p95/p99 carried
+            clone.latency_percentile(75)
+        assert result.latency_percentile(75) >= result.latency_percentile(50)
 
     def test_summary_matches_result(self):
+        """What a worker ships is what the run measured in-process."""
         result = run_experiment(small_config())
-        summary = RunSummary.from_result(result)
-        assert summary.commit_hash == result.commit_hash
-        assert summary.throughput_tps == result.throughput_tps
-        assert summary.committed_tx == result.committed_tx
-        assert summary.events_processed == result.events_processed
+        shipped = execute_job(experiment_job(small_config()).to_dict())
+        clone = RunResult.from_dict(shipped["result"])
+        assert deterministic_dict(clone) == deterministic_dict(result)
+        assert clone.commit_hash == result.commit_hash
+        assert clone.latency_percentile(99) == result.latency.percentile(99)
+
+    def test_never_healed_crash_round_trips_without_infinity(self):
+        """``inf`` ("never") is ``None`` in JSON and ``inf`` again after."""
+        schedule = FaultSchedule([CrashReplica(at=0.8, node=3)])
+        result = run_experiment(small_config(faults=schedule))
+        (window,) = result.fault_report
+        assert window["commit_gap"] == math.inf
+        text = json.dumps(result.to_dict())
+        assert "Infinity" not in text
+        clone = RunResult.from_dict(json.loads(text))
+        assert clone == result
+        assert clone.fault_report[0]["time_to_recover"] == math.inf
+        assert clone.fault_report[0]["nodes"] == (3,)
+
+    def test_netbench_job_round_trips_through_executor(self):
+        config = NetBenchConfig(n=4, rate_per_node=40.0, duration=0.3,
+                                seed=3, label="nb-test")
+        spec = netbench_job(config)
+        assert spec.kind == "netbench"
+        bench = execute_job(spec.to_dict())["netbench"]
+        assert bench["label"] == "nb-test"
+        assert bench["delivered"] > 0
+        # The worker ran the same deterministic storm a direct call runs.
+        assert bench["fingerprint"] == run_netbench(config).fingerprint
 
 
 class TestDeterminism:

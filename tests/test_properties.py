@@ -1,10 +1,22 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, ShardingConfig
 from repro.crypto import sign
+from repro.durability import DurabilityConfig
+from repro.harness import (
+    CHAOS_PRESET_NAMES,
+    ExperimentConfig,
+    NetBenchConfig,
+    chaos_schedule,
+)
+from repro.parallel import JobSpec, experiment_job
+from repro.sim.topology import FluctuationWindow
 from repro.metrics import WeightedDigest
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.stratus.estimator import StableTimeEstimator
@@ -250,3 +262,103 @@ def test_uplink_serialization_total_time(sizes_bytes):
     expected_total = sum(size * 8 / bandwidth for size in sizes_bytes)
     assert arrivals[-1] == pytest.approx(expected_total)
     assert arrivals == sorted(arrivals)
+
+
+# -- config codec ------------------------------------------------------------
+
+def _positive(lo=1e3, hi=1e10):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    """An :class:`ExperimentConfig` with every optional part drawn."""
+    n = draw(st.sampled_from([4, 7, 16]))
+    f = (n - 1) // 3
+    sharded = draw(st.booleans())
+    fault_count = draw(st.integers(0, f))
+    protocol = ProtocolConfig(
+        n=n,
+        mempool="sharded-stratus" if sharded else "stratus",
+        consensus=draw(st.sampled_from(["hotstuff", "streamlet", "pbft"])),
+        sharding=draw(st.none() | st.builds(
+            ShardingConfig,
+            shards=st.integers(1, 4),
+            shard_size=st.none() | st.integers(1, n),
+            epoch=st.integers(0, 5),
+        )),
+        pab_quorum=(
+            None if sharded
+            else draw(st.none() | st.integers(f + 1, 2 * f + 1))
+        ),
+        byzantine=frozenset(range(n - draw(st.integers(0, f)), n)),
+        view_timeout=draw(_positive(0.1, 10.0)),
+    )
+    fair_share = draw(st.booleans())
+    return ExperimentConfig(
+        protocol,
+        topology_kind=draw(st.sampled_from(["lan", "wan", "geo"])),
+        bandwidth_bps=draw(st.none() | _positive()),
+        bandwidth_map=draw(st.none() | st.dictionaries(
+            st.integers(0, n - 1), _positive(), max_size=3,
+        )),
+        rate_tps=draw(_positive(0.0, 1e6)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        selector=draw(st.sampled_from(["uniform", "zipf1", "zipf10"])),
+        fault="silent" if fault_count else "none",
+        fault_count=fault_count,
+        attach_executor=draw(st.booleans()),
+        priority_channels=draw(st.booleans()),
+        link_model="fair-share" if fair_share else "serial",
+        workload_mode=draw(st.sampled_from(["ticks", "aggregate"])),
+        offered_clients=draw(st.none() | st.integers(1, 10 ** 6)),
+        fluctuation=draw(st.none() | st.builds(
+            FluctuationWindow,
+            start=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
+            base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
+            throughput_factor=_positive(0.01, 1.0),
+        )),
+        faults=draw(st.none() | st.sampled_from(CHAOS_PRESET_NAMES).map(
+            lambda name: chaos_schedule(name, n)
+        )),
+        data_limiter=(
+            None if fair_share
+            else draw(st.none() | st.tuples(_positive(), _positive()))
+        ),
+        durability=draw(st.none() | st.builds(
+            DurabilityConfig,
+            fsync=st.sampled_from(["always", "interval", "off"]),
+            fsync_interval=_positive(0.001, 1.0),
+            checkpoint_interval=st.integers(1, 64),
+            snapshot_transfer=st.booleans(),
+        )),
+        data_dir=draw(st.none() | st.text(max_size=12)),
+        label=draw(st.text(max_size=12)),
+    )
+
+
+@given(experiment_configs())
+@settings(max_examples=60, deadline=None)
+def test_experiment_config_round_trips_through_json(config):
+    data = config.to_dict()
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(data))) == config
+    # The spawn spec of a parallel job is that dict, one level down.
+    spec = experiment_job(config)
+    assert JobSpec.from_dict(spec.to_dict()) == spec
+    assert spec.payload == data
+
+
+@given(experiment_configs())
+@settings(max_examples=20, deadline=None)
+def test_every_config_field_is_serialised(config):
+    """``to_dict`` walks ``dataclasses.fields``: a field added later
+    cannot be left out of the spawn spec by forgetting to copy it."""
+    for obj in (
+        config,
+        config.protocol,
+        config.protocol.sharding or ShardingConfig(),
+        NetBenchConfig(),
+        experiment_job(config),
+    ):
+        names = [spec.name for spec in dataclasses.fields(obj)]
+        assert list(obj.to_dict()) == names

@@ -102,12 +102,12 @@ def test_fig8_larger_pab_quorum_reduces_fetches():
     assert large_q.metrics.fetch_count < small_q.metrics.fetch_count
 
 
-def run_skewed(preset: str, d: int = 1, n: int = 16):
+def run_skewed(preset: str, d: int = 1, n: int = 16, **overrides):
     """Fig. 10 setup: WAN, Zipf-1 skew, offered load above the hottest
     replica's solo dissemination capacity (~23K tx/s here)."""
     protocol = tuned_protocol(
         preset, n=n, topology_kind="wan",
-        batch_bytes=16 * 1024, batch_timeout=0.1, lb_samples=d,
+        batch_bytes=16 * 1024, batch_timeout=0.1, lb_samples=d, **overrides,
     )
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=30_000,
@@ -122,3 +122,18 @@ def test_fig10_load_balancing_helps_under_skew():
     simple = run_skewed("SMP-HS")
     assert stratus.throughput_tps > simple.throughput_tps
     assert stratus.metrics.forwarded_microblocks > 0
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4, d0-iv: the stable-time baseline drifts up 1 % per "
+    "sample, so the hot replica stops reading itself as busy (22 "
+    "forwards where PR 8 had 449) and DLB on commits 27,443 tx/s against "
+    "27,092 with DLB off. The test above cannot see it: it passes on "
+    "PAB's advantage over SMP-HS alone."
+))
+def test_fig10_dlb_on_commits_more_than_dlb_off():
+    on = run_skewed("S-HS", d=3)
+    off = run_skewed("S-HS", d=3, load_balancing=False)
+    assert off.metrics.forwarded_microblocks == 0
+    assert on.throughput_tps >= 1.05 * off.throughput_tps
