@@ -15,17 +15,17 @@ measurements show the optimization is load-bearing for Stratus:
 import pytest
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
+from repro.faults import DelaySpike, FaultSchedule
 from repro.harness.report import format_table
-from repro.sim.topology import FluctuationWindow
 
 from _common import run_once, write_result
 
 N_STEADY = 16
 RATE_STEADY = 62_000.0
 N_DISTURB = 32
-WINDOW = FluctuationWindow(
-    start=4.0, duration=5.0, base=0.1, jitter=0.05, throughput_factor=0.15,
-)
+WINDOW = FaultSchedule([DelaySpike(
+    at=4.0, duration=5.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
+)])
 
 
 def run_steady(priority: bool, limiter: bool = False):
@@ -50,7 +50,7 @@ def run_disturbed(priority: bool):
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=25_000.0,
         duration=11.0, warmup=1.0, seed=3,
-        priority_channels=priority, fluctuation=WINDOW,
+        priority_channels=priority, faults=WINDOW,
         label=f"disturbed-prio{priority}",
     ))
 

@@ -15,16 +15,16 @@ jitter, which is what actually strands microblock bodies in flight.
 import pytest
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
+from repro.faults import DelaySpike, FaultSchedule
 from repro.harness.report import format_series, format_table
-from repro.sim.topology import FluctuationWindow
 
 from _common import run_once, scaled, write_result
 
 N = scaled(default=[32], full=[64])[0]
 RATE = 25_000.0
-WINDOW = FluctuationWindow(
-    start=4.0, duration=5.0, base=0.1, jitter=0.05, throughput_factor=0.15,
-)
+WINDOW = FaultSchedule([DelaySpike(
+    at=4.0, duration=5.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
+)])
 END = 14.0
 
 
@@ -36,7 +36,7 @@ def run(preset: str):
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=RATE,
         duration=END - 1.0, warmup=1.0, seed=3, label=f"fig7-{preset}",
-        fluctuation=WINDOW,
+        faults=WINDOW,
     ))
 
 

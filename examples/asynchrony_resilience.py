@@ -12,12 +12,12 @@ Run:  python examples/asynchrony_resilience.py
 """
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
+from repro.faults import DelaySpike, FaultSchedule
 from repro.harness import format_table
-from repro.sim.topology import FluctuationWindow
 
 WARMUP = 1.0
-DISTURBANCE = FluctuationWindow(
-    start=4.0, duration=5.0, base=0.1, jitter=0.05, throughput_factor=0.15,
+DISTURBANCE = DelaySpike(
+    at=4.0, duration=5.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
 )
 
 
@@ -29,7 +29,7 @@ def run(preset: str):
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=25_000,
         duration=13.0, warmup=WARMUP, seed=3, label=preset,
-        fluctuation=DISTURBANCE,
+        faults=FaultSchedule([DISTURBANCE]),
     ))
 
 
@@ -43,7 +43,7 @@ def main() -> None:
             series = dict(result.metrics.throughput_series(0.0, 14.0, 1.0))
             row.append(f"{series.get(float(second), 0.0):,.0f}")
         marker = ""
-        if DISTURBANCE.start <= second < DISTURBANCE.start + DISTURBANCE.duration:
+        if DISTURBANCE.at <= second < DISTURBANCE.at + DISTURBANCE.duration:
             marker = "<- disturbance"
         row.append(marker)
         rows.append(row)

@@ -74,7 +74,6 @@ from repro.harness.config import (
     TOPOLOGIES,
     WORKLOAD_MODES,
 )
-from repro.sim.topology import FluctuationWindow
 
 #: The ``--faults`` help text shared by the sim and live parsers — one
 #: grammar, resolved by :func:`repro.harness.resolve_fault_spec`.
@@ -269,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "for (recorded in results; requires "
                              "--workload-mode aggregate to be cheap at "
                              "large counts)")
-    parser.add_argument("--disturb", nargs=2, type=float, default=None,
-                        metavar=("START", "DURATION"),
-                        help="inject a Fig.7-style disturbance window")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help=FAULTS_HELP)
     parser.add_argument("--timeline", action="store_true",
@@ -562,14 +558,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         )
         if value is not None
     }
-    fluctuation = None
-    if args.disturb is not None:
-        start, duration = args.disturb
-        fluctuation = FluctuationWindow(
-            start=start, duration=duration,
-            base=0.1, jitter=0.05, throughput_factor=0.15,
-        )
-
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     jobs = args.jobs
@@ -606,7 +594,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 link_model=args.link_model,
                 workload_mode=args.workload_mode,
                 offered_clients=args.clients,
-                fluctuation=fluctuation,
                 # Preset schedules depend on n (the crash victim is the
                 # highest id), so resolution happens per sweep cell.
                 faults=_resolve_faults_arg(args.faults, n),

@@ -1,21 +1,15 @@
-"""Compiles a :class:`FaultSchedule` onto the simulator's event queue.
+"""Realises a :class:`FaultSchedule` on the simulator.
 
-The injector owns the runtime side of the chaos layer:
-
-* crash/restart events call :meth:`repro.replica.node.Replica.crash` and
-  :meth:`~repro.replica.node.Replica.restart`;
-* partitions and loss windows install removable drop rules via
-  :meth:`repro.sim.network.Network.add_drop_rule`, so they compose with
-  any user-installed :meth:`~repro.sim.network.Network.set_drop_filter`;
-* bandwidth squeezes push multiplicative scales onto the topology and pop
-  them when the window closes;
-* delay spikes reuse the topology's time-gated
-  :class:`~repro.sim.topology.FluctuationWindow` schedule machinery;
-* behavior swaps rebuild the replica's :class:`Behavior` from its name.
-
-Every disturbance interval is registered with the metrics hub at install
-time, so :meth:`repro.metrics.MetricsHub.fault_report` can compute
-per-window throughput, commit gaps, and time-to-recover after the run.
+A schedule is events and windows. The injector puts what is an *event*
+on the queue — crash/restart call :meth:`repro.replica.node.Replica.crash`
+and :meth:`~repro.replica.node.Replica.restart`, a behavior swap rebuilds
+the replica's :class:`Behavior` from its name — and hands the *windows*
+over: every one to the metrics hub, so
+:meth:`repro.metrics.MetricsHub.fault_report` can compute per-window
+throughput, commit gaps and time-to-recover, and the link kinds
+(partition, loss, bandwidth, delay) to the network as one
+:class:`~repro.faults.windows.LinkFaults`, which the topology and the
+delivery path ask at ``now``. No queue event opens or closes a window.
 """
 
 from __future__ import annotations
@@ -24,25 +18,20 @@ import random
 from typing import Sequence, TYPE_CHECKING
 
 from repro.faults.schedule import (
-    BandwidthSqueeze,
     CrashReplica,
-    DelaySpike,
     FaultSchedule,
-    Heal,
-    LossWindow,
-    Partition,
     RestartReplica,
     SwapBehavior,
-    channel_for,
 )
+from repro.faults.windows import LinkFaults
 from repro.metrics import MetricsHub
 from repro.replica.behavior import behavior_for
 from repro.sim.engine import Simulator
-from repro.sim.network import Envelope, Network
-from repro.sim.topology import FluctuationWindow, Topology
+from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
+
 
 class FaultInjector:
     """Executes one fault schedule against a wired experiment."""
@@ -51,134 +40,44 @@ class FaultInjector:
         self,
         sim: Simulator,
         network: Network,
-        topology: Topology,
         replicas: Sequence["Replica"],
         metrics: MetricsHub,
         rng: random.Random,
     ) -> None:
         self._sim = sim
         self._network = network
-        self._topology = topology
         self._replicas = list(replicas)
         self._metrics = metrics
         self._rng = rng
         self._installed = False
-        #: Active partitions: event -> drop-rule handle.
-        self._partitions: dict[Partition, int] = {}
 
     def install(self, schedule: FaultSchedule) -> None:
-        """Validate the schedule and put every event on the event queue."""
+        """Validate the schedule, hand its windows over, queue its events.
+
+        Loss windows draw their coins from the injector's ``rng``.
+        """
         if self._installed:
             raise RuntimeError("injector already holds a schedule")
         schedule.validate(len(self._replicas))
         self._installed = True
-        for window in schedule.windows():
+        windows = schedule.windows()
+        for window in windows:
             self._metrics.record_fault_window(window)
+        if any(window.kind != "crash" for window in windows):
+            self._network.set_link_faults(LinkFaults(windows, self._rng))
         for event in schedule.events:
             if isinstance(event, CrashReplica):
-                self._at(event.at, lambda e=event: self._crash(e.node))
+                self._sim.schedule_at(
+                    event.at, self._replicas[event.node].crash
+                )
             elif isinstance(event, RestartReplica):
-                self._at(event.at, lambda e=event: self._restart(e.node))
-            elif isinstance(event, Partition):
-                self._at(event.at, lambda e=event: self._partition(e))
-                if event.duration is not None:
-                    self._at(
-                        event.at + event.duration,
-                        lambda e=event: self._heal_one(e),
-                    )
-            elif isinstance(event, Heal):
-                self._at(event.at, lambda e=event: self._heal(e.label))
-            elif isinstance(event, LossWindow):
-                self._schedule_loss(event)
-            elif isinstance(event, BandwidthSqueeze):
-                self._schedule_squeeze(event)
-            elif isinstance(event, DelaySpike):
-                # FluctuationWindow is time-gated internally; no queue
-                # events are needed to activate or deactivate it.
-                self._topology.add_schedule(FluctuationWindow(
-                    start=event.at,
-                    duration=event.duration,
-                    base=event.base,
-                    jitter=event.jitter,
-                    throughput_factor=event.bandwidth_factor,
-                ))
+                self._sim.schedule_at(
+                    event.at, self._replicas[event.node].restart
+                )
             elif isinstance(event, SwapBehavior):
-                self._at(event.at, lambda e=event: self._swap(e))
-
-    # -- event actions -----------------------------------------------------
-
-    def _at(self, when: float, action) -> None:
-        self._sim.schedule_at(when, action)
-
-    def _crash(self, node: int) -> None:
-        self._replicas[node].crash()
-
-    def _restart(self, node: int) -> None:
-        self._replicas[node].restart()
-
-    def _partition(self, event: Partition) -> None:
-        group_of: dict[int, int] = {}
-        for index, group in enumerate(event.groups):
-            for node in group:
-                group_of[node] = index
-        rest = len(event.groups)
-
-        def crosses(envelope: Envelope) -> bool:
-            return (
-                group_of.get(envelope.src, rest)
-                != group_of.get(envelope.dst, rest)
-            )
-
-        self._partitions[event] = self._network.add_drop_rule(crosses)
-
-    def _heal_one(self, event: Partition) -> None:
-        rule_id = self._partitions.pop(event, None)
-        if rule_id is not None:
-            self._network.remove_drop_rule(rule_id)
-
-    def _heal(self, label: str) -> None:
-        for partition in list(self._partitions):
-            if not label or partition.label == label:
-                self._heal_one(partition)
-
-    def _schedule_loss(self, event: LossWindow) -> None:
-        channel = channel_for(event.channel) if event.channel else None
-        nodes = set(event.nodes)
-        rng = self._rng
-
-        def lossy(envelope: Envelope) -> bool:
-            if channel is not None and envelope.channel is not channel:
-                return False
-            if nodes and envelope.src not in nodes and envelope.dst not in nodes:
-                return False
-            if event.kinds and not any(
-                envelope.kind.startswith(prefix) for prefix in event.kinds
-            ):
-                return False
-            return rng.random() < event.rate
-
-        handle: dict[str, int] = {}
-        self._at(event.at, lambda: handle.update(
-            rule=self._network.add_drop_rule(lossy)
-        ))
-        self._at(event.at + event.duration, lambda: (
-            self._network.remove_drop_rule(handle["rule"])
-            if "rule" in handle else None
-        ))
-
-    def _schedule_squeeze(self, event: BandwidthSqueeze) -> None:
-        nodes = list(event.nodes) or list(range(self._topology.n))
-
-        def squeeze() -> None:
-            for node in nodes:
-                self._topology.scale_bandwidth(node, event.factor)
-
-        def release() -> None:
-            for node in nodes:
-                self._topology.unscale_bandwidth(node, event.factor)
-
-        self._at(event.at, squeeze)
-        self._at(event.at + event.duration, release)
+                self._sim.schedule_at(
+                    event.at, lambda e=event: self._swap(e)
+                )
 
     def _swap(self, event: SwapBehavior) -> None:
         replica = self._replicas[event.node]

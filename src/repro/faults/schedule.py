@@ -18,9 +18,10 @@ seed. Schedules round-trip through JSON for the CLI's ``--faults`` flag::
 
 Every event that opens a disturbance interval (a crash awaiting its
 restart, a partition awaiting its heal, a loss/bandwidth/delay window)
-yields a :class:`~repro.metrics.collector.FaultWindow` via
-:meth:`FaultSchedule.windows`, which the injector registers with the
-metrics hub for per-window recovery reporting.
+resolves to one :class:`~repro.faults.windows.Window` via
+:meth:`FaultSchedule.windows` — the form the metrics hub reports
+recovery per, and the form both network backends evaluate link faults
+from (:class:`~repro.faults.windows.LinkFaults`).
 """
 
 from __future__ import annotations
@@ -28,29 +29,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.metrics.collector import FaultWindow
+from repro.faults.windows import Window
 from repro.replica.behavior import BEHAVIOR_KINDS
 
 CHANNEL_NAMES = ("consensus", "control", "data")
-
-
-def channel_for(name: str):
-    """Resolve a schedule channel name to the seam's :class:`Channel`.
-
-    Shared by both fault backends (the simulator's drop rules and the
-    live runtime's link shaper) so the two never disagree on what a
-    schedule's ``"channel": "data"`` means.
-    """
-    from repro.sim.interfaces import Channel
-
-    return {
-        "consensus": Channel.CONSENSUS,
-        "control": Channel.CONTROL,
-        "data": Channel.DATA,
-    }[name]
 
 
 @dataclass(frozen=True)
@@ -188,8 +173,14 @@ class BandwidthSqueeze(FaultEvent):
 class DelaySpike(FaultEvent):
     """Network-wide delay disturbance: every message sees ``base`` ±
     ``jitter`` one-way delay during ``[at, at + duration)``, with link
-    bandwidth scaled by ``bandwidth_factor`` (TCP goodput collapse under
-    heavy jitter — the Fig. 7 NetEm window)."""
+    bandwidth scaled by ``bandwidth_factor`` — the Fig. 7 NetEm window
+    (the paper's round trip fluctuates between 100 and 300 ms; one-way
+    figures are half).
+
+    ``bandwidth_factor`` models what heavy jitter does to TCP bulk
+    transfers: reordering is mistaken for loss, so the goodput of large
+    flows collapses while small control messages still get through (a
+    documented substitution for full TCP dynamics; see DESIGN.md)."""
 
     duration: float = 0.0
     base: float = 0.1
@@ -227,40 +218,6 @@ class SwapBehavior(FaultEvent):
                 f"behavior must be one of {BEHAVIOR_KINDS}, "
                 f"got {self.behavior!r}"
             )
-
-
-def _resolve_partitions(
-    events: Sequence[FaultEvent],
-) -> list[tuple[Partition, float, Optional[float]]]:
-    """Pair each partition with the instant it heals.
-
-    Returns ``(partition, start, end)`` triples in start order; ``end``
-    is ``None`` for partitions never healed within the schedule. This is
-    the backend-agnostic core both :meth:`FaultSchedule.windows` (metrics
-    intervals) and :meth:`FaultSchedule.shaping_spec` (live link shaping)
-    are built on; the simulator's injector realizes the same semantics
-    dynamically via drop rules.
-    """
-    resolved: list[tuple[Partition, float, Optional[float]]] = []
-    open_partitions: list[tuple[Partition, float]] = []
-    for event in events:
-        if isinstance(event, Partition):
-            if event.duration is not None:
-                resolved.append((event, event.at, event.at + event.duration))
-            else:
-                open_partitions.append((event, event.at))
-        elif isinstance(event, Heal):
-            remaining: list[tuple[Partition, float]] = []
-            for partition, start in open_partitions:
-                if event.label and partition.label != event.label:
-                    remaining.append((partition, start))
-                else:
-                    resolved.append((partition, start, event.at))
-            open_partitions = remaining
-    for partition, start in open_partitions:
-        resolved.append((partition, start, None))
-    resolved.sort(key=lambda item: item[1])
-    return resolved
 
 
 _EVENT_NAMES = {
@@ -376,53 +333,12 @@ class FaultSchedule:
 
         These are the events a live backend realizes at the *process*
         level (SIGKILL + respawn) rather than inside the network fabric;
-        everything else in the schedule is link shaping
-        (:meth:`shaping_spec`).
+        the link faults reach it as :meth:`windows`.
         """
         return [
             event for event in self.events
             if isinstance(event, (CrashReplica, RestartReplica))
         ]
-
-    def shaping_spec(self) -> list[dict]:
-        """Link-shaping windows as plain JSON-able dicts.
-
-        Partitions (heal-resolved), loss, delay, and bandwidth events
-        flatten into ``{"kind", "start", "end", ...}`` windows a
-        transport backend can evaluate per frame against its own clock —
-        the live runtime ships this list in each replica's spawn spec
-        and feeds it to :class:`repro.live.chaos.LinkShaper`. ``end`` is
-        ``None`` for windows never closed within the schedule.
-        """
-        spec: list[dict] = []
-        for partition, start, end in _resolve_partitions(self.events):
-            spec.append({
-                "kind": "partition", "start": start, "end": end,
-                "groups": [list(group) for group in partition.groups],
-            })
-        for event in self.events:
-            if isinstance(event, LossWindow):
-                spec.append({
-                    "kind": "loss", "start": event.at,
-                    "end": event.at + event.duration, "rate": event.rate,
-                    "kinds": list(event.kinds), "channel": event.channel,
-                    "nodes": list(event.nodes),
-                })
-            elif isinstance(event, DelaySpike):
-                spec.append({
-                    "kind": "delay", "start": event.at,
-                    "end": event.at + event.duration, "base": event.base,
-                    "jitter": event.jitter,
-                    "bandwidth_factor": event.bandwidth_factor,
-                })
-            elif isinstance(event, BandwidthSqueeze):
-                spec.append({
-                    "kind": "bandwidth", "start": event.at,
-                    "end": event.at + event.duration, "factor": event.factor,
-                    "nodes": list(event.nodes),
-                })
-        spec.sort(key=lambda window: window["start"])
-        return spec
 
     def validate_live(self, n: int) -> None:
         """Validate for the live backend (stricter than :meth:`validate`).
@@ -440,52 +356,59 @@ class FaultSchedule:
                     f"(swap of node {event.node} at t={event.at})"
                 )
 
-    def windows(self) -> list[FaultWindow]:
-        """Disturbance intervals for metrics reporting.
+    def windows(self) -> list[Window]:
+        """Resolve the schedule into fault windows — the one resolution.
 
-        A crash without a restart (or a partition without a heal) yields
-        an unbounded window (``end = inf``): its time-to-recover reports
-        as infinite unless commits resume anyway.
+        Start order, schedule order breaking ties. A crash runs to its
+        restart, a partition to the earlier of ``at + duration`` and the
+        first later :class:`Heal` that matches it; either is unbounded
+        (``end = inf``) when the schedule never closes it.
         """
-        windows: list[FaultWindow] = []
-        open_crashes: dict[int, float] = {}
-        for partition, start, end in _resolve_partitions(self.events):
-            windows.append(FaultWindow(
-                kind="partition", start=start,
-                end=math.inf if end is None else end,
-                nodes=tuple(sorted(
-                    node for group in partition.groups for node in group
-                )),
-                label=partition.label,
-            ))
+        windows: list[Window] = []
+        open_crashes: dict[int, int] = {}  # node -> index in ``windows``
         for event in self.events:
             if isinstance(event, CrashReplica):
-                open_crashes[event.node] = event.at
+                open_crashes[event.node] = len(windows)
+                windows.append(Window(
+                    "crash", event.at, math.inf, nodes=(event.node,),
+                ))
             elif isinstance(event, RestartReplica):
-                start = open_crashes.pop(event.node, None)
-                if start is not None:
-                    windows.append(FaultWindow(
-                        kind="crash", start=start, end=event.at,
-                        nodes=(event.node,),
-                    ))
+                index = open_crashes.pop(event.node, None)
+                if index is not None:
+                    windows[index] = replace(windows[index], end=event.at)
+            elif isinstance(event, Partition):
+                windows.append(Window(
+                    "partition", event.at,
+                    math.inf if event.duration is None
+                    else event.at + event.duration,
+                    nodes=tuple(sorted(
+                        node for group in event.groups for node in group
+                    )),
+                    label=event.label, groups=event.groups,
+                ))
+            elif isinstance(event, Heal):
+                for index, window in enumerate(windows):
+                    if (
+                        window.kind == "partition" and window.end > event.at
+                        and (not event.label or window.label == event.label)
+                    ):
+                        windows[index] = replace(window, end=event.at)
             elif isinstance(event, LossWindow):
-                windows.append(FaultWindow(
-                    kind="loss", start=event.at,
-                    end=event.at + event.duration, nodes=event.nodes,
+                windows.append(Window(
+                    "loss", event.at, event.at + event.duration,
+                    nodes=event.nodes, rate=event.rate, kinds=event.kinds,
+                    channel=event.channel,
                 ))
             elif isinstance(event, BandwidthSqueeze):
-                windows.append(FaultWindow(
-                    kind="bandwidth", start=event.at,
-                    end=event.at + event.duration, nodes=event.nodes,
+                windows.append(Window(
+                    "bandwidth", event.at, event.at + event.duration,
+                    nodes=event.nodes, factor=event.factor,
                 ))
             elif isinstance(event, DelaySpike):
-                windows.append(FaultWindow(
-                    kind="delay", start=event.at,
-                    end=event.at + event.duration,
+                windows.append(Window(
+                    "delay", event.at, event.at + event.duration,
+                    base=event.base, jitter=event.jitter,
+                    bandwidth_factor=event.bandwidth_factor,
                 ))
-        for node, start in sorted(open_crashes.items()):
-            windows.append(FaultWindow(
-                kind="crash", start=start, end=math.inf, nodes=(node,),
-            ))
         windows.sort(key=lambda window: window.start)
         return windows

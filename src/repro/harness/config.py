@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import ProtocolConfig, decode_fields, encode_fields
 from repro.durability import DurabilityConfig
 from repro.faults import FaultSchedule
-from repro.sim.topology import FluctuationWindow
 
 TOPOLOGIES = ("lan", "wan", "geo")
 SELECTORS = ("uniform", "zipf1", "zipf10")
@@ -49,9 +47,8 @@ class ExperimentConfig:
     #: for (recorded in benchmark metadata; arrivals are aggregate either
     #: way, so simulation cost does not depend on it).
     offered_clients: Optional[int] = None
-    fluctuation: Optional[FluctuationWindow] = None
-    #: Scripted fault schedule (crashes, partitions, loss windows...),
-    #: compiled onto the event queue by :class:`repro.faults.FaultInjector`.
+    #: Scripted fault schedule (crashes, partitions, loss, squeeze and
+    #: delay windows...), realised by :class:`repro.faults.FaultInjector`.
     faults: Optional[FaultSchedule] = None
     data_limiter: Optional[tuple[float, float]] = None  # (bytes/s, burst)
     #: Durable state machine (WAL + checkpoints); implies an executor on
@@ -120,14 +117,13 @@ class ExperimentConfig:
         This is the spawn-safe wire format ``repro.parallel`` and the
         live spawn spec use to hand a run to another process. Plain
         fields serialise as they are; the nested objects (protocol, fault
-        schedule, fluctuation window, durability), the int-keyed map and
-        the tuple each name their flattening here.
+        schedule, durability), the int-keyed map and the tuple each name
+        their flattening here.
         """
         return encode_fields(
             self,
             protocol=ProtocolConfig.to_dict,
             bandwidth_map=lambda m: {str(node): bw for node, bw in m.items()},
-            fluctuation=dataclasses.asdict,
             faults=FaultSchedule.to_spec,
             data_limiter=list,
             durability=DurabilityConfig.to_spec,
@@ -139,7 +135,6 @@ class ExperimentConfig:
             cls, data,
             protocol=ProtocolConfig.from_dict,
             bandwidth_map=lambda m: {int(node): bw for node, bw in m.items()},
-            fluctuation=lambda window: FluctuationWindow(**window),
             faults=FaultSchedule.from_spec,
             data_limiter=tuple,
             durability=DurabilityConfig.from_spec,

@@ -95,8 +95,6 @@ def _make_topology(config: ExperimentConfig) -> Topology:
     )
     for node, bandwidth in (config.bandwidth_map or {}).items():
         topo.set_bandwidth(node, bandwidth)
-    if config.fluctuation is not None:
-        topo.add_schedule(config.fluctuation)
     return topo
 
 
@@ -255,7 +253,6 @@ def build_experiment(
         injector = FaultInjector(
             sim=sim,
             network=network,
-            topology=topology,
             replicas=replicas,
             metrics=metrics,
             rng=rng.stream("faults"),

@@ -2,9 +2,9 @@
 
 The same declarative :class:`~repro.faults.FaultSchedule` that drives
 the simulator's :class:`~repro.faults.FaultInjector` runs here against
-OS-level reality, split along the seam
-:meth:`~repro.faults.FaultSchedule.process_events` /
-:meth:`~repro.faults.FaultSchedule.shaping_spec` draws:
+OS-level reality, split into what is an event
+(:meth:`~repro.faults.FaultSchedule.process_events`) and what is a
+window (:meth:`~repro.faults.FaultSchedule.windows`):
 
 * **Process faults** (crash/restart) are executed by
   :class:`LiveFaultInjector` inside the orchestrator: a crash is
@@ -14,7 +14,8 @@ OS-level reality, split along the seam
   chain-sync / PAB-fetch paths over re-established TCP connections.
 * **Link faults** (partition/heal, loss, delay+jitter, bandwidth
   squeeze) are evaluated per frame by :class:`LinkShaper` inside each
-  replica's :class:`~repro.live.network.LiveNetwork`. Every process
+  replica's :class:`~repro.live.network.LiveNetwork`, through the same
+  :class:`~repro.faults.LinkFaults` the simulator asks. Every process
   receives the same window list in its spawn spec and evaluates it
   against the shared wall-clock epoch, so windows open and close in
   lockstep (within clock skew) without any runtime control channel —
@@ -31,11 +32,12 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.faults.schedule import (
+from repro.faults import (
     CrashReplica,
     FaultEvent,
     FaultSchedule,
-    channel_for,
+    LinkFaults,
+    Window,
 )
 from repro.sim.interfaces import Channel
 
@@ -76,26 +78,28 @@ class _EgressBucket:
 
 
 class LinkShaper:
-    """Per-frame realization of a schedule's link-shaping windows.
+    """One process's egress under a schedule's link windows: the shared
+    :class:`~repro.faults.LinkFaults` read against this process's clock,
+    plus the token bucket that turns a bandwidth factor into hold time.
 
-    One shaper serves one process's egress. All randomness (loss coin
-    flips, delay jitter) draws from the injected ``rng``, so a seeded
-    shaper is deterministic given the same frame sequence and clock —
-    which is what the unit tests pin down. Wall-clock window activation
-    is inherently racy at the edges across processes; that imprecision
-    is the live backend's analogue of the simulator's zero-width event
-    boundaries and stays well below the window durations being modeled.
+    All randomness (loss coin flips, delay jitter) draws from the
+    injected ``rng``, so a seeded shaper is deterministic given the same
+    frame sequence and clock — which is what the unit tests pin down.
+    Wall-clock window activation is inherently racy at the edges across
+    processes; that imprecision is the live backend's analogue of the
+    simulator's zero-width event boundaries and stays well below the
+    window durations being modeled.
 
-    ``windows`` is the plain-dict list from
-    :meth:`repro.faults.FaultSchedule.shaping_spec`; ``clock`` is any
-    object with a ``now`` attribute on the shared epoch (the process's
+    ``windows`` is :meth:`repro.faults.FaultSchedule.windows` (crash
+    windows are ignored); ``clock`` is any object with a ``now``
+    attribute on the shared epoch (the process's
     :class:`~repro.live.scheduler.RealtimeScheduler`).
     """
 
     def __init__(
         self,
         node_id: int,
-        windows: Sequence[dict],
+        windows: Sequence[Window],
         clock,
         rng,
         link_bandwidth_bps: float = LIVE_LINK_BANDWIDTH_BPS,
@@ -103,109 +107,37 @@ class LinkShaper:
         self.node_id = node_id
         self._clock = clock
         self._rng = rng
+        self._faults = LinkFaults(windows, rng)
         self._bandwidth_bps = link_bandwidth_bps
         self._bucket = _EgressBucket()
         #: Frames dropped by partitions/loss windows (chaos drops, kept
         #: separate from the network's backpressure ``frames_dropped``).
         self.frames_shed = 0
-        self._partitions: list[tuple[float, float, dict, int]] = []
-        self._losses: list[
-            tuple[float, float, float, tuple, Optional[Channel], frozenset]
-        ] = []
-        self._delays: list[tuple[float, float, float, float, float]] = []
-        self._squeezes: list[tuple[float, float, float, frozenset]] = []
-        for window in windows:
-            start = window["start"]
-            end = window["end"]
-            end = float("inf") if end is None else end
-            kind = window["kind"]
-            if kind == "partition":
-                group_of: dict[int, int] = {}
-                for index, group in enumerate(window["groups"]):
-                    for node in group:
-                        group_of[node] = index
-                rest = len(window["groups"])
-                self._partitions.append((start, end, group_of, rest))
-            elif kind == "loss":
-                channel = (
-                    channel_for(window["channel"])
-                    if window.get("channel") else None
-                )
-                self._losses.append((
-                    start, end, window["rate"],
-                    tuple(window.get("kinds") or ()),
-                    channel, frozenset(window.get("nodes") or ()),
-                ))
-            elif kind == "delay":
-                self._delays.append((
-                    start, end, window["base"], window["jitter"],
-                    window["bandwidth_factor"],
-                ))
-            elif kind == "bandwidth":
-                self._squeezes.append((
-                    start, end, window["factor"],
-                    frozenset(window.get("nodes") or ()),
-                ))
-            else:
-                raise ValueError(f"unknown shaping window kind {kind!r}")
-
-    @property
-    def active(self) -> bool:
-        """Whether any window could still fire (idle shapers cost one
-        attribute check per frame on the send path)."""
-        return bool(
-            self._partitions or self._losses
-            or self._delays or self._squeezes
-        )
 
     # -- send-time decisions (synchronous) ------------------------------
 
     def drops(self, src: int, dst: int, kind: str, channel: Channel) -> bool:
         """Whether a frame ``src -> dst`` is dropped by an active window."""
-        now = self._clock.now
-        for start, end, group_of, rest in self._partitions:
-            if start <= now < end and (
-                group_of.get(src, rest) != group_of.get(dst, rest)
-            ):
-                self.frames_shed += 1
-                return True
-        for start, end, rate, kinds, loss_channel, nodes in self._losses:
-            if not start <= now < end:
-                continue
-            if loss_channel is not None and channel is not loss_channel:
-                continue
-            if nodes and src not in nodes and dst not in nodes:
-                continue
-            if kinds and not any(kind.startswith(p) for p in kinds):
-                continue
-            if self._rng.random() < rate:
-                self.frames_shed += 1
-                return True
-        return False
+        dropped = self._faults.drops(self._clock.now, src, dst, kind, channel)
+        if dropped:
+            self.frames_shed += 1
+        return dropped
 
     # -- write-time shaping (writer task) -------------------------------
 
     def write_delay(self, dst: int, size: int, channel: Channel) -> float:
         """Seconds to hold a frame before writing it to the socket.
 
-        Delay windows contribute their sampled one-way delay; bandwidth
-        squeezes (and delay windows' goodput-collapse factor) throttle
-        via the token bucket against the scaled nominal link rate.
+        An active delay window contributes its sampled one-way delay;
+        bandwidth squeezes (and delay windows' goodput-collapse factor)
+        throttle via the token bucket against the scaled nominal link
+        rate.
         """
         now = self._clock.now
-        delay = 0.0
-        bandwidth_factor = 1.0
-        for start, end, base, jitter, goodput in self._delays:
-            if start <= now < end:
-                delay += max(
-                    0.0, base + self._rng.uniform(-jitter, jitter)
-                )
-                bandwidth_factor *= goodput
-        for start, end, factor, nodes in self._squeezes:
-            if start <= now < end and (not nodes or self.node_id in nodes):
-                bandwidth_factor *= factor
-        if bandwidth_factor < 1.0:
-            rate = self._bandwidth_bps * bandwidth_factor / 8.0
+        delay = self._faults.delay(now, self._rng) or 0.0
+        factor = self._faults.bandwidth_factor(now, self.node_id)
+        if factor < 1.0:
+            rate = self._bandwidth_bps * factor / 8.0
             delay += self._bucket.delay(now, rate, size)
         return delay
 
@@ -216,9 +148,9 @@ class LiveFaultInjector:
     Runs inside the orchestrator's event loop alongside the client
     driver. ``kill``/``respawn`` are orchestrator-supplied callbacks
     (:mod:`repro.live.orchestrator` owns the process table); the
-    injector owns only the timeline and its record. Link-shaping
-    windows never appear here — they ship inside each replica's spawn
-    spec as a :class:`LinkShaper`.
+    injector owns only the timeline and its record. Link windows never
+    appear here — they ship inside each replica's spawn spec and become
+    its :class:`LinkShaper`.
     """
 
     def __init__(

@@ -15,7 +15,7 @@ first correct replica to commit reports it".
 Chaos runs (``experiment.faults``) execute the schedule's crash/restart
 timeline via :class:`~repro.live.chaos.LiveFaultInjector` — SIGKILL and
 fresh-interpreter respawn against the same port map — while its link
-faults ship to every replica as shaping windows. The merged report then
+windows ship to every replica in the spawn spec. The merged report then
 carries the same per-fault-window recovery metrics
 (:meth:`MetricsHub.fault_report`) the simulator produces, and the oracle
 replay runs over event logs streamed to disk, so even a SIGKILLed
@@ -325,7 +325,10 @@ def run_live(live: LiveConfig) -> RunResult:
             "wire_codec": live.wire_codec,
         }
         if schedule is not None:
-            shaping = schedule.shaping_spec()
+            shaping = [
+                window.to_dict() for window in schedule.windows()
+                if window.kind != "crash"
+            ]
             if shaping:
                 base_spec["shaping"] = shaping
         if config.durability is not None:

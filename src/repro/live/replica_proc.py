@@ -26,7 +26,7 @@ across crash faults (a microblock is recorded before it is broadcast —
 if it reached any peer, its creation line reached the page cache).
 
 Chaos wiring: ``spec["shaping"]`` (when present) is the schedule's
-link-shaping window list; it builds a :class:`LinkShaper` seeded from
+link windows as dicts; it builds a :class:`LinkShaper` seeded from
 ``(seed, generation, node_id)`` so loss decisions differ across respawn
 generations but replay identically for a fixed spec.
 """
@@ -40,6 +40,7 @@ import signal
 
 from repro.config import ProtocolConfig
 from repro.durability import DurabilityConfig
+from repro.faults import Window
 from repro.harness.runner import assemble_replica
 from repro.live.chaos import LinkShaper
 from repro.live.network import LiveNetwork
@@ -174,7 +175,9 @@ async def _run(spec: dict) -> dict:
     if spec.get("shaping"):
         generation = spec.get("generation", 0)
         shaper = LinkShaper(
-            spec["node_id"], spec["shaping"], scheduler,
+            spec["node_id"],
+            [Window.from_dict(window) for window in spec["shaping"]],
+            scheduler,
             random.Random(
                 (spec["seed"] << 24) | (generation << 16) | spec["node_id"]
             ),

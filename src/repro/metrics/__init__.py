@@ -1,12 +1,11 @@
 """Measurement collection: throughput, latency, bandwidth, view changes."""
 
-from repro.metrics.collector import CommitRecord, FaultWindow, MetricsHub
+from repro.metrics.collector import CommitRecord, MetricsHub
 from repro.metrics.digest import WeightedDigest, commit_sequence_hash
 
 __all__ = [
     "MetricsHub",
     "CommitRecord",
-    "FaultWindow",
     "WeightedDigest",
     "commit_sequence_hash",
 ]

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.digest import WeightedDigest
 from repro.sim.interfaces import Scheduler
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.windows import Window
 
 
 @dataclass
@@ -25,26 +28,6 @@ class CommitRecord:
     commit_time: float
     tx_count: int
     microblock_count: int
-
-
-@dataclass(frozen=True)
-class FaultWindow:
-    """One fault's active interval, for per-window recovery metrics.
-
-    ``end`` is ``math.inf`` for faults never healed within the run (a
-    crash without a restart); recovery gauges then report infinity,
-    which the fault report renders as "never".
-    """
-
-    kind: str
-    start: float
-    end: float
-    nodes: tuple[int, ...] = ()
-    label: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class MetricsHub:
@@ -67,7 +50,7 @@ class MetricsHub:
         self._forwarded_microblocks = 0
         self._fetches = 0
         self._fetches_abandoned = 0
-        self._fault_windows: list[FaultWindow] = []
+        self._fault_windows: list[Window] = []
         self._recoveries: list[dict] = []
 
     # -- recording ---------------------------------------------------------
@@ -128,8 +111,8 @@ class MetricsHub:
         """A fetch gave up after ``fetch_max_rounds`` retry rounds."""
         self._fetches_abandoned += 1
 
-    def record_fault_window(self, window: FaultWindow) -> None:
-        """Register an injected fault's active interval (FaultInjector)."""
+    def record_fault_window(self, window: Window) -> None:
+        """Register one of the fault schedule's resolved windows."""
         self._fault_windows.append(window)
 
     def record_recovery(self, node: int, info: dict) -> None:
@@ -169,7 +152,7 @@ class MetricsHub:
         return self._fetches_abandoned
 
     @property
-    def fault_windows(self) -> list[FaultWindow]:
+    def fault_windows(self) -> list[Window]:
         return sorted(self._fault_windows, key=lambda w: (w.start, w.kind))
 
     def recovery_report(self) -> list[dict]:
@@ -226,7 +209,7 @@ class MetricsHub:
 
     # -- fault-window gauges -----------------------------------------------
 
-    def time_to_recover(self, window: FaultWindow) -> float:
+    def time_to_recover(self, window: Window) -> float:
         """Seconds from the fault healing to the next commit.
 
         Measured from ``window.end`` to the first commit at or after it;
@@ -240,7 +223,7 @@ class MetricsHub:
             return math.inf
         return self._commit_times[index] - window.end
 
-    def commit_gap(self, window: FaultWindow) -> float:
+    def commit_gap(self, window: Window) -> float:
         """Longest commit-free interval overlapping the fault window.
 
         The gauge the paper's Fig. 7 discussion cares about: how long the

@@ -9,8 +9,6 @@ from repro.sim.engine import Event, Simulator, Timer
 from repro.sim.interfaces import Envelope, Scheduler, TimerHandle, Transport
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import (
-    DelaySchedule,
-    FluctuationWindow,
     Topology,
     geo_topology,
     lan_topology,
@@ -28,8 +26,6 @@ __all__ = [
     "Envelope",
     "RngRegistry",
     "Topology",
-    "DelaySchedule",
-    "FluctuationWindow",
     "lan_topology",
     "wan_topology",
     "geo_topology",

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel, Envelope, Handler, Transport
@@ -52,6 +52,9 @@ from repro.sim.interfaces import Channel, Envelope, Handler, Transport
 _env_new = Envelope.__new__
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.windows import LinkFaults
 
 __all__ = [
     "Channel", "Envelope", "Handler", "NetworkStats", "TokenBucket",
@@ -343,8 +346,9 @@ class _Uplink:
             payload = head.payload
             channel = head.channel
             enqueued_at = head.enqueued_at
-            if not topology._schedules and not topology._delay_overrides:
-                # Fast path: no active schedules or per-link overrides,
+            faults = topology.link_faults
+            if not ((faults and faults.delays) or topology._delay_overrides):
+                # Fast path: no delay windows or per-link overrides,
                 # so the delay is just base + jitter. The arithmetic
                 # replays Topology.delay + random.uniform bit for bit
                 # (uniform(a, b) is ``a + (b - a) * random()``), the
@@ -532,7 +536,7 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     ``up_share``/``down_share`` (a clean link's stored share is still
     current) and looked up by the settle loop, which makes no call per
     transfer. Otherwise ``B`` may have moved with no membership change
-    (a squeeze, a ``FluctuationWindow`` edge): every link the flush
+    (the edge of a squeeze or delay window): every link the flush
     touches is read through ``Topology.bandwidth`` at this instant and
     nothing outlives the flush.
     """
@@ -552,7 +556,6 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     now = sim._now
     bandwidth = fair.network.topology._plain_bandwidth
     if bandwidth is None:
-        fair._shares_stale = True
         up_share, down_share = {}, {}
         read = fair.network.topology.bandwidth
         for transfer in pending:
@@ -563,9 +566,6 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
                 down_share[dst] = read(dst, now=now) / len(down[dst])
     else:
         up_share, down_share = fair.up_share, fair.down_share
-        if fair._shares_stale:
-            fair._shares_stale = False
-            dirty_up = dirty_down = range(len(up))
         for node in dirty_up:
             if up[node]:
                 up_share[node] = bandwidth / len(up[node])
@@ -635,11 +635,10 @@ class _FairShareLinks:
         self._dirty_down: set[int] = set()
         self._flush_armed = False
         #: A plain topology's ``B / |active|`` per non-empty link as of
-        #: its last flush; ``_shares_stale`` says a flush ran while the
-        #: topology was not plain, so the next plain one recomputes all.
+        #: its last flush (a topology never goes back to plain: overrides
+        #: and the link-fault evaluator are installed for the whole run).
         self.up_share: list[float] = [0.0] * n
         self.down_share: list[float] = [0.0] * n
-        self._shares_stale = False
         #: Per-transfer settle/re-rate operations performed — the
         #: O(1)-amortized claim is asserted against this counter by
         #: ``tests/test_fair_share.py``.
@@ -792,8 +791,9 @@ class Network(Transport):
         self._handler_list: list[Optional[Handler]] = [None] * topology.n
         #: Receive-side CPU cost, cached off the topology (immutable).
         self._proc = topology.proc_per_message
-        #: True iff a drop filter or at least one drop rule is installed;
-        #: lets the delivery fast path skip ``_should_drop`` entirely.
+        #: True iff a drop filter is installed or the run's link faults
+        #: hold a partition or loss window; lets the delivery fast path
+        #: skip ``_should_drop`` entirely.
         self._filters_active = False
         self._fair: Optional[_FairShareLinks] = None
         self._uplinks: list[_Uplink] = []
@@ -803,8 +803,6 @@ class Network(Transport):
             self._uplinks = [_Uplink(node, self) for node in range(topology.n)]
         self._ingress = [_Ingress(node, self) for node in range(topology.n)]
         self._drop_filter: Optional[DropFilter] = None
-        self._drop_rules: dict[int, DropFilter] = {}
-        self._rule_seq = 0
         self._down: set[int] = set()
         #: now of each node's most recent crash-flush (-1.0 = never);
         #: used to discard in-flight copies the crash cut short.
@@ -831,29 +829,23 @@ class Network(Transport):
         matches a real network where loss wastes the sender's uplink.
         """
         self._drop_filter = drop_filter
-        self._filters_active = (
-            drop_filter is not None or bool(self._drop_rules)
-        )
+        self._filters_changed()
 
-    def add_drop_rule(self, rule: DropFilter) -> int:
-        """Install an *additional* drop predicate; returns a removal handle.
+    def set_link_faults(self, faults: LinkFaults) -> None:
+        """Install the evaluator of the run's link-fault windows.
 
-        Rules compose with each other and with the ``set_drop_filter``
-        predicate (a message matching any of them is dropped), which lets
-        the fault injector layer partitions and loss windows on top of a
-        user-installed filter without clobbering it.
+        The topology asks it for delay and bandwidth; delivery asks it
+        whether a partition or loss window drops the envelope, after the
+        ``set_drop_filter`` predicate, so the two compose (a message
+        matching either is dropped).
         """
-        rule_id = self._rule_seq
-        self._rule_seq += 1
-        self._drop_rules[rule_id] = rule
-        self._filters_active = True
-        return rule_id
+        self.topology.set_link_faults(faults)
+        self._filters_changed()
 
-    def remove_drop_rule(self, rule_id: int) -> None:
-        """Remove a rule installed by :meth:`add_drop_rule` (idempotent)."""
-        self._drop_rules.pop(rule_id, None)
-        self._filters_active = (
-            self._drop_filter is not None or bool(self._drop_rules)
+    def _filters_changed(self) -> None:
+        faults = self.topology.link_faults
+        self._filters_active = self._drop_filter is not None or bool(
+            faults and faults.cuts
         )
 
     def set_node_down(self, node: int) -> None:
@@ -1041,9 +1033,10 @@ class Network(Transport):
         """
         topology = self.topology
         src = envelope.src
-        if not topology._schedules and not topology._delay_overrides:
+        faults = topology.link_faults
+        if not ((faults and faults.delays) or topology._delay_overrides):
             # Fast path: identical float expressions to Topology.delay
-            # for a schedule-free, override-free topology (src != dst is
+            # for a window-free, override-free topology (src != dst is
             # guaranteed — loopback never reaches the uplink).
             delay = topology._base_delay
             jit = topology._jitter
@@ -1063,7 +1056,11 @@ class Network(Transport):
     def _should_drop(self, envelope: Envelope) -> bool:
         if self._drop_filter is not None and self._drop_filter(envelope):
             return True
-        return any(rule(envelope) for rule in self._drop_rules.values())
+        faults = self.topology.link_faults
+        return faults is not None and faults.drops(
+            self.sim._now, envelope.src, envelope.dst, envelope.kind,
+            envelope.channel,
+        )
 
     def _deliver_copy(self, envelope: Envelope) -> None:
         """Arrival of one serialized copy (fire-path callback).

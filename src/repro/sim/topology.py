@@ -1,4 +1,4 @@
-"""Network topologies: delay matrices, bandwidth maps, delay schedules.
+"""Network topologies: delay matrices, bandwidth maps, link faults.
 
 Two presets mirror the paper's testbeds (Section VII-A):
 
@@ -7,73 +7,24 @@ Two presets mirror the paper's testbeds (Section VII-A):
 * :func:`wan_topology` — "regional" deployment emulated with NetEm:
   100 Mb/s per replica, 100 ms inter-replica RTT.
 
-A :class:`DelaySchedule` layers time-varying extra delay on top of the
-base matrix; :class:`FluctuationWindow` reproduces the Fig. 7 experiment
-(a 10 s window during which every message sees 200 ms base + 100 ms
-uniform jitter instead of the normal link delay).
+A topology may hold the run's :class:`repro.faults.LinkFaults`; its
+delay windows replace the base matrix and its squeezes scale bandwidth
+while they are active (the Fig. 7 experiment is one delay window: every
+message sees 100 ms ± 50 ms one-way instead of the normal link delay).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import random
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.windows import LinkFaults
+
 GBPS = 1_000_000_000
 MBPS = 1_000_000
-
-
-class DelaySchedule:
-    """Time-varying network disturbance applied to all links.
-
-    ``sample(now, rng)`` returns ``None`` when the schedule is inactive
-    (base topology delay applies) or an absolute one-way delay in seconds
-    when it is active. ``bandwidth_factor(now)`` scales effective link
-    bandwidth (1.0 = unaffected).
-    """
-
-    def sample(self, now: float, rng: random.Random) -> Optional[float]:
-        raise NotImplementedError
-
-    def bandwidth_factor(self, now: float) -> float:
-        return 1.0
-
-
-@dataclass
-class FluctuationWindow(DelaySchedule):
-    """Uniform-jitter delay window, as injected via NetEm in Fig. 7.
-
-    During ``[start, start + duration)`` each message experiences a one-way
-    delay drawn uniformly from ``[base - jitter, base + jitter]``. The
-    paper describes the round-trip fluctuating between 100 ms and 300 ms
-    ("200 ms base with 100 ms uniform jitter"); one-way figures are half.
-
-    ``throughput_factor`` models what heavy jitter does to TCP bulk
-    transfers: reordering is mistaken for loss, so the goodput of large
-    flows collapses while small control messages still get through. The
-    prototype runs over TCP, so the simulation scales effective link
-    bandwidth by this factor inside the window (a documented substitution
-    for full TCP dynamics; see DESIGN.md).
-    """
-
-    start: float
-    duration: float
-    base: float
-    jitter: float
-    throughput_factor: float = 1.0
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.start + self.duration
-
-    def sample(self, now: float, rng: random.Random) -> Optional[float]:
-        if self.active(now):
-            return max(0.0, self.base + rng.uniform(-self.jitter, self.jitter))
-        return None
-
-    def bandwidth_factor(self, now: float) -> float:
-        return self.throughput_factor if self.active(now) else 1.0
 
 
 class Topology:
@@ -120,13 +71,15 @@ class Topology:
         self._jitter = delay_jitter
         self._default_bandwidth = float(bandwidth_bps)
         self._bandwidth_overrides: dict[int, float] = {}
-        self._bandwidth_scales: dict[int, float] = {}
         self._delay_overrides: dict[tuple[int, int], float] = {}
-        self._schedules: list[DelaySchedule] = []
+        #: Evaluator of the run's link-fault windows, asked at ``now`` by
+        #: :meth:`delay` and :meth:`bandwidth` (and by the network's
+        #: delivery path for drops); ``None`` without such windows.
+        self.link_faults: Optional[LinkFaults] = None
         #: What :meth:`bandwidth` returns for every node and instant while
-        #: no override, scale or schedule is installed, else ``None``: the
-        #: link models' one "is the topology plain" test, kept current by
-        #: the four mutators below.
+        #: no override is installed and no fault window can move it, else
+        #: ``None``: the link models' one "is the topology plain" test,
+        #: kept current by the two mutators below.
         self._plain_bandwidth: Optional[float] = (
             self._default_bandwidth if self._default_bandwidth > 1.0 else 1.0
         )
@@ -149,41 +102,16 @@ class Topology:
             raise ValueError("delay must be >= 0")
         self._delay_overrides[(src, dst)] = one_way_delay
 
-    def add_schedule(self, schedule: DelaySchedule) -> None:
-        """Layer a time-varying delay schedule over every link."""
-        self._schedules.append(schedule)
-        self._bandwidth_changed()
-
-    def scale_bandwidth(self, node: int, factor: float) -> None:
-        """Multiply ``node``'s effective egress bandwidth by ``factor``.
-
-        Used by fault injection (bandwidth squeezes); repeated calls
-        stack multiplicatively, so overlapping windows compose.
-        """
-        self._check_node(node)
-        if factor <= 0:
-            raise ValueError(f"bandwidth factor must be > 0, got {factor}")
-        self._bandwidth_scales[node] = (
-            self._bandwidth_scales.get(node, 1.0) * factor
-        )
-        self._bandwidth_changed()
-
-    def unscale_bandwidth(self, node: int, factor: float) -> None:
-        """Undo one matching :meth:`scale_bandwidth` call."""
-        self._check_node(node)
-        if factor <= 0:
-            raise ValueError(f"bandwidth factor must be > 0, got {factor}")
-        current = self._bandwidth_scales.get(node, 1.0) / factor
-        if abs(current - 1.0) < 1e-12:
-            self._bandwidth_scales.pop(node, None)
-        else:
-            self._bandwidth_scales[node] = current
+    def set_link_faults(self, faults: LinkFaults) -> None:
+        """Hold the evaluator of the run's link-fault windows."""
+        self.link_faults = faults
         self._bandwidth_changed()
 
     def _bandwidth_changed(self) -> None:
+        faults = self.link_faults
         self._plain_bandwidth = None if (
-            self._bandwidth_overrides or self._bandwidth_scales
-            or self._schedules
+            self._bandwidth_overrides
+            or (faults is not None and (faults.squeezes or faults.delays))
         ) else max(self._default_bandwidth, 1.0)
 
     # -- queries -----------------------------------------------------------
@@ -191,15 +119,14 @@ class Topology:
     def bandwidth(self, node: int, now: Optional[float] = None) -> float:
         """Egress bandwidth of ``node`` in bits per second.
 
-        When ``now`` is given, active delay schedules may scale the
-        effective bandwidth (TCP goodput collapse under heavy jitter).
+        When ``now`` is given, the fault windows active at that instant
+        scale it: bandwidth squeezes, and delay windows' goodput factor
+        (TCP goodput collapse under heavy jitter).
         """
         self._check_node(node)
         base = self._bandwidth_overrides.get(node, self._default_bandwidth)
-        base *= self._bandwidth_scales.get(node, 1.0)
-        if now is not None:
-            for schedule in self._schedules:
-                base *= schedule.bandwidth_factor(now)
+        if now is not None and self.link_faults is not None:
+            base *= self.link_faults.bandwidth_factor(now, node)
         return max(base, 1.0)
 
     def base_delay(self, src: int, dst: int) -> float:
@@ -213,11 +140,11 @@ class Topology:
     def delay(self, src: int, dst: int, now: float, rng: random.Random) -> float:
         """One-way delay for a message sent now on the (src, dst) link.
 
-        Active delay schedules take precedence over the base matrix, which
-        models a network-wide disturbance (the Fig. 7 NetEm window).
+        An active delay window takes precedence over the base matrix,
+        which models a network-wide disturbance (the Fig. 7 NetEm window).
         """
-        for schedule in self._schedules:
-            sampled = schedule.sample(now, rng)
+        if self.link_faults is not None:
+            sampled = self.link_faults.delay(now, rng)
             if sampled is not None:
                 return sampled
         base = self.base_delay(src, dst)

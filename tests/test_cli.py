@@ -78,9 +78,12 @@ def test_disturbance_window(capsys):
     code = run_cli([
         "--preset", "S-HS", "--n", "4", "--topology", "wan",
         "--rate", "1000", "--duration", "2.0", "--warmup", "0.5",
-        "--batch-bytes", "1024", "--disturb", "1.0", "0.5",
+        "--batch-bytes", "1024", "--faults",
+        '[{"event": "delay", "at": 1.0, "duration": 0.5, "base": 0.1, '
+        '"jitter": 0.05, "bandwidth_factor": 0.15}]',
     ])
     assert code == 0
+    assert "delay" in capsys.readouterr().out  # its fault-window row
 
 
 def test_profile_flag_prints_hot_functions(capsys):

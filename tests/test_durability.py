@@ -261,6 +261,24 @@ def test_wal_truncates_after_checkpoint(tmp_path):
     store.close()
 
 
+def test_reopen_below_the_checkpoint_interval_recovers_from_the_wal(tmp_path):
+    """Checkpointing above the block count: nothing to install, so the
+    re-open replays every record and says so (the retired recovery
+    bench's wal-only case)."""
+    blocks = make_blocks(6)
+    config = DurabilityConfig(fsync="off", checkpoint_interval=len(blocks) + 1)
+    store = DurableKVStore(str(tmp_path), config=config)
+    for block in blocks:
+        store.apply_block(block)
+    digest = store.state_digest()
+    reopened = store.reopen()
+    assert reopened.recovery.source == "wal"
+    assert reopened.recovery.wal_blocks_replayed == len(blocks)
+    assert reopened.last_height == len(blocks)
+    assert reopened.state_digest() == digest
+    reopened.close()
+
+
 def test_stale_wal_prefix_skipped_by_height(tmp_path):
     """Crash between checkpoint and truncate leaves the full WAL behind;
     recovery must not double-apply the checkpointed prefix."""

@@ -6,8 +6,12 @@ active transfers split uplink/downlink capacity evenly, with rates
 recomputed only when a transfer starts or finishes.
 """
 
+import math
+import random
+
 import pytest
 
+from repro.faults import LinkFaults, Window
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel, Network
 from repro.sim.rng import RngRegistry
@@ -16,18 +20,20 @@ from repro.sim.topology import Topology
 
 def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
              scaled=False, **kwargs):
-    """``scaled`` reaches the same bandwidths through ``scale_bandwidth``
-    (twice the base, halved per node — exact in binary floating point),
-    so the link model reads ``Topology.bandwidth`` at every flush
-    instead of the plain topology's stored shares."""
+    """``scaled`` reaches the same bandwidths through a run-long squeeze
+    window (twice the base, halved on every node — exact in binary
+    floating point), so the link model reads ``Topology.bandwidth`` at
+    every flush instead of the plain topology's stored shares."""
     topology = Topology(
         n=n, one_way_delay=delay,
         bandwidth_bps=bandwidth * 2 if scaled else bandwidth,
         delay_jitter=jitter, proc_per_message=proc,
     )
     if scaled:
-        for node in range(n):
-            topology.scale_bandwidth(node, 0.5)
+        topology.set_link_faults(LinkFaults(
+            [Window("bandwidth", 0.0, math.inf, factor=0.5)],
+            random.Random(0),
+        ))
     sim = Simulator()
     network = Network(
         sim, topology, RngRegistry(7), link_model="fair-share", **kwargs
@@ -213,8 +219,9 @@ def test_settle_flush_is_batched_per_instant():
 def _burst(squeeze):
     """Three senders each fan out 100 KB bodies through two DATA slots
     and send replica 3 a vote, over jittered links; with ``squeeze``
-    replica 0 drops to a quarter of its bandwidth from 0.1 s to 0.3 s
-    (under live transfers) while replica 3 joins in. Returns the exact
+    a squeeze window takes replica 0 to a quarter of its bandwidth from
+    0.1 s to 0.3 s (under live transfers) while replica 3 joins in;
+    nothing is scheduled at either edge. Returns the exact
     delivery instants, the settle count and the nodes whose bandwidth
     was read through ``Topology.bandwidth``."""
     topology = Topology(
@@ -237,11 +244,12 @@ def _burst(squeeze):
         network.broadcast(src, "mb", 100_000, None)
         network.send(src, 3, "vote", 2_000, None, Channel.CONSENSUS)
     if squeeze:
+        network.set_link_faults(LinkFaults(
+            [Window("bandwidth", 0.1, 0.3, factor=0.25, nodes=(0,))],
+            random.Random(0),
+        ))
         sim.run_until(0.1)
-        topology.scale_bandwidth(0, 0.25)
         network.broadcast(3, "mb", 50_000, None)
-        sim.run_until(0.3)
-        topology.unscale_bandwidth(0, 0.25)
     sim.run()
     return times, network._fair.settle_ops, reads
 
@@ -267,9 +275,10 @@ def test_squeeze_mid_burst_reproduces_recorded_delivery_times():
         0.5187675043060935, 0.5371589959139867, 0.5756594404739531,
     ]
     assert settle_ops == 43
-    # Read while squeezed, once per touched link per flush (the parent
-    # read twice per settle), and not at all once the squeeze is over.
-    assert 0 < len(reads) < settle_ops
+    # A topology that holds a squeeze window is never plain: bandwidth
+    # is read once per touched link per flush for the whole run, never
+    # twice per settle (what 4b99379 did).
+    assert 0 < len(reads) < 2 * settle_ops
 
 
 def test_fair_share_runs_are_deterministic():

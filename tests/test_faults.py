@@ -6,6 +6,7 @@ partition recommits its backlog, and safety (per-height agreement) holds
 under randomized fault schedules.
 """
 
+import json
 import math
 import random
 
@@ -17,10 +18,12 @@ from repro.faults import (
     DelaySpike,
     FaultSchedule,
     Heal,
+    LinkFaults,
     LossWindow,
     Partition,
     RestartReplica,
     SwapBehavior,
+    Window,
 )
 from repro.harness import (
     ExperimentConfig,
@@ -28,7 +31,6 @@ from repro.harness import (
     run_experiment,
     tuned_protocol,
 )
-from repro.metrics import FaultWindow
 from repro.replica.behavior import CensoringSender, SilentReplica
 from tests.helpers import make_cluster
 
@@ -109,7 +111,7 @@ class TestFaultSchedule:
             CrashReplica(at=5.0, node=1),  # never restarted
         ])
         windows = schedule.windows()
-        assert windows[0] == FaultWindow(
+        assert windows[0] == Window(
             kind="crash", start=2.0, end=4.0, nodes=(3,)
         )
         assert windows[1].start == 5.0
@@ -124,6 +126,54 @@ class TestFaultSchedule:
         windows = {w.label: w for w in schedule.windows()}
         assert windows["a"].end == 3.0
         assert math.isinf(windows["b"].end)
+
+    def test_labelled_heal_ends_a_partition_before_its_duration(self):
+        # The simulator always healed at the Heal; the metrics window
+        # and the live shaping window used to run on to at + duration.
+        schedule = FaultSchedule([
+            Partition(at=1, duration=5, groups=((0, 1),), label="x"),
+            Heal(at=2, label="x"),
+        ])
+        (window,) = schedule.windows()
+        assert (window.start, window.end) == (1, 2)
+        # A Heal that comes after the duration ran out changes nothing,
+        # and neither does one for another label.
+        for heal in (Heal(at=7, label="x"), Heal(at=2, label="y")):
+            (window,) = FaultSchedule([
+                Partition(at=1, duration=5, groups=((0, 1),), label="x"),
+                heal,
+            ]).windows()
+            assert window.end == 6
+
+    def test_windows_carry_their_kind_parameters_and_round_trip(self):
+        schedule = FaultSchedule([
+            LossWindow(at=2.0, duration=1.0, rate=0.2, channel="data",
+                       kinds=("mb",), nodes=(1,)),
+            Partition(at=2.0, groups=((0, 1), (2,))),
+            BandwidthSqueeze(at=1.0, duration=2.0, factor=0.1, nodes=(0,)),
+            DelaySpike(at=0.5, duration=1.0, base=0.1, jitter=0.05,
+                       bandwidth_factor=0.15),
+        ])
+        windows = schedule.windows()
+        # Start order; schedule order where starts tie (loss, partition).
+        assert [w.kind for w in windows] == [
+            "delay", "bandwidth", "loss", "partition",
+        ]
+        delay, squeeze, loss, partition = windows
+        assert (delay.base, delay.jitter, delay.bandwidth_factor) == (
+            0.1, 0.05, 0.15,
+        )
+        assert (squeeze.factor, squeeze.nodes, squeeze.end) == (0.1, (0,), 3.0)
+        assert (loss.rate, loss.channel, loss.kinds, loss.nodes) == (
+            0.2, "data", ("mb",), (1,),
+        )
+        assert partition.groups == ((0, 1), (2,))
+        assert partition.nodes == (0, 1, 2) and math.isinf(partition.end)
+        # The live spawn spec form: JSON-able, inf <-> None.
+        for window in windows:
+            wire = json.loads(json.dumps(window.to_dict()))
+            assert Window.from_dict(wire) == window
+        assert partition.to_dict()["end"] is None
 
 
 # -- crash / restart lifecycle ------------------------------------------
@@ -204,21 +254,109 @@ def test_partition_stalls_commits_and_heal_recommits_backlog():
 
 
 def test_partition_composes_with_user_drop_filter():
-    exp = make_cluster(rate_tps=0.0, duration=2.0)
+    schedule = FaultSchedule([
+        Partition(at=0.0, duration=1.0, groups=((0, 1),)),
+    ])
+    exp = make_cluster(rate_tps=0.0, duration=2.0, faults=schedule)
     net = exp.network
     seen = []
-    net.set_drop_filter(lambda env: False)  # user filter stays installed
-    rule_id = net.add_drop_rule(
-        lambda env: seen.append(env.kind) or False
-    )
+    # The user filter runs first and stays installed next to the window.
+    net.set_drop_filter(lambda env: seen.append((env.src, env.dst)) or False)
     from repro.types import TxBatch
     exp.replicas[0].on_client_batch(
         TxBatch(count=4, payload_bytes=128, mean_arrival=0.0)
     )
+    exp.sim.run_until(0.9)
+    crossing = [pair for pair in seen if (pair[0] < 2) != (pair[1] < 2)]
+    assert crossing and len(crossing) < len(seen)
+    assert net.stats.messages_dropped == len(crossing)
+    # Taking the user filter out leaves the partition in force...
+    net.set_drop_filter(None)
+    exp.replicas[0].on_client_batch(
+        TxBatch(count=4, payload_bytes=128, mean_arrival=0.9)
+    )
+    exp.sim.run_until(0.99)
+    assert net.stats.messages_dropped > len(crossing)
+    # ...until its window closes.
     exp.sim.run_until(1.0)
-    assert seen  # rule saw traffic alongside the user filter
-    net.remove_drop_rule(rule_id)
-    net.remove_drop_rule(rule_id)  # idempotent
+    healed = net.stats.messages_dropped
+    exp.sim.run_until(2.0)
+    assert net.stats.messages_dropped == healed
+
+
+def test_healed_early_partition_reports_recovery_from_the_heal():
+    schedule = FaultSchedule([
+        Partition(at=1.0, duration=5.0, groups=((0, 1),), label="x"),
+        Heal(at=2.0, label="x"),
+    ])
+    exp = make_cluster(
+        rate_tps=2000, duration=6.0, faults=schedule,
+        protocol_overrides={"view_timeout": 0.5},
+    )
+    exp.sim.run_until(6.0)
+    hub = exp.metrics
+    (row,) = hub.fault_report()
+    assert (row["start"], row["end"]) == (1.0, 2.0)
+    # No quorum across {0,1} | {2,3} until the heal, commits after it:
+    # time-to-recover runs from t=2, not from the unused t=6.
+    times = [record.commit_time for record in hub.commits]
+    assert not [t for t in times if 1.1 < t < 2.0]
+    first = min(t for t in times if t >= 2.0)
+    assert row["time_to_recover"] == first - 2.0
+    assert first < 4.0 and row["commit_gap"] >= first - 1.1
+
+
+# -- window boundaries ---------------------------------------------------
+
+
+def test_window_is_half_open_on_the_callers_clock():
+    faults = LinkFaults([
+        Window("loss", 1.0, 2.0, rate=1.0),
+        Window("bandwidth", 1.0, 2.0, factor=0.5),
+        Window("delay", 1.0, 2.0, base=0.2),
+    ], random.Random(1))
+    rng = random.Random(2)
+
+    def decisions(now):
+        return (
+            faults.drops(now, 0, 1, "mb", None),
+            faults.delay(now, rng),
+            faults.bandwidth_factor(now, 0),
+        )
+
+    outside = (False, None, 1.0)
+    inside = (True, 0.2, 0.5)
+    assert decisions(math.nextafter(1.0, 0.0)) == outside
+    assert decisions(1.0) == inside  # exactly start: inside
+    assert decisions(math.nextafter(2.0, 0.0)) == inside
+    assert decisions(2.0) == outside  # exactly end: outside
+
+
+def test_window_opening_at_a_delivery_instant_applies_to_it():
+    from repro.sim.engine import Simulator
+    from repro.sim.network import Network
+    from repro.sim.rng import RngRegistry
+    from repro.sim.topology import Topology
+
+    sim = Simulator()
+    network = Network(
+        sim, Topology(n=2, one_way_delay=0.5, bandwidth_bps=8e6),
+        RngRegistry(3),
+    )
+    arrived = []
+    for node in range(2):
+        network.register(node, lambda env: arrived.append(sim.now))
+    network.set_link_faults(LinkFaults(
+        [Window("loss", 0.5, 1.0, rate=1.0)], random.Random(4),
+    ))
+    # Zero-size frames leave at once and arrive one delay later: the
+    # first lands at exactly the window's start, the second at its end.
+    network.send(0, 1, "ping", 0, None)
+    sim.run_until(0.5)
+    network.send(0, 1, "ping", 0, None)
+    sim.run()
+    assert arrived == [1.0]
+    assert network.stats.messages_dropped == 1
 
 
 # -- loss / squeeze windows ---------------------------------------------
@@ -248,10 +386,10 @@ def test_bandwidth_squeeze_scales_and_restores():
     exp = make_cluster(rate_tps=0.0, duration=3.0, faults=schedule)
     topo = exp.topology
     full = topo.bandwidth(0)
-    exp.sim.run_until(1.5)
-    assert topo.bandwidth(0) == pytest.approx(0.1 * full)
-    exp.sim.run_until(2.5)
-    assert topo.bandwidth(0) == pytest.approx(full)
+    assert topo.bandwidth(0, now=0.5) == full
+    assert topo.bandwidth(0, now=1.5) == pytest.approx(0.1 * full)
+    assert topo.bandwidth(1, now=1.5) == full  # squeeze names node 0 only
+    assert topo.bandwidth(0, now=2.5) == full
 
 
 def test_overlapping_squeezes_stack_multiplicatively():
@@ -262,12 +400,10 @@ def test_overlapping_squeezes_stack_multiplicatively():
     exp = make_cluster(rate_tps=0.0, duration=4.0, faults=schedule)
     topo = exp.topology
     full = topo.bandwidth(0)
-    exp.sim.run_until(2.0)
-    assert topo.bandwidth(0) == pytest.approx(0.25 * full)
-    exp.sim.run_until(2.7)
-    assert topo.bandwidth(0) == pytest.approx(0.5 * full)
-    exp.sim.run_until(3.5)
-    assert topo.bandwidth(0) == pytest.approx(full)
+    assert topo.bandwidth(0, now=2.0) == pytest.approx(0.25 * full)
+    # One window closed: exactly the other's factor, not (f1*f2)/f1.
+    assert topo.bandwidth(0, now=2.7) == 0.5 * full
+    assert topo.bandwidth(0, now=3.5) == full
 
 
 def test_delay_spike_raises_link_delay_inside_window():

@@ -10,25 +10,27 @@ under crash + partition + loss (shard scope), and the Streamlet engine
 over Stratus. Three run ``link_model="fair-share"`` and were recorded on
 the parent of the per-link share rewrite (PR 16): the ledger's crash
 cell at a short horizon, a bandwidth squeeze that takes the topology
-plain -> scaled -> plain under live transfers, and the same squeeze with
-a ``FluctuationWindow`` (which stays in the topology's schedule list, so
-that run never sees a plain topology and its bandwidth moves with
-``now`` alone).
+plain -> scaled -> plain under live transfers, and the same squeeze
+followed by a delay window with a goodput factor (recorded with that
+window passed through the config field that was a second spelling of
+``faults=[DelaySpike]``; it is a ``DelaySpike`` since the two became
+one). Five more run the chaos presets under ``link_model="serial"`` and
+were recorded on 1db3b65, the parent of the one-fault-realisation
+collapse, where partitions and loss windows were drop rules installed
+and removed by queue events and a squeeze multiplied the topology's
+bandwidth at one event and divided it back at another.
 
 A change that is *meant* to move behaviour re-records the hash here and
 justifies it with the ledger diff in CHANGES.md.
 """
 
-from typing import Optional
-
 import pytest
 
 from repro.config import ProtocolConfig, ShardingConfig
-from repro.faults import BandwidthSqueeze, FaultSchedule
+from repro.faults import BandwidthSqueeze, DelaySpike, FaultSchedule
 from repro.harness.config import ExperimentConfig
 from repro.harness.presets import chaos_schedule, tuned_protocol
 from repro.harness.runner import build_experiment
-from repro.sim.topology import FluctuationWindow
 from repro.verification import standard_suite
 
 QUICK = {
@@ -91,28 +93,39 @@ def _shs_wan_fair_skew_crash() -> ExperimentConfig:
     )
 
 
-def _shs_wan_fair_squeeze(
-    fluctuation: Optional[FluctuationWindow] = None,
-) -> ExperimentConfig:
+def _shs_wan_fair_squeeze(*more_faults) -> ExperimentConfig:
     protocol = ProtocolConfig(
         n=4, mempool="stratus", consensus="hotstuff", **QUICK,
     )
     return ExperimentConfig(
         protocol=protocol, topology_kind="wan", link_model="fair-share",
         bandwidth_bps=10e6, rate_tps=2000.0, duration=4.0, warmup=0.5,
-        seed=13, fluctuation=fluctuation,
+        seed=13,
         faults=FaultSchedule([
             BandwidthSqueeze(at=1.0, duration=1.0, factor=0.2, nodes=(0, 1)),
+            *more_faults,
         ]),
         label="golden-shs4-wan-fair-squeeze",
     )
 
 
 def _shs_wan_fair_squeeze_fluctuation() -> ExperimentConfig:
-    return _shs_wan_fair_squeeze(FluctuationWindow(
-        start=2.5, duration=1.0, base=0.06, jitter=0.03,
-        throughput_factor=0.5,
+    return _shs_wan_fair_squeeze(DelaySpike(
+        at=2.5, duration=1.0, base=0.06, jitter=0.03, bandwidth_factor=0.5,
     ))
+
+
+def _shs_preset(name: str, duration: float = 5.0):
+    def build() -> ExperimentConfig:
+        protocol = ProtocolConfig(
+            n=7, mempool="stratus", consensus="hotstuff", **QUICK,
+        )
+        return ExperimentConfig(
+            protocol=protocol, rate_tps=1000.0, duration=duration,
+            warmup=0.5, seed=5, bandwidth_bps=10e6,
+            faults=chaos_schedule(name, 7), label=f"golden-shs7-{name}",
+        )
+    return build
 
 
 #: (config builder, commit hash, committed tx in the window) — recorded
@@ -156,6 +169,33 @@ GOLDEN = {
         _shs_wan_fair_squeeze_fluctuation,
         "bed0a834aaec0b743d5c63e7b83fc3055ed31ffc54bfaf7eaf01cd1067fb989a",
         5260,
+    ),
+    # The five chaos presets under serial links, recorded on 1db3b65.
+    "shs7-preset-crash-restart": (
+        _shs_preset("crash-restart"),
+        "f3ae88268372fd313290cb059254543cb31990056f6ced5c9ed597998005f8bb",
+        5173,
+    ),
+    "shs7-preset-crash-partition": (
+        _shs_preset("crash-partition"),
+        "dedc752234c7ef58a59012240070312f65c8b0ddf3d7f7fafcafebbff73ace51",
+        5169,
+    ),
+    # 16 s, so the window (t = 5 s to 15 s) opens and closes in the run.
+    "shs7-preset-fig7-disturbance": (
+        _shs_preset("fig7-disturbance", duration=15.5),
+        "55b0a4aea92cdf65031ff66f18be928c6216805253b2516c738b5d4d285e9353",
+        5156,
+    ),
+    "shs7-preset-flaky-data": (
+        _shs_preset("flaky-data"),
+        "6270d87efc2dcb3a2e1d953b95471d7ff469aeb345bce7388268b72cfbcbe453",
+        5460,
+    ),
+    "shs7-preset-leader-squeeze": (
+        _shs_preset("leader-squeeze"),
+        "a1445c8c3eb19e2ccad04e95ccc54b54a465fa09ab284c788caaf860a458e90f",
+        5460,
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.durability import DurabilityConfig
+from repro.faults import DelaySpike, FaultSchedule
 from repro.harness import (
     ExperimentConfig,
     NetBenchConfig,
@@ -18,7 +19,6 @@ from repro.harness import (
     tuned_protocol,
 )
 from repro.harness.report import format_series, format_table, mbps
-from repro.sim.topology import FluctuationWindow
 from repro.replica.behavior import (
     CensoringSender,
     HonestBehavior,
@@ -142,10 +142,10 @@ def recorded_configs():
                 "SS-HS", 16, "lan", sharding=ShardingConfig(shards=4),
             ),
             bandwidth_bps=100e6, bandwidth_map={3: 5e6, 11: 2.5e7},
-            fluctuation=FluctuationWindow(
-                start=2.0, duration=1.5, base=0.1, jitter=0.05,
-                throughput_factor=0.15,
-            ),
+            faults=FaultSchedule([DelaySpike(
+                at=2.0, duration=1.5, base=0.1, jitter=0.05,
+                bandwidth_factor=0.15,
+            )]),
             data_limiter=(1.25e6, 65_536.0),
             durability=DurabilityConfig(
                 fsync="interval", checkpoint_interval=8,
@@ -161,18 +161,31 @@ def recorded_configs():
     }
 
 
-#: Fields deleted since the recording (options nothing ever set).
+#: Fields deleted since the recording: options nothing ever set, and
+#: ``fluctuation``, a second spelling of ``faults=[DelaySpike]``.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
-    "estimator_percentile",
+    "estimator_percentile", "fluctuation",
 }
 
 
 def without_deleted(data):
-    return {
+    """The recorded dict as today's codec spells it: deleted keys gone,
+    and a ``fluctuation`` window as the one-``delay``-event schedule
+    that replaced it."""
+    kept = {
         key: without_deleted(value) if key == "protocol" else value
         for key, value in data.items() if key not in DELETED_KEYS
     }
+    window = data.get("fluctuation")
+    if window is not None:
+        assert kept["faults"] is None
+        kept["faults"] = FaultSchedule([DelaySpike(
+            at=window["start"], duration=window["duration"],
+            base=window["base"], jitter=window["jitter"],
+            bandwidth_factor=window["throughput_factor"],
+        )]).to_spec()
+    return kept
 
 
 class TestConfigCodec:

@@ -11,19 +11,25 @@ from repro.config import ProtocolConfig
 from repro.harness.config import ExperimentConfig
 from repro.harness.presets import chaos_schedule, resolve_fault_spec
 from repro.faults import (
+    DelaySpike,
     FaultSchedule,
     Heal,
+    LinkFaults,
     LossWindow,
     Partition,
     SwapBehavior,
+    Window,
 )
 from repro.live.chaos import LinkShaper, LIVE_LINK_BANDWIDTH_BPS
 from repro.live.network import DATA_QUEUE_CAP, LiveNetwork, _PeerLink
 from repro.live.orchestrator import LiveConfig, allocate_ports, run_live
 from repro.live.scheduler import RealtimeScheduler
 from repro.mempool.base import MessageKinds
-from repro.sim.interfaces import Channel
-from repro.sim.network import NetworkStats
+from repro.sim.engine import Simulator
+from repro.sim.interfaces import Channel, Envelope
+from repro.sim.network import Network, NetworkStats
+from repro.sim.rng import RngRegistry
+from repro.sim.topology import Topology
 
 
 class _Clock:
@@ -42,7 +48,7 @@ def _shaper(windows, node_id=0, seed=7, clock=None):
 def test_shaper_partition_drops_cross_group_frames_only():
     windows = FaultSchedule([
         Partition(at=1.0, duration=2.0, groups=((0, 1),)),
-    ]).shaping_spec()
+    ]).windows()
     clock = _Clock(1.5)
     shaper = _shaper(windows, clock=clock)
     # 0 and 1 share a group; 2 and 3 fall into the implicit rest group.
@@ -60,7 +66,7 @@ def test_shaper_heal_closes_the_partition_window():
     windows = FaultSchedule([
         Partition(at=1.0, duration=None, groups=((0, 1),)),
         Heal(at=4.0),
-    ]).shaping_spec()
+    ]).windows()
     clock = _Clock(2.0)
     shaper = _shaper(windows, clock=clock)
     assert shaper.drops(0, 2, MessageKinds.VOTE, Channel.CONSENSUS)
@@ -71,7 +77,7 @@ def test_shaper_heal_closes_the_partition_window():
 def test_shaper_loss_respects_channel_filter_and_seed():
     windows = FaultSchedule([
         LossWindow(at=0.0, duration=10.0, rate=0.5, channel="data"),
-    ]).shaping_spec()
+    ]).windows()
 
     def run(seed):
         shaper = _shaper(windows, seed=seed, clock=_Clock(1.0))
@@ -99,10 +105,7 @@ def test_shaper_loss_respects_channel_filter_and_seed():
 def test_shaper_delay_window_samples_base_plus_jitter():
     # Pure latency spike: bandwidth_factor 1.0 keeps the token bucket
     # out, so the sampled hold time is exactly base ± jitter.
-    windows = [{
-        "kind": "delay", "start": 1.0, "end": 2.0,
-        "base": 0.1, "jitter": 0.05, "bandwidth_factor": 1.0,
-    }]
+    windows = [Window("delay", 1.0, 2.0, base=0.1, jitter=0.05)]
     clock = _Clock(1.5)
     shaper = _shaper(windows, clock=clock)
     for _ in range(32):
@@ -113,10 +116,7 @@ def test_shaper_delay_window_samples_base_plus_jitter():
 
 
 def test_shaper_bandwidth_squeeze_throttles_via_token_bucket():
-    windows = [{
-        "kind": "bandwidth", "start": 0.0, "end": 100.0,
-        "factor": 0.1, "nodes": [0],
-    }]
+    windows = [Window("bandwidth", 0.0, 100.0, factor=0.1, nodes=(0,))]
     clock = _Clock(1.0)
     shaper = _shaper(windows, node_id=0, clock=clock)
     rate = LIVE_LINK_BANDWIDTH_BPS * 0.1 / 8.0  # shaped bytes/s
@@ -130,6 +130,62 @@ def test_shaper_bandwidth_squeeze_throttles_via_token_bucket():
     assert other.write_delay(1, 1024 * 1024, Channel.DATA) == 0.0
 
 
+# -- one evaluator under both backends ---------------------------------------
+
+def _sim_network(windows, rng, now):
+    """The simulator's side of the same windows: a network whose
+    topology holds the evaluator, with the clock advanced to ``now``."""
+    sim = Simulator()
+    network = Network(
+        sim, Topology(n=4, one_way_delay=0.01, bandwidth_bps=1e9),
+        RngRegistry(1),
+    )
+    network.set_link_faults(LinkFaults(windows, rng))
+    sim.run_until(now)
+    return network
+
+
+def test_overlapping_delay_windows_give_the_first_ones_delay():
+    # The shaper used to add the two up (0.30000000000000004 s).
+    windows = FaultSchedule([
+        DelaySpike(at=1.0, duration=4.0, base=0.1),
+        DelaySpike(at=2.0, duration=1.0, base=0.2),
+    ]).windows()
+    shaper = _shaper(windows, clock=_Clock(2.5))
+    assert shaper.write_delay(1, 1024, Channel.DATA) == 0.1
+    topology = _sim_network(windows, random.Random(7), 2.5).topology
+    assert topology.delay(0, 1, 2.5, random.Random(3)) == 0.1
+
+
+def test_loss_window_opened_before_a_partition_draws_its_coin_first():
+    # Windows are tested in start order on both backends; the shaper
+    # used to test every partition first and leave the coin unflipped.
+    windows = FaultSchedule([
+        LossWindow(at=0.0, duration=10.0, rate=0.5),
+        Partition(at=1.0, duration=9.0, groups=((0, 1),)),
+    ]).windows()
+    frames = 16
+    flipped = random.Random(7)
+    for _ in range(frames):
+        flipped.random()
+
+    rng = random.Random(7)
+    shaper = LinkShaper(0, windows, _Clock(2.0), rng)
+    assert all(
+        shaper.drops(0, 2, MessageKinds.VOTE, Channel.CONSENSUS)
+        for _ in range(frames)
+    )
+    assert rng.getstate() == flipped.getstate()
+
+    rng = random.Random(7)
+    network = _sim_network(windows, rng, 2.0)
+    envelope = Envelope(
+        0, 2, MessageKinds.VOTE, 64, None, Channel.CONSENSUS, 2.0
+    )
+    assert all(network._should_drop(envelope) for _ in range(frames))
+    assert rng.getstate() == flipped.getstate()
+
+
 # -- schedule plumbing -------------------------------------------------------
 
 def test_resolve_fault_spec_shares_one_grammar():
@@ -138,7 +194,7 @@ def test_resolve_fault_spec_shares_one_grammar():
     inline = resolve_fault_spec(
         '[{"event": "loss", "at": 1.0, "duration": 2.0, "rate": 0.5}]', 4
     )
-    assert inline.shaping_spec()[0]["kind"] == "loss"
+    assert inline.windows()[0].kind == "loss"
     with pytest.raises(ValueError, match="not found"):
         resolve_fault_spec("@/nonexistent/schedule.json", 4)
     with pytest.raises(ValueError):
@@ -167,8 +223,10 @@ def test_every_chaos_preset_splits_cleanly_for_live():
     ):
         schedule = chaos_schedule(name, 4)
         schedule.validate_live(4)
-        split = len(schedule.process_events()) + len(schedule.shaping_spec())
-        assert split == len(schedule.events)
+        link = [w for w in schedule.windows() if w.kind != "crash"]
+        assert len(schedule.process_events()) + len(link) == len(
+            schedule.events
+        )
 
 
 # -- backpressure / reconnection units ---------------------------------------

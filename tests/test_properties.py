@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,20 +11,32 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.crypto import sign
 from repro.durability import DurabilityConfig
+from repro.faults import (
+    BandwidthSqueeze,
+    DelaySpike,
+    FaultSchedule,
+    Heal,
+    LinkFaults,
+    LossWindow,
+    Partition,
+)
 from repro.harness import (
     CHAOS_PRESET_NAMES,
     ExperimentConfig,
     NetBenchConfig,
     chaos_schedule,
 )
+from repro.live.chaos import LIVE_LINK_BANDWIDTH_BPS, LinkShaper
 from repro.parallel import JobSpec, experiment_job
-from repro.sim.topology import FluctuationWindow
 from repro.metrics import WeightedDigest
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import NetworkScope
 from repro.sim.engine import Simulator
-from repro.sim.network import TokenBucket
+from repro.sim.interfaces import Channel, Envelope
+from repro.sim.network import Network, TokenBucket
+from repro.sim.rng import RngRegistry
+from repro.sim.topology import Topology
 from repro.types import TxBatch
 from repro.types.microblock import MicroBlock
 from repro.workload import ZipfSelector, zipf_weights
@@ -312,15 +326,18 @@ def experiment_configs(draw):
         link_model="fair-share" if fair_share else "serial",
         workload_mode=draw(st.sampled_from(["ticks", "aggregate"])),
         offered_clients=draw(st.none() | st.integers(1, 10 ** 6)),
-        fluctuation=draw(st.none() | st.builds(
-            FluctuationWindow,
-            start=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
-            base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
-            throughput_factor=_positive(0.01, 1.0),
-        )),
-        faults=draw(st.none() | st.sampled_from(CHAOS_PRESET_NAMES).map(
-            lambda name: chaos_schedule(name, n)
-        )),
+        faults=draw(
+            st.none()
+            | st.sampled_from(CHAOS_PRESET_NAMES).map(
+                lambda name: chaos_schedule(name, n)
+            )
+            | st.builds(
+                lambda **spike: FaultSchedule([DelaySpike(**spike)]),
+                at=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
+                base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
+                bandwidth_factor=_positive(0.01, 1.0),
+            )
+        ),
         data_limiter=(
             None if fair_share
             else draw(st.none() | st.tuples(_positive(), _positive()))
@@ -362,3 +379,103 @@ def test_every_config_field_is_serialised(config):
     ):
         names = [spec.name for spec in dataclasses.fields(obj)]
         assert list(obj.to_dict()) == names
+
+
+# -- one fault evaluator under both backends ---------------------------------
+
+_N = 4
+#: Times sit on a coarse grid so windows share edges with each other
+#: and frames land exactly on them.
+_ticks = st.integers(0, 24).map(lambda k: k * 0.25)
+_spans = st.integers(1, 12).map(lambda k: k * 0.25)
+_node_sets = st.lists(st.integers(0, _N - 1), unique=True).map(tuple)
+_labels = st.sampled_from(["", "a", "b"])
+
+
+@st.composite
+def _partition_groups(draw):
+    side = draw(st.lists(st.integers(0, 2), min_size=_N, max_size=_N).filter(
+        lambda sides: 0 in sides
+    ))  # 2 = named in no group
+    groups = [
+        tuple(node for node in range(_N) if side[node] == index)
+        for index in (0, 1)
+    ]
+    return tuple(group for group in groups if group)
+
+
+_link_events = st.one_of(
+    st.builds(Partition, at=_ticks, duration=st.none() | _spans,
+              groups=_partition_groups(), label=_labels),
+    st.builds(Heal, at=_ticks, label=_labels),
+    st.builds(LossWindow, at=_ticks, duration=_spans,
+              rate=st.floats(0.05, 1.0),
+              kinds=st.sampled_from([(), ("mb",), ("vote", "mb.fetch")]),
+              channel=st.sampled_from([None, "data", "consensus"]),
+              nodes=_node_sets),
+    st.builds(BandwidthSqueeze, at=_ticks, duration=_spans,
+              factor=st.floats(0.05, 1.0), nodes=_node_sets),
+    # jitter < base: a delay sampled inside a window is never 0.0, which
+    # is what the shaper reports outside every window.
+    st.builds(lambda at, duration, base, share, bandwidth_factor: DelaySpike(
+                  at=at, duration=duration, base=base, jitter=base * share,
+                  bandwidth_factor=bandwidth_factor),
+              _ticks, _spans, st.floats(0.001, 0.5), st.floats(0.0, 0.9),
+              st.floats(0.05, 1.0)),
+)
+_frames = st.lists(
+    st.tuples(
+        st.integers(0, 72).map(lambda k: k * 0.125),
+        st.integers(1, _N - 1),
+        st.sampled_from(["mb", "mb.fetch", "vote", "proposal"]),
+        st.sampled_from(list(Channel)),
+    ),
+    max_size=40,
+).map(lambda frames: sorted(frames, key=lambda frame: frame[0]))
+
+
+@given(st.lists(_link_events, max_size=6), st.integers(0, 2 ** 32), _frames)
+@settings(max_examples=80, deadline=None)
+def test_sim_and_live_adapters_decide_link_faults_alike(events, seed, frames):
+    """Node 0's egress through the simulator's adapter (``Network`` +
+    ``Topology``) and the live one (``LinkShaper``), both built from
+    ``schedule.windows()`` with equal seeds: the same drops, the same
+    delays and the same bandwidth factor for every frame."""
+    schedule = FaultSchedule(events)
+    schedule.validate(_N)
+    windows = schedule.windows()
+    plain_delay, burst = 7.0, 256 * 1024  # live/chaos.py's bucket burst
+    sim = Simulator()
+    network = Network(
+        sim,
+        Topology(_N, one_way_delay=plain_delay,
+                 bandwidth_bps=LIVE_LINK_BANDWIDTH_BPS),
+        RngRegistry(0),
+    )
+    topology = network.topology
+    network.set_link_faults(LinkFaults(windows, random.Random(seed)))
+    clock = SimpleNamespace(now=0.0)
+    shaper = LinkShaper(0, windows, clock, random.Random(seed))
+    jitter = random.Random(seed + 1)
+    for now, dst, kind, channel in frames:
+        sim.run_until(now)
+        clock.now = now
+        envelope = Envelope(0, dst, kind, 0.0, None, channel, now)
+        assert network._should_drop(envelope) == shaper.drops(
+            0, dst, kind, channel
+        )
+        # Delay and bandwidth on a fresh shaper whose only draw is this
+        # frame's jitter, from a copy of the stream the topology reads.
+        stream = random.Random()
+        stream.setstate(jitter.getstate())
+        pacer = LinkShaper(0, windows, clock, stream)
+        held = pacer.write_delay(dst, 2 * burst, channel)
+        delay = topology.delay(0, dst, now, jitter)
+        factor = topology.bandwidth(0, now=now) / LIVE_LINK_BANDWIDTH_BPS
+        throttle = 0.0 if factor >= 1.0 else burst / (
+            LIVE_LINK_BANDWIDTH_BPS * factor / 8.0
+        )
+        if delay == plain_delay:  # outside every delay window
+            assert held == pytest.approx(throttle)
+        else:
+            assert held == pytest.approx(delay + throttle)

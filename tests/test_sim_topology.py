@@ -1,11 +1,11 @@
-"""Unit tests for topologies and delay schedules."""
+"""Unit tests for topologies and the delay windows they hold."""
 
 import random
 
 import pytest
 
+from repro.faults import LinkFaults, Window
 from repro.sim.topology import (
-    FluctuationWindow,
     GBPS,
     MBPS,
     Topology,
@@ -66,8 +66,10 @@ def test_delay_jitter_bounded():
 
 def test_fluctuation_window_overrides_base_delay():
     topo = wan_topology(4)
-    topo.add_schedule(FluctuationWindow(
-        start=10.0, duration=5.0, base=0.2, jitter=0.1))
+    topo.set_link_faults(LinkFaults(
+        [Window("delay", 10.0, 15.0, base=0.2, jitter=0.1)],
+        random.Random(0),
+    ))
     rng = random.Random(4)
     # Inside the window: delays in [0.1, 0.3].
     for _ in range(100):
@@ -79,12 +81,22 @@ def test_fluctuation_window_overrides_base_delay():
 
 
 def test_fluctuation_window_edges():
-    window = FluctuationWindow(start=10.0, duration=5.0, base=0.2, jitter=0.0)
+    faults = LinkFaults(
+        [Window("delay", 10.0, 15.0, base=0.2, bandwidth_factor=0.5)],
+        random.Random(0),
+    )
     rng = random.Random(5)
-    assert window.sample(9.999, rng) is None
-    assert window.sample(10.0, rng) == pytest.approx(0.2)
-    assert window.sample(14.999, rng) == pytest.approx(0.2)
-    assert window.sample(15.0, rng) is None
+    assert faults.delay(9.999, rng) is None
+    assert faults.delay(10.0, rng) == pytest.approx(0.2)
+    assert faults.delay(14.999, rng) == pytest.approx(0.2)
+    assert faults.delay(15.0, rng) is None
+    # The goodput factor follows the same edges, through the topology.
+    topo = wan_topology(4)
+    topo.set_link_faults(faults)
+    assert [topo.bandwidth(0, now=now) for now in (9.999, 10.0, 15.0)] == [
+        100 * MBPS, 50 * MBPS, 100 * MBPS,
+    ]
+    assert topo.bandwidth(0) == 100 * MBPS  # no instant, no window
 
 
 def test_heterogeneous_topology_per_node_bandwidth():
