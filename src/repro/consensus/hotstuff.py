@@ -66,6 +66,9 @@ class HotStuff(ChainedEngine):
         # apart, where every new-view quorum completes just after its
         # leader moved on (a permanent pacemaker livelock).
         self._view_claims: dict[int, int] = {}
+        #: When the current view times out: entering a view only moves
+        #: this, and a ``_timer`` that fires before it re-arms itself here.
+        self._deadline = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -76,24 +79,31 @@ class HotStuff(ChainedEngine):
         return self.leader_of(max(self.cur_view, 1))
 
     def resume(self) -> None:
-        view = self.cur_view
-        if view <= 0:
-            return
-        self._timer = self.host.sim.schedule(
-            self.config.view_timeout, lambda: self._on_timeout(view)
-        )
+        if self.cur_view > 0:
+            self._restart_view_timer()
 
     # -- view management -----------------------------------------------
+
+    def _restart_view_timer(self) -> None:
+        sim = self.host.sim
+        self._deadline = sim.now + self.config.view_timeout
+        if self._timer is None:
+            self._timer = sim.schedule_at(self._deadline, self._view_timer)
+
+    def _view_timer(self) -> None:
+        sim = self.host.sim
+        if sim.now < self._deadline:
+            # Views moved on since this was armed; theirs is the deadline.
+            self._timer = sim.schedule_at(self._deadline, self._view_timer)
+            return
+        self._timer = None
+        self._on_timeout()
 
     def _enter_view(self, view: int, justify: Optional[QuorumCert] = None) -> None:
         if view <= self.cur_view:
             return
         self.cur_view = view
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self.host.sim.schedule(
-            self.config.view_timeout, lambda: self._on_timeout(view)
-        )
+        self._restart_view_timer()
         if (
             self.leader_of(view) == self.node_id
             and not self.host.behavior.silent
@@ -103,9 +113,8 @@ class HotStuff(ChainedEngine):
             elif view == 1:
                 self._try_propose(view, GENESIS_QC)
 
-    def _on_timeout(self, view: int) -> None:
-        if self.cur_view != view:
-            return
+    def _on_timeout(self) -> None:
+        view = self.cur_view
         self.host.trace("view_change", view=view)
         self.host.metrics.record_view_change(self.node_id, view)
         next_view = view + 1
@@ -184,7 +193,7 @@ class HotStuff(ChainedEngine):
             # view-change metric. The block can never gather a quorum
             # and the mempool never saw its ids, so it is not tracked
             # for abandonment either.
-            self._on_timeout(self.cur_view)
+            self._on_timeout()
             self._release_dependents(proposal)
             return
         if payload.entries:

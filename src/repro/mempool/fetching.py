@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
+from repro.sim.interfaces import DeadlineQueue
 from repro.sim.network import Channel
 from repro.mempool.base import MessageKinds
 from repro.mempool.store import MicroBlockStore
@@ -117,6 +118,13 @@ class FetchManager:
         self._config = config
         self._store = store
         self._pending: dict[MicroBlockId, _PendingFetch] = {}
+        #: Deferred first rounds and retries; most are overtaken by the
+        #: body landing, so they share one timer. Live by identity, not
+        #: membership: a cancelled and re-requested id is a new incarnation.
+        self._rounds = DeadlineQueue(
+            host.sim, self._round,
+            lambda pending: self._pending.get(pending.mb_id) is pending,
+        )
 
     @property
     def outstanding(self) -> int:
@@ -141,12 +149,7 @@ class FetchManager:
         self._pending[mb_id] = pending
         self._store.on_delivery(mb_id, lambda _mb: self._delivered(mb_id))
         if delay > 0:
-            # Fire-path timer: no Timer/closure allocation. Most fetches
-            # are satisfied by the in-flight broadcast copy before the
-            # grace delay elapses, so the round callback guards against
-            # a resolved (or replaced) pending entry instead of being
-            # cancelled.
-            self._host.sim.schedule_fire(delay, self._round, pending)
+            self._rounds.defer(delay, pending)
         else:
             self._round(pending)
 
@@ -172,11 +175,6 @@ class FetchManager:
     # -- internal ----------------------------------------------------------
 
     def _round(self, pending: _PendingFetch) -> None:
-        # Identity check, not membership: the same mb_id may have been
-        # cancelled and re-requested, in which case this fire event
-        # belongs to the dead incarnation.
-        if self._pending.get(pending.mb_id) is not pending:
-            return
         pending.rounds += 1
         if (
             self._config.fetch_max_rounds
@@ -200,9 +198,9 @@ class FetchManager:
                 Channel.CONTROL,
             )
             self._host.metrics.record_fetch()
-        self._host.sim.schedule_fire(
+        self._rounds.defer(
             backoff_delay(self._config, pending.rounds, self._host.rng),
-            self._round, pending,
+            pending,
         )
 
     def _abandon(self, pending: _PendingFetch) -> None:

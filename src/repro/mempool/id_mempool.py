@@ -19,6 +19,7 @@ from repro.mempool.base import Mempool, MessageKinds, OnFull
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager
 from repro.mempool.store import MicroBlockStore
+from repro.sim.interfaces import DeadlineQueue
 from repro.types import TxBatch
 from repro.types.microblock import MicroBlock, MicroBlockId
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
@@ -54,6 +55,9 @@ class IdMempool(Mempool):
         #: — held by this replica's own payload until that is stored.
         self._referenced: dict[MicroBlockId, int] = {}
         self._committed: set[MicroBlockId] = set()
+        #: Id tuples of resolved proposals, each due for ``_discard`` a
+        #: retention window after it resolved.
+        self._retained = DeadlineQueue(host.sim, self._discard)
 
     # -- client side -------------------------------------------------------
 
@@ -177,10 +181,10 @@ class IdMempool(Mempool):
     def garbage_collect(self, proposal: Proposal) -> None:
         """Retire a resolved proposal's microblocks after the retention
         window, so straggling replicas can still fetch them meanwhile."""
-        ids = proposal.payload.microblock_ids
-        retention = self.config.gc_retention
-        if retention > 0:
-            self.host.sim.schedule(retention, lambda: self._discard(ids))
+        if self.config.gc_retention > 0:
+            self._retained.defer(
+                self.config.gc_retention, proposal.payload.microblock_ids
+            )
 
     def _discard(self, ids) -> None:
         """Retention is over: free what is held per id."""

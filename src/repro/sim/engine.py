@@ -183,16 +183,6 @@ class Simulator(Scheduler):
         self._seq = seq + 1
         heapq.heappush(self._queue, (self._now + delay, seq, callback, arg))
 
-    def schedule_fire_at(self, time: float, callback, arg) -> None:
-        """Absolute-time variant of :meth:`schedule_fire`."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time:.6f}; now is {self._now:.6f}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, callback, arg))
-
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events with ``time <= end_time``; return the number executed.
 

@@ -4,7 +4,8 @@ Every protocol component (replica, consensus engine, mempool) interacts
 with its environment through exactly two narrow surfaces:
 
 * :class:`Scheduler` — a clock (``now``) plus cancellable timers
-  (``schedule`` / ``schedule_at`` returning a :class:`TimerHandle`);
+  (``schedule`` / ``schedule_at`` returning a :class:`TimerHandle`),
+  with :class:`DeadlineQueue` for many deadlines behind one timer;
 * :class:`Transport` — point-to-point ``send`` and fan-out ``broadcast``
   of :class:`Envelope` messages to registered per-node handlers.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import enum
+from heapq import heappop, heappush
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 
@@ -61,7 +63,7 @@ class Envelope:
 
     __slots__ = (
         "src", "dst", "kind", "size_bytes", "payload", "channel",
-        "enqueued_at", "sent_at",
+        "enqueued_at", "sent_at", "arrived_at",
     )
 
     def __init__(
@@ -86,6 +88,9 @@ class Envelope:
         # to discard copies that were still on the wire when the sender
         # crashed.
         self.sent_at = 0.0
+        # When the copy reached the receiver (simulated network only):
+        # its one event, a processing cost later, decides for this instant.
+        self.arrived_at = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -142,16 +147,64 @@ class Scheduler(abc.ABC):
     def schedule_at(self, time: float, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` at absolute time ``time``; returns a timer handle."""
 
-    def schedule_fire(self, delay: float, callback, arg) -> None:
-        """Fire-and-forget: run ``callback(arg)`` after ``delay`` seconds.
 
-        No handle is returned and the call cannot be cancelled — callers
-        must guard staleness themselves (identity checks, ``done``
-        flags). The simulator overrides this with an allocation-free
-        heap entry; the default implementation just wraps ``schedule``,
-        so protocol code may use it on any backend.
-        """
-        self.schedule(delay, lambda: callback(arg))
+class DeadlineQueue:
+    """Many deadlines behind one armed timer.
+
+    For code that defers many small things most of which find nothing
+    left to do: items wait in a heap behind a single timer armed at the
+    earliest deadline. When it fires, every due item ``live`` still
+    vouches for is handed to ``on_due`` in deadline order (push order
+    breaking ties), at the instant a timer of its own would have fired;
+    an item that stopped mattering is dropped without a wake of its own.
+    """
+
+    def __init__(
+        self, scheduler: Scheduler, on_due: Callable[[object], None],
+        live: Callable[[object], bool] = lambda item: True,
+    ) -> None:
+        self._scheduler = scheduler
+        self._on_due = on_due
+        self._live = live
+        self._heap: list[tuple[float, int, object]] = []
+        self._pushed = 0
+        self._timer: Optional[TimerHandle] = None
+        #: Deadline of the armed timer: ``inf`` while none is armed and
+        #: ``-inf`` while a fired one is served, when ``defer`` arms none.
+        self._wake_at = float("inf")
+
+    def defer(self, delay: float, item: object) -> None:
+        """Hand ``item`` to ``on_due`` ``delay`` seconds from now."""
+        deadline = self._scheduler.now + delay
+        heappush(self._heap, (deadline, self._pushed, item))
+        self._pushed += 1
+        if deadline < self._wake_at:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._arm(deadline)
+
+    def _arm(self, deadline: float) -> None:
+        self._wake_at = deadline
+        self._timer = self._scheduler.schedule_at(deadline, self._wake)
+
+    def _wake(self) -> None:
+        # A wall clock may read a hair before the armed deadline, which
+        # is due regardless.
+        horizon = max(self._scheduler.now, self._wake_at)
+        self._timer, self._wake_at = None, float("-inf")
+        heap, live = self._heap, self._live
+        while heap:
+            deadline, _, item = heap[0]
+            if not live(item):
+                heappop(heap)
+            elif deadline <= horizon:
+                heappop(heap)
+                self._on_due(item)
+            else:
+                break
+        self._wake_at = float("inf")
+        if heap:
+            self._arm(heap[0][0])
 
 
 class Transport(abc.ABC):

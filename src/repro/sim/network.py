@@ -26,8 +26,8 @@ behind a wall of microblocks.
 
 Broadcasts are *fan-out flows* in both models: ``Network.broadcast``
 enqueues a single shared-payload :class:`_Flow` per uplink and the
-serializer expands it lazily into per-recipient envelopes — one drain
-timer per uplink segment instead of one scheduled event per copy.
+serializer expands it lazily into per-recipient envelopes, each with one
+heap entry (and a second only if it must wait for the receiver's CPU).
 
 Two egress priority classes implement the paper's "consensus channel /
 data channel" optimization (Section VI): whenever the uplink frees up,
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel, Envelope, Handler, Transport
@@ -135,7 +135,11 @@ class NetworkStats:
 
 
 class TokenBucket:
-    """Continuous-time token bucket limiting the data channel's send rate."""
+    """Continuous-time token bucket limiting the data channel's send rate.
+
+    A message larger than the burst is admitted once the bucket is full
+    (the refill stops there) and takes the balance negative.
+    """
 
     def __init__(self, rate_bytes_per_s: float, burst_bytes: float) -> None:
         if rate_bytes_per_s <= 0 or burst_bytes <= 0:
@@ -148,10 +152,8 @@ class TokenBucket:
     def ready_at(self, now: float, size_bytes: float) -> float:
         """Earliest time the bucket can admit a message of ``size_bytes``."""
         self._refill(now)
-        if self._tokens >= size_bytes:
-            return now
-        deficit = size_bytes - self._tokens
-        return now + deficit / self.rate
+        deficit = min(size_bytes, self.burst) - self._tokens
+        return now + deficit / self.rate if deficit > 0 else now
 
     def consume(self, now: float, size_bytes: float) -> None:
         self._refill(now)
@@ -164,7 +166,7 @@ class TokenBucket:
 
 
 class _Flow:
-    """One broadcast awaiting serialization: shared payload, many dsts.
+    """One send or broadcast awaiting serialization: one payload, its dsts.
 
     A flow occupies a single egress-queue slot however many recipients
     it covers; the uplink expands it lazily, one segment of copies at a
@@ -198,36 +200,28 @@ class _Flow:
         return len(self.recipients) - self.next_index
 
 
-_QueueItem = Union[Envelope, _Flow]
-
-
 def _queued_bytes(queues, channel: Optional[Channel]) -> float:
     """Bytes waiting in one node's egress FIFOs (one class, or all)."""
     if channel is not None:
         queues = [queues[channel.value]]
     total = 0.0
     for queue in queues:
-        for item in queue:
-            if type(item) is Envelope:
-                total += item.size_bytes
-            else:
-                total += item.size_bytes * item.remaining
+        for flow in queue:
+            total += flow.size_bytes * flow.remaining
     return total
 
 
 def _drop_queued(queues) -> int:
     """Empty one node's egress FIFOs (it crashed); returns the count."""
-    dropped = 0
+    dropped = sum(flow.remaining for queue in queues for flow in queue)
     for queue in queues:
-        for item in queue:
-            dropped += 1 if type(item) is Envelope else item.remaining
         queue.clear()
     return dropped
 
 
 def _uplink_drain(uplink: "_Uplink") -> None:
     """Segment-end continuation for a serial uplink (fire-path callback)."""
-    uplink.transmitting = False
+    uplink.draining = False
     uplink._start_next()
 
 
@@ -235,44 +229,53 @@ class _Uplink:
     """One replica's egress: three priority FIFOs draining into one wire.
 
     States: idle (nothing to do), transmitting (wire occupied by the
-    current segment), or waiting (head-of-line data message blocked by
-    the token bucket). A consensus message arriving during a limiter
-    wait preempts the wait — consensus traffic is never throttled.
+    current segment until ``busy_until``), or waiting (head-of-line data
+    message blocked by the token bucket). A consensus message arriving
+    during a limiter wait preempts the wait — consensus traffic is never
+    throttled.
 
     The serializer works in *segments*: it pops the head item, expands
     up to ``SEGMENT_MAX_COPIES`` copies (bounded to roughly
     ``SEGMENT_MAX_SECONDS`` of wire time so a queued consensus message
-    is never stuck long behind a bulk fan-out), schedules each copy's
-    delivery analytically, and arms exactly one drain timer at the
-    segment's end — not one event per copy.
+    is never stuck long behind a bulk fan-out) and schedules each copy's
+    delivery analytically — not one event per copy. A drain event at the
+    segment's end exists only while something waits for the wire.
     """
 
     SEGMENT_MAX_COPIES = 8
     SEGMENT_MAX_SECONDS = 0.02
 
-    __slots__ = ("node", "network", "queues", "transmitting", "limiter",
-                 "_wait_timer")
+    __slots__ = ("node", "network", "queues", "busy_until", "draining",
+                 "limiter", "_wait_timer")
 
     def __init__(self, node: int, network: "Network") -> None:
         self.node = node
         self.network = network
         # Indexed by Channel.value (_CONSENSUS/_CONTROL/_DATA).
-        self.queues: list[deque[_QueueItem]] = [deque() for _ in Channel]
-        self.transmitting = False
+        self.queues: list[deque[_Flow]] = [deque() for _ in Channel]
+        #: End of the segment on the wire (or of the last one).
+        self.busy_until = 0.0
+        #: True while a drain event for ``busy_until`` is in the heap.
+        self.draining = False
         self.limiter: Optional[TokenBucket] = None
         self._wait_timer = None
 
-    def enqueue(self, item: _QueueItem, index: int) -> None:
-        self.queues[index].append(item)
-        if self.transmitting:
+    def enqueue(self, flow: _Flow, index: int) -> None:
+        self.queues[index].append(flow)
+        if self.draining:
             return
-        if self._wait_timer is not None:
-            if index != _DATA:
-                self._wait_timer.cancel()
-                self._wait_timer = None
-                self._start_next()
+        sim = self.network.sim
+        if sim._now < self.busy_until:
+            self.draining = True
+            seq = sim._seq
+            sim._seq = seq + 1
+            _heappush(sim._queue, (self.busy_until, seq, _uplink_drain, self))
             return
-        self._start_next()
+        if self._wait_timer is None:
+            self._start_next()
+        elif index != _DATA:
+            self._wait_timer.cancel()
+            self._resume()
 
     def flush(self) -> int:
         """Drop every queued message (the node crashed); returns the count.
@@ -280,7 +283,7 @@ class _Uplink:
         Copies of the in-flight segment cannot be recalled here: their
         delivery events already exist, but the network discards any copy
         whose serialization had not finished when the sender went down
-        (see ``Network._deliver_copy``).
+        (see ``Network._receive``).
         """
         if self._wait_timer is not None:
             self._wait_timer.cancel()
@@ -288,165 +291,122 @@ class _Uplink:
         return _drop_queued(self.queues)
 
     def _start_next(self) -> None:
-        if self.transmitting:
-            return
         queues = self.queues
-        if queues[_CONSENSUS]:
-            queue = queues[_CONSENSUS]
-            limited = False
-        elif queues[_CONTROL]:
-            queue = queues[_CONTROL]
-            limited = False
-        elif queues[_DATA]:
-            queue = queues[_DATA]
-            limited = self.limiter is not None
-        else:
+        queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
+        if not queue:
             return
+        limited = self.limiter is not None and queue is queues[_DATA]
         network = self.network
         sim = network.sim
-        now = sim.now
+        now = sim._now
         head = queue[0]
+        size = head.size_bytes
         if limited:
-            ready = self.limiter.ready_at(now, head.size_bytes)
+            ready = self.limiter.ready_at(now, size)
             if ready > now:
                 self._wait_timer = sim.schedule(ready - now, self._resume)
                 return
-            self.limiter.consume(now, head.size_bytes)
+            self.limiter.consume(now, size)
         node = self.node
         topology = network.topology
         bandwidth = topology._plain_bandwidth
         if bandwidth is None:
             bandwidth = topology.bandwidth(node, now=now)
-        stats = network.stats
-        if type(head) is Envelope:
-            queue.popleft()
-            end = now + head.size_bytes * 8.0 / bandwidth
-            head.sent_at = end
-            stats.record_send(node, head.kind, head.size_bytes)
-            network._dispatch_copy(head, end)
+        duration = size * 8.0 / bandwidth
+        recipients = head.recipients
+        index = head.next_index
+        remaining = len(recipients) - index
+        if limited or remaining == 1:
+            # The token bucket meters per copy: each pays its own tokens.
+            copies = 1
+        elif duration <= 0.0:
+            copies = min(remaining, self.SEGMENT_MAX_COPIES)
         else:
-            duration = head.size_bytes * 8.0 / bandwidth
-            remaining = head.remaining
-            if limited:
-                # The token bucket meters per copy; expand one at a time
-                # so each copy pays its own tokens.
-                copies = 1
-            elif duration <= 0.0:
-                copies = min(remaining, self.SEGMENT_MAX_COPIES)
-            else:
-                budget = int(self.SEGMENT_MAX_SECONDS / duration)
-                copies = min(
-                    remaining, self.SEGMENT_MAX_COPIES, max(1, budget)
-                )
-            recipients = head.recipients
-            index = head.next_index
-            end = now
-            kind = head.kind
-            size = head.size_bytes
-            payload = head.payload
-            channel = head.channel
-            enqueued_at = head.enqueued_at
-            faults = topology.link_faults
-            if not ((faults and faults.delays) or topology._delay_overrides):
-                # Fast path: no delay windows or per-link overrides,
-                # so the delay is just base + jitter. The arithmetic
-                # replays Topology.delay + random.uniform bit for bit
-                # (uniform(a, b) is ``a + (b - a) * random()``), the
-                # envelope is minted via ``__new__`` + slot stores (no
-                # ``__init__`` frame), and the delivery events are
-                # heap-pushed directly — one Python call frame per copy
-                # instead of four. Recipients never include the sender.
-                base = topology._base_delay
-                jit = topology._jitter
-                neg = -jit
-                span = jit - neg
-                rand = network._jitter_rngs[node].random
-                deliver = network._deliver_copy
-                heap = sim._queue
-                seq = sim._seq
-                for dst in recipients[index:index + copies]:
-                    end += duration
-                    envelope = _env_new(Envelope)
-                    envelope.src = node
-                    envelope.dst = dst
-                    envelope.kind = kind
-                    envelope.size_bytes = size
-                    envelope.payload = payload
-                    envelope.channel = channel
-                    envelope.enqueued_at = enqueued_at
-                    envelope.sent_at = end
-                    if jit > 0:
-                        delay = base + (neg + span * rand())
-                        if delay < 0.0:
-                            delay = 0.0
-                    else:
-                        delay = base
-                    _heappush(heap, (end + delay, seq, deliver, envelope))
-                    seq += 1
-                sim._seq = seq
-            else:
-                dispatch = network._dispatch_copy
-                make = Envelope
-                for dst in recipients[index:index + copies]:
-                    end += duration
-                    envelope = make(
-                        node, dst, kind, size,
-                        payload, channel, enqueued_at,
-                    )
-                    envelope.sent_at = end
-                    dispatch(envelope, end)
-            head.next_index = index + copies
-            if head.next_index >= len(recipients):
-                queue.popleft()
-            stats.record_send(node, kind, size, copies)
-        self.transmitting = True
+            budget = int(self.SEGMENT_MAX_SECONDS / duration)
+            copies = min(remaining, self.SEGMENT_MAX_COPIES, max(1, budget))
+        end = now
+        kind = head.kind
+        payload = head.payload
+        channel = head.channel
+        enqueued_at = head.enqueued_at
+        # Each copy's one event is heap-pushed directly: the envelope
+        # comes from ``__new__`` + slot stores and, with no delay window
+        # or per-link override, the delay replays Topology.delay bit for
+        # bit (uniform(a, b) is ``a + (b - a) * random()``; a recipient
+        # is never the sender).
+        faults = topology.link_faults
+        plain = not ((faults and faults.delays) or topology._delay_overrides)
+        base = topology._base_delay
+        jit = topology._jitter
+        neg = -jit
+        span = jit - neg
+        rng = network._jitter_rngs[node]
+        rand = rng.random
+        proc = network._proc
+        receive = network._receive
+        heap = sim._queue
         seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._queue, (end, seq, _uplink_drain, self))
+        for dst in recipients[index:index + copies]:
+            end += duration
+            envelope = _env_new(Envelope)
+            envelope.src = node
+            envelope.dst = dst
+            envelope.kind = kind
+            envelope.size_bytes = size
+            envelope.payload = payload
+            envelope.channel = channel
+            envelope.enqueued_at = enqueued_at
+            envelope.sent_at = end
+            if not plain:
+                delay = topology.delay(node, dst, now, rng)
+            elif jit > 0:
+                delay = base + (neg + span * rand())
+                if delay < 0.0:
+                    delay = 0.0
+            else:
+                delay = base
+            envelope.arrived_at = arrived = end + delay
+            _heappush(heap, (arrived + proc, seq, receive, envelope))
+            seq += 1
+        head.next_index = index + copies
+        if copies == remaining:
+            queue.popleft()
+        network.stats.record_send(node, kind, size, copies)
+        self.busy_until = end
+        if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
+            self.draining = True
+            _heappush(heap, (end, seq, _uplink_drain, self))
+            seq += 1
+        sim._seq = seq
 
     def _resume(self) -> None:
         self._wait_timer = None
         self._start_next()
 
 
-def _ingress_finish(ingress: "_Ingress") -> None:
-    """Per-message CPU-cost continuation (fire-path callback).
+def _ingress_serve(ingress: "_Ingress") -> None:
+    """End of a service whose copy had to wait (fire-path callback).
 
-    Dispatch is inlined (the handler call plus its down/handler guards)
-    and the next queued message is popped directly — this function runs
-    once per delivered message, so every avoided call shows up in the
-    perf harness's events/sec gauge.
+    Armed for ``free_at + proc`` and decided only now, when exactly the
+    copies that had arrived by ``free_at`` have registered.
     """
-    network = ingress.network
-    envelope = ingress.current
-    dst = envelope.dst
-    if network._down and dst in network._down:
-        # The node crashed while its CPU was mid-message; flush()
-        # cleared the queues but this in-flight message still fires.
-        network.stats.messages_dropped += 1
-    else:
-        handler = network._handler_list[dst]
-        if handler is None:
-            network.stats.messages_dropped += 1
-        else:
-            network.stats.messages_delivered += 1
-            handler(envelope)
     queues = ingress.queues
-    if queues[0]:
-        head = queues[0].popleft()
-    elif queues[1]:
-        head = queues[1].popleft()
-    elif queues[2]:
-        head = queues[2].popleft()
-    else:
-        ingress.busy = False
-        ingress.current = None
-        return
-    ingress.current = head
+    queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
+    network = ingress.network
     sim = network.sim
-    seq = sim._seq
-    sim._seq = seq + 1
-    _heappush(sim._queue, (sim._now + network._proc, seq, _ingress_finish, ingress))
+    if queue:  # else the node crashed and its flush took what waited
+        envelope = queue.popleft()
+        ingress.free_at = sim._now
+        network.stats.messages_delivered += 1
+        network._handler_list[envelope.dst](envelope)
+    if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(
+            sim._queue, (sim._now + network._proc, seq, _ingress_serve, ingress)
+        )
+    else:
+        ingress.armed = False
 
 
 class _Ingress:
@@ -457,17 +417,23 @@ class _Ingress:
     processed before data messages, implementing the paper's
     "consensus channel has higher priority" processing rule on the
     receive side.
+
+    A copy's one event fires at arrival + ``proc`` (``Network._receive``).
+    The CPU was idle on arrival iff no service is armed and the last one
+    ended by then; the event then *is* the end of the copy's service.
+    Otherwise the copy waits in its class FIFO for :func:`_ingress_serve`.
     """
 
-    __slots__ = ("node", "network", "queues", "busy", "current")
+    __slots__ = ("network", "queues", "free_at", "armed")
 
-    def __init__(self, node: int, network: "Network") -> None:
-        self.node = node
+    def __init__(self, network: "Network") -> None:
         self.network = network
         # Indexed by Channel.value (_CONSENSUS/_CONTROL/_DATA).
         self.queues: list[deque[Envelope]] = [deque() for _ in Channel]
-        self.busy = False
-        self.current: Optional[Envelope] = None
+        #: When the most recent service ended (-1.0 = never served).
+        self.free_at = -1.0
+        #: True while an ``_ingress_serve`` event is in the heap.
+        self.armed = False
 
     def flush(self) -> int:
         """Drop every queued-but-unprocessed message (the node crashed)."""
@@ -620,7 +586,7 @@ class _FairShareLinks:
         self.network = network
         self.slots = slots
         n = network.topology.n
-        self.queues: list[list[deque[_QueueItem]]] = [
+        self.queues: list[list[deque[_Flow]]] = [
             [deque() for _ in Channel] for _ in range(n)
         ]
         # Memberships are dicts used as ordered sets: O(1) add/remove
@@ -646,8 +612,8 @@ class _FairShareLinks:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, item: _QueueItem, src: int, index: int) -> None:
-        self.queues[src][index].append(item)
+    def submit(self, flow: _Flow, src: int, index: int) -> None:
+        self.queues[src][index].append(flow)
         self._admit(src, self.network.sim._now)
 
     def _admit(self, src: int, now: float, changed: bool = False) -> None:
@@ -675,18 +641,14 @@ class _FairShareLinks:
             else:
                 break
             head = queue[0]
-            if type(head) is Envelope:
+            envelope = Envelope(
+                src, head.recipients[head.next_index], head.kind,
+                head.size_bytes, head.payload, head.channel,
+                head.enqueued_at,
+            )
+            head.next_index += 1
+            if head.next_index >= len(head.recipients):
                 queue.popleft()
-                envelope = head
-            else:
-                envelope = Envelope(
-                    src, head.recipients[head.next_index], head.kind,
-                    head.size_bytes, head.payload, head.channel,
-                    head.enqueued_at,
-                )
-                head.next_index += 1
-                if head.next_index >= len(head.recipients):
-                    queue.popleft()
             network.stats.record_send(src, envelope.kind, envelope.size_bytes)
             transfer = _Transfer(envelope, now)
             up[transfer] = None
@@ -711,7 +673,27 @@ class _FairShareLinks:
         if envelope.channel is _DATA_MEMBER or not network.priority_channels:
             self.data_in_flight[src] -= 1
         envelope.sent_at = now
-        network._dispatch_copy(envelope, now)
+        # The copy's one event, as ``_Uplink._start_next`` pushes it.
+        topology = network.topology
+        faults = topology.link_faults
+        rng = network._jitter_rngs[src]
+        if (faults and faults.delays) or topology._delay_overrides:
+            delay = topology.delay(src, dst, now, rng)
+        else:
+            delay = topology._base_delay
+            jit = topology._jitter
+            if jit > 0:
+                neg = -jit
+                delay += neg + (jit - neg) * rng.random()
+                if delay < 0.0:
+                    delay = 0.0
+        envelope.arrived_at = arrived = now + delay
+        sim = network.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(
+            sim._queue, (arrived + network._proc, seq, network._receive, envelope)
+        )
         self._dirty_down.add(dst)
         self._admit(src, now, True)
 
@@ -801,12 +783,14 @@ class Network(Transport):
             self._fair = _FairShareLinks(self, fair_share_slots)
         else:
             self._uplinks = [_Uplink(node, self) for node in range(topology.n)]
-        self._ingress = [_Ingress(node, self) for node in range(topology.n)]
+        self._ingress = [_Ingress(self) for _ in range(topology.n)]
         self._drop_filter: Optional[DropFilter] = None
         self._down: set[int] = set()
-        #: now of each node's most recent crash-flush (-1.0 = never);
-        #: used to discard in-flight copies the crash cut short.
+        #: Each node's most recent outage, ``[_flush_at, _up_at)``: the
+        #: now of its crash-flush (-1.0 = never) and of the restart after
+        #: it (``inf`` while down), for copies the outage cut short or met.
         self._flush_at = [-1.0] * topology.n
+        self._up_at = [-1.0] * topology.n
         #: Per-src default broadcast recipient tuples, built lazily once
         #: all nodes are registered (invalidated by ``register``).
         self._default_recipients: list[Optional[tuple]] = [None] * topology.n
@@ -825,8 +809,9 @@ class Network(Transport):
         """Install a predicate that silently drops matching envelopes.
 
         Used by fault-injection tests (message loss, partitions). The
-        filter runs at delivery time, after bandwidth was consumed, which
-        matches a real network where loss wastes the sender's uplink.
+        filter runs once per copy, in arrival order, after bandwidth was
+        consumed (loss wastes the sender's uplink, as on a real network);
+        ``envelope.arrived_at`` is the arrival instant, not the clock's.
         """
         self._drop_filter = drop_filter
         self._filters_changed()
@@ -859,6 +844,7 @@ class Network(Transport):
             return
         self._down.add(node)
         self._flush_at[node] = self.sim.now
+        self._up_at[node] = float("inf")
         if self._fair is not None:
             flushed = self._fair.flush(node)
         else:
@@ -868,7 +854,9 @@ class Network(Transport):
 
     def set_node_up(self, node: int) -> None:
         """Re-register a crashed node's endpoint (restart)."""
-        self._down.discard(node)
+        if node in self._down:
+            self._down.discard(node)
+            self._up_at[node] = self.sim.now
 
     def is_down(self, node: int) -> bool:
         return node in self._down
@@ -909,14 +897,12 @@ class Network(Transport):
             return
         if src not in self._handlers or dst not in self._handlers:
             raise ValueError(f"send between unregistered nodes {src}->{dst}")
-        envelope = Envelope(
-            src, dst, kind, size_bytes, payload, channel, self.sim.now
-        )
+        flow = _Flow(kind, size_bytes, payload, channel, (dst,), self.sim.now)
         index = channel.value if self.priority_channels else _DATA
         if self._fair is not None:
-            self._fair.submit(envelope, src, index)
+            self._fair.submit(flow, src, index)
         else:
-            self._uplinks[src].enqueue(envelope, index)
+            self._uplinks[src].enqueue(flow, index)
 
     def broadcast(
         self,
@@ -965,16 +951,6 @@ class Network(Transport):
         if not targets:
             return
         index = channel.value if self.priority_channels else _DATA
-        if len(targets) == 1:
-            envelope = Envelope(
-                src, targets[0], kind, size_bytes, payload, channel,
-                self.sim.now,
-            )
-            if self._fair is not None:
-                self._fair.submit(envelope, src, index)
-            else:
-                self._uplinks[src].enqueue(envelope, index)
-            return
         flow = _Flow(kind, size_bytes, payload, channel, targets, self.sim.now)
         if self._fair is not None:
             self._fair.submit(flow, src, index)
@@ -1022,106 +998,74 @@ class Network(Transport):
 
     # -- internal ----------------------------------------------------------
 
-    def _dispatch_copy(self, envelope: Envelope, leave_time: float) -> None:
-        """Schedule one serialized copy's propagation + delivery.
-
-        Called by the uplink at segment-expansion time: the copy leaves
-        the wire at ``leave_time`` and arrives one propagation delay
-        later. Bandwidth/stats accounting already happened at the
-        segment level. (The serial uplink's fan-out loop inlines the
-        simple-topology case of this function.)
-        """
-        topology = self.topology
-        src = envelope.src
-        faults = topology.link_faults
-        if not ((faults and faults.delays) or topology._delay_overrides):
-            # Fast path: identical float expressions to Topology.delay
-            # for a window-free, override-free topology (src != dst is
-            # guaranteed — loopback never reaches the uplink).
-            delay = topology._base_delay
-            jit = topology._jitter
-            if jit > 0:
-                neg = -jit
-                delay += neg + (jit - neg) * self._jitter_rngs[src].random()
-                if delay < 0.0:
-                    delay = 0.0
-        else:
-            delay = topology.delay(
-                src, envelope.dst, self.sim.now, self._jitter_rngs[src]
-            )
-        self.sim.schedule_fire_at(
-            leave_time + delay, self._deliver_copy, envelope
-        )
-
-    def _should_drop(self, envelope: Envelope) -> bool:
+    def _should_drop(self, envelope: Envelope, now: float) -> bool:
         if self._drop_filter is not None and self._drop_filter(envelope):
             return True
         faults = self.topology.link_faults
         return faults is not None and faults.drops(
-            self.sim._now, envelope.src, envelope.dst, envelope.kind,
-            envelope.channel,
+            now, envelope.src, envelope.dst, envelope.kind, envelope.channel,
         )
 
-    def _deliver_copy(self, envelope: Envelope) -> None:
-        """Arrival of one serialized copy (fire-path callback).
+    def _receive(self, envelope: Envelope) -> None:
+        """A serialized copy's one event (fire-path callback).
 
-        The per-message delivery guards (_deliver) and the idle-ingress
-        hand-off are inlined: this plus ``_ingress_finish`` make up two
-        of the roughly two events every simulated message costs.
+        It fires ``proc`` after the copy arrived and decides for
+        ``arrived_at`` what an arrival decides, in arrival order. Events
+        of one instant run in dispatch order, so same-instant handlers of
+        *different* nodes need not run in the order their services
+        started (``tests/test_delivery_traces.py``, clipped-delay cell).
         """
-        flush_at = self._flush_at[envelope.src]
-        if envelope.enqueued_at <= flush_at < envelope.sent_at:
+        crashed = self._flush_at[envelope.src]
+        if envelope.enqueued_at <= crashed < envelope.sent_at:
             # The sender crashed while this copy was still being
-            # serialized: it never fully left, so its bytes are
-            # un-accounted and the copy is dropped.
+            # serialized: it never fully left, its bytes are handed back.
             self.stats.cancel_send(
                 envelope.src, envelope.kind, envelope.size_bytes
             )
             self.stats.messages_dropped += 1
             return
         dst = envelope.dst
-        if self._down or self._filters_active:
-            if dst in self._down or self._should_drop(envelope):
-                self.stats.messages_dropped += 1
-                return
-        handler = self._handler_list[dst]
-        if handler is None:
+        arrived = envelope.arrived_at
+        crashed = self._flush_at[dst]
+        if (crashed >= 0.0 or self._filters_active) and (
+            # Down on arrival: no window is asked, no coin drawn.
+            crashed <= arrived < self._up_at[dst]
+            or (self._filters_active and self._should_drop(envelope, arrived))
+            # Up then, crashed since: the copy left with the ingress flush.
+            or arrived < crashed
+        ):
             self.stats.messages_dropped += 1
             return
-        if self._proc > 0:
-            # src != dst here (loopback bypasses the wire entirely).
-            ingress = self._ingress[dst]
-            if ingress.busy:
-                if self.priority_channels:
-                    ch = envelope.channel
-                    index = (
-                        _DATA if ch is _DATA_MEMBER
-                        else _CONSENSUS if ch is _CONSENSUS_MEMBER
-                        else _CONTROL
-                    )
-                else:
-                    index = _DATA
-                ingress.queues[index].append(envelope)
-            else:
-                ingress.busy = True
-                ingress.current = envelope
-                sim = self.sim
-                seq = sim._seq
-                sim._seq = seq + 1
-                _heappush(
-                    sim._queue,
-                    (sim._now + self._proc, seq, _ingress_finish, ingress),
-                )
-        else:
+        # dst is registered: ``send`` and ``broadcast`` refuse anything else.
+        ingress = self._ingress[dst]
+        if not ingress.armed and ingress.free_at <= arrived:
+            ingress.free_at = self.sim._now
             self.stats.messages_delivered += 1
-            handler(envelope)
+            self._handler_list[dst](envelope)
+            return
+        ch = envelope.channel
+        index = (
+            _DATA if ch is _DATA_MEMBER or not self.priority_channels
+            else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
+        )
+        ingress.queues[index].append(envelope)
+        if not ingress.armed:
+            ingress.armed = True
+            sim = self.sim
+            seq = sim._seq
+            sim._seq = seq + 1
+            _heappush(
+                sim._queue,
+                (ingress.free_at + self._proc, seq, _ingress_serve, ingress),
+            )
 
     def _deliver(self, envelope: Envelope) -> None:
         """Loopback arrival (``send`` with dst == src): no wire, no CPU."""
         handler = self._handler_list[envelope.dst]
         if (
             envelope.dst in self._down
-            or (self._filters_active and self._should_drop(envelope))
+            or (self._filters_active
+                and self._should_drop(envelope, self.sim._now))
             or handler is None
         ):
             self.stats.messages_dropped += 1

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.config import ProtocolConfig
 from repro.mempool.base import MessageKinds
 from repro.mempool.fetching import (
@@ -138,6 +140,98 @@ def test_delayed_request_fires_after_grace():
     assert host.metrics.fetches == 0
     sim.run_until(0.3)
     assert host.metrics.fetches == 1
+
+
+class TestGraceQueue:
+    """Deferred first rounds share one armed wake per manager."""
+
+    def _manager(self, **config):
+        sim, net, inboxes, host = make_env()
+        store = MicroBlockStore()
+        manager = FetchManager(
+            host, ProtocolConfig(n=4, fetch_jitter=0.0, **config), store
+        )
+        return sim, inboxes, host, store, manager
+
+    def test_bodies_landing_inside_the_grace_cost_one_wake(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        blocks = [make_mb(counter) for counter in range(20)]
+        for index, mb in enumerate(blocks):  # 20 proofs, 1 ms apart
+            sim.run_until(index * 0.001)
+            manager.request(mb.id, single_target(2), delay=0.2)
+        sim.run_until(0.1)
+        for mb in blocks:
+            store.add(mb)
+        before = sim.processed
+        sim.run_until(5.0)
+        assert sim.processed - before <= 1
+        assert host.metrics.fetches == 0
+        assert manager.outstanding == 0
+
+    def test_missing_body_is_requested_at_exactly_the_deadline(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        sampling = ProtocolConfig(n=4, fetch_sample_fraction=0.5)
+        blocks = [make_mb(counter) for counter in range(5)]
+        for index, mb in enumerate(blocks):
+            sim.run_until(index * 0.01)
+            manager.request(
+                mb.id,
+                sampled_signers(sampling, host.rng, (1, 2, 3), host.node_id),
+                delay=0.125,
+            )
+        for mb in blocks[:3] + blocks[4:]:
+            store.add(mb)  # all but the fourth land inside the grace
+        asked = []
+        send = host.network.send
+        host.network.send = lambda src, dst, kind, *rest: (
+            asked.append((sim.now, dst, kind)), send(src, dst, kind, *rest),
+        )
+        sim.run_until(0.2)
+        # The one round that runs is the first to draw from ``host.rng``
+        # (seed 1), as it would be had every request owned a timer.
+        targets = sampled_signers(
+            sampling, random.Random(1), (1, 2, 3), host.node_id
+        )(set())
+        assert asked == [
+            (0.03 + 0.125, target, MessageKinds.FETCH_REQUEST)
+            for target in targets
+        ]
+
+    def test_only_the_live_incarnation_of_an_id_fires(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=10.0)
+        mb = make_mb()
+        manager.request(mb.id, single_target(2), delay=0.2)
+        sim.run_until(0.1)
+        manager.cancel(mb.id)
+        manager.request(mb.id, single_target(3), delay=0.2)
+        sim.run_until(0.25)
+        assert host.metrics.fetches == 0  # the first incarnation is dead
+        sim.run_until(0.35)
+        assert host.metrics.fetches == 1
+        sim.run_until(1.0)
+        requests = [(node, len(inboxes[node])) for node in (2, 3)]
+        assert requests == [(2, 0), (3, 1)]
+
+    def test_deadlines_pushed_out_of_order_fire_in_deadline_order(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=10.0)
+        late, early, middle = (make_mb(counter) for counter in range(3))
+        manager.request(late.id, single_target(1), delay=0.3)
+        manager.request(early.id, single_target(2), delay=0.1)
+        manager.request(middle.id, single_target(3), delay=0.2)
+        before = sim.processed
+        sim.run_until(1.0)
+        arrivals = sorted(
+            (env.arrived_at, node, env.payload)
+            for node in (1, 2, 3) for env in inboxes[node]
+        )
+        assert [(node, mb_id) for _, node, mb_id in arrivals] == [
+            (2, early.id), (3, middle.id), (1, late.id),
+        ]
+        sent = [when - arrivals[0][0] for when, _, _ in arrivals]
+        assert sent == pytest.approx([0.0, 0.1, 0.2])
+        # Three wakes and three requests: the wake armed for 0.3 was
+        # cancelled when 0.1 came in, not left to fire on nothing.
+        assert sim.processed - before == 3 + 3
 
 
 def test_handle_request_serves_stored_body():

@@ -174,3 +174,59 @@ def test_delivery_order_does_not_change_commits():
     # deepest 3-chain ends at view 5's justify over block 4).
     assert chain[0].block_id in reference
     assert chain[1].block_id in reference
+
+
+def test_view_timer_is_one_armed_timer_with_a_movable_deadline():
+    exp = make_cluster(
+        n=4, mempool="stratus", protocol_overrides={"view_timeout": 1.0},
+    )
+    sim = exp.sim
+    engine = engine_of(exp, 3)
+    engine._try_propose = lambda *a, **k: None
+    assert engine.cur_view == 1  # start() entered it at t = 0
+    armed = engine._timer
+    changes = []
+    record = exp.metrics.record_view_change
+    exp.metrics.record_view_change = lambda node, view: (
+        changes.append((sim.now, node, view)), record(node, view),
+    )
+    # Alone in the world: nobody else keeps time, nothing is delivered.
+    for other in (0, 1, 2):
+        engine_of(exp, other).suspend()
+    exp.network.set_drop_filter(lambda envelope: True)
+    cancelled = sim.cancelled_pending
+    sim.run_until(0.25)
+    engine._enter_view(2)
+    sim.run_until(0.75)
+    engine._enter_view(3)
+    # Entering a view cancels nothing and arms nothing...
+    assert engine._timer is armed and armed.active
+    assert sim.cancelled_pending == cancelled
+    sim.run_until(1.5)
+    # ...the timer armed for view 1 fired at 1.0, found the deadline
+    # moved and re-armed itself there,
+    assert changes == [] and not armed.active
+    assert engine._timer.deadline == 0.75 + 1.0
+    sim.run_until(2.0)
+    # and view 3 times out one view_timeout after it was entered.
+    assert changes == [(0.75 + 1.0, 3, 3)]
+    assert engine.cur_view == 4
+
+
+def test_suspended_engine_arms_a_fresh_view_timer_on_resume():
+    exp = make_cluster(
+        n=4, mempool="stratus", protocol_overrides={"view_timeout": 1.0},
+    )
+    sim = exp.sim
+    for replica in exp.replicas:
+        replica.consensus.suspend()
+    exp.network.set_drop_filter(lambda envelope: True)
+    engine = engine_of(exp, 3)
+    engine._try_propose = lambda *a, **k: None
+    assert engine._timer is None
+    sim.run_until(5.0)
+    assert engine.cur_view == 1  # no timeout while suspended
+    engine.resume()
+    assert engine._timer.deadline == 6.0
+    sim.run_until(6.0)
+    assert engine.cur_view == 2

@@ -21,7 +21,7 @@ from repro.live.scheduler import RealtimeScheduler
 from repro.live.verify import verify_events
 from repro.live.wire import to_wire
 from repro.mempool.base import MessageKinds
-from repro.sim.interfaces import Channel, Scheduler, Transport
+from repro.sim.interfaces import Channel, DeadlineQueue, Scheduler, Transport
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
@@ -78,6 +78,107 @@ def test_realtime_scheduler_clamps_negative_delay():
         assert fired == [1]
 
     asyncio.run(scenario())
+
+
+def test_deadline_queue_serves_in_deadline_order_on_the_wall_clock():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        scheduler = RealtimeScheduler(loop)
+        served = []
+        dead = {"late-dead"}
+        queue = DeadlineQueue(
+            scheduler, lambda item: served.append((item, scheduler.now)),
+            lambda item: item not in dead,
+        )
+        start = scheduler.now
+        queue.defer(0.06, "third")
+        queue.defer(0.02, "first")  # earlier than the armed wake
+        queue.defer(0.04, "second")
+        queue.defer(0.30, "late-dead")  # dropped, never waited for
+        await asyncio.sleep(0.15)
+        assert [item for item, _ in served] == ["first", "second", "third"]
+        # Each at its own deadline (a wall clock is late, never early by
+        # more than its skew against the loop's clock).
+        for (_, when), due in zip(served, (0.02, 0.04, 0.06)):
+            assert start + due - 0.005 <= when < start + due + 0.05
+        assert queue._timer is None  # nothing armed for the dead entry
+
+    asyncio.run(scenario())
+
+
+class _HandFiredClock(Scheduler):
+    """Timers the test fires itself, at whatever ``now`` it has set: a
+    wall clock that reads a hair before the deadline of a fired timer."""
+
+    class _Timer:
+        def __init__(self, deadline, callback):
+            self.deadline, self.callback, self.active = deadline, callback, True
+
+        def cancel(self):
+            self.active = False
+
+        def fire(self):
+            self.active = False
+            self.callback()
+
+    def __init__(self):
+        self.time = 0.0
+        self.timers = []
+
+    @property
+    def now(self):
+        return self.time
+
+    def schedule(self, delay, callback):
+        return self.schedule_at(self.time + delay, callback)
+
+    def schedule_at(self, time, callback):
+        self.timers.append(self._Timer(time, callback))
+        return self.timers[-1]
+
+    def armed(self):
+        return [timer.deadline for timer in self.timers if timer.active]
+
+
+def test_deadline_queue_arms_nothing_while_it_serves_a_fired_timer():
+    clock = _HandFiredClock()
+    served = []
+
+    def on_due(item):
+        served.append(item)
+        if item == "a":
+            # Due before the deadline the fired timer was armed for, which
+            # the early-reading clock makes possible.
+            queue.defer(0.0005, "b")
+
+    queue = DeadlineQueue(clock, on_due)
+    queue.defer(1.0, "a")
+    clock.time = 0.999
+    clock.timers[0].fire()
+    assert served == ["a", "b"]
+    assert clock.armed() == []  # no timer left behind untracked
+    queue.defer(5.0, "c")
+    assert clock.armed() == [5.999]
+    clock.time = 1.0
+    for timer in clock.timers[:-1]:
+        assert not timer.active
+    assert served == ["a", "b"]  # "c" waits for its own deadline
+    clock.time = 6.0
+    clock.timers[-1].fire()
+    assert served == ["a", "b", "c"] and clock.armed() == []
+
+
+def test_deadline_queue_hands_over_only_what_is_still_live_when_due():
+    clock = _HandFiredClock()
+    served, dead = [], set()
+    queue = DeadlineQueue(clock, served.append, lambda item: item not in dead)
+    for item in ("kept", "dropped", "later"):
+        queue.defer(2.0 if item == "later" else 1.0, item)
+    dead.add("dropped")
+    clock.time = 1.0
+    clock.timers[0].fire()
+    assert served == ["kept"]
+    assert clock.armed() == [2.0]
 
 
 # -- live network ------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_loss_window_opened_before_a_partition_draws_its_coin_first():
     envelope = Envelope(
         0, 2, MessageKinds.VOTE, 64, None, Channel.CONSENSUS, 2.0
     )
-    assert all(network._should_drop(envelope) for _ in range(frames))
+    assert all(network._should_drop(envelope, 2.0) for _ in range(frames))
     assert rng.getstate() == flipped.getstate()
 
 

@@ -461,7 +461,7 @@ def test_sim_and_live_adapters_decide_link_faults_alike(events, seed, frames):
         sim.run_until(now)
         clock.now = now
         envelope = Envelope(0, dst, kind, 0.0, None, channel, now)
-        assert network._should_drop(envelope) == shaper.drops(
+        assert network._should_drop(envelope, now) == shaper.drops(
             0, dst, kind, channel
         )
         # Delay and bandwidth on a fresh shaper whose only draw is this

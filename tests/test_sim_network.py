@@ -1,7 +1,10 @@
 """Unit tests for the network substrate: serialization, priority, limiter."""
 
+import random
+
 import pytest
 
+from repro.faults import FaultSchedule, LinkFaults, LossWindow, Partition
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel, Network, TokenBucket
 from repro.sim.rng import RngRegistry
@@ -191,8 +194,9 @@ def test_data_limiter_throttles_data_channel():
 
 def test_limiter_does_not_delay_consensus():
     sim, net, inboxes = make_network()
-    net.set_data_limiter(0, rate_bytes_per_s=10, burst_bytes=10)
-    net.send(0, 1, "d", 1000, None, Channel.DATA)   # needs 99 s of tokens
+    net.set_data_limiter(0, rate_bytes_per_s=10, burst_bytes=1000)
+    net.send(0, 1, "d0", 1000, None, Channel.DATA)  # takes the whole burst
+    net.send(0, 1, "d", 1000, None, Channel.DATA)   # needs 100 s of tokens
     net.send(0, 1, "v", 1000, None, Channel.CONSENSUS)
     sim.run_until(5.0)
     kinds = [env.kind for _, env in inboxes[1]]
@@ -228,3 +232,198 @@ def test_control_channel_between_consensus_and_data():
     net.send(0, 1, "vote", 1_000, None, Channel.CONSENSUS)
     sim.run()
     assert inbox == ["d1", "vote", "ctrl", "d2"]
+
+
+class TestOversizedUnderLimiter:
+    """A data message larger than the bucket's burst used to wait for
+    tokens the refill cap never lets the bucket hold."""
+
+    def test_bucket_admits_oversized_once_full_and_goes_negative(self):
+        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
+        assert bucket.ready_at(0.0, 5000) == 0.0
+        bucket.consume(0.0, 5000)
+        # 4,000 in debt: a second oversized message needs the bucket
+        # full again, a small one only its own size.
+        assert bucket.ready_at(0.0, 5000) == pytest.approx(5.0)
+        assert bucket.ready_at(0.0, 500) == pytest.approx(4.5)
+
+    def test_bucket_not_yet_full_holds_an_oversized_message(self):
+        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
+        bucket.consume(0.0, 400)
+        assert bucket.ready_at(0.0, 5000) == pytest.approx(0.4)
+
+    def test_network_delivers_oversized_data_at_the_long_run_rate(self):
+        sim, net, inboxes = make_network()
+        net.set_data_limiter(0, rate_bytes_per_s=1e6, burst_bytes=1000.0)
+        for label in "abc":
+            net.send(0, 1, "d", 5000, label, Channel.DATA)
+        sim.run_until(1.0)
+        times = [when for when, _ in inboxes[1]]
+        assert [env.payload for _, env in inboxes[1]] == ["a", "b", "c"]
+        # The first passes on the full bucket; each later one waits out
+        # the 5,000 bytes before it: 5 ms at 1 MB/s.
+        assert times[1] - times[0] == pytest.approx(0.005, abs=1e-4)
+        assert times[2] - times[1] == pytest.approx(0.005, abs=1e-4)
+        assert sim.processed < 20  # no wait event spinning on the deficit
+
+
+class TestEventEconomy:
+    """An event only where something happens (see ``_Ingress``,
+    ``_Uplink``): counts are of ``sim.processed``, instants exact."""
+
+    PROC = 0.010
+    #: 1,000 bytes at 8 Mb/s leave in 1 ms and propagate for 10 ms.
+    ARRIVAL = 1000 * 8.0 / 8_000_000 + 0.01
+
+    def test_idle_ingress_costs_one_event_per_copy(self):
+        sim, net, inboxes = make_network(n=2, proc=self.PROC)
+        net.send(0, 1, "m", 1000, None)
+        sim.run()
+        assert sim.processed == 1
+        (when, env), = inboxes[1]
+        assert env.arrived_at == self.ARRIVAL
+        assert when == self.ARRIVAL + self.PROC
+
+    def test_zero_processing_cost_takes_the_same_path(self):
+        sim, net, inboxes = make_network(n=2, proc=0.0)
+        net.send(0, 1, "m", 1000, None)
+        net.send(1, 0, "m", 1000, None)
+        sim.run()
+        assert sim.processed == 2
+        assert inboxes[1][0][0] == inboxes[0][0][0] == self.ARRIVAL
+
+    def test_burst_inside_one_proc_costs_2k_minus_1(self):
+        k = 5
+        sim, net, inboxes = make_network(n=k + 1, proc=self.PROC)
+        for src in range(1, k + 1):
+            net.send(src, 0, "m", 1000, src)  # k idle uplinks, one ingress
+        sim.run()
+        assert sim.processed == 2 * k - 1
+        assert [env.payload for _, env in inboxes[0]] == [1, 2, 3, 4, 5]
+        first = self.ARRIVAL + self.PROC
+        expected, when = [], first
+        for _ in range(k):
+            expected.append(when)
+            when += self.PROC
+        assert [when for when, _ in inboxes[0]] == expected
+
+    def test_consensus_copy_overtakes_a_waiting_data_copy(self):
+        sim, net, inboxes = make_network(n=4, proc=self.PROC)
+        net.send(1, 0, "data", 1000, "d1", Channel.DATA)
+        net.send(2, 0, "data", 1000, "d2", Channel.DATA)
+        # Arrives 3 ms into d1's service, while d2 waits.
+        sim.schedule(0.003, lambda: net.send(
+            3, 0, "vote", 1000, "v", Channel.CONSENSUS))
+        sim.run()
+        assert [env.payload for _, env in inboxes[0]] == ["d1", "v", "d2"]
+        times = [when for when, _ in inboxes[0]]
+        first = self.ARRIVAL + self.PROC
+        assert times == [first, first + self.PROC, first + self.PROC + self.PROC]
+
+    def test_arrival_at_the_instant_a_service_ends_is_not_queued(self):
+        sim, net, inboxes = make_network(n=3, proc=self.PROC)
+        net.send(1, 0, "m", 1000, "a")
+        sim.schedule(self.PROC, lambda: net.send(2, 0, "m", 1000, "b"))
+        sim.run()
+        # b arrives exactly when a's service ends: idle, one event each.
+        assert sim.processed == 1 + 2
+        assert [when for when, _ in inboxes[0]] == [
+            self.ARRIVAL + self.PROC,
+            (self.PROC + self.ARRIVAL) + self.PROC,
+        ]
+
+    def test_lone_send_arms_no_drain(self):
+        sim, net, inboxes = make_network(n=2)
+        net.send(0, 1, "m", 1_000_000, None)
+        sim.run()
+        assert sim.processed == 1  # the copy; nothing at the segment's end
+        assert net.queued_bytes(0) == 0
+
+    def test_send_behind_a_segment_arms_one_drain_and_starts_at_its_end(self):
+        sim, net, inboxes = make_network(n=2)
+        net.send(0, 1, "m", 1_000_000, "a")  # on the wire until t = 1
+        sim.schedule(0.25, lambda: net.send(0, 1, "m", 1_000_000, "b"))
+        sim.schedule(0.50, lambda: net.send(0, 1, "m", 1_000_000, "c"))
+        sim.run()
+        # 2 test timers, 3 copies, and a drain at t = 1 (b's, armed once
+        # though c queued behind it too) and at t = 2 (b's segment left c).
+        assert sim.processed == 2 + 3 + 2
+        assert [when for when, _ in inboxes[1]] == [1.01, 2.01, 3.01]
+
+    def test_send_after_the_wire_fell_idle_starts_at_once(self):
+        sim, net, inboxes = make_network(n=2)
+        net.send(0, 1, "m", 1_000_000, "a")
+        sim.schedule(1.5, lambda: net.send(0, 1, "m", 1_000_000, "b"))
+        sim.run()
+        assert sim.processed == 1 + 2
+        assert [when for when, _ in inboxes[1]] == [1.01, 2.5 + 0.01]
+
+
+class TestFaultsAtTheArrivalInstant:
+    """A copy's one event fires ``proc`` after it arrived; what is
+    decided on arrival is decided for the arrival instant."""
+
+    PROC = 0.010
+    ARRIVAL = 1000 * 8.0 / 8_000_000 + 0.01
+
+    def _send_one(self, **kwargs):
+        sim, net, inboxes = make_network(n=2, proc=self.PROC, **kwargs)
+        net.send(0, 1, "m", 1000, None)
+        return sim, net, inboxes
+
+    def test_receiver_crashing_during_the_service_drops_the_copy_once(self):
+        sim, net, inboxes = self._send_one()
+        sim.schedule_at(self.ARRIVAL + 0.005, lambda: net.set_node_down(1))
+        sim.run()
+        assert inboxes[1] == []
+        assert net.stats.messages_dropped == 1
+        assert net.stats.messages_delivered == 0
+
+    def test_receiver_crashing_with_copies_waiting_counts_each_once(self):
+        sim, net, inboxes = make_network(n=4, proc=self.PROC)
+        for src in (1, 2, 3):
+            net.send(src, 0, "m", 1000, src)
+        # 1 is served at ARRIVAL + PROC; 2 and 3 wait when the node dies.
+        sim.schedule_at(self.ARRIVAL + 0.015, lambda: net.set_node_down(0))
+        sim.run()
+        assert [env.payload for _, env in inboxes[0]] == [1]
+        assert net.stats.messages_dropped == 2
+
+    def test_receiver_down_on_arrival_and_back_before_the_event(self):
+        sim, net, inboxes = self._send_one()
+        sim.schedule_at(0.005, lambda: net.set_node_down(1))
+        sim.schedule_at(self.ARRIVAL + 0.005, lambda: net.set_node_up(1))
+        sim.run()
+        assert inboxes[1] == []
+        assert net.stats.messages_dropped == 1
+
+    def test_receiver_back_before_arrival_gets_the_copy(self):
+        sim, net, inboxes = self._send_one()
+        sim.schedule_at(0.005, lambda: net.set_node_down(1))
+        sim.schedule_at(self.ARRIVAL - 0.001, lambda: net.set_node_up(1))
+        sim.run()
+        assert [when for when, _ in inboxes[1]] == [self.ARRIVAL + self.PROC]
+        assert net.stats.messages_dropped == 0
+
+    @pytest.mark.parametrize("start, duration, delivered", [
+        (0.0, ARRIVAL + 0.005, False),  # closes between t_a and t_a + proc
+        (ARRIVAL + 0.005, 1.0, True),   # opens between them
+        (ARRIVAL, 0.001, False),        # opens exactly at t_a
+        (0.0, ARRIVAL, True),           # closes exactly at t_a
+    ])
+    @pytest.mark.parametrize("kind", ["partition", "loss"])
+    def test_window_edge_inside_the_service_is_judged_at_arrival(
+        self, kind, start, duration, delivered,
+    ):
+        window = (
+            Partition(at=start, duration=duration, groups=((0,),))
+            if kind == "partition"
+            else LossWindow(at=start, duration=duration, rate=1.0)
+        )
+        sim, net, inboxes = self._send_one()
+        net.set_link_faults(LinkFaults(
+            FaultSchedule([window]).windows(), random.Random(1)
+        ))
+        sim.run()
+        assert bool(inboxes[1]) == delivered
+        assert net.stats.messages_dropped == (0 if delivered else 1)
