@@ -4,7 +4,8 @@ simulated numbers for the same protocol settings.
 Runs HotStuff with the Stratus and native mempools as 4 real OS
 processes over asyncio TCP (see :mod:`repro.live`), then runs the
 identical :class:`ExperimentConfig` through the discrete-event
-simulator, and writes both sets of numbers to ``BENCH_live.json``.
+simulator, and writes both sets of numbers to ``BENCH_live.json`` in
+pytest's ``tmp_path`` (a run must not touch the checkout).
 The two columns are *not* expected to match — the simulator models a
 configured topology while the live run measures this machine's loopback
 and scheduler — but they share the protocol code, the workload math,
@@ -22,14 +23,13 @@ from __future__ import annotations
 import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from repro.config import ProtocolConfig
 from repro.harness import ExperimentConfig, format_table, run_experiment
 from repro.live import LiveConfig, run_live
-
-BENCH_PATH = Path(__file__).resolve().parent / "BENCH_live.json"
 
 #: (mempool, consensus) pairs matching the acceptance criteria.
 VARIANTS = [("stratus", "hotstuff"), ("native", "hotstuff")]
@@ -76,7 +76,7 @@ def _measure(mempool: str, consensus: str) -> dict:
     }
 
 
-def test_live_smoke_bench():
+def test_live_smoke_bench(tmp_path):
     rows = []
     document = {
         "schema": "BENCH_live/1",
@@ -102,7 +102,8 @@ def test_live_smoke_bench():
         assert entry["live"]["committed_blocks"] >= 1, entry["label"]
         assert entry["live"]["violations"] == [], entry["label"]
 
-    BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
+    bench_path = tmp_path / "BENCH_live.json"
+    bench_path.write_text(json.dumps(document, indent=2) + "\n")
     print()
     print(format_table(
         ["variant", "live tps", "live lat (ms)", "live p99 (ms)",
@@ -111,8 +112,8 @@ def test_live_smoke_bench():
         title=f"live vs sim @ {RATE_TPS:,.0f} tx/s offered, "
               f"{DURATION:.0f}s window (n=4, localhost)",
     ))
-    print(f"[written to {BENCH_PATH}]")
+    print(f"[written to {bench_path}]")
 
 
 if __name__ == "__main__":
-    sys.exit(0 if test_live_smoke_bench() is None else 1)
+    test_live_smoke_bench(Path(tempfile.mkdtemp(prefix="live-smoke-")))

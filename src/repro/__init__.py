@@ -25,7 +25,6 @@ from repro.harness import (
     RunResult,
     build_experiment,
     run_experiment,
-    run_replicated,
     tuned_protocol,
 )
 from repro.tracing import Tracer
@@ -38,7 +37,6 @@ __all__ = [
     "RunResult",
     "build_experiment",
     "run_experiment",
-    "run_replicated",
     "tuned_protocol",
     "Tracer",
     "__version__",

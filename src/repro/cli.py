@@ -67,13 +67,9 @@ from repro.harness import (
     resolve_fault_spec,
     tuned_protocol,
 )
-from repro.harness.config import (
-    FAULTS,
-    LINK_MODELS,
-    SELECTORS,
-    TOPOLOGIES,
-    WORKLOAD_MODES,
-)
+from repro.harness.config import FAULTS, SELECTORS, TOPOLOGIES
+from repro.sim.network import LINK_MODELS
+from repro.workload.generator import WORKLOAD_MODES
 
 #: The ``--faults`` help text shared by the sim and live parsers — one
 #: grammar, resolved by :func:`repro.harness.resolve_fault_spec`.
@@ -314,6 +310,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
 
 
 def run_fuzz(argv: Sequence[str]) -> int:
+    from repro.parallel import ParallelExecutor
     from repro.verification import (
         ScenarioFuzzer,
         shrink_scenario,
@@ -326,11 +323,7 @@ def run_fuzz(argv: Sequence[str]) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     fuzzer = ScenarioFuzzer(args.seed)
-    executor = None
-    if args.jobs > 1:
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(jobs=args.jobs)
+    executor = ParallelExecutor(jobs=args.jobs)
     failures = []
 
     def report(outcome) -> None:

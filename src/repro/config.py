@@ -10,7 +10,7 @@ Topology- and workload-level settings live in
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 MEMPOOL_KINDS = (
@@ -63,10 +63,6 @@ class ShardingConfig:
       partitioned into. ``1`` degenerates to unsharded dissemination
       (every replica in one shard) while keeping certificate-only
       consensus ordering.
-    * ``shard_size`` — replicas per shard membership. ``None`` derives
-      ``min(n, max(4, ceil(n / shards)))``: large enough that every
-      shard tolerates at least one fault whenever ``n >= 4``, and the
-      memberships jointly cover all replicas.
     * ``epoch`` — rebalance generation. Bumping it rotates every
       membership deterministically (``(node + epoch) mod n``), the hook
       a reconfiguration protocol would drive; all replicas must agree on
@@ -74,16 +70,11 @@ class ShardingConfig:
     """
 
     shards: int = 2
-    shard_size: Optional[int] = None
     epoch: int = 0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ValueError(
-                f"shard_size must be >= 1, got {self.shard_size}"
-            )
         if self.epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
@@ -137,16 +128,6 @@ class ProtocolConfig:
     # (Section IV-B).
     fetch_timeout: float = 0.5
     fetch_sample_fraction: float = 0.25  # share of signers asked per round
-    fetch_max_targets: int = 4
-    # Retry rounds back off exponentially with jitter so a dead or
-    # partitioned holder is not hammered at a fixed cadence, and give up
-    # after ``fetch_max_rounds`` rounds (0 = retry forever). Abandoned
-    # fetches are counted in metrics; GC'd or equivocated microblocks
-    # would otherwise be chased for the rest of the run.
-    fetch_backoff_factor: float = 1.5
-    fetch_backoff_max: float = 2.0  # cap on the backed-off delay, seconds
-    fetch_jitter: float = 0.1  # +/- fraction applied to each retry delay
-    fetch_max_rounds: int = 25
 
     # -- DLB ---------------------------------------------------------------
     load_balancing: bool = False
@@ -154,31 +135,16 @@ class ProtocolConfig:
     lb_query_timeout: float = 0.2  # tau
     lb_forward_timeout: float = 1.0  # tau'
     lb_probe_interval: int = 8  # self-push every k-th mb while busy
-    busy_margin: float = 2.0  # busy if ST_p > margin * baseline + slack
-    busy_slack: float = 0.05  # seconds of absolute slack (epsilon + beta)
-
-    # -- gossip ------------------------------------------------------------
-    gossip_fanout: int = 3
 
     # -- consensus ---------------------------------------------------------
     view_timeout: float = 2.0
     empty_view_delay: float = 0.005
     streamlet_epoch: float = 0.4
-    pbft_window: int = 8
-
-    # -- garbage collection (Section VIII) ----------------------------------
-    # Seconds to retain a committed microblock's body and proof before
-    # discarding them. Retention gives straggling replicas time to finish
-    # their background fills; 0 disables GC entirely.
-    gc_retention: float = 30.0
 
     # -- sharding (sharded-stratus only) -------------------------------------
     # None means "use ShardingConfig()'s defaults" when the mempool is
     # sharded; ignored by every other mempool kind.
     sharding: Optional[ShardingConfig] = None
-
-    # -- fault model -------------------------------------------------------
-    byzantine: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.n < 4:
@@ -227,23 +193,6 @@ class ProtocolConfig:
                 "fetch_sample_fraction must be in (0, 1], "
                 f"got {self.fetch_sample_fraction}"
             )
-        if self.fetch_backoff_factor < 1.0:
-            raise ValueError(
-                "fetch_backoff_factor must be >= 1, "
-                f"got {self.fetch_backoff_factor}"
-            )
-        if not 0.0 <= self.fetch_jitter < 1.0:
-            raise ValueError(
-                f"fetch_jitter must be in [0, 1), got {self.fetch_jitter}"
-            )
-        if self.fetch_max_rounds < 0:
-            raise ValueError(
-                f"fetch_max_rounds must be >= 0, got {self.fetch_max_rounds}"
-            )
-        if len(self.byzantine) > self.f:
-            raise ValueError(
-                f"{len(self.byzantine)} Byzantine replicas exceeds f={self.f}"
-            )
 
     def with_updates(self, **changes) -> "ProtocolConfig":
         """Return a copy with the given fields replaced."""
@@ -255,12 +204,8 @@ class ProtocolConfig:
         Used by ``repro.parallel`` to ship configurations into spawned
         worker processes without pickling live objects.
         """
-        return encode_fields(
-            self, sharding=ShardingConfig.to_dict, byzantine=sorted,
-        )
+        return encode_fields(self, sharding=ShardingConfig.to_dict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        return decode_fields(
-            cls, data, sharding=ShardingConfig.from_dict, byzantine=frozenset,
-        )
+        return decode_fields(cls, data, sharding=ShardingConfig.from_dict)

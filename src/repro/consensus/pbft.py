@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mempool.base import Mempool
     from repro.replica.node import Replica
 
+#: Sequence numbers the leader keeps in flight beyond the last commit.
+PBFT_WINDOW = 8
+
 
 class _SlotState:
     """Prepare/commit vote accumulation for one sequence number."""
@@ -91,7 +94,7 @@ class Pbft(ConsensusEngine):
         self._pump_scheduled = False
         if self.host.behavior.silent:
             return
-        while self._next_seq - self._last_committed <= self.config.pbft_window:
+        while self._next_seq - self._last_committed <= PBFT_WINDOW:
             payload = self.mempool.make_payload()
             if payload.is_empty:
                 break
@@ -131,7 +134,7 @@ class Pbft(ConsensusEngine):
 
         The normal case has no view change, so a pre-prepare or vote lost
         to a partition would jam the pipelined window forever: the window
-        check ``_next_seq - _last_committed <= pbft_window`` never opens
+        check ``_next_seq - _last_committed <= PBFT_WINDOW`` never opens
         again. The leader periodically re-broadcasts every uncommitted
         in-window proposal; replicas answer duplicates by re-sending their
         own votes (see :meth:`_on_pre_prepare`), repairing the quorums.

@@ -33,10 +33,6 @@ class AvailabilityProof:
     forged: bool = False
 
     @property
-    def quorum(self) -> int:
-        return len(self.signers)
-
-    @property
     def size_bytes(self) -> int:
         return sizes.availability_proof_bytes(max(1, len(self.signers)))
 

@@ -22,10 +22,6 @@ class Signature:
     digest: Digest
     forged: bool = False
 
-    @property
-    def size_bytes(self) -> int:
-        return sizes.SIGNATURE
-
 
 def sign(signer: int, digest: Digest) -> Signature:
     """Produce ``signer``'s signature over ``digest``.

@@ -46,19 +46,14 @@ class DurabilityConfig:
     """Knobs for the durability layer (spawn-safe JSON round-trip)."""
 
     fsync: str = "always"
-    fsync_interval: float = 0.05
     #: Blocks applied between checkpoints (and WAL truncations).
     checkpoint_interval: int = 32
-    #: Allow a recovered replica to request/serve peer snapshots.
-    snapshot_transfer: bool = True
 
     def __post_init__(self) -> None:
         if self.fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {self.fsync!r}"
             )
-        if self.fsync_interval <= 0:
-            raise ValueError("fsync_interval must be positive")
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
 
@@ -157,7 +152,6 @@ class DurableKVStore(KVStore):
         self._wal = WriteAheadLog(
             self._wal_path,
             fsync=self.config.fsync,
-            fsync_interval=self.config.fsync_interval,
             failpoint=self._failpoint,
         )
         if replay.torn:

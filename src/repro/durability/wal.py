@@ -61,9 +61,6 @@ class AppliedBlockRecord:
     #: ``(microblock_id, tx_count)`` in payload order.
     microblocks: tuple = ()
 
-    def tx_count(self) -> int:
-        return sum(count for _, count in self.microblocks)
-
 
 def encode_payload(record: AppliedBlockRecord) -> bytes:
     doc = {

@@ -283,9 +283,6 @@ class FaultSchedule:
         ordered = tuple(sorted(events, key=lambda event: event.at))
         object.__setattr__(self, "events", ordered)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     @classmethod
     def from_spec(cls, spec: Sequence[dict]) -> "FaultSchedule":
         """Build a schedule from a list of plain dicts (parsed JSON)."""
@@ -305,9 +302,6 @@ class FaultSchedule:
         what a human would write in a ``--faults`` JSON file.
         """
         return [_event_to_dict(event) for event in self.events]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_spec())
 
     def validate(self, n: int) -> None:
         """Check every event against a network of ``n`` replicas."""

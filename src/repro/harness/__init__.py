@@ -17,11 +17,8 @@ from repro.harness.runner import (
 )
 from repro.harness.netbench import NetBenchConfig, NetBenchResult, run_netbench
 from repro.harness.report import format_table, format_series
-from repro.harness.repeat import ReplicatedResult, run_replicated
 
 __all__ = [
-    "ReplicatedResult",
-    "run_replicated",
     "PROTOCOL_PRESETS",
     "CHAOS_PRESET_NAMES",
     "chaos_schedule",

@@ -12,8 +12,6 @@ from repro.faults import FaultSchedule
 TOPOLOGIES = ("lan", "wan", "geo")
 SELECTORS = ("uniform", "zipf1", "zipf10")
 FAULTS = ("none", "silent", "censor", "lying")
-LINK_MODELS = ("serial", "fair-share")
-WORKLOAD_MODES = ("ticks", "aggregate")
 
 
 @dataclass
@@ -60,10 +58,11 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        # link_model and workload_mode are checked by what consumes
+        # them (Network, WorkloadGenerator), which own their choices.
         for name, choices in (
             ("topology_kind", TOPOLOGIES), ("selector", SELECTORS),
-            ("fault", FAULTS), ("link_model", LINK_MODELS),
-            ("workload_mode", WORKLOAD_MODES),
+            ("fault", FAULTS),
         ):
             if getattr(self, name) not in choices:
                 raise ValueError(

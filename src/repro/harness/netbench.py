@@ -78,12 +78,6 @@ class NetBenchResult:
     fingerprint: str = ""
 
     @property
-    def events_per_sec(self) -> float:
-        if self.wall_clock_s <= 0:
-            return 0.0
-        return self.events_processed / self.wall_clock_s
-
-    @property
     def delivered_per_sim_sec(self) -> float:
         if self.sim_seconds <= 0:
             return 0.0

@@ -193,7 +193,7 @@ def build_experiment(
     names — the hook the mutation self-tests use to wire intentionally
     broken variants into an otherwise standard experiment.
     """
-    protocol = config.protocol.with_updates(byzantine=config.byzantine_ids)
+    protocol = config.protocol
     sim = Simulator()
     rng = RngRegistry(config.seed)
     topology = _make_topology(config)

@@ -72,8 +72,7 @@ class KVStore:
         """Execute every transaction of a full block, in microblock order."""
         if not block.is_full:
             raise ValueError(
-                f"cannot execute partial block {block.block_id}: "
-                f"missing {block.missing_ids}"
+                f"cannot execute partial block {block.block_id}"
             )
         pairs = tuple(
             (mb_id, block.microblocks[mb_id].tx_count)

@@ -203,11 +203,7 @@ async def _run(spec: dict) -> dict:
     await scheduler.sleep_until(0.0)
     replica.start()
     executor = replica.executor
-    if (
-        executor is not None
-        and spec.get("generation", 0)
-        and getattr(executor.config, "snapshot_transfer", False)
-    ):
+    if executor is not None and spec.get("generation", 0):
         # A respawned incarnation recovered from its own disk; peers may
         # have moved the commit frontier while it was down. The request
         # is queued per peer and delivered once TCP (re)connects.

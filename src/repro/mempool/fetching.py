@@ -24,23 +24,32 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TargetProvider = Callable[[set[int]], list[int]]
 
+#: Retry rounds back off by this factor, up to the cap in seconds, with
+#: +/- this fraction of jitter, so a dead or partitioned holder is not
+#: hammered at a fixed cadence; a fetch is abandoned (and counted) after
+#: this many rounds (0 = retry forever), or a GC'd or equivocated
+#: microblock would be chased for the rest of the run.
+FETCH_BACKOFF_FACTOR = 1.5
+FETCH_BACKOFF_MAX = 2.0
+FETCH_JITTER = 0.1
+FETCH_MAX_ROUNDS = 25
+#: Most signers asked in one round.
+FETCH_MAX_TARGETS = 4
+
 
 def backoff_delay(config: ProtocolConfig, rounds: int, rng) -> float:
     """Retry delay after ``rounds`` completed rounds: exponential, jittered.
 
     Shared by fetch retries and PAB push retransmissions. The first retry
     waits ``fetch_timeout`` (delta in Algorithm 2); later ones grow by
-    ``fetch_backoff_factor`` up to ``fetch_backoff_max``, with
-    ``+/- fetch_jitter`` relative noise so synchronized retriers do not
-    re-converge on the same peer at the same instant.
+    the backoff factor up to its cap, with relative noise so synchronized
+    retriers do not re-converge on the same peer at the same instant.
     """
-    base = config.fetch_timeout * (
-        config.fetch_backoff_factor ** (rounds - 1)
-    )
-    cap = max(config.fetch_backoff_max, config.fetch_timeout)
+    base = config.fetch_timeout * (FETCH_BACKOFF_FACTOR ** (rounds - 1))
+    cap = max(FETCH_BACKOFF_MAX, config.fetch_timeout)
     delay = min(base, cap)
-    if config.fetch_jitter > 0:
-        delay *= 1.0 + rng.uniform(-config.fetch_jitter, config.fetch_jitter)
+    if FETCH_JITTER > 0:
+        delay *= 1.0 + rng.uniform(-FETCH_JITTER, FETCH_JITTER)
     return delay
 
 
@@ -176,10 +185,7 @@ class FetchManager:
 
     def _round(self, pending: _PendingFetch) -> None:
         pending.rounds += 1
-        if (
-            self._config.fetch_max_rounds
-            and pending.rounds > self._config.fetch_max_rounds
-        ):
+        if FETCH_MAX_ROUNDS and pending.rounds > FETCH_MAX_ROUNDS:
             self._abandon(pending)
             return
         targets = pending.targets_provider(pending.requested)
@@ -240,8 +246,8 @@ def sampled_signers(
         ]
         if not chosen:
             chosen = [rng.choice(candidates)]
-        if len(chosen) > config.fetch_max_targets:
-            chosen = rng.sample(chosen, config.fetch_max_targets)
+        if len(chosen) > FETCH_MAX_TARGETS:
+            chosen = rng.sample(chosen, FETCH_MAX_TARGETS)
         return chosen
 
     return provider

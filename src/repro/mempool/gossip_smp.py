@@ -15,6 +15,9 @@ from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.sim.network import Envelope
 from repro.types.microblock import MicroBlock
 
+#: Peers a microblock is pushed to on creation and on first receipt.
+GOSSIP_FANOUT = 3
+
 
 class GossipSharedMempool(SimpleSharedMempool):
     """SMP variant disseminating microblocks via push gossip."""
@@ -32,7 +35,7 @@ class GossipSharedMempool(SimpleSharedMempool):
         ]
         if not candidates:
             return
-        fanout = min(self.config.gossip_fanout, len(candidates))
+        fanout = min(GOSSIP_FANOUT, len(candidates))
         targets = self.host.rng.sample(candidates, fanout)
         targets = self.host.behavior.share_targets(self.host, targets)
         for target in targets:

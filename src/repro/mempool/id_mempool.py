@@ -27,6 +27,11 @@ from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
+#: Seconds a committed microblock's body and proof are retained before
+#: they are discarded (Section VIII): time for straggling replicas to
+#: finish their background fills. 0 disables GC.
+GC_RETENTION = 30.0
+
 
 class IdMempool(Mempool):
     """Store, fetcher and batcher wiring plus the id lifecycle; a
@@ -181,10 +186,8 @@ class IdMempool(Mempool):
     def garbage_collect(self, proposal: Proposal) -> None:
         """Retire a resolved proposal's microblocks after the retention
         window, so straggling replicas can still fetch them meanwhile."""
-        if self.config.gc_retention > 0:
-            self._retained.defer(
-                self.config.gc_retention, proposal.payload.microblock_ids
-            )
+        if GC_RETENTION > 0:
+            self._retained.defer(GC_RETENTION, proposal.payload.microblock_ids)
 
     def _discard(self, ids) -> None:
         """Retention is over: free what is held per id."""

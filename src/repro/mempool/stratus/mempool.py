@@ -41,10 +41,7 @@ class StratusMempool(IdMempool):
 
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         super().__init__(host, config)
-        self.estimator = StableTimeEstimator(
-            busy_margin=config.busy_margin,
-            busy_slack=config.busy_slack,
-        )
+        self.estimator = StableTimeEstimator()
         scope = self._scope()
         self.pab = PabEngine(
             host, config, scope, self.store, self.fetcher,

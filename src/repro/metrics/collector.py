@@ -108,7 +108,7 @@ class MetricsHub:
         self._fetches += 1
 
     def record_fetch_abandoned(self) -> None:
-        """A fetch gave up after ``fetch_max_rounds`` retry rounds."""
+        """A fetch gave up after ``FETCH_MAX_ROUNDS`` retry rounds."""
         self._fetches_abandoned += 1
 
     def record_fault_window(self, window: Window) -> None:

@@ -9,7 +9,7 @@ weights linearly — O(n log n) per query. The digest now consolidates
 once per add-batch (a dirty flag marks the cached order stale) into a
 sorted value array plus a prefix-sum array, and answers each percentile
 with one bisect: repeated queries (p50/p95/p99 on the same window) cost
-O(log n), and min/max are tracked incrementally at add time.
+O(log n); ``percentile(0)`` and ``percentile(100)`` are the extremes.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ class WeightedDigest:
         self._samples: list[tuple[float, float]] = []
         self._total_weight = 0.0
         self._weighted_sum = 0.0
-        self._min = 0.0
-        self._max = 0.0
         self._dirty = True
         self._ordered_values: list[float] = []
         self._cum_weights: list[float] = []
@@ -36,14 +34,6 @@ class WeightedDigest:
     def add(self, value: float, weight: float = 1.0) -> None:
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        if not self._samples:
-            self._min = value
-            self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
         self._samples.append((value, weight))
         self._total_weight += weight
         self._weighted_sum += value * weight
@@ -55,10 +45,6 @@ class WeightedDigest:
 
     def __len__(self) -> int:
         return len(self._samples)
-
-    @property
-    def total_weight(self) -> float:
-        return self._total_weight
 
     @property
     def mean(self) -> float:
@@ -97,14 +83,6 @@ class WeightedDigest:
         if index >= len(self._ordered_values):
             index = len(self._ordered_values) - 1
         return self._ordered_values[index]
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    @property
-    def min(self) -> float:
-        return self._min
 
 
 def commit_sequence_hash(

@@ -17,7 +17,6 @@ Quickstart::
 from repro.parallel.executor import (
     JobResult,
     ParallelExecutor,
-    default_jobs,
     sweep,
 )
 from repro.parallel.jobs import (
@@ -25,7 +24,6 @@ from repro.parallel.jobs import (
     JobSpec,
     execute_job,
     experiment_job,
-    netbench_job,
     scenario_job,
     worker_peak_rss_bytes,
 )
@@ -35,10 +33,8 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "ParallelExecutor",
-    "default_jobs",
     "execute_job",
     "experiment_job",
-    "netbench_job",
     "scenario_job",
     "sweep",
     "worker_peak_rss_bytes",

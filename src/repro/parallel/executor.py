@@ -35,7 +35,6 @@ which is the serial baseline every parallel run is hash-gated against.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,11 +53,6 @@ _KILL_GRACE_S = 2.0
 #: Poll interval while waiting on worker pipes (also bounds how late a
 #: per-job timeout can fire).
 _WAIT_S = 0.05
-
-
-def default_jobs() -> int:
-    """Worker count when none is given: one per available core."""
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass
@@ -106,8 +100,8 @@ class ParallelExecutor:
     Parameters
     ----------
     jobs:
-        Worker-process cap. ``None`` means one per core; ``1`` runs
-        everything serially in-process (no subprocesses at all).
+        Worker-process cap; ``1`` runs everything serially in-process
+        (no subprocesses at all).
     timeout:
         Per-attempt wall-clock budget in seconds (``None`` = unlimited).
         A timed-out worker is terminated and the attempt counts as a
@@ -119,17 +113,17 @@ class ParallelExecutor:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         timeout: Optional[float] = None,
         retries: int = 1,
     ) -> None:
-        if jobs is not None and jobs < 1:
+        if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        self.jobs = jobs if jobs is not None else default_jobs()
+        self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
         self._ctx = multiprocessing.get_context("spawn")
@@ -322,7 +316,7 @@ class ParallelExecutor:
 
 def sweep(
     configs: Iterable,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 1,
     executor: Optional[ParallelExecutor] = None,

@@ -23,7 +23,7 @@ import platform
 import resource
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import decode_fields, encode_fields
@@ -85,15 +85,6 @@ def experiment_job(
     )
 
 
-def netbench_job(config) -> JobSpec:
-    """Spec for one dissemination-bench cell (``repro.harness.netbench``)."""
-    return JobSpec(
-        kind="netbench",
-        payload=config.to_dict(),
-        label=config.label,
-    )
-
-
 def scenario_job(
     scenario,
     liveness_bound: Optional[float] = None,
@@ -136,13 +127,6 @@ def _run_experiment_job(payload: dict, options: dict) -> dict:
             0.0, config.end_time, bucket,
         )
     return {"result": result.to_dict()}
-
-
-def _run_netbench_job(payload: dict, options: dict) -> dict:
-    from repro.harness.netbench import NetBenchConfig, run_netbench
-
-    result = run_netbench(NetBenchConfig.from_dict(payload))
-    return {"netbench": asdict(result)}
 
 
 def _run_scenario_job(payload: dict, options: dict) -> dict:
@@ -190,7 +174,6 @@ def _run_selftest_job(payload: dict, options: dict) -> dict:
 
 JOB_KINDS = {
     "experiment": _run_experiment_job,
-    "netbench": _run_netbench_job,
     "scenario": _run_scenario_job,
     "selftest": _run_selftest_job,
 }

@@ -159,8 +159,7 @@ class Replica:
             height=self._exec_height,
             wal_blocks=recovery.wal_blocks_replayed,
         )
-        if self.executor.config.snapshot_transfer:
-            self.request_state_snapshot()
+        self.request_state_snapshot()
 
     def handle(self, envelope: Envelope) -> None:
         """Network delivery: route by message-kind prefix.
@@ -283,7 +282,3 @@ class Replica:
         of one attribute check otherwise)."""
         if self.tracer is not None:
             self.tracer.record(self.sim.now, self.node_id, kind, **details)
-
-    @property
-    def is_byzantine(self) -> bool:
-        return self.node_id in self.config.byzantine

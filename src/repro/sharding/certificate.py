@@ -40,10 +40,6 @@ class ShardCertificate:
     forged: bool = False
 
     @property
-    def quorum(self) -> int:
-        return len(self.signers)
-
-    @property
     def size_bytes(self) -> int:
         return sizes.shard_certificate_bytes(max(1, len(self.signers)))
 

@@ -44,14 +44,10 @@ class ShardMap:
         self.n = n
         self.config = config
         self.shards = config.shards
-        size = config.shard_size
-        if size is None:
-            size = min(n, max(4, -(-n // config.shards)))
-        if size > n:
-            raise ValueError(
-                f"shard_size {size} exceeds replica count {n}"
-            )
-        self.shard_size = size
+        #: Replicas per shard membership: large enough that every shard
+        #: tolerates at least one fault whenever ``n >= 4``, and the
+        #: memberships jointly cover all replicas.
+        self.shard_size = min(n, max(4, -(-n // config.shards)))
         self._members = tuple(
             self._build_members(shard) for shard in range(self.shards)
         )

@@ -195,23 +195,6 @@ def wan_topology(
     )
 
 
-def heterogeneous_topology(
-    n: int,
-    bandwidths_bps: Sequence[float],
-    one_way_delay: float = 0.050,
-    name: str = "hetero",
-) -> Topology:
-    """Topology with per-replica bandwidths (unbalanced capacity studies)."""
-    if len(bandwidths_bps) != n:
-        raise ValueError(
-            f"need {n} bandwidth entries, got {len(bandwidths_bps)}"
-        )
-    topo = Topology(n, one_way_delay, max(bandwidths_bps), name=name)
-    for node, bandwidth in enumerate(bandwidths_bps):
-        topo.set_bandwidth(node, bandwidth)
-    return topo
-
-
 #: Approximate one-way inter-region delays (seconds) between the four
 #: Alibaba Cloud regions the paper probes in Appendix B: Singapore (SG),
 #: Sydney (SN), Virginia (VG), London (LD). Derived from typical

@@ -47,23 +47,11 @@ class Tracer:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self._dropped = 0
-        self._capacity = capacity
 
     def record(self, time: float, node: int, kind: str, **details) -> None:
-        if len(self._events) == self._capacity:
-            self._dropped += 1
         self._events.append(
             TraceEvent(time=time, node=node, kind=kind, details=details)
         )
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring buffer."""
-        return self._dropped
 
     def query(
         self,
@@ -88,11 +76,3 @@ class Tracer:
         for event in self._events:
             totals[event.kind] = totals.get(event.kind, 0) + 1
         return totals
-
-    def render(self, limit: int = 50, **filters) -> str:
-        """Human-readable tail of the (filtered) event log."""
-        matched = list(self.query(**filters))
-        lines = [str(event) for event in matched[-limit:]]
-        if len(matched) > limit:
-            lines.insert(0, f"... ({len(matched) - limit} earlier events)")
-        return "\n".join(lines)

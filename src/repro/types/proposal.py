@@ -140,13 +140,5 @@ class Block:
         )
 
     @property
-    def missing_ids(self) -> list[MicroBlockId]:
-        return [
-            mb_id
-            for mb_id in self.proposal.payload.microblock_ids
-            if mb_id not in self.microblocks
-        ]
-
-    @property
     def tx_count(self) -> int:
         return sum(mb.tx_count for mb in self.microblocks.values())

@@ -193,10 +193,6 @@ class Scenario:
             f"-n{self.n}-seed{self.seed}"
         )
 
-    @property
-    def end_time(self) -> float:
-        return self.warmup + self.duration
-
     def fault_schedule(self) -> Optional[FaultSchedule]:
         if not self.fault_spec:
             return None
@@ -372,44 +368,20 @@ class ScenarioFuzzer:
     ) -> list[FuzzOutcome]:
         """Run ``iterations`` scenarios; optionally stop at first failure.
 
-        With ``jobs > 1`` (or an explicit :class:`repro.parallel.
-        ParallelExecutor`), scenarios fan out across worker processes.
-        Outcomes are still reported in submission (index) order, so
-        ``stop_on_failure`` and resume-index semantics are identical to
-        the serial path: the returned list is always the contiguous
-        prefix ``start..k`` ending at the first failure. Each scenario's
-        simulation is seeded from the root seed alone, so the outcomes
-        — including every commit-sequence hash — are bit-for-bit the
-        same as a serial sweep's.
+        Every width takes one path: ``jobs`` (or an explicit
+        :class:`repro.parallel.ParallelExecutor`) sets how many worker
+        processes the scenarios fan out across, ``1`` running each in
+        this process. Outcomes are reported in submission (index) order,
+        so the returned list is always the contiguous prefix
+        ``start..k`` ending at the first failure under
+        ``stop_on_failure``. Each scenario's simulation is seeded from
+        the root seed alone, so the outcomes — including every
+        commit-sequence hash — are bit-for-bit the same at any width.
         """
-        if executor is None and jobs > 1:
-            from repro.parallel import ParallelExecutor
+        from repro.parallel import ParallelExecutor, scenario_job
 
+        if executor is None:
             executor = ParallelExecutor(jobs=jobs)
-        if executor is not None and executor.jobs > 1:
-            return self._run_parallel(
-                executor, iterations, start, stop_on_failure, on_outcome,
-            )
-        outcomes: list[FuzzOutcome] = []
-        for index in range(start, start + iterations):
-            outcome = run_scenario(self.scenario(index))
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
-            if stop_on_failure and not outcome.ok:
-                break
-        return outcomes
-
-    def _run_parallel(
-        self,
-        executor,
-        iterations: int,
-        start: int,
-        stop_on_failure: bool,
-        on_outcome: Optional[Callable[[FuzzOutcome], None]],
-    ) -> list[FuzzOutcome]:
-        from repro.parallel import scenario_job
-
         specs = [
             scenario_job(self.scenario(index))
             for index in range(start, start + iterations)

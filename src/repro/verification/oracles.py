@@ -173,10 +173,6 @@ class OracleSuite:
     def now(self) -> float:
         return self.experiment.sim.now if self.experiment is not None else 0.0
 
-    @property
-    def honest(self) -> frozenset[int]:
-        return self._honest
-
     def attach(self, experiment: "RunningExperiment") -> "OracleSuite":
         """Install this suite as every replica's observer."""
         self.experiment = experiment

@@ -84,7 +84,7 @@ def _max_node(entry: dict) -> int:
 
 
 class _CandidateEvaluator:
-    """Runs shrink candidates serially or speculatively in worker processes.
+    """Runs shrink candidates one by one or speculatively in worker processes.
 
     The greedy walk only ever asks two questions — "which is the first
     candidate (in order) that still fails?" and "how deep into this
@@ -108,16 +108,16 @@ class _CandidateEvaluator:
         self.targets = targets
         self.max_runs = max_runs
         self.runs = 1  # the baseline reproduction is charged up front
-        # Speculation needs to rebuild the runner inside a fresh worker,
-        # which only works for the stock run_scenario (plus the knobs
-        # scenario_job can carry). A bespoke runner closure falls back
-        # to the serial walk.
-        self.executor = (
-            executor
-            if executor is not None
-            and (runner is run_scenario or job_options is not None)
-            else None
-        )
+        # A job spec can only name the stock run_scenario (plus the knobs
+        # scenario_job carries): that case runs through an executor at
+        # every width, in-process at jobs=1; a closure walks serially.
+        if runner is not run_scenario and job_options is None:
+            executor = None
+        elif executor is None:
+            from repro.parallel import ParallelExecutor
+
+            executor = ParallelExecutor(jobs=1)
+        self.executor = executor
         self.job_options = job_options or {}
 
     @property

@@ -67,7 +67,7 @@ class ArrivalStream:
 
     __slots__ = (
         "_sim", "_replica", "_per_tick", "_payload", "_tick", "_carry",
-        "_next_tick", "_emitted", "_timer", "_stopped", "_batcher",
+        "_next_tick", "_emitted", "_timer", "_batcher",
     )
 
     def __init__(
@@ -88,7 +88,6 @@ class ArrivalStream:
         self._next_tick = first_tick
         self._emitted = 0
         self._timer: Optional[TimerHandle] = None
-        self._stopped = False
         self._batcher = None
 
     def bind(self, batcher) -> None:
@@ -127,10 +126,6 @@ class ArrivalStream:
         """Deliver ticks strictly before ``time`` (flush-pull path)."""
         self._advance(time, False, True)
 
-    def settle_through(self, time: float) -> None:
-        """Deliver ticks up to and including ``time`` (wake path)."""
-        self._advance(time, True, True)
-
     # -- lifecycle hooks (forwarded by the batcher) ----------------------
 
     def on_crash(self) -> None:
@@ -148,19 +143,10 @@ class ArrivalStream:
         self._advance(self._sim.now, False, False)
         self.reschedule()
 
-    def stop(self) -> None:
-        self._stopped = True
-        self._advance(self._sim.now, False, True)
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     # -- wake scheduling -------------------------------------------------
 
     def _wake(self) -> None:
         self._timer = None
-        if self._stopped:
-            return
         self._advance(self._sim.now, True, True)
         self.reschedule()
 
@@ -176,7 +162,7 @@ class ArrivalStream:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if self._stopped or self._per_tick <= 0.0:
+        if self._per_tick <= 0.0:
             return
         batcher = self._batcher
         full = batcher.capacity
@@ -206,8 +192,6 @@ class ArrivalStream:
         Replays the recurrence through ``now`` without mutating stream
         state, so mid-run reads match the tick mode's running counter.
         """
-        if self._stopped:
-            return self._emitted
         extra = 0
         carry = self._carry
         t = self._next_tick
@@ -275,10 +259,6 @@ class WorkloadGenerator:
         self._stopped = False
 
     @property
-    def mode(self) -> str:
-        return self._mode
-
-    @property
     def emitted_tx_count(self) -> int:
         if self._mode == "aggregate":
             return sum(s.emitted_tx_count for s in self._streams)
@@ -293,11 +273,11 @@ class WorkloadGenerator:
             self._timer = self._sim.schedule(self._tick, self._on_tick)
 
     def stop(self) -> None:
+        """End the tick timer chain (the live client driver's shutdown);
+        aggregate streams run to the horizon."""
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
-        for stream in self._streams:
-            stream.stop()
 
     # -- tick mode -------------------------------------------------------
 

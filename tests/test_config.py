@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.harness import ExperimentConfig
 
 
 def test_f_derivation():
@@ -62,9 +63,10 @@ def test_txs_per_microblock_at_least_one():
 
 
 def test_byzantine_bounded_by_f():
-    ProtocolConfig(n=4, byzantine=frozenset({3}))
+    config = ExperimentConfig(ProtocolConfig(n=4), fault="silent", fault_count=1)
+    assert config.byzantine_ids == {3}
     with pytest.raises(ValueError):
-        ProtocolConfig(n=4, byzantine=frozenset({2, 3}))
+        ExperimentConfig(ProtocolConfig(n=4), fault="silent", fault_count=2)
 
 
 def test_lb_samples_validated():

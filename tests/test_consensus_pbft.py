@@ -1,5 +1,7 @@
 """Integration tests for normal-case PBFT."""
 
+from repro.consensus import pbft
+
 from tests.helpers import inject, make_cluster
 
 
@@ -33,10 +35,9 @@ def test_commits_with_f_silent():
     assert exp.metrics.committed_tx_total > 0
 
 
-def test_pipeline_window_bounds_in_flight():
-    exp = make_pbft(
-        rate_tps=0, protocol_overrides={"pbft_window": 2},
-    )
+def test_pipeline_window_bounds_in_flight(monkeypatch):
+    monkeypatch.setattr(pbft, "PBFT_WINDOW", 2)
+    exp = make_pbft(rate_tps=0)
     for _ in range(10):
         inject(exp, 0, count=4)
     leader = exp.replicas[0].consensus

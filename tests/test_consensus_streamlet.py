@@ -30,6 +30,7 @@ def test_epochs_advance_on_the_clock():
     exp.sim.run_until(1.05)
     for replica in exp.replicas:
         assert replica.consensus.epoch == 11  # 1 start + 10 ticks of 0.1s
+        assert replica.consensus.current_leader() == 11 % 4
 
 
 def test_finalized_chains_agree():

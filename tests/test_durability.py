@@ -316,10 +316,7 @@ def test_fsync_policy_validation():
 
 
 def test_config_spec_round_trip():
-    config = DurabilityConfig(
-        fsync="interval", fsync_interval=0.2,
-        checkpoint_interval=7, snapshot_transfer=False,
-    )
+    config = DurabilityConfig(fsync="interval", checkpoint_interval=7)
     assert DurabilityConfig.from_spec(config.to_spec()) == config
 
 
@@ -393,6 +390,7 @@ def test_wal_file_round_trip(tmp_path_factory, record_lists):
     wal = WriteAheadLog(path, fsync="off")
     for record in record_lists:
         wal.append(record)
+    wal.sync()  # "off" never fsyncs on its own; a caller still can
     wal.close()
     replay = read_wal(path)
     assert replay.records == record_lists

@@ -62,7 +62,7 @@ class TestFaultSchedule:
              {"event": "delay", "at": 5.0, "duration": 10.0, "base": 0.1},
              {"event": "swap", "at": 3.0, "node": 2, "behavior": "censor"}]
         """)
-        assert len(schedule) == 8
+        assert len(schedule.events) == 8
         schedule.validate(4)
         partition = next(
             e for e in schedule.events if isinstance(e, Partition)

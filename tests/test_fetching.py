@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.mempool import fetching
 from repro.mempool.base import MessageKinds
 from repro.mempool.fetching import (
     FetchManager,
@@ -145,12 +146,14 @@ def test_delayed_request_fires_after_grace():
 class TestGraceQueue:
     """Deferred first rounds share one armed wake per manager."""
 
+    @pytest.fixture(autouse=True)
+    def no_jitter(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_JITTER", 0.0)
+
     def _manager(self, **config):
         sim, net, inboxes, host = make_env()
         store = MicroBlockStore()
-        manager = FetchManager(
-            host, ProtocolConfig(n=4, fetch_jitter=0.0, **config), store
-        )
+        manager = FetchManager(host, ProtocolConfig(n=4, **config), store)
         return sim, inboxes, host, store, manager
 
     def test_bodies_landing_inside_the_grace_cost_one_wake(self):
@@ -285,9 +288,9 @@ class TestTargetProviders:
         for _ in range(20):
             assert len(provider(set())) >= 1
 
-    def test_sampled_signers_respects_max_targets(self):
-        config = ProtocolConfig(
-            n=40, fetch_sample_fraction=1.0, fetch_max_targets=3)
+    def test_sampled_signers_respects_max_targets(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_MAX_TARGETS", 3)
+        config = ProtocolConfig(n=40, fetch_sample_fraction=1.0)
         provider = sampled_signers(
             config, random.Random(1), signers=tuple(range(1, 30)), own_id=0)
         assert len(provider(set())) <= 3
@@ -300,27 +303,28 @@ class TestTargetProviders:
 
 
 class TestBackoff:
-    def test_delays_grow_exponentially_to_cap(self):
-        config = ProtocolConfig(
-            n=4, fetch_timeout=0.1, fetch_backoff_factor=2.0,
-            fetch_backoff_max=0.4, fetch_jitter=0.0,
-        )
+    def test_delays_grow_exponentially_to_cap(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(fetching, "FETCH_BACKOFF_MAX", 0.4)
+        monkeypatch.setattr(fetching, "FETCH_JITTER", 0.0)
+        config = ProtocolConfig(n=4, fetch_timeout=0.1)
         rng = random.Random(1)
         delays = [backoff_delay(config, rounds, rng) for rounds in (1, 2, 3, 4)]
-        assert delays == [0.1, 0.2, 0.4, 0.4]  # capped at fetch_backoff_max
+        assert delays == [0.1, 0.2, 0.4, 0.4]  # capped at FETCH_BACKOFF_MAX
 
-    def test_jitter_stays_within_bounds(self):
-        config = ProtocolConfig(n=4, fetch_timeout=0.1, fetch_jitter=0.2)
+    def test_jitter_stays_within_bounds(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_JITTER", 0.2)
+        config = ProtocolConfig(n=4, fetch_timeout=0.1)
         rng = random.Random(7)
         for _ in range(50):
             delay = backoff_delay(config, 1, rng)
             assert 0.08 <= delay <= 0.12
 
-    def test_abandoned_after_max_rounds(self):
+    def test_abandoned_after_max_rounds(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_JITTER", 0.0)
+        monkeypatch.setattr(fetching, "FETCH_MAX_ROUNDS", 3)
         sim, net, inboxes, host = make_env()
-        config = ProtocolConfig(
-            n=4, fetch_timeout=0.05, fetch_jitter=0.0, fetch_max_rounds=3,
-        )
+        config = ProtocolConfig(n=4, fetch_timeout=0.05)
         manager = FetchManager(host, config, MicroBlockStore())
         manager.request(make_mb().id, single_target(2))
         sim.run_until(5.0)
@@ -328,12 +332,12 @@ class TestBackoff:
         assert host.metrics.abandoned == 1
         assert manager.outstanding == 0
 
-    def test_zero_max_rounds_retries_forever(self):
+    def test_zero_max_rounds_retries_forever(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_JITTER", 0.0)
+        monkeypatch.setattr(fetching, "FETCH_MAX_ROUNDS", 0)
+        monkeypatch.setattr(fetching, "FETCH_BACKOFF_FACTOR", 1.0)
         sim, net, inboxes, host = make_env()
-        config = ProtocolConfig(
-            n=4, fetch_timeout=0.05, fetch_jitter=0.0, fetch_max_rounds=0,
-            fetch_backoff_factor=1.0,
-        )
+        config = ProtocolConfig(n=4, fetch_timeout=0.05)
         manager = FetchManager(host, config, MicroBlockStore())
         manager.request(make_mb().id, single_target(2))
         sim.run_until(5.0)
@@ -341,9 +345,10 @@ class TestBackoff:
         assert manager.outstanding == 1
         assert host.metrics.fetches > 50
 
-    def test_cancel_stops_retries(self):
+    def test_cancel_stops_retries(self, monkeypatch):
+        monkeypatch.setattr(fetching, "FETCH_JITTER", 0.0)
         sim, net, inboxes, host = make_env()
-        config = ProtocolConfig(n=4, fetch_timeout=0.1, fetch_jitter=0.0)
+        config = ProtocolConfig(n=4, fetch_timeout=0.1)
         manager = FetchManager(host, config, MicroBlockStore())
         mb = make_mb()
         manager.request(mb.id, single_target(2))

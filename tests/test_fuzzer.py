@@ -125,7 +125,7 @@ def test_faults_heal_before_liveness_judgement():
         for entry in scenario.fault_spec:
             end = entry["at"] + entry.get("duration", 0.0)
             assert end + bound + LIVENESS_MARGIN <= (
-                scenario.end_time + 0.3
+                scenario.warmup + scenario.duration + 0.3
             )
 
 

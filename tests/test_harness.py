@@ -161,11 +161,16 @@ def recorded_configs():
     }
 
 
-#: Fields deleted since the recording: options nothing ever set, and
+#: Fields deleted since the recording: options nothing ever set (each a
+#: constant beside its reader now, at the recorded value), and
 #: ``fluctuation``, a second spelling of ``faults=[DelaySpike]``.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
     "estimator_percentile", "fluctuation",
+    "fetch_max_targets", "fetch_backoff_factor", "fetch_backoff_max",
+    "fetch_jitter", "fetch_max_rounds", "gossip_fanout", "pbft_window",
+    "gc_retention", "busy_margin", "busy_slack", "byzantine",
+    "fsync_interval", "snapshot_transfer", "shard_size",
 }
 
 
@@ -174,7 +179,7 @@ def without_deleted(data):
     and a ``fluctuation`` window as the one-``delay``-event schedule
     that replaced it."""
     kept = {
-        key: without_deleted(value) if key == "protocol" else value
+        key: without_deleted(value) if isinstance(value, dict) else value
         for key, value in data.items() if key not in DELETED_KEYS
     }
     window = data.get("fluctuation")

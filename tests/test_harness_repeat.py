@@ -1,9 +1,14 @@
-"""Tests for replicated runs and heterogeneous bandwidth support."""
+"""Tests for seed-replicated points, heterogeneous bandwidth and topology
+choice in the harness."""
+
+import dataclasses
+import statistics
 
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.harness import ExperimentConfig, build_experiment, run_replicated
+from repro.harness import ExperimentConfig, build_experiment
+from repro.parallel import sweep
 
 
 def small_config(**kwargs):
@@ -14,25 +19,26 @@ def small_config(**kwargs):
 
 
 class TestRunReplicated:
-    def test_aggregates_over_seeds(self):
-        result = run_replicated(small_config(), seeds=[1, 2, 3])
-        assert len(result) == 3
-        assert result.throughput_mean > 0
-        assert result.latency_mean > 0
-        assert result.throughput_std >= 0
+    """A data point replicated over seeds is a sweep over seed-replaced
+    configs (the paper averages 3 runs per point)."""
 
-    def test_single_seed_zero_std(self):
-        result = run_replicated(small_config(), seeds=[7])
-        assert result.throughput_std == 0.0
+    def replicated(self, seeds):
+        return sweep(
+            [dataclasses.replace(small_config(), seed=seed) for seed in seeds],
+            jobs=1,
+        )
+
+    def test_aggregates_over_seeds(self):
+        runs = self.replicated([1, 2, 3])
+        assert [run.seed for run in runs] == [1, 2, 3]
+        assert statistics.mean(run.throughput_tps for run in runs) > 0
+        assert statistics.mean(run.latency_mean for run in runs) > 0
+        assert statistics.stdev(run.throughput_tps for run in runs) >= 0
 
     def test_same_seed_identical(self):
-        result = run_replicated(small_config(), seeds=[5, 5])
-        assert result.throughput_std == 0.0
-        assert result.runs[0].latency_mean == result.runs[1].latency_mean
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            run_replicated(small_config(), seeds=[])
+        first, second = self.replicated([5, 5])
+        assert first.throughput_tps == second.throughput_tps
+        assert first.latency_mean == second.latency_mean
 
 
 class TestBandwidthMap:

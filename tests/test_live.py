@@ -60,6 +60,7 @@ def test_realtime_scheduler_fires_and_cancels_timers():
         drop = scheduler.schedule(0.01, lambda: fired.append("drop"))
         drop.cancel()
         assert keep.active and not drop.active
+        assert 0.0 < keep.deadline - scheduler.now <= 0.01
         await asyncio.sleep(0.05)
         assert fired == ["keep"]
         assert not keep.active  # fired timers stop reporting active

@@ -1,5 +1,6 @@
 """Tests for the gossip-based shared mempool (SMP-HS-G)."""
 
+from repro.mempool import gossip_smp
 from repro.mempool.base import MessageKinds
 
 from tests.helpers import inject, make_cluster
@@ -9,16 +10,13 @@ def mempool_of(experiment, node):
     return experiment.replicas[node].mempool
 
 
-def make_gossip(n=7, fanout=3, **kwargs):
-    overrides = dict(kwargs.pop("protocol_overrides", {}))
-    overrides["gossip_fanout"] = fanout
-    return make_cluster(
-        n=n, mempool="gossip", protocol_overrides=overrides, **kwargs
-    )
+def make_gossip(n=7, **kwargs):
+    """A gossip cluster at the stock fanout (``GOSSIP_FANOUT`` = 3)."""
+    return make_cluster(n=n, mempool="gossip", **kwargs)
 
 
 def test_gossip_eventually_covers_all_replicas():
-    exp = make_gossip(n=7, fanout=3)
+    exp = make_gossip(n=7)
     inject(exp, 0, count=4)
     exp.sim.run_until(2.0)
     mb_id = mempool_of(exp, 0).store.ids[0]
@@ -31,7 +29,7 @@ def test_gossip_eventually_covers_all_replicas():
 
 
 def test_forward_once_no_infinite_relay():
-    exp = make_gossip(n=4, fanout=3)
+    exp = make_gossip(n=4)
     inject(exp, 0, count=4)
     exp.sim.run_until(2.0)
     sent = exp.network.stats.messages_sent.get(
@@ -45,7 +43,7 @@ def test_forward_once_no_infinite_relay():
 def test_gossip_excludes_origin():
     """Forwarders exclude the microblock's origin, so node 0's own
     microblock never gossips back to it."""
-    exp = make_gossip(n=4, fanout=3)
+    exp = make_gossip(n=4)
     origin_mempool = mempool_of(exp, 0)
     bounced = []
     real_on_message = origin_mempool.on_message
@@ -63,7 +61,7 @@ def test_gossip_excludes_origin():
 
 def test_gossip_commit_equals_simple_commit():
     """Dissemination strategy must not change what gets committed."""
-    gossip = make_gossip(n=4, fanout=3)
+    gossip = make_gossip(n=4)
     for node in range(4):
         inject(gossip, node, count=4)
     gossip.sim.run_until(3.0)
@@ -77,10 +75,11 @@ def test_gossip_commit_equals_simple_commit():
     )
 
 
-def test_uncovered_replica_fetches_before_voting():
+def test_uncovered_replica_fetches_before_voting(monkeypatch):
     """With fanout 1 on a larger cluster some replicas miss the push
     wave and must fall back to fetch-from-proposer (Problem-I)."""
-    exp = make_gossip(n=7, fanout=1)
+    monkeypatch.setattr(gossip_smp, "GOSSIP_FANOUT", 1)
+    exp = make_cluster(n=7, mempool="gossip")
     inject(exp, 0, count=4)
     exp.sim.run_until(5.0)
     assert exp.metrics.committed_tx_total == 4
@@ -91,7 +90,7 @@ def test_uncovered_replica_fetches_before_voting():
 
 
 def test_committed_ids_not_requeued_by_gossip():
-    exp = make_gossip(n=4, fanout=3)
+    exp = make_gossip(n=4)
     inject(exp, 0, count=4)
     exp.sim.run_until(3.0)
     assert exp.metrics.committed_tx_total == 4

@@ -1,5 +1,6 @@
 """Integration tests for the simple (best-effort) shared mempool."""
 
+from repro.mempool import id_mempool
 from repro.mempool.base import MessageKinds
 
 from tests.helpers import inject, make_cluster
@@ -24,6 +25,19 @@ def test_end_to_end_commit():
         inject(exp, node, count=4)
     exp.sim.run_until(3.0)
     assert exp.metrics.committed_tx_total == 16
+
+
+def test_committed_bodies_are_discarded_after_retention(monkeypatch):
+    """The retention window every id-referencing mempool shares: no run
+    of CI lasts its 30 s, so it is shortened here."""
+    monkeypatch.setattr(id_mempool, "GC_RETENTION", 1.0)
+    exp = make_cluster(n=4, mempool="simple")
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    assert exp.metrics.committed_tx_total == 4
+    assert all(len(mempool_of(exp, node).store) == 1 for node in range(4))
+    exp.sim.run_until(3.0)
+    assert all(len(mempool_of(exp, node).store) == 0 for node in range(4))
 
 
 def test_censoring_sender_forces_fetch_from_leader():
@@ -57,9 +71,7 @@ def test_ids_not_proposed_twice():
 
 
 def test_gossip_variant_disseminates_and_commits():
-    exp = make_cluster(
-        n=7, mempool="gossip", protocol_overrides={"gossip_fanout": 3},
-    )
+    exp = make_cluster(n=7, mempool="gossip")
     inject(exp, 0, count=4)
     exp.sim.run_until(5.0)
     assert exp.metrics.committed_tx_total == 4
@@ -69,9 +81,7 @@ def test_gossip_redundancy_exceeds_direct_broadcast():
     direct = make_cluster(n=7, mempool="simple")
     inject(direct, 0, count=4)
     direct.sim.run_until(2.0)
-    gossip = make_cluster(
-        n=7, mempool="gossip", protocol_overrides={"gossip_fanout": 3},
-    )
+    gossip = make_cluster(n=7, mempool="gossip")
     inject(gossip, 0, count=4)
     gossip.sim.run_until(2.0)
     direct_bytes = direct.network.stats.kind_bytes(MessageKinds.MICROBLOCK)

@@ -18,7 +18,6 @@ class TestWeightedDigest:
         digest.add(1.0, weight=1.0)
         digest.add(2.0, weight=3.0)
         assert digest.mean == pytest.approx(1.75)
-        assert digest.total_weight == pytest.approx(4.0)
 
     def test_percentiles(self):
         digest = WeightedDigest()
@@ -34,12 +33,6 @@ class TestWeightedDigest:
         digest.add(100.0, weight=1.0)
         assert digest.percentile(50) == pytest.approx(1.0)
         assert digest.percentile(100) == pytest.approx(100.0)
-
-    def test_min_max(self):
-        digest = WeightedDigest()
-        digest.extend([(5.0, 1.0), (2.0, 1.0), (9.0, 1.0)])
-        assert digest.min == 2.0
-        assert digest.max == 9.0
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
@@ -118,9 +111,11 @@ class TestMetricsHub:
         hub.record_forward()
         hub.record_fetch()
         hub.record_fetch()
+        hub.record_fetch_abandoned()
         hub.record_stable_time(0.25)
         assert hub.forwarded_microblocks == 1
         assert hub.fetch_count == 2
+        assert hub.fetch_abandoned_count == 1
         assert hub.stable_times.mean == pytest.approx(0.25)
 
     def test_bad_window_rejected(self):
@@ -145,11 +140,9 @@ class TestDigestEdgeCases:
 
     def test_zero_total_weight_reports_zero(self):
         digest = WeightedDigest()
-        assert digest.total_weight == 0.0
         assert digest.percentile(50) == 0.0
         assert digest.mean == 0.0
-        assert digest.min == 0.0
-        assert digest.max == 0.0
+        assert digest.percentile(0) == digest.percentile(100) == 0.0
 
     def test_cache_refreshes_after_interleaved_adds(self):
         """Queries between adds must see every sample (dirty-flag path)."""

@@ -17,18 +17,14 @@ from repro.config import ProtocolConfig
 from repro.faults import CrashReplica, FaultSchedule
 from repro.harness import (
     ExperimentConfig,
-    NetBenchConfig,
     RunResult,
     run_experiment,
-    run_netbench,
-    run_replicated,
 )
 from repro.parallel import (
     JobSpec,
     ParallelExecutor,
     execute_job,
     experiment_job,
-    netbench_job,
     sweep,
 )
 from repro.verification import MUTANTS, ScenarioFuzzer, run_scenario
@@ -41,6 +37,11 @@ def small_config(**kwargs):
     return ExperimentConfig(
         protocol=protocol, rate_tps=500, duration=1.0, warmup=0.5, **kwargs
     )
+
+
+def seed_replicas(seeds):
+    """One data point replicated over seeds (the paper averages 3 runs)."""
+    return [dataclasses.replace(small_config(), seed=seed) for seed in seeds]
 
 
 def selftest(action, **payload):
@@ -174,17 +175,6 @@ class TestJobSpecs:
         assert clone.fault_report[0]["time_to_recover"] == math.inf
         assert clone.fault_report[0]["nodes"] == (3,)
 
-    def test_netbench_job_round_trips_through_executor(self):
-        config = NetBenchConfig(n=4, rate_per_node=40.0, duration=0.3,
-                                seed=3, label="nb-test")
-        spec = netbench_job(config)
-        assert spec.kind == "netbench"
-        bench = execute_job(spec.to_dict())["netbench"]
-        assert bench["label"] == "nb-test"
-        assert bench["delivered"] > 0
-        # The worker ran the same deterministic storm a direct call runs.
-        assert bench["fingerprint"] == run_netbench(config).fingerprint
-
 
 class TestDeterminism:
     """jobs=1 and jobs=4 must be bit-for-bit equal, per integration."""
@@ -201,13 +191,15 @@ class TestDeterminism:
         assert [o.ok for o in serial] == [o.ok for o in parallel]
 
     def test_replicated_run_hashes(self):
-        config = small_config()
-        serial = run_replicated(config, seeds=[1, 2, 3])
-        parallel = run_replicated(config, seeds=[1, 2, 3], jobs=4)
-        assert serial.commit_hashes == parallel.commit_hashes
-        assert serial.throughput_mean == parallel.throughput_mean
-        assert serial.latency_mean == parallel.latency_mean
-        assert serial.view_changes_mean == parallel.view_changes_mean
+        replicas = seed_replicas([1, 2, 3])
+        serial = sweep(replicas, jobs=1)
+        parallel = sweep(replicas, jobs=4)
+        for attribute in (
+            "commit_hash", "throughput_tps", "latency_mean", "view_changes",
+        ):
+            assert [getattr(run, attribute) for run in serial] == [
+                getattr(run, attribute) for run in parallel
+            ]
 
     def test_grid_cell_summaries(self):
         configs = [
@@ -232,14 +224,14 @@ class TestDeterminism:
 
 class TestReplicatedAggregates:
     def test_events_per_sec_and_hashes_aggregated(self):
-        result = run_replicated(small_config(), seeds=[1, 2])
-        assert result.events_per_sec_mean > 0
-        assert len(result.commit_hashes) == 2
-        assert all(len(h) == 64 for h in result.commit_hashes)
+        runs = sweep(seed_replicas([1, 2]), jobs=1)
+        assert all(run.events_per_sec > 0 for run in runs)
+        hashes = [run.commit_hash for run in runs]
+        assert all(len(h) == 64 for h in hashes)
         # Different seeds diverge; same seed agrees.
-        assert result.commit_hashes[0] != result.commit_hashes[1]
-        again = run_replicated(small_config(), seeds=[1, 2])
-        assert again.commit_hashes == result.commit_hashes
+        assert hashes[0] != hashes[1]
+        again = sweep(seed_replicas([1, 2]), jobs=1)
+        assert [run.commit_hash for run in again] == hashes
 
 
 def padded_mute_votes():

@@ -298,14 +298,12 @@ def experiment_configs(draw):
         sharding=draw(st.none() | st.builds(
             ShardingConfig,
             shards=st.integers(1, 4),
-            shard_size=st.none() | st.integers(1, n),
             epoch=st.integers(0, 5),
         )),
         pab_quorum=(
             None if sharded
             else draw(st.none() | st.integers(f + 1, 2 * f + 1))
         ),
-        byzantine=frozenset(range(n - draw(st.integers(0, f)), n)),
         view_timeout=draw(_positive(0.1, 10.0)),
     )
     fair_share = draw(st.booleans())
@@ -345,9 +343,7 @@ def experiment_configs(draw):
         durability=draw(st.none() | st.builds(
             DurabilityConfig,
             fsync=st.sampled_from(["always", "interval", "off"]),
-            fsync_interval=_positive(0.001, 1.0),
             checkpoint_interval=st.integers(1, 64),
-            snapshot_transfer=st.booleans(),
         )),
         data_dir=draw(st.none() | st.text(max_size=12)),
         label=draw(st.text(max_size=12)),

@@ -58,18 +58,6 @@ def test_start_requires_attach():
         replica.start()
 
 
-def test_is_byzantine_reflects_config():
-    config = ProtocolConfig(n=4, byzantine=frozenset({3}))
-    sim = Simulator()
-    rng = RngRegistry(1)
-    network = Network(sim, lan_topology(4), rng)
-    metrics = MetricsHub(sim)
-    honest = Replica(0, config, sim, network, rng.stream("r0"), metrics)
-    byzantine = Replica(3, config, sim, network, rng.stream("r3"), metrics)
-    assert not honest.is_byzantine
-    assert byzantine.is_byzantine
-
-
 def test_trace_noop_without_tracer():
     replica = make_replica()
     replica.trace("anything", detail=1)  # must not raise

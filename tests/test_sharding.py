@@ -87,7 +87,7 @@ def test_every_shard_has_the_same_size_and_quorum():
     # shard_size, whatever n, shard count and epoch.
     for n, shards, kwargs in (
         (7, 2, {}), (10, 3, {}), (16, 8, {}), (13, 4, {"epoch": 5}),
-        (64, 4, {}), (9, 2, {"shard_size": 6}),
+        (64, 4, {}), (9, 2, {}),
     ):
         shard_map = make_map(n, shards, **kwargs)
         for shard in range(shards):
@@ -113,8 +113,8 @@ def test_client_keying_partitions_clients():
 def test_invalid_configs_are_rejected():
     with pytest.raises(ValueError, match="cannot split"):
         make_map(4, 8)
-    with pytest.raises(ValueError, match="shard_size"):
-        make_map(8, 2, shard_size=16)
+    with pytest.raises(ValueError, match="epoch"):
+        make_map(8, 2, epoch=-1)
 
 
 # -- certificates ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import run_cli
 from repro.verification import (
     MUTANTS,
     Scenario,
@@ -12,7 +13,7 @@ from repro.verification import (
     write_artifact,
 )
 from repro.verification.mutations import SilentPrepareMempool
-from repro.verification.shrink import _event_units
+from repro.verification.shrink import _event_units, _max_node
 
 
 def mute_runner(scenario):
@@ -61,6 +62,10 @@ def test_crash_restart_move_as_one_unit():
     units = _event_units(spec)
     assert [0, 2] in units  # crash at index 0 owns restart at index 2
     assert [1] in units
+    # The cluster only shrinks below the highest replica an event names.
+    assert [_max_node(entry) for entry in spec] == [2, -1, 2]
+    assert _max_node({"event": "partition", "groups": [[0, 5], [1]]}) == 5
+    assert _max_node({"event": "bandwidth", "nodes": [0, 3]}) == 3
 
 
 def test_artifact_round_trip(tmp_path):
@@ -79,6 +84,8 @@ def test_artifact_round_trip(tmp_path):
     assert [v.kind for v in replayed.violations] == [
         v.kind for v in outcome.violations
     ]
+    # ...and from the command line, which exits 1 while it reproduces.
+    assert run_cli(["replay", str(path)]) == 1
 
 
 def test_artifact_rejects_foreign_format(tmp_path):

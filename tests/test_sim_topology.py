@@ -9,7 +9,6 @@ from repro.sim.topology import (
     GBPS,
     MBPS,
     Topology,
-    heterogeneous_topology,
     lan_topology,
     transmission_time,
     wan_topology,
@@ -97,18 +96,6 @@ def test_fluctuation_window_edges():
         100 * MBPS, 50 * MBPS, 100 * MBPS,
     ]
     assert topo.bandwidth(0) == 100 * MBPS  # no instant, no window
-
-
-def test_heterogeneous_topology_per_node_bandwidth():
-    topo = heterogeneous_topology(3, [GBPS, 10 * MBPS, 50 * MBPS])
-    assert topo.bandwidth(0) == GBPS
-    assert topo.bandwidth(1) == 10 * MBPS
-    assert topo.bandwidth(2) == 50 * MBPS
-
-
-def test_heterogeneous_topology_length_mismatch():
-    with pytest.raises(ValueError):
-        heterogeneous_topology(3, [GBPS, GBPS])
 
 
 def test_transmission_time():

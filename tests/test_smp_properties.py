@@ -12,17 +12,23 @@ claim robustness (Stratus, Narwhal).
 
 import pytest
 
+from repro.mempool import id_mempool
+
 from tests.helpers import inject, make_cluster
 
 SMP_KINDS = ("simple", "gossip", "narwhal", "stratus")
 
 
+@pytest.fixture(autouse=True)
+def no_garbage_collection(monkeypatch):
+    """Stores are inspected after the run: nothing may be discarded."""
+    monkeypatch.setattr(id_mempool, "GC_RETENTION", 0.0)
+
+
 @pytest.mark.parametrize("kind", SMP_KINDS)
 def test_smp_inclusion_honest(kind):
     """Every injected transaction commits (no faults)."""
-    exp = make_cluster(
-        n=4, mempool=kind, protocol_overrides={"gc_retention": 0.0},
-    )
+    exp = make_cluster(n=4, mempool=kind)
     for node in range(4):
         inject(exp, node, count=4)
     exp.sim.run_until(6.0)
@@ -33,9 +39,7 @@ def test_smp_inclusion_honest(kind):
 def test_smp_stability_honest(kind):
     """Every microblock referenced by a committed block reaches every
     correct replica's store."""
-    exp = make_cluster(
-        n=4, mempool=kind, protocol_overrides={"gc_retention": 0.0},
-    )
+    exp = make_cluster(n=4, mempool=kind)
     for node in range(4):
         inject(exp, node, count=4)
     exp.sim.run_until(6.0)
@@ -56,7 +60,6 @@ def test_smp_inclusion_under_censoring(kind):
     (it must reach an availability quorum to be proposed at all)."""
     exp = make_cluster(
         n=7, mempool=kind, fault="censor", fault_count=2,
-        protocol_overrides={"gc_retention": 0.0},
     )
     byzantine = sorted(exp.config.byzantine_ids)
     inject(exp, byzantine[0], count=4)
@@ -69,7 +72,6 @@ def test_smp_inclusion_under_censoring(kind):
 def test_smp_stability_under_censoring(kind):
     exp = make_cluster(
         n=7, mempool=kind, fault="censor", fault_count=2,
-        protocol_overrides={"gc_retention": 0.0},
     )
     byzantine = sorted(exp.config.byzantine_ids)
     inject(exp, byzantine[0], count=4)

@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 from repro.crypto import GENESIS_QC
+from repro.mempool import id_mempool
 from repro.types.proposal import Payload, PayloadEntry, Proposal, make_block_id
 
 from tests.helpers import (
@@ -160,8 +161,9 @@ def test_resolve_produces_full_block(kind):
         assert outsider.fetcher.outstanding == 0
 
 
-def test_garbage_collection_discards_bodies_after_retention(kind):
-    exp = cluster(kind, protocol_overrides={"gc_retention": 1.0})
+def test_garbage_collection_discards_bodies_after_retention(kind, monkeypatch):
+    monkeypatch.setattr(id_mempool, "GC_RETENTION", 1.0)
+    exp = cluster(kind)
     inject(exp, 0, count=4)
     exp.sim.run_until(2.0)
     mempool = stratus_of(exp, 0)
@@ -176,8 +178,9 @@ def test_garbage_collection_discards_bodies_after_retention(kind):
     assert mempool.pab.proof_for(next(iter(mempool._committed))) is None
 
 
-def test_gc_disabled_keeps_bodies(kind):
-    exp = cluster(kind, protocol_overrides={"gc_retention": 0.0})
+def test_gc_disabled_keeps_bodies(kind, monkeypatch):
+    monkeypatch.setattr(id_mempool, "GC_RETENTION", 0.0)
+    exp = cluster(kind)
     inject(exp, 0, count=4)
     exp.sim.run_until(6.0)
     assert exp.metrics.committed_tx_total == 4

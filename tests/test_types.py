@@ -132,7 +132,6 @@ class TestProposalAndBlock:
         payload = Payload(entries=(PayloadEntry(mb_id=mb.id),))
         block = Block(proposal=self.make_proposal(payload))
         assert not block.is_full
-        assert block.missing_ids == [mb.id]
         block.microblocks[mb.id] = mb
         assert block.is_full
         assert block.tx_count == mb.tx_count
