@@ -39,9 +39,11 @@ bucket throttles the data class, reproducing the sending-rate limiter
 
 from __future__ import annotations
 
+from bisect import insort as _insort
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim.engine import Simulator
@@ -75,6 +77,11 @@ _DATA = Channel.DATA.value
 # ``value`` descriptor (which is a measurable per-message cost).
 _DATA_MEMBER = Channel.DATA
 _CONSENSUS_MEMBER = Channel.CONSENSUS
+
+_INF = float("inf")
+#: Sort key of a receiver's arrival queue. ``insort`` calls it from C,
+#: so a copy's push is one built-in call however deep the queue is.
+_arrived_at = attrgetter("arrived_at")
 
 
 @dataclass
@@ -343,7 +350,7 @@ class _Uplink:
         rng = network._jitter_rngs[node]
         rand = rng.random
         proc = network._proc
-        receive = network._receive
+        ingresses = network._ingress
         heap = sim._queue
         seq = sim._seq
         for dst in recipients[index:index + copies]:
@@ -366,8 +373,14 @@ class _Uplink:
             else:
                 delay = base
             envelope.arrived_at = arrived = end + delay
-            _heappush(heap, (arrived + proc, seq, receive, envelope))
-            seq += 1
+            ingress = ingresses[dst]
+            _insort(ingress.arrivals, envelope, ingress.cursor, key=_arrived_at)
+            free_at = ingress.free_at
+            wake = arrived + proc if free_at <= arrived else free_at + proc
+            if wake < ingress.wake:
+                ingress.wake = wake
+                _heappush(heap, (wake, seq, _ingress_serve, ingress))
+                seq += 1
         head.next_index = index + copies
         if copies == remaining:
             queue.popleft()
@@ -384,29 +397,98 @@ class _Uplink:
         self._start_next()
 
 
-def _ingress_serve(ingress: "_Ingress") -> None:
-    """End of a service whose copy had to wait (fire-path callback).
+#: Terminates every arrival queue: a copy that never arrives.
+_NEVER = Envelope(-1, -1, "", 0.0, None)
+_NEVER.arrived_at = _INF
 
-    Armed for ``free_at + proc`` and decided only now, when exactly the
-    copies that had arrived by ``free_at`` have registered.
+
+def _ingress_serve(ingress: "_Ingress") -> None:
+    """The end of one service: the ingress's one event (fire-path callback).
+
+    Every copy that had arrived by the start of this service is judged
+    here, in arrival order and for its ``arrived_at``, as an arrival is
+    judged: cut short by its sender's crash, receiver down on arrival,
+    drop filter and loss coin, receiver crashed since. What passes joins
+    its class FIFO; the head of the highest class is handed to the
+    handler and the next service end is armed. A lone candidate skips
+    the FIFOs: nothing waited, nothing can overtake it.
     """
-    queues = ingress.queues
-    queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
     network = ingress.network
     sim = network.sim
-    if queue:  # else the node crashed and its flush took what waited
-        envelope = queue.popleft()
-        ingress.free_at = sim._now
-        network.stats.messages_delivered += 1
-        network._handler_list[envelope.dst](envelope)
+    now = sim._now
+    if ingress.wake != now:
+        return  # superseded: a later-dispatched copy arrived earlier
+    ingress.wake = _INF
+    proc = network._proc
+    queues = ingress.queues
+    arrivals = ingress.arrivals
+    cursor = ingress.cursor
+    stats = network.stats
+    flush_at = network._flush_at
+    filters = network._filters_active
+    priority = network.priority_channels
+    waiting = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
+    lone = None
+    envelope = arrivals[cursor]
+    while envelope.arrived_at + proc <= now:
+        cursor += 1
+        crashed = flush_at[envelope.src]
+        if envelope.enqueued_at <= crashed < envelope.sent_at:
+            # The sender crashed while this copy was still being
+            # serialized: it never fully left, its bytes are handed back.
+            stats.cancel_send(envelope.src, envelope.kind, envelope.size_bytes)
+            stats.messages_dropped += 1
+        else:
+            arrived = envelope.arrived_at
+            crashed = flush_at[envelope.dst]
+            if (crashed >= 0.0 or filters) and (
+                # Down on arrival: no window is asked, no coin drawn.
+                crashed <= arrived < network._up_at[envelope.dst]
+                or (filters and network._should_drop(envelope, arrived))
+                # Up then, crashed since: it left with the ingress flush.
+                or arrived < crashed
+            ):
+                stats.messages_dropped += 1
+            elif lone is None and not waiting:
+                lone = envelope
+            else:
+                ch = envelope.channel
+                queues[
+                    _DATA if ch is _DATA_MEMBER or not priority
+                    else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
+                ].append(envelope)
+        envelope = arrivals[cursor]
+    if cursor > 32:
+        del arrivals[:cursor]
+        cursor = 0
+    ingress.cursor = cursor
+    queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
+    if queue:
+        if lone is not None:
+            # It arrived first: back at the head of its class.
+            ch = lone.channel
+            queues[
+                _DATA if ch is _DATA_MEMBER or not priority
+                else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
+            ].appendleft(lone)
+            queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
+        lone = queue.popleft()
+    if lone is not None:
+        # dst is registered: ``send`` and ``broadcast`` refuse anything else.
+        ingress.free_at = now
+        stats.messages_delivered += 1
+        network._handler_list[lone.dst](lone)
     if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
+        wake = now + proc
+    else:
+        arrived = arrivals[ingress.cursor].arrived_at
+        free_at = ingress.free_at
+        wake = arrived + proc if free_at <= arrived else free_at + proc
+    if wake < ingress.wake:
+        ingress.wake = wake
         seq = sim._seq
         sim._seq = seq + 1
-        _heappush(
-            sim._queue, (sim._now + network._proc, seq, _ingress_serve, ingress)
-        )
-    else:
-        ingress.armed = False
+        _heappush(sim._queue, (wake, seq, _ingress_serve, ingress))
 
 
 class _Ingress:
@@ -418,13 +500,16 @@ class _Ingress:
     "consensus channel has higher priority" processing rule on the
     receive side.
 
-    A copy's one event fires at arrival + ``proc`` (``Network._receive``).
-    The CPU was idle on arrival iff no service is armed and the last one
-    ended by then; the event then *is* the end of the copy's service.
-    Otherwise the copy waits in its class FIFO for :func:`_ingress_serve`.
+    A serialized copy is pushed at dispatch into its receiver's
+    ``arrivals``, ordered by ``arrived_at`` (dispatch order among equal
+    instants), and the ingress keeps one heap entry: the end of its next
+    service, ``max(free_at, earliest pending arrival) + proc``
+    (:func:`_ingress_serve`). A copy dispatched later that arrives
+    earlier at an idle CPU arms an earlier entry; the one it superseded
+    finds ``wake`` moved and fires as a no-op.
     """
 
-    __slots__ = ("network", "queues", "free_at", "armed")
+    __slots__ = ("network", "queues", "free_at", "arrivals", "cursor", "wake")
 
     def __init__(self, network: "Network") -> None:
         self.network = network
@@ -432,11 +517,19 @@ class _Ingress:
         self.queues: list[deque[Envelope]] = [deque() for _ in Channel]
         #: When the most recent service ended (-1.0 = never served).
         self.free_at = -1.0
-        #: True while an ``_ingress_serve`` event is in the heap.
-        self.armed = False
+        #: Copies not yet judged, from ``cursor`` on, then a sentinel
+        #: that never arrives (the read loop tests no length).
+        self.arrivals: list[Envelope] = [_NEVER]
+        self.cursor = 0
+        #: The instant of the armed service end (``inf`` = none armed).
+        self.wake = _INF
 
     def flush(self) -> int:
-        """Drop every queued-but-unprocessed message (the node crashed)."""
+        """Drop every judged-but-unprocessed message (the node crashed).
+
+        Copies still in ``arrivals`` are judged by the armed service end
+        as lost to this crash, each counted there once.
+        """
         dropped = sum(len(queue) for queue in self.queues)
         for queue in self.queues:
             queue.clear()
@@ -688,12 +781,17 @@ class _FairShareLinks:
                 if delay < 0.0:
                     delay = 0.0
         envelope.arrived_at = arrived = now + delay
-        sim = network.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(
-            sim._queue, (arrived + network._proc, seq, network._receive, envelope)
-        )
+        ingress = network._ingress[dst]
+        _insort(ingress.arrivals, envelope, ingress.cursor, key=_arrived_at)
+        free_at = ingress.free_at
+        proc = network._proc
+        wake = arrived + proc if free_at <= arrived else free_at + proc
+        if wake < ingress.wake:
+            ingress.wake = wake
+            sim = network.sim
+            seq = sim._seq
+            sim._seq = seq + 1
+            _heappush(sim._queue, (wake, seq, _ingress_serve, ingress))
         self._dirty_down.add(dst)
         self._admit(src, now, True)
 
@@ -1005,59 +1103,6 @@ class Network(Transport):
         return faults is not None and faults.drops(
             now, envelope.src, envelope.dst, envelope.kind, envelope.channel,
         )
-
-    def _receive(self, envelope: Envelope) -> None:
-        """A serialized copy's one event (fire-path callback).
-
-        It fires ``proc`` after the copy arrived and decides for
-        ``arrived_at`` what an arrival decides, in arrival order. Events
-        of one instant run in dispatch order, so same-instant handlers of
-        *different* nodes need not run in the order their services
-        started (``tests/test_delivery_traces.py``, clipped-delay cell).
-        """
-        crashed = self._flush_at[envelope.src]
-        if envelope.enqueued_at <= crashed < envelope.sent_at:
-            # The sender crashed while this copy was still being
-            # serialized: it never fully left, its bytes are handed back.
-            self.stats.cancel_send(
-                envelope.src, envelope.kind, envelope.size_bytes
-            )
-            self.stats.messages_dropped += 1
-            return
-        dst = envelope.dst
-        arrived = envelope.arrived_at
-        crashed = self._flush_at[dst]
-        if (crashed >= 0.0 or self._filters_active) and (
-            # Down on arrival: no window is asked, no coin drawn.
-            crashed <= arrived < self._up_at[dst]
-            or (self._filters_active and self._should_drop(envelope, arrived))
-            # Up then, crashed since: the copy left with the ingress flush.
-            or arrived < crashed
-        ):
-            self.stats.messages_dropped += 1
-            return
-        # dst is registered: ``send`` and ``broadcast`` refuse anything else.
-        ingress = self._ingress[dst]
-        if not ingress.armed and ingress.free_at <= arrived:
-            ingress.free_at = self.sim._now
-            self.stats.messages_delivered += 1
-            self._handler_list[dst](envelope)
-            return
-        ch = envelope.channel
-        index = (
-            _DATA if ch is _DATA_MEMBER or not self.priority_channels
-            else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
-        )
-        ingress.queues[index].append(envelope)
-        if not ingress.armed:
-            ingress.armed = True
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(
-                sim._queue,
-                (ingress.free_at + self._proc, seq, _ingress_serve, ingress),
-            )
 
     def _deliver(self, envelope: Envelope) -> None:
         """Loopback arrival (``send`` with dst == src): no wire, no CPU."""

@@ -27,8 +27,10 @@ its base, so delays clip to 0 and a copy's wire time plus propagation can
 be shorter than the receive-side processing cost. There the order of
 same-instant handlers of *different* nodes follows the order the events
 were pushed in: service-start order on 8db03bb (trace 80dfbeae…),
-dispatch order since PR 20 (six pairs swap; every instant, each node's
-own order and the commit hash are equal). The hash below is PR 20's, so
+dispatch order in PR 20 (six pairs swap; every instant, each node's
+own order and the commit hash are equal), and since PR 23 the order the
+ingresses armed their service ends in (two more pairs swap, with the
+same equalities). The hash below is PR 23's, so
 that a later change to tie-breaking is checked against a cell.
 """
 
@@ -94,7 +96,7 @@ def _preset(name: str, link_model: str):
     return _shs(link_model, chaos_schedule(name, 7))
 
 
-#: cell -> (runner, delivery-trace hash recorded on 8db03bb; one on PR 20)
+#: cell -> (runner, delivery-trace hash recorded on 8db03bb; five on PR 23)
 TRACES = {
     # 7 copies of 1 KB every 10 ms per node: no uplink ever queues.
     "netbench8-idle": (
@@ -113,21 +115,26 @@ TRACES = {
         _netbench(16, 2000.0, 4096.0, 0.2),
         "e75ecbe72ee07e39bca6f2de4e5e75d592eba1d9bbe8f7cbc7b2a0955fe508fa",
     ),
+    # The four loss cells were re-recorded with the per-ingress arrival
+    # queues (PR 23; 2a324822..., 1d92eda3..., e13b5c90..., 19cd2be5...
+    # before): a copy is judged at the service end that finds it arrived,
+    # so the window's coins are drawn per ingress and not in global
+    # arrival order, and other copies are lost.
     "shs7-flaky-data-serial": (
         _preset("flaky-data", "serial"),
-        "2a324822713c3f260bf31ced3844dfac945fc80cf0ad3f9375c35f43bc5154c4",
+        "af09e926e9fa5d220eb75a796375f70bc5b37ad832cc1fdd4ffd2379385eb603",
     ),
     "shs7-flaky-data-fair": (
         _preset("flaky-data", "fair-share"),
-        "1d92eda324d01c1801d731df862705128ce5589147b1cb35495da1968f6a6784",
+        "6adcada1d63f58412318916b204af574811daedf0ee2c6af9064fe832e06e75f",
     ),
     "shs7-crash-partition-serial": (
         _preset("crash-partition", "serial"),
-        "e13b5c90498a3cd32519eb0486dc7049209ae278fdfdc0c8ab71662e54cc0a4a",
+        "460ad8d9750b90a9983e6f8e3b565f648b77143166b9ec555827c9945509f416",
     ),
     "shs7-crash-partition-fair": (
         _preset("crash-partition", "fair-share"),
-        "19cd2be58d4329ca24fd7792f7b4d801a4722a0c5222debbd81839cf1bb0dd6c",
+        "f844ca67b9428a950c5468a6cbf9778fdb7d8219124d8f61999f87357369728f",
     ),
     "shs7-crash-restart-serial": (
         _preset("crash-restart", "serial"),
@@ -152,12 +159,15 @@ TRACES = {
         "50e57b291c68ecf738c21078f865bae3a5b28ae53f778e9f6bafa9ede7dab78e",
     ),
     # Streamlet/Narwhal n=5, DelaySpike(base=24.5 ms, jitter=33 ms), a
-    # crash and a restart. Recorded on PR 20, not on 8db03bb (see above).
+    # crash and a restart. Recorded on PR 20, not on 8db03bb (see above),
+    # and again on PR 23 (191f8289... before): a service's entry is pushed
+    # when it is armed, so same-instant handlers of different nodes follow
+    # arming order; each node's own instants and order are unchanged.
     "fuzz7-6-clipped-delay": (
         lambda: build_experiment(
             ScenarioFuzzer(7).scenario(6).experiment_config()
         ).run(),
-        "191f8289bde2743e70d1573e805489c8685ce0db84503e6afd599fe1f07c65cf",
+        "a898a9eb9f27c8bc3e7ff93585de2f15e199d5ea5be413afd16504e06cf8ab73",
     ),
 }
 

@@ -144,10 +144,13 @@ GOLDEN = {
         "60848b1bde595e6268e33fa293561aaac6fc23da5e0380efc8e5cc23f79cf258",
         6921,
     ),
+    # Re-recorded with the per-ingress arrival queues (PR 23; 78ac61ee...
+    # and 2,466 tx before): the loss window's coins are drawn per ingress
+    # at its service ends, not across ingresses in global arrival order.
     "sshs8x2-crash-partition": (
         _sshs_crash_partition,
-        "78ac61eebf8b8b934d5d4d918e8e6e108a624ae3569fd213fd0c82652b5c9c43",
-        2466,
+        "93a311fa74c3b8d2c96a7b62150efa0c5e2d14facd7cd0ac7403dd18b0cf5cda",
+        2463,
     ),
     "ssl4": (
         _ssl_plain,
@@ -176,10 +179,14 @@ GOLDEN = {
         "f3ae88268372fd313290cb059254543cb31990056f6ced5c9ed597998005f8bb",
         5173,
     ),
+    # Re-recorded with the per-ingress arrival queues (PR 23; dedc7522...
+    # and 5,169 tx before): the same coins land on other copies. The cell
+    # has two outcomes and its coin stream picks one: the parent with
+    # three coins drawn and discarded first commits 3,168 (4de4f8a1...).
     "shs7-preset-crash-partition": (
         _shs_preset("crash-partition"),
-        "dedc752234c7ef58a59012240070312f65c8b0ddf3d7f7fafcafebbff73ace51",
-        5169,
+        "94962771031f9ceb03440d04faf31f234fcc97ccde2e3302f2c050ea41909843",
+        3148,
     ),
     # 16 s, so the window (t = 5 s to 15 s) opens and closes in the run.
     "shs7-preset-fig7-disturbance": (
@@ -187,10 +194,12 @@ GOLDEN = {
         "55b0a4aea92cdf65031ff66f18be928c6216805253b2516c738b5d4d285e9353",
         5156,
     ),
+    # Re-recorded with the per-ingress arrival queues (PR 23; 6270d87e...
+    # and 5,460 tx before): loss coins drawn in another order.
     "shs7-preset-flaky-data": (
         _shs_preset("flaky-data"),
-        "6270d87efc2dcb3a2e1d953b95471d7ff469aeb345bce7388268b72cfbcbe453",
-        5460,
+        "3657196d9cbc6ae3696c30f047d842b381ff4ae682707041eeb66a7f3b464427",
+        5456,
     ),
     "shs7-preset-leader-squeeze": (
         _shs_preset("leader-squeeze"),

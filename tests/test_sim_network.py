@@ -292,13 +292,13 @@ class TestEventEconomy:
         assert sim.processed == 2
         assert inboxes[1][0][0] == inboxes[0][0][0] == self.ARRIVAL
 
-    def test_burst_inside_one_proc_costs_2k_minus_1(self):
+    def test_burst_inside_one_proc_costs_k(self):
         k = 5
         sim, net, inboxes = make_network(n=k + 1, proc=self.PROC)
         for src in range(1, k + 1):
             net.send(src, 0, "m", 1000, src)  # k idle uplinks, one ingress
         sim.run()
-        assert sim.processed == 2 * k - 1
+        assert sim.processed == k  # one event per service, none per arrival
         assert [env.payload for _, env in inboxes[0]] == [1, 2, 3, 4, 5]
         first = self.ARRIVAL + self.PROC
         expected, when = [], first
@@ -325,12 +325,73 @@ class TestEventEconomy:
         net.send(1, 0, "m", 1000, "a")
         sim.schedule(self.PROC, lambda: net.send(2, 0, "m", 1000, "b"))
         sim.run()
-        # b arrives exactly when a's service ends: idle, one event each.
+        # b arrives exactly when a's service ends: the test's timer and
+        # one event per service, b's armed for its own arrival + proc.
         assert sim.processed == 1 + 2
         assert [when for when, _ in inboxes[0]] == [
             self.ARRIVAL + self.PROC,
             (self.PROC + self.ARRIVAL) + self.PROC,
         ]
+
+    def test_later_dispatched_copy_arriving_first_is_served_first(self):
+        sim, net, inboxes = make_network(n=3, proc=self.PROC)
+        net.send(1, 0, "m", 1_000_000, "slow")  # arrives at 1.01
+        sim.schedule(0.5, lambda: net.send(2, 0, "m", 1000, "quick"))
+        sim.run()
+        quick = 0.5 + self.ARRIVAL
+        assert [(when, env.payload) for when, env in inboxes[0]] == [
+            (quick + self.PROC, "quick"), (1.01 + self.PROC, "slow"),
+        ]
+        assert [env.arrived_at for _, env in inboxes[0]] == [quick, 1.01]
+        # The timer, two services, and the entry "slow" armed at dispatch,
+        # which "quick" superseded: re-armed for the same instant, one of
+        # the two entries there serves and the other is a no-op.
+        assert sim.processed == 1 + 2 + 1
+
+    def test_superseded_entry_inside_a_service_is_a_no_op(self):
+        sim, net, inboxes = make_network(n=3, proc=1.0)
+        net.send(1, 0, "m", 1_000_000, "slow")  # arrives at 1.01
+        sim.schedule(0.5, lambda: net.send(2, 0, "m", 1000, "quick"))
+        sim.run()
+        # "slow" arrives inside "quick"'s service and waits for its end.
+        quick_done = (0.5 + self.ARRIVAL) + 1.0
+        assert [(when, env.payload) for when, env in inboxes[0]] == [
+            (quick_done, "quick"), (quick_done + 1.0, "slow"),
+        ]
+        assert sim.processed == 1 + 2 + 1  # as many as before PR 23
+
+    def test_consensus_copy_arriving_inside_a_service_does_not_overtake(self):
+        sim, net, inboxes = make_network(n=4, proc=self.PROC)
+        net.send(1, 0, "data", 1000, "d1", Channel.DATA)
+        # d2 arrives 3 ms into d1's service, the vote 2 ms into d2's:
+        # when d2's service started the vote had not arrived.
+        sim.schedule(0.003, lambda: net.send(2, 0, "data", 1000, "d2"))
+        sim.schedule(self.PROC + 0.002, lambda: net.send(
+            3, 0, "vote", 1000, "v", Channel.CONSENSUS))
+        sim.run()
+        assert [env.payload for _, env in inboxes[0]] == ["d1", "d2", "v"]
+
+    def test_same_instant_arrivals_are_picked_by_class(self):
+        sim, net, inboxes = make_network(n=3, proc=self.PROC)
+        net.send(1, 0, "data", 1000, "d", Channel.DATA)
+        net.send(2, 0, "vote", 1000, "v", Channel.CONSENSUS)
+        sim.run()
+        # Both had arrived by the start of the first service.
+        assert [env.payload for _, env in inboxes[0]] == ["v", "d"]
+        assert sim.processed == 2
+
+    def test_receiver_crash_counts_unjudged_arrivals_once_each(self):
+        sim, net, inboxes = make_network(n=5, proc=self.PROC)
+        for src in (1, 2, 3):
+            net.send(src, 0, "m", 1000, src)  # all arrive at ARRIVAL
+        # 4's copy arrives while 0 is down, 0.5 ms after the crash.
+        sim.schedule(0.0045, lambda: net.send(4, 0, "m", 1000, 4))
+        # 0 dies inside the first service: nothing has been judged yet.
+        sim.schedule_at(self.ARRIVAL + 0.004, lambda: net.set_node_down(0))
+        sim.run()
+        assert inboxes[0] == []
+        assert net.stats.messages_dropped == 4
+        assert net.stats.messages_delivered == 0
 
     def test_lone_send_arms_no_drain(self):
         sim, net, inboxes = make_network(n=2)
