@@ -539,10 +539,7 @@ class _Ingress:
 class _Transfer:
     """One active fair-share transmission (one copy, one src->dst pair)."""
 
-    __slots__ = (
-        "envelope", "remaining_bits", "rate", "updated", "finish_at",
-        "next_wake", "done",
-    )
+    __slots__ = ("envelope", "remaining_bits", "rate", "updated", "finish_at")
 
     def __init__(self, envelope: Envelope, now: float) -> None:
         self.envelope = envelope
@@ -550,32 +547,6 @@ class _Transfer:
         self.rate = 0.0
         self.updated = now
         self.finish_at = now
-        self.next_wake = -1.0
-        self.done = False
-
-
-def _transfer_wake(state) -> None:
-    """Finish-check for a fair-share transfer (fire-path callback).
-
-    Rates change whenever transfers start or finish, so the event that
-    was armed for the old finish time may fire early (rates dropped —
-    reschedule at the new finish) or be stale (a newer, earlier event
-    already completed the transfer — ``done`` guards that).
-    """
-    fair, transfer = state
-    if transfer.done:
-        return
-    sim = fair.network.sim
-    now = sim._now
-    finish = transfer.finish_at
-    if finish > now + 1e-12:
-        if transfer.next_wake <= now:
-            transfer.next_wake = finish
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(sim._queue, (finish, seq, _transfer_wake, state))
-        return
-    fair._complete(transfer, now)
 
 
 def _fair_flush(fair: "_FairShareLinks") -> None:
@@ -598,6 +569,11 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     (the edge of a squeeze or delay window): every link the flush
     touches is read through ``Topology.bandwidth`` at this instant and
     nothing outlives the flush.
+
+    A transfer whose rate comes out as it was is not settled: its
+    ``finish_at`` still holds. Every touched transfer, settled or not,
+    is then held against its uplink's armed wake, and an uplink whose
+    earliest finish now lies before it (or that has none armed) gets one.
     """
     fair._flush_armed = False
     up = fair.up_active
@@ -631,28 +607,37 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
         for node in dirty_down:
             if down[node]:
                 down_share[node] = bandwidth / len(down[node])
-    fair.settle_ops += len(pending)
-    heap = sim._queue
-    seq = sim._seq
+    wake = fair.wake
+    earlier: dict[int, None] = {}
+    settled = 0
     for transfer in pending:
-        elapsed = now - transfer.updated
-        if elapsed > 0.0:
-            transfer.remaining_bits -= transfer.rate * elapsed
-            if transfer.remaining_bits < 0.0:
-                transfer.remaining_bits = 0.0
-        transfer.updated = now
         envelope = transfer.envelope
-        rate = up_share[envelope.src]
+        src = envelope.src
+        rate = up_share[src]
         share = down_share[envelope.dst]
         if share < rate:
             rate = share
-        transfer.rate = rate
-        finish = now + transfer.remaining_bits / rate if rate > 0 else now
-        transfer.finish_at = finish
-        if transfer.next_wake < now or finish < transfer.next_wake - 1e-12:
-            transfer.next_wake = finish
-            _heappush(heap, (finish, seq, _transfer_wake, (fair, transfer)))
-            seq += 1
+        if rate != transfer.rate:
+            settled += 1
+            elapsed = now - transfer.updated
+            if elapsed > 0.0:
+                transfer.remaining_bits -= transfer.rate * elapsed
+                if transfer.remaining_bits < 0.0:
+                    transfer.remaining_bits = 0.0
+            transfer.updated = now
+            transfer.rate = rate
+            transfer.finish_at = (
+                now + transfer.remaining_bits / rate if rate > 0 else now
+            )
+        if transfer.finish_at < wake[src] - 1e-12:
+            wake[src] = transfer.finish_at
+            earlier[src] = None
+    fair.settle_ops += settled
+    heap = sim._queue
+    seq = sim._seq
+    for src in earlier:
+        _heappush(heap, (wake[src], seq, fair._on_wake, src))
+        seq += 1
     sim._seq = seq
 
 
@@ -671,6 +656,12 @@ class _FairShareLinks:
     re-rates every transfer on dirty links (:func:`_fair_flush`) —
     amortized O(1) settles per start/finish event instead of the old
     O(active flows) sweep per change.
+
+    An uplink keeps one armed event, at the earliest ``finish_at`` among
+    its transfers (``wake``; :meth:`_uplink_wake`): the flush moves it
+    when that minimum moves earlier, the wake re-arms itself when rates
+    fell and it fires early, and an entry it was moved away from fires
+    as a no-op.
     """
 
     def __init__(self, network: "Network", slots: int) -> None:
@@ -698,6 +689,9 @@ class _FairShareLinks:
         #: and the link-fault evaluator are installed for the whole run).
         self.up_share: list[float] = [0.0] * n
         self.down_share: list[float] = [0.0] * n
+        #: The instant of each uplink's armed wake (``inf`` = none armed).
+        self.wake: list[float] = [_INF] * n
+        self._on_wake = self._uplink_wake
         #: Per-transfer settle/re-rate operations performed — the
         #: O(1)-amortized claim is asserted against this counter by
         #: ``tests/test_fair_share.py``.
@@ -756,8 +750,27 @@ class _FairShareLinks:
 
     # -- completion / teardown -----------------------------------------
 
+    def _uplink_wake(self, src: int) -> None:
+        """``src``'s earliest finish is due (fire-path callback).
+
+        Completes, in the order they started, every transfer of the
+        uplink due by now; the flush they arm re-rates the rest and arms
+        the next wake.
+        """
+        now = self.network.sim._now
+        if self.wake[src] != now:
+            return  # superseded: a finish moved earlier and was armed
+        self.wake[src] = _INF
+        transfers = self.up_active[src]
+        due = [t for t in transfers if t.finish_at <= now + 1e-12]
+        for transfer in due:
+            self._complete(transfer, now)
+        if transfers and not due:
+            # Rates fell since this was armed: nothing has finished yet.
+            self.wake[src] = finish = min(t.finish_at for t in transfers)
+            self.network.sim.schedule_fire(finish - now, self._on_wake, src)
+
     def _complete(self, transfer: _Transfer, now: float) -> None:
-        transfer.done = True
         envelope = transfer.envelope
         src, dst = envelope.src, envelope.dst
         del self.up_active[src][transfer]
@@ -808,7 +821,6 @@ class _FairShareLinks:
         return dropped + len(victims)
 
     def _kill(self, transfer: _Transfer) -> None:
-        transfer.done = True
         envelope = transfer.envelope
         del self.up_active[envelope.src][transfer]
         del self.down_active[envelope.dst][transfer]

@@ -96,7 +96,7 @@ def _preset(name: str, link_model: str):
     return _shs(link_model, chaos_schedule(name, 7))
 
 
-#: cell -> (runner, delivery-trace hash recorded on 8db03bb; five on PR 23)
+#: cell -> (runner, delivery-trace hash recorded on 8db03bb; eight on PR 23)
 TRACES = {
     # 7 copies of 1 KB every 10 ms per node: no uplink ever queues.
     "netbench8-idle": (
@@ -120,6 +120,12 @@ TRACES = {
     # before): a copy is judged at the service end that finds it arrived,
     # so the window's coins are drawn per ingress and not in global
     # arrival order, and other copies are lost.
+    # Three fair-share cells (crash-partition, crash-restart and
+    # leader-squeeze; 9fd6c3c8... and 387644e6... before, f844ca67... after
+    # the arrival queues) were re-recorded with one wake per uplink
+    # (PR 23): unchanged rates are not settled, so finishes round
+    # otherwise, and one uplink's same-instant finishes complete in
+    # start order. ``shs7-flaky-data-fair`` did not move.
     "shs7-flaky-data-serial": (
         _preset("flaky-data", "serial"),
         "af09e926e9fa5d220eb75a796375f70bc5b37ad832cc1fdd4ffd2379385eb603",
@@ -134,7 +140,7 @@ TRACES = {
     ),
     "shs7-crash-partition-fair": (
         _preset("crash-partition", "fair-share"),
-        "f844ca67b9428a950c5468a6cbf9778fdb7d8219124d8f61999f87357369728f",
+        "56f7c10628035a2385b95de3753e768cfa649e69d0b403b4853b9e9a73791880",
     ),
     "shs7-crash-restart-serial": (
         _preset("crash-restart", "serial"),
@@ -142,7 +148,7 @@ TRACES = {
     ),
     "shs7-crash-restart-fair": (
         _preset("crash-restart", "fair-share"),
-        "9fd6c3c8d49d4bc947a9cab72901076bc482dee8fe8fc0d082e4155c0d679421",
+        "91b6b604b858db94f83befc300fad1d2dceec1edfafcf02d2a0b32177e86ee2a",
     ),
     "shs7-leader-squeeze-serial": (
         _preset("leader-squeeze", "serial"),
@@ -150,7 +156,7 @@ TRACES = {
     ),
     "shs7-leader-squeeze-fair": (
         _preset("leader-squeeze", "fair-share"),
-        "387644e6b5049f6f659739ff78d306e718255b4036cbb6fb6f685bb080bce1b9",
+        "1e3d1c106f6bba30e630ef206f04b8b0e916b2911b60cb27c2ee9dc2e8e83946",
     ),
     "shs7-delay-spike-serial": (
         _shs("serial", FaultSchedule([

@@ -216,6 +216,45 @@ def test_settle_flush_is_batched_per_instant():
     assert network._fair.settle_ops == 100
 
 
+def test_k_transfers_on_one_uplink_cost_k_wakes_and_the_flushes():
+    # Sizes 1..k KB to k receivers over one uplink: k distinct finishes.
+    # One wake per finish (each completion's flush arms the next, which
+    # moved earlier), one flush per instant something started or
+    # finished, one service per delivered copy; no wake per transfer per
+    # re-rate.
+    k = 5
+    sim, network, log = make_net(n=k + 1, fair_share_slots=k)
+    for i in range(k):
+        network.send(0, 1 + i, "mb", 1_000 * (i + 1), None)
+    sim.run()
+    assert [dst for _, _, dst, _ in log] == [1, 2, 3, 4, 5]
+    assert sim.processed == k + (1 + k) + k
+
+
+def test_equal_transfers_on_one_uplink_finish_on_one_wake():
+    k = 5
+    sim, network, log = make_net(n=k + 1, fair_share_slots=k)
+    for i in range(k):
+        network.send(0, 1 + i, "mb", 1_000, None)
+    sim.run()
+    assert len(log) == k
+    assert sim.processed == 1 + 2 + k  # one wake, two flushes, k services
+
+
+def test_wake_that_fires_early_rearms_at_the_new_finish():
+    # 0 -> 1 alone would finish at 1 s and is armed for it; at 0.5 s a
+    # second transfer halves its rate. The wake at 1 s finds nothing
+    # finished and re-arms itself; both finish at 1.5 s on one wake.
+    sim, network, log = make_net()
+    network.send(0, 1, "bulk", 1_000_000, None)
+    sim.schedule(0.5, lambda: network.send(0, 2, "bulk", 500_000, None))
+    sim.run()
+    assert [t for t, *_ in log] == [1.5, 1.5]
+    # timer; flushes at 0, 0.5 and 1.5; the early wake and the real one;
+    # two services.
+    assert sim.processed == 1 + 3 + 2 + 2
+
+
 def _burst(squeeze):
     """Three senders each fan out 100 KB bodies through two DATA slots
     and send replica 3 a vote, over jittered links; with ``squeeze``
@@ -274,7 +313,9 @@ def test_squeeze_mid_burst_reproduces_recorded_delivery_times():
         0.48593242605946074, 0.4921475594566065, 0.49247678651987054,
         0.5187675043060935, 0.5371589959139867, 0.5756594404739531,
     ]
-    assert settle_ops == 43
+    # 43 while a transfer whose rate came out unchanged was settled too;
+    # the delivery instants above are the ones recorded then.
+    assert settle_ops == 33
     # A topology that holds a squeeze window is never plain: bandwidth
     # is read once per touched link per flush for the whole run, never
     # twice per settle (what 4b99379 did).
