@@ -133,7 +133,12 @@ class HotStuff(ChainedEngine):
     # -- proposing -----------------------------------------------------
 
     def _try_propose(self, view: int, justify: QuorumCert) -> None:
-        if view in self._proposed_views or self.host.behavior.silent:
+        # All of it before the payload is pulled: a paced retry that fires
+        # after the view moved must leave the queue as it found it.
+        if (
+            view in self._proposed_views or self.cur_view > view
+            or self.host.behavior.silent
+        ):
             return
         if justify.block_id not in self.proposals:
             # The certified block (votes outran the proposal body) has not
@@ -149,8 +154,6 @@ class HotStuff(ChainedEngine):
                 self.config.empty_view_delay,
                 lambda: self._try_propose(view, justify),
             )
-            return
-        if view in self._proposed_views or self.cur_view > view:
             return
         self._proposed_views.add(view)
         self._propose_block(

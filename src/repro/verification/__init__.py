@@ -25,6 +25,7 @@ from repro.verification.mutations import (
 )
 from repro.verification.oracles import (
     AvailabilityOracle,
+    ConservationOracle,
     LedgerOracle,
     LivenessOracle,
     Oracle,
@@ -43,6 +44,7 @@ from repro.verification.shrink import (
 
 __all__ = [
     "AvailabilityOracle",
+    "ConservationOracle",
     "FuzzOutcome",
     "LedgerOracle",
     "LivenessOracle",

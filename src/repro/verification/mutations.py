@@ -10,7 +10,7 @@ refactor that silently blinds an oracle breaks the suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.consensus.chain import GENESIS_ID
@@ -52,6 +52,28 @@ class EagerCommitHotStuff(HotStuff):
             self.locked_view = parent.view
         if certified.block_id not in self.committed:
             self._commit_chain(certified)
+
+
+class PullBeforeViewCheck(HotStuff):
+    """Pulls the payload before it looks at the view (ROADMAP d0-ii).
+
+    A paced empty-view retry that fires after the view moved takes ids
+    out of the queue for a proposal it then does not make: they sit at
+    zero stored proposals until somebody else's proposal carries them,
+    and this replica never proposes them.
+    """
+
+    name = "hotstuff-pull-first"
+
+    def _try_propose(self, view, justify) -> None:
+        if (
+            self.cur_view > view
+            and view not in self._proposed_views
+            and not self.host.behavior.silent
+            and justify.block_id in self.proposals
+        ):
+            self.mempool.make_payload()  # BUG under test: pulled, dropped
+        super()._try_propose(view, justify)
 
 
 class UngatedSimpleMempool(SimpleSharedMempool):
@@ -164,7 +186,10 @@ class Mutant:
     strict_availability: bool = False
 
 
-def _scenario(**overrides) -> Scenario:
+def _scenario(protocol: Optional[dict] = None, **overrides) -> Scenario:
+    """The mutants' base scenario. ``protocol`` sets knobs the fuzzer
+    never draws, through the scenario's memo of its protocol config
+    (lost by ``Scenario.replaced``, so not for a scenario to shrink)."""
     base = {
         "seed": 1,
         "consensus": "hotstuff",
@@ -175,7 +200,12 @@ def _scenario(**overrides) -> Scenario:
         "fault_spec": [],
     }
     base.update(overrides)
-    return Scenario(**base)
+    scenario = Scenario(**base)
+    if protocol:
+        scenario._protocol_cache = replace(
+            scenario.protocol_config(), **protocol
+        )
+    return scenario
 
 
 MUTANTS: dict[str, Mutant] = {
@@ -263,6 +293,27 @@ MUTANTS: dict[str, Mutant] = {
                     (ForgetReferenced, MEMPOOL_CLASSES[kind]), {},
                 ),
                 scenario=_scenario(mempool=kind),
+            )
+            for kind in ("stratus", "sharded-stratus")
+        ),
+        *(
+            Mutant(
+                name=f"pull-before-view-check-{kind}",
+                description=(
+                    "a paced empty-view retry pulls its payload before it "
+                    "sees that the view moved; the ids leave the queue "
+                    "for a proposal nobody makes"
+                ),
+                expected_oracle="conservation",
+                consensus_cls=PullBeforeViewCheck,
+                # The pacing outlasts a view, so every empty first
+                # attempt retries in a later view, and the load leaves a
+                # backlog, so what a retry drops is still uncommitted
+                # when the run ends.
+                scenario=_scenario(
+                    mempool=kind, rate_tps=4000.0, duration=2.0,
+                    protocol={"empty_view_delay": 0.6},
+                ),
             )
             for kind in ("stratus", "sharded-stratus")
         ),

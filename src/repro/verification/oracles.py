@@ -13,6 +13,9 @@ test and checks it against *every* honest replica's observed execution:
 * :class:`LedgerOracle` — SMP integrity (Section III): committed content
   is exactly client content. Nothing fabricated, nothing committed
   twice, per-microblock transaction counts conserved.
+* :class:`ConservationOracle` — what a correct replica holds a proof
+  for is never stranded: at the end of the run it is committed there,
+  carried by a stored proposal, or still proposable.
 * :class:`LivenessOracle` — the robustness experiments' recovery claim
   (Section VII): commit progress resumes within a bound after each
   injected fault window heals.
@@ -594,6 +597,46 @@ class LedgerOracle(Oracle):
                     )
 
 
+class ConservationOracle(Oracle):
+    """Ledger conservation over the PAB mempools (Stratus, both scopes).
+
+    An id is in one state at a replica, ``proposable -> referenced ->
+    committed``. At the end of the run, at every correct replica, every
+    id it holds a verified proof for (``AvailabilityProof`` or
+    ``ShardCertificate``) is committed there, carried by a proposal it
+    stores, or still in its proposable queue — not taken out of the
+    queue by a payload that was never proposed (``stranded``).
+
+    Slow is not stranded: nothing here is a deadline, so an overloaded
+    run that ends with work in flight is clean.
+    """
+
+    name = "conservation"
+
+    def finalize(self) -> None:
+        for replica in self.suite.honest_replicas():
+            node = replica.node_id
+            mempool = replica.mempool
+            proofs = getattr(mempool, "_proofs", None)
+            if proofs is None:
+                return  # not a PAB mempool: no evidence to conserve
+            queued = set(mempool._proposable)
+            for mb_id in proofs:
+                if (
+                    mb_id not in mempool._committed
+                    and mempool._referenced.get(mb_id, 0) <= 0
+                    and mb_id not in queued
+                ):
+                    self.report(
+                        "stranded",
+                        f"replica {node} holds a proof for microblock "
+                        f"{mb_id:#x} that it has neither committed nor "
+                        f"stored a proposal for, and cannot propose: the "
+                        f"id left its queue in a payload nobody proposed",
+                        node=node, microblock=mb_id,
+                    )
+
+
 class LivenessOracle(Oracle):
     """Commit progress resumes within a bound after faults heal.
 
@@ -653,10 +696,11 @@ def standard_suite(
     liveness_bound: Optional[float] = None,
     strict_availability: bool = False,
 ) -> OracleSuite:
-    """The default four-oracle suite the fuzzer and CLI arm."""
+    """The default five-oracle suite the fuzzer and CLI arm."""
     return OracleSuite([
         SafetyOracle(),
         AvailabilityOracle(strict=strict_availability),
         LedgerOracle(),
+        ConservationOracle(),
         LivenessOracle(bound=liveness_bound),
     ])

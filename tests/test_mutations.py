@@ -4,7 +4,8 @@ This is the verification layer's own verification. Each mutant plants a
 classic BFT/SMP bug (1-chain commits, skipped availability gates, a PAB
 quorum one ack short and a proposal hook that marks nothing, each under
 both the flat and the shard scope, payload replay/fabrication, muted
-votes); if a refactor blinds an oracle, the
+votes, a payload pulled before the view is checked); if a refactor
+blinds an oracle, the
 corresponding case here fails. The reverse direction — oracles stay
 silent on correct stacks — is covered by ``tests/test_fuzz_corpus.py``.
 """
@@ -47,6 +48,17 @@ def test_forget_referenced_needs_the_ancestor_rule(kind):
     duplicates = [v for v in outcome.violations if v.kind == "duplicate"]
     assert duplicates
     assert all("built on" in v.message for v in duplicates)
+
+
+@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+def test_pull_before_view_check_caught_by_conservation_only(kind):
+    """The dropped ids are still in the other replicas' queues and commit
+    later, so safety, availability, integrity and liveness see a healthy
+    run; only the per-replica id lifecycle is broken."""
+    outcome = run_mutant(f"pull-before-view-check-{kind}")
+    assert outcome.committed_tx > 0
+    assert {v.oracle for v in outcome.violations} == {"conservation"}
+    assert {v.kind for v in outcome.violations} == {"stranded"}
 
 
 def test_mutant_scenarios_pass_without_the_bug():

@@ -12,6 +12,7 @@ from repro.crypto.certificates import GENESIS_QC
 from repro.types.microblock import microblock_origin
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 from repro.verification.oracles import (
+    ConservationOracle,
     LedgerOracle,
     OracleSuite,
     SafetyOracle,
@@ -189,6 +190,49 @@ def test_ledger_conservation_counts_unique_microblocks():
     oracle.finalize()
     assert suite.violations == []
     assert oracle._committed_tx == 4
+
+
+# -- conservation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+def test_conservation_flags_an_id_pulled_for_no_proposal(kind):
+    exp = stratus_cluster(kind, rate_tps=400.0)
+    suite = OracleSuite([ConservationOracle()]).attach(exp)
+    exp.sim.run_until(1.5)
+    assert suite.finalize() == []
+    mempool = exp.replicas[1].mempool
+    # Ids keep arriving, so there is something to pull at some instant.
+    while not mempool._proposable:
+        exp.sim.run_until(exp.sim.now + 0.001)
+    dropped = mempool.make_payload().microblock_ids
+    assert dropped
+    violations = suite.finalize()
+    assert {v.kind for v in violations} == {"stranded"}
+    assert {v.node for v in violations} == {1}
+    assert {v.details["microblock"] for v in violations} == set(dropped)
+
+
+def test_conservation_is_silent_once_somebody_proposes_the_id():
+    exp = stratus_cluster("stratus", rate_tps=400.0)
+    suite = OracleSuite([ConservationOracle()]).attach(exp)
+    exp.sim.run_until(1.5)
+    mempool = exp.replicas[1].mempool
+    while not mempool._proposable:
+        exp.sim.run_until(exp.sim.now + 0.001)
+    assert mempool.make_payload().microblock_ids
+    # The other replicas still queue those ids: the next leaders propose
+    # and commit them, which releases them at replica 1 too.
+    exp.sim.run_until(exp.sim.now + 0.5)
+    assert suite.finalize() == []
+
+
+def test_conservation_has_nothing_to_say_about_other_mempools():
+    exp = make_cluster(n=4, mempool="simple", rate_tps=400.0)
+    suite = OracleSuite([ConservationOracle()]).attach(exp)
+    exp.sim.run_until(1.0)
+    exp.replicas[1].mempool.make_payload()
+    assert suite.finalize() == []
 
 
 def test_honest_ids_excludes_configured_byzantine():
