@@ -107,6 +107,14 @@ class MicroBlockBatcher:
             self._emit_microblock(self._pending_count)
 
     def _flush(self) -> None:
+        if self._host.crashed:
+            # A dead process cuts nothing (a microblock cut now would be
+            # pushed to nobody, for good): what it held waits for the
+            # first deadline after the restart.
+            self._flush_timer = self._host.sim.schedule(
+                self._config.batch_timeout, self._flush
+            )
+            return
         arrivals = self._arrivals
         if arrivals is not None:
             # Pull ticks strictly before the deadline while the timer is

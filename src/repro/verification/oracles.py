@@ -13,9 +13,9 @@ test and checks it against *every* honest replica's observed execution:
 * :class:`LedgerOracle` — SMP integrity (Section III): committed content
   is exactly client content. Nothing fabricated, nothing committed
   twice, per-microblock transaction counts conserved.
-* :class:`ConservationOracle` — what a correct replica holds a proof
-  for is never stranded: at the end of the run it is committed there,
-  carried by a stored proposal, or still proposable.
+* :class:`ConservationOracle` — what a correct replica batched or holds
+  a proof for is never stranded: at the end of the run it is committed,
+  carried by a stored proposal, still proposable, or still being pushed.
 * :class:`LivenessOracle` — the robustness experiments' recovery claim
   (Section VII): commit progress resumes within a bound after each
   injected fault window heals.
@@ -601,11 +601,16 @@ class ConservationOracle(Oracle):
     """Ledger conservation over the PAB mempools (Stratus, both scopes).
 
     An id is in one state at a replica, ``proposable -> referenced ->
-    committed``. At the end of the run, at every correct replica, every
-    id it holds a verified proof for (``AvailabilityProof`` or
-    ``ShardCertificate``) is committed there, carried by a proposal it
-    stores, or still in its proposable queue — not taken out of the
-    queue by a payload that was never proposed (``stranded``).
+    committed``, and a microblock is first pushed until it is proven.
+    At the end of the run, at every correct replica:
+
+    * every id it holds a verified proof for (``AvailabilityProof`` or
+      ``ShardCertificate``) is committed there, carried by a proposal it
+      stores, or still in its proposable queue — not taken out of the
+      queue by a payload that was never proposed (``stranded``);
+    * every microblock it cut that nobody has proven is still on its way
+      to a proof: forwarded, or in a push whose targets can make the
+      quorum — not pushed to nobody (``unshared``).
 
     Slow is not stranded: nothing here is a deadline, so an overloaded
     run that ends with work in flight is clean.
@@ -613,13 +618,27 @@ class ConservationOracle(Oracle):
 
     name = "conservation"
 
+    def on_attach(self) -> None:
+        # mb_id -> origin, for every microblock cut during the run
+        self._created: dict[int, int] = {}
+
+    def on_microblock_created(
+        self, replica: "Replica", microblock: "MicroBlock"
+    ) -> None:
+        self._created.setdefault(microblock.id, replica.node_id)
+
     def finalize(self) -> None:
-        for replica in self.suite.honest_replicas():
-            node = replica.node_id
+        replicas = {
+            replica.node_id: replica
+            for replica in self.suite.honest_replicas()
+        }
+        proven: set[int] = set()
+        for node, replica in replicas.items():
             mempool = replica.mempool
             proofs = getattr(mempool, "_proofs", None)
             if proofs is None:
                 return  # not a PAB mempool: no evidence to conserve
+            proven.update(proofs)
             queued = set(mempool._proposable)
             for mb_id in proofs:
                 if (
@@ -635,6 +654,24 @@ class ConservationOracle(Oracle):
                         f"id left its queue in a payload nobody proposed",
                         node=node, microblock=mb_id,
                     )
+        for mb_id, origin in self._created.items():
+            replica = replicas.get(origin)
+            if replica is None or mb_id in proven:
+                continue
+            mempool = replica.mempool
+            balancer = mempool.balancer
+            if balancer is not None and mb_id in balancer._forwards:
+                continue
+            push = mempool.pab._pushes.get(mb_id)
+            if push is None or len(push.targets) + 1 < mempool.pab._quorum:
+                self.report(
+                    "unshared",
+                    f"microblock {mb_id:#x} cut by replica {origin} has "
+                    f"no proof and no push that could earn one "
+                    f"({'no push' if push is None else f'{len(push.targets)} targets'}"
+                    f", quorum {mempool.pab._quorum})",
+                    node=origin, microblock=mb_id,
+                )
 
 
 class LivenessOracle(Oracle):

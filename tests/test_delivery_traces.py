@@ -169,11 +169,13 @@ TRACES = {
     # and again on PR 23 (191f8289... before): a service's entry is pushed
     # when it is armed, so same-instant handlers of different nodes follow
     # arming order; each node's own instants and order are unchanged.
+    # Then a898a9eb... -> de03146b... in the same PR (d0-i): the crashed
+    # replica's pending batch is cut after its restart, not while down.
     "fuzz7-6-clipped-delay": (
         lambda: build_experiment(
             ScenarioFuzzer(7).scenario(6).experiment_config()
         ).run(),
-        "a898a9eb9f27c8bc3e7ff93585de2f15e199d5ea5be413afd16504e06cf8ab73",
+        "de03146b7eeba1911309d607d50f8e16cd20d8ee437932752f91b60ff11aa07d",
     ),
 }
 

@@ -139,9 +139,13 @@ GOLDEN = {
     # with "no ack once proven" (step 2; 4b88afe8... before it): the
     # same 1,798 microblocks and 6,921 tx commit, at other instants —
     # bodies that arrive after their proof no longer draw acks.
+    # And with "a crashed replica cuts nothing" (PR 23, d0-i; 60848b1b...
+    # before): the victim's pending batch is cut after the restart and
+    # commits, instead of being cut while it is down and pushed to nobody; the
+    # window still counts 6,921 tx.
     "shs7-dlb-zipf1-crash-restart": (
         _shs_dlb_skew_crash,
-        "60848b1bde595e6268e33fa293561aaac6fc23da5e0380efc8e5cc23f79cf258",
+        "55ed7a1f00111a795e3eddbcd85951bd5a62d7902643df52512ca39937dde92c",
         6921,
     ),
     # Re-recorded with the per-ingress arrival queues (PR 23; 78ac61ee...

@@ -12,6 +12,7 @@ class FakeHost:
     def __init__(self, node_id=0):
         self.node_id = node_id
         self.sim = Simulator()
+        self.crashed = False
 
     def notify_microblock(self, microblock):
         pass
@@ -54,6 +55,18 @@ def test_flush_timer_emits_partial_microblock():
     assert len(emitted) == 1
     assert emitted[0].tx_count == 3
     assert batcher.pending_tx_count == 0
+
+
+def test_flush_deadline_on_a_crashed_host_cuts_nothing_until_it_is_back():
+    host, batcher, emitted = make_batcher(batch_timeout=0.05)
+    batcher.add(batch(3))
+    host.crashed = True
+    host.sim.run_until(0.12)  # two deadlines pass
+    assert emitted == [] and batcher.pending_tx_count == 3
+    host.crashed = False
+    host.sim.run_until(0.16)  # the first deadline after the restart
+    assert [mb.tx_count for mb in emitted] == [3]
+    assert emitted[0].created_at == pytest.approx(0.15)
 
 
 def test_large_batch_splits_into_multiple_microblocks():

@@ -227,6 +227,42 @@ def test_conservation_is_silent_once_somebody_proposes_the_id():
     assert suite.finalize() == []
 
 
+@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+def test_conservation_flags_a_microblock_pushed_to_nobody(kind):
+    """ROADMAP d0-i: cut while its replica is crashed, a microblock's
+    push has no targets, and the restart re-push has none either."""
+    exp = stratus_cluster(kind, rate_tps=400.0)
+    suite = OracleSuite([ConservationOracle()]).attach(exp)
+    exp.sim.run_until(1.0)
+    victim = exp.replicas[1]
+    batcher = victim.mempool.batcher
+    while not batcher.pending_tx_count:
+        exp.sim.run_until(exp.sim.now + 0.001)
+    victim.crash()
+    batcher.flush()  # what the flush deadline did before it knew of crashes
+    exp.sim.run_until(1.5)
+    victim.restart()
+    exp.sim.run_until(2.5)
+    violations = suite.finalize()
+    assert [(v.kind, v.node) for v in violations] == [("unshared", 1)]
+
+
+def test_conservation_lets_a_crash_hold_the_pending_batch():
+    exp = stratus_cluster("stratus", rate_tps=400.0)
+    suite = OracleSuite([ConservationOracle()]).attach(exp)
+    exp.sim.run_until(1.0)
+    victim = exp.replicas[1]
+    while not victim.mempool.batcher.pending_tx_count:
+        exp.sim.run_until(exp.sim.now + 0.001)
+    held = victim.mempool.batcher.pending_tx_count
+    victim.crash()
+    exp.sim.run_until(1.5)
+    assert victim.mempool.batcher.pending_tx_count == held
+    victim.restart()
+    exp.sim.run_until(2.5)
+    assert suite.finalize() == []
+
+
 def test_conservation_has_nothing_to_say_about_other_mempools():
     exp = make_cluster(n=4, mempool="simple", rate_tps=400.0)
     suite = OracleSuite([ConservationOracle()]).attach(exp)

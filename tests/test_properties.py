@@ -138,6 +138,7 @@ class _Host:
     def __init__(self):
         self.node_id = 0
         self.sim = Simulator()
+        self.crashed = False
 
     def notify_microblock(self, microblock):
         pass  # observer tap; no oracle suite in these tests
