@@ -33,20 +33,6 @@ def run(load_balancing: bool, probe_interval: int = 8):
     ))
 
 
-#: Recorded in ROADMAP item 4 as d0-iv; fixing it moves commit hashes
-#: (the ledger's shs-wan-skew-crash-16 cell), so it is its own change.
-DLB_DEFECT = (
-    "StableTimeEstimator.record drifts the busy baseline up 1 % per "
-    "sample (not in the paper), so the persistently hot replica "
-    "re-learns congestion as normal: node 0 ends with estimate 2.81 s "
-    "against baseline 2.84 s, busy on 25 of 667 microblocks, 22 forwards "
-    "(449 at PR 8). DLB on then commits 27,443 tx/s / 953 ms against "
-    "27,092 / 963 ms with DLB off; with baseline_drift=0.0 it commits "
-    "29.7-29.98k tx/s with ~530 forwards. Red since b55eb2f (PR 9)."
-)
-
-
-@pytest.mark.xfail(strict=True, reason=DLB_DEFECT)
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_dlb(benchmark):
     def sweep():

@@ -12,7 +12,11 @@ Reported shapes:
   small under heavy skew.
 
 Scaled default: n = 16 (hot-replica capacity ~23K tx/s, offered 30K);
-REPRO_BENCH_FULL=1 uses n = 32.
+REPRO_BENCH_FULL=1 uses n = 32. At that load every d forwards enough to
+commit what is offered (29.7-30.0K of 30K), so the d-ordering is held
+up to ``D_ORDER_SLACK``: a larger d may not fall behind a smaller one
+by more than the window's edge effect, and each must beat SMP-HS by the
+margin DLB is there for.
 """
 
 import pytest
@@ -24,6 +28,10 @@ from _common import run_grid, run_once, scaled, write_result
 
 N = scaled(default=[16], full=[32])[0]
 RATE = scaled(default=[30_000.0], full=[60_000.0])[0]
+
+#: How far a larger d may trail a smaller one where all of them commit
+#: the offered load: the d's differ by < 1 % of it, in either direction.
+D_ORDER_SLACK = 0.015
 
 VARIANTS = (
     ("SMP-HS", "SMP-HS", 1),
@@ -91,8 +99,16 @@ def test_fig10_load_balance(benchmark):
         # commits the offered load and the comparison is parity.
         assert best_stratus > (0.97 if selector == "zipf10" else 1.0) * smp, \
             selector
-    # Under high skew, DLB actually forwards.
-    assert data[("zipf1", "S-HS-d3")].forwarded_microblocks > 0
+    # Under high skew, DLB actually forwards, for every d, and more
+    # samples never cost throughput: d1 <= d2 <= d3 up to the slack.
+    d1, d2, d3 = (
+        data[("zipf1", f"S-HS-d{d}")] for d in (1, 2, 3)
+    )
+    for result in (d1, d2, d3):
+        assert result.forwarded_microblocks > 100
+        assert result.throughput_tps > 1.4 * data[("zipf1", "SMP-HS")].throughput_tps
+    assert d1.throughput_tps <= (1 + D_ORDER_SLACK) * d2.throughput_tps
+    assert d2.throughput_tps <= (1 + D_ORDER_SLACK) * d3.throughput_tps
     # Stratus latency beats gossip's under high skew (redundancy cost).
     assert (data[("zipf1", "S-HS-d3")].latency_mean
             < data[("zipf1", "SMP-HS-G")].latency_mean)

@@ -35,7 +35,6 @@ class StableTimeEstimator:
         percentile: float = 95.0,
         busy_margin: float = 2.0,
         busy_slack: float = 0.05,
-        baseline_drift: float = 0.01,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -43,14 +42,11 @@ class StableTimeEstimator:
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")
         if busy_margin < 1.0:
             raise ValueError(f"busy_margin must be >= 1, got {busy_margin}")
-        if baseline_drift < 0:
-            raise ValueError(f"baseline_drift must be >= 0, got {baseline_drift}")
         self._window: deque[float] = deque(maxlen=window)
         self._sorted: list[float] = []
         self._percentile = percentile
         self._busy_margin = busy_margin
         self._busy_slack = busy_slack
-        self._baseline_drift = baseline_drift
         self._baseline: Optional[float] = None
         self._recorded = 0
         self._cached_estimate: Optional[float] = None
@@ -73,14 +69,7 @@ class StableTimeEstimator:
 
     @property
     def baseline(self) -> Optional[float]:
-        """Drifting floor of observed STs: the uncongested constant (alpha).
-
-        A pure all-time minimum is brittle — one lucky sample would lower
-        the busy threshold forever — so the floor creeps upward by
-        ``baseline_drift`` per sample until a new low anchors it again.
-        A replica whose environment really did get permanently slower
-        therefore re-learns its alpha instead of reporting busy forever.
-        """
+        """Smallest ST observed: the uncongested constant (alpha)."""
         return self._baseline
 
     def record(self, stable_time: float) -> None:
@@ -97,12 +86,8 @@ class StableTimeEstimator:
         insort(self._sorted, stable_time)
         self._recorded += 1
         self._cache_valid = False
-        if self._baseline is None:
+        if self._baseline is None or stable_time < self._baseline:
             self._baseline = stable_time
-        else:
-            self._baseline = min(
-                stable_time, self._baseline * (1.0 + self._baseline_drift)
-            )
 
     def estimate(self) -> Optional[float]:
         """Current ST estimate: the n-th percentile over the window.

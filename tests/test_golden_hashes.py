@@ -143,10 +143,13 @@ GOLDEN = {
     # before): the victim's pending batch is cut after the restart and
     # commits, instead of being cut while it is down and pushed to nobody; the
     # window still counts 6,921 tx.
+    # And with the estimator's baseline drift deleted (same PR, d0-iv;
+    # 55ed7a1f... / 6,921 tx before): the hot replica keeps reading
+    # itself as busy and keeps forwarding.
     "shs7-dlb-zipf1-crash-restart": (
         _shs_dlb_skew_crash,
-        "55ed7a1f00111a795e3eddbcd85951bd5a62d7902643df52512ca39937dde92c",
-        6921,
+        "882d075845e71d81895aad66998865ee39375ddb4de4e1c4868b5d986dc82307",
+        7415,
     ),
     # Re-recorded with the per-ingress arrival queues (PR 23; 78ac61ee...
     # and 2,466 tx before): the loss window's coins are drawn per ingress
@@ -166,11 +169,13 @@ GOLDEN = {
     # 85,309 tx, 4423c4df... / 7,596 and bed0a834... / 5,260 before): a
     # transfer whose rate did not change is no longer settled, so its
     # remaining bits round otherwise, and transfers of one uplink due at
-    # one instant complete in the order they started.
+    # one instant complete in the order they started. The first moved
+    # once more with the baseline drift deleted (d0-iv; 46e2d304... /
+    # 84,972 tx before): it is the only one of the three with DLB on.
     "shs16-wan-fair-zipf1-crash-restart": (
         _shs_wan_fair_skew_crash,
-        "46e2d304d06b74b5d35a860a8703b1c979b9c74057f937eee47f3c113e9b0e6e",
-        84972,
+        "af8da498bb1bb0f04732239b42e96a7b69b70713e13f61842a166b23cbc03355",
+        85949,
     ),
     "shs4-wan-fair-squeeze": (
         _shs_wan_fair_squeeze,

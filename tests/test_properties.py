@@ -175,9 +175,8 @@ def test_estimator_estimate_within_window_range(values):
     window = values[-50:]
     estimate = estimator.estimate()
     assert min(window) <= estimate <= max(window)
-    # The baseline floor stays between the all-time minimum and the
-    # largest sample (it drifts up at most 1% per record).
-    assert min(values) <= estimator.baseline <= max(values) + 1e-12
+    # The baseline is the all-time minimum, window or no window.
+    assert estimator.baseline == min(values)
 
 
 @given(st.floats(min_value=0.001, max_value=10.0, allow_nan=False),

@@ -125,13 +125,6 @@ def test_fig10_load_balancing_helps_under_skew():
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4, d0-iv: the stable-time baseline drifts up 1 % per "
-    "sample, so the hot replica stops reading itself as busy (22 "
-    "forwards where PR 8 had 449) and DLB on commits 27,443 tx/s against "
-    "27,092 with DLB off. The test above cannot see it: it passes on "
-    "PAB's advantage over SMP-HS alone."
-))
 def test_fig10_dlb_on_commits_more_than_dlb_off():
     on = run_skewed("S-HS", d=3)
     off = run_skewed("S-HS", d=3, load_balancing=False)
