@@ -133,12 +133,10 @@ class HotStuff(ChainedEngine):
     # -- proposing -----------------------------------------------------
 
     def _try_propose(self, view: int, justify: QuorumCert) -> None:
-        # All of it before the payload is pulled: a paced retry that fires
-        # after the view moved must leave the queue as it found it.
-        if (
-            view in self._proposed_views or self.cur_view > view
-            or self.host.behavior.silent
-        ):
+        # Before the pull: a paced retry that fires after the view moved
+        # must leave the queue as it found it.
+        stale = view in self._proposed_views or self.cur_view > view
+        if stale or self.host.behavior.silent:
             return
         if justify.block_id not in self.proposals:
             # The certified block (votes outran the proposal body) has not

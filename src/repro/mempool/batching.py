@@ -107,20 +107,18 @@ class MicroBlockBatcher:
             self._emit_microblock(self._pending_count)
 
     def _flush(self) -> None:
+        sim = self._host.sim
         if self._host.crashed:
-            # A dead process cuts nothing (a microblock cut now would be
-            # pushed to nobody, for good): what it held waits for the
-            # first deadline after the restart.
-            self._flush_timer = self._host.sim.schedule(
-                self._config.batch_timeout, self._flush
-            )
+            # A dead process cuts nothing (it would push to nobody, for
+            # good): what it held waits for a deadline after the restart.
+            self._flush_timer = sim.schedule(self._config.batch_timeout, self._flush)
             return
         arrivals = self._arrivals
         if arrivals is not None:
             # Pull ticks strictly before the deadline while the timer is
             # still armed (so add() doesn't re-arm it); per-tick delivery
             # would have landed them all before this event fired.
-            arrivals.settle_before(self._host.sim.now)
+            arrivals.settle_before(sim.now)
         self._flush_timer = None
         self.flush()
         if arrivals is not None:

@@ -5,7 +5,7 @@ network links with bandwidth serialization, and topology presets on which
 every protocol in :mod:`repro` runs.
 """
 
-from repro.sim.engine import Event, Simulator, Timer
+from repro.sim.engine import Simulator, Timer
 from repro.sim.interfaces import Envelope, Scheduler, TimerHandle, Transport
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import (
@@ -17,7 +17,6 @@ from repro.sim.topology import (
 from repro.sim.network import Channel, Network, NetworkStats
 
 __all__ = [
-    "Event",
     "Simulator",
     "Timer",
     "Scheduler",

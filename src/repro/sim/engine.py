@@ -14,23 +14,16 @@ Protocol code interacts with the engine through three operations:
 Timers (view-change timers, fetch timeouts, proxy timeouts) are cancellable
 via the returned :class:`Timer` handle.
 
-Performance notes: the heap stores plain ``(time, seq, None, event)``
-tuples so ordering is resolved by C-level tuple comparison (``seq`` is
-unique, so nothing behind it is ever compared), and :class:`Event` is a
-``__slots__`` class rather than a dataclass. Cancelled events are left in
-the heap (cancellation stays O(1)) but the simulator compacts the heap
-automatically once cancelled entries outnumber live ones — chaos runs
-cancel view/fetch timers by the thousand, and without compaction they
-would linger until their deadline.
-
-Hot subsystems (the network's serialization/delivery chain, ingress CPU
-queues) use :meth:`Simulator.schedule_fire` instead of ``schedule``: it
-pushes a raw ``(time, seq, callback, arg)`` tuple with no ``Event`` or
-``Timer`` allocation at all. Fire-entries are not cancellable — callers
-must guard staleness themselves (epoch counters, ``done`` flags). Both
-entries have one shape and the run loop tells them apart by
-``entry[2] is None``: a ``len()`` per fired event was a built-in call
-per event (1.23 of ``disseminate-128``'s 9.00 calls per message).
+Performance notes: the heap stores plain tuples, ``(time, seq, None,
+timer)`` for a :class:`Timer` and ``(time, seq, callback, arg)`` for
+:meth:`Simulator.schedule_fire`, ordered by C-level tuple comparison
+(``seq`` is unique, so nothing behind it is compared); the run loop
+tells them apart by ``entry[2] is None``, not by a ``len()`` call per
+fired event. A fire-entry allocates nothing and cannot be cancelled: the
+hot chains that use it (serialization, ingress service) guard staleness
+themselves. Cancelled timers stay in the heap (cancellation is O(1)) and
+are compacted away once they outnumber the live ones: chaos runs cancel
+view/fetch timers by the thousand.
 """
 
 from __future__ import annotations
@@ -49,59 +42,35 @@ class SimulationError(RuntimeError):
     """Raised when the simulation is driven incorrectly."""
 
 
-class Event:
-    """A scheduled callback with its lifecycle flags.
+class Timer:
+    """A scheduled callback and the cancellable handle to it. ``fired``
+    (consumed by the loop) and ``cancelled`` (will be skipped, eventually
+    compacted away) are distinct; heap order lives in the ``(time, seq)``
+    the simulator pushes in front of it."""
 
-    ``cancelled`` and ``fired`` are distinct states: a fired event was
-    consumed by the loop, a cancelled one will be skipped (and eventually
-    compacted away). Heap ordering lives in the ``(time, seq)`` tuple the
-    simulator pushes alongside the event, not on the event itself.
-    """
+    __slots__ = ("deadline", "callback", "cancelled", "fired", "_sim")
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "fired")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(
+        self, deadline: float, callback: Callable[[], None], sim: "Simulator"
+    ) -> None:
+        self.deadline = deadline
         self.callback = callback
         self.cancelled = False
         self.fired = False
-
-
-class Timer:
-    """Cancellable handle for a scheduled event."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: Event, sim: "Simulator") -> None:
-        self._event = event
         self._sim = sim
 
     @property
-    def deadline(self) -> float:
-        return self._event.time
-
-    @property
     def active(self) -> bool:
-        """True only while the callback can still fire.
-
-        An event that already executed is not active — previously a
-        fired timer kept reporting ``True``, which let protocol code
-        mistake a dead timeout for a pending one.
-        """
-        event = self._event
-        return not (event.cancelled or event.fired)
+        """True only while the callback can still fire: a fired timer is
+        not active (a dead timeout must not read as a pending one)."""
+        return not (self.cancelled or self.fired)
 
     def cancel(self) -> None:
-        """Prevent the callback from firing.
-
-        Cancelling an already-fired or already-cancelled timer is a no-op,
-        which lets protocol code cancel unconditionally on cleanup paths.
-        """
-        event = self._event
-        if event.cancelled or event.fired:
+        """Prevent the callback from firing; a no-op on a fired or
+        cancelled timer, so cleanup paths cancel unconditionally."""
+        if self.cancelled or self.fired:
             return
-        event.cancelled = True
+        self.cancelled = True
         self._sim._note_cancelled()
 
 
@@ -118,7 +87,7 @@ class Simulator(Scheduler):
     )
 
     def __init__(self) -> None:
-        # Entries are (time, seq, None, Event) or raw
+        # Entries are (time, seq, None, Timer) or raw
         # (time, seq, callback, arg) fire-tuples; see schedule_fire.
         self._queue: list[tuple] = []
         self._seq = 0
@@ -165,19 +134,15 @@ class Simulator(Scheduler):
             raise SimulationError(
                 f"cannot schedule at {time:.6f}; now is {self._now:.6f}"
             )
-        event = Event(time, self._seq, callback)
-        heapq.heappush(self._queue, (time, self._seq, None, event))
+        timer = Timer(time, callback, self)
+        heapq.heappush(self._queue, (time, self._seq, None, timer))
         self._seq += 1
-        return Timer(event, self)
+        return timer
 
     def schedule_fire(self, delay: float, callback, arg) -> None:
         """No-allocation fast path: run ``callback(arg)`` after ``delay``.
-
-        Unlike :meth:`schedule` this returns no handle and cannot be
-        cancelled — the heap entry is a bare tuple. Intended for the
-        simulator-internal hot chains (uplink drains, deliveries,
-        ingress processing) where the callback itself checks staleness.
-        """
+        No handle, no cancelling: for the simulator's own hot chains,
+        whose callbacks check staleness themselves."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         seq = self._seq
@@ -194,52 +159,32 @@ class Simulator(Scheduler):
             raise SimulationError("run_until called re-entrantly from a callback")
         self._running = True
         executed = 0
-        # Compaction rebuilds the queue *in place* (see drain_cancelled),
-        # so the local binding stays valid across callbacks.
+        # Compaction rebuilds the queue in place: this binding stays valid.
         queue = self._queue
         heappop = heapq.heappop
+        limit = -1 if max_events is None else max_events
         try:
-            if max_events is None:
-                # Hot loop: no per-event limit check. The perf harness
-                # always runs here, so every instruction counts.
-                while queue and queue[0][0] <= end_time:
-                    entry = heappop(queue)
-                    callback = entry[2]
-                    if callback is not None:
-                        # Raw fire-tuple: (time, seq, callback, arg).
-                        self._now = entry[0]
-                        callback(entry[3])
-                        executed += 1
-                    else:
-                        event = entry[3]
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        event.fired = True
-                        self._now = event.time
-                        event.callback()
-                        executed += 1
-            else:
-                while queue and queue[0][0] <= end_time:
-                    entry = heappop(queue)
-                    callback = entry[2]
-                    if callback is not None:
-                        self._now = entry[0]
-                        callback(entry[3])
-                    else:
-                        event = entry[3]
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        event.fired = True
-                        self._now = event.time
-                        event.callback()
-                    executed += 1
-                    if executed >= max_events:
-                        break
+            # Hot loop: the perf harness runs here, every instruction counts.
+            while queue and queue[0][0] <= end_time:
+                entry = heappop(queue)
+                callback = entry[2]
+                if callback is not None:
+                    # Raw fire-tuple: (time, seq, callback, arg).
+                    self._now = entry[0]
+                    callback(entry[3])
+                else:
+                    timer = entry[3]
+                    if timer.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    timer.fired = True
+                    self._now = entry[0]
+                    timer.callback()
+                executed += 1
+                if executed == limit:
+                    break
         finally:
-            # The executed-count accumulates locally; ``processed`` is a
-            # post-run gauge, so one write per run_until call suffices.
+            # ``processed`` is a post-run gauge: one write per call.
             self._processed += executed
             self._running = False
         if not self._queue or self._queue[0][0] > end_time:
@@ -261,13 +206,8 @@ class Simulator(Scheduler):
             self._compactions += 1
 
     def drain_cancelled(self) -> None:
-        """Drop cancelled events from the heap (memory hygiene for long runs).
-
-        The rebuild happens in place (slice assignment) so the list
-        object's identity is stable — ``run_until`` holds a local
-        reference to it across callbacks, and compaction runs *from*
-        callbacks.
-        """
+        """Drop cancelled timers from the heap, in place: ``run_until``
+        holds the list across callbacks, and compaction runs from them."""
         live = [
             entry for entry in self._queue
             if entry[2] is not None or not entry[3].cancelled

@@ -83,13 +83,10 @@ class Envelope:
         self.payload = payload
         self.channel = channel
         self.enqueued_at = enqueued_at
-        # When the last byte left the sender's uplink (set by the
-        # simulated network at serialization time; 0.0 elsewhere). Used
-        # to discard copies that were still on the wire when the sender
-        # crashed.
+        # Simulated network only: when the last byte left the sender's
+        # uplink (a sender crash before then discards the copy) and when
+        # the copy reached the receiver, the instant it is judged for.
         self.sent_at = 0.0
-        # When the copy reached the receiver (simulated network only):
-        # its one event, a processing cost later, decides for this instant.
         self.arrived_at = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

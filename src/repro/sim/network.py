@@ -1,39 +1,33 @@
 """Simulated message-passing network with bandwidth serialization.
 
-Two link models are available (``link_model`` constructor argument):
+Two link models (``link_model``):
 
 **serial** (default) — the store-and-forward model under which the
-paper's Appendix-A throughput formulas are exact:
-
-* every replica owns a single egress uplink of finite bandwidth;
-* a message of ``size`` bytes occupies the sender's uplink for
-  ``size * 8 / bandwidth`` seconds (store-and-forward serialization);
-* after serialization, the message experiences the topology's one-way
-  propagation delay and is delivered to the receiver's handler;
-* broadcasting to ``n - 1`` peers serializes ``n - 1`` copies, which is
-  exactly what makes a leader shipping megabyte proposals the bottleneck.
+paper's Appendix-A throughput formulas are exact: every replica owns one
+egress uplink of finite bandwidth; a message of ``size`` bytes occupies
+it for ``size * 8 / bandwidth`` seconds, then takes the topology's
+one-way delay to the receiver's handler; a broadcast to ``n - 1`` peers
+serializes ``n - 1`` copies, which is what makes a leader shipping
+megabyte proposals the bottleneck.
 
 **fair-share** — concurrent transfers split link capacity instead of
-queueing behind each other (the simpy ``Container`` uplink/downlink
-technique; see DESIGN.md "Simulator scale-out"). Each active transfer
-runs at ``min(B_up / |up_active|, B_down / |down_active|)``; rates are
-recomputed only when a transfer starts or finishes — batched into one
-settle pass per sim instant over the touched ("dirty") links, never per
-byte — so WAN contention at n=128 is modeled without event blowup. Bulk (DATA)
-transfers are admitted through a bounded slot pool per uplink;
-consensus/control transfers bypass the pool so they are never stuck
-behind a wall of microblocks.
+queueing (the simpy ``Container`` uplink/downlink technique; DESIGN.md
+"Simulator scale-out"). A transfer runs at
+``min(B_up / |up_active|, B_down / |down_active|)``; rates move only
+when a transfer starts or finishes, in one settle pass per sim instant
+over the touched ("dirty") links, and an uplink keeps one armed event,
+at its earliest finish. Bulk (DATA) transfers pass a bounded slot pool
+per uplink; consensus and control bypass it.
 
-Broadcasts are *fan-out flows* in both models: ``Network.broadcast``
-enqueues a single shared-payload :class:`_Flow` per uplink and the
-serializer expands it lazily into per-recipient envelopes, each with one
-heap entry (and a second only if it must wait for the receiver's CPU).
+A broadcast is one shared-payload :class:`_Flow` in both models,
+expanded lazily into per-recipient envelopes. A serialized copy has no
+heap entry of its own: it goes into its receiver's arrival queue, and a
+receiver keeps one entry, the end of its next service
+(:class:`_Ingress`) — one event per service, not per arrival.
 
-Two egress priority classes implement the paper's "consensus channel /
-data channel" optimization (Section VI): whenever the uplink frees up,
-queued consensus messages (proposals, votes) are transmitted before
-queued data messages (microblocks, acks, fetches). An optional token
-bucket throttles the data class, reproducing the sending-rate limiter
+Egress and ingress priority classes implement the paper's "consensus
+channel / data channel" optimization (Section VI): consensus before
+control before data. An optional token bucket throttles the data class
 (serial model only).
 """
 
@@ -65,16 +59,12 @@ __all__ = [
 
 LINK_MODELS = ("serial", "fair-share")
 
-# Queue indexes for the per-channel FIFOs below. The uplink/ingress hot
-# loops index lists with these ints instead of hashing enum members —
-# ``Channel.__hash__`` was a measurable slice of event-loop time.
+# Queue indexes of the per-channel FIFOs: the hot loops index lists with
+# these ints (``Channel.__hash__`` is a Python call) and map an envelope's
+# channel to its index by identity (so is the enum ``value`` descriptor).
 _CONSENSUS = Channel.CONSENSUS.value
 _CONTROL = Channel.CONTROL.value
 _DATA = Channel.DATA.value
-
-# Enum members as module constants: the delivery path maps an envelope's
-# channel to its queue index with identity compares instead of the enum
-# ``value`` descriptor (which is a measurable per-message cost).
 _DATA_MEMBER = Channel.DATA
 _CONSENSUS_MEMBER = Channel.CONSENSUS
 
@@ -92,14 +82,12 @@ class NetworkStats:
     messages_sent: dict[str, int] = field(default_factory=dict)
     messages_delivered: int = 0
     messages_dropped: int = 0
-    # Live-backend gauges (always 0 in-sim): frames shed by the bounded
-    # per-peer send queues, the deepest those queues ever got, and how
-    # many times a peer link re-established a dropped TCP connection.
+    # Live-backend gauges (0 in-sim): frames shed by the bounded per-peer
+    # send queues, their deepest, and TCP connections re-established.
     frames_dropped: int = 0
     queue_high_watermark: int = 0
     reconnects: int = 0
-    # Running totals so the per-node/per-kind queries below stay O(1) —
-    # they are called inside benchmark loops.
+    # Running totals: the per-node/per-kind queries below stay O(1).
     _node_totals: dict[int, float] = field(default_factory=dict)
     _kind_totals: dict[str, float] = field(default_factory=dict)
 
@@ -115,12 +103,9 @@ class NetworkStats:
         self._kind_totals[kind] = self._kind_totals.get(kind, 0.0) + total
 
     def cancel_send(self, node: int, kind: str, size_bytes: float) -> None:
-        """Un-account one copy whose serialization a crash cut short.
-
-        Flow segments account their copies when the segment starts; a
-        copy discarded because the sender crashed mid-segment never
-        actually cleared the uplink, so its bytes are handed back.
-        """
+        """Un-account one copy a sender's crash cut short: a segment's
+        copies are accounted when it starts, this one never cleared the
+        uplink."""
         key = (node, kind)
         self.bytes_sent[key] -= size_bytes
         self.messages_sent[kind] -= 1
@@ -173,12 +158,9 @@ class TokenBucket:
 
 
 class _Flow:
-    """One send or broadcast awaiting serialization: one payload, its dsts.
-
-    A flow occupies a single egress-queue slot however many recipients
-    it covers; the uplink expands it lazily, one segment of copies at a
-    time, so enqueueing a 127-recipient broadcast is O(1).
-    """
+    """One send or broadcast awaiting serialization: one payload, its
+    dsts, one egress-queue slot. The uplink expands it a segment at a
+    time, so enqueueing a 127-recipient broadcast is O(1)."""
 
     __slots__ = (
         "kind", "size_bytes", "payload", "channel", "recipients",
@@ -186,13 +168,8 @@ class _Flow:
     )
 
     def __init__(
-        self,
-        kind: str,
-        size_bytes: float,
-        payload: object,
-        channel: Channel,
-        recipients,
-        enqueued_at: float,
+        self, kind: str, size_bytes: float, payload: object,
+        channel: Channel, recipients, enqueued_at: float,
     ) -> None:
         self.kind = kind
         self.size_bytes = size_bytes
@@ -235,18 +212,15 @@ def _uplink_drain(uplink: "_Uplink") -> None:
 class _Uplink:
     """One replica's egress: three priority FIFOs draining into one wire.
 
-    States: idle (nothing to do), transmitting (wire occupied by the
-    current segment until ``busy_until``), or waiting (head-of-line data
-    message blocked by the token bucket). A consensus message arriving
-    during a limiter wait preempts the wait — consensus traffic is never
-    throttled.
+    Idle, transmitting (a segment holds the wire until ``busy_until``)
+    or waiting (head-of-line data blocked by the token bucket; consensus
+    preempts the wait and is never throttled).
 
-    The serializer works in *segments*: it pops the head item, expands
-    up to ``SEGMENT_MAX_COPIES`` copies (bounded to roughly
-    ``SEGMENT_MAX_SECONDS`` of wire time so a queued consensus message
-    is never stuck long behind a bulk fan-out) and schedules each copy's
-    delivery analytically — not one event per copy. A drain event at the
-    segment's end exists only while something waits for the wire.
+    The serializer works in *segments*: it takes the head flow, expands
+    up to ``SEGMENT_MAX_COPIES`` copies (about ``SEGMENT_MAX_SECONDS`` of
+    wire time, so a consensus message never waits long behind a bulk
+    fan-out) and computes each copy's arrival analytically. A drain
+    event at the segment's end exists only while something waits.
     """
 
     SEGMENT_MAX_COPIES = 8
@@ -286,12 +260,8 @@ class _Uplink:
 
     def flush(self) -> int:
         """Drop every queued message (the node crashed); returns the count.
-
-        Copies of the in-flight segment cannot be recalled here: their
-        delivery events already exist, but the network discards any copy
-        whose serialization had not finished when the sender went down
-        (see ``Network._receive``).
-        """
+        Copies of the segment in flight are in their receivers' arrival
+        queues: :func:`_ingress_serve` discards those cut short."""
         if self._wait_timer is not None:
             self._wait_timer.cancel()
             self._wait_timer = None
@@ -336,11 +306,12 @@ class _Uplink:
         payload = head.payload
         channel = head.channel
         enqueued_at = head.enqueued_at
-        # Each copy's one event is heap-pushed directly: the envelope
-        # comes from ``__new__`` + slot stores and, with no delay window
-        # or per-link override, the delay replays Topology.delay bit for
-        # bit (uniform(a, b) is ``a + (b - a) * random()``; a recipient
-        # is never the sender).
+        # Each copy goes straight into its receiver's arrival queue (and
+        # arms that ingress if it would be served before what is armed):
+        # the envelope comes from ``__new__`` + slot stores and, with no
+        # delay window or per-link override, the delay replays
+        # Topology.delay bit for bit (uniform(a, b) is
+        # ``a + (b - a) * random()``; a recipient is never the sender).
         faults = topology.link_faults
         plain = not ((faults and faults.delays) or topology._delay_overrides)
         base = topology._base_delay
@@ -374,7 +345,7 @@ class _Uplink:
                 delay = base
             envelope.arrived_at = arrived = end + delay
             ingress = ingresses[dst]
-            _insort(ingress.arrivals, envelope, ingress.cursor, key=_arrived_at)
+            _insort(ingress.arrivals, envelope, key=_arrived_at)
             free_at = ingress.free_at
             wake = arrived + proc if free_at <= arrived else free_at + proc
             if wake < ingress.wake:
@@ -403,15 +374,14 @@ _NEVER.arrived_at = _INF
 
 
 def _ingress_serve(ingress: "_Ingress") -> None:
-    """The end of one service: the ingress's one event (fire-path callback).
+    """The end of one service: an ingress's one event (fire-path callback).
 
-    Every copy that had arrived by the start of this service is judged
-    here, in arrival order and for its ``arrived_at``, as an arrival is
-    judged: cut short by its sender's crash, receiver down on arrival,
-    drop filter and loss coin, receiver crashed since. What passes joins
-    its class FIFO; the head of the highest class is handed to the
-    handler and the next service end is armed. A lone candidate skips
-    the FIFOs: nothing waited, nothing can overtake it.
+    Every copy that had arrived by this service's start is judged, in
+    arrival order and for its ``arrived_at``: cut short by its sender's
+    crash, receiver down on arrival, drop filter and loss coin, receiver
+    crashed since. What passes joins its class FIFO, the head of the
+    highest class gets the handler and the next service end is armed. A
+    lone candidate skips the FIFOs: nothing waited, nothing overtakes it.
     """
     network = ingress.network
     sim = network.sim
@@ -422,66 +392,54 @@ def _ingress_serve(ingress: "_Ingress") -> None:
     proc = network._proc
     queues = ingress.queues
     arrivals = ingress.arrivals
-    cursor = ingress.cursor
     stats = network.stats
     flush_at = network._flush_at
     filters = network._filters_active
-    priority = network.priority_channels
-    waiting = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
-    lone = None
-    envelope = arrivals[cursor]
+    envelope = arrivals[0]
+    lone = (
+        envelope.arrived_at + proc <= now < arrivals[1].arrived_at + proc
+        and not (queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA])
+    )
+    served = None
+    due = 0
     while envelope.arrived_at + proc <= now:
-        cursor += 1
+        due += 1
+        arrived = envelope.arrived_at
         crashed = flush_at[envelope.src]
         if envelope.enqueued_at <= crashed < envelope.sent_at:
-            # The sender crashed while this copy was still being
-            # serialized: it never fully left, its bytes are handed back.
+            # Its sender crashed before the last byte left: bytes handed back.
             stats.cancel_send(envelope.src, envelope.kind, envelope.size_bytes)
             stats.messages_dropped += 1
+        elif (flush_at[envelope.dst] >= 0.0 or filters) and (
+            # Down on arrival: no window is asked, no coin drawn.
+            flush_at[envelope.dst] <= arrived < network._up_at[envelope.dst]
+            or (filters and network._should_drop(envelope, arrived))
+            # Up then, crashed since: it left with the ingress flush.
+            or arrived < flush_at[envelope.dst]
+        ):
+            stats.messages_dropped += 1
+        elif lone:
+            served = envelope
         else:
-            arrived = envelope.arrived_at
-            crashed = flush_at[envelope.dst]
-            if (crashed >= 0.0 or filters) and (
-                # Down on arrival: no window is asked, no coin drawn.
-                crashed <= arrived < network._up_at[envelope.dst]
-                or (filters and network._should_drop(envelope, arrived))
-                # Up then, crashed since: it left with the ingress flush.
-                or arrived < crashed
-            ):
-                stats.messages_dropped += 1
-            elif lone is None and not waiting:
-                lone = envelope
-            else:
-                ch = envelope.channel
-                queues[
-                    _DATA if ch is _DATA_MEMBER or not priority
-                    else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
-                ].append(envelope)
-        envelope = arrivals[cursor]
-    if cursor > 32:
-        del arrivals[:cursor]
-        cursor = 0
-    ingress.cursor = cursor
+            ch = envelope.channel
+            queues[
+                _DATA if ch is _DATA_MEMBER or not network.priority_channels
+                else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
+            ].append(envelope)
+        envelope = arrivals[due]
+    del arrivals[:due]
     queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
     if queue:
-        if lone is not None:
-            # It arrived first: back at the head of its class.
-            ch = lone.channel
-            queues[
-                _DATA if ch is _DATA_MEMBER or not priority
-                else _CONSENSUS if ch is _CONSENSUS_MEMBER else _CONTROL
-            ].appendleft(lone)
-            queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
-        lone = queue.popleft()
-    if lone is not None:
+        served = queue.popleft()
+    if served is not None:
         # dst is registered: ``send`` and ``broadcast`` refuse anything else.
         ingress.free_at = now
         stats.messages_delivered += 1
-        network._handler_list[lone.dst](lone)
+        network._handler_list[served.dst](served)
     if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
         wake = now + proc
     else:
-        arrived = arrivals[ingress.cursor].arrived_at
+        arrived = arrivals[0].arrived_at
         free_at = ingress.free_at
         wake = arrived + proc if free_at <= arrived else free_at + proc
     if wake < ingress.wake:
@@ -494,22 +452,20 @@ def _ingress_serve(ingress: "_Ingress") -> None:
 class _Ingress:
     """Receive-side processing queue: one CPU draining priority FIFOs.
 
-    Each arriving message costs ``proc_per_message`` seconds of handler
-    time (signature verification and dispatch). Consensus messages are
-    processed before data messages, implementing the paper's
-    "consensus channel has higher priority" processing rule on the
-    receive side.
+    Each message costs ``proc_per_message`` seconds of handler time
+    (signature verification, dispatch); consensus before control before
+    data, the paper's channel priority on the receive side.
 
-    A serialized copy is pushed at dispatch into its receiver's
-    ``arrivals``, ordered by ``arrived_at`` (dispatch order among equal
-    instants), and the ingress keeps one heap entry: the end of its next
-    service, ``max(free_at, earliest pending arrival) + proc``
-    (:func:`_ingress_serve`). A copy dispatched later that arrives
-    earlier at an idle CPU arms an earlier entry; the one it superseded
-    finds ``wake`` moved and fires as a no-op.
+    A copy is pushed at dispatch into its receiver's ``arrivals``,
+    ordered by ``arrived_at`` (dispatch order among equal instants), and
+    the ingress keeps one heap entry: the end of its next service,
+    ``max(free_at, earliest pending arrival) + proc``
+    (:func:`_ingress_serve`). A copy dispatched later that would be
+    served earlier arms an earlier entry; the superseded one finds
+    ``wake`` moved and fires as a no-op.
     """
 
-    __slots__ = ("network", "queues", "free_at", "arrivals", "cursor", "wake")
+    __slots__ = ("network", "queues", "free_at", "arrivals", "wake")
 
     def __init__(self, network: "Network") -> None:
         self.network = network
@@ -517,10 +473,8 @@ class _Ingress:
         self.queues: list[deque[Envelope]] = [deque() for _ in Channel]
         #: When the most recent service ended (-1.0 = never served).
         self.free_at = -1.0
-        #: Copies not yet judged, from ``cursor`` on, then a sentinel
-        #: that never arrives (the read loop tests no length).
+        #: Copies not yet judged, then a sentinel (no length test to read).
         self.arrivals: list[Envelope] = [_NEVER]
-        self.cursor = 0
         #: The instant of the armed service end (``inf`` = none armed).
         self.wake = _INF
 
@@ -552,28 +506,22 @@ class _Transfer:
 def _fair_flush(fair: "_FairShareLinks") -> None:
     """Deferred rate recompute for every dirty link (fire-path callback).
 
-    All membership changes since the last flush happened at the current
-    sim instant (the flush is armed with a zero-delay event the moment
-    the first link goes dirty), so settling each touched transfer's
-    elapsed progress at its *old* rate and assigning the new fair share
-    at the same timestamp is exact — no time passes between the change
-    and the recompute. Batching turns a B-transfer burst on one uplink
-    from ~B^2/2 per-transfer settles (every start re-rated every active
-    flow) into ~B: each burst instant settles each touched flow once.
+    Every membership change since the last flush happened at this sim
+    instant (the flush is armed when the first link goes dirty), so
+    settling progress at the old rate and assigning the new share at one
+    timestamp is exact, and a burst settles each transfer once.
 
-    A link's share ``B / |active|`` moves only with its membership, so
-    on a plain topology it is computed once per dirty link, kept in
-    ``up_share``/``down_share`` (a clean link's stored share is still
-    current) and looked up by the settle loop, which makes no call per
-    transfer. Otherwise ``B`` may have moved with no membership change
-    (the edge of a squeeze or delay window): every link the flush
-    touches is read through ``Topology.bandwidth`` at this instant and
+    A link's share ``B / |active|`` moves only with its membership: on a
+    plain topology it is computed once per dirty link and kept in
+    ``up_share``/``down_share``. Otherwise ``B`` may have moved with no
+    membership change (a squeeze or delay window's edge), so every link
+    the flush touches is read through ``Topology.bandwidth`` now and
     nothing outlives the flush.
 
     A transfer whose rate comes out as it was is not settled: its
-    ``finish_at`` still holds. Every touched transfer, settled or not,
-    is then held against its uplink's armed wake, and an uplink whose
-    earliest finish now lies before it (or that has none armed) gets one.
+    ``finish_at`` still holds. Settled or not, each is held against its
+    uplink's armed wake, which moves when the earliest finish lies
+    before it (or none is armed).
     """
     fair._flush_armed = False
     up = fair.up_active
@@ -633,29 +581,22 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
             wake[src] = transfer.finish_at
             earlier[src] = None
     fair.settle_ops += settled
-    heap = sim._queue
-    seq = sim._seq
-    for src in earlier:
-        _heappush(heap, (wake[src], seq, fair._on_wake, src))
-        seq += 1
-    sim._seq = seq
+    for src in earlier:  # one entry per uplink, at the minimum it ended on
+        _heappush(sim._queue, (wake[src], sim._seq, fair._on_wake, src))
+        sim._seq += 1
 
 
 class _FairShareLinks:
     """Fair-share link state machine for the whole network.
 
     Per node: an egress admission queue (three priority FIFOs, DATA
-    gated by ``slots`` concurrent transfers), a list of active outbound
-    transfers (uplink members) and active inbound transfers (downlink
-    members). A transfer's rate is
-    ``min(B_up / |up_active|, B_down / |down_active|)``; the rate
-    depends only on membership counts, so no recomputation cascades
-    further (the simpy Container technique from SNIPPETS Snippet 1,
-    without per-byte token events). Membership changes mark their links
-    *dirty* and a single zero-delay flush per sim instant settles and
-    re-rates every transfer on dirty links (:func:`_fair_flush`) —
-    amortized O(1) settles per start/finish event instead of the old
-    O(active flows) sweep per change.
+    gated by ``slots`` concurrent transfers) and the active outbound
+    (uplink) and inbound (downlink) transfers. A transfer runs at
+    ``min(B_up / |up_active|, B_down / |down_active|)``, which depends
+    only on membership counts, so nothing cascades (the simpy Container
+    technique of SNIPPETS Snippet 1 without per-byte token events).
+    Membership changes mark their links *dirty* and one zero-delay flush
+    per sim instant re-rates the transfers on them (:func:`_fair_flush`).
 
     An uplink keeps one armed event, at the earliest ``finish_at`` among
     its transfers (``wake``; :meth:`_uplink_wake`): the flush moves it
@@ -673,9 +614,7 @@ class _FairShareLinks:
         self.queues: list[list[deque[_Flow]]] = [
             [deque() for _ in Channel] for _ in range(n)
         ]
-        # Memberships are dicts used as ordered sets: O(1) add/remove
-        # (the old lists paid O(flows) per ``.remove``) with insertion-
-        # ordered, deterministic iteration.
+        # Dicts as ordered sets: O(1) add/remove, deterministic iteration.
         self.up_active: list[dict[_Transfer, None]] = [{} for _ in range(n)]
         self.down_active: list[dict[_Transfer, None]] = [{} for _ in range(n)]
         #: DATA transfers currently holding one of ``slots`` per uplink.
@@ -685,16 +624,13 @@ class _FairShareLinks:
         self._dirty_down: set[int] = set()
         self._flush_armed = False
         #: A plain topology's ``B / |active|`` per non-empty link as of
-        #: its last flush (a topology never goes back to plain: overrides
-        #: and the link-fault evaluator are installed for the whole run).
+        #: its last flush (a topology is plain, or not, for a whole run).
         self.up_share: list[float] = [0.0] * n
         self.down_share: list[float] = [0.0] * n
         #: The instant of each uplink's armed wake (``inf`` = none armed).
         self.wake: list[float] = [_INF] * n
         self._on_wake = self._uplink_wake
-        #: Per-transfer settle/re-rate operations performed — the
-        #: O(1)-amortized claim is asserted against this counter by
-        #: ``tests/test_fair_share.py``.
+        #: Settles performed (``tests/test_fair_share.py`` bounds them).
         self.settle_ops = 0
 
     # -- submission ----------------------------------------------------
@@ -704,15 +640,10 @@ class _FairShareLinks:
         self._admit(src, self.network.sim._now)
 
     def _admit(self, src: int, now: float, changed: bool = False) -> None:
-        """Start as many queued transfers as admission rules allow.
-
-        Every link whose membership changes goes dirty — each started
-        transfer's downlink, and ``src``'s uplink if anything started or
-        a transfer just left it (``changed``) — and one flush is armed
-        for this instant. The zero-delay flush event lands after every
-        already-queued same-instant event, so a whole burst of starts
-        and finishes is settled in one pass over the touched links.
-        """
+        """Start as many queued transfers as admission rules allow. Each
+        started transfer's downlink goes dirty, ``src``'s uplink too if
+        anything started or just left it (``changed``), and one flush is
+        armed for this instant, behind every event already queued for it."""
         queues = self.queues[src]
         network = self.network
         up = self.up_active[src]
@@ -751,12 +682,9 @@ class _FairShareLinks:
     # -- completion / teardown -----------------------------------------
 
     def _uplink_wake(self, src: int) -> None:
-        """``src``'s earliest finish is due (fire-path callback).
-
-        Completes, in the order they started, every transfer of the
-        uplink due by now; the flush they arm re-rates the rest and arms
-        the next wake.
-        """
+        """``src``'s earliest finish is due (fire-path callback): every
+        transfer of the uplink due by now completes, in start order, and
+        the flush they arm re-rates the rest and arms the next wake."""
         now = self.network.sim._now
         if self.wake[src] != now:
             return  # superseded: a finish moved earlier and was armed
@@ -766,9 +694,12 @@ class _FairShareLinks:
         for transfer in due:
             self._complete(transfer, now)
         if transfers and not due:
-            # Rates fell since this was armed: nothing has finished yet.
+            # Rates fell since this was armed: nothing has finished yet
+            # (pushed at ``finish`` itself, not at a ``now + delay``).
+            sim = self.network.sim
             self.wake[src] = finish = min(t.finish_at for t in transfers)
-            self.network.sim.schedule_fire(finish - now, self._on_wake, src)
+            _heappush(sim._queue, (finish, sim._seq, self._on_wake, src))
+            sim._seq += 1
 
     def _complete(self, transfer: _Transfer, now: float) -> None:
         envelope = transfer.envelope
@@ -779,7 +710,7 @@ class _FairShareLinks:
         if envelope.channel is _DATA_MEMBER or not network.priority_channels:
             self.data_in_flight[src] -= 1
         envelope.sent_at = now
-        # The copy's one event, as ``_Uplink._start_next`` pushes it.
+        # Into the receiver's arrival queue, as ``_Uplink._start_next``.
         topology = network.topology
         faults = topology.link_faults
         rng = network._jitter_rngs[src]
@@ -795,7 +726,7 @@ class _FairShareLinks:
                     delay = 0.0
         envelope.arrived_at = arrived = now + delay
         ingress = network._ingress[dst]
-        _insort(ingress.arrivals, envelope, ingress.cursor, key=_arrived_at)
+        _insort(ingress.arrivals, envelope, key=_arrived_at)
         free_at = ingress.free_at
         proc = network._proc
         wake = arrived + proc if free_at <= arrived else free_at + proc
@@ -869,23 +800,19 @@ class Network(Transport):
         self.priority_channels = priority_channels
         self.link_model = link_model
         self.stats = NetworkStats()
-        # One jitter stream per sender: a flow expansion draws delays
-        # for its copies from its own src's stream, so concurrent
-        # uplinks never interleave on a shared RNG (required for the
-        # aggregate-workload mode to be tick-mode equivalent).
+        # One jitter stream per sender, so concurrent uplinks never
+        # interleave on a shared RNG (aggregate mode == tick mode).
         self._jitter_rngs = [
             rng.stream(f"network.jitter.{node}")
             for node in range(topology.n)
         ]
         self._handlers: dict[int, Handler] = {}
-        #: Handler lookup indexed by node id — the delivery chain indexes
-        #: this list instead of hashing into the dict.
+        #: The same by node id: delivery indexes a list, hashes nothing.
         self._handler_list: list[Optional[Handler]] = [None] * topology.n
         #: Receive-side CPU cost, cached off the topology (immutable).
         self._proc = topology.proc_per_message
         #: True iff a drop filter is installed or the run's link faults
-        #: hold a partition or loss window; lets the delivery fast path
-        #: skip ``_should_drop`` entirely.
+        #: hold a partition or loss window (else no ``_should_drop``).
         self._filters_active = False
         self._fair: Optional[_FairShareLinks] = None
         self._uplinks: list[_Uplink] = []
@@ -916,24 +843,19 @@ class Network(Transport):
         self._default_recipients = [None] * self.topology.n
 
     def set_drop_filter(self, drop_filter: Optional[DropFilter]) -> None:
-        """Install a predicate that silently drops matching envelopes.
-
-        Used by fault-injection tests (message loss, partitions). The
-        filter runs once per copy, in arrival order, after bandwidth was
-        consumed (loss wastes the sender's uplink, as on a real network);
-        ``envelope.arrived_at`` is the arrival instant, not the clock's.
-        """
+        """Install a predicate that silently drops matching envelopes
+        (fault-injection tests). It runs once per copy, in each
+        receiver's arrival order, after bandwidth was consumed (loss
+        wastes the uplink); ``envelope.arrived_at`` is the arrival
+        instant, the clock may be later."""
         self._drop_filter = drop_filter
         self._filters_changed()
 
     def set_link_faults(self, faults: LinkFaults) -> None:
-        """Install the evaluator of the run's link-fault windows.
-
-        The topology asks it for delay and bandwidth; delivery asks it
-        whether a partition or loss window drops the envelope, after the
-        ``set_drop_filter`` predicate, so the two compose (a message
-        matching either is dropped).
-        """
+        """Install the evaluator of the run's link-fault windows: the
+        topology asks it for delay and bandwidth, delivery whether a
+        partition or loss window drops the envelope (after the
+        ``set_drop_filter`` predicate: matching either drops it)."""
         self.topology.set_link_faults(faults)
         self._filters_changed()
 
@@ -944,12 +866,9 @@ class Network(Transport):
         )
 
     def set_node_down(self, node: int) -> None:
-        """Crash ``node``'s network endpoint.
-
-        Its egress and ingress queues are flushed (queued messages count
-        as dropped), and until :meth:`set_node_up` re-registers it, every
-        message from or to the node is discarded.
-        """
+        """Crash ``node``'s endpoint: its egress and ingress queues are
+        flushed (counted as dropped) and, until :meth:`set_node_up`,
+        every message from or to it is discarded."""
         if node in self._down:
             return
         self._down.add(node)
@@ -1026,10 +945,8 @@ class Network(Transport):
     ) -> None:
         """Send one copy per recipient (defaults to every other replica).
 
-        Each copy is serialized separately through the sender's uplink —
-        there is no link-layer multicast, mirroring TCP fan-out — but the
-        whole fan-out occupies one egress-queue slot (a :class:`_Flow`)
-        that the serializer expands lazily.
+        Each copy is serialized on the sender's uplink (no link-layer
+        multicast, as with TCP fan-out); the fan-out is one :class:`_Flow`.
         """
         if src in self._down:
             count = (
@@ -1092,14 +1009,10 @@ class Network(Transport):
     def expected_transfer_seconds(
         self, src: int, size_bytes: float, copies: int = 1
     ) -> Optional[float]:
-        """Backlog-aware estimate of clearing ``copies`` new copies.
-
-        Everything already queued on (or partially through) ``src``'s
-        uplink serializes first, so the estimate is the full backlog
-        plus the new copies at the current bandwidth. Used as a floor
-        for retransmission timers (see ``adaptive_retry_delay``) so
-        congestion does not masquerade as loss.
-        """
+        """Seconds to clear ``src``'s whole egress backlog plus ``copies``
+        new copies at the current bandwidth: the floor under
+        retransmission timers (``adaptive_retry_delay``), so congestion
+        does not masquerade as loss."""
         bandwidth = self.topology.bandwidth(src, now=self.sim.now)
         if bandwidth <= 0:
             return None

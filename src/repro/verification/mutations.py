@@ -58,9 +58,8 @@ class PullBeforeViewCheck(HotStuff):
     """Pulls the payload before it looks at the view (ROADMAP d0-ii).
 
     A paced empty-view retry that fires after the view moved takes ids
-    out of the queue for a proposal it then does not make: they sit at
-    zero stored proposals until somebody else's proposal carries them,
-    and this replica never proposes them.
+    out of the queue for a proposal it does not make: they sit at zero
+    stored proposals until somebody else's proposal carries them.
     """
 
     name = "hotstuff-pull-first"
@@ -187,9 +186,8 @@ class Mutant:
 
 
 def _scenario(protocol: Optional[dict] = None, **overrides) -> Scenario:
-    """The mutants' base scenario. ``protocol`` sets knobs the fuzzer
-    never draws, through the scenario's memo of its protocol config
-    (lost by ``Scenario.replaced``, so not for a scenario to shrink)."""
+    """``protocol`` sets knobs the fuzzer never draws, through the
+    scenario's memo of its protocol config (``replaced`` loses it)."""
     base = {
         "seed": 1,
         "consensus": "hotstuff",
@@ -306,10 +304,9 @@ MUTANTS: dict[str, Mutant] = {
                 ),
                 expected_oracle="conservation",
                 consensus_cls=PullBeforeViewCheck,
-                # The pacing outlasts a view, so every empty first
-                # attempt retries in a later view, and the load leaves a
-                # backlog, so what a retry drops is still uncommitted
-                # when the run ends.
+                # The pacing outlasts a view, so an empty first attempt
+                # retries in a later one; the load leaves a backlog, so
+                # what a retry drops is uncommitted when the run ends.
                 scenario=_scenario(
                     mempool=kind, rate_tps=4000.0, duration=2.0,
                     protocol={"empty_view_delay": 0.6},

@@ -3,22 +3,15 @@
 Each oracle encodes one claim the paper makes about the protocols under
 test and checks it against *every* honest replica's observed execution:
 
-* :class:`SafetyOracle` — BFT agreement: no two honest replicas commit
-  conflicting blocks at a height, and each honest replica's committed
-  chain is prefix-consistent through its parent links.
-* :class:`AvailabilityOracle` — the PAB proof claim (Section IV-A) and
-  Narwhal's certificate claim: every microblock id referenced by a
-  committed block is retrievable from enough honest stores at commit
-  time.
+* :class:`SafetyOracle` — BFT agreement and prefix-consistent chains.
+* :class:`AvailabilityOracle` — PAB proofs (Section IV-A) and Narwhal
+  certificates: what a committed block references is retrievable.
 * :class:`LedgerOracle` — SMP integrity (Section III): committed content
-  is exactly client content. Nothing fabricated, nothing committed
-  twice, per-microblock transaction counts conserved.
-* :class:`ConservationOracle` — what a correct replica batched or holds
-  a proof for is never stranded: at the end of the run it is committed,
-  carried by a stored proposal, still proposable, or still being pushed.
-* :class:`LivenessOracle` — the robustness experiments' recovery claim
-  (Section VII): commit progress resumes within a bound after each
-  injected fault window heals.
+  is exactly client content, nothing fabricated or committed twice.
+* :class:`ConservationOracle` — what a correct replica cut or holds a
+  proof for ends the run committed, proposed, proposable or in a push.
+* :class:`LivenessOracle` — commits resume within a bound after each
+  injected fault window heals (Section VII).
 
 Oracles record :class:`Violation` objects on an :class:`OracleSuite`
 instead of raising, so one run surfaces every broken invariant and the
@@ -601,44 +594,24 @@ class ConservationOracle(Oracle):
     """Ledger conservation over the PAB mempools (Stratus, both scopes).
 
     An id is in one state at a replica, ``proposable -> referenced ->
-    committed``, and a microblock is first pushed until it is proven.
-    At the end of the run, at every correct replica:
-
-    * every id it holds a verified proof for (``AvailabilityProof`` or
-      ``ShardCertificate``) is committed there, carried by a proposal it
-      stores, or still in its proposable queue — not taken out of the
-      queue by a payload that was never proposed (``stranded``);
-    * every microblock it cut that nobody has proven is still on its way
-      to a proof: forwarded, or in a push whose targets can make the
-      quorum — not pushed to nobody (``unshared``).
-
-    Slow is not stranded: nothing here is a deadline, so an overloaded
-    run that ends with work in flight is clean.
+    committed``, and a microblock is pushed until it is proven. At the
+    end of the run, at every correct replica, every id it holds a
+    verified proof for (``AvailabilityProof`` / ``ShardCertificate``) is
+    committed there, carried by a proposal it stores or still in its
+    queue — not pulled into a payload nobody proposed (``stranded``) —
+    and every push it still runs has targets that can make the quorum —
+    no microblock was pushed to nobody (``unshared``). Nothing here is a
+    deadline: an overloaded run that ends with work in flight is clean.
     """
 
     name = "conservation"
 
-    def on_attach(self) -> None:
-        # mb_id -> origin, for every microblock cut during the run
-        self._created: dict[int, int] = {}
-
-    def on_microblock_created(
-        self, replica: "Replica", microblock: "MicroBlock"
-    ) -> None:
-        self._created.setdefault(microblock.id, replica.node_id)
-
     def finalize(self) -> None:
-        replicas = {
-            replica.node_id: replica
-            for replica in self.suite.honest_replicas()
-        }
-        proven: set[int] = set()
-        for node, replica in replicas.items():
-            mempool = replica.mempool
+        for replica in self.suite.honest_replicas():
+            node, mempool = replica.node_id, replica.mempool
             proofs = getattr(mempool, "_proofs", None)
             if proofs is None:
                 return  # not a PAB mempool: no evidence to conserve
-            proven.update(proofs)
             queued = set(mempool._proposable)
             for mb_id in proofs:
                 if (
@@ -649,29 +622,20 @@ class ConservationOracle(Oracle):
                     self.report(
                         "stranded",
                         f"replica {node} holds a proof for microblock "
-                        f"{mb_id:#x} that it has neither committed nor "
-                        f"stored a proposal for, and cannot propose: the "
-                        f"id left its queue in a payload nobody proposed",
+                        f"{mb_id:#x} but has not committed it, stores no "
+                        f"proposal for it and cannot propose it",
                         node=node, microblock=mb_id,
                     )
-        for mb_id, origin in self._created.items():
-            replica = replicas.get(origin)
-            if replica is None or mb_id in proven:
-                continue
-            mempool = replica.mempool
-            balancer = mempool.balancer
-            if balancer is not None and mb_id in balancer._forwards:
-                continue
-            push = mempool.pab._pushes.get(mb_id)
-            if push is None or len(push.targets) + 1 < mempool.pab._quorum:
-                self.report(
-                    "unshared",
-                    f"microblock {mb_id:#x} cut by replica {origin} has "
-                    f"no proof and no push that could earn one "
-                    f"({'no push' if push is None else f'{len(push.targets)} targets'}"
-                    f", quorum {mempool.pab._quorum})",
-                    node=origin, microblock=mb_id,
-                )
+            quorum = mempool.pab._quorum
+            for mb_id, push in mempool.pab._pushes.items():
+                if len(push.targets) + 1 < quorum:
+                    self.report(
+                        "unshared",
+                        f"replica {node} pushes microblock {mb_id:#x} to "
+                        f"{len(push.targets)} targets: no proof can form "
+                        f"(quorum {quorum})",
+                        node=node, microblock=mb_id,
+                    )
 
 
 class LivenessOracle(Oracle):

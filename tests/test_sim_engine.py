@@ -164,6 +164,22 @@ def test_processed_counter_excludes_cancelled():
     assert keep.deadline == 1.0
 
 
+def test_fire_entries_and_timers_share_one_entry_shape():
+    """A fire-tuple and a timer entry are told apart by ``entry[2]``;
+    both count when they run, a cancelled timer between them does not."""
+    sim = Simulator()
+    order = []
+    sim.schedule_fire(1.0, order.append, "fire-1")
+    dead = sim.schedule(1.0, lambda: order.append("dead"))
+    sim.schedule(1.0, lambda: order.append("timer"))
+    sim.schedule_fire(1.0, order.append, "fire-2")
+    dead.cancel()
+    assert {len(entry) for entry in sim._queue} == {4}
+    assert sim.run_until(2.0) == 3
+    assert order == ["fire-1", "timer", "fire-2"]
+    assert sim.processed == 3 and sim.cancelled_pending == 0
+
+
 def test_timer_inactive_after_fire():
     """Regression: a fired timer used to keep reporting active=True."""
     sim = Simulator()
@@ -266,11 +282,11 @@ def test_hot_path_classes_have_no_dict():
     """
     from repro.mempool.fetching import _PendingFetch
     from repro.mempool.stratus.pab import _PushState
-    from repro.sim.engine import Event, Timer
+    from repro.sim.engine import Timer
     from repro.sim.interfaces import Envelope
     from repro.sim.network import _Flow, _Ingress, _Transfer, _Uplink
 
-    hot = [Simulator, Event, Timer, Envelope,
+    hot = [Simulator, Timer, Envelope,
            _Flow, _Uplink, _Ingress, _Transfer,
            _PendingFetch, _PushState]
     offenders = [cls.__name__ for cls in hot if "__dict__" in dir(cls)]
