@@ -111,7 +111,8 @@ class MicroBlockBatcher:
         if self._host.crashed:
             # A dead process cuts nothing (it would push to nobody, for
             # good): what it held waits for a deadline after the restart.
-            self._flush_timer = sim.schedule(self._config.batch_timeout, self._flush)
+            delay = self._config.batch_timeout
+            self._flush_timer = sim.schedule(delay, self._flush)
             return
         arrivals = self._arrivals
         if arrivals is not None:

@@ -444,9 +444,8 @@ def _ingress_serve(ingress: "_Ingress") -> None:
         wake = arrived + proc if free_at <= arrived else free_at + proc
     if wake < ingress.wake:
         ingress.wake = wake
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._queue, (wake, seq, _ingress_serve, ingress))
+        _heappush(sim._queue, (wake, sim._seq, _ingress_serve, ingress))
+        sim._seq += 1
 
 
 class _Ingress:
@@ -733,9 +732,8 @@ class _FairShareLinks:
         if wake < ingress.wake:
             ingress.wake = wake
             sim = network.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(sim._queue, (wake, seq, _ingress_serve, ingress))
+            _heappush(sim._queue, (wake, sim._seq, _ingress_serve, ingress))
+            sim._seq += 1
         self._dirty_down.add(dst)
         self._admit(src, now, True)
 
