@@ -52,8 +52,8 @@ class BroadcastEverythingMempool(Mempool):
     def _share(self, microblock) -> None:               # ShareTx
         self.store.add(microblock)
         self._fresh.append(microblock.id)
-        self.broadcast(MessageKinds.MICROBLOCK, microblock.size_bytes,
-                       microblock)
+        self.host.network.broadcast(self.node_id, MessageKinds.MICROBLOCK,
+                                    microblock.size_bytes, microblock)
 
     def make_payload(self) -> Payload:                  # MakeProposal
         entries = tuple(PayloadEntry(mb_id=i) for i in self._fresh)
@@ -80,9 +80,11 @@ class BroadcastEverythingMempool(Mempool):
         for mb_id in ids:
             self.store.on_delivery(mb_id, collect)
 
-    def on_message(self, envelope) -> None:
-        if envelope.kind == MessageKinds.MICROBLOCK:
-            self.store.add(envelope.payload)
+    def routes(self):
+        return {MessageKinds.MICROBLOCK: self._on_body}
+
+    def _on_body(self, envelope) -> None:
+        self.store.add(envelope.payload)
 
 
 class TwoPhaseToy(ConsensusEngine):
@@ -118,16 +120,19 @@ class TwoPhaseToy(ConsensusEngine):
             self._on_proposal(proposal)
         self.host.sim.schedule(0.01, self._tick)
 
-    def on_message(self, envelope):
-        if envelope.kind == MessageKinds.PROPOSAL:
-            self._on_proposal(envelope.payload)
-        elif envelope.kind == MessageKinds.VOTE:
-            self._on_vote(envelope.payload)
-        elif envelope.kind == "ce.commit-notice":
-            proposal = envelope.payload
-            if proposal.block_id not in self._committed:
-                self._committed.add(proposal.block_id)
-                self.handle_commit(proposal)
+    def routes(self):
+        # Message kind -> the handler the replica hands the envelope to.
+        return {
+            MessageKinds.PROPOSAL: lambda env: self._on_proposal(env.payload),
+            MessageKinds.VOTE: lambda env: self._on_vote(env.payload),
+            "ce.commit-notice": self._on_commit_notice,
+        }
+
+    def _on_commit_notice(self, envelope):
+        proposal = envelope.payload
+        if proposal.block_id not in self._committed:
+            self._committed.add(proposal.block_id)
+            self.handle_commit(proposal)
 
     def _on_proposal(self, proposal):
         if not self.mempool.verify_payload(proposal.payload):

@@ -6,7 +6,7 @@ import abc
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.sim.interfaces import Channel, Envelope
+from repro.sim.interfaces import Channel, Handler, Routed
 from repro.types.proposal import Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -14,7 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
 
-class ConsensusEngine(abc.ABC):
+class ConsensusEngine(Routed, abc.ABC):
     """One replica's consensus endpoint.
 
     The engine drives views/epochs, asks the mempool for payloads when
@@ -37,14 +37,16 @@ class ConsensusEngine(abc.ABC):
         self.host = host
         self.mempool = mempool
         self.config = config
+        #: The host replica's id, which never changes.
+        self.node_id: int = host.node_id
 
     @abc.abstractmethod
     def start(self) -> None:
         """Begin participating (enter the first view/epoch)."""
 
     @abc.abstractmethod
-    def on_message(self, envelope: Envelope) -> None:
-        """Handle a consensus message."""
+    def routes(self) -> dict[str, Handler]:
+        """Every consensus kind and its handler (:class:`Routed`)."""
 
     @abc.abstractmethod
     def current_leader(self) -> int:
@@ -83,10 +85,6 @@ class ConsensusEngine(abc.ABC):
         )
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def node_id(self) -> int:
-        return self.host.node_id
 
     def leader_of(self, view: int) -> int:
         """Round-robin leader rotation over the configured leader set."""

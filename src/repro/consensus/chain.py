@@ -6,7 +6,7 @@ around those two decisions is the same — ``stored -> unresolved ->
 committed | abandoned``, orphans parked until chain sync delivers their
 parent — and lives here (DESIGN.md, "One proposal lifecycle").
 
-Inheritance, not a delegate: ``on_message`` and ``_handle_proposal`` stay
+Inheritance, not a delegate: ``routes`` and ``_handle_proposal`` stay
 in the subclasses and reach this state through ``self`` with no extra
 call per message.
 """
@@ -21,6 +21,7 @@ from repro.consensus.base import ConsensusEngine
 from repro.crypto import GENESIS_QC, QuorumCert
 from repro.mempool.base import MessageKinds
 from repro.sim.engine import Timer
+from repro.sim.interfaces import Envelope
 from repro.types import sizes
 from repro.types.proposal import Payload, Proposal, make_block_id
 
@@ -178,11 +179,14 @@ class ChainedEngine(ConsensusEngine):
             ),
         )
 
-    def _serve_sync(self, requester: int, block_id: int) -> None:
-        proposal = self.proposals.get(block_id)
+    def _on_proposal(self, envelope: Envelope) -> None:
+        self._handle_proposal(envelope.payload)
+
+    def _serve_sync(self, envelope: Envelope) -> None:
+        proposal = self.proposals.get(envelope.payload)
         if proposal is None or self.host.behavior.silent:
             return
-        self.send(requester, MessageKinds.PROPOSAL, proposal.size_bytes,
+        self.send(envelope.src, MessageKinds.PROPOSAL, proposal.size_bytes,
                   proposal)
 
     # -- commit and abandonment --------------------------------------------

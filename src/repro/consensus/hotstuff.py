@@ -28,7 +28,7 @@ from repro.crypto import (
     vote_signature,
 )
 from repro.mempool.base import MessageKinds
-from repro.sim.network import Envelope
+from repro.sim.interfaces import Envelope, Handler
 from repro.types import sizes
 from repro.types.proposal import Proposal
 
@@ -160,18 +160,17 @@ class HotStuff(ChainedEngine):
 
     # -- message handling ----------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> None:
-        kind = envelope.kind
-        if kind == MessageKinds.PROPOSAL:
-            self._handle_proposal(envelope.payload)
-        elif kind == MessageKinds.VOTE:
-            block_id, view, signature = envelope.payload
-            self._handle_vote(block_id, view, signature)
-        elif kind == MessageKinds.NEW_VIEW:
-            view, qc = envelope.payload
-            self._record_new_view(view, envelope.src, qc)
-        elif kind == MessageKinds.SYNC_REQUEST:
-            self._serve_sync(envelope.src, envelope.payload)
+    def routes(self) -> dict[str, Handler]:
+        return {
+            MessageKinds.PROPOSAL: self._on_proposal,
+            MessageKinds.VOTE: lambda env: self._handle_vote(*env.payload),
+            MessageKinds.NEW_VIEW: self._on_new_view,
+            MessageKinds.SYNC_REQUEST: self._serve_sync,
+        }
+
+    def _on_new_view(self, envelope: Envelope) -> None:
+        view, qc = envelope.payload
+        self._record_new_view(view, envelope.src, qc)
 
     def _handle_proposal(self, proposal: Proposal) -> None:
         if proposal.block_id in self.proposals:

@@ -16,7 +16,7 @@ from repro.config import ProtocolConfig
 from repro.consensus.base import ConsensusEngine
 from repro.crypto import GENESIS_QC
 from repro.mempool.base import MessageKinds
-from repro.sim.network import Envelope
+from repro.sim.interfaces import Handler
 from repro.types import sizes
 from repro.types.proposal import Proposal, make_block_id
 
@@ -165,17 +165,16 @@ class Pbft(ConsensusEngine):
 
     # -- message handling ----------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> None:
-        kind = envelope.kind
-        if kind == MessageKinds.PROPOSAL:
-            seq, proposal = envelope.payload
-            self._on_pre_prepare(seq, proposal)
-        elif kind == MessageKinds.PBFT_PREPARE:
-            seq, voter = envelope.payload
-            self._on_prepare(seq, voter)
-        elif kind == MessageKinds.PBFT_COMMIT:
-            seq, voter = envelope.payload
-            self._on_commit_vote(seq, voter)
+    def routes(self) -> dict[str, Handler]:
+        # Every payload is ``(seq, proposal)`` or ``(seq, voter)``.
+        pre_prepare, prepare, commit = (
+            self._on_pre_prepare, self._on_prepare, self._on_commit_vote,
+        )
+        return {
+            MessageKinds.PROPOSAL: lambda env: pre_prepare(*env.payload),
+            MessageKinds.PBFT_PREPARE: lambda env: prepare(*env.payload),
+            MessageKinds.PBFT_COMMIT: lambda env: commit(*env.payload),
+        }
 
     def _slot(self, seq: int) -> _SlotState:
         if seq not in self._slots:

@@ -24,7 +24,7 @@ from repro.crypto import (
     vote_signature,
 )
 from repro.mempool.base import MessageKinds
-from repro.sim.network import Envelope
+from repro.sim.interfaces import Handler
 from repro.types import sizes
 from repro.types.proposal import Proposal
 
@@ -101,15 +101,12 @@ class Streamlet(ChainedEngine):
 
     # -- message handling ----------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> None:
-        kind = envelope.kind
-        if kind == MessageKinds.PROPOSAL:
-            self._handle_proposal(envelope.payload)
-        elif kind == MessageKinds.VOTE:
-            block_id, signature = envelope.payload
-            self._handle_vote(block_id, signature)
-        elif kind == MessageKinds.SYNC_REQUEST:
-            self._serve_sync(envelope.src, envelope.payload)
+    def routes(self) -> dict[str, Handler]:
+        return {
+            MessageKinds.PROPOSAL: self._on_proposal,
+            MessageKinds.VOTE: lambda env: self._handle_vote(*env.payload),
+            MessageKinds.SYNC_REQUEST: self._serve_sync,
+        }
 
     def _handle_proposal(self, proposal: Proposal) -> None:
         if proposal.block_id in self.proposals:

@@ -28,7 +28,7 @@ import abc
 from typing import Callable, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.sim.interfaces import Channel, Envelope
+from repro.sim.interfaces import Routed
 from repro.types import TxBatch
 from repro.types.proposal import Block, Payload, Proposal
 
@@ -62,7 +62,7 @@ class MessageKinds:
     PBFT_PREPARE = "ce.prepare"
     PBFT_COMMIT = "ce.commit"
     # State-transfer kinds are routed to the replica itself (not the
-    # mempool or consensus engine); see Replica.handle.
+    # mempool or consensus engine); see Replica.routes.
     STATE_SNAPSHOT_REQ = "state.snap_req"
     STATE_SNAPSHOT = "state.snap"
     # Sharded shared mempool (repro.sharding): the body push stays in the
@@ -85,7 +85,7 @@ OnReady = Callable[[], None]
 OnFull = Callable[[Block], None]
 
 
-class Mempool(abc.ABC):
+class Mempool(Routed, abc.ABC):
     """Abstract mempool bound to one replica."""
 
     name = "abstract"
@@ -93,6 +93,8 @@ class Mempool(abc.ABC):
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         self.host = host
         self.config = config
+        #: The host replica's id, which never changes.
+        self.node_id: int = host.node_id
 
     # -- client side ---------------------------------------------------
 
@@ -224,39 +226,3 @@ class Mempool(abc.ABC):
         attached arrival stream resumes too."""
         if self.batcher is not None:
             self.batcher.on_restart()
-
-    # -- network ---------------------------------------------------------
-
-    def on_message(self, envelope: Envelope) -> None:
-        """Handle a mempool-level message (default: ignore)."""
-
-    # -- helpers -----------------------------------------------------------
-
-    @property
-    def node_id(self) -> int:
-        return self.host.node_id
-
-    def send(
-        self,
-        dst: int,
-        kind: str,
-        size_bytes: float,
-        payload: object,
-        channel: Channel = Channel.DATA,
-    ) -> None:
-        self.host.network.send(
-            self.node_id, dst, kind, size_bytes, payload, channel
-        )
-
-    def broadcast(
-        self,
-        kind: str,
-        size_bytes: float,
-        payload: object,
-        channel: Channel = Channel.DATA,
-        recipients: list[int] | None = None,
-    ) -> None:
-        self.host.network.broadcast(
-            self.node_id, kind, size_bytes, payload, channel,
-            recipients=recipients,
-        )

@@ -1,7 +1,7 @@
 """Missing-microblock fetching (the ``PAB-Fetch`` procedure, Algorithm 2).
 
 A fetch round sends requests to a target set, arms a timeout ``delta``,
-and repeats with fresh targets until the store reports delivery. Target
+and repeats with fresh targets until the body is in the store. Target
 selection is pluggable: the simple SMP fetches from the current leader
 (the behaviour that collapses under attack), while Stratus samples from
 the availability proof's signers.
@@ -105,11 +105,12 @@ def adaptive_retry_delay(
 
 
 class _PendingFetch:
-    __slots__ = ("mb_id", "targets_provider", "requested", "rounds")
+    __slots__ = ("mb_id", "targets", "requested", "rounds")
 
-    def __init__(self, mb_id: MicroBlockId, targets_provider: TargetProvider):
+    def __init__(self, mb_id: MicroBlockId, targets) -> None:
         self.mb_id = mb_id
-        self.targets_provider = targets_provider
+        #: A target provider, or proof signers until the first round.
+        self.targets = targets
         self.requested: set[int] = set()
         self.rounds = 0
 
@@ -126,37 +127,39 @@ class FetchManager:
         self._host = host
         self._config = config
         self._store = store
+        self._held = store.blocks
+        #: Requested ids; one whose body landed stays to its next deadline.
         self._pending: dict[MicroBlockId, _PendingFetch] = {}
         #: Deferred first rounds and retries; most are overtaken by the
-        #: body landing, so they share one timer. Live by identity, not
-        #: membership: a cancelled and re-requested id is a new incarnation.
-        self._rounds = DeadlineQueue(
-            host.sim, self._round,
-            lambda pending: self._pending.get(pending.mb_id) is pending,
-        )
+        #: body landing, so they share one timer.
+        self._rounds = DeadlineQueue(host.sim, self._round, self._live)
 
     @property
     def outstanding(self) -> int:
-        return len(self._pending)
+        """Requested ids whose body has not landed."""
+        return sum(1 for mb_id in self._pending if mb_id not in self._held)
 
     def request(
         self,
         mb_id: MicroBlockId,
-        targets_provider: TargetProvider,
+        targets: TargetProvider | tuple[int, ...],
         delay: float = 0.0,
     ) -> None:
         """Fetch ``mb_id`` until delivered; idempotent per microblock.
 
-        ``delay`` defers the first round: the common reason a microblock
-        is missing is that its broadcast copy is still serializing at the
-        origin, so an immediate request would duplicate an in-flight
-        transfer (per-peer TCP FIFO prevents this in the prototype).
+        ``targets`` is a target provider, or an availability proof's
+        signers (asked per :func:`sampled_signers` from the first round
+        on). ``delay`` defers the first round: the common reason a
+        microblock is missing is that its broadcast copy is still
+        serializing at the origin, so an immediate request would
+        duplicate an in-flight transfer (per-peer TCP FIFO prevents this
+        in the prototype). Deferred, a request is one deadline and no
+        waiter: the deadline finds the body held (and forgets the id) or
+        runs the round.
         """
-        if mb_id in self._store or mb_id in self._pending:
+        if mb_id in self._held or mb_id in self._pending:
             return
-        pending = _PendingFetch(mb_id, targets_provider)
-        self._pending[mb_id] = pending
-        self._store.on_delivery(mb_id, lambda _mb: self._delivered(mb_id))
+        pending = self._pending[mb_id] = _PendingFetch(mb_id, targets)
         if delay > 0:
             self._rounds.defer(delay, pending)
         else:
@@ -183,16 +186,33 @@ class FetchManager:
 
     # -- internal ----------------------------------------------------------
 
+    def _live(self, pending: _PendingFetch) -> bool:
+        """``pending`` is its id's incarnation (a cancelled and
+        re-requested id is a new one) and its body has not landed; a
+        landed one is forgotten here."""
+        mb_id = pending.mb_id
+        if self._pending.get(mb_id) is not pending:
+            return False
+        if mb_id in self._held:
+            del self._pending[mb_id]
+            return False
+        return True
+
     def _round(self, pending: _PendingFetch) -> None:
         pending.rounds += 1
         if FETCH_MAX_ROUNDS and pending.rounds > FETCH_MAX_ROUNDS:
             self._abandon(pending)
             return
-        targets = pending.targets_provider(pending.requested)
+        provider = pending.targets
+        if isinstance(provider, tuple):
+            provider = pending.targets = sampled_signers(
+                self._config, self._host.rng, provider, self._host.node_id
+            )
+        targets = provider(pending.requested)
         if not targets:
             # Exhausted the candidate set; retry everyone next round.
             pending.requested.clear()
-            targets = pending.targets_provider(pending.requested)
+            targets = provider(pending.requested)
         for target in targets:
             pending.requested.add(target)
             self._host.network.send(
@@ -213,9 +233,6 @@ class FetchManager:
         self._pending.pop(pending.mb_id, None)
         self._host.metrics.record_fetch_abandoned()
         self._host.trace("fetch_abandoned", microblock=pending.mb_id)
-
-    def _delivered(self, mb_id: MicroBlockId) -> None:
-        self._pending.pop(mb_id, None)
 
 
 def sampled_signers(

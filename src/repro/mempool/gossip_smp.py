@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.mempool.base import MessageKinds
 from repro.mempool.simple_smp import SimpleSharedMempool
-from repro.sim.network import Envelope
+from repro.sim.interfaces import Envelope, Handler
 from repro.types.microblock import MicroBlock
 
 #: Peers a microblock is pushed to on creation and on first receipt.
@@ -39,21 +39,22 @@ class GossipSharedMempool(SimpleSharedMempool):
         targets = self.host.rng.sample(candidates, fanout)
         targets = self.host.behavior.share_targets(self.host, targets)
         for target in targets:
-            self.send(
-                target,
-                MessageKinds.MICROBLOCK_GOSSIP,
-                microblock.size_bytes,
-                microblock,
+            self.host.network.send(
+                self.node_id, target, MessageKinds.MICROBLOCK_GOSSIP,
+                microblock.size_bytes, microblock,
             )
 
-    def on_message(self, envelope: Envelope) -> None:
-        if envelope.kind == MessageKinds.MICROBLOCK_GOSSIP:
-            microblock = envelope.payload
-            if self.store.add(microblock):
-                self._enqueue(microblock.id)
-                self._gossip(
-                    microblock,
-                    exclude={self.node_id, envelope.src, microblock.origin},
-                )
-            return
-        super().on_message(envelope)
+    def routes(self) -> dict[str, Handler]:
+        return {
+            **super().routes(),
+            MessageKinds.MICROBLOCK_GOSSIP: self._on_gossip,
+        }
+
+    def _on_gossip(self, envelope: Envelope) -> None:
+        microblock = envelope.payload
+        if self.store.add(microblock):
+            self._enqueue(microblock.id)
+            self._gossip(
+                microblock,
+                exclude={self.node_id, envelope.src, microblock.origin},
+            )

@@ -19,7 +19,7 @@ from repro.mempool.base import Mempool, MessageKinds, OnFull
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager
 from repro.mempool.store import MicroBlockStore
-from repro.sim.interfaces import DeadlineQueue
+from repro.sim.interfaces import DeadlineQueue, Envelope, Handler
 from repro.types import TxBatch
 from repro.types.microblock import MicroBlock, MicroBlockId
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
@@ -82,9 +82,9 @@ class IdMempool(Mempool):
         targets = self.host.behavior.share_targets(self.host, [
             node for node in range(self.config.n) if node != self.node_id
         ])
-        self.broadcast(
-            MessageKinds.MICROBLOCK, microblock.size_bytes, microblock,
-            recipients=targets,
+        self.host.network.broadcast(
+            self.node_id, MessageKinds.MICROBLOCK, microblock.size_bytes,
+            microblock, recipients=targets,
         )
 
     def _enqueue(self, mb_id: MicroBlockId) -> None:
@@ -183,6 +183,14 @@ class IdMempool(Mempool):
         """Start fetching the body ``entry`` references from whoever
         this mempool knows to hold it."""
 
+    # -- network -----------------------------------------------------------
+
+    def routes(self) -> dict[str, Handler]:
+        return {MessageKinds.FETCH_REQUEST: self._serve_fetch}
+
+    def _serve_fetch(self, envelope: Envelope) -> None:
+        self.fetcher.handle_request(envelope.src, envelope.payload)
+
     def garbage_collect(self, proposal: Proposal) -> None:
         """Retire a resolved proposal's microblocks after the retention
         window, so straggling replicas can still fetch them meanwhile."""
@@ -190,6 +198,7 @@ class IdMempool(Mempool):
             self._retained.defer(GC_RETENTION, proposal.payload.microblock_ids)
 
     def _discard(self, ids) -> None:
-        """Retention is over: free what is held per id."""
+        """Retention is over: free what is held per id, fetches too."""
         for mb_id in ids:
             self.store.discard(mb_id)
+            self.fetcher.cancel(mb_id)

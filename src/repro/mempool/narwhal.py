@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.config import ProtocolConfig
 from repro.mempool.base import MessageKinds, OnReady
 from repro.mempool.id_mempool import IdMempool
-from repro.sim.network import Channel, Envelope
+from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
 from repro.types.proposal import PayloadEntry, Proposal
@@ -66,8 +66,8 @@ class NarwhalMempool(IdMempool):
             return
         state.echo_sent = True
         state.echoes.add(self.node_id)
-        self.broadcast(MessageKinds.RB_ECHO, sizes.ACK, mb_id,
-                       channel=Channel.CONTROL)
+        self.host.network.broadcast(self.node_id, MessageKinds.RB_ECHO,
+                                    sizes.ACK, mb_id, Channel.CONTROL)
         self._check_quorums(mb_id)
 
     def _send_ready(self, mb_id: MicroBlockId) -> None:
@@ -76,8 +76,8 @@ class NarwhalMempool(IdMempool):
             return
         state.ready_sent = True
         state.readies.add(self.node_id)
-        self.broadcast(MessageKinds.RB_READY, sizes.ACK, mb_id,
-                       channel=Channel.CONTROL)
+        self.host.network.broadcast(self.node_id, MessageKinds.RB_READY,
+                                    sizes.ACK, mb_id, Channel.CONTROL)
         self._check_quorums(mb_id)
 
     def _check_quorums(self, mb_id: MicroBlockId) -> None:
@@ -128,19 +128,24 @@ class NarwhalMempool(IdMempool):
 
     # -- network -----------------------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> None:
-        kind = envelope.kind
-        if kind in (MessageKinds.MICROBLOCK, MessageKinds.MICROBLOCK_FETCH):
-            microblock = envelope.payload
-            if self.store.add(microblock):
-                self._send_echo(microblock.id)
-        elif kind == MessageKinds.RB_ECHO:
-            state = self._state(envelope.payload)
-            state.echoes.add(envelope.src)
-            self._check_quorums(envelope.payload)
-        elif kind == MessageKinds.RB_READY:
-            state = self._state(envelope.payload)
-            state.readies.add(envelope.src)
-            self._check_quorums(envelope.payload)
-        elif kind == MessageKinds.FETCH_REQUEST:
-            self.fetcher.handle_request(envelope.src, envelope.payload)
+    def routes(self) -> dict[str, Handler]:
+        return {
+            **super().routes(),
+            MessageKinds.MICROBLOCK: self._on_body,
+            MessageKinds.MICROBLOCK_FETCH: self._on_body,
+            MessageKinds.RB_ECHO: self._on_echo,
+            MessageKinds.RB_READY: self._on_ready,
+        }
+
+    def _on_body(self, envelope: Envelope) -> None:
+        microblock = envelope.payload
+        if self.store.add(microblock):
+            self._send_echo(microblock.id)
+
+    def _on_echo(self, envelope: Envelope) -> None:
+        self._state(envelope.payload).echoes.add(envelope.src)
+        self._check_quorums(envelope.payload)
+
+    def _on_ready(self, envelope: Envelope) -> None:
+        self._state(envelope.payload).readies.add(envelope.src)
+        self._check_quorums(envelope.payload)

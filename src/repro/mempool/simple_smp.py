@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.mempool.base import MessageKinds, OnReady
 from repro.mempool.fetching import single_target
 from repro.mempool.id_mempool import IdMempool
-from repro.sim.network import Envelope
+from repro.sim.interfaces import Envelope, Handler
 from repro.types.microblock import MicroBlock, MicroBlockId
 from repro.types.proposal import PayloadEntry, Proposal
 
@@ -46,13 +46,14 @@ class SimpleSharedMempool(IdMempool):
 
     # -- network -----------------------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> None:
-        if envelope.kind in (
-            MessageKinds.MICROBLOCK,
-            MessageKinds.MICROBLOCK_FETCH,
-        ):
-            microblock = envelope.payload
-            if self.store.add(microblock):
-                self._enqueue(microblock.id)
-        elif envelope.kind == MessageKinds.FETCH_REQUEST:
-            self.fetcher.handle_request(envelope.src, envelope.payload)
+    def routes(self) -> dict[str, Handler]:
+        return {
+            **super().routes(),
+            MessageKinds.MICROBLOCK: self._on_body,
+            MessageKinds.MICROBLOCK_FETCH: self._on_body,
+        }
+
+    def _on_body(self, envelope: Envelope) -> None:
+        microblock = envelope.payload
+        if self.store.add(microblock):
+            self._enqueue(microblock.id)

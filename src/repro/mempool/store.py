@@ -18,14 +18,16 @@ class MicroBlockStore:
     """Id-addressable microblock storage for one replica."""
 
     def __init__(self) -> None:
-        self._blocks: dict[MicroBlockId, MicroBlock] = {}
+        #: id -> body. Read-only outside this class: the per-message
+        #: paths test membership here without a call.
+        self.blocks: dict[MicroBlockId, MicroBlock] = {}
         self._waiters: dict[MicroBlockId, list[Waiter]] = {}
 
     def __contains__(self, mb_id: MicroBlockId) -> bool:
-        return mb_id in self._blocks
+        return mb_id in self.blocks
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self.blocks)
 
     def add(self, microblock: MicroBlock) -> bool:
         """Store a microblock; returns True on first delivery.
@@ -33,19 +35,19 @@ class MicroBlockStore:
         First delivery fires any registered waiters, which is how blocked
         fill operations resume.
         """
-        if microblock.id in self._blocks:
+        if microblock.id in self.blocks:
             return False
-        self._blocks[microblock.id] = microblock
+        self.blocks[microblock.id] = microblock
         for waiter in self._waiters.pop(microblock.id, []):
             waiter(microblock)
         return True
 
     def get(self, mb_id: MicroBlockId) -> Optional[MicroBlock]:
-        return self._blocks.get(mb_id)
+        return self.blocks.get(mb_id)
 
     def on_delivery(self, mb_id: MicroBlockId, waiter: Waiter) -> bool:
         """Run ``waiter`` when ``mb_id`` arrives: now, and True, if present."""
-        existing = self._blocks.get(mb_id)
+        existing = self.blocks.get(mb_id)
         if existing is not None:
             waiter(existing)
             return True
@@ -54,8 +56,8 @@ class MicroBlockStore:
 
     def discard(self, mb_id: MicroBlockId) -> None:
         """Garbage-collect one microblock (committed and executed)."""
-        self._blocks.pop(mb_id, None)
+        self.blocks.pop(mb_id, None)
 
     @property
     def ids(self) -> list[MicroBlockId]:
-        return list(self._blocks)
+        return list(self.blocks)

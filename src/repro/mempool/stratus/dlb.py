@@ -26,7 +26,7 @@ from repro.mempool.base import MessageKinds
 from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import PabEngine
 from repro.sim.engine import Timer
-from repro.sim.network import Channel, Envelope
+from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
 
@@ -199,19 +199,12 @@ class LoadBalancer:
 
     # -- proxy / sampled role ------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> bool:
-        """Handle DLB traffic; returns False for non-DLB kinds."""
-        kind = envelope.kind
-        if kind == MessageKinds.LB_QUERY:
-            self._answer_query(envelope)
-            return True
-        if kind == MessageKinds.LB_INFO:
-            self._record_reply(envelope)
-            return True
-        if kind == MessageKinds.MICROBLOCK_FORWARD:
-            self._act_as_proxy(envelope)
-            return True
-        return False
+    def routes(self) -> dict[str, Handler]:
+        return {
+            MessageKinds.LB_QUERY: self._answer_query,
+            MessageKinds.LB_INFO: self._record_reply,
+            MessageKinds.MICROBLOCK_FORWARD: self._act_as_proxy,
+        }
 
     def _answer_query(self, envelope: Envelope) -> None:
         status = self._host.behavior.load_status(self._estimator.load_status())

@@ -26,7 +26,7 @@ from repro.mempool.id_mempool import IdMempool
 from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import NetworkScope, PabEngine
-from repro.sim.network import Envelope
+from repro.sim.interfaces import Handler
 from repro.types.microblock import MicroBlock, MicroBlockId
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 
@@ -187,7 +187,8 @@ class StratusMempool(IdMempool):
 
     # -- network -----------------------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> None:
-        if self.balancer is not None and self.balancer.on_message(envelope):
-            return
-        self.pab.on_message(envelope)
+    def routes(self) -> dict[str, Handler]:
+        routes = {**super().routes(), **self.pab.routes()}
+        if self.balancer is not None:
+            routes.update(self.balancer.routes())
+        return routes

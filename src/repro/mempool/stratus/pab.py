@@ -47,10 +47,9 @@ from repro.mempool.fetching import (
     FetchManager,
     RETRY_STABLE_TIME_FACTOR,
     adaptive_retry_delay,
-    sampled_signers,
 )
 from repro.mempool.store import MicroBlockStore
-from repro.sim.network import Channel, Envelope
+from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
 
@@ -177,6 +176,8 @@ class PabEngine:
         self._host = host
         self._config = config
         self._store = store
+        #: The store's id -> body dict, read directly on the per-proof path.
+        self._held = store.blocks
         self._fetcher = fetcher
         self._on_proof = on_proof
         self._on_stable = on_stable
@@ -351,38 +352,25 @@ class PabEngine:
         it precedes the proof), and fetching immediately would duplicate
         the transfer. Recovery uses background bandwidth (Section IV-B).
         """
-        provider = sampled_signers(
-            self._config, self._host.rng, proof.signers, self._host.node_id
-        )
         self._fetcher.request(
-            mb_id, provider, delay=self._config.fetch_timeout
+            mb_id, proof.signers, delay=self._config.fetch_timeout
         )
 
     # -- message handling ----------------------------------------------
 
-    def on_message(self, envelope: Envelope) -> bool:
-        """Process PAB traffic; returns False for non-PAB kinds."""
-        kind = envelope.kind
-        if kind == self._body_kind or kind == MessageKinds.MICROBLOCK_FETCH:
-            self._on_body(envelope)
-            return True
-        if kind == self._ack_kind:
-            self._on_ack(envelope)
-            return True
-        if kind == self._proof_kind:
-            self._on_proof_message(envelope)
-            return True
-        if kind == MessageKinds.FETCH_REQUEST:
-            self._fetcher.handle_request(envelope.src, envelope.payload)
-            return True
-        return False
+    def routes(self) -> dict[str, Handler]:
+        return {
+            self._body_kind: self._on_body,
+            MessageKinds.MICROBLOCK_FETCH: self._on_fetched_body,
+            self._ack_kind: self._on_ack,
+            self._proof_kind: self._on_proof_message,
+        }
 
     def _on_body(self, envelope: Envelope) -> None:
         microblock: MicroBlock = envelope.payload
         self._store.add(microblock)
         if (
-            envelope.kind == self._body_kind
-            and microblock.id not in self._proofs
+            microblock.id not in self._proofs
             and self._host.behavior.acks_microblocks
         ):
             # Witness: ack back to the pusher, even for duplicates — a
@@ -397,6 +385,10 @@ class PabEngine:
                 sign(self._host.node_id, microblock.id),
                 Channel.CONTROL,
             )
+
+    def _on_fetched_body(self, envelope: Envelope) -> None:
+        """A body a fetch asked for: stored, never acked."""
+        self._store.add(envelope.payload)
 
     def _on_ack(self, envelope: Envelope) -> None:
         ack: Signature = envelope.payload
@@ -452,7 +444,7 @@ class PabEngine:
             # and the proof in hand is what it set out to obtain.
             self._finish(state)
             state.on_available(mb_id, proof)
-        if mb_id not in self._store and self._fetches_eagerly(proof):
+        if mb_id not in self._held and self._fetches_eagerly(proof):
             self.fetch(mb_id, proof)
         if first_time:
             self._on_proof(mb_id, proof)

@@ -6,9 +6,12 @@ import random
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
+from repro.mempool.base import MessageKinds
 from repro.metrics import MetricsHub
 from repro.replica.behavior import Behavior, HonestBehavior, SilentReplica
-from repro.sim.interfaces import Channel, Envelope, Scheduler, Transport
+from repro.sim.interfaces import (
+    Channel, Envelope, Handler, Scheduler, Transport,
+)
 from repro.types import TxBatch
 from repro.types.proposal import Block
 
@@ -21,6 +24,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.base import ConsensusEngine
     from repro.kvstore import KVStore
     from repro.mempool.base import Mempool
+
+
+class _RouteTable(dict):
+    """``kind -> handler`` for one replica, a hit one C-level subscript.
+    A kind's first arrival resolves it to the handler in the ``routes()``
+    of the mempool (which has most kinds), the consensus engine or the
+    replica (an ``on_message`` set on a layer's instance, such as a spy
+    or a timing wrapper, takes that layer's kinds). A kind none routes
+    goes to the mempool's ``on_message``, which drops it: a live peer
+    may send any registered kind."""
+
+    def __init__(self, replica: "Replica") -> None:
+        self.replica = replica
+
+    def __missing__(self, kind: str) -> Handler:
+        replica = self.replica
+        for layer in (replica.mempool, replica.consensus, replica):
+            route = layer.routes().get(kind)
+            if route is not None:
+                handler = vars(layer).get("on_message", route)
+                break
+        else:
+            handler = replica.mempool.on_message
+        self[kind] = handler
+        return handler
 
 
 class Replica:
@@ -70,8 +98,6 @@ class Replica:
         #: Snapshot state-transfer counters (durable executors only).
         self.snapshots_served = 0
         self.snapshots_installed = 0
-        #: kind -> bound handler method; filled lazily by :meth:`handle`.
-        self._kind_routes: dict = {}
         network.register(node_id, self.handle)
 
     def attach(
@@ -83,7 +109,7 @@ class Replica:
         self.mempool = mempool
         self.consensus = consensus
         self.executor = executor
-        self._kind_routes = {}
+        self._routes = _RouteTable(self)  # the layers' kinds, as they arrive
         if executor is not None:
             # A durable executor may already hold recovered state; resume
             # execution where its WAL/checkpoint cursor left off.
@@ -162,25 +188,11 @@ class Replica:
         self.request_state_snapshot()
 
     def handle(self, envelope: Envelope) -> None:
-        """Network delivery: route by message-kind prefix.
-
-        Kinds are a small fixed set of interned strings, so the prefix
-        match runs once per kind and the resolved bound method is cached
-        (``attach`` resets the cache).
-        """
+        """Network delivery: one subscript of the route table, then the
+        layer's own handler; an unrouted kind is dropped, not raised."""
         if self.crashed:
             return  # defence in depth; the network drops these already
-        kind = envelope.kind
-        route = self._kind_routes.get(kind)
-        if route is None:
-            if kind.startswith("ce."):
-                route = self.consensus.on_message
-            elif kind.startswith("state."):
-                route = self.on_state_message
-            else:
-                route = self.mempool.on_message
-            self._kind_routes[kind] = route
-        route(envelope)
+        self._routes[envelope.kind](envelope)
 
     def on_client_batch(self, batch: TxBatch) -> None:
         """ReceiveTx entry point for the workload generator."""
@@ -217,7 +229,6 @@ class Replica:
         executor = self.executor
         if executor is None or not hasattr(executor, "snapshot_payload"):
             return
-        from repro.mempool.base import MessageKinds
         self.network.broadcast(
             self.node_id,
             MessageKinds.STATE_SNAPSHOT_REQ,
@@ -227,38 +238,40 @@ class Replica:
         )
         self.trace("snapshot_request", height=executor.last_height)
 
-    def on_state_message(self, envelope: Envelope) -> None:
-        """Serve and install snapshot state transfer messages."""
-        executor = self.executor
-        if executor is None or not hasattr(executor, "snapshot_payload"):
+    def routes(self) -> dict[str, Handler]:
+        """The replica's own kinds: snapshot state transfer, which only a
+        durable executor serves and installs."""
+        if not hasattr(self.executor, "snapshot_payload"):
+            return {}
+        return {
+            MessageKinds.STATE_SNAPSHOT_REQ: self._serve_snapshot,
+            MessageKinds.STATE_SNAPSHOT: self._install_snapshot,
+        }
+
+    def _serve_snapshot(self, envelope: Envelope) -> None:
+        """A peer behind us asked: send it our whole state."""
+        if self.executor.last_height <= int(envelope.payload):
+            return  # nothing to offer
+        payload = self.executor.snapshot_payload()
+        size = _SNAP_REQ_BYTES + _SNAP_ENTRY_BYTES * len(payload[5])
+        self.network.send(
+            self.node_id, envelope.src, MessageKinds.STATE_SNAPSHOT,
+            size, payload, Channel.DATA,
+        )
+        self.snapshots_served += 1
+        self.trace("snapshot_served", to=envelope.src, height=payload[0])
+
+    def _install_snapshot(self, envelope: Envelope) -> None:
+        if not self.executor.install_snapshot(envelope.payload):
             return
-        from repro.mempool.base import MessageKinds
-        if envelope.kind == MessageKinds.STATE_SNAPSHOT_REQ:
-            their_height = int(envelope.payload)
-            if executor.last_height <= their_height:
-                return  # nothing to offer
-            payload = executor.snapshot_payload()
-            size = _SNAP_REQ_BYTES + _SNAP_ENTRY_BYTES * len(payload[5])
-            self.network.send(
-                self.node_id, envelope.src, MessageKinds.STATE_SNAPSHOT,
-                size, payload, Channel.DATA,
-            )
-            self.snapshots_served += 1
-            self.trace(
-                "snapshot_served", to=envelope.src, height=payload[0]
-            )
-        elif envelope.kind == MessageKinds.STATE_SNAPSHOT:
-            if executor.install_snapshot(envelope.payload):
-                self._exec_height = executor.last_height
-                # Buffered blocks at or below the snapshot height are
-                # superseded; keep only the frontier.
-                self._exec_buffer = {
-                    h: b for h, b in self._exec_buffer.items()
-                    if h > self._exec_height
-                }
-                self.snapshots_installed += 1
-                self.trace("snapshot_install", height=self._exec_height)
-                self._drain_exec_buffer()
+        self._exec_height = height = self.executor.last_height
+        # Buffered blocks at or below the snapshot height are superseded.
+        self._exec_buffer = {
+            h: b for h, b in self._exec_buffer.items() if h > height
+        }
+        self.snapshots_installed += 1
+        self.trace("snapshot_install", height=height)
+        self._drain_exec_buffer()
 
     # -- verification taps ---------------------------------------------
 

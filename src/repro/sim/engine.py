@@ -81,9 +81,11 @@ class Simulator(Scheduler):
     loop; callbacks must never sleep or block.
     """
 
+    # Plain slots, not properties: protocol code reads ``now`` on nearly
+    # every event, and a slot read costs no Python call.
     __slots__ = (
-        "_queue", "_seq", "_now", "_running", "_processed",
-        "_cancelled", "_compactions",
+        "_queue", "_seq", "now", "_running", "processed",
+        "cancelled_pending", "compactions",
     )
 
     def __init__(self) -> None:
@@ -91,48 +93,32 @@ class Simulator(Scheduler):
         # (time, seq, callback, arg) fire-tuples; see schedule_fire.
         self._queue: list[tuple] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds; only the loop moves it.
+        self.now = 0.0
         self._running = False
-        self._processed = 0
-        self._cancelled = 0
-        self._compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: Callbacks fired so far (a cancelled timer is not one).
+        self.processed = 0
+        #: Cancelled timers still occupying heap slots.
+        self.cancelled_pending = 0
+        #: How many times the heap was auto-compacted.
+        self.compactions = 0
 
     @property
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
         return len(self._queue)
 
-    @property
-    def cancelled_pending(self) -> int:
-        """Number of cancelled events still occupying heap slots."""
-        return self._cancelled
-
-    @property
-    def processed(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
-
-    @property
-    def compactions(self) -> int:
-        """How many times the heap was auto-compacted."""
-        return self._compactions
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time:.6f}; now is {self._now:.6f}"
+                f"cannot schedule at {time:.6f}; now is {self.now:.6f}"
             )
         timer = Timer(time, callback, self)
         heapq.heappush(self._queue, (time, self._seq, None, timer))
@@ -147,7 +133,7 @@ class Simulator(Scheduler):
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, callback, arg))
+        heapq.heappush(self._queue, (self.now + delay, seq, callback, arg))
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events with ``time <= end_time``; return the number executed.
@@ -170,25 +156,25 @@ class Simulator(Scheduler):
                 callback = entry[2]
                 if callback is not None:
                     # Raw fire-tuple: (time, seq, callback, arg).
-                    self._now = entry[0]
+                    self.now = entry[0]
                     callback(entry[3])
                 else:
                     timer = entry[3]
                     if timer.cancelled:
-                        self._cancelled -= 1
+                        self.cancelled_pending -= 1
                         continue
                     timer.fired = True
-                    self._now = entry[0]
+                    self.now = entry[0]
                     timer.callback()
                 executed += 1
                 if executed == limit:
                     break
         finally:
             # ``processed`` is a post-run gauge: one write per call.
-            self._processed += executed
+            self.processed += executed
             self._running = False
         if not self._queue or self._queue[0][0] > end_time:
-            self._now = max(self._now, end_time)
+            self.now = max(self.now, end_time)
         return executed
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -197,13 +183,13 @@ class Simulator(Scheduler):
 
     def _note_cancelled(self) -> None:
         """Account one cancellation; compact when the dead outnumber the live."""
-        self._cancelled += 1
+        self.cancelled_pending += 1
         if (
             len(self._queue) >= _COMPACT_MIN_QUEUE
-            and self._cancelled * 2 > len(self._queue)
+            and self.cancelled_pending * 2 > len(self._queue)
         ):
             self.drain_cancelled()
-            self._compactions += 1
+            self.compactions += 1
 
     def drain_cancelled(self) -> None:
         """Drop cancelled timers from the heap, in place: ``run_until``
@@ -214,4 +200,4 @@ class Simulator(Scheduler):
         ]
         heapq.heapify(live)
         self._queue[:] = live
-        self._cancelled = 0
+        self.cancelled_pending = 0

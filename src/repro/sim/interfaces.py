@@ -99,6 +99,23 @@ class Envelope:
 Handler = Callable[[Envelope], None]
 
 
+class Routed:
+    """A replica layer that receives messages: :meth:`routes` maps each
+    of its kinds to the bound handler taking the envelope, which the
+    replica asks once per kind and then calls directly."""
+
+    def routes(self) -> dict[str, Handler]:
+        return {}
+
+    def on_message(self, envelope: Envelope) -> None:
+        """The seam a spy or timing wrapper replaces on the instance (the
+        replica then routes the layer's kinds to it), unwrapped: one
+        envelope through :meth:`routes`, a kind it lacks ignored."""
+        handler = self.routes().get(envelope.kind)
+        if handler is not None:
+            handler(envelope)
+
+
 @runtime_checkable
 class TimerHandle(Protocol):
     """Cancellable handle for a scheduled callback.

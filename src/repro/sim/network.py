@@ -76,7 +76,9 @@ _arrived_at = attrgetter("arrived_at")
 
 @dataclass
 class NetworkStats:
-    """Per-run accounting used by the Table III bandwidth benches."""
+    """Per-run accounting used by the Table III bandwidth benches. A send
+    updates two counters; byte totals are summed from ``bytes_sent``
+    when asked for, after a run (whole bytes: exact in any order)."""
 
     bytes_sent: dict[tuple[int, str], float] = field(default_factory=dict)
     messages_sent: dict[str, int] = field(default_factory=dict)
@@ -87,9 +89,6 @@ class NetworkStats:
     frames_dropped: int = 0
     queue_high_watermark: int = 0
     reconnects: int = 0
-    # Running totals: the per-node/per-kind queries below stay O(1).
-    _node_totals: dict[int, float] = field(default_factory=dict)
-    _kind_totals: dict[str, float] = field(default_factory=dict)
 
     def record_send(
         self, node: int, kind: str, size_bytes: float, count: int = 1
@@ -99,31 +98,26 @@ class NetworkStats:
         key = (node, kind)
         self.bytes_sent[key] = self.bytes_sent.get(key, 0.0) + total
         self.messages_sent[kind] = self.messages_sent.get(kind, 0) + count
-        self._node_totals[node] = self._node_totals.get(node, 0.0) + total
-        self._kind_totals[kind] = self._kind_totals.get(kind, 0.0) + total
 
     def cancel_send(self, node: int, kind: str, size_bytes: float) -> None:
         """Un-account one copy a sender's crash cut short: a segment's
         copies are accounted when it starts, this one never cleared the
         uplink."""
-        key = (node, kind)
-        self.bytes_sent[key] -= size_bytes
+        self.bytes_sent[(node, kind)] -= size_bytes
         self.messages_sent[kind] -= 1
-        self._node_totals[node] -= size_bytes
-        self._kind_totals[kind] -= size_bytes
 
     def node_bytes(self, node: int, kind: Optional[str] = None) -> float:
         """Total bytes sent by ``node``, optionally for one message kind."""
-        if kind is None:
-            return self._node_totals.get(node, 0.0)
-        return self.bytes_sent.get((node, kind), 0.0)
+        if kind is not None:
+            return self.bytes_sent.get((node, kind), 0.0)
+        return sum(b for (src, _), b in self.bytes_sent.items() if src == node)
 
     def kind_bytes(self, kind: str) -> float:
-        return self._kind_totals.get(kind, 0.0)
+        return sum(b for (_, k), b in self.bytes_sent.items() if k == kind)
 
     def total_bytes(self) -> float:
         """Bytes serialized network-wide (all senders, all kinds)."""
-        return sum(self._node_totals.values())
+        return sum(self.bytes_sent.values())
 
 
 class TokenBucket:
@@ -246,7 +240,7 @@ class _Uplink:
         if self.draining:
             return
         sim = self.network.sim
-        if sim._now < self.busy_until:
+        if sim.now < self.busy_until:
             self.draining = True
             seq = sim._seq
             sim._seq = seq + 1
@@ -275,7 +269,7 @@ class _Uplink:
         limited = self.limiter is not None and queue is queues[_DATA]
         network = self.network
         sim = network.sim
-        now = sim._now
+        now = sim.now
         head = queue[0]
         size = head.size_bytes
         if limited:
@@ -385,7 +379,7 @@ def _ingress_serve(ingress: "_Ingress") -> None:
     """
     network = ingress.network
     sim = network.sim
-    now = sim._now
+    now = sim.now
     if ingress.wake != now:
         return  # superseded: a later-dispatched copy arrived earlier
     ingress.wake = _INF
@@ -535,7 +529,7 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     for node in dirty_down:
         pending.update(down[node])
     sim = fair.network.sim
-    now = sim._now
+    now = sim.now
     bandwidth = fair.network.topology._plain_bandwidth
     if bandwidth is None:
         up_share, down_share = {}, {}
@@ -636,7 +630,7 @@ class _FairShareLinks:
 
     def submit(self, flow: _Flow, src: int, index: int) -> None:
         self.queues[src][index].append(flow)
-        self._admit(src, self.network.sim._now)
+        self._admit(src, self.network.sim.now)
 
     def _admit(self, src: int, now: float, changed: bool = False) -> None:
         """Start as many queued transfers as admission rules allow. Each
@@ -684,7 +678,7 @@ class _FairShareLinks:
         """``src``'s earliest finish is due (fire-path callback): every
         transfer of the uplink due by now completes, in start order, and
         the flush they arm re-rates the rest and arms the next wake."""
-        now = self.network.sim._now
+        now = self.network.sim.now
         if self.wake[src] != now:
             return  # superseded: a finish moved earlier and was armed
         self.wake[src] = _INF
@@ -743,7 +737,7 @@ class _FairShareLinks:
         victims = [*self.up_active[node], *self.down_active[node]]
         for transfer in victims:
             self._kill(transfer)
-        now = self.network.sim._now
+        now = self.network.sim.now
         for transfer in victims:
             self._dirty_down.add(transfer.envelope.dst)
             self._admit(transfer.envelope.src, now, True)
@@ -925,7 +919,10 @@ class Network(Transport):
         if src not in self._handlers or dst not in self._handlers:
             raise ValueError(f"send between unregistered nodes {src}->{dst}")
         flow = _Flow(kind, size_bytes, payload, channel, (dst,), self.sim.now)
-        index = channel.value if self.priority_channels else _DATA
+        index = (
+            _DATA if channel is _DATA_MEMBER or not self.priority_channels
+            else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
+        )
         if self._fair is not None:
             self._fair.submit(flow, src, index)
         else:
@@ -975,7 +972,10 @@ class Network(Transport):
             targets = live
         if not targets:
             return
-        index = channel.value if self.priority_channels else _DATA
+        index = (
+            _DATA if channel is _DATA_MEMBER or not self.priority_channels
+            else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
+        )
         flow = _Flow(kind, size_bytes, payload, channel, targets, self.sim.now)
         if self._fair is not None:
             self._fair.submit(flow, src, index)
@@ -1033,7 +1033,7 @@ class Network(Transport):
         if (
             envelope.dst in self._down
             or (self._filters_active
-                and self._should_drop(envelope, self.sim._now))
+                and self._should_drop(envelope, self.sim.now))
             or handler is None
         ):
             self.stats.messages_dropped += 1

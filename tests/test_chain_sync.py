@@ -110,7 +110,7 @@ def test_sync_request_is_served(consensus):
     (b1,) = chain(exp, 1)
     serving._handle_proposal(b1)
     assert b1.block_id not in receiving.proposals
-    serving.on_message(Envelope(
+    exp.replicas[0].handle(Envelope(
         src=2, dst=0, kind=MessageKinds.SYNC_REQUEST, size_bytes=48,
         payload=b1.block_id, channel=Channel.CONSENSUS,
     ))

@@ -171,6 +171,30 @@ class TestGraceQueue:
         assert host.metrics.fetches == 0
         assert manager.outstanding == 0
 
+    def test_a_body_landed_in_the_grace_is_forgotten_at_its_deadline(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        mb = make_mb()
+        manager.request(mb.id, single_target(2), delay=0.2)
+        sim.run_until(0.1)
+        store.add(mb)
+        sim.run_until(0.3)
+        assert host.metrics.fetches == 0
+        # Nothing else drops the id: kept, one entry per early proof
+        # would pile up for the whole run.
+        assert manager._pending == {}
+
+    def test_outstanding_counts_only_undelivered_ids(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        landed, missing = make_mb(0), make_mb(1)
+        for mb in (landed, missing):
+            manager.request(mb.id, single_target(2), delay=0.2)
+        assert manager.outstanding == 2
+        store.add(landed)
+        assert manager.outstanding == 1
+        sim.run_until(0.3)
+        assert manager.outstanding == 1
+        assert [env.payload for env in inboxes[2]] == [missing.id]
+
     def test_missing_body_is_requested_at_exactly_the_deadline(self):
         sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
         sampling = ProtocolConfig(n=4, fetch_sample_fraction=0.5)

@@ -3,13 +3,19 @@
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.consensus import CONSENSUS_CLASSES
 from repro.crypto import GENESIS_QC
 from repro.kvstore import KVStore
+from repro.mempool import MEMPOOL_CLASSES
+from repro.mempool.base import MessageKinds
 from repro.metrics import MetricsHub
 from repro.replica import Replica
 from repro.sim import Network, RngRegistry, Simulator, lan_topology
+from repro.sim.interfaces import Channel, Envelope
 from repro.types import MicroBlock, make_microblock_id
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
+
+from tests.helpers import make_cluster
 
 
 def make_replica(attach_executor=True):
@@ -61,3 +67,36 @@ def test_start_requires_attach():
 def test_trace_noop_without_tracer():
     replica = make_replica()
     replica.trace("anything", detail=1)  # must not raise
+
+
+@pytest.mark.parametrize("consensus", sorted(CONSENSUS_CLASSES))
+@pytest.mark.parametrize("mempool", sorted(MEMPOOL_CLASSES))
+def test_every_kind_sent_has_a_route_at_its_receiver(mempool, consensus):
+    exp = make_cluster(
+        n=4, mempool=mempool, consensus=consensus, rate_tps=2000.0,
+    )
+    exp.sim.run_until(1.0)
+    sent = set(exp.network.stats.messages_sent)
+    assert sent
+    for replica in exp.replicas:
+        routed = {
+            *replica.routes(), *replica.consensus.routes(),
+            *replica.mempool.routes(),
+        }
+        assert sent <= routed, sent - routed
+
+
+def test_an_unrouted_kind_is_ignored():
+    """A live peer may send any registered kind: one no layer of this
+    replica routes (a PBFT prepare to HotStuff, a snapshot request to a
+    replica without a durable executor) is dropped, not raised."""
+    exp = make_cluster(n=4, consensus="hotstuff")
+    for kind, payload in (
+        (MessageKinds.PBFT_PREPARE, (1, 1)),
+        (MessageKinds.STATE_SNAPSHOT_REQ, 0),
+    ):
+        exp.replicas[0].handle(Envelope(
+            src=1, dst=0, kind=kind, size_bytes=48, payload=payload,
+            channel=Channel.CONSENSUS,
+        ))
+    assert not exp.network.stats.messages_sent

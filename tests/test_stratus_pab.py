@@ -234,8 +234,8 @@ def body_bytes_sent(experiment, node):
 
 
 def deliver(experiment, src, dst, kind, payload):
-    """Hand one PAB message to ``dst``'s engine, as if ``src`` sent it."""
-    pab_of(experiment, dst).on_message(Envelope(
+    """Hand one PAB message to ``dst``, as if ``src`` sent it."""
+    experiment.replicas[dst].handle(Envelope(
         src=src, dst=dst, kind=kind, size_bytes=0.0, payload=payload,
         channel=Channel.DATA,
     ))
@@ -385,6 +385,63 @@ def test_origin_that_took_its_push_back_settles_on_the_proxys_proof():
     for node in range(4):
         assert pab_of(exp, node).proof_for(mb_id) is not None
     assert exp.metrics.committed_tx_total == 4
+
+
+# -- an early proof's fetch grace --------------------------------------------
+
+
+def fetch_requests(experiment, node, mb_id):
+    """Targets of every fetch request ``node`` sends for ``mb_id`` from
+    now on (a list the spy keeps appending to)."""
+    asked = []
+    send = experiment.network.send
+
+    def spy(src, dst, kind, size_bytes, payload, *rest):
+        if src == node and kind == MessageKinds.FETCH_REQUEST \
+                and payload == mb_id:
+            asked.append(dst)
+        send(src, dst, kind, size_bytes, payload, *rest)
+
+    experiment.network.send = spy
+    return asked
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_body_discarded_inside_the_grace_is_not_fetched(kind):
+    exp = cluster(kind)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    witness = pusher.pab.peers[0]
+    mempool = stratus_of(exp, witness)
+    microblock, proof = pusher.store.get(mb_id), mempool.pab.proof_for(mb_id)
+    mempool._discard([mb_id])  # the witness starts over, holding nothing
+    asked = fetch_requests(exp, witness, mb_id)
+    deliver(exp, 0, witness, pusher.pab._proof_kind, (mb_id, proof))
+    fetcher = mempool.pab._fetcher
+    assert mb_id in fetcher._pending  # the proof overtook the body
+    deliver(exp, 0, witness, pusher.pab._body_kind, microblock)
+    mempool._discard([mb_id])  # retired before the grace runs out
+    assert mb_id not in fetcher._pending
+    exp.sim.run_until(exp.sim.now + exp.config.protocol.fetch_timeout)
+    assert asked == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_proof_for_a_held_body_registers_nothing(kind):
+    exp = cluster(kind)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    witness = pusher.pab.peers[0]
+    pab = pab_of(exp, witness)
+    assert mb_id in stratus_of(exp, witness).store
+    deadlines = len(pab._fetcher._rounds._heap)
+    deliver(exp, 0, witness, pab._proof_kind, (mb_id, pab.proof_for(mb_id)))
+    assert mb_id not in pab._fetcher._pending
+    assert len(pab._fetcher._rounds._heap) == deadlines
 
 
 @pytest.mark.parametrize("fault", ("withhold", "censor"))
