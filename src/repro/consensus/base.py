@@ -108,5 +108,7 @@ class ConsensusEngine(Routed, abc.ABC):
         mempool resolves missing bodies — the moment the safety and
         availability oracles reason about.
         """
-        self.host.notify_commit(proposal)
-        self.mempool.on_commit(proposal, self.host.sim.now)
+        host = self.host
+        if host.observer is not None:
+            host.observer.on_local_commit(host, proposal)
+        self.mempool.on_commit(proposal, host.sim.now)

@@ -108,10 +108,9 @@ class ChainedEngine(ConsensusEngine):
             created_at=self.host.sim.now,
         )
         self._block_counter += 1
-        self.host.trace(
-            "propose", view=view, block=proposal.block_id,
-            entries=len(payload.microblock_ids),
-        )
+        if self.host.tracer is not None:
+            self.host.trace("propose", view=view, block=proposal.block_id,
+                            entries=len(payload.microblock_ids))
         self.broadcast(MessageKinds.PROPOSAL, proposal.size_bytes, proposal)
         self._handle_proposal(proposal)
 
@@ -127,7 +126,7 @@ class ChainedEngine(ConsensusEngine):
 
     def _release_orphans(self, proposal: Proposal) -> None:
         """``proposal`` was stored: hand its parked children back to the
-        subclass, in arrival order."""
+        subclass, in arrival order. Skipped while ``_orphans`` is empty."""
         for orphan in self._orphans.pop(proposal.block_id, ()):
             self._orphaned.discard(orphan.block_id)
             self._handle_proposal(orphan)
@@ -192,35 +191,31 @@ class ChainedEngine(ConsensusEngine):
     # -- commit and abandonment --------------------------------------------
 
     def _commit_chain(self, tip: Proposal) -> None:
-        """Commit ``tip`` and its uncommitted ancestors, oldest first."""
+        """Commit ``tip`` and its uncommitted ancestors, oldest first,
+        then abandon each unresolved proposal the new height rules out,
+        once, in insertion order (part of the event schedule)."""
         chain: list[Proposal] = []
         cursor: Optional[Proposal] = tip
         while cursor is not None and cursor.block_id not in self.committed:
             chain.append(cursor)
             cursor = self.proposals.get(cursor.parent_id)
+        host = self.host
+        unresolved = self._unresolved
         for proposal in reversed(chain):
             self.committed.add(proposal.block_id)
             if proposal.height > self.committed_height:
                 self.committed_height = proposal.height
-            self._unresolved.pop(proposal.block_id, None)
-            self.host.trace(
-                "commit", block=proposal.block_id, height=proposal.height,
-            )
+            unresolved.pop(proposal.block_id, None)
+            if host.tracer is not None:
+                host.trace("commit", block=proposal.block_id,
+                           height=proposal.height)
             self.handle_commit(proposal)
-        self._sweep_abandoned()
-
-    def _sweep_abandoned(self) -> None:
-        """Notify the mempool of forks ruled out by the latest commit.
-
-        Only unresolved proposals (neither committed nor abandoned) are
-        scanned; each is visited at most once across the whole run, in
-        proposal insertion order — ``on_abandoned`` ordering is part of
-        the event schedule.
-        """
-        abandoned = [
-            proposal for proposal in self._unresolved.values()
-            if proposal.height <= self.committed_height
-        ]
-        for proposal in abandoned:
-            del self._unresolved[proposal.block_id]
+        height = self.committed_height
+        for proposal in unresolved.values():
+            if proposal.height <= height:
+                break  # a fork was ruled out
+        else:
+            return
+        for proposal in [p for p in unresolved.values() if p.height <= height]:
+            del unresolved[proposal.block_id]
             self.mempool.on_abandoned(proposal)

@@ -80,15 +80,12 @@ class HotStuff(ChainedEngine):
 
     def resume(self) -> None:
         if self.cur_view > 0:
-            self._restart_view_timer()
+            sim = self.host.sim
+            self._deadline = sim.now + self.config.view_timeout
+            if self._timer is None:
+                self._timer = sim.schedule_at(self._deadline, self._view_timer)
 
     # -- view management -----------------------------------------------
-
-    def _restart_view_timer(self) -> None:
-        sim = self.host.sim
-        self._deadline = sim.now + self.config.view_timeout
-        if self._timer is None:
-            self._timer = sim.schedule_at(self._deadline, self._view_timer)
 
     def _view_timer(self) -> None:
         sim = self.host.sim
@@ -103,10 +100,17 @@ class HotStuff(ChainedEngine):
         if view <= self.cur_view:
             return
         self.cur_view = view
-        self._restart_view_timer()
+        # Restart the view timer (as resume does) and look up the leader,
+        # spelled out: every replica enters every view.
+        host = self.host
+        sim = host.sim
+        self._deadline = sim.now + self.config.view_timeout
+        if self._timer is None:
+            self._timer = sim.schedule_at(self._deadline, self._view_timer)
+        leaders = host.leader_set
         if (
-            self.leader_of(view) == self.node_id
-            and not self.host.behavior.silent
+            leaders[view % len(leaders)] == self.node_id
+            and not host.behavior.silent
         ):
             if justify is not None:
                 self._try_propose(view, justify)
@@ -200,7 +204,8 @@ class HotStuff(ChainedEngine):
             self.mempool.on_proposal(proposal)
         self._unresolved[proposal.block_id] = proposal
         self._maybe_vote(proposal)
-        self._release_dependents(proposal)
+        if self._deferred_propose or self._orphans:
+            self._release_dependents(proposal)
 
     def _maybe_vote(self, proposal: Proposal) -> None:
         if self.host.behavior.silent:
@@ -210,7 +215,8 @@ class HotStuff(ChainedEngine):
         if proposal.justify.view < self.locked_view:
             return  # safety rule: never contradict the lock
         self.voted_view = proposal.view
-        next_leader = self.leader_of(proposal.view + 1)
+        leaders = self.host.leader_set
+        next_leader = leaders[(proposal.view + 1) % len(leaders)]
 
         def cast_vote() -> None:
             signature = vote_signature(
@@ -228,13 +234,15 @@ class HotStuff(ChainedEngine):
 
     def _release_dependents(self, proposal: Proposal) -> None:
         """Process work that was blocked on this proposal's arrival."""
-        deferred = self._deferred_propose.pop(proposal.block_id, None)
-        if deferred is not None:
-            view, justify = deferred
-            if view >= self.cur_view:
-                self._enter_view(view)
-                self._try_propose(view, justify)
-        self._release_orphans(proposal)
+        if self._deferred_propose:
+            deferred = self._deferred_propose.pop(proposal.block_id, None)
+            if deferred is not None:
+                view, justify = deferred
+                if view >= self.cur_view:
+                    self._enter_view(view)
+                    self._try_propose(view, justify)
+        if self._orphans:
+            self._release_orphans(proposal)
 
     def _handle_vote(
         self, block_id: int, view: int, signature: Signature
@@ -254,8 +262,9 @@ class HotStuff(ChainedEngine):
         del self._votes[key]
         self._process_qc(qc)
         next_view = view + 1
+        leaders = self.host.leader_set
         if (
-            self.leader_of(next_view) == self.node_id
+            leaders[next_view % len(leaders)] == self.node_id
             and next_view >= self.cur_view
         ):
             self._enter_view(next_view)

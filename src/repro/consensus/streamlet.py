@@ -126,7 +126,8 @@ class Streamlet(ChainedEngine):
                 self.mempool.on_proposal(proposal)
             self._unresolved[proposal.block_id] = proposal
         self._adopt_cert(proposal.justify)
-        self._release_orphans(proposal)
+        if self._orphans:
+            self._release_orphans(proposal)
         # Votes can outrun the proposal under loss-induced reordering;
         # a quorum that already accumulated notarizes immediately.
         self._try_notarize(proposal.block_id)

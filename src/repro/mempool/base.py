@@ -157,32 +157,47 @@ class Mempool(Routed, abc.ABC):
     def on_commit(self, proposal: Proposal, commit_time: float) -> None:
         """Commit hook: report metrics once the block is full, then GC.
 
-        The metrics hub deduplicates by block id, so every replica may
-        call this; the first (earliest) report wins. Committed ids are
-        marked *before* resolution: resolution can lag behind the commit
-        (missing bodies still being fetched), and a fork abandoned in the
-        same commit sweep must not re-queue ids the canonical chain just
-        committed.
+        The metrics hub keeps a block's first (earliest) report, so only
+        a replica that finds the block unrecorded builds one. Committed
+        ids are marked *before* resolution: resolution can lag behind the
+        commit (missing bodies still being fetched), and a fork abandoned
+        in the same commit sweep must not re-queue ids the canonical
+        chain just committed.
         """
         self.mark_committed(proposal)
+        host = self.host
+
         def report(block: Block) -> None:
-            latencies = [
-                (commit_time - mb.mean_arrival, float(mb.tx_count))
-                for mb in block.microblocks.values()
-            ]
-            self.host.metrics.record_commit(
-                block_id=proposal.block_id,
-                tx_count=block.tx_count,
-                microblock_count=len(block.microblocks),
-                latencies=latencies,
-                commit_time=commit_time,
-            )
+            if proposal.block_id not in host.metrics.recorded:
+                self._report(
+                    proposal.block_id, block.microblocks.values(), commit_time
+                )
             block.committed_at = commit_time
-            self.host.notify_block_resolved(block)
-            self.host.on_block_executed(block)
+            if host.observer is not None:
+                host.observer.on_block_resolved(host, block)
+            if host.executor is not None:
+                host.on_block_executed(block)
             self.garbage_collect(proposal)
 
         self.resolve(proposal, report)
+
+    def _report(self, block_id: int, parts, commit_time: float) -> None:
+        """Record one block at the hub from its microblocks or their shard
+        certificates (both carry ``tx_count`` and ``mean_arrival``)."""
+        latencies = []
+        tx_total = 0
+        for part in parts:
+            tx_total += part.tx_count
+            latencies.append(
+                (commit_time - part.mean_arrival, float(part.tx_count))
+            )
+        self.host.metrics.record_commit(
+            block_id=block_id,
+            tx_count=tx_total,
+            microblock_count=len(parts),
+            latencies=latencies,
+            commit_time=commit_time,
+        )
 
     def mark_committed(self, proposal: Proposal) -> None:
         """Record the proposal's content as committed, synchronously.

@@ -157,24 +157,35 @@ class IdMempool(Mempool):
         return entries
 
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
+        """Held bodies fill in one pass; each missing one is fetched."""
         block = Block(proposal=proposal)
+        microblocks = block.microblocks
         entries = proposal.payload.entries
         if entries:
             entries = self._resolvable(entries)
-        if not entries:
+        held = self.store.blocks
+        missing = []
+        for entry in entries:
+            body = held.get(entry.mb_id)
+            if body is None:
+                missing.append(entry)
+            else:
+                microblocks[entry.mb_id] = body
+        if not missing:
             block.filled_at = self.host.sim.now
             on_full(block)
             return
-        remaining = {"count": len(entries)}
+        remaining = len(missing)
 
         def collect(microblock: MicroBlock) -> None:
-            block.microblocks[microblock.id] = microblock
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
+            nonlocal remaining
+            microblocks[microblock.id] = microblock
+            remaining -= 1
+            if not remaining:
                 block.filled_at = self.host.sim.now
                 on_full(block)
 
-        for entry in entries:
+        for entry in missing:
             if not self.store.on_delivery(entry.mb_id, collect):
                 self._fetch_missing(entry, proposal)
 
@@ -193,9 +204,11 @@ class IdMempool(Mempool):
 
     def garbage_collect(self, proposal: Proposal) -> None:
         """Retire a resolved proposal's microblocks after the retention
-        window, so straggling replicas can still fetch them meanwhile."""
-        if GC_RETENTION > 0:
-            self._retained.defer(GC_RETENTION, proposal.payload.microblock_ids)
+        window, so straggling replicas can still fetch them meanwhile. An
+        empty block holds nothing and defers nothing."""
+        ids = proposal.payload.microblock_ids
+        if ids and GC_RETENTION > 0:
+            self._retained.defer(GC_RETENTION, ids)
 
     def _discard(self, ids) -> None:
         """Retention is over: free what is held per id, fetches too."""

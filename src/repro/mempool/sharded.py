@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.mempool.stratus.mempool import StratusMempool
 from repro.sharding import ShardMap, ShardScope
-from repro.types.proposal import Block, PayloadEntry, Proposal
+from repro.types.proposal import PayloadEntry, Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
@@ -70,31 +70,13 @@ class ShardedStratusMempool(StratusMempool):
         Unlike the base hook, metrics are recorded *now* from the
         certificates' embedded tx counts and arrival means — resolution
         may never materialize foreign-shard bodies on this replica, and
-        must not gate throughput/latency accounting.
+        must not gate throughput/latency accounting. The base hook then
+        finds the block recorded when it resolves.
         """
-        self.mark_committed(proposal)
-        latencies = []
-        tx_total = 0
-        cert_count = 0
-        for entry in proposal.payload.entries:
-            cert = entry.cert
-            cert_count += 1
-            tx_total += cert.tx_count
-            latencies.append(
-                (commit_time - cert.mean_arrival, float(cert.tx_count))
+        if proposal.block_id not in self.host.metrics.recorded:
+            self._report(
+                proposal.block_id,
+                [entry.cert for entry in proposal.payload.entries],
+                commit_time,
             )
-        self.host.metrics.record_commit(
-            block_id=proposal.block_id,
-            tx_count=tx_total,
-            microblock_count=cert_count,
-            latencies=latencies,
-            commit_time=commit_time,
-        )
-
-        def finish(block: Block) -> None:
-            block.committed_at = commit_time
-            self.host.notify_block_resolved(block)
-            self.host.on_block_executed(block)
-            self.garbage_collect(proposal)
-
-        self.resolve(proposal, finish)
+        super().on_commit(proposal, commit_time)

@@ -75,16 +75,17 @@ class StratusMempool(IdMempool):
     # -- client / dissemination -------------------------------------------
 
     def _on_new_microblock(self, microblock: MicroBlock) -> None:
-        self.host.trace(
-            "mb_new", mb=microblock.id, txs=microblock.tx_count,
-        )
+        if self.host.tracer is not None:
+            self.host.trace("mb_new", mb=microblock.id,
+                            txs=microblock.tx_count)
         if self.balancer is not None:
             self.balancer.handle_new_microblock(microblock)
         else:
             self.pab.push_own(microblock, self._on_self_available)
 
     def _on_stable(self, mb_id: MicroBlockId, elapsed: float) -> None:
-        self.host.trace("mb_stable", mb=mb_id, st=round(elapsed, 6))
+        if self.host.tracer is not None:
+            self.host.trace("mb_stable", mb=mb_id, st=round(elapsed, 6))
         self.estimator.record(elapsed)
         self.host.metrics.record_stable_time(elapsed)
 

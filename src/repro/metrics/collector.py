@@ -36,6 +36,9 @@ class MetricsHub:
     def __init__(self, sim: Scheduler) -> None:
         self._sim = sim
         self._commits: dict[int, CommitRecord] = {}
+        #: Block ids recorded so far (a live, read-only view): only a
+        #: block's first report is kept, so reporters test this first.
+        self.recorded = self._commits.keys()
         # Commit-time order is maintained incrementally: commits arrive
         # in (almost always) nondecreasing simulated time, so the insort
         # is O(1) amortized and every windowed query below bisects

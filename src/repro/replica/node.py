@@ -83,11 +83,12 @@ class Replica:
         self.mempool: Optional["Mempool"] = None
         self.consensus: Optional["ConsensusEngine"] = None
         self.executor: Optional["KVStore"] = None
-        #: Optional protocol-event tracer (see :mod:`repro.tracing`).
+        #: Optional protocol-event tracer (see :mod:`repro.tracing`); the
+        #: per-block and per-microblock sites test it before :meth:`trace`.
         self.tracer = None
         #: Optional invariant observer (see :mod:`repro.verification`):
         #: receives consensus commits, microblock creations, and resolved
-        #: blocks. One attribute check per event when unset.
+        #: blocks. One attribute test at each site when unset.
         self.observer = None
         #: Crash-recovery lifecycle (see :meth:`crash` / :meth:`restart`).
         self.crashed = False
@@ -275,20 +276,10 @@ class Replica:
 
     # -- verification taps ---------------------------------------------
 
-    def notify_commit(self, proposal) -> None:
-        """Consensus committed ``proposal`` locally (oracle tap point)."""
-        if self.observer is not None:
-            self.observer.on_local_commit(self, proposal)
-
     def notify_microblock(self, microblock) -> None:
         """This replica batched a new microblock (oracle tap point)."""
         if self.observer is not None:
             self.observer.on_microblock_created(self, microblock)
-
-    def notify_block_resolved(self, block: Block) -> None:
-        """A committed block became full locally (oracle tap point)."""
-        if self.observer is not None:
-            self.observer.on_block_resolved(self, block)
 
     def trace(self, kind: str, **details) -> None:
         """Record a protocol event if a tracer is attached (no-op cost

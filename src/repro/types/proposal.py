@@ -17,6 +17,7 @@ resolved locally ("full block"); until then it is a partial block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, TYPE_CHECKING
 
 from repro.types import sizes
@@ -55,37 +56,26 @@ class Payload:
 
     ``entries``/``embedded`` are never mutated after construction (code
     that needs a different payload builds a new one), so the derived
-    ``size_bytes`` and ``microblock_ids`` are computed once and cached —
-    both are re-read by every receiver of the proposal.
+    ``size_bytes`` and ``microblock_ids`` are computed on first read and
+    then are plain instance attributes: the simulator shares one payload
+    among every receiver of the proposal. They stay lazy, not fields: the
+    binary codec writes ``fields(cls)`` positionally, and a decoded
+    payload pays only for what its receiver reads.
     """
 
     entries: tuple[PayloadEntry, ...] = ()
     embedded: tuple[MicroBlock, ...] = ()
 
-    # Lazy caches (plain class attributes, not dataclass fields).
-    _size_cache = None
-    _ids_cache = None
-
-    @property
+    @cached_property
     def size_bytes(self) -> int:
-        size = self._size_cache
-        if size is None:
-            referenced = sum(entry.size_bytes for entry in self.entries)
-            full = sum(mb.size_bytes for mb in self.embedded)
-            size = referenced + full
-            self._size_cache = size
-        return size
+        referenced = sum(entry.size_bytes for entry in self.entries)
+        return referenced + sum(mb.size_bytes for mb in self.embedded)
 
-    @property
+    @cached_property
     def microblock_ids(self) -> tuple[MicroBlockId, ...]:
-        ids = self._ids_cache
-        if ids is None:
-            if self.embedded:
-                ids = tuple(mb.id for mb in self.embedded)
-            else:
-                ids = tuple(entry.mb_id for entry in self.entries)
-            self._ids_cache = ids
-        return ids
+        if self.embedded:
+            return tuple(mb.id for mb in self.embedded)
+        return tuple(entry.mb_id for entry in self.entries)
 
     @property
     def is_empty(self) -> bool:
@@ -138,7 +128,3 @@ class Block:
             mb_id in self.microblocks
             for mb_id in self.proposal.payload.microblock_ids
         )
-
-    @property
-    def tx_count(self) -> int:
-        return sum(mb.tx_count for mb in self.microblocks.values())

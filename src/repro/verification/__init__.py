@@ -1,9 +1,10 @@
 """Deterministic-simulation verification layer.
 
 Invariant oracles observe a running experiment through the replica
-observer tap (:meth:`repro.replica.node.Replica.notify_commit` and
-friends) and record :class:`Violation` objects instead of raising, so a
-single run can surface every broken invariant at once. The scenario
+observer tap (``Replica.observer``: consensus commits, microblock
+creations, resolved blocks) and record :class:`Violation` objects
+instead of raising, so a single run can surface every broken invariant
+at once. The scenario
 fuzzer composes randomized experiments from one root seed, and the
 shrinker minimizes a failing scenario into a replayable artifact.
 """

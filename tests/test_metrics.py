@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.live.replica_proc import RecordingMetricsHub
 from repro.metrics import MetricsHub, WeightedDigest
 from repro.sim.engine import Simulator
+
+from tests.helpers import STRATUS_KINDS, stratus_cluster
 
 
 class TestWeightedDigest:
@@ -205,3 +208,65 @@ class TestIncrementalCommitOrder:
         hub.record_commit(2, 200, 1, [], commit_time=0.5)
         assert hub.throughput_tps(0.0, 1.0) == pytest.approx(200.0)
         assert hub.throughput_tps(2.0, 3.0) == pytest.approx(100.0)
+
+
+class EveryReport:
+    """Observer feeding a reference hub every replica's report of every
+    block, at the moment that replica's mempool reports: from the
+    resolved bodies, or from the certificates at the commit (sharded).
+    The hub keeps the first, as it did when every replica reported."""
+
+    def __init__(self, hub, from_certificates):
+        self.hub = hub
+        self.from_certificates = from_certificates
+
+    def on_microblock_created(self, replica, microblock):
+        pass
+
+    def on_local_commit(self, replica, proposal):
+        if self.from_certificates:
+            certs = [entry.cert for entry in proposal.payload.entries]
+            self.report(proposal.block_id, replica.sim.now, certs)
+
+    def on_block_resolved(self, replica, block):
+        if not self.from_certificates:
+            microblocks = list(block.microblocks.values())
+            self.report(block.block_id, block.committed_at, microblocks)
+
+    def report(self, block_id, commit_time, parts):
+        self.hub.record_commit(
+            block_id=block_id,
+            tx_count=sum(part.tx_count for part in parts),
+            microblock_count=len(parts),
+            latencies=[
+                (commit_time - part.mean_arrival, float(part.tx_count))
+                for part in parts
+            ],
+            commit_time=commit_time,
+        )
+
+
+@pytest.mark.parametrize("kind", STRATUS_KINDS)
+def test_the_hub_hears_each_committed_block_once(kind):
+    exp = stratus_cluster(kind, rate_tps=2000.0, duration=2.0)
+    hub = RecordingMetricsHub(exp.sim)
+    reference = RecordingMetricsHub(exp.sim)
+    reported = []
+    record = hub.record_commit
+
+    def spy(**report):
+        reported.append(report["block_id"])
+        return record(**report)
+
+    hub.record_commit = spy
+    for replica in exp.replicas:
+        replica.metrics = hub
+        replica.observer = EveryReport(reference, kind == "sharded-stratus")
+    exp.sim.run_until(2.0)
+    assert sorted(reported) == sorted(rec.block_id for rec in hub.commits)
+    assert len(reported) > 10
+    assert hub.commits == reference.commits
+    assert hub.committed_tx_total == reference.committed_tx_total > 0
+    assert hub.commit_latencies == reference.commit_latencies
+    for p in (0, 50, 99, 100):
+        assert hub.latency.percentile(p) == reference.latency.percentile(p)

@@ -151,7 +151,7 @@ def test_resolve_produces_full_block(kind):
     exp.sim.run_until(3.0)
     assert len(blocks) == 1
     assert blocks[0].is_full
-    assert blocks[0].tx_count == 4
+    assert sum(mb.tx_count for mb in blocks[0].microblocks.values()) == 4
     if kind == "sharded-stratus":
         # A replica outside the shard (and without an executor) resolves
         # on the certificate alone: done at once, no body, no fetch.
@@ -161,17 +161,72 @@ def test_resolve_produces_full_block(kind):
         assert outsider.fetcher.outstanding == 0
 
 
+def three_proven_microblocks(kind):
+    """Replica 0's mempool holding three of its own proven microblocks,
+    and a proposal carrying them; engines frozen."""
+    exp = cluster(kind)
+    freeze_consensus(exp)
+    for _ in range(3):
+        inject(exp, 0, count=4)
+    exp.sim.run_until(0.5)
+    mempool = stratus_of(exp, 0)
+    proposal = proposal_of(mempool.make_payload(), 504)
+    assert len(proposal.payload.entries) == 3
+    return exp, mempool, proposal
+
+
+def spy_fetches(mempool):
+    fetched = []
+    mempool._fetch_missing = lambda entry, _: fetched.append(entry.mb_id)
+    return fetched
+
+
+def test_resolve_with_every_body_held_fills_at_once_in_entry_order(kind):
+    exp, mempool, proposal = three_proven_microblocks(kind)
+    fetched = spy_fetches(mempool)
+    blocks = []
+    mempool.resolve(proposal, blocks.append)
+    assert len(blocks) == 1  # synchronously: no event ran
+    assert tuple(blocks[0].microblocks) == proposal.payload.microblock_ids
+    assert blocks[0].filled_at == exp.sim.now
+    assert not fetched
+    exp.sim.run_until(1.0)
+    assert len(blocks) == 1
+
+
+def test_resolve_fetches_only_missing_bodies_and_fills_in_arrival_order(kind):
+    exp, mempool, proposal = three_proven_microblocks(kind)
+    first, second, third = proposal.payload.microblock_ids
+    late = {mb_id: mempool.store.blocks.pop(mb_id) for mb_id in (first, third)}
+    fetched = spy_fetches(mempool)
+    blocks = []
+    mempool.resolve(proposal, blocks.append)
+    assert fetched == [first, third]
+    assert not blocks
+    mempool.store.add(late[third])
+    assert not blocks
+    mempool.store.add(late[first])
+    assert len(blocks) == 1
+    assert list(blocks[0].microblocks) == [second, third, first]
+
+
 def test_garbage_collection_discards_bodies_after_retention(kind, monkeypatch):
     monkeypatch.setattr(id_mempool, "GC_RETENTION", 1.0)
     exp = cluster(kind)
+    # With no load only empty blocks commit; they hold nothing to retain.
+    exp.sim.run_until(0.5)
+    assert exp.metrics.commits
+    for replica in exp.replicas:
+        assert not replica.mempool._retained._heap
     inject(exp, 0, count=4)
-    exp.sim.run_until(2.0)
+    exp.sim.run_until(1.0)
     mempool = stratus_of(exp, 0)
     assert exp.metrics.committed_tx_total == 4
     # The committed microblock's body survives the retention window...
-    exp.sim.run_until(2.5)
+    assert len(mempool._retained._heap) == 1 and len(mempool.store) == 1
     # ...then is discarded everywhere along with its proof.
     exp.sim.run_until(6.0)
+    assert not mempool._retained._heap
     for node in range(4):
         assert len(stratus_of(exp, node).store) == 0
     assert mempool._proofs == {}
