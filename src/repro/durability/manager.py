@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -78,8 +79,6 @@ class RecoveryInfo:
 
     @property
     def wal_replay_blocks_per_sec(self) -> float:
-        if self.wal_blocks_replayed == 0:
-            return 0.0
         return self.wal_blocks_replayed / max(self.duration_s, 1e-9)
 
     def to_dict(self) -> dict:
@@ -114,6 +113,7 @@ class DurableKVStore(KVStore):
         )
         self._wal_path = os.path.join(data_dir, WAL_FILENAME)
         self._blocks_since_checkpoint = 0
+        self._wal: Optional[WriteAheadLog] = None  # None during replay
         self.checkpoint_bytes = 0
         self.checkpoints_written = 0
         self.snapshot_installs = 0
@@ -146,9 +146,7 @@ class DurableKVStore(KVStore):
             self._apply(record.block_id, record.height, record.microblocks)
             info.wal_blocks_replayed += 1
         if info.wal_blocks_replayed:
-            info.source = (
-                "checkpoint+wal" if info.source == "checkpoint" else "wal"
-            )
+            info.source = "checkpoint+wal" if loaded else "wal"
         self._wal = WriteAheadLog(
             self._wal_path,
             fsync=self.config.fsync,
@@ -161,14 +159,11 @@ class DurableKVStore(KVStore):
         return info
 
     def _install_checkpoint(self, checkpoint: Checkpoint) -> None:
-        self._data = dict(checkpoint.data)
+        self._data = Counter(checkpoint.data)
         self._tx_applied = checkpoint.tx_applied
         self._blocks_applied = checkpoint.blocks_applied
         self._last_height = checkpoint.height
         self._last_block_id = checkpoint.last_block_id
-        # Per-id history before the checkpoint is not retained; the
-        # cursor above is what recovery and the oracles need.
-        self._applied_blocks = []
 
     def reopen(self) -> "DurableKVStore":
         """Close this instance and recover a fresh one from the same
@@ -184,13 +179,14 @@ class DurableKVStore(KVStore):
     # -- apply path -----------------------------------------------------
 
     def _apply(self, block_id: int, height: int, pairs) -> None:
-        if hasattr(self, "_wal"):  # absent only during recovery replay
-            self._wal.append(AppliedBlockRecord(block_id, height, tuple(pairs)))
+        if self._wal is None:  # recovery replay: the record is on disk
+            super()._apply(block_id, height, pairs)
+            return
+        self._wal.append(AppliedBlockRecord(block_id, height, tuple(pairs)))
         super()._apply(block_id, height, pairs)
-        if hasattr(self, "_wal"):
-            self._blocks_since_checkpoint += 1
-            if self._blocks_since_checkpoint >= self.config.checkpoint_interval:
-                self.write_checkpoint()
+        self._blocks_since_checkpoint += 1
+        if self._blocks_since_checkpoint >= self.config.checkpoint_interval:
+            self.write_checkpoint()
 
     def write_checkpoint(self) -> None:
         """Persist the full state and truncate the superseded WAL."""

@@ -7,6 +7,7 @@ first on the recovered prefix, then, after re-applying the remaining
 blocks, on the full sequence.
 """
 
+import json
 import os
 
 import pytest
@@ -382,6 +383,18 @@ def test_wal_record_round_trip(record):
     assert len(framed) == 8 + len(encode_payload(record))
 
 
+@given(record=records)
+def test_wal_payload_is_the_json_document(record):
+    reference = {
+        "b": record.block_id,
+        "h": record.height,
+        "m": [[mb_id, count] for mb_id, count in record.microblocks],
+    }
+    assert encode_payload(record) == json.dumps(
+        reference, separators=(",", ":")
+    ).encode("ascii")
+
+
 @given(record_lists=st.lists(records, max_size=6))
 @settings(max_examples=25)
 def test_wal_file_round_trip(tmp_path_factory, record_lists):
@@ -437,3 +450,63 @@ def test_generated_block_sequences_recover_exactly(
     assert recovered.state_digest() == digests[blocks_applied]
     assert recovered.last_height == blocks_applied
     recovered.close()
+
+
+# -- bytes on disk ------------------------------------------------------
+
+#: What ``test_bytes_on_disk_are_pinned`` leaves on disk, as written
+#: before the WAL payload was formatted without ``json.dumps`` and before
+#: apply counted key runs: the fourth block's framed WAL record, and the
+#: checkpoint the third block triggered (key_space=7, interval 3).
+PINNED_WAL = bytes.fromhex(
+    "0000003783dcb22b7b2262223a342c2268223a342c226d223a5b5b3130393935"
+    "31313632383037362c335d2c5b313039393531313632383037372c325d5d7d"
+)
+PINNED_CHECKPOINT = bytes.fromhex(
+    "534d50434b505431000000c035dea0ad7b22686569676874223a332c226c6173"
+    "745f626c6f636b5f6964223a332c22646967657374223a223237646365336631"
+    "3065653431353939656564616337393765323732386339396439363064663138"
+    "356264363434653432346133336566323466626165363562222c2274785f6170"
+    "706c696564223a31352c22626c6f636b735f6170706c696564223a332c226461"
+    "7461223a5b5b302c325d2c5b312c325d2c5b322c325d2c5b332c335d2c5b342c"
+    "325d2c5b352c325d2c5b362c325d5d7d"
+)
+PINNED_DIGEST = (
+    "b15a8ef594681bcada2c73e0eaf093a1e991f05bffaadc6aaab80ed4a8697a72"
+)
+PINNED_CHECKPOINT_NAME = "checkpoint-000000000003.ckpt"
+
+
+def test_bytes_on_disk_are_pinned(tmp_path):
+    config = DurabilityConfig(fsync="off", checkpoint_interval=3)
+    store = DurableKVStore(str(tmp_path), config=config, key_space=7)
+    for counter in range(4):
+        store.apply_block(make_block((3, 2), counter=counter))
+    store.close()
+    assert store.state_digest() == PINNED_DIGEST
+    assert (tmp_path / "wal.log").read_bytes() == PINNED_WAL
+    checkpoints = tmp_path / "checkpoints"
+    assert os.listdir(checkpoints) == [PINNED_CHECKPOINT_NAME]
+    assert (
+        (checkpoints / PINNED_CHECKPOINT_NAME).read_bytes()
+        == PINNED_CHECKPOINT
+    )
+
+
+def test_pinned_old_files_still_recover(tmp_path):
+    """A directory written before this codec replays to the same state."""
+    (tmp_path / "wal.log").write_bytes(PINNED_WAL)
+    (tmp_path / "checkpoints").mkdir()
+    (tmp_path / "checkpoints" / PINNED_CHECKPOINT_NAME).write_bytes(
+        PINNED_CHECKPOINT
+    )
+    config = DurabilityConfig(fsync="off", checkpoint_interval=3)
+    store = DurableKVStore(str(tmp_path), config=config, key_space=7)
+    try:
+        assert store.recovery.source == "checkpoint+wal"
+        assert store.recovery.wal_blocks_replayed == 1
+        assert store.last_height == 4
+        assert store.tx_applied == 20
+        assert store.state_digest() == PINNED_DIGEST
+    finally:
+        store.close()

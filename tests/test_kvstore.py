@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import GENESIS_QC
 from repro.kvstore import KVStore, kv_digest
@@ -33,7 +34,8 @@ def test_apply_counts_transactions():
     store = KVStore()
     store.apply_block(make_block((4, 6)))
     assert store.tx_applied == 10
-    assert store.applied_block_ids == [1]
+    assert store.last_block_id == 1
+    assert store.blocks_applied == 1
 
 
 def test_same_blocks_same_state():
@@ -106,3 +108,37 @@ def test_apply_tracks_height_cursor():
     assert store.last_height == 2
     assert store.last_block_id == 2
     assert store.blocks_applied == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key_space=st.sampled_from((1, 7, 10_000)),
+    pairs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2 ** 48),
+            st.integers(min_value=0, max_value=20_001),
+        ),
+        max_size=4,
+    ),
+)
+def test_run_counted_apply_matches_per_transaction_definition(
+    key_space, pairs
+):
+    """Apply counts key runs; the definition is one increment per
+    transaction. ``tx_count`` reaches past two laps of every key space,
+    so whole laps and the wrapped run are both exercised."""
+    store = KVStore(key_space=key_space)
+    store._apply(1, 1, tuple(pairs))
+    expected = {}
+    for mb_id, tx_count in pairs:
+        for index in range(tx_count):
+            key = (mb_id * 1_000_003 + index) % key_space
+            expected[key] = expected.get(key, 0) + 1
+    assert {key: store.get(key) for key in range(key_space)} == {
+        key: expected.get(key, 0) for key in range(key_space)
+    }
+    # Same keys first written in the same order: a snapshot's map
+    # iterates alike.
+    assert list(store._data.items()) == list(expected.items())
+    assert store.tx_applied == sum(count for _mb, count in pairs)
+    assert store.state_digest() == kv_digest(expected)

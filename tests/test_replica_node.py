@@ -46,11 +46,13 @@ def full_block(height):
 def test_blocks_execute_in_height_order():
     replica = make_replica()
     replica.on_block_executed(full_block(2))  # filled out of order
-    assert replica.executor.applied_block_ids == []
+    assert replica.executor.blocks_applied == 0
     replica.on_block_executed(full_block(1))
-    assert replica.executor.applied_block_ids == [1, 2]
+    assert replica.executor.blocks_applied == 2
+    assert replica.executor.last_block_id == 2
     replica.on_block_executed(full_block(3))
-    assert replica.executor.applied_block_ids == [1, 2, 3]
+    assert replica.executor.blocks_applied == 3
+    assert replica.executor.last_block_id == 3
 
 
 def test_execution_skipped_without_executor():
