@@ -57,7 +57,6 @@ from repro.config import (
     ShardingConfig,
 )
 from repro.durability import DurabilityConfig
-from repro.faults import FaultSchedule
 from repro.harness import (
     CHAOS_PRESET_NAMES,
     ExperimentConfig,
@@ -81,21 +80,112 @@ FAULTS_HELP = (
 )
 
 
-def _resolve_faults_arg(
-    spec: Optional[str], n: int, live: bool = False
-) -> Optional[FaultSchedule]:
-    """CLI wrapper over :func:`resolve_fault_spec`: ``SystemExit`` on error."""
-    if spec is None:
-        return None
-    try:
-        return resolve_fault_spec(spec, n, live=live)
-    except ValueError as exc:
-        # Covers JSONDecodeError too; a typo'd preset name lands here.
-        raise SystemExit(
-            f"bad --faults spec: {exc}\n"
-            f"expected a chaos preset ({', '.join(CHAOS_PRESET_NAMES)}), "
-            "@file, or an inline JSON schedule"
-        ) from exc
+#: Protocol fields only the sweep sets, one ``--batch-bytes``-style flag
+#: per ``(field, type)``.
+SWEEP_OVERRIDES = (
+    ("batch_bytes", int), ("batch_timeout", float),
+    ("pab_quorum", int), ("lb_samples", int),
+)
+
+
+def _add_run_args(
+    parser: argparse.ArgumentParser, rate: float, duration: float
+) -> None:
+    """The run flags the sim and live parsers share; only defaults differ."""
+    parser.add_argument("--mempool", choices=MEMPOOL_KINDS, default=None,
+                        help="mempool kind (default: the preset's, "
+                             "stratus under live)")
+    parser.add_argument("--shards", type=int, default=None, metavar="S",
+                        help="shard count for the sharded-stratus "
+                             "mempool (implies --mempool sharded-stratus "
+                             "when no mempool is given)")
+    parser.add_argument("--rate", type=float, default=rate,
+                        help="offered load, tx/s")
+    parser.add_argument("--duration", type=float, default=duration,
+                        help="measurement window, seconds")
+    parser.add_argument("--warmup", type=float, default=1.0,
+                        help="seconds run before the measurement window")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--selector", choices=SELECTORS, default="uniform")
+    parser.add_argument("--view-timeout", type=float, default=None,
+                        help="view timeout and Streamlet epoch override, "
+                             "seconds — short timers make crash recovery "
+                             "fit short runs")
+    parser.add_argument("--faults", default=None, metavar="SPEC",
+                        help=FAULTS_HELP + "; under live, crashes become "
+                             "SIGKILL + respawn and link faults real frame "
+                             "shaping (see repro.live.chaos)")
+    parser.add_argument(
+        "--durability", choices=["always", "interval", "off"], default=None,
+        metavar="FSYNC",
+        help="persist the state machine (WAL + checkpoints) with this "
+             "fsync policy: always | interval | off",
+    )
+    parser.add_argument(
+        "--checkpoint-interval", type=int, default=32, metavar="BLOCKS",
+        help="blocks applied between checkpoints (with --durability)",
+    )
+    parser.add_argument(
+        "--data-dir", default=None, metavar="DIR",
+        help="root directory for per-replica durable state "
+             "(a temp dir when unset)",
+    )
+
+
+def _protocol_overrides(args) -> dict:
+    """Protocol fields the shared run flags set, the same in both runners.
+
+    ``--shards`` implies the sharded mempool and refuses any other named
+    one, which would otherwise run unsharded.
+    """
+    overrides = {}
+    if args.shards is not None:
+        if args.mempool not in (None, "sharded-stratus"):
+            raise SystemExit(
+                f"--shards needs --mempool sharded-stratus, "
+                f"got --mempool {args.mempool}"
+            )
+        overrides["mempool"] = "sharded-stratus"
+        overrides["sharding"] = ShardingConfig(shards=args.shards)
+    elif args.mempool is not None:
+        overrides["mempool"] = args.mempool
+    if args.view_timeout is not None:
+        overrides["view_timeout"] = args.view_timeout
+        overrides["streamlet_epoch"] = args.view_timeout
+    return overrides
+
+
+def _experiment(
+    args, protocol: ProtocolConfig, live: bool = False, **fields
+) -> ExperimentConfig:
+    """An :class:`ExperimentConfig` from the shared run flags."""
+    faults = None
+    if args.faults is not None:
+        # Preset schedules depend on n (the crash victim is the highest
+        # id), so resolution happens per config.
+        try:
+            faults = resolve_fault_spec(args.faults, protocol.n, live=live)
+        except ValueError as exc:
+            # Covers JSONDecodeError too; a typo'd preset name lands here.
+            raise SystemExit(
+                f"bad --faults spec: {exc}\n"
+                f"expected a chaos preset ({', '.join(CHAOS_PRESET_NAMES)})"
+                ", @file, or an inline JSON schedule"
+            ) from exc
+    return ExperimentConfig(
+        protocol=protocol,
+        rate_tps=args.rate,
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        selector=args.selector,
+        faults=faults,
+        durability=None if args.durability is None else DurabilityConfig(
+            fsync=args.durability,
+            checkpoint_interval=args.checkpoint_interval,
+        ),
+        **fields,
+    )
 
 
 def _print_fault_report(label: str, report: list[dict]) -> None:
@@ -120,34 +210,6 @@ def _print_fault_report(label: str, report: list[dict]) -> None:
         rows,
         title=f"{label} fault windows",
     ))
-
-
-def _add_durability_args(parser: argparse.ArgumentParser) -> None:
-    """``--durability`` knobs shared by the sim and live parsers."""
-    parser.add_argument(
-        "--durability", choices=["always", "interval", "off"], default=None,
-        metavar="FSYNC",
-        help="persist the state machine (WAL + checkpoints) with this "
-             "fsync policy: always | interval | off",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=int, default=32, metavar="BLOCKS",
-        help="blocks applied between checkpoints (with --durability)",
-    )
-    parser.add_argument(
-        "--data-dir", default=None, metavar="DIR",
-        help="root directory for per-replica durable state "
-             "(a temp dir when unset)",
-    )
-
-
-def _durability_from_args(args):
-    if args.durability is None:
-        return None
-    return DurabilityConfig(
-        fsync=args.durability,
-        checkpoint_interval=args.checkpoint_interval,
-    )
 
 
 def _print_recovery_report(label: str, report: list[dict]) -> None:
@@ -225,30 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", nargs="+", type=int, default=[16],
                         help="network size(s)")
-    parser.add_argument("--mempool", choices=MEMPOOL_KINDS, default=None,
-                        help="override the preset's mempool (e.g. "
-                             "sharded-stratus)")
-    parser.add_argument("--shards", type=int, default=None, metavar="S",
-                        help="shard count for the sharded-stratus "
-                             "mempool (implies --mempool sharded-stratus "
-                             "when no mempool is given)")
+    _add_run_args(parser, rate=20_000.0, duration=3.0)
     parser.add_argument("--topology", choices=TOPOLOGIES, default="lan")
-    parser.add_argument("--rate", type=float, default=20_000.0,
-                        help="offered load, tx/s")
-    parser.add_argument("--duration", type=float, default=3.0,
-                        help="measurement window, seconds")
-    parser.add_argument("--warmup", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bandwidth", type=float, default=None,
                         help="per-replica bandwidth override, bits/s")
-    parser.add_argument("--selector", choices=SELECTORS, default="uniform")
     parser.add_argument("--fault", choices=FAULTS, default="none")
     parser.add_argument("--fault-count", type=int, default=0)
-    parser.add_argument("--batch-bytes", type=int, default=None)
-    parser.add_argument("--batch-timeout", type=float, default=None)
-    parser.add_argument("--pab-quorum", type=int, default=None)
-    parser.add_argument("--lb-samples", type=int, default=None)
-    parser.add_argument("--view-timeout", type=float, default=None)
+    for field, kind in SWEEP_OVERRIDES:
+        parser.add_argument("--" + field.replace("_", "-"), type=kind,
+                            default=None)
     parser.add_argument("--link-model", choices=LINK_MODELS,
                         default="serial",
                         help="uplink model: store-and-forward serialization "
@@ -264,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "for (recorded in results; requires "
                              "--workload-mode aggregate to be cheap at "
                              "large counts)")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help=FAULTS_HELP)
     parser.add_argument("--timeline", action="store_true",
                         help="print a per-second throughput timeline")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -279,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile-top", type=int, default=20,
                         metavar="N",
                         help="with --profile, how many functions to show")
-    _add_durability_args(parser)
     return parser
 
 
@@ -382,23 +426,10 @@ def build_live_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--protocol", choices=CONSENSUS_KINDS,
                         default="hotstuff", help="consensus engine")
-    parser.add_argument("--mempool", choices=MEMPOOL_KINDS,
-                        default="stratus")
-    parser.add_argument("--shards", type=int, default=None, metavar="S",
-                        help="shard count for --mempool sharded-stratus")
     parser.add_argument("-n", type=int, default=4, help="replica count")
-    parser.add_argument("--duration", type=float, default=10.0,
-                        help="measurement window, seconds of wall clock")
-    parser.add_argument("--warmup", type=float, default=1.0)
-    parser.add_argument("--rate", type=float, default=1_000.0,
-                        help="offered load, tx/s")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--selector", choices=SELECTORS, default="uniform")
+    _add_run_args(parser, rate=1_000.0, duration=10.0)
     parser.add_argument("--tick", type=float, default=0.01,
                         help="client submission tick, seconds")
-    parser.add_argument("--view-timeout", type=float, default=None,
-                        help="view/epoch timer override, seconds — short "
-                             "timers make crash recovery fit short runs")
     parser.add_argument("--startup-grace", type=float, default=None,
                         help="seconds allowed for replica processes to "
                              "boot before protocol t=0")
@@ -406,13 +437,8 @@ def build_live_parser() -> argparse.ArgumentParser:
                         default="binary",
                         help="frame format on the wire: struct-packed "
                              "binary v2 (default) or the v1 JSON codec")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help=FAULTS_HELP + " — crashes become SIGKILL + "
-                             "respawn, link faults become real frame "
-                             "shaping (see repro.live.chaos)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the full result document to PATH")
-    _add_durability_args(parser)
     return parser
 
 
@@ -420,27 +446,13 @@ def run_live_cmd(argv: Sequence[str]) -> int:
     from repro.live import LiveConfig, run_live
 
     args = build_live_parser().parse_args(argv)
-    overrides = {}
-    if args.view_timeout is not None:
-        overrides["view_timeout"] = args.view_timeout
-        overrides["streamlet_epoch"] = args.view_timeout
-    if args.shards is not None:
-        overrides["sharding"] = ShardingConfig(shards=args.shards)
-    protocol = ProtocolConfig(
-        n=args.n, mempool=args.mempool, consensus=args.protocol, **overrides
-    )
-    config = ExperimentConfig(
-        protocol=protocol,
-        rate_tps=args.rate,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        selector=args.selector,
-        tick=args.tick,
-        faults=_resolve_faults_arg(args.faults, args.n, live=True),
-        durability=_durability_from_args(args),
-        data_dir=args.data_dir,
-        label=f"live-{args.mempool}/{args.protocol}-n{args.n}",
+    overrides = _protocol_overrides(args)
+    overrides.setdefault("mempool", "stratus")
+    protocol = ProtocolConfig(n=args.n, consensus=args.protocol, **overrides)
+    name = f"{protocol.mempool}/{args.protocol}"
+    config = _experiment(
+        args, protocol, live=True, tick=args.tick, data_dir=args.data_dir,
+        label=f"live-{name}-n{args.n}",
     )
     live = LiveConfig(experiment=config, wire_codec=args.wire_codec)
     if args.startup_grace is not None:
@@ -454,7 +466,7 @@ def run_live_cmd(argv: Sequence[str]) -> int:
 
     _print_results_table(
         f"LIVE ({args.wire_codec} frames)", config.rate_tps, config.duration,
-        [(f"{args.mempool}/{args.protocol}", args.n, result)],
+        [(name, args.n, result)],
     )
     # Backpressure drops (bounded send queues) and chaos sheds (shaper
     # partitions/loss) are different failure modes; conflating them in
@@ -534,23 +546,11 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "live":
         return run_live_cmd(argv[1:])
     args = build_parser().parse_args(argv)
-    mempool_override = args.mempool
-    if args.shards is not None and mempool_override is None:
-        mempool_override = "sharded-stratus"
-    overrides = {
-        key: value
-        for key, value in (
-            ("mempool", mempool_override),
-            ("sharding", ShardingConfig(shards=args.shards)
-             if args.shards is not None else None),
-            ("batch_bytes", args.batch_bytes),
-            ("batch_timeout", args.batch_timeout),
-            ("pab_quorum", args.pab_quorum),
-            ("lb_samples", args.lb_samples),
-            ("view_timeout", args.view_timeout),
-        )
-        if value is not None
-    }
+    overrides = _protocol_overrides(args)
+    overrides.update(
+        (field, getattr(args, field)) for field, _ in SWEEP_OVERRIDES
+        if getattr(args, field) is not None
+    )
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     jobs = args.jobs
@@ -559,7 +559,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
               "worker processes)")
         jobs = 1
 
-    durability = _durability_from_args(args)
     cells = []  # (preset, n, ExperimentConfig)
     for preset in args.preset:
         for n in args.n:
@@ -570,27 +569,18 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             # subtree so concurrent cells never share a WAL.
             cell_data_dir = (
                 str(Path(args.data_dir) / f"{preset}-n{n}")
-                if args.data_dir is not None and durability is not None
+                if args.data_dir is not None and args.durability is not None
                 else None
             )
-            cells.append((preset, n, ExperimentConfig(
-                protocol=protocol,
+            cells.append((preset, n, _experiment(
+                args, protocol,
                 topology_kind=args.topology,
                 bandwidth_bps=args.bandwidth,
-                rate_tps=args.rate,
-                duration=args.duration,
-                warmup=args.warmup,
-                seed=args.seed,
-                selector=args.selector,
                 fault=args.fault,
                 fault_count=args.fault_count,
                 link_model=args.link_model,
                 workload_mode=args.workload_mode,
                 offered_clients=args.clients,
-                # Preset schedules depend on n (the crash victim is the
-                # highest id), so resolution happens per sweep cell.
-                faults=_resolve_faults_arg(args.faults, n),
-                durability=durability,
                 data_dir=cell_data_dir,
                 label=f"{preset}-n{n}",
             )))

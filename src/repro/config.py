@@ -10,7 +10,7 @@ Topology- and workload-level settings live in
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 MEMPOOL_KINDS = (
@@ -101,7 +101,7 @@ class ProtocolConfig:
     [f+1, 2f+1], default f + 1) and ``txs_per_microblock``
     (transactions that fill a microblock at the batch size). They are
     not dataclass fields — not serialised, not compared — and
-    :meth:`with_updates` recomputes them because it constructs anew.
+    ``dataclasses.replace`` recomputes them because it constructs anew.
     """
 
     n: int
@@ -142,8 +142,8 @@ class ProtocolConfig:
     streamlet_epoch: float = 0.4
 
     # -- sharding (sharded-stratus only) -------------------------------------
-    # None means "use ShardingConfig()'s defaults" when the mempool is
-    # sharded; ignored by every other mempool kind.
+    # None means "use ShardingConfig()'s defaults"; any other mempool
+    # kind rejects a layout rather than run unsharded.
     sharding: Optional[ShardingConfig] = None
 
     def __post_init__(self) -> None:
@@ -169,6 +169,11 @@ class ProtocolConfig:
                 f"unknown consensus {self.consensus!r}; "
                 f"choose from {CONSENSUS_KINDS}"
             )
+        if self.sharding is not None and self.mempool != "sharded-stratus":
+            raise ValueError(
+                f"sharding needs mempool='sharded-stratus', got "
+                f"{self.mempool!r}"
+            )
         if self.mempool == "sharded-stratus" and (
             self.load_balancing or self.pab_quorum is not None
         ):
@@ -193,10 +198,6 @@ class ProtocolConfig:
                 "fetch_sample_fraction must be in (0, 1], "
                 f"got {self.fetch_sample_fraction}"
             )
-
-    def with_updates(self, **changes) -> "ProtocolConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
     def to_dict(self) -> dict:
         """JSON-able form; round-trips through :meth:`from_dict`.

@@ -15,7 +15,7 @@ fsync policy is configurable:
 
 - ``always``   — fsync after every append (no committed-block loss on
   power failure, slowest),
-- ``interval`` — fsync at most once per ``fsync_interval`` seconds of
+- ``interval`` — fsync at most once per ``FSYNC_INTERVAL`` seconds of
   wall clock (bounded loss window),
 - ``off``      — never fsync explicitly (page cache only; survives
   process kill, not host crash).
@@ -42,6 +42,8 @@ _HEADER = struct.Struct("!II")
 MAX_RECORD_BYTES = 16 * 1024 * 1024
 
 FSYNC_POLICIES = ("always", "interval", "off")
+#: Seconds of wall clock between fsyncs under the ``interval`` policy.
+FSYNC_INTERVAL = 0.05
 
 #: Failpoint names the WAL can trigger (crash-point test matrix).
 WAL_FAILPOINTS = (
@@ -150,7 +152,6 @@ class WriteAheadLog:
         self,
         path: str,
         fsync: str = "always",
-        fsync_interval: float = 0.05,
         failpoint: Optional[Callable[[str], None]] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -159,7 +160,6 @@ class WriteAheadLog:
             )
         self.path = path
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
         self._failpoint = failpoint
         self._last_sync = time.monotonic()
         self.records_appended = 0
@@ -183,7 +183,7 @@ class WriteAheadLog:
             self._fp("wal.after_fsync")
         elif self.fsync == "interval":
             now = time.monotonic()
-            if now - self._last_sync >= self.fsync_interval:
+            if now - self._last_sync >= FSYNC_INTERVAL:
                 os.fsync(self._handle.fileno())
                 self._last_sync = now
                 self._fp("wal.after_fsync")

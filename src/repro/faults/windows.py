@@ -13,12 +13,10 @@ the same thing on both: shaping is a property of the link evaluated at
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.config import decode_fields, encode_fields
 from repro.sim.interfaces import Channel
 
 
@@ -46,27 +44,6 @@ class Window:
     base: float = 0.0  # delay
     jitter: float = 0.0  # delay
     bandwidth_factor: float = 1.0  # delay
-
-    def to_dict(self) -> dict:
-        """JSON-able form (the live spawn spec); ``inf`` becomes ``None``."""
-        return encode_fields(
-            self,
-            end=lambda end: None if math.isinf(end) else end,
-            nodes=list,
-            groups=lambda groups: [list(group) for group in groups],
-            kinds=list,
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Window":
-        if data["end"] is None:
-            data = {**data, "end": math.inf}
-        return decode_fields(
-            cls, data,
-            nodes=tuple,
-            groups=lambda groups: tuple(tuple(group) for group in groups),
-            kinds=tuple,
-        )
 
 
 #: ``(src, dst, kind, channel) -> dropped`` for one partition or loss window.

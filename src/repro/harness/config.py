@@ -9,7 +9,7 @@ from repro.config import ProtocolConfig, decode_fields, encode_fields
 from repro.durability import DurabilityConfig
 from repro.faults import FaultSchedule
 
-TOPOLOGIES = ("lan", "wan", "geo")
+TOPOLOGIES = ("lan", "wan")
 SELECTORS = ("uniform", "zipf1", "zipf10")
 FAULTS = ("none", "silent", "censor", "lying")
 

@@ -63,7 +63,7 @@ def tuned_protocol(
     mempool, consensus = PROTOCOL_PRESETS[preset]
     mempool = overrides.get("mempool", mempool)
     consensus = overrides.get("consensus", consensus)
-    is_wan = topology_kind in ("wan", "geo")
+    is_wan = topology_kind == "wan"
     one_way_delay = 0.050 if is_wan else 0.002
     bandwidth = 100 * MBPS if is_wan else GBPS
 

@@ -34,14 +34,13 @@ from repro.sim import (
     RngRegistry,
     Simulator,
     Topology,
-    geo_topology,
     lan_topology,
     wan_topology,
 )
 from repro.sim.interfaces import Scheduler, Transport
 from repro.workload import UniformSelector, WorkloadGenerator, ZipfSelector
 
-_TOPOLOGIES = {"lan": lan_topology, "wan": wan_topology, "geo": geo_topology}
+_TOPOLOGIES = {"lan": lan_topology, "wan": wan_topology}
 
 
 @dataclass

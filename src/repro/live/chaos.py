@@ -102,13 +102,11 @@ class LinkShaper:
         windows: Sequence[Window],
         clock,
         rng,
-        link_bandwidth_bps: float = LIVE_LINK_BANDWIDTH_BPS,
     ) -> None:
         self.node_id = node_id
         self._clock = clock
         self._rng = rng
         self._faults = LinkFaults(windows, rng)
-        self._bandwidth_bps = link_bandwidth_bps
         self._bucket = _EgressBucket()
         #: Frames dropped by partitions/loss windows (chaos drops, kept
         #: separate from the network's backpressure ``frames_dropped``).
@@ -137,7 +135,7 @@ class LinkShaper:
         delay = self._faults.delay(now, self._rng) or 0.0
         factor = self._faults.bandwidth_factor(now, self.node_id)
         if factor < 1.0:
-            rate = self._bandwidth_bps * factor / 8.0
+            rate = LIVE_LINK_BANDWIDTH_BPS * factor / 8.0
             delay += self._bucket.delay(now, rate, size)
         return delay
 

@@ -325,12 +325,7 @@ def run_live(live: LiveConfig) -> RunResult:
             "wire_codec": live.wire_codec,
         }
         if schedule is not None:
-            shaping = [
-                window.to_dict() for window in schedule.windows()
-                if window.kind != "crash"
-            ]
-            if shaping:
-                base_spec["shaping"] = shaping
+            base_spec["faults"] = schedule.to_spec()
         if config.durability is not None:
             data_root = Path(config.data_dir or Path(scratch) / "data")
             data_root.mkdir(parents=True, exist_ok=True)

@@ -25,8 +25,9 @@ event record, so the orchestrator's safety/ledger replay stays complete
 across crash faults (a microblock is recorded before it is broadcast —
 if it reached any peer, its creation line reached the page cache).
 
-Chaos wiring: ``spec["shaping"]`` (when present) is the schedule's
-link windows as dicts; it builds a :class:`LinkShaper` seeded from
+Chaos wiring: ``spec["faults"]`` (when present) is the fault schedule's
+``to_spec()``; its link windows (``FaultSchedule.windows()`` without
+the crashes) build a :class:`LinkShaper` seeded from
 ``(seed, generation, node_id)`` so loss decisions differ across respawn
 generations but replay identically for a fixed spec.
 """
@@ -40,7 +41,7 @@ import signal
 
 from repro.config import ProtocolConfig
 from repro.durability import DurabilityConfig
-from repro.faults import Window
+from repro.faults import FaultSchedule
 from repro.harness.runner import assemble_replica
 from repro.live.chaos import LinkShaper
 from repro.live.network import LiveNetwork
@@ -172,11 +173,16 @@ async def _run(spec: dict) -> dict:
     scheduler = RealtimeScheduler(loop, epoch=spec["epoch"])
     ports = {int(node): port for node, port in spec["ports"].items()}
     shaper = None
-    if spec.get("shaping"):
+    links = [
+        window
+        for window in FaultSchedule.from_spec(spec.get("faults", [])).windows()
+        if window.kind != "crash"
+    ]
+    if links:
         generation = spec.get("generation", 0)
         shaper = LinkShaper(
             spec["node_id"],
-            [Window.from_dict(window) for window in spec["shaping"]],
+            links,
             scheduler,
             random.Random(
                 (spec["seed"] << 24) | (generation << 16) | spec["node_id"]

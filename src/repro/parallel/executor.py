@@ -317,9 +317,6 @@ class ParallelExecutor:
 def sweep(
     configs: Iterable,
     jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    executor: Optional[ParallelExecutor] = None,
     timeline_bucket: Optional[float] = None,
 ) -> List[RunResult]:
     """Run independent :class:`ExperimentConfig` cells; results in order.
@@ -327,12 +324,10 @@ def sweep(
     The workhorse behind the CLI's ``--jobs`` sweep and the benchmark
     grids. Results arrive in submission order, so a parallel sweep's
     table is byte-identical to the serial one. Raises ``RuntimeError``
-    if any cell ultimately fails (crash after retries, timeout, or an
-    in-run exception).
+    if any cell ultimately fails (a worker crash after its one retry, or
+    an in-run exception).
     """
-    if executor is None:
-        executor = ParallelExecutor(jobs=jobs, timeout=timeout,
-                                    retries=retries)
+    executor = ParallelExecutor(jobs=jobs)
     specs = [
         experiment_job(config, timeline_bucket=timeline_bucket)
         for config in configs

@@ -2,11 +2,10 @@
 
 Two mappings live here:
 
-* **Keying** — which shard owns a piece of content. Clients key by id
-  (``shard_of_client``); microblocks key by their origin replica
-  (``shard_of_origin``), which composes the client keying with the
-  workload's client->replica assignment: all of a client's transactions
-  are batched by one replica, so they land in that replica's shard.
+* **Keying** — which shard owns a piece of content. Microblocks key by
+  their origin replica (``shard_of_origin``): all of a client's
+  transactions are batched by one replica, so they land in that
+  replica's shard.
 * **Membership** — which replicas disseminate and certify a shard's
   microblocks. Memberships are strided orbits over the replica ring
   (shard ``s`` owns ``s, s + S, s + 2S, ...``), padded along the ring
@@ -80,10 +79,6 @@ class ShardMap:
         return tuple(sorted(members))
 
     # -- keying --------------------------------------------------------
-
-    def shard_of_client(self, client_id: int) -> int:
-        """Deterministic client-id -> shard assignment."""
-        return client_id % self.shards
 
     def shard_of_origin(self, origin: int) -> int:
         """Shard that disseminates microblocks cut by ``origin``.

@@ -8,12 +8,7 @@ every protocol in :mod:`repro` runs.
 from repro.sim.engine import Simulator, Timer
 from repro.sim.interfaces import Envelope, Scheduler, TimerHandle, Transport
 from repro.sim.rng import RngRegistry
-from repro.sim.topology import (
-    Topology,
-    geo_topology,
-    lan_topology,
-    wan_topology,
-)
+from repro.sim.topology import Topology, lan_topology, wan_topology
 from repro.sim.network import Channel, Network, NetworkStats
 
 __all__ = [
@@ -27,7 +22,6 @@ __all__ = [
     "Topology",
     "lan_topology",
     "wan_topology",
-    "geo_topology",
     "Channel",
     "Network",
     "NetworkStats",

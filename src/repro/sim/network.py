@@ -303,11 +303,11 @@ class _Uplink:
         # Each copy goes straight into its receiver's arrival queue (and
         # arms that ingress if it would be served before what is armed):
         # the envelope comes from ``__new__`` + slot stores and, with no
-        # delay window or per-link override, the delay replays
-        # Topology.delay bit for bit (uniform(a, b) is
-        # ``a + (b - a) * random()``; a recipient is never the sender).
+        # delay window, the delay replays Topology.delay bit for bit
+        # (uniform(a, b) is ``a + (b - a) * random()``; a recipient is
+        # never the sender).
         faults = topology.link_faults
-        plain = not ((faults and faults.delays) or topology._delay_overrides)
+        plain = not (faults and faults.delays)
         base = topology._base_delay
         jit = topology._jitter
         neg = -jit
@@ -707,7 +707,7 @@ class _FairShareLinks:
         topology = network.topology
         faults = topology.link_faults
         rng = network._jitter_rngs[src]
-        if (faults and faults.delays) or topology._delay_overrides:
+        if faults and faults.delays:
             delay = topology.delay(src, dst, now, rng)
         else:
             delay = topology._base_delay

@@ -38,12 +38,6 @@ class RngRegistry:
             self._streams[name] = random.Random(child_seed)
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a sub-registry, e.g. one per replica."""
-        material = f"{self._root_seed}:fork:{name}".encode()
-        digest = hashlib.sha256(material).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))
-
     def derive_seed(self, name: str) -> int:
         """Derive a stable integer child seed for ``name``.
 

@@ -1,4 +1,4 @@
-"""Network topologies: delay matrices, bandwidth maps, link faults.
+"""Network topologies: delays, bandwidth maps, link faults.
 
 Two presets mirror the paper's testbeds (Section VII-A):
 
@@ -8,15 +8,14 @@ Two presets mirror the paper's testbeds (Section VII-A):
   100 Mb/s per replica, 100 ms inter-replica RTT.
 
 A topology may hold the run's :class:`repro.faults.LinkFaults`; its
-delay windows replace the base matrix and its squeezes scale bandwidth
+delay windows replace the base delay and its squeezes scale bandwidth
 while they are active (the Fig. 7 experiment is one delay window: every
 message sees 100 ms ± 50 ms one-way instead of the normal link delay).
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import random
 
@@ -71,7 +70,6 @@ class Topology:
         self._jitter = delay_jitter
         self._default_bandwidth = float(bandwidth_bps)
         self._bandwidth_overrides: dict[int, float] = {}
-        self._delay_overrides: dict[tuple[int, int], float] = {}
         #: Evaluator of the run's link-fault windows, asked at ``now`` by
         #: :meth:`delay` and :meth:`bandwidth` (and by the network's
         #: delivery path for drops); ``None`` without such windows.
@@ -93,14 +91,6 @@ class Topology:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         self._bandwidth_overrides[node] = float(bandwidth_bps)
         self._bandwidth_changed()
-
-    def set_link_delay(self, src: int, dst: int, one_way_delay: float) -> None:
-        """Override the base delay of one directed link."""
-        self._check_node(src)
-        self._check_node(dst)
-        if one_way_delay < 0:
-            raise ValueError("delay must be >= 0")
-        self._delay_overrides[(src, dst)] = one_way_delay
 
     def set_link_faults(self, faults: LinkFaults) -> None:
         """Hold the evaluator of the run's link-fault windows."""
@@ -135,12 +125,12 @@ class Topology:
         self._check_node(dst)
         if src == dst:
             return 0.0
-        return self._delay_overrides.get((src, dst), self._base_delay)
+        return self._base_delay
 
     def delay(self, src: int, dst: int, now: float, rng: random.Random) -> float:
         """One-way delay for a message sent now on the (src, dst) link.
 
-        An active delay window takes precedence over the base matrix,
+        An active delay window takes precedence over the base delay,
         which models a network-wide disturbance (the Fig. 7 NetEm window).
         """
         if self.link_faults is not None:
@@ -193,70 +183,3 @@ def wan_topology(
         name="wan",
         proc_per_message=proc_per_message,
     )
-
-
-#: Approximate one-way inter-region delays (seconds) between the four
-#: Alibaba Cloud regions the paper probes in Appendix B: Singapore (SG),
-#: Sydney (SN), Virginia (VG), London (LD). Derived from typical
-#: backbone RTTs; intra-region traffic uses a LAN-like delay.
-GEO_REGIONS = ("SG", "SN", "VG", "LD")
-GEO_ONE_WAY_DELAYS = {
-    ("SG", "SG"): 0.001, ("SN", "SN"): 0.001,
-    ("VG", "VG"): 0.001, ("LD", "LD"): 0.001,
-    ("SG", "SN"): 0.045, ("SG", "VG"): 0.110, ("SG", "LD"): 0.085,
-    ("SN", "VG"): 0.100, ("SN", "LD"): 0.140, ("VG", "LD"): 0.038,
-}
-
-
-def geo_topology(
-    n: int,
-    bandwidth_bps: float = 100 * MBPS,
-    regions: Sequence[str] = GEO_REGIONS,
-    assignment: Optional[Sequence[str]] = None,
-    proc_per_message: float = DEFAULT_PROC_PER_MESSAGE,
-) -> Topology:
-    """Multi-region WAN with per-pair inter-datacenter delays.
-
-    Replicas are assigned to regions round-robin unless ``assignment``
-    names a region per replica. Link delays come from the Appendix-B
-    style pairwise matrix (stable backbone delays), with small jitter.
-    """
-    if assignment is not None and len(assignment) != n:
-        raise ValueError(
-            f"assignment names {len(assignment)} regions for {n} replicas"
-        )
-    placement = (
-        list(assignment)
-        if assignment is not None
-        else [regions[node % len(regions)] for node in range(n)]
-    )
-    unknown = set(placement) - set(GEO_REGIONS)
-    if unknown:
-        raise ValueError(f"unknown regions: {sorted(unknown)}")
-    topo = Topology(
-        n,
-        one_way_delay=0.050,  # fallback; every pair is overridden below
-        bandwidth_bps=bandwidth_bps,
-        delay_jitter=0.002,
-        name="geo",
-        proc_per_message=proc_per_message,
-    )
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            pair = (placement[src], placement[dst])
-            if pair not in GEO_ONE_WAY_DELAYS:
-                pair = (pair[1], pair[0])
-            topo.set_link_delay(src, dst, GEO_ONE_WAY_DELAYS[pair])
-    topo.regions = list(placement)
-    return topo
-
-
-def transmission_time(size_bytes: float, bandwidth_bps: float) -> float:
-    """Seconds to push ``size_bytes`` through a ``bandwidth_bps`` uplink."""
-    if bandwidth_bps <= 0:
-        raise ValueError("bandwidth must be positive")
-    if size_bytes < 0 or math.isnan(size_bytes):
-        raise ValueError(f"invalid message size: {size_bytes}")
-    return (size_bytes * 8.0) / bandwidth_bps

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.config import (
     CONSENSUS_KINDS,
@@ -27,11 +27,7 @@ from repro.harness.result import RunResult
 from repro.harness.runner import run_experiment
 from repro.metrics import commit_sequence_hash as metrics_commit_hash
 from repro.sim.rng import RngRegistry
-from repro.verification.oracles import (
-    OracleSuite,
-    Violation,
-    standard_suite,
-)
+from repro.verification.oracles import Violation, standard_suite
 
 #: Protocol overrides shared by every fuzz scenario: small microblocks
 #: and fast timers so short simulated runs still exercise full commit
@@ -55,13 +51,20 @@ LIVENESS_MARGIN = 0.5
 
 FAULT_KINDS = ("crash", "partition", "loss", "bandwidth", "delay")
 
-#: Mempool pool the fuzzer draws from by default. Pinned rather than
+#: Mempool pool the fuzzer draws from. Pinned rather than
 #: aliased to ``MEMPOOL_KINDS``: scenario ``i`` is a pure function of
 #: the root seed *and this tuple*, so growing the global registry (e.g.
 #: adding ``sharded-stratus``) must not silently re-point every recorded
 #: corpus cell at a different configuration. New kinds get their own
 #: hand-rolled corpus cells instead (see ``tests/test_fuzz_corpus.py``).
 FUZZ_MEMPOOL_KINDS = ("native", "simple", "gossip", "narwhal", "stratus")
+
+#: The rest of the grid, pinned for the same reason (consensus is drawn
+#: from ``CONSENSUS_KINDS``): replica counts, seconds measured, offered
+#: tx/s.
+FUZZ_N_CHOICES = (4, 5, 7)
+FUZZ_DURATION_RANGE = (3.0, 5.0)
+FUZZ_RATE_RANGE = (100.0, 600.0)
 
 
 def default_liveness_bound(protocol: ProtocolConfig) -> float:
@@ -282,14 +285,12 @@ def run_scenario(
     strict_availability: bool = False,
     mempool_cls: Optional[type] = None,
     consensus_cls: Optional[type] = None,
-    suite: Optional[OracleSuite] = None,
 ) -> FuzzOutcome:
     """Run one scenario with the oracles armed."""
-    if suite is None:
-        suite = standard_suite(
-            liveness_bound=liveness_bound,
-            strict_availability=strict_availability,
-        )
+    suite = standard_suite(
+        liveness_bound=liveness_bound,
+        strict_availability=strict_availability,
+    )
     result = run_experiment(
         scenario.experiment_config(), suite,
         mempool_cls=mempool_cls, consensus_cls=consensus_cls,
@@ -306,33 +307,18 @@ def run_scenario(
 class ScenarioFuzzer:
     """Derives and runs scenarios from one root seed."""
 
-    def __init__(
-        self,
-        root_seed: int,
-        protocols: Sequence[str] = CONSENSUS_KINDS,
-        mempools: Sequence[str] = FUZZ_MEMPOOL_KINDS,
-        n_choices: Sequence[int] = (4, 5, 7),
-        duration_range: tuple[float, float] = (3.0, 5.0),
-        rate_range: tuple[float, float] = (100.0, 600.0),
-        max_fault_events: int = 4,
-    ) -> None:
+    def __init__(self, root_seed: int) -> None:
         self.root_seed = root_seed
-        self.protocols = tuple(protocols)
-        self.mempools = tuple(mempools)
-        self.n_choices = tuple(n_choices)
-        self.duration_range = duration_range
-        self.rate_range = rate_range
-        self.max_fault_events = max_fault_events
         self._registry = RngRegistry(root_seed)
 
     def scenario(self, index: int) -> Scenario:
         """Derive scenario ``index`` (pure function of the root seed)."""
         rng = self._registry.stream(f"scenario.{index}")
-        consensus = rng.choice(self.protocols)
-        mempool = rng.choice(self.mempools)
-        n = rng.choice(self.n_choices)
-        duration = round(rng.uniform(*self.duration_range), 3)
-        rate = round(rng.uniform(*self.rate_range), 1)
+        consensus = rng.choice(CONSENSUS_KINDS)
+        mempool = rng.choice(FUZZ_MEMPOOL_KINDS)
+        n = rng.choice(FUZZ_N_CHOICES)
+        duration = round(rng.uniform(*FUZZ_DURATION_RANGE), 3)
+        rate = round(rng.uniform(*FUZZ_RATE_RANGE), 1)
         warmup = 0.5
         protocol = ProtocolConfig(
             n=n, consensus=consensus, mempool=mempool, **QUICK_PROTOCOL
@@ -342,7 +328,6 @@ class ScenarioFuzzer:
         fault_spec = random_fault_schedule(
             rng, n=n, consensus=consensus,
             earliest=warmup * 0.8, deadline=deadline,
-            max_events=self.max_fault_events,
         )
         return Scenario(
             seed=self._registry.derive_seed(f"scenario.{index}.run"),

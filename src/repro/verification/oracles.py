@@ -327,12 +327,9 @@ class AvailabilityOracle(Oracle):
 
     CERTIFYING = ("stratus", "narwhal", "sharded-stratus")
 
-    def __init__(
-        self, strict: bool = False, threshold: Optional[int] = None
-    ) -> None:
+    def __init__(self, strict: bool = False) -> None:
         super().__init__()
         self._strict = strict
-        self._override = threshold
 
     def on_attach(self) -> None:
         self._checked: set[int] = set()
@@ -340,9 +337,7 @@ class AvailabilityOracle(Oracle):
         self._armed = self._strict or protocol.mempool in self.CERTIFYING
         self._shard_map = _shard_map_for(protocol)
         byz = len(self.config.byzantine_ids)
-        if self._override is not None:
-            self._threshold = self._override
-        elif protocol.mempool == "narwhal":
+        if protocol.mempool == "narwhal":
             self._threshold = max(1, protocol.consensus_quorum - byz)
         elif protocol.mempool == "stratus":
             self._threshold = max(1, protocol.stability_quorum - byz)
@@ -355,8 +350,6 @@ class AvailabilityOracle(Oracle):
             return None, self._threshold
         shard = self._shard_map.shard_of_microblock(mb_id)
         members = self._shard_map.member_set(shard)
-        if self._override is not None:
-            return members, self._override
         byz_in = sum(
             1 for node in self.config.byzantine_ids if node in members
         )

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.cli import build_parser, run_cli
+import repro.live
+import repro.parallel
+from repro.cli import build_live_parser, build_parser, run_cli
+
+#: The run flags both runners take, defined once in ``repro.cli``.
+SHARED_RUN_FLAGS = (
+    "--mempool", "--shards", "--rate", "--duration", "--warmup", "--seed",
+    "--selector", "--view-timeout", "--faults", "--durability",
+    "--checkpoint-interval", "--data-dir",
+)
 
 
 def test_defaults_parse():
@@ -98,3 +107,72 @@ def test_profile_flag_prints_hot_functions(capsys):
     assert "tput (tx/s)" in out  # the results table still prints
     assert "cProfile" in out
     assert "tottime" in out
+
+
+def test_both_parsers_share_every_run_flag():
+    """Same type, choices and help in ``repro`` and ``repro live``."""
+    def actions(parser):
+        return {
+            flag: action
+            for action in parser._actions for flag in action.option_strings
+        }
+
+    sim, live = actions(build_parser()), actions(build_live_parser())
+    for flag in SHARED_RUN_FLAGS:
+        assert (sim[flag].type, sim[flag].choices, sim[flag].help) == (
+            live[flag].type, live[flag].choices, live[flag].help,
+        ), flag
+
+
+class _Stop(Exception):
+    """Raised by a stand-in runner once it has seen the configs."""
+
+
+def _configs_of(monkeypatch, argv):
+    """The configs ``run_cli(argv)`` hands its runner, without running."""
+    seen = []
+
+    def capture(configs, **_):
+        seen.extend(configs)
+        raise _Stop
+
+    def capture_live(live):
+        seen.append(live.experiment)
+        raise _Stop
+
+    monkeypatch.setattr(repro.parallel, "sweep", capture)
+    monkeypatch.setattr(repro.live, "run_live", capture_live)
+    with pytest.raises(_Stop):
+        run_cli(argv)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "S-HS", "--n", "8", "--shards", "2"],
+    ["live", "-n", "8", "--shards", "2"],
+], ids=["sweep", "live"])
+def test_shards_imply_the_sharded_mempool_in_both_runners(monkeypatch, argv):
+    [config] = _configs_of(monkeypatch, argv)
+    assert config.protocol.mempool == "sharded-stratus"
+    assert config.protocol.sharding.shards == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "S-HS", "--n", "8", "--mempool", "stratus", "--shards", "2"],
+    ["live", "-n", "8", "--mempool", "native", "--shards", "2"],
+], ids=["sweep", "live"])
+def test_shards_under_another_named_mempool_exit(argv):
+    with pytest.raises(SystemExit, match="--shards needs"):
+        run_cli(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "S-SL", "--n", "16"],
+    ["live", "--protocol", "streamlet"],
+], ids=["sweep", "live"])
+def test_view_timeout_sets_the_streamlet_epoch_in_both_runners(
+    monkeypatch, argv
+):
+    [config] = _configs_of(monkeypatch, argv + ["--view-timeout", "0.3"])
+    assert config.protocol.view_timeout == 0.3
+    assert config.protocol.streamlet_epoch == 0.3

@@ -1,8 +1,10 @@
 """Unit tests for ProtocolConfig validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, ShardingConfig
 from repro.harness import ExperimentConfig
 
 
@@ -81,19 +83,13 @@ def test_fetch_sample_fraction_validated():
         ProtocolConfig(n=4, fetch_sample_fraction=1.5)
 
 
-def test_with_updates_returns_modified_copy():
-    config = ProtocolConfig(n=4)
-    updated = config.with_updates(batch_bytes=999)
-    assert updated.batch_bytes == 999
-    assert config.batch_bytes != 999
-    assert updated.n == 4
-
-
 def test_derived_quantities_are_recomputed_not_serialised():
     """f, the quorums and txs_per_microblock are computed once per
     instance: a copy gets its own, and none of them is a field."""
     config = ProtocolConfig(n=4, batch_bytes=1024, tx_payload=128)
-    grown = config.with_updates(n=100, pab_quorum=40, batch_bytes=4096)
+    grown = dataclasses.replace(
+        config, n=100, pab_quorum=40, batch_bytes=4096
+    )
     assert (config.f, config.consensus_quorum, config.stability_quorum,
             config.txs_per_microblock) == (1, 3, 2, 8)
     assert (grown.f, grown.consensus_quorum, grown.stability_quorum,
@@ -114,3 +110,14 @@ def test_sharded_stratus_rejects_settings_it_would_ignore(ignored):
     ProtocolConfig(n=4, mempool="stratus", **ignored)  # fine when flat
     with pytest.raises(ValueError, match="sharded-stratus"):
         ProtocolConfig(n=4, mempool="sharded-stratus", **ignored)
+
+
+@pytest.mark.parametrize("mempool", ["stratus", "narwhal", "native"])
+def test_sharding_layout_needs_the_sharded_mempool(mempool):
+    """A layout under a mempool that ignores it would run unsharded."""
+    with pytest.raises(ValueError, match="sharding needs"):
+        ProtocolConfig(n=8, mempool=mempool,
+                       sharding=ShardingConfig(shards=2))
+    sharded = ProtocolConfig(n=8, mempool="sharded-stratus",
+                             sharding=ShardingConfig(shards=2))
+    assert sharded.sharding.shards == 2

@@ -56,14 +56,6 @@ class TestBandwidthMap:
 
 
 class TestGeoTopologyHarness:
-    def test_geo_experiment_runs(self):
-        config = small_config(topology_kind="geo")
-        exp = build_experiment(config)
-        assert exp.topology.name == "geo"
-        assert exp.topology.regions[:4] == ["SG", "SN", "VG", "LD"]
-        exp.sim.run_until(2.0)
-        assert exp.metrics.committed_tx_total > 0
-
     def test_invalid_topology_rejected(self):
         import pytest
         with pytest.raises(ValueError):

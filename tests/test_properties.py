@@ -299,7 +299,7 @@ def experiment_configs(draw):
             ShardingConfig,
             shards=st.integers(1, 4),
             epoch=st.integers(0, 5),
-        )),
+        )) if sharded else None,
         pab_quorum=(
             None if sharded
             else draw(st.none() | st.integers(f + 1, 2 * f + 1))
@@ -309,7 +309,7 @@ def experiment_configs(draw):
     fair_share = draw(st.booleans())
     return ExperimentConfig(
         protocol,
-        topology_kind=draw(st.sampled_from(["lan", "wan", "geo"])),
+        topology_kind=draw(st.sampled_from(["lan", "wan"])),
         bandwidth_bps=draw(st.none() | _positive()),
         bandwidth_map=draw(st.none() | st.dictionaries(
             st.integers(0, n - 1), _positive(), max_size=3,

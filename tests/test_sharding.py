@@ -104,12 +104,6 @@ def test_epoch_rotation_rebalances_but_keeps_own_membership():
         assert rotated.is_member(origin, shard)
 
 
-def test_client_keying_partitions_clients():
-    shard_map = make_map(16, 4)
-    assert {shard_map.shard_of_client(c) for c in range(100)} == set(range(4))
-    assert shard_map.shard_of_client(7) == shard_map.shard_of_client(7 + 4)
-
-
 def test_invalid_configs_are_rejected():
     with pytest.raises(ValueError, match="cannot split"):
         make_map(4, 8)

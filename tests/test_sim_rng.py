@@ -39,13 +39,5 @@ def test_consuming_one_stream_does_not_disturb_another():
     assert actual == expected
 
 
-def test_fork_creates_independent_registry():
-    registry = RngRegistry(42)
-    fork_a = registry.fork("child")
-    fork_b = RngRegistry(42).fork("child")
-    assert fork_a.root_seed == fork_b.root_seed
-    assert fork_a.root_seed != registry.root_seed
-
-
 def test_root_seed_exposed():
     assert RngRegistry(123).root_seed == 123
