@@ -12,17 +12,7 @@ from repro.sim.topology import Topology, lan_topology, wan_topology
 from repro.sim.network import Channel, Network, NetworkStats
 
 __all__ = [
-    "Simulator",
-    "Timer",
-    "Scheduler",
-    "TimerHandle",
-    "Transport",
-    "Envelope",
-    "RngRegistry",
-    "Topology",
-    "lan_topology",
-    "wan_topology",
-    "Channel",
-    "Network",
-    "NetworkStats",
+    "Simulator", "Timer", "Scheduler", "TimerHandle", "Transport", "Envelope",
+    "RngRegistry", "Topology", "lan_topology", "wan_topology", "Channel",
+    "Network", "NetworkStats",
 ]

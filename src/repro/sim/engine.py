@@ -20,10 +20,12 @@ timer)`` for a :class:`Timer` and ``(time, seq, callback, arg)`` for
 (``seq`` is unique, so nothing behind it is compared); the run loop
 tells them apart by ``entry[2] is None``, not by a ``len()`` call per
 fired event. A fire-entry allocates nothing and cannot be cancelled: the
-hot chains that use it (serialization, ingress service) guard staleness
-themselves. Cancelled timers stay in the heap (cancellation is O(1)) and
-are compacted away once they outnumber the live ones: chaos runs cancel
-view/fetch timers by the thousand.
+network pushes its chains' tuples itself (uplink drains, ingress
+services, fair-share wakes and flushes, which guard staleness
+themselves); ``schedule_fire`` serves loopback delivery and the
+dissemination bench. Cancelled timers stay in the heap (cancellation is
+O(1)) and are compacted away once they outnumber the live ones: chaos
+runs cancel view/fetch timers by the thousand.
 """
 
 from __future__ import annotations

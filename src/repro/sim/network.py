@@ -15,7 +15,9 @@ queueing (the simpy ``Container`` uplink/downlink technique; DESIGN.md
 "Simulator scale-out"). A transfer runs at
 ``min(B_up / |up_active|, B_down / |down_active|)``; rates move only
 when a transfer starts or finishes, in one settle pass per sim instant
-over the touched ("dirty") links, and an uplink keeps one armed event,
+over the touched ("dirty") links, run at the end of the network event
+that touched them (an event of its own only when the heap holds an
+earlier entry for that instant), and an uplink keeps one armed event,
 at its earliest finish. Bulk (DATA) transfers pass a bounded slot pool
 per uplink; consensus and control bypass it.
 
@@ -178,10 +180,8 @@ class _Flow:
         return len(self.recipients) - self.next_index
 
 
-def _queued_bytes(queues, channel: Optional[Channel]) -> float:
-    """Bytes waiting in one node's egress FIFOs (one class, or all)."""
-    if channel is not None:
-        queues = [queues[channel.value]]
+def _queued_bytes(queues) -> float:
+    """Bytes waiting in one node's egress FIFOs."""
     total = 0.0
     for queue in queues:
         for flow in queue:
@@ -387,6 +387,7 @@ def _ingress_serve(ingress: "_Ingress") -> None:
     queues = ingress.queues
     arrivals = ingress.arrivals
     stats = network.stats
+    fair = network._fair
     flush_at = network._flush_at
     filters = network._filters_active
     envelope = arrivals[0]
@@ -429,6 +430,8 @@ def _ingress_serve(ingress: "_Ingress") -> None:
         # dst is registered: ``send`` and ``broadcast`` refuse anything else.
         ingress.free_at = now
         stats.messages_delivered += 1
+        if fair is not None:
+            fair.in_event = True
         network._handler_list[served.dst](served)
     if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
         wake = now + proc
@@ -440,6 +443,10 @@ def _ingress_serve(ingress: "_Ingress") -> None:
         ingress.wake = wake
         _heappush(sim._queue, (wake, sim._seq, _ingress_serve, ingress))
         sim._seq += 1
+    if fair is not None:  # a flush the handler armed: after the re-arm
+        fair.in_event = False
+        if fair._reserved >= 0:
+            fair._release()
 
 
 class _Ingress:
@@ -497,19 +504,21 @@ class _Transfer:
 
 
 def _fair_flush(fair: "_FairShareLinks") -> None:
-    """Deferred rate recompute for every dirty link (fire-path callback).
+    """Rate recompute for every dirty link, once per sim instant: run
+    inline at the end of the network event that dirtied them, or as the
+    heap entry of the sequence number they reserved (``_release``).
 
-    Every membership change since the last flush happened at this sim
-    instant (the flush is armed when the first link goes dirty), so
-    settling progress at the old rate and assigning the new share at one
-    timestamp is exact, and a burst settles each transfer once.
+    Every membership change since the last flush happened at this
+    instant, so settling progress at the old rate and assigning the new
+    share at one timestamp is exact, and a burst settles each transfer
+    once.
 
     A link's share ``B / |active|`` moves only with its membership: on a
-    plain topology it is computed once per dirty link and kept in
-    ``up_share``/``down_share``. Otherwise ``B`` may have moved with no
-    membership change (a squeeze or delay window's edge), so every link
-    the flush touches is read through ``Topology.bandwidth`` now and
-    nothing outlives the flush.
+    plain topology it is computed per dirty link and kept in
+    ``up_share``/``down_share``; otherwise ``B`` may move with no
+    membership change (a squeeze or delay window's edge), so each link
+    the flush touches is read through ``Topology.bandwidth`` now, into
+    tables that die with the flush.
 
     A transfer whose rate comes out as it was is not settled: its
     ``finish_at`` still holds. Settled or not, each is held against its
@@ -519,15 +528,17 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     fair._flush_armed = False
     up = fair.up_active
     down = fair.down_active
-    dirty_up = sorted(fair._dirty_up)
-    dirty_down = sorted(fair._dirty_down)
-    fair._dirty_up.clear()
-    fair._dirty_down.clear()
-    pending: dict[_Transfer, None] = {}
-    for node in dirty_up:
-        pending.update(up[node])
-    for node in dirty_down:
-        pending.update(down[node])
+    dirty_up, fair._dirty_up = fair._dirty_up, {}
+    dirty_down, fair._dirty_down = fair._dirty_down, {}
+    if len(dirty_up) > 1:  # node order; one dirty link needs no sort
+        dirty_up = sorted(dirty_up)
+    if len(dirty_down) > 1:
+        dirty_down = sorted(dirty_down)
+    pending = {
+        transfer: None
+        for links, nodes in ((up, dirty_up), (down, dirty_down))
+        for node in nodes for transfer in links[node]
+    }
     sim = fair.network.sim
     now = sim.now
     bandwidth = fair.network.topology._plain_bandwidth
@@ -588,8 +599,9 @@ class _FairShareLinks:
     ``min(B_up / |up_active|, B_down / |down_active|)``, which depends
     only on membership counts, so nothing cascades (the simpy Container
     technique of SNIPPETS Snippet 1 without per-byte token events).
-    Membership changes mark their links *dirty* and one zero-delay flush
-    per sim instant re-rates the transfers on them (:func:`_fair_flush`).
+    Membership changes mark their links *dirty* and one flush per sim
+    instant re-rates the transfers on them (:func:`_fair_flush`), at the
+    end of the network event that dirtied them (:meth:`_release`).
 
     An uplink keeps one armed event, at the earliest ``finish_at`` among
     its transfers (``wake``; :meth:`_uplink_wake`): the flush moves it
@@ -613,9 +625,13 @@ class _FairShareLinks:
         #: DATA transfers currently holding one of ``slots`` per uplink.
         self.data_in_flight: list[int] = [0] * n
         #: Links whose membership changed since the last rate flush.
-        self._dirty_up: set[int] = set()
-        self._dirty_down: set[int] = set()
+        self._dirty_up: dict[int, None] = {}
+        self._dirty_down: dict[int, None] = {}
         self._flush_armed = False
+        #: True while a network event runs; its end releases the flush
+        #: reserved in it under sequence number ``_reserved`` (-1: none).
+        self.in_event = False
+        self._reserved = -1
         #: A plain topology's ``B / |active|`` per non-empty link as of
         #: its last flush (a topology is plain, or not, for a whole run).
         self.up_share: list[float] = [0.0] * n
@@ -633,60 +649,88 @@ class _FairShareLinks:
         self._admit(src, self.network.sim.now)
 
     def _admit(self, src: int, now: float, changed: bool = False) -> None:
-        """Start as many queued transfers as admission rules allow. Each
-        started transfer's downlink goes dirty, ``src``'s uplink too if
-        anything started or just left it (``changed``), and one flush is
-        armed for this instant, behind every event already queued for it."""
+        """Start as many queued transfers as admission rules allow, a run
+        of one flow's copies per ``record_send``. Each started transfer's
+        downlink goes dirty, ``src``'s uplink too if anything started or
+        just left it (``changed``), and one flush is armed for this
+        instant behind every event queued for it: its sequence number is
+        taken now, its entry pushed now unless ``in_event``."""
         queues = self.queues[src]
         network = self.network
         up = self.up_active[src]
+        down = self.down_active
         dirty_down = self._dirty_down
+        in_flight = self.data_in_flight
         while True:
             if queues[_CONSENSUS]:
                 queue = queues[_CONSENSUS]
             elif queues[_CONTROL]:
                 queue = queues[_CONTROL]
-            elif queues[_DATA] and self.data_in_flight[src] < self.slots:
+            elif queues[_DATA] and in_flight[src] < self.slots:
                 queue = queues[_DATA]
-                self.data_in_flight[src] += 1
             else:
                 break
             head = queue[0]
-            envelope = Envelope(
-                src, head.recipients[head.next_index], head.kind,
-                head.size_bytes, head.payload, head.channel,
-                head.enqueued_at,
-            )
-            head.next_index += 1
-            if head.next_index >= len(head.recipients):
+            index = head.next_index
+            copies = remaining = len(head.recipients) - index
+            if queue is queues[_DATA]:
+                if copies > self.slots - in_flight[src]:
+                    copies = self.slots - in_flight[src]
+                in_flight[src] += copies
+            if copies == remaining:
                 queue.popleft()
-            network.stats.record_send(src, envelope.kind, envelope.size_bytes)
-            transfer = _Transfer(envelope, now)
-            up[transfer] = None
-            self.down_active[envelope.dst][transfer] = None
-            dirty_down.add(envelope.dst)
+            head.next_index = index + copies
+            kind, size = head.kind, head.size_bytes
+            network.stats.record_send(src, kind, size, copies)
+            for dst in head.recipients[index:index + copies]:
+                transfer = _Transfer(Envelope(src, dst, kind, size, head.payload,
+                                              head.channel, head.enqueued_at), now)
+                up[transfer] = None
+                down[dst][transfer] = None
+                dirty_down[dst] = None
             changed = True
         if changed:
-            self._dirty_up.add(src)
+            self._dirty_up[src] = None
             if not self._flush_armed:
                 self._flush_armed = True
-                network.sim.schedule_fire(0.0, _fair_flush, self)
+                sim = network.sim
+                if self.in_event:
+                    self._reserved = sim._seq
+                else:
+                    _heappush(sim._queue, (now, sim._seq, _fair_flush, self))
+                sim._seq += 1
+
+    def _release(self) -> None:
+        """A network event's end: run the flush reserved in it, or push it
+        under its seq if a queued entry precedes ``(now, seq)``."""
+        self.in_event = False
+        if self._reserved >= 0:
+            sim = self.network.sim
+            entry = (sim.now, self._reserved, _fair_flush, self)
+            self._reserved = -1
+            if sim._queue and sim._queue[0] < entry:
+                _heappush(sim._queue, entry)
+            else:
+                _fair_flush(self)
 
     # -- completion / teardown -----------------------------------------
 
     def _uplink_wake(self, src: int) -> None:
         """``src``'s earliest finish is due (fire-path callback): every
         transfer of the uplink due by now completes, in start order, and
-        the flush they arm re-rates the rest and arms the next wake."""
+        the flush they arm, released at the end, re-rates the rest."""
         now = self.network.sim.now
         if self.wake[src] != now:
             return  # superseded: a finish moved earlier and was armed
         self.wake[src] = _INF
         transfers = self.up_active[src]
         due = [t for t in transfers if t.finish_at <= now + 1e-12]
-        for transfer in due:
-            self._complete(transfer, now)
-        if transfers and not due:
+        if due:
+            self.in_event = True
+            for transfer in due:
+                self._complete(transfer, now)
+            self._release()
+        elif transfers:
             # Rates fell since this was armed: nothing has finished yet
             # (pushed at ``finish`` itself, not at a ``now + delay``).
             sim = self.network.sim
@@ -728,41 +772,35 @@ class _FairShareLinks:
             sim = network.sim
             _heappush(sim._queue, (wake, sim._seq, _ingress_serve, ingress))
             sim._seq += 1
-        self._dirty_down.add(dst)
+        self._dirty_down[dst] = None
         self._admit(src, now, True)
 
     def flush(self, node: int) -> int:
-        """Crash teardown: clear the node's queues, kill its transfers."""
+        """Crash teardown: clear the node's queues, kill its transfers
+        (their bytes un-accounted) and admit what waits behind them."""
         dropped = _drop_queued(self.queues[node])
         victims = [*self.up_active[node], *self.down_active[node]]
+        network = self.network
         for transfer in victims:
-            self._kill(transfer)
-        now = self.network.sim.now
+            envelope = transfer.envelope
+            del self.up_active[envelope.src][transfer]
+            del self.down_active[envelope.dst][transfer]
+            if envelope.channel is _DATA_MEMBER or not network.priority_channels:
+                self.data_in_flight[envelope.src] -= 1
+            network.stats.cancel_send(envelope.src, envelope.kind, envelope.size_bytes)
         for transfer in victims:
-            self._dirty_down.add(transfer.envelope.dst)
-            self._admit(transfer.envelope.src, now, True)
+            self._dirty_down[transfer.envelope.dst] = None
+            self._admit(transfer.envelope.src, network.sim.now, True)
         return dropped + len(victims)
 
-    def _kill(self, transfer: _Transfer) -> None:
-        envelope = transfer.envelope
-        del self.up_active[envelope.src][transfer]
-        del self.down_active[envelope.dst][transfer]
-        if envelope.channel is _DATA_MEMBER or not self.network.priority_channels:
-            self.data_in_flight[envelope.src] -= 1
-        self.network.stats.cancel_send(
-            envelope.src, envelope.kind, envelope.size_bytes
-        )
-
-    def queued_bytes(self, node: int, channel: Optional[Channel]) -> float:
-        total = _queued_bytes(self.queues[node], channel)
+    def queued_bytes(self, node: int) -> float:
+        total = _queued_bytes(self.queues[node])
         now = self.network.sim.now
         for transfer in self.up_active[node]:
-            if channel is None or transfer.envelope.channel is channel:
-                remaining = (
-                    transfer.remaining_bits
-                    - transfer.rate * (now - transfer.updated)
-                )
-                total += max(0.0, remaining) / 8.0
+            remaining = (
+                transfer.remaining_bits - transfer.rate * (now - transfer.updated)
+            )
+            total += max(0.0, remaining) / 8.0
         return total
 
 
@@ -998,11 +1036,11 @@ class Network(Transport):
         self._default_recipients[src] = targets
         return targets
 
-    def queued_bytes(self, node: int, channel: Optional[Channel] = None) -> float:
+    def queued_bytes(self, node: int) -> float:
         """Bytes currently waiting in ``node``'s egress queues."""
         if self._fair is not None:
-            return self._fair.queued_bytes(node, channel)
-        return _queued_bytes(self._uplinks[node].queues, channel)
+            return self._fair.queued_bytes(node)
+        return _queued_bytes(self._uplinks[node].queues)
 
     def expected_transfer_seconds(
         self, src: int, size_bytes: float, copies: int = 1

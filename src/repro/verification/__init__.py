@@ -44,29 +44,10 @@ from repro.verification.shrink import (
 )
 
 __all__ = [
-    "AvailabilityOracle",
-    "ConservationOracle",
-    "FuzzOutcome",
-    "LedgerOracle",
-    "LivenessOracle",
-    "MUTANTS",
-    "Mutant",
-    "Oracle",
-    "OracleSuite",
-    "SafetyOracle",
-    "Scenario",
-    "ScenarioFuzzer",
-    "ShrinkResult",
-    "Violation",
-    "commit_sequence_hash",
-    "default_liveness_bound",
-    "load_artifact",
-    "mutant_caught",
-    "random_fault_schedule",
-    "replay_artifact",
-    "run_mutant",
-    "run_scenario",
-    "shrink_scenario",
-    "standard_suite",
-    "write_artifact",
+    "AvailabilityOracle", "ConservationOracle", "FuzzOutcome", "LedgerOracle",
+    "LivenessOracle", "MUTANTS", "Mutant", "Oracle", "OracleSuite",
+    "SafetyOracle", "Scenario", "ScenarioFuzzer", "ShrinkResult", "Violation",
+    "commit_sequence_hash", "default_liveness_bound", "load_artifact",
+    "mutant_caught", "random_fault_schedule", "replay_artifact", "run_mutant",
+    "run_scenario", "shrink_scenario", "standard_suite", "write_artifact",
 ]

@@ -19,11 +19,13 @@ from repro.sim.topology import Topology
 
 
 def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
-             scaled=False, **kwargs):
+             scaled=False, reply=None, **kwargs):
     """``scaled`` reaches the same bandwidths through a run-long squeeze
     window (twice the base, halved on every node — exact in binary
     floating point), so the link model reads ``Topology.bandwidth`` at
-    every flush instead of the plain topology's stored shares."""
+    every flush instead of the plain topology's stored shares.
+    ``reply(network, envelope)`` runs inside every handler, after the
+    delivery is logged."""
     topology = Topology(
         n=n, one_way_delay=delay,
         bandwidth_bps=bandwidth * 2 if scaled else bandwidth,
@@ -39,13 +41,14 @@ def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
         sim, topology, RngRegistry(7), link_model="fair-share", **kwargs
     )
     log = []
+
+    def handler(env):
+        log.append((round(sim.now, 6), env.src, env.dst, env.kind))
+        if reply is not None:
+            reply(network, env)
+
     for node in range(n):
-        network.register(
-            node,
-            (lambda env, log=log, sim=sim: log.append(
-                (round(sim.now, 6), env.src, env.dst, env.kind)
-            )),
-        )
+        network.register(node, handler)
     return sim, network, log
 
 
@@ -216,6 +219,12 @@ def test_settle_flush_is_batched_per_instant():
     assert network._fair.settle_ops == 100
 
 
+# The three ``sim.processed`` pins below run with zero delay and zero
+# ``proc``: a completed copy's service is queued at the completion
+# instant, ahead of the sequence number the completion's flush reserved,
+# so that flush cannot settle inside the wake and stays an event of its
+# own (the rule the next two tests pin from the other side).
+
 def test_k_transfers_on_one_uplink_cost_k_wakes_and_the_flushes():
     # Sizes 1..k KB to k receivers over one uplink: k distinct finishes.
     # One wake per finish (each completion's flush arms the next, which
@@ -253,6 +262,76 @@ def test_wake_that_fires_early_rearms_at_the_new_finish():
     # timer; flushes at 0, 0.5 and 1.5; the early wake and the real one;
     # two services.
     assert sim.processed == 1 + 3 + 2 + 2
+
+
+def _acking(network, env):
+    """Acknowledge every body from inside the service that delivers it."""
+    if env.kind == "mb":
+        network.send(env.dst, env.src, "ack", 100, None, Channel.CONSENSUS)
+
+
+def test_a_completion_settles_inside_its_wake_and_a_reply_inside_its_service():
+    # The k-transfer burst over 10 ms links with 50 us per message: no
+    # copy is served at the instant it completes, so nothing is queued
+    # ahead of a completion's flush and it settles inside the wake. k
+    # wakes, one flush event for the burst (sent from no event), k
+    # services.
+    k = 5
+    sim, network, log = make_net(n=k + 1, delay=0.01, proc=50e-6,
+                                 fair_share_slots=k)
+    for i in range(k):
+        network.send(0, 1 + i, "mb", 1_000 * (i + 1), None)
+    sim.run()
+    assert [dst for _, _, dst, _ in log] == [1, 2, 3, 4, 5]
+    assert sim.processed == k + 1 + k
+    # Each receiver acks from inside its service: an ack adds its wake
+    # and its service, and its flush (at its start and at its finish)
+    # settles inside the service and the wake; no flush event.
+    sim, network, log = make_net(n=k + 1, delay=0.01, proc=50e-6,
+                                 fair_share_slots=k, reply=_acking)
+    for i in range(k):
+        network.send(0, 1 + i, "mb", 1_000 * (i + 1), None)
+    sim.run()
+    assert [(src, dst) for _, src, dst, _ in log] == (
+        [(0, i) for i in range(1, k + 1)] + [(i, 0) for i in range(1, k + 1)]
+    )
+    assert sim.processed == (k + 1 + k) + 2 * k
+
+
+@pytest.mark.parametrize("loopback_first", [True, False])
+def test_an_entry_queued_ahead_of_the_reserved_flush_runs_before_it(
+    loopback_first,
+):
+    # Replica 1's handler sends itself a loopback copy (queued at now)
+    # and replica 2 a vote. Loopback first: its entry precedes the
+    # sequence number the vote's flush reserved, so the flush is queued
+    # under that number and the loopback is delivered before it settles.
+    # Vote first: the loopback's entry comes after, the flush settles
+    # inside the service and the loopback sees it settled.
+    seen = []
+
+    def reply(network, env):
+        if env.kind == "mb":
+            sends = [(1, 1, "self", 0, None),
+                     (1, 2, "vote", 1_000, None, Channel.CONSENSUS)]
+            for args in sends if loopback_first else sends[::-1]:
+                network.send(*args)
+        elif env.kind == "self":
+            seen.append(network._fair.settle_ops)
+
+    sim, network, log = make_net(delay=0.01, proc=50e-6, reply=reply)
+    network.send(0, 1, "mb", 1_000, None)
+    sim.run()
+    assert log == [
+        (0.01105, 0, 1, "mb"), (0.01105, 1, 1, "self"),
+        (0.0221, 1, 2, "vote"),
+    ]
+    # One settle when the body started, one when the vote did.
+    assert network._fair.settle_ops == 2
+    assert seen == [1] if loopback_first else [2]
+    # wake, service and loopback of the body; wake and service of the
+    # vote; the burst's flush event, and the vote's when it is queued.
+    assert sim.processed == 5 + (2 if loopback_first else 1)
 
 
 def _burst(squeeze):
@@ -320,6 +399,49 @@ def test_squeeze_mid_burst_reproduces_recorded_delivery_times():
     # is read once per touched link per flush for the whole run, never
     # twice per settle (what 4b99379 did).
     assert 0 < len(reads) < 2 * settle_ops
+
+
+def test_replies_from_handlers_reproduce_recorded_delivery_times():
+    # Three senders each fan a 100 KB body out through two DATA slots
+    # over jittered 10 ms links, and every body is acked from inside the
+    # service that delivers it, so flushes settle inside services and
+    # wakes. Every delivery below, and the settle count, were recorded
+    # on f8bd57f, where each flush was a heap event of its own.
+    topology = Topology(n=4, one_way_delay=0.01, bandwidth_bps=8e6,
+                        delay_jitter=0.002, proc_per_message=50e-6)
+    sim = Simulator()
+    network = Network(sim, topology, RngRegistry(11),
+                      link_model="fair-share", fair_share_slots=2)
+    log = []
+
+    def handler(env):
+        log.append((sim.now, env.src, env.dst, env.kind))
+        if env.kind == "mb":
+            network.send(env.dst, env.src, "ack", 2_000, None,
+                         Channel.CONSENSUS)
+
+    for node in range(4):
+        network.register(node, handler)
+    for src in range(3):
+        network.broadcast(src, "mb", 100_000, None)
+    sim.run()
+    assert log == [
+        (0.20809837003278522, 2, 0, "mb"), (0.2095400603700105, 0, 1, "mb"),
+        (0.2095900603700105, 2, 1, "mb"), (0.20962379914812904, 1, 2, "mb"),
+        (0.21149581046525467, 1, 0, "mb"), (0.21157265210941373, 0, 2, "mb"),
+        (0.22212246001250827, 0, 2, "ack"),
+        (0.22426917067430943, 0, 1, "ack"),
+        (0.22427539189040097, 1, 0, "ack"),
+        (0.22480780691523658, 1, 2, "ack"),
+        (0.22589151950008654, 2, 1, "ack"),
+        (0.22635961264128163, 2, 0, "ack"),
+        (0.5088892689124421, 1, 3, "mb"), (0.50983235587665, 0, 3, "mb"),
+        (0.510325306203309, 2, 3, "mb"), (0.5225189287725398, 3, 1, "ack"),
+        (0.5231767765022801, 3, 0, "ack"), (0.5241783696035228, 3, 2, "ack"),
+    ]
+    assert network._fair.settle_ops == 30
+    # 65 events there: the fifteen flushes that settled in-event are gone.
+    assert sim.processed == 50
 
 
 def test_fair_share_runs_are_deterministic():
