@@ -9,6 +9,7 @@ the availability proof's signers.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
@@ -119,19 +120,20 @@ class FetchManager:
     """Drives fetch rounds and answers peers' fetch requests."""
 
     def __init__(
-        self,
-        host: "Replica",
-        config: ProtocolConfig,
-        store: MicroBlockStore,
+        self, host: "Replica", config: ProtocolConfig, store: MicroBlockStore
     ) -> None:
         self._host = host
         self._config = config
         self._store = store
         self._held = store.blocks
-        #: Requested ids; one whose body landed stays to its next deadline.
-        self._pending: dict[MicroBlockId, _PendingFetch] = {}
-        #: Deferred first rounds and retries; most are overtaken by the
-        #: body landing, so they share one timer.
+        #: Requested ids, with their grace entry until the first round and
+        #: their ``_PendingFetch`` after; a landed one stays to a deadline.
+        self._pending: dict[MicroBlockId, object] = {}
+        #: ``(deadline, id, targets)`` in their grace. One constant delay
+        #: keeps them in order: a FIFO behind a wake armed at ``_grace_at``.
+        self._grace: deque[tuple] = deque()
+        self._grace_at: float | None = None
+        #: Retries: jittered, so a heap, and one timer too.
         self._rounds = DeadlineQueue(host.sim, self._round, self._live)
 
     @property
@@ -143,26 +145,30 @@ class FetchManager:
         self,
         mb_id: MicroBlockId,
         targets: TargetProvider | tuple[int, ...],
-        delay: float = 0.0,
+        grace: bool = False,
     ) -> None:
         """Fetch ``mb_id`` until delivered; idempotent per microblock.
 
         ``targets`` is a target provider, or an availability proof's
         signers (asked per :func:`sampled_signers` from the first round
-        on). ``delay`` defers the first round: the common reason a
-        microblock is missing is that its broadcast copy is still
-        serializing at the origin, so an immediate request would
+        on). ``grace`` defers the first round by ``fetch_timeout``: the
+        common reason a microblock is missing is that its broadcast copy
+        is still serializing at the origin, so an immediate request would
         duplicate an in-flight transfer (per-peer TCP FIFO prevents this
-        in the prototype). Deferred, a request is one deadline and no
-        waiter: the deadline finds the body held (and forgets the id) or
-        runs the round.
+        in the prototype). Its grace entry finds the body held at its
+        deadline (and forgets the id) or mints the fetch and runs it.
         """
         if mb_id in self._held or mb_id in self._pending:
             return
-        pending = self._pending[mb_id] = _PendingFetch(mb_id, targets)
-        if delay > 0:
-            self._rounds.defer(delay, pending)
+        if grace:
+            deadline = self._host.sim.now + self._config.fetch_timeout
+            entry = self._pending[mb_id] = (deadline, mb_id, targets)
+            self._grace.append(entry)
+            if self._grace_at is None:
+                self._grace_at = deadline
+                self._host.sim.schedule_at(deadline, self._serve_grace)
         else:
+            pending = self._pending[mb_id] = _PendingFetch(mb_id, targets)
             self._round(pending)
 
     def handle_request(self, requester: int, mb_id: MicroBlockId) -> None:
@@ -173,11 +179,8 @@ class FetchManager:
         if microblock is None:
             return
         self._host.network.send(
-            self._host.node_id,
-            requester,
-            MessageKinds.MICROBLOCK_FETCH,
-            microblock.size_bytes,
-            microblock,
+            self._host.node_id, requester, MessageKinds.MICROBLOCK_FETCH,
+            microblock.size_bytes, microblock,
         )
 
     def cancel(self, mb_id: MicroBlockId) -> None:
@@ -185,6 +188,29 @@ class FetchManager:
         self._pending.pop(mb_id, None)
 
     # -- internal ----------------------------------------------------------
+
+    def _serve_grace(self) -> None:
+        """Run the due first rounds. A dead head (body held, id cancelled
+        or re-requested) goes before its deadline is read, so it arms no
+        wake; a wall clock reading a hair before the armed one is due."""
+        horizon = self._grace_at = max(self._host.sim.now, self._grace_at)
+        grace, pending, held = self._grace, self._pending, self._held
+        while grace:
+            deadline, mb_id, targets = entry = grace[0]
+            if mb_id in pending and pending[mb_id] is entry:
+                if mb_id in held:
+                    del pending[mb_id]
+                elif deadline > horizon:
+                    break
+                else:
+                    pending[mb_id] = fetch = _PendingFetch(mb_id, targets)
+                    grace.popleft()
+                    self._round(fetch)
+                    continue
+            grace.popleft()
+        self._grace_at = grace[0][0] if grace else None
+        if grace:
+            self._host.sim.schedule_at(self._grace_at, self._serve_grace)
 
     def _live(self, pending: _PendingFetch) -> bool:
         """``pending`` is its id's incarnation (a cancelled and
@@ -216,12 +242,8 @@ class FetchManager:
         for target in targets:
             pending.requested.add(target)
             self._host.network.send(
-                self._host.node_id,
-                target,
-                MessageKinds.FETCH_REQUEST,
-                sizes.FETCH_REQUEST,
-                pending.mb_id,
-                Channel.CONTROL,
+                self._host.node_id, target, MessageKinds.FETCH_REQUEST,
+                sizes.FETCH_REQUEST, pending.mb_id, Channel.CONTROL,
             )
             self._host.metrics.record_fetch()
         self._rounds.defer(

@@ -36,8 +36,7 @@ class SimpleSharedMempool(IdMempool):
     def _fetch_missing(self, entry: PayloadEntry, proposal: Proposal) -> None:
         """Only the proposer is known to hold what it proposed."""
         self.fetcher.request(
-            entry.mb_id, single_target(proposal.proposer),
-            delay=self.config.fetch_timeout,
+            entry.mb_id, single_target(proposal.proposer), grace=True
         )
 
     def _requeue(self, mb_id: MicroBlockId) -> None:

@@ -38,8 +38,9 @@ class MicroBlockStore:
         if microblock.id in self.blocks:
             return False
         self.blocks[microblock.id] = microblock
-        for waiter in self._waiters.pop(microblock.id, []):
-            waiter(microblock)
+        if microblock.id in self._waiters:
+            for waiter in self._waiters.pop(microblock.id):
+                waiter(microblock)
         return True
 
     def get(self, mb_id: MicroBlockId) -> Optional[MicroBlock]:

@@ -70,7 +70,8 @@ class LoadBalancer:
         self._estimator = estimator
         self._pab = pab
         self._on_available = on_available
-        self._forwards: dict[MicroBlockId, _ForwardState] = {}
+        #: Unsettled forwards by id: a proof for one of them settles it.
+        self.forwards: dict[MicroBlockId, _ForwardState] = {}
         self.ban_list: set[int] = set()
         self._since_probe = 0
 
@@ -93,10 +94,10 @@ class LoadBalancer:
 
     def _forward(self, microblock: MicroBlock) -> None:
         """LB-ForwardLoad: sample d candidates and query their load."""
-        state = self._forwards.get(microblock.id)
+        state = self.forwards.get(microblock.id)
         if state is None:
             state = _ForwardState(microblock)
-            self._forwards[microblock.id] = state
+            self.forwards[microblock.id] = state
         state.attempts += 1
         state.replies = {}
         state.proxy = None
@@ -172,22 +173,18 @@ class LoadBalancer:
 
     def on_proof_received(
         self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> bool:
-        """A proof for a forwarded microblock arrived: settle and recover.
+    ) -> None:
+        """A proof for the unsettled forward ``mb_id`` arrived: settle it.
 
-        Returns True when this proof settles one of our forwards, in which
-        case the origin takes over the recovery phase (Algorithm 4 line
-        30: trigger PAB-AVA): the ``on_available`` callback broadcasts
-        the proof.
+        The origin takes over the recovery phase (Algorithm 4 line 30:
+        trigger PAB-AVA): the ``on_available`` callback broadcasts the
+        proof.
         """
-        state = self._forwards.get(mb_id)
-        if state is None or state.settled:
-            return False
+        state = self.forwards[mb_id]
         self._settle(state)
         if state.proxy is not None:
             self.ban_list.discard(state.proxy)
         self._on_available(mb_id, proof)
-        return True
 
     def _settle(self, state: _ForwardState) -> None:
         state.settled = True
@@ -195,7 +192,7 @@ class LoadBalancer:
             state.query_timer.cancel()
         if state.forward_timer is not None:
             state.forward_timer.cancel()
-        self._forwards.pop(state.microblock.id, None)
+        self.forwards.pop(state.microblock.id, None)
 
     # -- proxy / sampled role ------------------------------------------
 
@@ -219,7 +216,7 @@ class LoadBalancer:
 
     def _record_reply(self, envelope: Envelope) -> None:
         mb_id, status = envelope.payload
-        state = self._forwards.get(mb_id)
+        state = self.forwards.get(mb_id)
         if state is None or state.settled or state.proxy is not None:
             return
         if envelope.src in state.replies:

@@ -127,9 +127,10 @@ class StratusMempool(IdMempool):
 
     def _on_remote_proof(self, mb_id: MicroBlockId, proof) -> None:
         """A verified PAB-Proof message arrived and DLB is on."""
-        if self.balancer.on_proof_received(mb_id, proof):
-            return  # settled a forwarded microblock; balancer recovered it
-        self._add_available(mb_id, proof)
+        if mb_id in self.balancer.forwards:  # the balancer settles it
+            self.balancer.on_proof_received(mb_id, proof)
+        else:
+            self._add_available(mb_id, proof)
 
     def _entry(self, mb_id: MicroBlockId) -> PayloadEntry:
         """MakeProposal pulls proven ids from avaQue *with* their proofs."""
@@ -152,13 +153,15 @@ class StratusMempool(IdMempool):
         # IdMempool.on_proposal, in the one pass over the entries that
         # the proofs need anyway: this runs per entry of every proposal
         # at every replica.
-        refs = self._referenced
+        refs, proofs = self._referenced, self._proofs
         proof_of = self._proof_of
         for entry in proposal.payload.entries:
-            refs[entry.mb_id] = refs.get(entry.mb_id, 0) + 1
-            proof = proof_of(entry)
-            if proof is not None:
-                self._proofs.setdefault(entry.mb_id, proof)
+            mb_id = entry.mb_id
+            refs[mb_id] = refs[mb_id] + 1 if mb_id in refs else 1
+            if mb_id not in proofs:
+                proof = proof_of(entry)
+                if proof is not None:
+                    proofs[mb_id] = proof
 
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Valid proofs guarantee availability: enter the commit phase now.
@@ -173,7 +176,7 @@ class StratusMempool(IdMempool):
         """The proof's signers hold the body (``PAB-Fetch``)."""
         proof = self._proof_of(entry)
         if proof is not None:
-            self.pab.fetch(entry.mb_id, proof)
+            self.fetcher.request(entry.mb_id, proof.signers, grace=True)
 
     def _discard(self, ids) -> None:
         """Bodies, proofs and PAB state go together."""

@@ -126,9 +126,8 @@ class NetworkScope:
         object.__setattr__(proof, "_verified_n", n)
         return True
 
-    def fetches_eagerly(self, proof: AvailabilityProof) -> bool:
-        """Every replica is a witness-to-be: recover as soon as proven."""
-        return True
+    #: Every replica is a witness-to-be: no per-proof rule to ask.
+    fetches_eagerly = None
 
 
 class _PushState:
@@ -235,11 +234,8 @@ class PabEngine:
         state.acks.append(sign(self._host.node_id, microblock.id))
         state.signers.add(self._host.node_id)
         self._host.network.broadcast(
-            self._host.node_id,
-            self._body_kind,
-            microblock.size_bytes,
-            microblock,
-            recipients=list(state.targets),
+            self._host.node_id, self._body_kind, microblock.size_bytes,
+            microblock, recipients=list(state.targets),
         )
         self._arm_retry(state)
         self._maybe_complete(state)
@@ -309,10 +305,8 @@ class PabEngine:
         missing = [node for node in state.targets if node not in acked]
         if missing:
             self._host.network.broadcast(
-                self._host.node_id,
-                self._body_kind,
-                state.microblock.size_bytes,
-                state.microblock,
+                self._host.node_id, self._body_kind,
+                state.microblock.size_bytes, state.microblock,
                 recipients=missing,
             )
         self._arm_retry(state)
@@ -321,11 +315,8 @@ class PabEngine:
         """Start the recovery phase: disseminate the availability proof."""
         self._proofs[mb_id] = proof
         self._host.network.broadcast(
-            self._host.node_id,
-            self._proof_kind,
-            proof.size_bytes,
-            (mb_id, proof),
-            Channel.CONTROL,
+            self._host.node_id, self._proof_kind, proof.size_bytes,
+            (mb_id, proof), Channel.CONTROL,
         )
 
     def proof_for(self, mb_id: MicroBlockId):
@@ -343,18 +334,6 @@ class PabEngine:
         if state is not None and state.timer is not None:
             state.timer.cancel()
         self._fetcher.cancel(mb_id)
-
-    def fetch(self, mb_id: MicroBlockId, proof) -> None:
-        """``PAB-Fetch``: retrieve a missing body from the proof's signers.
-
-        The first round is deferred by a grace period: in the normal case
-        the body is still in flight (per-peer FIFO in the prototype means
-        it precedes the proof), and fetching immediately would duplicate
-        the transfer. Recovery uses background bandwidth (Section IV-B).
-        """
-        self._fetcher.request(
-            mb_id, proof.signers, delay=self._config.fetch_timeout
-        )
 
     # -- message handling ----------------------------------------------
 
@@ -378,12 +357,8 @@ class PabEngine:
             # — unless the quorum is known to exist: once a verified
             # proof is held, one more ack proves nothing.
             self._host.network.send(
-                self._host.node_id,
-                envelope.src,
-                self._ack_kind,
-                sizes.ACK,
-                sign(self._host.node_id, microblock.id),
-                Channel.CONTROL,
+                self._host.node_id, envelope.src, self._ack_kind, sizes.ACK,
+                sign(self._host.node_id, microblock.id), Channel.CONTROL,
             )
 
     def _on_fetched_body(self, envelope: Envelope) -> None:
@@ -434,8 +409,8 @@ class PabEngine:
             return
         first_time = mb_id not in self._proofs
         self._proofs[mb_id] = proof
-        state = self._pushes.pop(mb_id, None)
-        if state is not None:
+        if mb_id in self._pushes:
+            state = self._pushes.pop(mb_id)
             # Someone else's push of this body reached a quorum first
             # (DLB: the proxy finished after the origin took the push
             # back, or an earlier proxy after a later one started).
@@ -444,7 +419,9 @@ class PabEngine:
             # and the proof in hand is what it set out to obtain.
             self._finish(state)
             state.on_available(mb_id, proof)
-        if mb_id not in self._held and self._fetches_eagerly(proof):
-            self.fetch(mb_id, proof)
+        eager = self._fetches_eagerly
+        if mb_id not in self._held and (eager is None or eager(proof)):
+            # PAB-Fetch, after a grace: the body is likely in flight.
+            self._fetcher.request(mb_id, proof.signers, grace=True)
         if first_time:
             self._on_proof(mb_id, proof)

@@ -445,7 +445,7 @@ def test_discard_cancels_outstanding_fetch():
     from repro.types import make_microblock_id
     mb_id = make_microblock_id(1, 99)
     proof = AvailabilityProof(mb_id=mb_id, signers=(1, 2))
-    mempool.pab.fetch(mb_id, proof)
+    mempool.fetcher.request(mb_id, proof.signers, grace=True)
     exp.sim.run_until(1.0)
     assert mempool.fetcher.outstanding == 1
     mempool.pab.discard(mb_id)

@@ -19,6 +19,8 @@ from repro.sim import Network, RngRegistry, Simulator
 from repro.sim.topology import Topology
 from repro.types import MicroBlock, make_microblock_id
 
+from tests.test_live import _HandFiredClock
+
 
 class FakeHost:
     def __init__(self, node_id, sim, network):
@@ -120,11 +122,11 @@ def test_request_skipped_when_already_stored():
 
 def test_delayed_request_skips_if_body_arrives_in_grace():
     sim, net, inboxes, host = make_env()
-    config = ProtocolConfig(n=4, fetch_timeout=0.5)
+    config = ProtocolConfig(n=4, fetch_timeout=0.2)
     store = MicroBlockStore()
     manager = FetchManager(host, config, store)
     mb = make_mb()
-    manager.request(mb.id, single_target(2), delay=0.2)
+    manager.request(mb.id, single_target(2), grace=True)
     sim.run_until(0.1)
     store.add(mb)  # body arrives before the grace period expires
     sim.run_until(1.0)
@@ -133,10 +135,10 @@ def test_delayed_request_skips_if_body_arrives_in_grace():
 
 def test_delayed_request_fires_after_grace():
     sim, net, inboxes, host = make_env()
-    config = ProtocolConfig(n=4, fetch_timeout=0.5)
+    config = ProtocolConfig(n=4, fetch_timeout=0.2)
     manager = FetchManager(host, config, MicroBlockStore())
     mb = make_mb()
-    manager.request(mb.id, single_target(2), delay=0.2)
+    manager.request(mb.id, single_target(2), grace=True)
     sim.run_until(0.1)
     assert host.metrics.fetches == 0
     sim.run_until(0.3)
@@ -144,7 +146,9 @@ def test_delayed_request_fires_after_grace():
 
 
 class TestGraceQueue:
-    """Deferred first rounds share one armed wake per manager."""
+    """First rounds in their grace share one FIFO and one armed wake per
+    manager: every grace is ``fetch_timeout`` long, so deadlines arrive
+    in the order the requests did."""
 
     @pytest.fixture(autouse=True)
     def no_jitter(self, monkeypatch):
@@ -157,11 +161,11 @@ class TestGraceQueue:
         return sim, inboxes, host, store, manager
 
     def test_bodies_landing_inside_the_grace_cost_one_wake(self):
-        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.2)
         blocks = [make_mb(counter) for counter in range(20)]
         for index, mb in enumerate(blocks):  # 20 proofs, 1 ms apart
             sim.run_until(index * 0.001)
-            manager.request(mb.id, single_target(2), delay=0.2)
+            manager.request(mb.id, single_target(2), grace=True)
         sim.run_until(0.1)
         for mb in blocks:
             store.add(mb)
@@ -172,9 +176,9 @@ class TestGraceQueue:
         assert manager.outstanding == 0
 
     def test_a_body_landed_in_the_grace_is_forgotten_at_its_deadline(self):
-        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.2)
         mb = make_mb()
-        manager.request(mb.id, single_target(2), delay=0.2)
+        manager.request(mb.id, single_target(2), grace=True)
         sim.run_until(0.1)
         store.add(mb)
         sim.run_until(0.3)
@@ -184,10 +188,10 @@ class TestGraceQueue:
         assert manager._pending == {}
 
     def test_outstanding_counts_only_undelivered_ids(self):
-        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.2)
         landed, missing = make_mb(0), make_mb(1)
         for mb in (landed, missing):
-            manager.request(mb.id, single_target(2), delay=0.2)
+            manager.request(mb.id, single_target(2), grace=True)
         assert manager.outstanding == 2
         store.add(landed)
         assert manager.outstanding == 1
@@ -196,7 +200,9 @@ class TestGraceQueue:
         assert [env.payload for env in inboxes[2]] == [missing.id]
 
     def test_missing_body_is_requested_at_exactly_the_deadline(self):
-        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.5)
+        sim, inboxes, host, store, manager = self._manager(
+            fetch_timeout=0.125
+        )
         sampling = ProtocolConfig(n=4, fetch_sample_fraction=0.5)
         blocks = [make_mb(counter) for counter in range(5)]
         for index, mb in enumerate(blocks):
@@ -204,7 +210,7 @@ class TestGraceQueue:
             manager.request(
                 mb.id,
                 sampled_signers(sampling, host.rng, (1, 2, 3), host.node_id),
-                delay=0.125,
+                grace=True,
             )
         for mb in blocks[:3] + blocks[4:]:
             store.add(mb)  # all but the fourth land inside the grace
@@ -224,41 +230,121 @@ class TestGraceQueue:
             for target in targets
         ]
 
+    def _spy_sends(self, host):
+        """``(now, target, id)`` of every request the manager sends."""
+        sent = []
+        send = host.network.send
+        host.network.send = lambda src, dst, kind, size, payload, *rest: (
+            sent.append((host.sim.now, dst, payload)),
+            send(src, dst, kind, size, payload, *rest),
+        )
+        return sent
+
+    def _spy_wakes(self, manager):
+        """Deadlines the manager arms its grace wake at (its retries keep
+        the simulator they were built with)."""
+        armed = []
+        sim = manager._host.sim
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(sim, name)
+
+            def schedule_at(self, when, callback):
+                armed.append(when)
+                return sim.schedule_at(when, callback)
+
+        manager._host.sim = Spy()
+        return armed
+
     def test_only_the_live_incarnation_of_an_id_fires(self):
-        sim, inboxes, host, store, manager = self._manager(fetch_timeout=10.0)
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.2)
+        sent = self._spy_sends(host)
         mb = make_mb()
-        manager.request(mb.id, single_target(2), delay=0.2)
+        manager.request(mb.id, single_target(2), grace=True)
         sim.run_until(0.1)
         manager.cancel(mb.id)
-        manager.request(mb.id, single_target(3), delay=0.2)
+        manager.request(mb.id, single_target(3), grace=True)
         sim.run_until(0.25)
         assert host.metrics.fetches == 0  # the first incarnation is dead
         sim.run_until(0.35)
-        assert host.metrics.fetches == 1
-        sim.run_until(1.0)
-        requests = [(node, len(inboxes[node])) for node in (2, 3)]
-        assert requests == [(2, 0), (3, 1)]
+        # The new incarnation, at its own deadline, to its own target.
+        assert sent == [(pytest.approx(0.3), 3, mb.id)]
+        assert isinstance(manager._pending[mb.id], fetching._PendingFetch)
+        assert not manager._grace
 
-    def test_deadlines_pushed_out_of_order_fire_in_deadline_order(self):
-        sim, inboxes, host, store, manager = self._manager(fetch_timeout=10.0)
-        late, early, middle = (make_mb(counter) for counter in range(3))
-        manager.request(late.id, single_target(1), delay=0.3)
-        manager.request(early.id, single_target(2), delay=0.1)
-        manager.request(middle.id, single_target(3), delay=0.2)
-        before = sim.processed
-        sim.run_until(1.0)
-        arrivals = sorted(
-            (env.arrived_at, node, env.payload)
-            for node in (1, 2, 3) for env in inboxes[node]
-        )
-        assert [(node, mb_id) for _, node, mb_id in arrivals] == [
-            (2, early.id), (3, middle.id), (1, late.id),
+    def test_entries_are_served_in_fifo_order_with_one_wake_per_deadline(
+        self,
+    ):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.3)
+        sent = self._spy_sends(host)
+        armed = self._spy_wakes(manager)
+        first, second, third, fourth = (make_mb(count) for count in range(4))
+        manager.request(first.id, single_target(1), grace=True)
+        sim.run_until(0.05)
+        manager.request(second.id, single_target(2), grace=True)
+        manager.request(third.id, single_target(3), grace=True)
+        sim.run_until(0.1)
+        manager.request(fourth.id, single_target(1), grace=True)
+        sim.run_until(0.5)  # the first retry is due at 0.6
+        assert [(node, mb_id) for _, node, mb_id in sent] == [
+            (1, first.id), (2, second.id), (3, third.id), (1, fourth.id),
         ]
-        sent = [when - arrivals[0][0] for when, _, _ in arrivals]
-        assert sent == pytest.approx([0.0, 0.1, 0.2])
-        # Three wakes and three requests: the wake armed for 0.3 was
-        # cancelled when 0.1 came in, not left to fire on nothing.
-        assert sim.processed - before == 3 + 3
+        assert [when for when, _, _ in sent] == pytest.approx(
+            [0.3, 0.35, 0.35, 0.4]
+        )
+        # One wake per distinct deadline (two ids share 0.35), each armed
+        # as the one before it was served.
+        assert armed == pytest.approx([0.3, 0.35, 0.4])
+
+    def test_a_dead_head_is_dropped_without_a_wake_of_its_own(self):
+        sim, inboxes, host, store, manager = self._manager(fetch_timeout=0.2)
+        sent = self._spy_sends(host)
+        armed = self._spy_wakes(manager)
+        served, landed, cancelled, last = (
+            make_mb(counter) for counter in range(4)
+        )
+        for index, mb in enumerate((served, landed, cancelled, last)):
+            sim.run_until(index * 0.02)
+            manager.request(mb.id, single_target(2), grace=True)
+        store.add(landed)
+        manager.cancel(cancelled.id)
+        sim.run_until(0.35)
+        assert [mb_id for _, _, mb_id in sent] == [served.id, last.id]
+        # Served at 0.2, the head's two dead successors went at once: the
+        # next wake is the live one's, not theirs.
+        assert armed == pytest.approx([0.2, 0.26])
+        assert set(manager._pending) == {served.id, last.id}
+        assert not manager._grace
+
+    def test_a_clock_reading_early_serves_the_due_entry(self):
+        clock = _HandFiredClock()
+        sent = []
+        network = type("Net", (), {})()
+        network.send = lambda *message: sent.append(message[4])
+        host = FakeHost(0, clock, network)
+        manager = FetchManager(
+            host, ProtocolConfig(n=4, fetch_timeout=1.0), MicroBlockStore()
+        )
+        due, later = make_mb(0), make_mb(1)
+        manager.request(due.id, single_target(2), grace=True)
+        clock.time = 0.5
+        manager.request(later.id, single_target(3), grace=True)
+        assert clock.armed() == [1.0]  # one wake for both
+        clock.time = 0.999  # a hair before the armed deadline
+        clock.timers[0].fire()
+        assert sent == [due.id]
+        # The later entry's wake and the first round's retry, and no
+        # other timer left armed.
+        assert sorted(clock.armed()) == pytest.approx([1.5, 1.999])
+        clock.time = 1.5
+        [wake] = [timer for timer in clock.timers
+                  if timer.active and timer.deadline == 1.5]
+        wake.fire()
+        assert sent == [due.id, later.id]
+        assert manager._grace_at is None and not manager._grace
+        # Its retry (2.5) queues behind the retry wake already armed.
+        assert clock.armed() == pytest.approx([1.999])
 
 
 def test_handle_request_serves_stored_body():

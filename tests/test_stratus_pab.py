@@ -375,7 +375,7 @@ def test_origin_that_took_its_push_back_settles_on_the_proxys_proof():
     inject(exp, 0, count=4)  # not busy: pushed by the origin itself
     exp.sim.run_until(0.2)
     mb_id = mempool.store.ids[0]
-    assert mb_id in pab._pushes and not mempool.balancer._forwards
+    assert mb_id in pab._pushes and not mempool.balancer.forwards
     proof = proof_from(exp, 1, mempool.store.get(mb_id))
     deliver(exp, 1, 0, MessageKinds.PROOF, (mb_id, proof))
     assert mb_id not in pab._pushes
@@ -426,6 +426,61 @@ def test_a_body_discarded_inside_the_grace_is_not_fetched(kind):
     assert mb_id not in fetcher._pending
     exp.sim.run_until(exp.sim.now + exp.config.protocol.fetch_timeout)
     assert asked == []
+
+
+@pytest.mark.parametrize("discard", ("pab", "gc"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_id_discarded_inside_the_grace_is_never_fetched(kind, discard):
+    """The body never lands: a discard inside the grace (the engine's own,
+    or the GC that calls it) leaves the grace entry dead, so its deadline
+    sends nothing and mints nothing."""
+    exp = cluster(kind)
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    witness = pusher.pab.peers[0]
+    mempool = stratus_of(exp, witness)
+    proof = mempool.pab.proof_for(mb_id)
+    mempool._discard([mb_id])  # the witness starts over, holding nothing
+    asked = fetch_requests(exp, witness, mb_id)
+    deliver(exp, 0, witness, pusher.pab._proof_kind, (mb_id, proof))
+    assert mb_id in mempool.fetcher._pending
+    if discard == "pab":
+        mempool.pab.discard(mb_id)
+    else:
+        mempool._discard([mb_id])
+    exp.sim.run_until(exp.sim.now + 2 * exp.config.protocol.fetch_timeout)
+    assert asked == []
+    assert mempool.fetcher._pending == {}
+    assert mb_id not in mempool.store
+
+
+def test_a_foreign_shards_certificate_is_not_fetched_eagerly():
+    """Only members of a certificate's shard recover its body unasked; a
+    non-member votes on the certificate alone and fetches nothing."""
+    exp = cluster("sharded-stratus")
+    inject(exp, 0, count=4)
+    exp.sim.run_until(1.0)
+    pusher = stratus_of(exp, 0)
+    mb_id = pusher.store.ids[0]
+    outsider = next(
+        node for node in range(exp.config.protocol.n)
+        if node != 0 and node not in pusher.pab.peers
+    )
+    mempool = stratus_of(exp, outsider)
+    cert = mempool.pab.proof_for(mb_id)
+    assert cert is not None and mb_id not in mempool.store
+    asked = fetch_requests(exp, outsider, mb_id)
+    deliver(exp, 0, outsider, pusher.pab._proof_kind, (mb_id, cert))
+    assert mb_id not in mempool.fetcher._pending
+    exp.sim.run_until(exp.sim.now + 2 * exp.config.protocol.fetch_timeout)
+    assert asked == [] and mb_id not in mempool.store
+    # A member in the same position does fetch.
+    member = pusher.pab.peers[0]
+    stratus_of(exp, member)._discard([mb_id])
+    deliver(exp, 0, member, pusher.pab._proof_kind, (mb_id, cert))
+    assert mb_id in stratus_of(exp, member).fetcher._pending
 
 
 @pytest.mark.parametrize("kind", KINDS)
