@@ -2,8 +2,8 @@
 
 The implementation transmits and processes consensus messages ahead of
 bulk microblock traffic ("we give the consensus channel a higher
-priority") and can rate-limit the data channel with a token bucket. Two
-measurements show the optimization is load-bearing for Stratus:
+priority"). Two measurements show the optimization is load-bearing for
+Stratus:
 
 * steady state near saturation: without priority, proposals and votes
   queue behind bodies and consensus latency inflates ~30–40%;
@@ -28,7 +28,7 @@ WINDOW = FaultSchedule([DelaySpike(
 )])
 
 
-def run_steady(priority: bool, limiter: bool = False):
+def run_steady(priority: bool):
     protocol = tuned_protocol(
         "S-HS", n=N_STEADY, topology_kind="wan",
         batch_bytes=64 * 1024, batch_timeout=0.3, view_timeout=0.5,
@@ -37,8 +37,7 @@ def run_steady(priority: bool, limiter: bool = False):
         protocol=protocol, topology_kind="wan", rate_tps=RATE_STEADY,
         duration=5.0, warmup=2.0, seed=9,
         priority_channels=priority,
-        data_limiter=(11e6, 2e6) if limiter else None,
-        label=f"steady-prio{priority}-lim{limiter}",
+        label=f"steady-prio{priority}",
     ))
 
 
@@ -61,7 +60,6 @@ def test_ablation_priority_channels(benchmark):
         return {
             "steady, priority on": run_steady(True),
             "steady, priority off": run_steady(False),
-            "steady, priority + limiter": run_steady(True, limiter=True),
             "disturbed, priority on": run_disturbed(True),
             "disturbed, priority off": run_disturbed(False),
         }
@@ -93,10 +91,6 @@ def test_ablation_priority_channels(benchmark):
     off = results["steady, priority off"]
     # Steady state: FIFO mixing inflates consensus latency visibly.
     assert off.latency_mean > 1.2 * on.latency_mean
-    # The token bucket does not hurt a healthy system.
-    limited = results["steady, priority + limiter"]
-    assert limited.view_changes <= on.view_changes + 2
-    assert limited.throughput_tps > 0.9 * on.throughput_tps
     # Disturbance: priority is the difference between graceful degradation
     # and a view-change storm, even with PAB in place.
     d_on = results["disturbed, priority on"]

@@ -48,7 +48,6 @@ class ExperimentConfig:
     #: Scripted fault schedule (crashes, partitions, loss, squeeze and
     #: delay windows...), realised by :class:`repro.faults.FaultInjector`.
     faults: Optional[FaultSchedule] = None
-    data_limiter: Optional[tuple[float, float]] = None  # (bytes/s, burst)
     #: Durable state machine (WAL + checkpoints); implies an executor on
     #: every replica. None keeps the purely in-memory KVStore.
     durability: Optional[DurabilityConfig] = None
@@ -92,11 +91,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"offered_clients must be positive, got {self.offered_clients}"
             )
-        if self.link_model == "fair-share" and self.data_limiter is not None:
-            raise ValueError(
-                "data_limiter requires link_model='serial' "
-                "(fair-share links model contention directly)"
-            )
         if self.faults is not None:
             self.faults.validate(self.protocol.n)
 
@@ -116,15 +110,14 @@ class ExperimentConfig:
         This is the spawn-safe wire format ``repro.parallel`` and the
         live spawn spec use to hand a run to another process. Plain
         fields serialise as they are; the nested objects (protocol, fault
-        schedule, durability), the int-keyed map and the tuple each name
-        their flattening here.
+        schedule, durability) and the int-keyed map each name their
+        flattening here.
         """
         return encode_fields(
             self,
             protocol=ProtocolConfig.to_dict,
             bandwidth_map=lambda m: {str(node): bw for node, bw in m.items()},
             faults=FaultSchedule.to_spec,
-            data_limiter=list,
             durability=DurabilityConfig.to_spec,
         )
 
@@ -135,6 +128,5 @@ class ExperimentConfig:
             protocol=ProtocolConfig.from_dict,
             bandwidth_map=lambda m: {int(node): bw for node, bw in m.items()},
             faults=FaultSchedule.from_spec,
-            data_limiter=tuple,
             durability=DurabilityConfig.from_spec,
         )

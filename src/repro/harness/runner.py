@@ -228,9 +228,6 @@ def build_experiment(
             data_dir=data_dir,
             attach_executor=config.attach_executor,
         ))
-        if config.data_limiter is not None:
-            rate, burst = config.data_limiter
-            network.set_data_limiter(node_id, rate, burst)
 
     generator = WorkloadGenerator(
         sim=sim,

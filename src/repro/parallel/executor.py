@@ -13,13 +13,9 @@ job**:
   worker's entire world an explicit function of the spec.
 * **Crash isolation.** A worker that dies (segfault, OOM-kill,
   ``os._exit``) closes its result pipe; the parent records that one job
-  as failed (after bounded retries) and the rest of the sweep proceeds.
-  A pooled design (``concurrent.futures``) would instead poison the
-  whole pool on the first dead worker.
-* **Per-job timeout + bounded retry.** Timeouts and hard deaths are
-  environmental, so they are retried up to ``retries`` times; a clean
-  Python exception inside a deterministic simulation would fail
-  identically every time and is not retried.
+  as failed and the rest of the sweep proceeds. A pooled design
+  (``concurrent.futures``) would instead poison the whole pool on the
+  first dead worker.
 * **Deterministic ordering.** Results are buffered and yielded strictly
   in submission order regardless of completion order, so any
   aggregation downstream (means, tables, ``--stop-on-failure`` cuts) is
@@ -48,10 +44,9 @@ from repro.parallel.jobs import (
     worker_main,
 )
 
-#: Grace period between SIGTERM and SIGKILL for a timed-out worker.
+#: Grace period between SIGTERM and SIGKILL for a cancelled worker.
 _KILL_GRACE_S = 2.0
-#: Poll interval while waiting on worker pipes (also bounds how late a
-#: per-job timeout can fire).
+#: Poll interval while waiting on worker pipes.
 _WAIT_S = 0.05
 
 
@@ -63,9 +58,7 @@ class JobResult:
     spec: JobSpec
     value: Optional[dict] = None
     error: Optional[str] = None
-    attempts: int = 1
     wall_s: float = 0.0
-    timed_out: bool = False
     crashed: bool = False
 
     @property
@@ -85,13 +78,9 @@ class _Running:
     """Parent-side state of one in-flight worker process."""
 
     index: int
-    spec_dict: dict
-    attempts: int
     proc: multiprocessing.process.BaseProcess
     conn: object
     started: float
-    deadline: Optional[float]
-    first_started: float
 
 
 class ParallelExecutor:
@@ -102,30 +91,12 @@ class ParallelExecutor:
     jobs:
         Worker-process cap; ``1`` runs everything serially in-process
         (no subprocesses at all).
-    timeout:
-        Per-attempt wall-clock budget in seconds (``None`` = unlimited).
-        A timed-out worker is terminated and the attempt counts as a
-        failure.
-    retries:
-        How many *additional* attempts a crashed or timed-out job gets.
-        Clean in-job exceptions are deterministic and never retried.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        timeout: Optional[float] = None,
-        retries: int = 1,
-    ) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
         self._ctx = multiprocessing.get_context("spawn")
 
     # -- public API --------------------------------------------------------
@@ -173,8 +144,8 @@ class ParallelExecutor:
 
     def _imap_parallel(self, specs: List[JobSpec]) -> Iterator[JobResult]:
         pending: deque = deque(
-            (index, spec.to_dict(), 1, None) for index, spec in enumerate(specs)
-        )  # (index, spec_dict, attempt, first_started)
+            (index, spec.to_dict()) for index, spec in enumerate(specs)
+        )
         running: dict = {}  # conn -> _Running
         done: dict = {}  # index -> JobResult
         next_out = 0
@@ -187,13 +158,13 @@ class ParallelExecutor:
                     break
                 while pending and len(running) < self.jobs:
                     self._start(pending.popleft(), running)
-                self._reap(specs, running, done, pending)
+                self._reap(specs, running, done)
         finally:
             for state in running.values():
                 self._kill(state)
 
     def _start(self, item, running: dict) -> None:
-        index, spec_dict, attempt, first_started = item
+        index, spec_dict = item
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
@@ -202,22 +173,13 @@ class ParallelExecutor:
         )
         proc.start()
         child_conn.close()  # the worker holds the only write end now
-        now = time.perf_counter()
         running[parent_conn] = _Running(
-            index=index,
-            spec_dict=spec_dict,
-            attempts=attempt,
-            proc=proc,
-            conn=parent_conn,
-            started=now,
-            deadline=(now + self.timeout) if self.timeout else None,
-            first_started=first_started if first_started is not None else now,
+            index=index, proc=proc, conn=parent_conn,
+            started=time.perf_counter(),
         )
 
-    def _reap(
-        self, specs: List[JobSpec], running: dict, done: dict, pending: deque
-    ) -> None:
-        """Collect finished/crashed/timed-out workers once."""
+    def _reap(self, specs: List[JobSpec], running: dict, done: dict) -> None:
+        """Collect finished or crashed workers once."""
         conns = list(running)
         if not conns:
             return
@@ -235,70 +197,21 @@ class ParallelExecutor:
                 message = None  # died before (or while) sending
             conn.close()
             state.proc.join()
+            result = JobResult(
+                index=state.index, spec=specs[state.index],
+                wall_s=now - state.started,
+            )
             if message is None:
-                self._fail_or_retry(
-                    specs, state, done, pending, crashed=True,
-                    reason=(
-                        f"worker exited with code {state.proc.exitcode} "
-                        "before reporting a result"
-                    ),
+                result.crashed = True
+                result.error = (
+                    f"worker exited with code {state.proc.exitcode} "
+                    "before reporting a result"
                 )
             elif message.get("ok"):
-                done[state.index] = JobResult(
-                    index=state.index,
-                    spec=specs[state.index],
-                    value=message["value"],
-                    attempts=state.attempts,
-                    wall_s=now - state.first_started,
-                )
+                result.value = message["value"]
             else:
-                # Clean exception: deterministic, never retried.
-                done[state.index] = JobResult(
-                    index=state.index,
-                    spec=specs[state.index],
-                    error=message.get("error", "worker error"),
-                    attempts=state.attempts,
-                    wall_s=now - state.first_started,
-                )
-        for conn, state in list(running.items()):
-            if state.deadline is not None and now > state.deadline:
-                running.pop(conn)
-                self._kill(state)
-                self._fail_or_retry(
-                    specs, state, done, pending, timed_out=True,
-                    reason=(
-                        f"attempt exceeded the {self.timeout:.1f}s "
-                        "per-job timeout"
-                    ),
-                )
-
-    def _fail_or_retry(
-        self,
-        specs: List[JobSpec],
-        state: _Running,
-        done: dict,
-        pending: deque,
-        reason: str,
-        timed_out: bool = False,
-        crashed: bool = False,
-    ) -> None:
-        if state.attempts <= self.retries:
-            # Retry at the front so the wounded job settles early; the
-            # output order is fixed by submission index either way.
-            pending.appendleft((
-                state.index, state.spec_dict, state.attempts + 1,
-                state.first_started,
-            ))
-            return
-        done[state.index] = JobResult(
-            index=state.index,
-            spec=specs[state.index],
-            error=f"{reason} (after {state.attempts} attempt(s))",
-            attempts=state.attempts,
-            wall_s=time.perf_counter() - state.first_started,
-            timed_out=timed_out,
-            crashed=crashed,
-        )
+                result.error = message.get("error", "worker error")
+            done[state.index] = result
 
     def _kill(self, state: _Running) -> None:
         try:
@@ -324,8 +237,7 @@ def sweep(
     The workhorse behind the CLI's ``--jobs`` sweep and the benchmark
     grids. Results arrive in submission order, so a parallel sweep's
     table is byte-identical to the serial one. Raises ``RuntimeError``
-    if any cell ultimately fails (a worker crash after its one retry, or
-    an in-run exception).
+    if any cell fails (a worker crash or an in-run exception).
     """
     executor = ParallelExecutor(jobs=jobs)
     specs = [

@@ -156,8 +156,8 @@ def _run_scenario_job(payload: dict, options: dict) -> dict:
 def _run_selftest_job(payload: dict, options: dict) -> dict:
     """Executor plumbing probe: sleep, raise, or die on command.
 
-    Exists so the executor's timeout / clean-exception / crash-isolation
-    paths have something deterministic to exercise without building a
+    Exists so the executor's ordering / clean-exception / crash-isolation
+    / early-close paths have something deterministic to exercise without building a
     simulation (see ``tests/test_parallel.py``).
     """
     action = payload.get("action", "echo")
@@ -203,7 +203,7 @@ def worker_main(conn, spec_dict: dict) -> None:
     """Entrypoint of a spawned worker: run one job, send one message.
 
     A clean Python exception is reported as ``{"ok": False}`` with the
-    formatted traceback — deterministic failures are not retried. A hard
+    formatted traceback. A hard
     death (the ``exit`` selftest, a real segfault) sends nothing; the
     parent sees the pipe close and the non-zero exitcode.
     """

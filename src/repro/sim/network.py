@@ -1,36 +1,35 @@
 """Simulated message-passing network with bandwidth serialization.
 
-Two link models (``link_model``):
+Every replica owns one egress, an :class:`_Uplink`: three priority FIFOs
+(consensus before control before data, the paper's "consensus channel /
+data channel" optimization of Section VI). A send or broadcast is one
+queued :class:`_Flow`, one shared payload expanded lazily into
+per-recipient copies, so enqueueing a 127-recipient broadcast is O(1).
+Two link models (``link_model``) drain the same FIFOs:
 
 **serial** (default) — the store-and-forward model under which the
-paper's Appendix-A throughput formulas are exact: every replica owns one
-egress uplink of finite bandwidth; a message of ``size`` bytes occupies
-it for ``size * 8 / bandwidth`` seconds, then takes the topology's
-one-way delay to the receiver's handler; a broadcast to ``n - 1`` peers
+paper's Appendix-A throughput formulas are exact: the uplink is one wire
+of finite bandwidth; a message of ``size`` bytes occupies it for
+``size * 8 / bandwidth`` seconds, then takes the topology's one-way
+delay to the receiver's handler; a broadcast to ``n - 1`` peers
 serializes ``n - 1`` copies, which is what makes a leader shipping
 megabyte proposals the bottleneck.
 
 **fair-share** — concurrent transfers split link capacity instead of
-queueing (the simpy ``Container`` uplink/downlink technique; DESIGN.md
-"Simulator scale-out"). A transfer runs at
-``min(B_up / |up_active|, B_down / |down_active|)``; rates move only
-when a transfer starts or finishes, in one settle pass per sim instant
-over the touched ("dirty") links, run at the end of the network event
-that touched them (an event of its own only when the heap holds an
-earlier entry for that instant), and an uplink keeps one armed event,
-at its earliest finish. Bulk (DATA) transfers pass a bounded slot pool
-per uplink; consensus and control bypass it.
+queueing (:class:`_FairShareLinks`, the simpy ``Container``
+uplink/downlink technique; DESIGN.md "Simulator scale-out"). A transfer
+runs at ``min(B_up / |up_active|, B_down / |down_active|)``; rates move
+only when a transfer starts or finishes, in one settle pass per sim
+instant over the touched ("dirty") links, and an uplink keeps one armed
+event, at its earliest finish. Bulk (DATA) transfers pass a bounded slot
+pool per uplink; consensus and control bypass it.
 
-A broadcast is one shared-payload :class:`_Flow` in both models,
-expanded lazily into per-recipient envelopes. A serialized copy has no
-heap entry of its own: it goes into its receiver's arrival queue, and a
-receiver keeps one entry, the end of its next service
-(:class:`_Ingress`) — one event per service, not per arrival.
-
-Egress and ingress priority classes implement the paper's "consensus
-channel / data channel" optimization (Section VI): consensus before
-control before data. An optional token bucket throttles the data class
-(serial model only).
+A copy whose last byte left — a serial segment's, or a completed
+transfer — takes one delivery path (:func:`_dispatch`): it has no heap
+entry of its own but goes into its receiver's arrival queue, and a
+receiver keeps one entry, the end of its next service (:class:`_Ingress`,
+which serves the same three classes) — one event per service, not per
+arrival.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel, Envelope, Handler, Transport
 
-#: Allocation shortcut for the uplink's fan-out loop: mint envelopes via
+#: Allocation shortcut for the delivery loop: mint envelopes via
 #: ``__new__`` + direct slot stores, skipping the ``__init__`` frame.
 _env_new = Envelope.__new__
 from repro.sim.rng import RngRegistry
@@ -55,8 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.windows import LinkFaults
 
 __all__ = [
-    "Channel", "Envelope", "Handler", "NetworkStats", "TokenBucket",
-    "Network", "LINK_MODELS",
+    "Channel", "Envelope", "Handler", "NetworkStats", "Network", "LINK_MODELS",
 ]
 
 LINK_MODELS = ("serial", "fair-share")
@@ -122,41 +120,10 @@ class NetworkStats:
         return sum(self.bytes_sent.values())
 
 
-class TokenBucket:
-    """Continuous-time token bucket limiting the data channel's send rate.
-
-    A message larger than the burst is admitted once the bucket is full
-    (the refill stops there) and takes the balance negative.
-    """
-
-    def __init__(self, rate_bytes_per_s: float, burst_bytes: float) -> None:
-        if rate_bytes_per_s <= 0 or burst_bytes <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.rate = rate_bytes_per_s
-        self.burst = burst_bytes
-        self._tokens = burst_bytes
-        self._updated = 0.0
-
-    def ready_at(self, now: float, size_bytes: float) -> float:
-        """Earliest time the bucket can admit a message of ``size_bytes``."""
-        self._refill(now)
-        deficit = min(size_bytes, self.burst) - self._tokens
-        return now + deficit / self.rate if deficit > 0 else now
-
-    def consume(self, now: float, size_bytes: float) -> None:
-        self._refill(now)
-        self._tokens -= size_bytes
-
-    def _refill(self, now: float) -> None:
-        elapsed = max(0.0, now - self._updated)
-        self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        self._updated = now
-
-
 class _Flow:
     """One send or broadcast awaiting serialization: one payload, its
-    dsts, one egress-queue slot. The uplink expands it a segment at a
-    time, so enqueueing a 127-recipient broadcast is O(1)."""
+    dsts, one egress-queue slot. The link model takes its copies a run
+    at a time (``next_index``)."""
 
     __slots__ = (
         "kind", "size_bytes", "payload", "channel", "recipients",
@@ -180,39 +147,81 @@ class _Flow:
         return len(self.recipients) - self.next_index
 
 
-def _queued_bytes(queues) -> float:
-    """Bytes waiting in one node's egress FIFOs."""
-    total = 0.0
-    for queue in queues:
-        for flow in queue:
-            total += flow.size_bytes * flow.remaining
-    return total
+def _dispatch(
+    network: "Network", flow: _Flow, src: int, dsts, duration: float
+) -> float:
+    """The one delivery path of both link models: copies of ``flow`` whose
+    last bytes leave ``src`` back to back, ``duration`` apart from now (a
+    serial segment; a completed fair-share transfer is one copy at
+    ``duration`` 0). Returns when the last byte left.
 
-
-def _drop_queued(queues) -> int:
-    """Empty one node's egress FIFOs (it crashed); returns the count."""
-    dropped = sum(flow.remaining for queue in queues for flow in queue)
-    for queue in queues:
-        queue.clear()
-    return dropped
-
-
-def _uplink_drain(uplink: "_Uplink") -> None:
-    """Segment-end continuation for a serial uplink (fire-path callback)."""
-    uplink.draining = False
-    uplink._start_next()
+    Each copy goes straight into its receiver's arrival queue and arms
+    that ingress if it would be served before what is armed. The
+    envelope comes from ``__new__`` + slot stores and, with no delay
+    window, the delay replays Topology.delay bit for bit (uniform(a, b)
+    is ``a + (b - a) * random()``; a recipient is never the sender).
+    """
+    sim = network.sim
+    end = now = sim.now
+    topology = network.topology
+    faults = topology.link_faults
+    plain = not (faults and faults.delays)
+    base = topology._base_delay
+    jit = topology._jitter
+    neg = -jit
+    span = jit - neg
+    rng = network._jitter_rngs[src]
+    rand = rng.random
+    proc = network._proc
+    ingresses = network._ingress
+    heap = sim._queue
+    seq = sim._seq
+    kind = flow.kind
+    size = flow.size_bytes
+    payload = flow.payload
+    channel = flow.channel
+    enqueued_at = flow.enqueued_at
+    for dst in dsts:
+        end += duration
+        envelope = _env_new(Envelope)
+        envelope.src = src
+        envelope.dst = dst
+        envelope.kind = kind
+        envelope.size_bytes = size
+        envelope.payload = payload
+        envelope.channel = channel
+        envelope.enqueued_at = enqueued_at
+        envelope.sent_at = end
+        if not plain:
+            delay = topology.delay(src, dst, now, rng)
+        elif jit > 0:
+            delay = base + (neg + span * rand())
+            if delay < 0.0:
+                delay = 0.0
+        else:
+            delay = base
+        envelope.arrived_at = arrived = end + delay
+        ingress = ingresses[dst]
+        _insort(ingress.arrivals, envelope, key=_arrived_at)
+        free_at = ingress.free_at
+        wake = arrived + proc if free_at <= arrived else free_at + proc
+        if wake < ingress.wake:
+            ingress.wake = wake
+            _heappush(heap, (wake, seq, _ingress_serve, ingress))
+            seq += 1
+    sim._seq = seq
+    return end
 
 
 class _Uplink:
-    """One replica's egress: three priority FIFOs draining into one wire.
+    """One replica's egress: three priority FIFOs, under both link models.
 
-    Idle, transmitting (a segment holds the wire until ``busy_until``)
-    or waiting (head-of-line data blocked by the token bucket; consensus
-    preempts the wait and is never throttled).
-
-    The serializer works in *segments*: it takes the head flow, expands
-    up to ``SEGMENT_MAX_COPIES`` copies (about ``SEGMENT_MAX_SECONDS`` of
-    wire time, so a consensus message never waits long behind a bulk
+    Under ``fair-share`` :class:`_FairShareLinks` admits from them.
+    Under ``serial`` they drain into one wire, idle or transmitting (a
+    segment holds the wire until ``busy_until``). The serializer works
+    in *segments*: it takes the head flow, expands up to
+    ``SEGMENT_MAX_COPIES`` copies (about ``SEGMENT_MAX_SECONDS`` of wire
+    time, so a consensus message never waits long behind a bulk
     fan-out) and computes each copy's arrival analytically. A drain
     event at the segment's end exists only while something waits.
     """
@@ -220,8 +229,7 @@ class _Uplink:
     SEGMENT_MAX_COPIES = 8
     SEGMENT_MAX_SECONDS = 0.02
 
-    __slots__ = ("node", "network", "queues", "busy_until", "draining",
-                 "limiter", "_wait_timer")
+    __slots__ = ("node", "network", "queues", "busy_until", "draining")
 
     def __init__(self, node: int, network: "Network") -> None:
         self.node = node
@@ -232,134 +240,94 @@ class _Uplink:
         self.busy_until = 0.0
         #: True while a drain event for ``busy_until`` is in the heap.
         self.draining = False
-        self.limiter: Optional[TokenBucket] = None
-        self._wait_timer = None
 
     def enqueue(self, flow: _Flow, index: int) -> None:
         self.queues[index].append(flow)
+        network = self.network
+        if network._fair is not None:
+            network._fair._admit(self.node, network.sim.now)
+            return
         if self.draining:
             return
-        sim = self.network.sim
-        if sim.now < self.busy_until:
-            self.draining = True
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(sim._queue, (self.busy_until, seq, _uplink_drain, self))
-            return
-        if self._wait_timer is None:
+        sim = network.sim
+        if sim.now >= self.busy_until:
             self._start_next()
-        elif index != _DATA:
-            self._wait_timer.cancel()
-            self._resume()
+            return
+        self.draining = True
+        _heappush(sim._queue, (self.busy_until, sim._seq, _Uplink._start_next, self))
+        sim._seq += 1
 
     def flush(self) -> int:
-        """Drop every queued message (the node crashed); returns the count.
-        Copies of the segment in flight are in their receivers' arrival
+        """Drop every queued copy (the node crashed) and, under
+        fair-share, every transfer in flight; returns the count. Copies
+        of a serial segment in flight are in their receivers' arrival
         queues: :func:`_ingress_serve` discards those cut short."""
-        if self._wait_timer is not None:
-            self._wait_timer.cancel()
-            self._wait_timer = None
-        return _drop_queued(self.queues)
+        dropped = sum(flow.remaining for queue in self.queues for flow in queue)
+        for queue in self.queues:
+            queue.clear()
+        fair = self.network._fair
+        if fair is not None:
+            dropped += fair.flush(self.node)
+        return dropped
+
+    def queued_bytes(self) -> float:
+        """Bytes queued here, plus what fair-share transfers have left."""
+        total = 0.0
+        for queue in self.queues:
+            for flow in queue:
+                total += flow.size_bytes * flow.remaining
+        fair = self.network._fair
+        if fair is not None:
+            now = self.network.sim.now
+            for t in fair.up_active[self.node]:
+                total += max(0.0, t.remaining_bits - t.rate * (now - t.updated)) / 8.0
+        return total
 
     def _start_next(self) -> None:
+        """Put the next segment on the serial wire; also the drain event
+        at a segment's end (fire-path callback)."""
+        self.draining = False
         queues = self.queues
         queue = queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]
         if not queue:
             return
-        limited = self.limiter is not None and queue is queues[_DATA]
         network = self.network
-        sim = network.sim
-        now = sim.now
-        head = queue[0]
-        size = head.size_bytes
-        if limited:
-            ready = self.limiter.ready_at(now, size)
-            if ready > now:
-                self._wait_timer = sim.schedule(ready - now, self._resume)
-                return
-            self.limiter.consume(now, size)
         node = self.node
         topology = network.topology
         bandwidth = topology._plain_bandwidth
         if bandwidth is None:
-            bandwidth = topology.bandwidth(node, now=now)
+            bandwidth = topology.bandwidth(node, now=network.sim.now)
+        head = queue[0]
+        size = head.size_bytes
         duration = size * 8.0 / bandwidth
         recipients = head.recipients
         index = head.next_index
         remaining = len(recipients) - index
-        if limited or remaining == 1:
-            # The token bucket meters per copy: each pays its own tokens.
+        if remaining == 1:
             copies = 1
         elif duration <= 0.0:
             copies = min(remaining, self.SEGMENT_MAX_COPIES)
         else:
             budget = int(self.SEGMENT_MAX_SECONDS / duration)
             copies = min(remaining, self.SEGMENT_MAX_COPIES, max(1, budget))
-        end = now
-        kind = head.kind
-        payload = head.payload
-        channel = head.channel
-        enqueued_at = head.enqueued_at
-        # Each copy goes straight into its receiver's arrival queue (and
-        # arms that ingress if it would be served before what is armed):
-        # the envelope comes from ``__new__`` + slot stores and, with no
-        # delay window, the delay replays Topology.delay bit for bit
-        # (uniform(a, b) is ``a + (b - a) * random()``; a recipient is
-        # never the sender).
-        faults = topology.link_faults
-        plain = not (faults and faults.delays)
-        base = topology._base_delay
-        jit = topology._jitter
-        neg = -jit
-        span = jit - neg
-        rng = network._jitter_rngs[node]
-        rand = rng.random
-        proc = network._proc
-        ingresses = network._ingress
-        heap = sim._queue
-        seq = sim._seq
-        for dst in recipients[index:index + copies]:
-            end += duration
-            envelope = _env_new(Envelope)
-            envelope.src = node
-            envelope.dst = dst
-            envelope.kind = kind
-            envelope.size_bytes = size
-            envelope.payload = payload
-            envelope.channel = channel
-            envelope.enqueued_at = enqueued_at
-            envelope.sent_at = end
-            if not plain:
-                delay = topology.delay(node, dst, now, rng)
-            elif jit > 0:
-                delay = base + (neg + span * rand())
-                if delay < 0.0:
-                    delay = 0.0
-            else:
-                delay = base
-            envelope.arrived_at = arrived = end + delay
-            ingress = ingresses[dst]
-            _insort(ingress.arrivals, envelope, key=_arrived_at)
-            free_at = ingress.free_at
-            wake = arrived + proc if free_at <= arrived else free_at + proc
-            if wake < ingress.wake:
-                ingress.wake = wake
-                _heappush(heap, (wake, seq, _ingress_serve, ingress))
-                seq += 1
+        end = _dispatch(
+            network, head, node, recipients[index:index + copies], duration
+        )
         head.next_index = index + copies
         if copies == remaining:
             queue.popleft()
-        network.stats.record_send(node, kind, size, copies)
+        # ``NetworkStats.record_send``, inline on the per-segment path.
+        stats = network.stats
+        kind = head.kind
+        key = (node, kind)
+        stats.bytes_sent[key] = stats.bytes_sent.get(key, 0.0) + size * copies
+        stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + copies
         self.busy_until = end
         if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
             self.draining = True
-            _heappush(heap, (end, seq, _uplink_drain, self))
-            seq += 1
-        sim._seq = seq
-
-    def _resume(self) -> None:
-        self._wait_timer = None
-        self._start_next()
+            sim = network.sim
+            _heappush(sim._queue, (end, sim._seq, _Uplink._start_next, self))
+            sim._seq += 1
 
 
 #: Terminates every arrival queue: a copy that never arrives.
@@ -491,13 +459,17 @@ class _Ingress:
 
 
 class _Transfer:
-    """One active fair-share transmission (one copy, one src->dst pair)."""
+    """One active fair-share transmission: one copy of ``flow``, src->dst."""
 
-    __slots__ = ("envelope", "remaining_bits", "rate", "updated", "finish_at")
+    __slots__ = (
+        "flow", "src", "dst", "remaining_bits", "rate", "updated", "finish_at",
+    )
 
-    def __init__(self, envelope: Envelope, now: float) -> None:
-        self.envelope = envelope
-        self.remaining_bits = envelope.size_bytes * 8.0
+    def __init__(self, flow: _Flow, src: int, dst: int, now: float) -> None:
+        self.flow = flow
+        self.src = src
+        self.dst = dst
+        self.remaining_bits = flow.size_bytes * 8.0
         self.rate = 0.0
         self.updated = now
         self.finish_at = now
@@ -546,7 +518,7 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
         up_share, down_share = {}, {}
         read = fair.network.topology.bandwidth
         for transfer in pending:
-            src, dst = transfer.envelope.src, transfer.envelope.dst
+            src, dst = transfer.src, transfer.dst
             if src not in up_share:
                 up_share[src] = read(src, now=now) / len(up[src])
             if dst not in down_share:
@@ -563,10 +535,9 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     earlier: dict[int, None] = {}
     settled = 0
     for transfer in pending:
-        envelope = transfer.envelope
-        src = envelope.src
+        src = transfer.src
         rate = up_share[src]
-        share = down_share[envelope.dst]
+        share = down_share[transfer.dst]
         if share < rate:
             rate = share
         if rate != transfer.rate:
@@ -591,11 +562,11 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
 
 
 class _FairShareLinks:
-    """Fair-share link state machine for the whole network.
+    """What fair-share adds to the uplinks' FIFOs, for the whole network.
 
-    Per node: an egress admission queue (three priority FIFOs, DATA
-    gated by ``slots`` concurrent transfers) and the active outbound
-    (uplink) and inbound (downlink) transfers. A transfer runs at
+    Per node: the active outbound (uplink) and inbound (downlink)
+    transfers, and DATA admission gated by ``slots`` concurrent
+    transfers. A transfer runs at
     ``min(B_up / |up_active|, B_down / |down_active|)``, which depends
     only on membership counts, so nothing cascades (the simpy Container
     technique of SNIPPETS Snippet 1 without per-byte token events).
@@ -616,9 +587,6 @@ class _FairShareLinks:
         self.network = network
         self.slots = slots
         n = network.topology.n
-        self.queues: list[list[deque[_Flow]]] = [
-            [deque() for _ in Channel] for _ in range(n)
-        ]
         # Dicts as ordered sets: O(1) add/remove, deterministic iteration.
         self.up_active: list[dict[_Transfer, None]] = [{} for _ in range(n)]
         self.down_active: list[dict[_Transfer, None]] = [{} for _ in range(n)]
@@ -642,21 +610,16 @@ class _FairShareLinks:
         #: Settles performed (``tests/test_fair_share.py`` bounds them).
         self.settle_ops = 0
 
-    # -- submission ----------------------------------------------------
-
-    def submit(self, flow: _Flow, src: int, index: int) -> None:
-        self.queues[src][index].append(flow)
-        self._admit(src, self.network.sim.now)
-
     def _admit(self, src: int, now: float, changed: bool = False) -> None:
-        """Start as many queued transfers as admission rules allow, a run
-        of one flow's copies per ``record_send``. Each started transfer's
-        downlink goes dirty, ``src``'s uplink too if anything started or
-        just left it (``changed``), and one flush is armed for this
-        instant behind every event queued for it: its sequence number is
-        taken now, its entry pushed now unless ``in_event``."""
-        queues = self.queues[src]
+        """Start as many of ``src``'s queued copies as admission rules
+        allow, a run of one flow's copies per ``record_send``. Each
+        started transfer's downlink goes dirty, ``src``'s uplink too if
+        anything started or just left it (``changed``), and one flush is
+        armed for this instant behind every event queued for it: its
+        sequence number is taken now, its entry pushed now unless
+        ``in_event``."""
         network = self.network
+        queues = network._uplinks[src].queues
         up = self.up_active[src]
         down = self.down_active
         dirty_down = self._dirty_down
@@ -680,11 +643,9 @@ class _FairShareLinks:
             if copies == remaining:
                 queue.popleft()
             head.next_index = index + copies
-            kind, size = head.kind, head.size_bytes
-            network.stats.record_send(src, kind, size, copies)
+            network.stats.record_send(src, head.kind, head.size_bytes, copies)
             for dst in head.recipients[index:index + copies]:
-                transfer = _Transfer(Envelope(src, dst, kind, size, head.payload,
-                                              head.channel, head.enqueued_at), now)
+                transfer = _Transfer(head, src, dst, now)
                 up[transfer] = None
                 down[dst][transfer] = None
                 dirty_down[dst] = None
@@ -713,13 +674,13 @@ class _FairShareLinks:
             else:
                 _fair_flush(self)
 
-    # -- completion / teardown -----------------------------------------
-
     def _uplink_wake(self, src: int) -> None:
         """``src``'s earliest finish is due (fire-path callback): every
-        transfer of the uplink due by now completes, in start order, and
-        the flush they arm, released at the end, re-rates the rest."""
-        now = self.network.sim.now
+        transfer of the uplink due by now completes, in start order —
+        delivered, its slot freed, the next copy admitted — and the
+        flush they arm, released at the end, re-rates the rest."""
+        network = self.network
+        now = network.sim.now
         if self.wake[src] != now:
             return  # superseded: a finish moved earlier and was armed
         self.wake[src] = _INF
@@ -728,80 +689,40 @@ class _FairShareLinks:
         if due:
             self.in_event = True
             for transfer in due:
-                self._complete(transfer, now)
+                flow, dst = transfer.flow, transfer.dst
+                del transfers[transfer]
+                del self.down_active[dst][transfer]
+                if flow.channel is _DATA_MEMBER or not network.priority_channels:
+                    self.data_in_flight[src] -= 1
+                _dispatch(network, flow, src, (dst,), 0.0)
+                self._dirty_down[dst] = None
+                self._admit(src, now, True)
             self._release()
         elif transfers:
             # Rates fell since this was armed: nothing has finished yet
             # (pushed at ``finish`` itself, not at a ``now + delay``).
-            sim = self.network.sim
+            sim = network.sim
             self.wake[src] = finish = min(t.finish_at for t in transfers)
             _heappush(sim._queue, (finish, sim._seq, self._on_wake, src))
             sim._seq += 1
 
-    def _complete(self, transfer: _Transfer, now: float) -> None:
-        envelope = transfer.envelope
-        src, dst = envelope.src, envelope.dst
-        del self.up_active[src][transfer]
-        del self.down_active[dst][transfer]
-        network = self.network
-        if envelope.channel is _DATA_MEMBER or not network.priority_channels:
-            self.data_in_flight[src] -= 1
-        envelope.sent_at = now
-        # Into the receiver's arrival queue, as ``_Uplink._start_next``.
-        topology = network.topology
-        faults = topology.link_faults
-        rng = network._jitter_rngs[src]
-        if faults and faults.delays:
-            delay = topology.delay(src, dst, now, rng)
-        else:
-            delay = topology._base_delay
-            jit = topology._jitter
-            if jit > 0:
-                neg = -jit
-                delay += neg + (jit - neg) * rng.random()
-                if delay < 0.0:
-                    delay = 0.0
-        envelope.arrived_at = arrived = now + delay
-        ingress = network._ingress[dst]
-        _insort(ingress.arrivals, envelope, key=_arrived_at)
-        free_at = ingress.free_at
-        proc = network._proc
-        wake = arrived + proc if free_at <= arrived else free_at + proc
-        if wake < ingress.wake:
-            ingress.wake = wake
-            sim = network.sim
-            _heappush(sim._queue, (wake, sim._seq, _ingress_serve, ingress))
-            sim._seq += 1
-        self._dirty_down[dst] = None
-        self._admit(src, now, True)
-
     def flush(self, node: int) -> int:
-        """Crash teardown: clear the node's queues, kill its transfers
-        (their bytes un-accounted) and admit what waits behind them."""
-        dropped = _drop_queued(self.queues[node])
+        """Crash teardown, after the node's FIFOs were cleared: kill its
+        transfers both ways (their bytes un-accounted), admit what waits
+        behind them; returns the count."""
         victims = [*self.up_active[node], *self.down_active[node]]
         network = self.network
         for transfer in victims:
-            envelope = transfer.envelope
-            del self.up_active[envelope.src][transfer]
-            del self.down_active[envelope.dst][transfer]
-            if envelope.channel is _DATA_MEMBER or not network.priority_channels:
-                self.data_in_flight[envelope.src] -= 1
-            network.stats.cancel_send(envelope.src, envelope.kind, envelope.size_bytes)
+            flow, src, dst = transfer.flow, transfer.src, transfer.dst
+            del self.up_active[src][transfer]
+            del self.down_active[dst][transfer]
+            if flow.channel is _DATA_MEMBER or not network.priority_channels:
+                self.data_in_flight[src] -= 1
+            network.stats.cancel_send(src, flow.kind, flow.size_bytes)
         for transfer in victims:
-            self._dirty_down[transfer.envelope.dst] = None
-            self._admit(transfer.envelope.src, network.sim.now, True)
-        return dropped + len(victims)
-
-    def queued_bytes(self, node: int) -> float:
-        total = _queued_bytes(self.queues[node])
-        now = self.network.sim.now
-        for transfer in self.up_active[node]:
-            remaining = (
-                transfer.remaining_bits - transfer.rate * (now - transfer.updated)
-            )
-            total += max(0.0, remaining) / 8.0
-        return total
+            self._dirty_down[transfer.dst] = None
+            self._admit(transfer.src, network.sim.now, True)
+        return len(victims)
 
 
 DropFilter = Callable[[Envelope], bool]
@@ -844,12 +765,11 @@ class Network(Transport):
         #: True iff a drop filter is installed or the run's link faults
         #: hold a partition or loss window (else no ``_should_drop``).
         self._filters_active = False
-        self._fair: Optional[_FairShareLinks] = None
-        self._uplinks: list[_Uplink] = []
-        if link_model == "fair-share":
-            self._fair = _FairShareLinks(self, fair_share_slots)
-        else:
-            self._uplinks = [_Uplink(node, self) for node in range(topology.n)]
+        self._fair: Optional[_FairShareLinks] = (
+            _FairShareLinks(self, fair_share_slots)
+            if link_model == "fair-share" else None
+        )
+        self._uplinks = [_Uplink(node, self) for node in range(topology.n)]
         self._ingress = [_Ingress(self) for _ in range(topology.n)]
         self._drop_filter: Optional[DropFilter] = None
         self._down: set[int] = set()
@@ -904,11 +824,7 @@ class Network(Transport):
         self._down.add(node)
         self._flush_at[node] = self.sim.now
         self._up_at[node] = float("inf")
-        if self._fair is not None:
-            flushed = self._fair.flush(node)
-        else:
-            flushed = self._uplinks[node].flush()
-        flushed += self._ingress[node].flush()
+        flushed = self._uplinks[node].flush() + self._ingress[node].flush()
         self.stats.messages_dropped += flushed
 
     def set_node_up(self, node: int) -> None:
@@ -919,17 +835,6 @@ class Network(Transport):
 
     def is_down(self, node: int) -> bool:
         return node in self._down
-
-    def set_data_limiter(
-        self, node: int, rate_bytes_per_s: float, burst_bytes: float
-    ) -> None:
-        """Enable the token-bucket limiter on ``node``'s data channel."""
-        if self._fair is not None:
-            raise ValueError(
-                "the data limiter requires link_model='serial' "
-                "(fair-share links model contention directly)"
-            )
-        self._uplinks[node].limiter = TokenBucket(rate_bytes_per_s, burst_bytes)
 
     # -- sending -----------------------------------------------------------
 
@@ -957,14 +862,10 @@ class Network(Transport):
         if src not in self._handlers or dst not in self._handlers:
             raise ValueError(f"send between unregistered nodes {src}->{dst}")
         flow = _Flow(kind, size_bytes, payload, channel, (dst,), self.sim.now)
-        index = (
+        self._uplinks[src].enqueue(flow, (
             _DATA if channel is _DATA_MEMBER or not self.priority_channels
             else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
-        )
-        if self._fair is not None:
-            self._fair.submit(flow, src, index)
-        else:
-            self._uplinks[src].enqueue(flow, index)
+        ))
 
     def broadcast(
         self,
@@ -980,18 +881,8 @@ class Network(Transport):
 
         Each copy is serialized on the sender's uplink (no link-layer
         multicast, as with TCP fan-out); the fan-out is one :class:`_Flow`.
+        A crashed sender drops, and counts, the copies it would have sent.
         """
-        if src in self._down:
-            count = (
-                len(recipients) if recipients is not None
-                else self.topology.n - 1
-            )
-            self.stats.messages_dropped += count + (
-                1 if include_self and src not in (recipients or ()) else 0
-            )
-            return
-        if include_self:
-            self.send(src, src, kind, size_bytes, payload, channel)
         if recipients is None:
             targets = self._default_recipients[src]
             if targets is None:
@@ -1004,21 +895,22 @@ class Network(Transport):
                         f"send between unregistered nodes {src}->{dst}"
                     )
             targets = [dst for dst in recipients if dst != src]
+        if src in self._down:
+            self.stats.messages_dropped += len(targets) + include_self
+            return
+        if include_self:
+            self.send(src, src, kind, size_bytes, payload, channel)
         if self._down:
             live = [dst for dst in targets if dst not in self._down]
             self.stats.messages_dropped += len(targets) - len(live)
             targets = live
         if not targets:
             return
-        index = (
+        flow = _Flow(kind, size_bytes, payload, channel, targets, self.sim.now)
+        self._uplinks[src].enqueue(flow, (
             _DATA if channel is _DATA_MEMBER or not self.priority_channels
             else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
-        )
-        flow = _Flow(kind, size_bytes, payload, channel, targets, self.sim.now)
-        if self._fair is not None:
-            self._fair.submit(flow, src, index)
-        else:
-            self._uplinks[src].enqueue(flow, index)
+        ))
 
     def _build_default_recipients(self, src: int) -> tuple:
         if src not in self._handlers:
@@ -1038,9 +930,7 @@ class Network(Transport):
 
     def queued_bytes(self, node: int) -> float:
         """Bytes currently waiting in ``node``'s egress queues."""
-        if self._fair is not None:
-            return self._fair.queued_bytes(node)
-        return _queued_bytes(self._uplinks[node].queues)
+        return self._uplinks[node].queued_bytes()
 
     def expected_transfer_seconds(
         self, src: int, size_bytes: float, copies: int = 1

@@ -375,8 +375,8 @@ class ScenarioFuzzer:
         for job in executor.imap(specs):
             if job.error is not None:
                 raise RuntimeError(
-                    f"fuzz worker failed on {specs[job.index].label} "
-                    f"after {job.attempts} attempt(s): {job.error}"
+                    f"fuzz worker failed on {specs[job.index].label}: "
+                    f"{job.error}"
                 )
             outcome = FuzzOutcome.from_dict(job.value["outcome"])
             outcomes.append(outcome)

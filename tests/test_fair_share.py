@@ -3,7 +3,8 @@
 The serial model's exact store-and-forward timings are pinned by
 ``tests/test_sim_network.py``; this file pins the fair-share analogue —
 active transfers split uplink/downlink capacity evenly, with rates
-recomputed only when a transfer starts or finishes.
+recomputed only when a transfer starts or finishes. A test that loops
+or is parametrised over ``LINK_MODELS`` pins what both models share.
 """
 
 import math
@@ -13,13 +14,13 @@ import pytest
 
 from repro.faults import LinkFaults, Window
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel, Network
+from repro.sim.network import LINK_MODELS, Channel, Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
 
 
 def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
-             scaled=False, reply=None, **kwargs):
+             scaled=False, reply=None, link_model="fair-share", **kwargs):
     """``scaled`` reaches the same bandwidths through a run-long squeeze
     window (twice the base, halved on every node — exact in binary
     floating point), so the link model reads ``Topology.bandwidth`` at
@@ -38,7 +39,7 @@ def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
         ))
     sim = Simulator()
     network = Network(
-        sim, topology, RngRegistry(7), link_model="fair-share", **kwargs
+        sim, topology, RngRegistry(7), link_model=link_model, **kwargs
     )
     log = []
 
@@ -108,11 +109,12 @@ def test_small_message_overtakes_bulk_transfer_to_same_peer():
 
 def test_data_slots_serialize_broadcast_copies():
     # With one DATA slot the fan-out degenerates to serial: copies leave
-    # at 1 s and 2 s exactly, like the store-and-forward model.
-    sim, network, log = make_net(fair_share_slots=1)
-    network.broadcast(0, "mb", 1_000_000, None)
-    sim.run()
-    assert log == [(1.0, 0, 1, "mb"), (2.0, 0, 2, "mb")]
+    # at 1 s and 2 s exactly, as in the store-and-forward model.
+    for link_model in LINK_MODELS:
+        sim, network, log = make_net(fair_share_slots=1, link_model=link_model)
+        network.broadcast(0, "mb", 1_000_000, None)
+        sim.run()
+        assert log == [(1.0, 0, 1, "mb"), (2.0, 0, 2, "mb")], link_model
 
 
 def test_consensus_bypasses_data_slots():
@@ -127,10 +129,11 @@ def test_consensus_bypasses_data_slots():
 
 
 def test_propagation_delay_applies_after_transfer_completes():
-    sim, network, log = make_net(delay=0.05)
-    network.send(0, 1, "bulk", 1_000_000, None)
-    sim.run()
-    assert log == [(1.05, 0, 1, "bulk")]
+    for link_model in LINK_MODELS:
+        sim, network, log = make_net(delay=0.05, link_model=link_model)
+        network.send(0, 1, "bulk", 1_000_000, None)
+        sim.run()
+        assert log == [(1.05, 0, 1, "bulk")], link_model
 
 
 def test_sender_crash_kills_active_transfers_and_refunds_stats():
@@ -178,10 +181,24 @@ def test_queued_bytes_tracks_waiting_and_active_transfers():
     assert network.queued_bytes(0) == 0.0
 
 
-def test_limiter_is_rejected_under_fair_share():
-    sim, network, log = make_net()
-    with pytest.raises(ValueError, match="serial"):
-        network.set_data_limiter(0, 1_000_000, 10_000)
+@pytest.mark.parametrize("link_model", LINK_MODELS)
+def test_down_sender_counts_the_copies_it_would_have_sent(link_model):
+    # A live sender leaves itself out of ``recipients`` and loops one
+    # copy back for ``include_self``; a crashed one drops the same copies.
+    sim, network, log = make_net(n=4, link_model=link_model)
+    network.broadcast(0, "mb", 1_000, None, recipients=[0, 1, 2])
+    assert sum(network.stats.messages_sent.values()) == 2
+    network.set_node_down(0)
+    dropped = network.stats.messages_dropped
+    network.broadcast(0, "mb", 1_000, None, recipients=[0, 1, 2])
+    assert network.stats.messages_dropped == dropped + 2
+    network.broadcast(0, "mb", 1_000, None, recipients=[0, 1],
+                      include_self=True)
+    assert network.stats.messages_dropped == dropped + 2 + 2
+    network.broadcast(0, "mb", 1_000, None, include_self=True)
+    assert network.stats.messages_dropped == dropped + 4 + 4
+    with pytest.raises(ValueError, match="unregistered"):
+        network.broadcast(0, "mb", 1_000, None, recipients=[1, 9])
 
 
 def test_unknown_link_model_is_rejected():

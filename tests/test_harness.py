@@ -146,7 +146,6 @@ def recorded_configs():
                 at=2.0, duration=1.5, base=0.1, jitter=0.05,
                 bandwidth_factor=0.15,
             )]),
-            data_limiter=(1.25e6, 65_536.0),
             durability=DurabilityConfig(
                 fsync="interval", checkpoint_interval=8,
             ),
@@ -162,15 +161,16 @@ def recorded_configs():
 
 
 #: Fields deleted since the recording: options nothing ever set (each a
-#: constant beside its reader now, at the recorded value), and
-#: ``fluctuation``, a second spelling of ``faults=[DelaySpike]``.
+#: constant beside its reader now, at the recorded value),
+#: ``fluctuation``, a second spelling of ``faults=[DelaySpike]``, and
+#: ``data_limiter``, the data-channel token bucket, deleted with it.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
     "estimator_percentile", "fluctuation",
     "fetch_max_targets", "fetch_backoff_factor", "fetch_backoff_max",
     "fetch_jitter", "fetch_max_rounds", "gossip_fanout", "pbft_window",
     "gc_retention", "busy_margin", "busy_slack", "byzantine",
-    "fsync_interval", "snapshot_transfer", "shard_size",
+    "fsync_interval", "snapshot_transfer", "shard_size", "data_limiter",
 }
 
 

@@ -34,7 +34,7 @@ from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import NetworkScope
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel, Envelope
-from repro.sim.network import Network, TokenBucket
+from repro.sim.network import LINK_MODELS, Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
 from repro.types import TxBatch
@@ -188,24 +188,6 @@ def test_estimator_constant_load_never_busy(value, count):
     assert not estimator.is_busy()
 
 
-# -- token bucket ----------------------------------------------------------
-
-@given(
-    rate=st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
-    burst=st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
-    sizes=st.lists(st.floats(min_value=1.0, max_value=1e5,
-                             allow_nan=False), min_size=1, max_size=30),
-)
-def test_token_bucket_never_ready_in_the_past(rate, burst, sizes):
-    bucket = TokenBucket(rate, burst)
-    now = 0.0
-    for size in sizes:
-        ready = bucket.ready_at(now, size)
-        assert ready >= now
-        now = ready
-        bucket.consume(now, size)
-
-
 # -- zipf ------------------------------------------------------------------
 
 @given(st.integers(min_value=1, max_value=500),
@@ -306,7 +288,6 @@ def experiment_configs(draw):
         ),
         view_timeout=draw(_positive(0.1, 10.0)),
     )
-    fair_share = draw(st.booleans())
     return ExperimentConfig(
         protocol,
         topology_kind=draw(st.sampled_from(["lan", "wan"])),
@@ -321,7 +302,7 @@ def experiment_configs(draw):
         fault_count=fault_count,
         attach_executor=draw(st.booleans()),
         priority_channels=draw(st.booleans()),
-        link_model="fair-share" if fair_share else "serial",
+        link_model=draw(st.sampled_from(LINK_MODELS)),
         workload_mode=draw(st.sampled_from(["ticks", "aggregate"])),
         offered_clients=draw(st.none() | st.integers(1, 10 ** 6)),
         faults=draw(
@@ -335,10 +316,6 @@ def experiment_configs(draw):
                 base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
                 bandwidth_factor=_positive(0.01, 1.0),
             )
-        ),
-        data_limiter=(
-            None if fair_share
-            else draw(st.none() | st.tuples(_positive(), _positive()))
         ),
         durability=draw(st.none() | st.builds(
             DurabilityConfig,

@@ -1,4 +1,4 @@
-"""Unit tests for the network substrate: serialization, priority, limiter."""
+"""Unit tests for the network substrate: serialization and priority."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import FaultSchedule, LinkFaults, LossWindow, Partition
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel, Network, TokenBucket
+from repro.sim.network import Channel, Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
 
@@ -153,56 +153,6 @@ def test_processing_priority_favors_consensus():
     assert kinds.index("vote") <= 1
 
 
-class TestTokenBucket:
-    def test_admits_within_burst_immediately(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=5000)
-        assert bucket.ready_at(0.0, 5000) == 0.0
-
-    def test_defers_when_empty(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
-        bucket.consume(0.0, 1000)
-        assert bucket.ready_at(0.0, 500) == pytest.approx(0.5)
-
-    def test_refills_over_time(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
-        bucket.consume(0.0, 1000)
-        assert bucket.ready_at(2.0, 1000) == pytest.approx(2.0)
-
-    def test_burst_caps_refill(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
-        assert bucket.ready_at(100.0, 1000) == pytest.approx(100.0)
-        bucket.consume(100.0, 1000)
-        assert bucket.ready_at(100.0, 1000) == pytest.approx(101.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(0, 100)
-        with pytest.raises(ValueError):
-            TokenBucket(100, 0)
-
-
-def test_data_limiter_throttles_data_channel():
-    sim, net, inboxes = make_network()
-    # 1000 B/s limiter, tiny burst: second 500-byte message waits ~0.5 s.
-    net.set_data_limiter(0, rate_bytes_per_s=1000, burst_bytes=500)
-    net.send(0, 1, "d", 500, "a", Channel.DATA)
-    net.send(0, 1, "d", 500, "b", Channel.DATA)
-    sim.run()
-    times = [when for when, _ in inboxes[1]]
-    assert times[1] - times[0] == pytest.approx(0.5, abs=0.01)
-
-
-def test_limiter_does_not_delay_consensus():
-    sim, net, inboxes = make_network()
-    net.set_data_limiter(0, rate_bytes_per_s=10, burst_bytes=1000)
-    net.send(0, 1, "d0", 1000, None, Channel.DATA)  # takes the whole burst
-    net.send(0, 1, "d", 1000, None, Channel.DATA)   # needs 100 s of tokens
-    net.send(0, 1, "v", 1000, None, Channel.CONSENSUS)
-    sim.run_until(5.0)
-    kinds = [env.kind for _, env in inboxes[1]]
-    assert "v" in kinds and "d" not in kinds
-
-
 def test_priority_disabled_single_fifo():
     sim = Simulator()
     topo = Topology(3, one_way_delay=0.01, bandwidth_bps=8_000_000)
@@ -232,39 +182,6 @@ def test_control_channel_between_consensus_and_data():
     net.send(0, 1, "vote", 1_000, None, Channel.CONSENSUS)
     sim.run()
     assert inbox == ["d1", "vote", "ctrl", "d2"]
-
-
-class TestOversizedUnderLimiter:
-    """A data message larger than the bucket's burst used to wait for
-    tokens the refill cap never lets the bucket hold."""
-
-    def test_bucket_admits_oversized_once_full_and_goes_negative(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
-        assert bucket.ready_at(0.0, 5000) == 0.0
-        bucket.consume(0.0, 5000)
-        # 4,000 in debt: a second oversized message needs the bucket
-        # full again, a small one only its own size.
-        assert bucket.ready_at(0.0, 5000) == pytest.approx(5.0)
-        assert bucket.ready_at(0.0, 500) == pytest.approx(4.5)
-
-    def test_bucket_not_yet_full_holds_an_oversized_message(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, burst_bytes=1000)
-        bucket.consume(0.0, 400)
-        assert bucket.ready_at(0.0, 5000) == pytest.approx(0.4)
-
-    def test_network_delivers_oversized_data_at_the_long_run_rate(self):
-        sim, net, inboxes = make_network()
-        net.set_data_limiter(0, rate_bytes_per_s=1e6, burst_bytes=1000.0)
-        for label in "abc":
-            net.send(0, 1, "d", 5000, label, Channel.DATA)
-        sim.run_until(1.0)
-        times = [when for when, _ in inboxes[1]]
-        assert [env.payload for _, env in inboxes[1]] == ["a", "b", "c"]
-        # The first passes on the full bucket; each later one waits out
-        # the 5,000 bytes before it: 5 ms at 1 MB/s.
-        assert times[1] - times[0] == pytest.approx(0.005, abs=1e-4)
-        assert times[2] - times[1] == pytest.approx(0.005, abs=1e-4)
-        assert sim.processed < 20  # no wait event spinning on the deficit
 
 
 class TestEventEconomy:
