@@ -3,7 +3,8 @@
 Four engines exercise the mempools: chained HotStuff (the paper's main
 integration target), its two-chain variant (Bamboo ships both),
 Streamlet (epoch-based, all-to-all votes), and PBFT (used by the
-Appendix-A analytic benches).
+Appendix-A analytic benches). All four keep one block tree and one
+proposal lifecycle, :class:`~repro.consensus.chain.ChainedEngine`.
 """
 
 from repro.consensus.base import ConsensusEngine

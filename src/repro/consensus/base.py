@@ -76,9 +76,9 @@ class ConsensusEngine(Routed, abc.ABC):
         minted, and ``(proposer, counter)`` block ids must stay unique
         across incarnations — peers silently drop a proposal whose id they
         have already accepted, so a colliding id wedges every view the
-        respawned replica leads. Engines whose counter is protocol state
-        rather than a local id (PBFT sequence numbers) override this as a
-        no-op.
+        respawned replica leads. All four engines in this package
+        inherit :class:`~repro.consensus.chain.ChainedEngine`'s; an
+        engine written outside it may leave this unsupported.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support block-id rebasing"

@@ -1,10 +1,11 @@
 """The block tree every chained engine keeps, written once.
 
-HotStuff (both commit rules) and Streamlet differ in how a block gets
-certified and when a certified block commits. What happens to a proposal
-around those two decisions is the same — ``stored -> unresolved ->
-committed | abandoned``, orphans parked until chain sync delivers their
-parent — and lives here (DESIGN.md, "One proposal lifecycle").
+HotStuff (both commit rules), Streamlet and PBFT differ in how a block
+gets certified and when a certified block commits. What happens to a
+proposal around those two decisions is the same — ``stored ->
+unresolved -> committed | abandoned``, orphans parked until chain sync
+delivers their parent — and lives here (DESIGN.md, "One proposal
+lifecycle").
 
 Inheritance, not a delegate: ``routes`` and ``_handle_proposal`` stay
 in the subclasses and reach this state through ``self`` with no extra
@@ -14,7 +15,7 @@ call per message.
 from __future__ import annotations
 
 import abc
-from typing import Optional, TYPE_CHECKING
+from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
 from repro.consensus.base import ConsensusEngine
@@ -36,7 +37,8 @@ class ChainedEngine(ConsensusEngine):
     """Block tree, chain sync and the commit walk of a chained engine.
 
     ``sync_period`` is how long to wait for a requested block before
-    asking the next holder (HotStuff's view timeout, Streamlet's epoch).
+    asking the next holder (HotStuff's and PBFT's view timeout,
+    Streamlet's epoch).
     """
 
     def __init__(
@@ -73,6 +75,9 @@ class ChainedEngine(ConsensusEngine):
         # waiting on ancestry, so sync must not re-request them.
         self._orphaned: set[int] = set()
         self._sync_requested: set[int] = set()
+        # Parked children still to hand back, one iterator per released
+        # parent, newest on top (see _release_orphans).
+        self._releasing: list[Iterator[Proposal]] = []
 
     @abc.abstractmethod
     def _handle_proposal(self, proposal: Proposal) -> None:
@@ -93,9 +98,9 @@ class ChainedEngine(ConsensusEngine):
     def _propose_block(
         self, parent: Proposal, view: int, justify: QuorumCert,
         payload: Payload,
-    ) -> None:
+    ) -> Proposal:
         """Mint this replica's next block — a child of ``parent`` for
-        ``view`` — broadcast it, and deliver it to ourselves."""
+        ``view`` — broadcast it, deliver it to ourselves, and return it."""
         node = self.node_id
         proposal = Proposal(
             block_id=make_block_id(node, self._block_counter),
@@ -113,21 +118,43 @@ class ChainedEngine(ConsensusEngine):
                             entries=len(payload.microblock_ids))
         self.broadcast(MessageKinds.PROPOSAL, proposal.size_bytes, proposal)
         self._handle_proposal(proposal)
+        return proposal
 
     # -- orphans and chain sync --------------------------------------------
 
     def _park_orphan(self, proposal: Proposal) -> None:
         """Hold ``proposal`` until its parent arrives, and ask its
         proposer (who must hold the whole ancestry it extended) for a
-        retransmission in case the parent was actually lost."""
-        self._orphans.setdefault(proposal.parent_id, []).append(proposal)
-        self._orphaned.add(proposal.block_id)
+        retransmission in case the parent was actually lost. A block
+        delivered again while parked stays parked once."""
+        if proposal.block_id not in self._orphaned:
+            self._orphans.setdefault(proposal.parent_id, []).append(proposal)
+            self._orphaned.add(proposal.block_id)
         self._request_sync(proposal.parent_id, proposal.proposer)
 
     def _release_orphans(self, proposal: Proposal) -> None:
-        """``proposal`` was stored: hand its parked children back to the
-        subclass, in arrival order. Skipped while ``_orphans`` is empty."""
-        for orphan in self._orphans.pop(proposal.block_id, ()):
+        """``proposal`` was stored: hand its parked descendants back to
+        the subclass, depth first, siblings in arrival order. Skipped
+        while ``_orphans`` is empty.
+
+        A loop, not a recursion: a long parked chain would otherwise
+        nest one ``_handle_proposal`` per block. A call made while a
+        release is running (the subclass storing a released child)
+        pushes that child's children and returns; the running loop
+        hands them back as soon as the child's handler returns.
+        """
+        children = self._orphans.pop(proposal.block_id, None)
+        if children is None:
+            return
+        stack = self._releasing
+        stack.append(iter(children))
+        if len(stack) > 1:
+            return
+        while stack:
+            orphan = next(stack[-1], None)
+            if orphan is None:
+                stack.pop()
+                continue
             self._orphaned.discard(orphan.block_id)
             self._handle_proposal(orphan)
 

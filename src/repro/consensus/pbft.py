@@ -3,9 +3,10 @@
 Used by the Appendix-A benches to cross-check the analytic throughput
 model: the fixed leader broadcasts full proposals (pre-prepare), and all
 replicas exchange all-to-all prepare and commit votes — ``O(n^2)``
-message complexity per slot. Instances are pipelined up to a
-configurable window. View changes are out of scope (the analysis and the
-benches that use PBFT are normal-case only).
+message complexity per slot. Slots are pipelined up to a window, each a
+block of :class:`ChainedEngine`'s tree extending the previous slot. View
+changes are out of scope (the analysis and the benches that use PBFT
+are normal-case only).
 """
 
 from __future__ import annotations
@@ -13,39 +14,22 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.consensus.base import ConsensusEngine
+from repro.consensus.chain import GENESIS_ID, ChainedEngine
 from repro.crypto import GENESIS_QC
 from repro.mempool.base import MessageKinds
 from repro.sim.interfaces import Handler
 from repro.types import sizes
-from repro.types.proposal import Proposal, make_block_id
+from repro.types.proposal import Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mempool.base import Mempool
     from repro.replica.node import Replica
 
-#: Sequence numbers the leader keeps in flight beyond the last commit.
+#: Slots the leader keeps in flight beyond the last commit.
 PBFT_WINDOW = 8
 
 
-class _SlotState:
-    """Prepare/commit vote accumulation for one sequence number."""
-
-    __slots__ = (
-        "proposal", "prepares", "commits",
-        "prepare_sent", "prepared", "committed",
-    )
-
-    def __init__(self) -> None:
-        self.proposal = None
-        self.prepares: set[int] = set()
-        self.commits: set[int] = set()
-        self.prepare_sent = False
-        self.prepared = False
-        self.committed = False
-
-
-class Pbft(ConsensusEngine):
+class Pbft(ChainedEngine):
     """PBFT engine for one replica (normal case, pipelined window)."""
 
     name = "pbft"
@@ -53,25 +37,21 @@ class Pbft(ConsensusEngine):
     def __init__(
         self, host: "Replica", mempool: "Mempool", config: ProtocolConfig
     ) -> None:
-        super().__init__(host, mempool, config)
-        self._slots: dict[int, _SlotState] = {}
-        self._next_seq = 0
-        self._last_committed = -1
+        super().__init__(host, mempool, config, config.view_timeout)
+        #: The leader's newest slot; the next one extends it.
+        self._tip = self.proposals[GENESIS_ID]
+        # Voters per block id, and the blocks we voted for, per round.
+        self._prepares: dict[int, set[int]] = {}
+        self._commits: dict[int, set[int]] = {}
+        self._prepare_sent: set[int] = set()
+        self._commit_sent: set[int] = set()
         self._pump_scheduled = False
-        self._retransmit_timer = None
 
     def start(self) -> None:
-        if self.current_leader() == self.node_id:
-            self._pump()
-            self._arm_retransmit()
+        self.resume()
 
     def current_leader(self) -> int:
         return self.leader_of(0)
-
-    def suspend(self) -> None:
-        if self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
-            self._retransmit_timer = None
 
     def resume(self) -> None:
         # The pump chain dies while the replica is silent (crashed); the
@@ -80,13 +60,6 @@ class Pbft(ConsensusEngine):
             self._pump()
             self._arm_retransmit()
 
-    def rebase_block_ids(self, base: int) -> None:
-        # PBFT block ids embed the sequence number — protocol state, not
-        # a locally-minted counter. Offsetting them would skip slots, so
-        # respawn id-disambiguation is a no-op here (a respawned leader
-        # re-proposing committed slots is rejected by the seq window).
-        pass
-
     # -- leader ----------------------------------------------------------
 
     def _pump(self) -> None:
@@ -94,26 +67,11 @@ class Pbft(ConsensusEngine):
         self._pump_scheduled = False
         if self.host.behavior.silent:
             return
-        while self._next_seq - self._last_committed <= PBFT_WINDOW:
+        while self._tip.height - self.committed_height < PBFT_WINDOW:
             payload = self.mempool.make_payload()
             if payload.is_empty:
                 break
-            seq = self._next_seq
-            self._next_seq += 1
-            proposal = Proposal(
-                block_id=make_block_id(self.node_id, seq),
-                view=0,
-                height=seq + 1,  # heights are 1-based (genesis is 0)
-                proposer=self.node_id,
-                parent_id=0,
-                justify=GENESIS_QC,
-                payload=payload,
-                created_at=self.host.sim.now,
-            )
-            self.broadcast(
-                MessageKinds.PROPOSAL, proposal.size_bytes, (seq, proposal)
-            )
-            self._on_pre_prepare(seq, proposal)
+            self._tip = self._propose_block(self._tip, 0, GENESIS_QC, payload)
         self._schedule_pump()
 
     def _schedule_pump(self) -> None:
@@ -123,117 +81,110 @@ class Pbft(ConsensusEngine):
         self.host.sim.schedule(self.config.empty_view_delay, self._pump)
 
     def _arm_retransmit(self) -> None:
-        if self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
-        self._retransmit_timer = self.host.sim.schedule(
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self.host.sim.schedule(
             self.config.view_timeout, self._retransmit
         )
 
     def _retransmit(self) -> None:
-        """Rebroadcast pre-prepares for slots stuck in the window.
+        """Rebroadcast every uncommitted slot, with our votes for it.
 
         The normal case has no view change, so a pre-prepare or vote lost
-        to a partition would jam the pipelined window forever: the window
-        check ``_next_seq - _last_committed <= PBFT_WINDOW`` never opens
-        again. The leader periodically re-broadcasts every uncommitted
-        in-window proposal; replicas answer duplicates by re-sending their
-        own votes (see :meth:`_on_pre_prepare`), repairing the quorums.
+        to a partition would jam the pipelined window forever. The leader
+        periodically re-broadcasts its unresolved proposals; replicas
+        answer duplicates by re-sending their own votes, repairing the
+        quorums. A slot the leader already committed reaches a follower
+        that missed it through chain sync instead.
         """
-        self._retransmit_timer = None
+        self._timer = None
         if self.host.behavior.silent:
             return
-        for seq in range(self._last_committed + 1, self._next_seq):
-            slot = self._slots.get(seq)
-            if slot is None or slot.committed or slot.proposal is None:
-                continue
+        for proposal in self._unresolved.values():
             self.broadcast(
-                MessageKinds.PROPOSAL, slot.proposal.size_bytes,
-                (seq, slot.proposal),
+                MessageKinds.PROPOSAL, proposal.size_bytes, proposal
             )
-            self._resend_votes(seq, slot)
+            self._resend_votes(proposal.block_id)
         self._arm_retransmit()
 
-    def _resend_votes(self, seq: int, slot: _SlotState) -> None:
-        if slot.prepare_sent:
-            self.broadcast(
-                MessageKinds.PBFT_PREPARE, sizes.VOTE, (seq, self.node_id)
-            )
-        if slot.prepared:
-            self.broadcast(
-                MessageKinds.PBFT_COMMIT, sizes.VOTE, (seq, self.node_id)
-            )
+    def _resend_votes(self, block_id: int) -> None:
+        if block_id in self._prepare_sent:
+            self._vote(MessageKinds.PBFT_PREPARE, block_id)
+        if block_id in self._commit_sent:
+            self._vote(MessageKinds.PBFT_COMMIT, block_id)
+
+    def _vote(self, kind: str, block_id: int) -> None:
+        self.broadcast(kind, sizes.VOTE, (block_id, self.node_id))
 
     # -- message handling ----------------------------------------------
 
     def routes(self) -> dict[str, Handler]:
-        # Every payload is ``(seq, proposal)`` or ``(seq, voter)``.
-        pre_prepare, prepare, commit = (
-            self._on_pre_prepare, self._on_prepare, self._on_commit_vote,
-        )
+        # Both vote rounds carry ``(block_id, voter)``.
+        prepare, commit = self._on_prepare, self._on_commit_vote
         return {
-            MessageKinds.PROPOSAL: lambda env: pre_prepare(*env.payload),
+            MessageKinds.PROPOSAL: self._on_proposal,
             MessageKinds.PBFT_PREPARE: lambda env: prepare(*env.payload),
             MessageKinds.PBFT_COMMIT: lambda env: commit(*env.payload),
+            MessageKinds.SYNC_REQUEST: self._serve_sync,
         }
 
-    def _slot(self, seq: int) -> _SlotState:
-        if seq not in self._slots:
-            self._slots[seq] = _SlotState()
-        return self._slots[seq]
-
-    def _on_pre_prepare(self, seq: int, proposal: Proposal) -> None:
-        slot = self._slot(seq)
-        if slot.proposal is not None:
+    def _handle_proposal(self, proposal: Proposal) -> None:
+        """Pre-prepare: store the slot once its parent is, then prepare."""
+        block_id = proposal.block_id
+        silent = self.host.behavior.silent
+        if block_id in self.proposals:
             # Leader retransmission: our earlier votes may be the ones
             # that were lost, so answer the duplicate by re-sending them.
-            if not slot.committed and not self.host.behavior.silent:
-                self._resend_votes(seq, slot)
+            if block_id not in self.committed and not silent:
+                self._resend_votes(block_id)
+            return
+        if proposal.parent_id not in self.proposals:
+            self._park_orphan(proposal)
             return
         payload = proposal.payload
         if not self.mempool.verify_payload(payload):
             return
         if payload.entries:
             self.mempool.on_proposal(proposal)
-        slot.proposal = proposal
-        if self.host.behavior.silent:
-            return
+        self.proposals[block_id] = proposal
+        self._unresolved[block_id] = proposal
+        if not silent:
 
-        def send_prepare() -> None:
-            slot.prepare_sent = True
-            self.broadcast(
-                MessageKinds.PBFT_PREPARE, sizes.VOTE, (seq, self.node_id)
-            )
-            self._on_prepare(seq, self.node_id)
+            def send_prepare() -> None:
+                self._prepare_sent.add(block_id)
+                self._vote(MessageKinds.PBFT_PREPARE, block_id)
+                self._on_prepare(block_id, self.node_id)
 
-        self.mempool.prepare(proposal, send_prepare)
+            self.mempool.prepare(proposal, send_prepare)
+        if self._orphans:
+            self._release_orphans(proposal)
 
-    def _on_prepare(self, seq: int, voter: int) -> None:
-        slot = self._slot(seq)
-        slot.prepares.add(voter)
+    def _on_prepare(self, block_id: int, voter: int) -> None:
+        prepares = self._prepares.setdefault(block_id, set())
+        prepares.add(voter)
         if (
-            slot.prepared
-            or slot.proposal is None
-            or len(slot.prepares) < self.config.consensus_quorum
+            block_id in self._commit_sent
+            or block_id not in self.proposals
+            or len(prepares) < self.config.consensus_quorum
             or self.host.behavior.silent
         ):
             return
-        slot.prepared = True
-        self.broadcast(
-            MessageKinds.PBFT_COMMIT, sizes.VOTE, (seq, self.node_id)
-        )
-        self._on_commit_vote(seq, self.node_id)
+        self._commit_sent.add(block_id)
+        self._vote(MessageKinds.PBFT_COMMIT, block_id)
+        self._on_commit_vote(block_id, self.node_id)
 
-    def _on_commit_vote(self, seq: int, voter: int) -> None:
-        slot = self._slot(seq)
-        slot.commits.add(voter)
+    def _on_commit_vote(self, block_id: int, voter: int) -> None:
+        """A commit quorum commits the slot and its stored ancestors —
+        safe because a slot is stored, and so prepared, only after its
+        parent, and the fixed leader is never Byzantine."""
+        commits = self._commits.setdefault(block_id, set())
+        commits.add(voter)
         if (
-            slot.committed
-            or slot.proposal is None
-            or len(slot.commits) < self.config.consensus_quorum
+            block_id in self.committed
+            or block_id not in self.proposals
+            or len(commits) < self.config.consensus_quorum
         ):
             return
-        slot.committed = True
-        self._last_committed = max(self._last_committed, seq)
-        self.handle_commit(slot.proposal)
+        self._commit_chain(self.proposals[block_id])
         if self.current_leader() == self.node_id:
             self._pump()

@@ -126,12 +126,12 @@ MESSAGE_REGISTRY: dict[str, tuple[type, ...]] = {
     MessageKinds.RB_READY: (int,),         # mb_id
     MessageKinds.LB_QUERY: (int,),         # query token
     MessageKinds.LB_INFO: (tuple,),        # (token, load)
-    MessageKinds.PROPOSAL: (Proposal, tuple),  # PBFT wraps: (seq, Proposal)
+    MessageKinds.PROPOSAL: (Proposal,),
     MessageKinds.VOTE: (tuple,),           # (block_id[, view], Signature)
     MessageKinds.NEW_VIEW: (tuple,),       # (view, QuorumCert)
     MessageKinds.SYNC_REQUEST: (int,),     # block_id
-    MessageKinds.PBFT_PREPARE: (tuple,),   # (seq, node_id)
-    MessageKinds.PBFT_COMMIT: (tuple,),    # (seq, node_id)
+    MessageKinds.PBFT_PREPARE: (tuple,),   # (block_id, node_id)
+    MessageKinds.PBFT_COMMIT: (tuple,),    # (block_id, node_id)
     CLIENT_BATCH: (TxBatch,),
     # Snapshot state transfer (appended in PR 8; append-only table).
     MessageKinds.STATE_SNAPSHOT_REQ: (int,),  # requester's applied height

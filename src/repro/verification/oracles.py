@@ -34,10 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.types.microblock import MicroBlock
     from repro.types.proposal import Block, Proposal
 
-#: Block id of the implicit genesis block; also the ``parent_id`` used by
-#: engines (PBFT) whose slots do not chain through parent links.
-GENESIS_ID = 0
-
 
 def _shard_map_for(protocol) -> Optional["object"]:
     """Build the run's :class:`~repro.sharding.ShardMap`, or ``None``.
@@ -222,13 +218,9 @@ class OracleSuite:
 
 
 class SafetyOracle(Oracle):
-    """Agreement and prefix consistency of honest committed chains.
-
-    Parent-link checks are skipped for proposals with ``parent_id == 0``:
-    PBFT slots do not chain through parents (and may commit out of slot
-    order within the window), so only the height-agreement checks apply
-    there.
-    """
+    """Agreement and prefix consistency of honest committed chains:
+    every honest replica commits one chain, heights 1 to its top with
+    no hole, and all of them agree height by height."""
 
     name = "safety"
 
@@ -289,18 +281,31 @@ class SafetyOracle(Oracle):
                 node, height=height, blocks=[first[0], block_id],
             )
 
-        if proposal.parent_id != GENESIS_ID:
-            parent = chain.get(height - 1)
-            if parent is not None and parent != proposal.parent_id:
-                self._report_once(
-                    ("broken-prefix", node, height),
-                    "broken-prefix",
-                    f"replica {node}'s block at height {height} links to "
-                    f"parent {proposal.parent_id:#x} but the replica "
-                    f"committed {parent:#x} at height {height - 1}",
-                    node, height=height,
-                    parent=proposal.parent_id, committed=parent,
-                )
+        parent = chain.get(height - 1)
+        if parent is not None and parent != proposal.parent_id:
+            self._report_once(
+                ("broken-prefix", node, height),
+                "broken-prefix",
+                f"replica {node}'s block at height {height} links to "
+                f"parent {proposal.parent_id:#x} but the replica "
+                f"committed {parent:#x} at height {height - 1}",
+                node, height=height,
+                parent=proposal.parent_id, committed=parent,
+            )
+
+    def finalize(self) -> None:
+        for node, chain in sorted(self._chains.items()):
+            top = max(chain)
+            if len(chain) == top:
+                continue
+            missing = [h for h in range(1, top + 1) if h not in chain]
+            self.report(
+                "gap",
+                f"replica {node} committed up to height {top} but not "
+                f"at {len(missing)} heights below it (first {missing[0]})",
+                node=node, top=top, missing=len(missing),
+                first=missing[0],
+            )
 
 
 class AvailabilityOracle(Oracle):
@@ -533,9 +538,7 @@ class LedgerOracle(Oracle):
     def _is_ancestor(self, block_id: int, proposal: "Proposal") -> bool:
         """Is committed block ``block_id`` on ``proposal``'s parent chain?
 
-        Walks committed parent links down to the block's height. PBFT
-        slots all name genesis as parent, so nothing is an ancestor
-        there and only the local-commit rule applies.
+        Walks committed parent links down to the block's height.
         """
         height = self._links[block_id][1]
         cursor = proposal.parent_id

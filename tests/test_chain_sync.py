@@ -1,8 +1,8 @@
 """Orphan parking and chain sync, once, for every chained engine.
 
-``ChainedEngine`` owns the code; HotStuff, two-chain HotStuff and
-Streamlet only decide when to call it, so each case runs against all
-three. White-box: blocks are handed to ``_handle_proposal`` directly and
+``ChainedEngine`` owns the code; HotStuff, two-chain HotStuff, Streamlet
+and PBFT only decide when to call it, so each case runs against all
+four. White-box: blocks are handed to ``_handle_proposal`` directly and
 sync requests are read off ``engine.send``.
 """
 
@@ -15,7 +15,7 @@ from repro.types.proposal import Payload, Proposal, make_block_id
 
 from tests.helpers import make_cluster
 
-ENGINES = ("hotstuff", "twochain", "streamlet")
+ENGINES = ("hotstuff", "twochain", "streamlet", "pbft")
 SYNC_PERIOD = 0.5
 pytestmark = pytest.mark.parametrize("consensus", ENGINES)
 
@@ -29,9 +29,9 @@ def frozen_cluster(consensus):
         },
     )
     for replica in exp.replicas:
-        replica.consensus.suspend()
-        if consensus != "streamlet":
-            replica.consensus._try_propose = lambda *a, **k: None
+        engine = replica.consensus
+        engine.suspend()
+        engine._try_propose = engine._schedule_pump = lambda *a, **k: None
     exp.sim.run_until(0.3)  # drain what start() had already sent
     return exp
 
@@ -147,3 +147,33 @@ def test_sync_gives_up_and_forgets_after_the_last_round(consensus):
     # Forgotten, not blacklisted: the next orphan asks again.
     engine._request_sync(b2.parent_id, b2.proposer)
     assert len(sent) == 11
+
+
+def test_long_parked_chain_releases_in_one_loop(consensus):
+    """Delivered newest first, every block but the oldest parks; the
+    oldest then releases the whole chain without nesting one handler
+    per block (which overflowed the interpreter's stack)."""
+    exp = frozen_cluster(consensus)
+    engine = exp.replicas[3].consensus
+    blocks = chain(exp, 2000)
+    sync_requests(engine)
+    for block in reversed(blocks[1:]):
+        engine._handle_proposal(block)
+    assert len(engine._orphaned) == 1999
+    engine._handle_proposal(blocks[0])
+    ours = [block.block_id for block in blocks]
+    assert [b for b in engine.proposals if b in set(ours)] == ours
+    assert not engine._orphans and not engine._orphaned
+
+
+def test_block_delivered_twice_while_parked_parks_once(consensus):
+    exp = frozen_cluster(consensus)
+    engine = exp.replicas[3].consensus
+    b1, b2 = chain(exp, 2)
+    sync_requests(engine)
+    engine._handle_proposal(b2)
+    engine._handle_proposal(b2)  # a retransmission or a sync answer
+    assert engine._orphans == {b1.block_id: [b2]}
+    engine._handle_proposal(b1)
+    assert b2.block_id in engine.proposals
+    assert not engine._orphans and not engine._orphaned

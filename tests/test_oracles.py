@@ -91,13 +91,16 @@ def test_safety_flags_broken_prefix():
     assert "broken-prefix" in kinds(suite)
 
 
-def test_safety_skips_parent_checks_for_pbft_slots():
-    """parent_id == 0 (PBFT) commits out of order without complaints."""
-    suite = stub_suite(SafetyOracle())
-    suite.on_local_commit(replica(0), proposal(12, 3))
+def test_safety_flags_a_gap_in_the_committed_heights():
+    oracle = SafetyOracle()
+    suite = stub_suite(oracle)
     suite.on_local_commit(replica(0), proposal(10, 1))
-    suite.on_local_commit(replica(0), proposal(11, 2))
+    suite.on_local_commit(replica(0), proposal(12, 3, parent_id=11))
+    suite.on_local_commit(replica(1), proposal(10, 1))
     assert suite.violations == []
+    oracle.finalize()
+    assert kinds(suite) == ["gap"]
+    assert suite.violations[0].node == 0
 
 
 def test_safety_ignores_byzantine_observations():

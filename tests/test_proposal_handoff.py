@@ -36,10 +36,9 @@ def frozen_cluster(consensus, mempool):
     for replica in exp.replicas:
         engine = replica.consensus
         engine.suspend()
-        if consensus == "pbft":
-            engine._schedule_pump = lambda: None
-        elif consensus != "streamlet":
-            engine._try_propose = lambda *a, **k: None
+        # HotStuff proposes through _try_propose, PBFT's leader through
+        # its pump; Streamlet's epoch clock is what suspend cancelled.
+        engine._try_propose = engine._schedule_pump = lambda *a, **k: None
     exp.sim.run_until(0.01)  # flush what start() had already scheduled
     return exp
 
@@ -270,9 +269,5 @@ def test_marking_does_not_route_through_prepare(consensus):
     payload = exp.replicas[1].mempool.make_payload()
     engine = exp.replicas[3].consensus
     engine.mempool.prepare = lambda proposal, on_ready: None
-    proposal = block(1, 1, 1, 0, GENESIS_QC, payload)
-    if consensus == "pbft":
-        engine._on_pre_prepare(0, proposal)
-    else:
-        engine._handle_proposal(proposal)
+    engine._handle_proposal(block(1, 1, 1, 0, GENESIS_QC, payload))
     assert set(payload.microblock_ids) <= engine.mempool._referenced.keys()

@@ -109,17 +109,15 @@ PAYLOADS_BY_KIND = {
     MessageKinds.RB_READY: ids,
     MessageKinds.LB_QUERY: ids,
     MessageKinds.LB_INFO: st.tuples(ids, times),
-    MessageKinds.PROPOSAL: st.one_of(
-        proposals, st.tuples(st.integers(0, 1000), proposals)
-    ),
+    MessageKinds.PROPOSAL: proposals,
     MessageKinds.VOTE: st.one_of(
         st.tuples(ids, st.integers(0, 1000), signatures),
         st.tuples(ids, signatures),
     ),
     MessageKinds.NEW_VIEW: st.tuples(st.integers(0, 1000), qcs),
     MessageKinds.SYNC_REQUEST: ids,
-    MessageKinds.PBFT_PREPARE: st.tuples(st.integers(0, 10_000), nodes),
-    MessageKinds.PBFT_COMMIT: st.tuples(st.integers(0, 10_000), nodes),
+    MessageKinds.PBFT_PREPARE: st.tuples(ids, nodes),
+    MessageKinds.PBFT_COMMIT: st.tuples(ids, nodes),
     CLIENT_BATCH: batches,
     MessageKinds.STATE_SNAPSHOT_REQ: st.integers(0, 10_000),
     MessageKinds.STATE_SNAPSHOT: snapshots,
