@@ -40,7 +40,7 @@ ENTRIES = [
     ("cli", f"{CHAOS} crash-restart --durability interval"),
     *(("cli", f"{CHAOS} {preset}") for preset in (
         "crash-partition", "fig7-disturbance", "flaky-data", "leader-squeeze",
-        """'[{"event": "delay", "at": 1.0, "duration": 0.5, "base": 0.1, "jitter": 0.05}]'""",
+        """'[{"kind": "delay", "start": 1.0, "end": 1.5, "base": 0.1, "jitter": 0.05}]'""",
     )),
     *(("live", f"-m repro live -n 4 --duration 5 --mempool {mempool}") for mempool in (
         "stratus", "native", "sharded-stratus --shards 2",

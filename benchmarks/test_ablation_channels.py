@@ -15,7 +15,7 @@ Stratus:
 import pytest
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
-from repro.faults import DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness.report import format_table
 
 from _common import run_once, write_result
@@ -23,8 +23,8 @@ from _common import run_once, write_result
 N_STEADY = 16
 RATE_STEADY = 62_000.0
 N_DISTURB = 32
-WINDOW = FaultSchedule([DelaySpike(
-    at=4.0, duration=5.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
+WINDOW = FaultSchedule([Window(
+    "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
 )])
 
 

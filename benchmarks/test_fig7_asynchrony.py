@@ -15,15 +15,15 @@ jitter, which is what actually strands microblock bodies in flight.
 import pytest
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
-from repro.faults import DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness.report import format_series, format_table
 
 from _common import run_once, scaled, write_result
 
 N = scaled(default=[32], full=[64])[0]
 RATE = 25_000.0
-WINDOW = FaultSchedule([DelaySpike(
-    at=4.0, duration=5.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
+WINDOW = FaultSchedule([Window(
+    "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
 )])
 END = 14.0
 

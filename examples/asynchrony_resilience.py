@@ -12,12 +12,12 @@ Run:  python examples/asynchrony_resilience.py
 """
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
-from repro.faults import DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness import format_table
 
 WARMUP = 1.0
-DISTURBANCE = DelaySpike(
-    at=4.0, duration=5.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
+DISTURBANCE = Window(
+    "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
 )
 
 
@@ -43,7 +43,7 @@ def main() -> None:
             series = dict(result.metrics.throughput_series(0.0, 14.0, 1.0))
             row.append(f"{series.get(float(second), 0.0):,.0f}")
         marker = ""
-        if DISTURBANCE.at <= second < DISTURBANCE.at + DISTURBANCE.duration:
+        if DISTURBANCE.start <= second < DISTURBANCE.end:
             marker = "<- disturbance"
         row.append(marker)
         rows.append(row)

@@ -75,7 +75,9 @@ from repro.workload.generator import WORKLOAD_MODES
 FAULTS_HELP = (
     "scripted fault schedule: a chaos preset name "
     f"({', '.join(CHAOS_PRESET_NAMES)}), inline JSON "
-    '(\'[{"event": "crash", "at": 2.0, "node": 3}, ...]\'), '
+    '(\'[{"kind": "crash", "start": 2.0, "end": 4.0, "nodes": [3]}, '
+    '...]\'; one entry per fault window, "end" omitted when it never '
+    'heals), '
     "or @file.json"
 )
 
@@ -193,7 +195,6 @@ def _print_fault_report(label: str, report: list[dict]) -> None:
     rows = [
         [
             entry["kind"],
-            entry["label"] or "-",
             f"{entry['start']:.2f}",
             _fmt_time(entry["end"]),
             ",".join(map(str, entry["nodes"])) or "all",
@@ -205,7 +206,7 @@ def _print_fault_report(label: str, report: list[dict]) -> None:
     ]
     print()
     print(format_table(
-        ["fault", "label", "start", "end", "nodes", "tput (tx/s)",
+        ["fault", "start", "end", "nodes", "tput (tx/s)",
          "commit gap (s)", "recover (s)"],
         rows,
         title=f"{label} fault windows",
@@ -400,7 +401,7 @@ def run_fuzz(argv: Sequence[str]) -> int:
             shrink_runs = result.runs
             print(f"  shrunk {original.label}: "
                   f"{len(original.fault_spec)} -> "
-                  f"{len(outcome.scenario.fault_spec)} fault events, "
+                  f"{len(outcome.scenario.fault_spec)} faults, "
                   f"duration {original.duration} -> "
                   f"{outcome.scenario.duration}s ({result.runs} runs)")
         if out_dir is not None:

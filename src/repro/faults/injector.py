@@ -1,10 +1,10 @@
 """Realises a :class:`FaultSchedule` on the simulator.
 
-A schedule is events and windows. The injector puts what is an *event*
-on the queue — crash/restart call :meth:`repro.replica.node.Replica.crash`
-and :meth:`~repro.replica.node.Replica.restart`, a behavior swap rebuilds
-the replica's :class:`Behavior` from its name — and hands the *windows*
-over: every one to the metrics hub, so
+The injector queues the schedule's :meth:`~FaultSchedule.timeline` —
+crash/restart call :meth:`repro.replica.node.Replica.crash` and
+:meth:`~repro.replica.node.Replica.restart`, a behavior swap rebuilds
+the replica's :class:`Behavior` from its name — and hands the windows
+over: every fault window to the metrics hub, so
 :meth:`repro.metrics.MetricsHub.fault_report` can compute per-window
 throughput, commit gaps and time-to-recover, and the link kinds
 (partition, loss, bandwidth, delay) to the network as one
@@ -17,13 +17,8 @@ from __future__ import annotations
 import random
 from typing import Sequence, TYPE_CHECKING
 
-from repro.faults.schedule import (
-    CrashReplica,
-    FaultSchedule,
-    RestartReplica,
-    SwapBehavior,
-)
-from repro.faults.windows import LinkFaults
+from repro.faults.schedule import FaultSchedule
+from repro.faults.windows import LinkFaults, Window
 from repro.metrics import MetricsHub
 from repro.replica.behavior import behavior_for
 from repro.sim.engine import Simulator
@@ -52,7 +47,7 @@ class FaultInjector:
         self._installed = False
 
     def install(self, schedule: FaultSchedule) -> None:
-        """Validate the schedule, hand its windows over, queue its events.
+        """Validate the schedule, hand its windows over, queue its timeline.
 
         Loss windows draw their coins from the injector's ``rng``.
         """
@@ -60,28 +55,23 @@ class FaultInjector:
             raise RuntimeError("injector already holds a schedule")
         schedule.validate(len(self._replicas))
         self._installed = True
-        windows = schedule.windows()
-        for window in windows:
+        faults = [w for w in schedule.windows if w.kind != "swap"]
+        for window in faults:
             self._metrics.record_fault_window(window)
-        if any(window.kind != "crash" for window in windows):
-            self._network.set_link_faults(LinkFaults(windows, self._rng))
-        for event in schedule.events:
-            if isinstance(event, CrashReplica):
-                self._sim.schedule_at(
-                    event.at, self._replicas[event.node].crash
-                )
-            elif isinstance(event, RestartReplica):
-                self._sim.schedule_at(
-                    event.at, self._replicas[event.node].restart
-                )
-            elif isinstance(event, SwapBehavior):
-                self._sim.schedule_at(
-                    event.at, lambda e=event: self._swap(e)
-                )
+        if any(window.kind != "crash" for window in faults):
+            self._network.set_link_faults(LinkFaults(faults, self._rng))
+        for at, step, window in schedule.timeline():
+            replica = self._replicas[window.nodes[0]]
+            if step == "crash":
+                self._sim.schedule_at(at, replica.crash)
+            elif step == "restart":
+                self._sim.schedule_at(at, replica.restart)
+            else:
+                self._sim.schedule_at(at, lambda w=window: self._swap(w))
 
-    def _swap(self, event: SwapBehavior) -> None:
-        replica = self._replicas[event.node]
-        behavior = behavior_for(event.behavior, replica.config)
+    def _swap(self, window: Window) -> None:
+        replica = self._replicas[window.nodes[0]]
+        behavior = behavior_for(window.behavior, replica.config)
         if replica.crashed:
             # Swapping while down shapes what the node becomes on restart.
             replica._pre_crash_behavior = behavior

@@ -1,27 +1,26 @@
 """Declarative fault schedules.
 
-A schedule is an ordered list of timed :class:`FaultEvent` objects. Times
-are absolute simulated seconds (the warmup phase counts), so a schedule
+A schedule is a start-ordered tuple of
+:class:`~repro.faults.windows.Window` values, one per fault. Times are
+absolute simulated seconds (the warmup phase counts), so a schedule
 written for one experiment replays bit-for-bit in another with the same
-seed. Schedules round-trip through JSON for the CLI's ``--faults`` flag::
+seed. Schedules round-trip through JSON for the CLI's ``--faults`` flag,
+one entry per window, ``end`` omitted when the fault never heals::
 
-    [{"event": "crash", "at": 2.0, "node": 3},
-     {"event": "restart", "at": 4.0, "node": 3},
-     {"event": "partition", "at": 2.5, "duration": 1.0, "groups": [[0, 1]]},
-     {"event": "loss", "at": 2.0, "duration": 2.0, "rate": 0.2,
+    [{"kind": "crash", "start": 2.0, "end": 4.0, "nodes": [3]},
+     {"kind": "partition", "start": 2.5, "end": 3.5, "groups": [[0, 1]]},
+     {"kind": "loss", "start": 2.0, "end": 4.0, "rate": 0.2,
       "channel": "data"},
-     {"event": "bandwidth", "at": 1.0, "duration": 2.0, "factor": 0.1,
+     {"kind": "bandwidth", "start": 1.0, "end": 3.0, "factor": 0.1,
       "nodes": [0]},
-     {"event": "delay", "at": 5.0, "duration": 10.0, "base": 0.1,
+     {"kind": "delay", "start": 5.0, "end": 15.0, "base": 0.1,
       "jitter": 0.05, "bandwidth_factor": 0.15},
-     {"event": "swap", "at": 3.0, "node": 2, "behavior": "censor"}]
+     {"kind": "swap", "start": 3.0, "nodes": [2], "behavior": "censor"}]
 
-Every event that opens a disturbance interval (a crash awaiting its
-restart, a partition awaiting its heal, a loss/bandwidth/delay window)
-resolves to one :class:`~repro.faults.windows.Window` via
-:meth:`FaultSchedule.windows` — the form the metrics hub reports
-recovery per, and the form both network backends evaluate link faults
-from (:class:`~repro.faults.windows.LinkFaults`).
+The windows are what the metrics hub reports recovery per and what both
+network backends evaluate link faults from
+(:class:`~repro.faults.windows.LinkFaults`); :meth:`FaultSchedule.timeline`
+is the crash/restart/swap sequence both injectors execute.
 """
 
 from __future__ import annotations
@@ -29,266 +28,191 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.faults.windows import Window
 from repro.replica.behavior import BEHAVIOR_KINDS
 
 CHANNEL_NAMES = ("consensus", "control", "data")
 
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """Base class: one timed event on the chaos timeline."""
-
-    at: float
-
-    def validate(self, n: int) -> None:
-        if self.at < 0:
-            raise ValueError(f"fault event time must be >= 0, got {self.at}")
-
-    def _check_node(self, node: int, n: int) -> None:
-        if not 0 <= node < n:
-            raise ValueError(f"fault event node {node} outside [0, {n})")
-
-
-@dataclass(frozen=True)
-class CrashReplica(FaultEvent):
-    """Crash ``node``: flush its network queues, silence it, freeze its
-    consensus timers. State held before the crash survives (crash-recovery
-    model with durable protocol state; see DESIGN.md)."""
-
-    node: int = 0
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        self._check_node(self.node, n)
-
-
-@dataclass(frozen=True)
-class RestartReplica(FaultEvent):
-    """Restart a previously crashed ``node``: re-enable its network
-    endpoint, restore its pre-crash behavior, re-arm consensus timers.
-    The replica resyncs through the ordinary chain-sync / PAB-fetch
-    paths — restart itself transfers no state."""
-
-    node: int = 0
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        self._check_node(self.node, n)
-
-
-@dataclass(frozen=True)
-class Partition(FaultEvent):
-    """Bidirectional set-based partition.
-
-    ``groups`` lists disjoint replica groups; replicas in different groups
-    cannot exchange messages, and replicas not named in any group form one
-    implicit remainder group. ``duration`` heals the partition
-    automatically; alternatively a later :class:`Heal` event with a
-    matching ``label`` ends it.
-    """
-
-    groups: tuple[tuple[int, ...], ...] = ()
-    duration: Optional[float] = None
-    label: str = ""
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if not self.groups:
-            raise ValueError("partition needs at least one group")
-        seen: set[int] = set()
-        for group in self.groups:
-            if not group:
-                raise ValueError("partition groups must be non-empty")
-            for node in group:
-                self._check_node(node, n)
-                if node in seen:
-                    raise ValueError(
-                        f"node {node} appears in two partition groups"
-                    )
-                seen.add(node)
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("partition duration must be positive")
-
-
-@dataclass(frozen=True)
-class Heal(FaultEvent):
-    """Heal active partitions: those with a matching ``label``, or every
-    active partition when the label is empty."""
-
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class LossWindow(FaultEvent):
-    """Drop each matching message with probability ``rate`` during
-    ``[at, at + duration)``. Empty ``kinds``/``nodes`` match everything;
-    ``kinds`` entries are message-kind prefixes (``"mb"`` matches
-    ``"mb.fetch"``); ``nodes`` matches source or destination."""
-
-    duration: float = 0.0
-    rate: float = 0.1
-    kinds: tuple[str, ...] = ()
-    channel: Optional[str] = None  # "consensus" | "control" | "data"
-    nodes: tuple[int, ...] = ()
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if self.duration <= 0:
-            raise ValueError("loss window duration must be positive")
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError(f"loss rate must be in (0, 1], got {self.rate}")
-        if self.channel is not None and self.channel not in CHANNEL_NAMES:
-            raise ValueError(
-                f"channel must be one of {CHANNEL_NAMES}, got {self.channel!r}"
-            )
-        for node in self.nodes:
-            self._check_node(node, n)
-
-
-@dataclass(frozen=True)
-class BandwidthSqueeze(FaultEvent):
-    """Scale egress bandwidth of ``nodes`` (all replicas when empty) by
-    ``factor`` during ``[at, at + duration)``. Overlapping squeezes on the
-    same node stack multiplicatively."""
-
-    duration: float = 0.0
-    factor: float = 0.5
-    nodes: tuple[int, ...] = ()
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if self.duration <= 0:
-            raise ValueError("bandwidth squeeze duration must be positive")
-        if self.factor <= 0:
-            raise ValueError(f"bandwidth factor must be > 0, got {self.factor}")
-        for node in self.nodes:
-            self._check_node(node, n)
-
-
-@dataclass(frozen=True)
-class DelaySpike(FaultEvent):
-    """Network-wide delay disturbance: every message sees ``base`` ±
-    ``jitter`` one-way delay during ``[at, at + duration)``, with link
-    bandwidth scaled by ``bandwidth_factor`` — the Fig. 7 NetEm window
-    (the paper's round trip fluctuates between 100 and 300 ms; one-way
-    figures are half).
-
-    ``bandwidth_factor`` models what heavy jitter does to TCP bulk
-    transfers: reordering is mistaken for loss, so the goodput of large
-    flows collapses while small control messages still get through (a
-    documented substitution for full TCP dynamics; see DESIGN.md)."""
-
-    duration: float = 0.0
-    base: float = 0.1
-    jitter: float = 0.0
-    bandwidth_factor: float = 1.0
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if self.duration <= 0:
-            raise ValueError("delay spike duration must be positive")
-        if self.base < 0 or self.jitter < 0:
-            raise ValueError("delay base and jitter must be >= 0")
-        if not 0.0 < self.bandwidth_factor <= 1.0:
-            raise ValueError(
-                "bandwidth_factor must be in (0, 1], "
-                f"got {self.bandwidth_factor}"
-            )
-
-
-@dataclass(frozen=True)
-class SwapBehavior(FaultEvent):
-    """Swap ``node``'s behavior mid-run (e.g. turn it Byzantine).
-
-    ``behavior`` is one of :data:`repro.replica.behavior.BEHAVIOR_KINDS`.
-    """
-
-    node: int = 0
-    behavior: str = "honest"
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        self._check_node(self.node, n)
-        if self.behavior not in BEHAVIOR_KINDS:
-            raise ValueError(
-                f"behavior must be one of {BEHAVIOR_KINDS}, "
-                f"got {self.behavior!r}"
-            )
-
-
-_EVENT_NAMES = {
-    "crash": CrashReplica,
-    "restart": RestartReplica,
-    "partition": Partition,
-    "heal": Heal,
-    "loss": LossWindow,
-    "bandwidth": BandwidthSqueeze,
-    "delay": DelaySpike,
-    "swap": SwapBehavior,
+#: Per kind, besides ``kind`` and ``start``: the keys an entry must
+#: carry, and the keys it may carry.
+_KEYS = {
+    "crash": (("nodes",), ("end",)),
+    "partition": (("groups",), ("end",)),
+    "loss": (("end", "rate"), ("kinds", "channel", "nodes")),
+    "bandwidth": (("end", "factor"), ("nodes",)),
+    "delay": (("end", "base"), ("jitter", "bandwidth_factor")),
+    "swap": (("nodes", "behavior"), ()),
 }
 
-_EVENT_CLASSES = {cls: name for name, cls in _EVENT_NAMES.items()}
 
-_TUPLE_FIELDS = ("kinds", "nodes")
+def _real(value, key: str) -> float:
+    if (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _event_to_dict(event: FaultEvent) -> dict:
-    name = _EVENT_CLASSES.get(type(event))
-    if name is None:
-        raise ValueError(f"unknown fault event class {type(event).__name__}")
-    spec: dict = {"event": name}
-    for f in dataclasses.fields(event):
-        value = getattr(event, f.name)
-        default = f.default
-        if default is not dataclasses.MISSING and value == default:
+def _list(value, key: str, item: type) -> tuple:
+    if not isinstance(value, list) or any(
+        isinstance(entry, bool) or not isinstance(entry, item)
+        for entry in value
+    ):
+        raise ValueError(
+            f"{key!r} must be a list of {item.__name__}, got {value!r}"
+        )
+    return tuple(value)
+
+
+def _str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+_PARSERS = {
+    "start": _real, "end": _real, "rate": _real, "factor": _real,
+    "base": _real, "jitter": _real, "bandwidth_factor": _real,
+    "nodes": lambda value, key: _list(value, key, int),
+    "groups": lambda value, key: tuple(
+        _list(group, key, int) for group in _list(value, key, list)
+    ),
+    "kinds": lambda value, key: _list(value, key, str),
+    "channel": _str, "behavior": _str,
+}
+
+
+def _window_from_dict(entry) -> Window:
+    """Parse one ``--faults`` entry; every key and type is checked here."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"a fault entry must be an object, got {entry!r}")
+    kind = entry.get("kind")
+    if kind not in _KEYS:
+        raise ValueError(
+            f"unknown fault kind {kind!r} in {entry!r}; "
+            f"choose from {sorted(_KEYS)}"
+        )
+    required, optional = _KEYS[kind]
+    missing = [key for key in ("start", *required) if key not in entry]
+    unknown = sorted(
+        set(entry) - {"kind", "start", *required, *optional}
+    )
+    if missing or unknown:
+        raise ValueError(
+            f"bad {kind!r} fault {entry!r}: "
+            f"missing keys {missing}, unknown keys {unknown}"
+        )
+    try:
+        fields = {
+            key: _PARSERS[key](value, key)
+            for key, value in entry.items() if key != "kind"
+        }
+    except ValueError as exc:
+        raise ValueError(f"bad {kind!r} fault {entry!r}: {exc}") from exc
+    return Window(kind, **fields)
+
+
+_DEFAULTS = {
+    field.name: field.default for field in dataclasses.fields(Window)
+}
+
+
+def _window_to_dict(window: Window) -> dict:
+    required, optional = _KEYS[window.kind]
+    spec: dict = {"kind": window.kind, "start": window.start}
+    if window.end != math.inf:
+        spec["end"] = window.end
+    for key in (*required, *optional):
+        value = getattr(window, key)
+        if key == "end" or (key in optional and value == _DEFAULTS[key]):
             continue
-        if f.name == "groups":
+        if key == "groups":
             value = [list(group) for group in value]
         elif isinstance(value, tuple):
             value = list(value)
-        spec[f.name] = value
+        spec[key] = value
     return spec
 
 
-def _event_from_dict(entry: dict) -> FaultEvent:
-    spec = dict(entry)
-    name = spec.pop("event", None)
-    if name not in _EVENT_NAMES:
+def _check(window: Window, n: int) -> None:
+    """Value ranges of one window against ``n`` replicas."""
+    kind = window.kind
+    if kind not in _KEYS:
+        raise ValueError(f"unknown fault kind {kind!r}")
+    if not 0 <= window.start < window.end:
         raise ValueError(
-            f"unknown fault event {name!r}; "
-            f"choose from {sorted(_EVENT_NAMES)}"
+            f"{kind} window needs 0 <= start < end, "
+            f"got [{window.start}, {window.end})"
         )
-    if "groups" in spec:
-        spec["groups"] = tuple(tuple(group) for group in spec["groups"])
-    for key in _TUPLE_FIELDS:
-        if key in spec:
-            spec[key] = tuple(spec[key])
-    try:
-        return _EVENT_NAMES[name](**spec)
-    except TypeError as exc:
-        raise ValueError(f"bad {name!r} event spec {entry!r}: {exc}") from exc
+    if "end" in _KEYS[kind][0] and window.end == math.inf:
+        raise ValueError(f"a {kind} window needs an end")
+    if kind == "swap" and window.end != math.inf:
+        raise ValueError("a swap has no end")
+    for node in window.nodes:
+        if not 0 <= node < n:
+            raise ValueError(f"fault node {node} outside [0, {n})")
+    if kind in ("crash", "swap") and len(window.nodes) != 1:
+        raise ValueError(
+            f"a {kind} names exactly one node, got {window.nodes}"
+        )
+    if kind == "partition":
+        if not window.groups or not all(window.groups):
+            raise ValueError("partition needs non-empty groups")
+        if len(set(window.nodes)) != len(window.nodes):
+            raise ValueError(
+                f"partition groups {window.groups} are not disjoint"
+            )
+    elif kind == "loss":
+        if not 0.0 < window.rate <= 1.0:
+            raise ValueError(f"loss rate must be in (0, 1], got {window.rate}")
+        if window.channel is not None and window.channel not in CHANNEL_NAMES:
+            raise ValueError(
+                f"channel must be one of {CHANNEL_NAMES}, "
+                f"got {window.channel!r}"
+            )
+    elif kind == "bandwidth":
+        if window.factor <= 0:
+            raise ValueError(
+                f"bandwidth factor must be > 0, got {window.factor}"
+            )
+    elif kind == "delay":
+        if window.base < 0 or window.jitter < 0:
+            raise ValueError("delay base and jitter must be >= 0")
+        if not 0.0 < window.bandwidth_factor <= 1.0:
+            raise ValueError(
+                "bandwidth_factor must be in (0, 1], "
+                f"got {window.bandwidth_factor}"
+            )
+    elif kind == "swap" and window.behavior not in BEHAVIOR_KINDS:
+        raise ValueError(
+            f"behavior must be one of {BEHAVIOR_KINDS}, "
+            f"got {window.behavior!r}"
+        )
 
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """An immutable, time-ordered list of fault events."""
+    """An immutable tuple of fault windows in start order (the given
+    order breaking ties)."""
 
-    events: tuple[FaultEvent, ...] = ()
+    windows: tuple[Window, ...] = ()
 
-    def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
-        ordered = tuple(sorted(events, key=lambda event: event.at))
-        object.__setattr__(self, "events", ordered)
+    def __init__(self, windows: Sequence[Window] = ()) -> None:
+        ordered = tuple(sorted(windows, key=lambda window: window.start))
+        object.__setattr__(self, "windows", ordered)
 
     @classmethod
     def from_spec(cls, spec: Sequence[dict]) -> "FaultSchedule":
         """Build a schedule from a list of plain dicts (parsed JSON)."""
-        if isinstance(spec, dict):
-            spec = [spec]
-        return cls([_event_from_dict(entry) for entry in spec])
+        if not isinstance(spec, list):
+            raise ValueError(
+                f"a fault schedule is a list of entries, got {spec!r}"
+            )
+        return cls([_window_from_dict(entry) for entry in spec])
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":
@@ -298,41 +222,25 @@ class FaultSchedule:
     def to_spec(self) -> list[dict]:
         """Plain-dict form; round-trips through :meth:`from_spec`.
 
-        Fields left at their defaults are omitted, so the spec matches
-        what a human would write in a ``--faults`` JSON file.
+        Optional fields left at their defaults are omitted, so the spec
+        matches what a human would write in a ``--faults`` JSON file.
         """
-        return [_event_to_dict(event) for event in self.events]
+        return [_window_to_dict(window) for window in self.windows]
 
     def validate(self, n: int) -> None:
-        """Check every event against a network of ``n`` replicas."""
-        for event in self.events:
-            event.validate(n)
-        alive = set(range(n))
-        for event in self.events:
-            if isinstance(event, CrashReplica):
-                if event.node not in alive:
+        """Check every window against a network of ``n`` replicas, and
+        that no replica's crashes overlap."""
+        down_until: dict[int, float] = {}  # node -> end of its last crash
+        for window in self.windows:
+            _check(window, n)
+            if window.kind == "crash":
+                node = window.nodes[0]
+                if window.start < down_until.get(node, 0.0):
                     raise ValueError(
-                        f"node {event.node} crashed twice without a restart"
+                        f"crashes of node {node} overlap at "
+                        f"t={window.start}"
                     )
-                alive.discard(event.node)
-            elif isinstance(event, RestartReplica):
-                if event.node in alive:
-                    raise ValueError(
-                        f"restart of node {event.node} without a prior crash"
-                    )
-                alive.add(event.node)
-
-    def process_events(self) -> list[FaultEvent]:
-        """The crash/restart timeline, in time order.
-
-        These are the events a live backend realizes at the *process*
-        level (SIGKILL + respawn) rather than inside the network fabric;
-        the link faults reach it as :meth:`windows`.
-        """
-        return [
-            event for event in self.events
-            if isinstance(event, (CrashReplica, RestartReplica))
-        ]
+                down_until[node] = window.end
 
     def validate_live(self, n: int) -> None:
         """Validate for the live backend (stricter than :meth:`validate`).
@@ -340,69 +248,31 @@ class FaultSchedule:
         Behavior swaps have no live realization yet — a running OS
         process cannot be handed a new ``Behavior`` object over the wall
         — so schedules containing them are rejected up front instead of
-        silently dropping the event.
+        silently dropping the swap.
         """
         self.validate(n)
-        for event in self.events:
-            if isinstance(event, SwapBehavior):
+        for window in self.windows:
+            if window.kind == "swap":
                 raise ValueError(
                     "behavior swaps are not supported on the live backend "
-                    f"(swap of node {event.node} at t={event.at})"
+                    f"(swap of node {window.nodes[0]} at t={window.start})"
                 )
 
-    def windows(self) -> list[Window]:
-        """Resolve the schedule into fault windows — the one resolution.
+    def timeline(self) -> list[tuple[float, str, Window]]:
+        """``(at, "crash" | "restart" | "swap", window)`` in time order.
 
-        Start order, schedule order breaking ties. A crash runs to its
-        restart, a partition to the earlier of ``at + duration`` and the
-        first later :class:`Heal` that matches it; either is unbounded
-        (``end = inf``) when the schedule never closes it.
+        A crash restarts at its ``end`` (never when unbounded); a swap
+        acts at its ``start``. Steps at one instant keep the order of
+        their windows, so a restart comes before any crash or swap that
+        starts at that instant (its own window started earlier).
         """
-        windows: list[Window] = []
-        open_crashes: dict[int, int] = {}  # node -> index in ``windows``
-        for event in self.events:
-            if isinstance(event, CrashReplica):
-                open_crashes[event.node] = len(windows)
-                windows.append(Window(
-                    "crash", event.at, math.inf, nodes=(event.node,),
-                ))
-            elif isinstance(event, RestartReplica):
-                index = open_crashes.pop(event.node, None)
-                if index is not None:
-                    windows[index] = replace(windows[index], end=event.at)
-            elif isinstance(event, Partition):
-                windows.append(Window(
-                    "partition", event.at,
-                    math.inf if event.duration is None
-                    else event.at + event.duration,
-                    nodes=tuple(sorted(
-                        node for group in event.groups for node in group
-                    )),
-                    label=event.label, groups=event.groups,
-                ))
-            elif isinstance(event, Heal):
-                for index, window in enumerate(windows):
-                    if (
-                        window.kind == "partition" and window.end > event.at
-                        and (not event.label or window.label == event.label)
-                    ):
-                        windows[index] = replace(window, end=event.at)
-            elif isinstance(event, LossWindow):
-                windows.append(Window(
-                    "loss", event.at, event.at + event.duration,
-                    nodes=event.nodes, rate=event.rate, kinds=event.kinds,
-                    channel=event.channel,
-                ))
-            elif isinstance(event, BandwidthSqueeze):
-                windows.append(Window(
-                    "bandwidth", event.at, event.at + event.duration,
-                    nodes=event.nodes, factor=event.factor,
-                ))
-            elif isinstance(event, DelaySpike):
-                windows.append(Window(
-                    "delay", event.at, event.at + event.duration,
-                    base=event.base, jitter=event.jitter,
-                    bandwidth_factor=event.bandwidth_factor,
-                ))
-        windows.sort(key=lambda window: window.start)
-        return windows
+        steps: list[tuple[float, str, Window]] = []
+        for window in self.windows:
+            if window.kind == "crash":
+                steps.append((window.start, "crash", window))
+                if window.end != math.inf:
+                    steps.append((window.end, "restart", window))
+            elif window.kind == "swap":
+                steps.append((window.start, "swap", window))
+        steps.sort(key=lambda step: step[0])
+        return steps

@@ -1,18 +1,20 @@
-"""Fault windows: what a schedule resolves to, and their one evaluator.
+"""Fault windows: the one fault value, and the evaluator of its link kinds.
 
-:meth:`repro.faults.FaultSchedule.windows` resolves a schedule once into
-frozen :class:`Window` values: a half-open interval ``[start, end)`` on
-the backend's clock plus the kind's own parameters. The metrics hub
-reports recovery per window; :class:`LinkFaults` answers, for the link
-kinds (partition, loss, bandwidth, delay), the three questions a network
-asks as traffic passes. The simulator (``Topology`` / ``Network``) and
-the live runtime (``LinkShaper``) ask this one class, so a schedule means
-the same thing on both: shaping is a property of the link evaluated at
-``now``, not a mutation somebody must undo.
+A fault is a frozen :class:`Window`: a half-open interval ``[start, end)``
+on the backend's clock plus the kind's own parameters. A
+:class:`~repro.faults.FaultSchedule` is a start-ordered tuple of them.
+The metrics hub reports recovery per window; :class:`LinkFaults`
+answers, for the link kinds (partition, loss, bandwidth, delay), the
+three questions a network asks as traffic passes. The simulator
+(``Topology`` / ``Network``) and the live runtime (``LinkShaper``) ask
+this one class, so a schedule means the same thing on both: shaping is
+a property of the link evaluated at ``now``, not a mutation somebody
+must undo.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,18 +26,20 @@ from repro.sim.interfaces import Channel
 class Window:
     """One fault's active interval ``[start, end)`` and its parameters.
 
-    ``kind`` is ``crash``, ``partition``, ``loss``, ``bandwidth`` or
-    ``delay``; ``end`` is ``math.inf`` for a fault never healed within
-    the schedule (recovery gauges then report infinity, rendered as
-    "never"). Fields past ``label`` belong to one kind each and keep
-    their defaults on the others.
+    ``kind`` is ``crash``, ``partition``, ``loss``, ``bandwidth``,
+    ``delay`` or ``swap``; ``end`` is ``math.inf`` for a fault never
+    healed within the schedule (recovery gauges then report infinity,
+    rendered as "never"). A crash or swap names its one replica in
+    ``nodes``; a partition's ``nodes`` are derived from its ``groups``.
+    A swap is an instant: at ``start`` the replica's behavior becomes
+    ``behavior``, and it has no end. Fields past ``nodes`` belong to one
+    kind each and keep their defaults on the others.
     """
 
     kind: str
     start: float
-    end: float
+    end: float = math.inf
     nodes: tuple[int, ...] = ()
-    label: str = ""
     groups: tuple[tuple[int, ...], ...] = ()  # partition
     rate: float = 0.0  # loss
     kinds: tuple[str, ...] = ()  # loss: message-kind prefixes
@@ -44,6 +48,13 @@ class Window:
     base: float = 0.0  # delay
     jitter: float = 0.0  # delay
     bandwidth_factor: float = 1.0  # delay
+    behavior: str = ""  # swap
+
+    def __post_init__(self) -> None:
+        if self.kind == "partition":
+            object.__setattr__(self, "nodes", tuple(sorted(
+                node for group in self.groups for node in group
+            )))
 
 
 #: ``(src, dst, kind, channel) -> dropped`` for one partition or loss window.
@@ -80,13 +91,13 @@ class LinkFaults:
     """Evaluates a schedule's link windows at an instant ``now``.
 
     A window is active while ``start <= now < end``. Windows are held in
-    start order, schedule order breaking ties (the order
-    :meth:`FaultSchedule.windows` returns them in), and tested in that
-    order: the first partition or loss window that drops a frame decides
-    it, the first active delay window sets the delay. Loss coins come
-    from the ``rng`` given here, so a seeded evaluator replays exactly
-    for the same frame sequence and clock readings. Crash windows are
-    not link faults and are skipped.
+    start order, schedule order breaking ties (the order a
+    :class:`~repro.faults.FaultSchedule` holds them in), and tested in
+    that order: the first partition or loss window that drops a frame
+    decides it, the first active delay window sets the delay. Loss coins
+    come from the ``rng`` given here, so a seeded evaluator replays
+    exactly for the same frame sequence and clock readings. Crash and
+    swap windows are not link faults and are skipped.
     """
 
     def __init__(self, windows: Sequence[Window], rng: random.Random) -> None:
@@ -105,7 +116,7 @@ class LinkFaults:
                 self.delays.append(window)
             elif window.kind == "bandwidth":
                 self.squeezes.append(window)
-            elif window.kind != "crash":
+            elif window.kind not in ("crash", "swap"):
                 raise ValueError(f"unknown fault window kind {window.kind!r}")
 
     def drops(

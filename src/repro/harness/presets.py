@@ -11,15 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.config import ProtocolConfig
-from repro.faults import (
-    BandwidthSqueeze,
-    CrashReplica,
-    DelaySpike,
-    FaultSchedule,
-    LossWindow,
-    Partition,
-    RestartReplica,
-)
+from repro.faults import FaultSchedule, Window
 from repro.sim.topology import GBPS, MBPS
 
 PROTOCOL_PRESETS: dict[str, tuple[str, str]] = {
@@ -135,8 +127,8 @@ def chaos_schedule(name: str, n: int) -> FaultSchedule:
       replicas {0, 1} and a 20 % data-channel loss window; while the crash
       and partition overlap no quorum exists anywhere, so the run shows a
       stall, a heal, and a measurable time-to-recover.
-    * ``fig7-disturbance`` — the paper's Fig. 7 NetEm window as a fault
-      event: 10 s of 100 ms ± 50 ms one-way delay with TCP goodput
+    * ``fig7-disturbance`` — the paper's Fig. 7 NetEm window as a delay
+      window: 10 s of 100 ms ± 50 ms one-way delay with TCP goodput
       collapse, starting at t=5 s.
     * ``flaky-data`` — 10 % loss on the DATA channel for 3 s: microblock
       bodies go missing while small consensus messages survive, stressing
@@ -148,31 +140,27 @@ def chaos_schedule(name: str, n: int) -> FaultSchedule:
         raise ValueError(f"chaos presets need n >= 4, got n={n}")
     victim = n - 1
     if name == "crash-restart":
-        return FaultSchedule([
-            CrashReplica(at=2.0, node=victim),
-            RestartReplica(at=4.0, node=victim),
-        ])
+        return FaultSchedule([Window("crash", 2.0, 4.0, nodes=(victim,))])
     if name == "crash-partition":
         return FaultSchedule([
-            CrashReplica(at=2.0, node=victim),
-            Partition(at=2.5, duration=1.0, groups=((0, 1),)),
-            LossWindow(at=2.0, duration=2.0, rate=0.2, channel="data"),
-            RestartReplica(at=4.0, node=victim),
+            Window("crash", 2.0, 4.0, nodes=(victim,)),
+            Window("partition", 2.5, 3.5, groups=((0, 1),)),
+            Window("loss", 2.0, 4.0, rate=0.2, channel="data"),
         ])
     if name == "fig7-disturbance":
         return FaultSchedule([
-            DelaySpike(
-                at=5.0, duration=10.0, base=0.1, jitter=0.05,
+            Window(
+                "delay", 5.0, 15.0, base=0.1, jitter=0.05,
                 bandwidth_factor=0.15,
             ),
         ])
     if name == "flaky-data":
         return FaultSchedule([
-            LossWindow(at=1.5, duration=3.0, rate=0.1, channel="data"),
+            Window("loss", 1.5, 4.5, rate=0.1, channel="data"),
         ])
     if name == "leader-squeeze":
         return FaultSchedule([
-            BandwidthSqueeze(at=2.0, duration=2.0, factor=0.1, nodes=(0,)),
+            Window("bandwidth", 2.0, 4.0, factor=0.1, nodes=(0,)),
         ])
     raise ValueError(
         f"unknown chaos preset {name!r}; choose from {CHAOS_PRESET_NAMES}"
@@ -185,13 +173,15 @@ def resolve_fault_spec(
     """Resolve a ``--faults`` argument into a validated schedule.
 
     ``spec`` is a chaos preset name, ``@path/to/schedule.json``, or an
-    inline JSON event list — the one grammar shared by the simulator and
-    live CLIs. With ``live=True`` the schedule is additionally held to
-    the live backend's restrictions (see
+    inline JSON window list (the grammar of :mod:`repro.faults.schedule`)
+    — the one grammar shared by the simulator and live CLIs. With
+    ``live=True`` the schedule is additionally held to the live
+    backend's restrictions (see
     :meth:`FaultSchedule.validate_live` — e.g. no behavior swaps, which
     would need a runtime control channel into the replica processes).
-    Raises ``ValueError`` (including for a missing ``@file``) so callers
-    own the exit/retry policy.
+    Raises ``ValueError`` (for a missing ``@file``, malformed JSON, an
+    unknown key, a value of the wrong type, or one out of range) so
+    callers own the exit/retry policy.
     """
     if spec in CHAOS_PRESET_NAMES:
         schedule = chaos_schedule(spec, n)

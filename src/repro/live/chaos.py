@@ -2,17 +2,16 @@
 
 The same declarative :class:`~repro.faults.FaultSchedule` that drives
 the simulator's :class:`~repro.faults.FaultInjector` runs here against
-OS-level reality, split into what is an event
-(:meth:`~repro.faults.FaultSchedule.process_events`) and what is a
-window (:meth:`~repro.faults.FaultSchedule.windows`):
+OS-level reality, split into the crashes and restarts of its
+:meth:`~repro.faults.FaultSchedule.timeline` and its link windows:
 
-* **Process faults** (crash/restart) are executed by
+* **Process faults** (crash windows) are executed by
   :class:`LiveFaultInjector` inside the orchestrator: a crash is
   ``SIGKILL`` — no shutdown grace, no result flush, exactly what a
   power-cut gives you — and a restart respawns a *fresh* interpreter
   that rebinds the same port and resyncs through the ordinary
   chain-sync / PAB-fetch paths over re-established TCP connections.
-* **Link faults** (partition/heal, loss, delay+jitter, bandwidth
+* **Link faults** (partition, loss, delay+jitter, bandwidth
   squeeze) are evaluated per frame by :class:`LinkShaper` inside each
   replica's :class:`~repro.live.network.LiveNetwork`, through the same
   :class:`~repro.faults.LinkFaults` the simulator asks. Every process
@@ -32,13 +31,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.faults import (
-    CrashReplica,
-    FaultEvent,
-    FaultSchedule,
-    LinkFaults,
-    Window,
-)
+from repro.faults import FaultSchedule, LinkFaults, Window
 from repro.sim.interfaces import Channel
 
 __all__ = ["LinkShaper", "LiveFaultInjector", "LIVE_LINK_BANDWIDTH_BPS"]
@@ -90,8 +83,8 @@ class LinkShaper:
     simulator's zero-width event boundaries and stays well below the
     window durations being modeled.
 
-    ``windows`` is :meth:`repro.faults.FaultSchedule.windows` (crash
-    windows are ignored); ``clock`` is any object with a ``now``
+    ``windows`` are a :class:`repro.faults.FaultSchedule`'s windows
+    (crash windows are ignored); ``clock`` is any object with a ``now``
     attribute on the shared epoch (the process's
     :class:`~repro.live.scheduler.RealtimeScheduler`).
     """
@@ -158,7 +151,9 @@ class LiveFaultInjector:
         kill: Callable[[int], None],
         respawn: Callable[[int], None],
     ) -> None:
-        self._events: list[FaultEvent] = schedule.process_events()
+        self._steps = [
+            step for step in schedule.timeline() if step[1] != "swap"
+        ]
         self._epoch = epoch
         self._kill = kill
         self._respawn = respawn
@@ -171,20 +166,18 @@ class LiveFaultInjector:
     async def run(self) -> None:
         import asyncio
 
-        for event in self._events:
-            delay = self._epoch + event.at - time.time()
+        for at, step, window in self._steps:
+            delay = self._epoch + at - time.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            node = event.node
-            if isinstance(event, CrashReplica):
+            node = window.nodes[0]
+            if step == "crash":
                 self._kill(node)
-                name = "crash"
             else:
                 self._respawn(node)
-                name = "restart"
             self.timeline.append({
-                "event": name,
+                "event": step,
                 "node": node,
-                "at": event.at,
+                "at": at,
                 "applied_at": time.time() - self._epoch,
             })

@@ -232,7 +232,7 @@ def _merge(
             commit_time=commit["commit_time"],
         )
     if config.faults is not None:
-        for window in config.faults.windows():
+        for window in config.faults.windows:
             hub.record_fault_window(window)
 
     replica_results = sorted(
@@ -336,7 +336,7 @@ def run_live(live: LiveConfig) -> RunResult:
             table.spawn(node_id)
 
         injector = None
-        if schedule is not None and schedule.process_events():
+        if schedule is not None and schedule.timeline():
             injector = LiveFaultInjector(
                 schedule, epoch, kill=table.kill, respawn=table.spawn
             )

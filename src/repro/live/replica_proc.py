@@ -26,8 +26,8 @@ across crash faults (a microblock is recorded before it is broadcast —
 if it reached any peer, its creation line reached the page cache).
 
 Chaos wiring: ``spec["faults"]`` (when present) is the fault schedule's
-``to_spec()``; its link windows (``FaultSchedule.windows()`` without
-the crashes) build a :class:`LinkShaper` seeded from
+``to_spec()``; its link windows (the schedule's windows without the
+crashes) build a :class:`LinkShaper` seeded from
 ``(seed, generation, node_id)`` so loss decisions differ across respawn
 generations but replay identically for a fixed spec.
 """
@@ -175,7 +175,7 @@ async def _run(spec: dict) -> dict:
     shaper = None
     links = [
         window
-        for window in FaultSchedule.from_spec(spec.get("faults", [])).windows()
+        for window in FaultSchedule.from_spec(spec.get("faults", [])).windows
         if window.kind != "crash"
     ]
     if links:

@@ -115,7 +115,7 @@ class MetricsHub:
         self._fetches_abandoned += 1
 
     def record_fault_window(self, window: Window) -> None:
-        """Register one of the fault schedule's resolved windows."""
+        """Register one of the fault schedule's windows."""
         self._fault_windows.append(window)
 
     def record_recovery(self, node: int, info: dict) -> None:
@@ -263,7 +263,6 @@ class MetricsHub:
             report.append(
                 {
                     "kind": window.kind,
-                    "label": window.label,
                     "start": window.start,
                     "end": window.end,
                     "nodes": window.nodes,

@@ -141,7 +141,7 @@ class ProofWithholder(Behavior):
 
 
 #: Behavior names accepted by ``behavior_for`` (harness faults, chaos
-#: SwapBehavior events). "none" and "honest" are synonyms.
+#: ``swap`` windows). "none" and "honest" are synonyms.
 BEHAVIOR_KINDS = ("none", "honest", "silent", "censor", "lying", "withhold")
 
 

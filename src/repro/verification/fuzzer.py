@@ -114,44 +114,33 @@ def random_fault_schedule(
                 continue
             node = rng.choice(pool)
             crashed.add(node)
-            spec.append({"event": "crash", "at": start, "node": node})
             spec.append({
-                "event": "restart", "at": round(start + duration, 3),
-                "node": node,
+                "kind": "crash", "start": start,
+                "end": round(start + duration, 3), "nodes": [node],
             })
-        elif kind == "partition":
+            continue
+        entry = {"kind": kind, "start": start, "end": start + duration}
+        if kind == "partition":
             nodes = list(range(n))
             rng.shuffle(nodes)
             cut = rng.randint(1, n - 1)
-            spec.append({
-                "event": "partition", "at": start, "duration": duration,
-                "groups": [sorted(nodes[:cut]), sorted(nodes[cut:])],
-            })
+            entry["groups"] = [sorted(nodes[:cut]), sorted(nodes[cut:])]
         elif kind == "loss":
-            entry = {
-                "event": "loss", "at": start, "duration": duration,
-                "rate": round(rng.uniform(0.05, 0.35), 3),
-            }
+            entry["rate"] = round(rng.uniform(0.05, 0.35), 3)
             channel = rng.choice(("data", "consensus", None))
             if channel is not None:
                 entry["channel"] = channel
-            spec.append(entry)
         elif kind == "bandwidth":
-            spec.append({
-                "event": "bandwidth", "at": start, "duration": duration,
-                "factor": round(rng.uniform(0.2, 0.7), 3),
-                "nodes": sorted(rng.sample(
-                    range(n), rng.randint(1, max(1, n // 2))
-                )),
-            })
+            entry["factor"] = round(rng.uniform(0.2, 0.7), 3)
+            entry["nodes"] = sorted(rng.sample(
+                range(n), rng.randint(1, max(1, n // 2))
+            ))
         else:  # delay
-            spec.append({
-                "event": "delay", "at": start, "duration": duration,
-                "base": round(rng.uniform(0.02, 0.08), 4),
-                "jitter": round(rng.uniform(0.0, 0.04), 4),
-                "bandwidth_factor": round(rng.uniform(0.4, 1.0), 3),
-            })
-    spec.sort(key=lambda entry: entry["at"])
+            entry["base"] = round(rng.uniform(0.02, 0.08), 4)
+            entry["jitter"] = round(rng.uniform(0.0, 0.04), 4)
+            entry["bandwidth_factor"] = round(rng.uniform(0.4, 1.0), 3)
+        spec.append(entry)
+    spec.sort(key=lambda entry: entry["start"])
     return spec
 
 

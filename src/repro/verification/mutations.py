@@ -227,7 +227,7 @@ MUTANTS: dict[str, Mutant] = {
                 duration=5.5,
                 rate_tps=300.0,
                 fault_spec=[
-                    {"event": "partition", "at": 1.162, "duration": 2.318,
+                    {"kind": "partition", "start": 1.162, "end": 3.48,
                      "groups": [[3], [0, 1, 2, 4, 5, 6]]},
                 ],
             ),
@@ -245,7 +245,7 @@ MUTANTS: dict[str, Mutant] = {
                 n=7,
                 duration=4.0,
                 fault_spec=[
-                    {"event": "loss", "at": 0.6, "duration": 1.5,
+                    {"kind": "loss", "start": 0.6, "end": 2.1,
                      "rate": 0.8, "channel": "data"},
                 ],
             ),
@@ -270,7 +270,7 @@ MUTANTS: dict[str, Mutant] = {
                     n=7,
                     duration=4.0,
                     fault_spec=[
-                        {"event": "loss", "at": 0.6, "duration": 1.5,
+                        {"kind": "loss", "start": 0.6, "end": 2.1,
                          "rate": 0.8, "channel": "data"},
                     ],
                 ),

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import decode_fields, encode_fields
-from repro.faults.schedule import SwapBehavior
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.config import ExperimentConfig
@@ -80,16 +79,15 @@ class Violation:
 def honest_ids(config: "ExperimentConfig") -> frozenset[int]:
     """Replicas whose observations the oracles trust.
 
-    Configured Byzantine replicas and any replica a scripted
-    :class:`~repro.faults.schedule.SwapBehavior` turns non-honest are
-    excluded for the whole run; crashed-and-restarted replicas stay
-    honest (crash-recovery model).
+    Configured Byzantine replicas and any replica a scripted ``swap``
+    window turns non-honest are excluded for the whole run;
+    crashed-and-restarted replicas stay honest (crash-recovery model).
     """
     suspect = set(config.byzantine_ids)
     if config.faults is not None:
-        for event in config.faults.events:
-            if isinstance(event, SwapBehavior) and event.behavior != "honest":
-                suspect.add(event.node)
+        for window in config.faults.windows:
+            if window.kind == "swap" and window.behavior != "honest":
+                suspect.add(window.nodes[0])
     return frozenset(
         node for node in range(config.protocol.n) if node not in suspect
     )

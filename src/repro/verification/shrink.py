@@ -1,8 +1,8 @@
 """Automatic shrinking of failing fuzz scenarios.
 
 Greedy delta-debugging over a scenario's degrees of freedom: drop whole
-fault events (a crash and its restart move as one unit), narrow the
-surviving windows, halve the run duration, reduce the cluster size, and
+faults (a crash carries its restart as its ``end``), narrow the
+surviving ones, halve the run duration, reduce the cluster size, and
 thin the workload — accepting each step only while the original oracle
 still fires. The minimized scenario round-trips through a JSON artifact
 (:func:`write_artifact` / :func:`replay_artifact`) so a failure found by
@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.verification.fuzzer import FuzzOutcome, Scenario, run_scenario
 
-ARTIFACT_FORMAT = "repro-fuzz-artifact-v1"
+ARTIFACT_FORMAT = "repro-fuzz-artifact-v2"
 
 Runner = Callable[[Scenario], FuzzOutcome]
 
@@ -41,7 +41,7 @@ class ShrinkResult:
     runs: int  # total experiment executions spent shrinking
 
     @property
-    def removed_events(self) -> int:
+    def removed_faults(self) -> int:
         return len(self.original.fault_spec) - len(self.minimized.fault_spec)
 
 
@@ -50,34 +50,8 @@ def _fails(outcome: FuzzOutcome, targets: set) -> bool:
     return any(v.oracle in targets for v in outcome.violations)
 
 
-def _event_units(spec: list) -> list[list[int]]:
-    """Indices grouped into removable units (a crash owns its restart)."""
-    units: list[list[int]] = []
-    used: set[int] = set()
-    for i, entry in enumerate(spec):
-        if i in used:
-            continue
-        used.add(i)
-        unit = [i]
-        if entry["event"] == "crash":
-            for j in range(i + 1, len(spec)):
-                if (
-                    j not in used
-                    and spec[j]["event"] == "restart"
-                    and spec[j]["node"] == entry["node"]
-                ):
-                    unit.append(j)
-                    used.add(j)
-                    break
-        units.append(unit)
-    return units
-
-
 def _max_node(entry: dict) -> int:
-    nodes = []
-    if "node" in entry:
-        nodes.append(entry["node"])
-    nodes.extend(entry.get("nodes", ()))
+    nodes = list(entry.get("nodes", ()))
     for group in entry.get("groups", ()):
         nodes.extend(group)
     return max(nodes) if nodes else -1
@@ -209,33 +183,16 @@ class _CandidateEvaluator:
 
 
 def _window_candidates(current: Scenario) -> List[Scenario]:
-    """Pass-2 candidates: each surviving window, narrowed once."""
+    """Pass-2 candidates: each surviving bounded window, narrowed once."""
     spec = current.fault_spec
     candidates: List[Scenario] = []
     for i, entry in enumerate(spec):
-        candidate_spec = None
-        if entry.get("duration", 0.0) > 0.2:
-            shorter = dict(entry)
-            shorter["duration"] = round(entry["duration"] / 2, 3)
-            candidate_spec = spec[:i] + [shorter] + spec[i + 1:]
-        elif entry["event"] == "restart":
-            crash_at = next(
-                (
-                    e["at"] for e in spec
-                    if e["event"] == "crash"
-                    and e["node"] == entry["node"]
-                    and e["at"] < entry["at"]
-                ),
-                None,
-            )
-            if crash_at is not None and entry["at"] - crash_at > 0.2:
-                earlier = dict(entry)
-                earlier["at"] = round(
-                    crash_at + (entry["at"] - crash_at) / 2, 3
-                )
-                candidate_spec = spec[:i] + [earlier] + spec[i + 1:]
-        if candidate_spec is not None:
-            candidates.append(current.replaced(fault_spec=candidate_spec))
+        width = entry.get("end", entry["start"]) - entry["start"]
+        if width > 0.2:
+            shorter = dict(entry, end=round(entry["start"] + width / 2, 3))
+            candidates.append(current.replaced(
+                fault_spec=spec[:i] + [shorter] + spec[i + 1:]
+            ))
     return candidates
 
 
@@ -244,8 +201,7 @@ def _duration_chain(current: Scenario) -> List[Scenario]:
     chain: List[Scenario] = []
     duration = current.duration
     last_fault = max(
-        (e["at"] + e.get("duration", 0.0) for e in current.fault_spec),
-        default=0.0,
+        (e.get("end", e["start"]) for e in current.fault_spec), default=0.0,
     )
     while duration > 1.0:
         shorter = round(duration / 2, 3)
@@ -300,16 +256,15 @@ def shrink_scenario(
     )
     current, current_outcome = scenario, baseline
 
-    # Pass 1: drop whole fault events, greedily, to a fixpoint.
+    # Pass 1: drop whole faults, greedily, to a fixpoint.
     changed = True
     while changed and not evaluator.exhausted:
         changed = False
         spec = current.fault_spec
-        candidates = []
-        for unit in _event_units(spec):
-            drop = set(unit)
-            pruned = [e for i, e in enumerate(spec) if i not in drop]
-            candidates.append(current.replaced(fault_spec=pruned))
+        candidates = [
+            current.replaced(fault_spec=spec[:i] + spec[i + 1:])
+            for i in range(len(spec))
+        ]
         accepted = evaluator.first_failing(candidates)
         if accepted is not None:
             current, current_outcome = accepted
@@ -329,7 +284,7 @@ def shrink_scenario(
     if accepted is not None:
         current, current_outcome = accepted
 
-    # Pass 4: shrink the cluster when no event references high replicas.
+    # Pass 4: shrink the cluster when no fault names a high replica.
     candidates = [
         current.replaced(n=smaller)
         for smaller in (4, 5)

@@ -1,10 +1,16 @@
 """Tests for the command-line runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.live
 import repro.parallel
 from repro.cli import build_live_parser, build_parser, run_cli
+from tests.test_faults import MALFORMED
 
 #: The run flags both runners take, defined once in ``repro.cli``.
 SHARED_RUN_FLAGS = (
@@ -88,11 +94,30 @@ def test_disturbance_window(capsys):
         "--preset", "S-HS", "--n", "4", "--topology", "wan",
         "--rate", "1000", "--duration", "2.0", "--warmup", "0.5",
         "--batch-bytes", "1024", "--faults",
-        '[{"event": "delay", "at": 1.0, "duration": 0.5, "base": 0.1, '
+        '[{"kind": "delay", "start": 1.0, "end": 1.5, "base": 0.1, '
         '"jitter": 0.05, "bandwidth_factor": 0.15}]',
     ])
     assert code == 0
     assert "delay" in capsys.readouterr().out  # its fault-window row
+
+
+def test_malformed_fault_spec_exits_with_a_message():
+    """Malformed ``--faults`` input is a one-line error, never a
+    traceback, under both runners."""
+    for spec in MALFORMED.values():
+        for argv in (["--n", "4"], ["live", "-n", "4"]):
+            with pytest.raises(SystemExit, match="bad --faults spec"):
+                run_cli(argv + ["--faults", spec])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "--n", "4",
+         "--faults", MALFORMED["bool-node"]],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert "bad --faults spec" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_profile_flag_prints_hot_functions(capsys):

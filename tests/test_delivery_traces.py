@@ -39,7 +39,7 @@ import hashlib
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.faults import DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness.config import ExperimentConfig
 from repro.harness.netbench import NetBenchConfig, run_netbench
 from repro.harness.presets import chaos_schedule
@@ -160,11 +160,11 @@ TRACES = {
     ),
     "shs7-delay-spike-serial": (
         _shs("serial", FaultSchedule([
-            DelaySpike(at=1.0, duration=1.0, base=0.06, jitter=0.03),
+            Window("delay", 1.0, 2.0, base=0.06, jitter=0.03),
         ]), duration=3.0),
         "50e57b291c68ecf738c21078f865bae3a5b28ae53f778e9f6bafa9ede7dab78e",
     ),
-    # Streamlet/Narwhal n=5, DelaySpike(base=24.5 ms, jitter=33 ms), a
+    # Streamlet/Narwhal n=5, a delay window (24.5 ms, jitter 33 ms), a
     # crash and a restart. Recorded on PR 20, not on 8db03bb (see above),
     # and again on PR 23 (191f8289... before): a service's entry is pushed
     # when it is armed, so same-instant handlers of different nodes follow

@@ -12,26 +12,16 @@ import random
 
 import pytest
 
-from repro.faults import (
-    BandwidthSqueeze,
-    CrashReplica,
-    DelaySpike,
-    FaultSchedule,
-    Heal,
-    LinkFaults,
-    LossWindow,
-    Partition,
-    RestartReplica,
-    SwapBehavior,
-    Window,
-)
+from repro.faults import FaultSchedule, LinkFaults, Window
 from repro.harness import (
     ExperimentConfig,
     chaos_schedule,
+    resolve_fault_spec,
     run_experiment,
     tuned_protocol,
 )
 from repro.replica.behavior import CensoringSender, SilentReplica
+from repro.verification.fuzzer import random_fault_schedule
 from tests.helpers import make_cluster
 
 
@@ -41,142 +31,178 @@ from tests.helpers import make_cluster
 class TestFaultSchedule:
     def test_events_sorted_by_time(self):
         schedule = FaultSchedule([
-            RestartReplica(at=4.0, node=1),
-            CrashReplica(at=2.0, node=1),
+            Window("loss", 4.0, 5.0, rate=0.1),
+            Window("crash", 2.0, 4.0, nodes=(1,)),
         ])
-        assert [type(e) for e in schedule.events] == [
-            CrashReplica, RestartReplica,
-        ]
+        assert [w.kind for w in schedule.windows] == ["crash", "loss"]
 
     def test_json_round_trip(self):
-        schedule = FaultSchedule.from_json("""
-            [{"event": "crash", "at": 2.0, "node": 3},
-             {"event": "restart", "at": 4.0, "node": 3},
-             {"event": "partition", "at": 2.5, "duration": 1.0,
+        text = """
+            [{"kind": "crash", "start": 2.0, "end": 4.0, "nodes": [3]},
+             {"kind": "partition", "start": 2.5, "end": 3.5,
               "groups": [[0, 1]]},
-             {"event": "heal", "at": 3.0, "label": "x"},
-             {"event": "loss", "at": 2.0, "duration": 2.0, "rate": 0.2,
+             {"kind": "loss", "start": 2.0, "end": 4.0, "rate": 0.2,
               "channel": "data", "kinds": ["mb"]},
-             {"event": "bandwidth", "at": 1.0, "duration": 2.0,
+             {"kind": "bandwidth", "start": 1.0, "end": 3.0,
               "factor": 0.1, "nodes": [0]},
-             {"event": "delay", "at": 5.0, "duration": 10.0, "base": 0.1},
-             {"event": "swap", "at": 3.0, "node": 2, "behavior": "censor"}]
-        """)
-        assert len(schedule.events) == 8
+             {"kind": "delay", "start": 5.0, "end": 15.0, "base": 0.1},
+             {"kind": "swap", "start": 3.0, "nodes": [2],
+              "behavior": "censor"}]
+        """
+        schedule = FaultSchedule.from_json(text)
+        assert len(schedule.windows) == 6
         schedule.validate(4)
         partition = next(
-            e for e in schedule.events if isinstance(e, Partition)
+            w for w in schedule.windows if w.kind == "partition"
         )
         assert partition.groups == ((0, 1),)
+        assert partition.nodes == (0, 1)  # derived from the groups
+        assert FaultSchedule.from_spec(schedule.to_spec()) == schedule
+        # Written in start order, each entry exactly as given.
+        assert schedule.to_spec() == sorted(
+            json.loads(text), key=lambda entry: entry["start"]
+        )
 
     def test_unknown_event_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault event"):
-            FaultSchedule.from_json('[{"event": "meteor", "at": 1.0}]')
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSchedule.from_json('[{"kind": "meteor", "start": 1.0}]')
+        # The event grammar is gone, not translated.
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSchedule.from_json('[{"event": "crash", "at": 1, "node": 2}]')
 
     def test_bad_field_rejected(self):
-        with pytest.raises(ValueError, match="bad 'crash' event spec"):
+        with pytest.raises(ValueError, match="unknown keys \\['victim'\\]"):
             FaultSchedule.from_json(
-                '[{"event": "crash", "at": 1.0, "victim": 2}]'
+                '[{"kind": "crash", "start": 1.0, "nodes": [2], '
+                '"victim": 2}]'
+            )
+        with pytest.raises(ValueError, match="missing keys \\['end'\\]"):
+            FaultSchedule.from_json(
+                '[{"kind": "loss", "start": 1.0, "rate": 0.5}]'
             )
 
-    def test_double_crash_rejected(self):
+    def test_overlapping_crashes_of_one_node_rejected(self):
         schedule = FaultSchedule([
-            CrashReplica(at=1.0, node=2),
-            CrashReplica(at=2.0, node=2),
+            Window("crash", 1.0, 3.0, nodes=(2,)),
+            Window("crash", 2.0, 4.0, nodes=(2,)),
         ])
-        with pytest.raises(ValueError, match="crashed twice"):
+        with pytest.raises(ValueError, match="crashes of node 2 overlap"):
             schedule.validate(4)
-
-    def test_restart_without_crash_rejected(self):
-        schedule = FaultSchedule([RestartReplica(at=1.0, node=2)])
-        with pytest.raises(ValueError, match="without a prior crash"):
-            schedule.validate(4)
+        # Back to back is fine, and so is another node's crash.
+        FaultSchedule([
+            Window("crash", 1.0, 2.0, nodes=(2,)),
+            Window("crash", 2.0, 4.0, nodes=(2,)),
+            Window("crash", 1.5, 4.0, nodes=(1,)),
+        ]).validate(4)
+        # An unhealed crash overlaps every later one.
+        with pytest.raises(ValueError, match="overlap"):
+            FaultSchedule([
+                Window("crash", 1.0, nodes=(2,)),
+                Window("crash", 5.0, 6.0, nodes=(2,)),
+            ]).validate(4)
 
     def test_node_out_of_range_rejected(self):
-        schedule = FaultSchedule([CrashReplica(at=1.0, node=7)])
+        schedule = FaultSchedule([Window("crash", 1.0, nodes=(7,))])
         with pytest.raises(ValueError, match="outside"):
             schedule.validate(4)
 
     def test_overlapping_partition_groups_rejected(self):
         schedule = FaultSchedule([
-            Partition(at=1.0, groups=((0, 1), (1, 2))),
+            Window("partition", 1.0, groups=((0, 1), (1, 2))),
         ])
-        with pytest.raises(ValueError, match="two partition groups"):
+        with pytest.raises(ValueError, match="not disjoint"):
             schedule.validate(4)
+
+    @pytest.mark.parametrize("window, match", [
+        (Window("crash", 1.0, nodes=(1, 2)), "exactly one node"),
+        (Window("swap", 1.0, nodes=(), behavior="censor"),
+         "exactly one node"),
+        (Window("swap", 1.0, 2.0, nodes=(1,), behavior="censor"),
+         "no end"),
+        (Window("loss", 1.0, rate=0.5), "needs an end"),
+        (Window("delay", 1.0, 1.0, base=0.1), "start < end"),
+        (Window("bandwidth", -1.0, 1.0, factor=0.5), "start < end"),
+        (Window("loss", 1.0, 2.0, rate=1.5), "loss rate"),
+        (Window("loss", 1.0, 2.0, rate=0.5, channel="bulk"), "channel"),
+        (Window("swap", 1.0, nodes=(1,), behavior="rogue"), "behavior"),
+    ])
+    def test_out_of_range_window_rejected(self, window, match):
+        with pytest.raises(ValueError, match=match):
+            FaultSchedule([window]).validate(4)
 
     def test_windows_pair_crash_with_restart(self):
         schedule = FaultSchedule([
-            CrashReplica(at=2.0, node=3),
-            RestartReplica(at=4.0, node=3),
-            CrashReplica(at=5.0, node=1),  # never restarted
+            Window("swap", 4.0, nodes=(0,), behavior="censor"),
+            Window("crash", 5.0, nodes=(1,)),  # never restarted
+            Window("crash", 2.0, 4.0, nodes=(3,)),
+            Window("crash", 4.0, 4.5, nodes=(3,)),
         ])
-        windows = schedule.windows()
-        assert windows[0] == Window(
-            kind="crash", start=2.0, end=4.0, nodes=(3,)
-        )
-        assert windows[1].start == 5.0
-        assert math.isinf(windows[1].end)
-
-    def test_windows_pair_partition_with_heal_by_label(self):
-        schedule = FaultSchedule([
-            Partition(at=1.0, groups=((0,),), label="a"),
-            Partition(at=1.5, groups=((1,),), label="b"),
-            Heal(at=3.0, label="a"),
-        ])
-        windows = {w.label: w for w in schedule.windows()}
-        assert windows["a"].end == 3.0
-        assert math.isinf(windows["b"].end)
-
-    def test_labelled_heal_ends_a_partition_before_its_duration(self):
-        # The simulator always healed at the Heal; the metrics window
-        # and the live shaping window used to run on to at + duration.
-        schedule = FaultSchedule([
-            Partition(at=1, duration=5, groups=((0, 1),), label="x"),
-            Heal(at=2, label="x"),
-        ])
-        (window,) = schedule.windows()
-        assert (window.start, window.end) == (1, 2)
-        # A Heal that comes after the duration ran out changes nothing,
-        # and neither does one for another label.
-        for heal in (Heal(at=7, label="x"), Heal(at=2, label="y")):
-            (window,) = FaultSchedule([
-                Partition(at=1, duration=5, groups=((0, 1),), label="x"),
-                heal,
-            ]).windows()
-            assert window.end == 6
+        crash, swap, again, unhealed = schedule.windows
+        assert schedule.timeline() == [
+            (2.0, "crash", crash),
+            # One instant: the restart first, then window order.
+            (4.0, "restart", crash),
+            (4.0, "swap", swap),
+            (4.0, "crash", again),
+            (4.5, "restart", again),
+            (5.0, "crash", unhealed),
+        ]
+        assert math.isinf(unhealed.end)
+        assert "end" not in schedule.to_spec()[-1]
 
     def test_windows_carry_their_kind_parameters_and_round_trip(self):
         schedule = FaultSchedule([
-            LossWindow(at=2.0, duration=1.0, rate=0.2, channel="data",
-                       kinds=("mb",), nodes=(1,)),
-            Partition(at=2.0, groups=((0, 1), (2,))),
-            BandwidthSqueeze(at=1.0, duration=2.0, factor=0.1, nodes=(0,)),
-            DelaySpike(at=0.5, duration=1.0, base=0.1, jitter=0.05,
-                       bandwidth_factor=0.15),
+            Window("loss", 2.0, 3.0, rate=0.2, channel="data",
+                   kinds=("mb",), nodes=(1,)),
+            Window("partition", 2.0, groups=((0, 1), (2,))),
+            Window("bandwidth", 1.0, 3.0, factor=0.1, nodes=(0,)),
+            Window("delay", 0.5, 1.5, base=0.1, jitter=0.05,
+                   bandwidth_factor=0.15),
         ])
-        windows = schedule.windows()
         # Start order; schedule order where starts tie (loss, partition).
-        assert [w.kind for w in windows] == [
+        assert [w.kind for w in schedule.windows] == [
             "delay", "bandwidth", "loss", "partition",
         ]
-        delay, squeeze, loss, partition = windows
-        assert (delay.base, delay.jitter, delay.bandwidth_factor) == (
-            0.1, 0.05, 0.15,
-        )
-        assert (squeeze.factor, squeeze.nodes, squeeze.end) == (0.1, (0,), 3.0)
-        assert (loss.rate, loss.channel, loss.kinds, loss.nodes) == (
-            0.2, "data", ("mb",), (1,),
-        )
-        assert partition.groups == ((0, 1), (2,))
+        partition = schedule.windows[-1]
         assert partition.nodes == (0, 1, 2) and math.isinf(partition.end)
-        # The live spawn spec carries the schedule, not its windows: the
-        # JSON spec round-trips (no inf on the wire) and resolves to the
-        # same windows in the replica process, the unbounded partition too.
+        # The live spawn spec carries the schedule: the JSON spec
+        # round-trips (no inf on the wire) to the same windows in the
+        # replica process, the unbounded partition too.
         wire = json.loads(json.dumps(schedule.to_spec(), allow_nan=False))
         again = FaultSchedule.from_spec(wire)
-        assert again.to_spec() == schedule.to_spec()
-        assert again.windows() == windows
-        assert math.isinf(again.windows()[-1].end)
+        assert again == schedule
+        assert math.isinf(again.windows[-1].end)
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_every_drawn_schedule_round_trips(self, n):
+        for seed in range(200):
+            spec = random_fault_schedule(random.Random(seed), n=n)
+            schedule = FaultSchedule.from_spec(spec)
+            schedule.validate(n)
+            assert FaultSchedule.from_spec(schedule.to_spec()) == schedule
+
+
+#: ``--faults`` input that must be refused: each was taken at face value
+#: (or failed as something else) by an earlier parser.
+MALFORMED = {
+    "kinds-as-string": '[{"kind": "loss", "start": 1, "end": 2, '
+                       '"rate": 0.5, "kinds": "mb"}]',
+    "nodes-not-a-list": '[{"kind": "crash", "start": 1, "nodes": 3}]',
+    "bool-node": '[{"kind": "crash", "start": 1, "nodes": [true]}]',
+    "fractional-node": '[{"kind": "crash", "start": 1, "nodes": [1.5]}]',
+    "nan-end": '[{"kind": "loss", "start": 1, "end": NaN, "rate": 0.5}]',
+    "string-start": '[{"kind": "crash", "start": "2", "nodes": [1]}]',
+    "bool-group-node": '[{"kind": "partition", "start": 1, '
+                       '"groups": [[0, false]]}]',
+    "not-a-list": '{"kind": "crash", "start": 1, "nodes": [1]}',
+    "old-grammar-bool-node": '[{"event": "crash", "at": 1, "node": true}]',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_fault_spec_rejected(name):
+    with pytest.raises(ValueError):
+        resolve_fault_spec(MALFORMED[name], 4)
 
 
 # -- crash / restart lifecycle ------------------------------------------
@@ -205,8 +231,7 @@ def test_crash_flushes_and_silences_replica():
 
 def test_crash_restart_catches_up_via_chain_sync():
     schedule = FaultSchedule([
-        CrashReplica(at=1.0, node=3),
-        RestartReplica(at=2.5, node=3),
+        Window("crash", 1.0, 2.5, nodes=(3,)),
     ])
     exp = make_cluster(
         rate_tps=2000, duration=6.0, faults=schedule,
@@ -226,7 +251,9 @@ def test_crash_restart_catches_up_via_chain_sync():
 
 
 def test_swap_behavior_turns_replica_byzantine_mid_run():
-    schedule = FaultSchedule([SwapBehavior(at=1.0, node=3, behavior="censor")])
+    schedule = FaultSchedule([
+        Window("swap", 1.0, nodes=(3,), behavior="censor"),
+    ])
     exp = make_cluster(rate_tps=1000, duration=2.0, faults=schedule)
     exp.sim.run_until(0.5)
     assert not isinstance(exp.replicas[3].behavior, CensoringSender)
@@ -239,7 +266,7 @@ def test_swap_behavior_turns_replica_byzantine_mid_run():
 
 def test_partition_stalls_commits_and_heal_recommits_backlog():
     schedule = FaultSchedule([
-        Partition(at=1.0, duration=1.5, groups=((0, 1),)),
+        Window("partition", 1.0, 2.5, groups=((0, 1),)),
     ])
     exp = make_cluster(
         rate_tps=2000, duration=6.0, faults=schedule,
@@ -258,7 +285,7 @@ def test_partition_stalls_commits_and_heal_recommits_backlog():
 
 def test_partition_composes_with_user_drop_filter():
     schedule = FaultSchedule([
-        Partition(at=0.0, duration=1.0, groups=((0, 1),)),
+        Window("partition", 0.0, 1.0, groups=((0, 1),)),
     ])
     exp = make_cluster(rate_tps=0.0, duration=2.0, faults=schedule)
     net = exp.network
@@ -289,8 +316,7 @@ def test_partition_composes_with_user_drop_filter():
 
 def test_healed_early_partition_reports_recovery_from_the_heal():
     schedule = FaultSchedule([
-        Partition(at=1.0, duration=5.0, groups=((0, 1),), label="x"),
-        Heal(at=2.0, label="x"),
+        Window("partition", 1.0, 2.0, groups=((0, 1),)),
     ])
     exp = make_cluster(
         rate_tps=2000, duration=6.0, faults=schedule,
@@ -301,7 +327,7 @@ def test_healed_early_partition_reports_recovery_from_the_heal():
     (row,) = hub.fault_report()
     assert (row["start"], row["end"]) == (1.0, 2.0)
     # No quorum across {0,1} | {2,3} until the heal, commits after it:
-    # time-to-recover runs from t=2, not from the unused t=6.
+    # time-to-recover runs from the window's end at t=2.
     times = [record.commit_time for record in hub.commits]
     assert not [t for t in times if 1.1 < t < 2.0]
     first = min(t for t in times if t >= 2.0)
@@ -367,7 +393,7 @@ def test_window_opening_at_a_delivery_instant_applies_to_it():
 
 def test_loss_window_only_affects_its_interval():
     schedule = FaultSchedule([
-        LossWindow(at=1.0, duration=1.0, rate=1.0, channel="data"),
+        Window("loss", 1.0, 2.0, rate=1.0, channel="data"),
     ])
     exp = make_cluster(rate_tps=2000, duration=3.0, faults=schedule)
     net = exp.network
@@ -384,7 +410,7 @@ def test_loss_window_only_affects_its_interval():
 
 def test_bandwidth_squeeze_scales_and_restores():
     schedule = FaultSchedule([
-        BandwidthSqueeze(at=1.0, duration=1.0, factor=0.1, nodes=(0,)),
+        Window("bandwidth", 1.0, 2.0, factor=0.1, nodes=(0,)),
     ])
     exp = make_cluster(rate_tps=0.0, duration=3.0, faults=schedule)
     topo = exp.topology
@@ -397,8 +423,8 @@ def test_bandwidth_squeeze_scales_and_restores():
 
 def test_overlapping_squeezes_stack_multiplicatively():
     schedule = FaultSchedule([
-        BandwidthSqueeze(at=1.0, duration=2.0, factor=0.5, nodes=(0,)),
-        BandwidthSqueeze(at=1.5, duration=1.0, factor=0.5, nodes=(0,)),
+        Window("bandwidth", 1.0, 3.0, factor=0.5, nodes=(0,)),
+        Window("bandwidth", 1.5, 2.5, factor=0.5, nodes=(0,)),
     ])
     exp = make_cluster(rate_tps=0.0, duration=4.0, faults=schedule)
     topo = exp.topology
@@ -411,7 +437,7 @@ def test_overlapping_squeezes_stack_multiplicatively():
 
 def test_delay_spike_raises_link_delay_inside_window():
     schedule = FaultSchedule([
-        DelaySpike(at=1.0, duration=1.0, base=0.2, jitter=0.0),
+        Window("delay", 1.0, 2.0, base=0.2),
     ])
     exp = make_cluster(rate_tps=0.0, duration=3.0, faults=schedule)
     topo = exp.topology
@@ -428,7 +454,7 @@ def test_push_retransmits_after_loss_until_quorum():
     # Total DATA loss for 1 s: initial body broadcasts die, so without
     # push retries the availability proofs never form.
     schedule = FaultSchedule([
-        LossWindow(at=0.0, duration=1.0, rate=1.0, channel="data"),
+        Window("loss", 0.0, 1.0, rate=1.0, channel="data"),
     ])
     exp = make_cluster(
         rate_tps=1000, duration=5.0, faults=schedule,
@@ -457,27 +483,23 @@ def test_discard_cancels_outstanding_fetch():
 
 def random_schedule(rng: random.Random, n: int, horizon: float) -> FaultSchedule:
     """A random but well-formed mix of crashes, partitions, and loss."""
-    events = []
     crash_at = rng.uniform(0.5, horizon / 2)
     victim = rng.randrange(n)
-    events.append(CrashReplica(at=crash_at, node=victim))
-    if rng.random() < 0.8:
-        events.append(RestartReplica(
-            at=crash_at + rng.uniform(0.5, 2.0), node=victim,
-        ))
+    end = crash_at + rng.uniform(0.5, 2.0) if rng.random() < 0.8 else math.inf
     others = [node for node in range(n) if node != victim]
     group = tuple(rng.sample(others, 2))
-    events.append(Partition(
-        at=rng.uniform(0.5, horizon - 1.0),
-        duration=rng.uniform(0.3, 1.5),
-        groups=(group,),
-    ))
-    events.append(LossWindow(
-        at=rng.uniform(0.0, horizon - 1.0),
-        duration=rng.uniform(0.5, 2.0),
+    start = rng.uniform(0.5, horizon - 1.0)
+    partition = Window(
+        "partition", start, start + rng.uniform(0.3, 1.5), groups=(group,),
+    )
+    start = rng.uniform(0.0, horizon - 1.0)
+    loss = Window(
+        "loss", start, start + rng.uniform(0.5, 2.0),
         rate=rng.uniform(0.05, 0.4),
-    ))
-    return FaultSchedule(events)
+    )
+    return FaultSchedule([
+        Window("crash", crash_at, end, nodes=(victim,)), partition, loss,
+    ])
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])

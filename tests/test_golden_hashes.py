@@ -13,8 +13,7 @@ cell at a short horizon, a bandwidth squeeze that takes the topology
 plain -> scaled -> plain under live transfers, and the same squeeze
 followed by a delay window with a goodput factor (recorded with that
 window passed through the config field that was a second spelling of
-``faults=[DelaySpike]``; it is a ``DelaySpike`` since the two became
-one). Five more run the chaos presets under ``link_model="serial"`` and
+a delay fault; it is a ``delay`` window since the two became one). Five more run the chaos presets under ``link_model="serial"`` and
 were recorded on 1db3b65, the parent of the one-fault-realisation
 collapse, where partitions and loss windows were drop rules installed
 and removed by queue events and a squeeze multiplied the topology's
@@ -27,7 +26,7 @@ justifies it with the ledger diff in CHANGES.md.
 import pytest
 
 from repro.config import ProtocolConfig, ShardingConfig
-from repro.faults import BandwidthSqueeze, DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness.config import ExperimentConfig
 from repro.harness.presets import chaos_schedule, tuned_protocol
 from repro.harness.runner import build_experiment
@@ -102,7 +101,7 @@ def _shs_wan_fair_squeeze(*more_faults) -> ExperimentConfig:
         bandwidth_bps=10e6, rate_tps=2000.0, duration=4.0, warmup=0.5,
         seed=13,
         faults=FaultSchedule([
-            BandwidthSqueeze(at=1.0, duration=1.0, factor=0.2, nodes=(0, 1)),
+            Window("bandwidth", 1.0, 2.0, factor=0.2, nodes=(0, 1)),
             *more_faults,
         ]),
         label="golden-shs4-wan-fair-squeeze",
@@ -110,8 +109,8 @@ def _shs_wan_fair_squeeze(*more_faults) -> ExperimentConfig:
 
 
 def _shs_wan_fair_squeeze_fluctuation() -> ExperimentConfig:
-    return _shs_wan_fair_squeeze(DelaySpike(
-        at=2.5, duration=1.0, base=0.06, jitter=0.03, bandwidth_factor=0.5,
+    return _shs_wan_fair_squeeze(Window(
+        "delay", 2.5, 3.5, base=0.06, jitter=0.03, bandwidth_factor=0.5,
     ))
 
 

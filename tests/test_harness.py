@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.durability import DurabilityConfig
-from repro.faults import DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness import (
     ExperimentConfig,
     NetBenchConfig,
@@ -142,8 +142,8 @@ def recorded_configs():
                 "SS-HS", 16, "lan", sharding=ShardingConfig(shards=4),
             ),
             bandwidth_bps=100e6, bandwidth_map={3: 5e6, 11: 2.5e7},
-            faults=FaultSchedule([DelaySpike(
-                at=2.0, duration=1.5, base=0.1, jitter=0.05,
+            faults=FaultSchedule([Window(
+                "delay", 2.0, 3.5, base=0.1, jitter=0.05,
                 bandwidth_factor=0.15,
             )]),
             durability=DurabilityConfig(
@@ -162,7 +162,7 @@ def recorded_configs():
 
 #: Fields deleted since the recording: options nothing ever set (each a
 #: constant beside its reader now, at the recorded value),
-#: ``fluctuation``, a second spelling of ``faults=[DelaySpike]``, and
+#: ``fluctuation``, a second spelling of a delay fault, and
 #: ``data_limiter``, the data-channel token bucket, deleted with it.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
@@ -174,19 +174,48 @@ DELETED_KEYS = {
 }
 
 
+def as_windows(events):
+    """A recorded event-grammar schedule as its window entries: a
+    crash ends at its node's next restart, every other event at
+    ``at + duration``."""
+    windows = []
+    for event in events:
+        entry = {"kind": event["event"], "start": event["at"]}
+        if event["event"] == "restart":
+            crash = next(
+                w for w in windows
+                if w["kind"] == "crash" and w["nodes"] == [event["node"]]
+                and "end" not in w
+            )
+            crash["end"] = event["at"]
+            continue
+        if "duration" in event:
+            entry["end"] = event["at"] + event["duration"]
+        if "node" in event:
+            entry["nodes"] = [event["node"]]
+        entry.update(
+            (key, value) for key, value in event.items()
+            if key not in ("event", "at", "duration", "node")
+        )
+        windows.append(entry)
+    return windows
+
+
 def without_deleted(data):
     """The recorded dict as today's codec spells it: deleted keys gone,
-    and a ``fluctuation`` window as the one-``delay``-event schedule
-    that replaced it."""
+    an event-grammar schedule as its windows, and a ``fluctuation``
+    window as the one-``delay``-window schedule that replaced it."""
     kept = {
         key: without_deleted(value) if isinstance(value, dict) else value
         for key, value in data.items() if key not in DELETED_KEYS
     }
+    if kept.get("faults") is not None:
+        kept["faults"] = as_windows(kept["faults"])
     window = data.get("fluctuation")
     if window is not None:
         assert kept["faults"] is None
-        kept["faults"] = FaultSchedule([DelaySpike(
-            at=window["start"], duration=window["duration"],
+        kept["faults"] = FaultSchedule([Window(
+            "delay", window["start"], window["start"] + window["duration"],
             base=window["base"], jitter=window["jitter"],
             bandwidth_factor=window["throughput_factor"],
         )]).to_spec()

@@ -10,16 +10,7 @@ import pytest
 from repro.config import ProtocolConfig
 from repro.harness.config import ExperimentConfig
 from repro.harness.presets import chaos_schedule, resolve_fault_spec
-from repro.faults import (
-    DelaySpike,
-    FaultSchedule,
-    Heal,
-    LinkFaults,
-    LossWindow,
-    Partition,
-    SwapBehavior,
-    Window,
-)
+from repro.faults import FaultSchedule, LinkFaults, Window
 from repro.live.chaos import LinkShaper, LIVE_LINK_BANDWIDTH_BPS
 from repro.live.network import DATA_QUEUE_CAP, LiveNetwork, _PeerLink
 from repro.live.orchestrator import LiveConfig, allocate_ports, run_live
@@ -46,9 +37,7 @@ def _shaper(windows, node_id=0, seed=7, clock=None):
 
 
 def test_shaper_partition_drops_cross_group_frames_only():
-    windows = FaultSchedule([
-        Partition(at=1.0, duration=2.0, groups=((0, 1),)),
-    ]).windows()
+    windows = [Window("partition", 1.0, 3.0, groups=((0, 1),))]
     clock = _Clock(1.5)
     shaper = _shaper(windows, clock=clock)
     # 0 and 1 share a group; 2 and 3 fall into the implicit rest group.
@@ -63,10 +52,7 @@ def test_shaper_partition_drops_cross_group_frames_only():
 
 
 def test_shaper_heal_closes_the_partition_window():
-    windows = FaultSchedule([
-        Partition(at=1.0, duration=None, groups=((0, 1),)),
-        Heal(at=4.0),
-    ]).windows()
+    windows = [Window("partition", 1.0, 4.0, groups=((0, 1),))]
     clock = _Clock(2.0)
     shaper = _shaper(windows, clock=clock)
     assert shaper.drops(0, 2, MessageKinds.VOTE, Channel.CONSENSUS)
@@ -75,9 +61,7 @@ def test_shaper_heal_closes_the_partition_window():
 
 
 def test_shaper_loss_respects_channel_filter_and_seed():
-    windows = FaultSchedule([
-        LossWindow(at=0.0, duration=10.0, rate=0.5, channel="data"),
-    ]).windows()
+    windows = [Window("loss", 0.0, 10.0, rate=0.5, channel="data")]
 
     def run(seed):
         shaper = _shaper(windows, seed=seed, clock=_Clock(1.0))
@@ -147,10 +131,10 @@ def _sim_network(windows, rng, now):
 
 def test_overlapping_delay_windows_give_the_first_ones_delay():
     # The shaper used to add the two up (0.30000000000000004 s).
-    windows = FaultSchedule([
-        DelaySpike(at=1.0, duration=4.0, base=0.1),
-        DelaySpike(at=2.0, duration=1.0, base=0.2),
-    ]).windows()
+    windows = [
+        Window("delay", 1.0, 5.0, base=0.1),
+        Window("delay", 2.0, 3.0, base=0.2),
+    ]
     shaper = _shaper(windows, clock=_Clock(2.5))
     assert shaper.write_delay(1, 1024, Channel.DATA) == 0.1
     topology = _sim_network(windows, random.Random(7), 2.5).topology
@@ -160,10 +144,10 @@ def test_overlapping_delay_windows_give_the_first_ones_delay():
 def test_loss_window_opened_before_a_partition_draws_its_coin_first():
     # Windows are tested in start order on both backends; the shaper
     # used to test every partition first and leave the coin unflipped.
-    windows = FaultSchedule([
-        LossWindow(at=0.0, duration=10.0, rate=0.5),
-        Partition(at=1.0, duration=9.0, groups=((0, 1),)),
-    ]).windows()
+    windows = [
+        Window("loss", 0.0, 10.0, rate=0.5),
+        Window("partition", 1.0, 10.0, groups=((0, 1),)),
+    ]
     frames = 16
     flipped = random.Random(7)
     for _ in range(frames):
@@ -190,11 +174,11 @@ def test_loss_window_opened_before_a_partition_draws_its_coin_first():
 
 def test_resolve_fault_spec_shares_one_grammar():
     preset = resolve_fault_spec("crash-restart", 4)
-    assert len(preset.process_events()) == 2
+    assert [step for _, step, _ in preset.timeline()] == ["crash", "restart"]
     inline = resolve_fault_spec(
-        '[{"event": "loss", "at": 1.0, "duration": 2.0, "rate": 0.5}]', 4
+        '[{"kind": "loss", "start": 1.0, "end": 3.0, "rate": 0.5}]', 4
     )
-    assert inline.windows()[0].kind == "loss"
+    assert inline.windows[0].kind == "loss"
     with pytest.raises(ValueError, match="not found"):
         resolve_fault_spec("@/nonexistent/schedule.json", 4)
     with pytest.raises(ValueError):
@@ -203,7 +187,7 @@ def test_resolve_fault_spec_shares_one_grammar():
 
 def test_validate_live_rejects_behavior_swaps():
     schedule = FaultSchedule([
-        SwapBehavior(at=1.0, node=0, behavior="silent"),
+        Window("swap", 1.0, nodes=(0,), behavior="silent"),
     ])
     schedule.validate(4)  # fine in-sim
     with pytest.raises(ValueError, match="live backend"):
@@ -223,10 +207,9 @@ def test_every_chaos_preset_splits_cleanly_for_live():
     ):
         schedule = chaos_schedule(name, 4)
         schedule.validate_live(4)
-        link = [w for w in schedule.windows() if w.kind != "crash"]
-        assert len(schedule.process_events()) + len(link) == len(
-            schedule.events
-        )
+        crashes = [w for w in schedule.windows if w.kind == "crash"]
+        assert len(schedule.timeline()) == 2 * len(crashes)
+        LinkFaults(schedule.windows, random.Random(0))  # the rest is links
 
 
 # -- backpressure / reconnection units ---------------------------------------
@@ -343,7 +326,7 @@ def test_live_crash_restart_respawns_and_recovers():
 @pytest.mark.slow
 def test_live_partition_heals_and_recovers():
     schedule = FaultSchedule([
-        Partition(at=2.0, duration=1.5, groups=((0, 1),)),
+        Window("partition", 2.0, 3.5, groups=((0, 1),)),
     ])
     protocol = ProtocolConfig(
         n=4, mempool="stratus", consensus="hotstuff",

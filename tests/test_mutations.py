@@ -76,10 +76,10 @@ def test_mutant_scenarios_pass_without_the_bug():
 
 def test_shrinker_reduces_seeded_failure():
     """End-to-end tentpole check: pad the mute-votes scenario with a
-    noise fault event, shrink it, and get the bare scenario back."""
+    noise fault window, shrink it, and get the bare scenario back."""
     mutant = MUTANTS["mute-votes"]
     padded = mutant.scenario.replaced(fault_spec=[
-        {"event": "loss", "at": 0.7, "duration": 0.3, "rate": 0.1},
+        {"kind": "loss", "start": 0.7, "end": 1.0, "rate": 0.1},
     ])
 
     def runner(scenario):

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.faults import CrashReplica, FaultSchedule
+from repro.faults import FaultSchedule, Window
 from repro.harness import (
     ExperimentConfig,
     RunResult,
@@ -150,7 +150,7 @@ class TestJobSpecs:
 
     def test_never_healed_crash_round_trips_without_infinity(self):
         """``inf`` ("never") is ``None`` in JSON and ``inf`` again after."""
-        schedule = FaultSchedule([CrashReplica(at=0.8, node=3)])
+        schedule = FaultSchedule([Window("crash", 0.8, nodes=(3,))])
         result = run_experiment(small_config(faults=schedule))
         (window,) = result.fault_report
         assert window["commit_gap"] == math.inf
@@ -223,9 +223,9 @@ class TestReplicatedAggregates:
 def padded_mute_votes():
     base = MUTANTS["mute-votes"].scenario
     padding = [
-        {"event": "delay", "at": 0.6, "duration": 0.4,
+        {"kind": "delay", "start": 0.6, "end": 1.0,
          "base": 0.03, "jitter": 0.01, "bandwidth_factor": 0.9},
-        {"event": "bandwidth", "at": 1.2, "duration": 0.4,
+        {"kind": "bandwidth", "start": 1.2, "end": 1.6,
          "factor": 0.5, "nodes": [0, 1]},
     ]
     return base.replaced(fault_spec=padding)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -11,15 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.crypto import sign
 from repro.durability import DurabilityConfig
-from repro.faults import (
-    BandwidthSqueeze,
-    DelaySpike,
-    FaultSchedule,
-    Heal,
-    LinkFaults,
-    LossWindow,
-    Partition,
-)
+from repro.faults import FaultSchedule, LinkFaults, Window
 from repro.harness import (
     CHAOS_PRESET_NAMES,
     ExperimentConfig,
@@ -311,8 +304,10 @@ def experiment_configs(draw):
                 lambda name: chaos_schedule(name, n)
             )
             | st.builds(
-                lambda **spike: FaultSchedule([DelaySpike(**spike)]),
-                at=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
+                lambda start, duration, **spike: FaultSchedule([
+                    Window("delay", start, start + duration, **spike),
+                ]),
+                start=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
                 base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
                 bandwidth_factor=_positive(0.01, 1.0),
             )
@@ -362,7 +357,6 @@ _N = 4
 _ticks = st.integers(0, 24).map(lambda k: k * 0.25)
 _spans = st.integers(1, 12).map(lambda k: k * 0.25)
 _node_sets = st.lists(st.integers(0, _N - 1), unique=True).map(tuple)
-_labels = st.sampled_from(["", "a", "b"])
 
 
 @st.composite
@@ -377,21 +371,25 @@ def _partition_groups(draw):
     return tuple(group for group in groups if group)
 
 
-_link_events = st.one_of(
-    st.builds(Partition, at=_ticks, duration=st.none() | _spans,
-              groups=_partition_groups(), label=_labels),
-    st.builds(Heal, at=_ticks, label=_labels),
-    st.builds(LossWindow, at=_ticks, duration=_spans,
+
+def _window(kind, start, span, **params):
+    return Window(kind, start, start + span, **params)
+
+
+_link_windows = st.one_of(
+    st.builds(_window, st.just("partition"), _ticks,
+              st.just(math.inf) | _spans, groups=_partition_groups()),
+    st.builds(_window, st.just("loss"), _ticks, _spans,
               rate=st.floats(0.05, 1.0),
               kinds=st.sampled_from([(), ("mb",), ("vote", "mb.fetch")]),
               channel=st.sampled_from([None, "data", "consensus"]),
               nodes=_node_sets),
-    st.builds(BandwidthSqueeze, at=_ticks, duration=_spans,
+    st.builds(_window, st.just("bandwidth"), _ticks, _spans,
               factor=st.floats(0.05, 1.0), nodes=_node_sets),
     # jitter < base: a delay sampled inside a window is never 0.0, which
     # is what the shaper reports outside every window.
-    st.builds(lambda at, duration, base, share, bandwidth_factor: DelaySpike(
-                  at=at, duration=duration, base=base, jitter=base * share,
+    st.builds(lambda start, span, base, share, bandwidth_factor: _window(
+                  "delay", start, span, base=base, jitter=base * share,
                   bandwidth_factor=bandwidth_factor),
               _ticks, _spans, st.floats(0.001, 0.5), st.floats(0.0, 0.9),
               st.floats(0.05, 1.0)),
@@ -407,16 +405,16 @@ _frames = st.lists(
 ).map(lambda frames: sorted(frames, key=lambda frame: frame[0]))
 
 
-@given(st.lists(_link_events, max_size=6), st.integers(0, 2 ** 32), _frames)
+@given(st.lists(_link_windows, max_size=6), st.integers(0, 2 ** 32), _frames)
 @settings(max_examples=80, deadline=None)
-def test_sim_and_live_adapters_decide_link_faults_alike(events, seed, frames):
+def test_sim_and_live_adapters_decide_link_faults_alike(windows, seed, frames):
     """Node 0's egress through the simulator's adapter (``Network`` +
     ``Topology``) and the live one (``LinkShaper``), both built from
-    ``schedule.windows()`` with equal seeds: the same drops, the same
+    ``schedule.windows`` with equal seeds: the same drops, the same
     delays and the same bandwidth factor for every frame."""
-    schedule = FaultSchedule(events)
+    schedule = FaultSchedule(windows)
     schedule.validate(_N)
-    windows = schedule.windows()
+    windows = schedule.windows
     plain_delay, burst = 7.0, 256 * 1024  # live/chaos.py's bucket burst
     sim = Simulator()
     network = Network(

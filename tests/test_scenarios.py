@@ -7,7 +7,7 @@ in seconds; the full-scale sweeps live in ``benchmarks/``.
 import pytest
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
-from repro.faults import DelaySpike, FaultSchedule
+from repro.faults import FaultSchedule, Window
 
 
 def run_fluctuation(preset: str) -> tuple:
@@ -19,9 +19,8 @@ def run_fluctuation(preset: str) -> tuple:
     result = run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=25_000,
         duration=13.0, warmup=1.0, seed=3, label=preset,
-        faults=FaultSchedule([DelaySpike(
-            at=4.0, duration=5.0, base=0.1, jitter=0.05,
-            bandwidth_factor=0.15,
+        faults=FaultSchedule([Window(
+            "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
         )]),
     ))
     hub = result.metrics

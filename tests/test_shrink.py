@@ -13,7 +13,7 @@ from repro.verification import (
     write_artifact,
 )
 from repro.verification.mutations import SilentPrepareMempool
-from repro.verification.shrink import _event_units, _max_node
+from repro.verification.shrink import _max_node, _window_candidates
 
 
 def mute_runner(scenario):
@@ -25,9 +25,9 @@ def padded_failing_scenario():
     """The mute-votes scenario buried under irrelevant fault events."""
     base = MUTANTS["mute-votes"].scenario
     padding = [
-        {"event": "delay", "at": 0.6, "duration": 0.4,
+        {"kind": "delay", "start": 0.6, "end": 1.0,
          "base": 0.03, "jitter": 0.01, "bandwidth_factor": 0.9},
-        {"event": "bandwidth", "at": 1.2, "duration": 0.4,
+        {"kind": "bandwidth", "start": 1.2, "end": 1.6,
          "factor": 0.5, "nodes": [0, 1]},
     ]
     return base.replaced(fault_spec=padding)
@@ -37,7 +37,7 @@ def test_shrinker_drops_irrelevant_fault_events():
     scenario = padded_failing_scenario()
     result = shrink_scenario(scenario, runner=mute_runner)
     assert result.minimized.fault_spec == []
-    assert result.removed_events == 2
+    assert result.removed_faults == 2
     assert any(
         v.oracle == "liveness" for v in result.outcome.violations
     )
@@ -54,18 +54,26 @@ def test_shrinker_refuses_passing_scenario():
 
 
 def test_crash_restart_move_as_one_unit():
+    """A crash carries its restart as its end: dropping the entry drops
+    both, and narrowing it moves the restart towards the crash."""
     spec = [
-        {"event": "crash", "at": 1.0, "node": 2},
-        {"event": "loss", "at": 1.2, "duration": 0.5, "rate": 0.3},
-        {"event": "restart", "at": 2.0, "node": 2},
+        {"kind": "crash", "start": 1.0, "end": 2.0, "nodes": [2]},
+        {"kind": "loss", "start": 1.2, "end": 1.3, "rate": 0.3},
+        {"kind": "partition", "start": 1.5, "groups": [[0, 5], [1]]},
     ]
-    units = _event_units(spec)
-    assert [0, 2] in units  # crash at index 0 owns restart at index 2
-    assert [1] in units
-    # The cluster only shrinks below the highest replica an event names.
-    assert [_max_node(entry) for entry in spec] == [2, -1, 2]
-    assert _max_node({"event": "partition", "groups": [[0, 5], [1]]}) == 5
-    assert _max_node({"event": "bandwidth", "nodes": [0, 3]}) == 3
+    scenario = Scenario(
+        seed=1, consensus="hotstuff", mempool="simple", n=7,
+        duration=2.0, fault_spec=spec,
+    )
+    # Only the crash is wider than 0.2 s and has an end to narrow.
+    (narrowed,) = _window_candidates(scenario)
+    assert narrowed.fault_spec == [
+        {"kind": "crash", "start": 1.0, "end": 1.5, "nodes": [2]},
+        *spec[1:],
+    ]
+    # The cluster only shrinks below the highest replica a fault names.
+    assert [_max_node(entry) for entry in spec] == [2, -1, 5]
+    assert _max_node({"kind": "bandwidth", "nodes": [0, 3]}) == 3
 
 
 def test_artifact_round_trip(tmp_path):
@@ -92,4 +100,8 @@ def test_artifact_rejects_foreign_format(tmp_path):
     path = tmp_path / "not-an-artifact.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
+        load_artifact(str(path))
+    # A v1 artifact holds fault specs in the retired event grammar.
+    path.write_text('{"format": "repro-fuzz-artifact-v1"}')
+    with pytest.raises(ValueError, match="repro-fuzz-artifact-v1"):
         load_artifact(str(path))

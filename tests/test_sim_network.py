@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.faults import FaultSchedule, LinkFaults, LossWindow, Partition
+from repro.faults import LinkFaults, Window
 from repro.sim.engine import Simulator
 from repro.sim.network import Channel, Network
 from repro.sim.rng import RngRegistry
@@ -394,14 +394,12 @@ class TestFaultsAtTheArrivalInstant:
         self, kind, start, duration, delivered,
     ):
         window = (
-            Partition(at=start, duration=duration, groups=((0,),))
+            Window("partition", start, start + duration, groups=((0,),))
             if kind == "partition"
-            else LossWindow(at=start, duration=duration, rate=1.0)
+            else Window("loss", start, start + duration, rate=1.0)
         )
         sim, net, inboxes = self._send_one()
-        net.set_link_faults(LinkFaults(
-            FaultSchedule([window]).windows(), random.Random(1)
-        ))
+        net.set_link_faults(LinkFaults([window], random.Random(1)))
         sim.run()
         assert bool(inboxes[1]) == delivered
         assert net.stats.messages_dropped == (0 if delivered else 1)

@@ -52,10 +52,8 @@ def test_aggregate_matches_ticks_across_crash_restart():
     # exactly the crash instant is dropped (the injector's event fires
     # first). Two overlapping crash windows exercise both hooks.
     faults = FaultSchedule.from_spec([
-        {"event": "crash", "at": 1.3, "node": 2},
-        {"event": "restart", "at": 3.0, "node": 2},
-        {"event": "crash", "at": 2.05, "node": 1},
-        {"event": "restart", "at": 2.85, "node": 1},
+        {"kind": "crash", "start": 1.3, "end": 3.0, "nodes": [2]},
+        {"kind": "crash", "start": 2.05, "end": 2.85, "nodes": [1]},
     ])
     base = ExperimentConfig(
         protocol=tuned_protocol("S-HS", n=4),
