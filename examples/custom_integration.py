@@ -181,7 +181,7 @@ def main() -> None:
     print("1) custom mempool under stock HotStuff")
     metrics, _ = build(4, BroadcastEverythingMempool, HotStuff)
     print(f"   committed {metrics.committed_tx_total:,} txs, "
-          f"mean latency {metrics.latency.mean * 1000:.1f} ms")
+          f"mean latency {metrics.latency_stats().mean * 1000:.1f} ms")
 
     print("2) stock Stratus mempool under a custom consensus engine")
     metrics, replicas = build(4, StratusMempool, TwoPhaseToy)

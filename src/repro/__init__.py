@@ -27,7 +27,6 @@ from repro.harness import (
     run_experiment,
     tuned_protocol,
 )
-from repro.tracing import Tracer
 
 __version__ = "1.0.0"
 
@@ -38,6 +37,5 @@ __all__ = [
     "build_experiment",
     "run_experiment",
     "tuned_protocol",
-    "Tracer",
     "__version__",
 ]

@@ -113,9 +113,6 @@ class ChainedEngine(ConsensusEngine):
             created_at=self.host.sim.now,
         )
         self._block_counter += 1
-        if self.host.tracer is not None:
-            self.host.trace("propose", view=view, block=proposal.block_id,
-                            entries=len(payload.microblock_ids))
         self.broadcast(MessageKinds.PROPOSAL, proposal.size_bytes, proposal)
         self._handle_proposal(proposal)
         return proposal
@@ -226,16 +223,12 @@ class ChainedEngine(ConsensusEngine):
         while cursor is not None and cursor.block_id not in self.committed:
             chain.append(cursor)
             cursor = self.proposals.get(cursor.parent_id)
-        host = self.host
         unresolved = self._unresolved
         for proposal in reversed(chain):
             self.committed.add(proposal.block_id)
             if proposal.height > self.committed_height:
                 self.committed_height = proposal.height
             unresolved.pop(proposal.block_id, None)
-            if host.tracer is not None:
-                host.trace("commit", block=proposal.block_id,
-                           height=proposal.height)
             self.handle_commit(proposal)
         height = self.committed_height
         for proposal in unresolved.values():

@@ -119,7 +119,6 @@ class HotStuff(ChainedEngine):
 
     def _on_timeout(self) -> None:
         view = self.cur_view
-        self.host.trace("view_change", view=view)
         self.host.metrics.record_view_change(self.node_id, view)
         next_view = view + 1
         if not self.host.behavior.silent:

@@ -51,9 +51,8 @@ _BURST_BYTES = 256 * 1024
 class _EgressBucket:
     """Continuous-time token bucket metering shaped egress bytes."""
 
-    def __init__(self, burst_bytes: float = _BURST_BYTES) -> None:
-        self._burst = burst_bytes
-        self._tokens = burst_bytes
+    def __init__(self) -> None:
+        self._tokens = _BURST_BYTES
         self._last: Optional[float] = None
 
     def delay(self, now: float, rate_bytes_s: float, size: int) -> float:
@@ -61,7 +60,7 @@ class _EgressBucket:
         if self._last is None:
             self._last = now
         self._tokens = min(
-            self._burst, self._tokens + (now - self._last) * rate_bytes_s
+            _BURST_BYTES, self._tokens + (now - self._last) * rate_bytes_s
         )
         self._last = now
         self._tokens -= size

@@ -415,7 +415,6 @@ class LiveNetwork(Transport):
         payload: object,
         channel: Channel = Channel.DATA,
         recipients: Optional[list[int]] = None,
-        include_self: bool = False,
     ) -> None:
         """Fan one payload out to ``recipients`` (default: all peers).
 
@@ -430,11 +429,7 @@ class LiveNetwork(Transport):
             recipients = [node for node in self.ports if node != src]
         frame: Optional[bytes] = None
         for dst in recipients:
-            if dst == src and not include_self:
-                continue
-            if dst == self.node_id:
-                # Loopback keeps the object path (no codec round-trip).
-                self.send(src, dst, kind, size_bytes, payload, channel)
+            if dst == src:
                 continue
             link = self._links.get(dst)
             if link is None:
@@ -448,8 +443,6 @@ class LiveNetwork(Transport):
                 frame = self.codec.encode(src, kind, channel, payload)
             if link.enqueue(frame, channel):
                 self.stats.record_send(src, kind, len(frame))
-        if include_self and src not in recipients:
-            self.send(src, src, kind, size_bytes, payload, channel)
 
     # -- receive path --------------------------------------------------
 

@@ -9,9 +9,12 @@ them back into protocol objects, and feeds them through the *unchanged*
 is that the live run satisfies the same invariants the simulator is held
 to.
 
-The availability and liveness oracles are not replayed: the first
-inspects live mempool stores (gone once the processes exit) and the
-second reasons about injected fault windows (none in live runs yet).
+The other three oracles are not replayed. The availability and
+conservation oracles inspect live mempool state (stores, proofs,
+queues), which is gone once the processes exit. The liveness oracle
+reads a run's metrics hub and clock; a live chaos run's fault windows
+are judged instead by the per-window recovery metrics in its merged
+report.
 """
 
 from __future__ import annotations

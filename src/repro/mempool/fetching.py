@@ -254,7 +254,6 @@ class FetchManager:
     def _abandon(self, pending: _PendingFetch) -> None:
         self._pending.pop(pending.mb_id, None)
         self._host.metrics.record_fetch_abandoned()
-        self._host.trace("fetch_abandoned", microblock=pending.mb_id)
 
 
 def sampled_signers(

@@ -140,9 +140,6 @@ class LoadBalancer:
         _, proxy = min(loaded)
         state.proxy = proxy
         self.ban_list.add(proxy)
-        self._host.trace(
-            "lb_forward", mb=state.microblock.id, proxy=proxy,
-        )
         self._host.metrics.record_forward()
         self._host.network.send(
             self._host.node_id, proxy,

@@ -75,17 +75,12 @@ class StratusMempool(IdMempool):
     # -- client / dissemination -------------------------------------------
 
     def _on_new_microblock(self, microblock: MicroBlock) -> None:
-        if self.host.tracer is not None:
-            self.host.trace("mb_new", mb=microblock.id,
-                            txs=microblock.tx_count)
         if self.balancer is not None:
             self.balancer.handle_new_microblock(microblock)
         else:
             self.pab.push_own(microblock, self._on_self_available)
 
     def _on_stable(self, mb_id: MicroBlockId, elapsed: float) -> None:
-        if self.host.tracer is not None:
-            self.host.trace("mb_stable", mb=mb_id, st=round(elapsed, 6))
         self.estimator.record(elapsed)
         self.host.metrics.record_stable_time(elapsed)
 
@@ -121,9 +116,7 @@ class StratusMempool(IdMempool):
 
     def on_restart(self) -> None:
         super().on_restart()
-        repushed = self.pab.repush_pending()
-        if repushed:
-            self.host.trace("mb_repush", count=repushed)
+        self.pab.repush_pending()
 
     def _on_remote_proof(self, mb_id: MicroBlockId, proof) -> None:
         """A verified PAB-Proof message arrived and DLB is on."""

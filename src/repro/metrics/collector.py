@@ -35,10 +35,9 @@ class MetricsHub:
 
     def __init__(self, sim: Scheduler) -> None:
         self._sim = sim
-        self._commits: dict[int, CommitRecord] = {}
-        #: Block ids recorded so far (a live, read-only view): only a
-        #: block's first report is kept, so reporters test this first.
-        self.recorded = self._commits.keys()
+        #: Block ids recorded so far: only a block's first report is
+        #: kept, so reporters test this first.
+        self.recorded: set[int] = set()
         # Commit-time order is maintained incrementally: commits arrive
         # in (almost always) nondecreasing simulated time, so the insort
         # is O(1) amortized and every windowed query below bisects
@@ -46,7 +45,6 @@ class MetricsHub:
         self._commit_times: list[float] = []
         self._commit_order: list[CommitRecord] = []
         self._tx_total = 0
-        self._latency = WeightedDigest()
         self._latency_samples: list[tuple[float, float, float]] = []
         self._view_changes: list[tuple[float, int, int]] = []
         self._stable_times = WeightedDigest()
@@ -71,8 +69,9 @@ class MetricsHub:
         ``latencies`` holds per-microblock ``(latency_seconds, tx_weight)``
         pairs computed against the commit time.
         """
-        if block_id in self._commits:
+        if block_id in self.recorded:
             return False
+        self.recorded.add(block_id)
         when = self._sim.now if commit_time is None else commit_time
         record = CommitRecord(
             block_id=block_id,
@@ -80,7 +79,6 @@ class MetricsHub:
             tx_count=tx_count,
             microblock_count=microblock_count,
         )
-        self._commits[block_id] = record
         if not self._commit_times or when >= self._commit_times[-1]:
             self._commit_times.append(when)
             self._commit_order.append(record)
@@ -94,7 +92,6 @@ class MetricsHub:
         self._tx_total += tx_count
         for latency, weight in latencies:
             if weight > 0:
-                self._latency.add(max(0.0, latency), weight)
                 self._latency_samples.append((when, max(0.0, latency), weight))
         return True
 
@@ -198,10 +195,6 @@ class MetricsHub:
             if start <= when < end:
                 digest.add(latency, weight)
         return digest
-
-    @property
-    def latency(self) -> WeightedDigest:
-        return self._latency
 
     @property
     def stable_times(self) -> WeightedDigest:

@@ -83,9 +83,6 @@ class Replica:
         self.mempool: Optional["Mempool"] = None
         self.consensus: Optional["ConsensusEngine"] = None
         self.executor: Optional["KVStore"] = None
-        #: Optional protocol-event tracer (see :mod:`repro.tracing`); the
-        #: per-block and per-microblock sites test it before :meth:`trace`.
-        self.tracer = None
         #: Optional invariant observer (see :mod:`repro.verification`):
         #: receives consensus commits, microblock creations, and resolved
         #: blocks. One attribute test at each site when unset.
@@ -145,7 +142,6 @@ class Replica:
         self.network.set_node_down(self.node_id)
         if self.consensus is not None:
             self.consensus.suspend()
-        self.trace("crash")
 
     def restart(self) -> None:
         """Bring a crashed replica back: re-register with the network,
@@ -167,7 +163,6 @@ class Replica:
             self.mempool.on_restart()
         if self.executor is not None and hasattr(self.executor, "reopen"):
             self._recover_executor()
-        self.trace("restart")
 
     def _recover_executor(self) -> None:
         """Durable restart: the in-memory executor state is lost with the
@@ -180,12 +175,6 @@ class Replica:
         self._exec_buffer.clear()
         recovery = self.executor.recovery
         self.metrics.record_recovery(self.node_id, recovery.to_dict())
-        self.trace(
-            "executor_recovered",
-            source=recovery.source,
-            height=self._exec_height,
-            wal_blocks=recovery.wal_blocks_replayed,
-        )
         self.request_state_snapshot()
 
     def handle(self, envelope: Envelope) -> None:
@@ -237,7 +226,6 @@ class Replica:
             executor.last_height,
             Channel.CONTROL,
         )
-        self.trace("snapshot_request", height=executor.last_height)
 
     def routes(self) -> dict[str, Handler]:
         """The replica's own kinds: snapshot state transfer, which only a
@@ -260,7 +248,6 @@ class Replica:
             size, payload, Channel.DATA,
         )
         self.snapshots_served += 1
-        self.trace("snapshot_served", to=envelope.src, height=payload[0])
 
     def _install_snapshot(self, envelope: Envelope) -> None:
         if not self.executor.install_snapshot(envelope.payload):
@@ -271,7 +258,6 @@ class Replica:
             h: b for h, b in self._exec_buffer.items() if h > height
         }
         self.snapshots_installed += 1
-        self.trace("snapshot_install", height=height)
         self._drain_exec_buffer()
 
     # -- verification taps ---------------------------------------------
@@ -280,9 +266,3 @@ class Replica:
         """This replica batched a new microblock (oracle tap point)."""
         if self.observer is not None:
             self.observer.on_microblock_created(self, microblock)
-
-    def trace(self, kind: str, **details) -> None:
-        """Record a protocol event if a tracer is attached (no-op cost
-        of one attribute check otherwise)."""
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.node_id, kind, **details)

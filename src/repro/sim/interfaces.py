@@ -260,7 +260,6 @@ class Transport(abc.ABC):
         payload: object,
         channel: Channel = Channel.DATA,
         recipients: Optional[list[int]] = None,
-        include_self: bool = False,
     ) -> None:
         """Send one copy per recipient (defaults to every other replica)."""
 

@@ -875,7 +875,6 @@ class Network(Transport):
         payload: object,
         channel: Channel = Channel.DATA,
         recipients: Optional[list[int]] = None,
-        include_self: bool = False,
     ) -> None:
         """Send one copy per recipient (defaults to every other replica).
 
@@ -896,10 +895,8 @@ class Network(Transport):
                     )
             targets = [dst for dst in recipients if dst != src]
         if src in self._down:
-            self.stats.messages_dropped += len(targets) + include_self
+            self.stats.messages_dropped += len(targets)
             return
-        if include_self:
-            self.send(src, src, kind, size_bytes, payload, channel)
         if self._down:
             live = [dst for dst in targets if dst not in self._down]
             self.stats.messages_dropped += len(targets) - len(live)

@@ -64,7 +64,7 @@ def test_latency_reflects_multi_epoch_finalization():
     exp.sim.run_until(3.0)
     assert exp.metrics.committed_tx_total == 4
     # Finalization needs >= 3 epochs of 0.1 s.
-    assert exp.metrics.latency.mean > 0.2
+    assert exp.metrics.latency_stats().mean > 0.2
 
 
 def test_executor_states_converge():

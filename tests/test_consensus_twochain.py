@@ -25,7 +25,7 @@ def test_two_chain_commits_one_round_earlier_than_three_chain():
         inject(exp, 0, count=4)
         exp.sim.run_until(2.0)
         assert exp.metrics.committed_tx_total == 4
-        return exp.metrics.latency.mean
+        return exp.metrics.latency_stats().mean
 
     assert commit_latency("twochain") < commit_latency("hotstuff")
 

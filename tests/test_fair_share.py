@@ -183,8 +183,8 @@ def test_queued_bytes_tracks_waiting_and_active_transfers():
 
 @pytest.mark.parametrize("link_model", LINK_MODELS)
 def test_down_sender_counts_the_copies_it_would_have_sent(link_model):
-    # A live sender leaves itself out of ``recipients`` and loops one
-    # copy back for ``include_self``; a crashed one drops the same copies.
+    # A live sender leaves itself out of ``recipients``; a crashed one
+    # drops the same copies.
     sim, network, log = make_net(n=4, link_model=link_model)
     network.broadcast(0, "mb", 1_000, None, recipients=[0, 1, 2])
     assert sum(network.stats.messages_sent.values()) == 2
@@ -192,11 +192,6 @@ def test_down_sender_counts_the_copies_it_would_have_sent(link_model):
     dropped = network.stats.messages_dropped
     network.broadcast(0, "mb", 1_000, None, recipients=[0, 1, 2])
     assert network.stats.messages_dropped == dropped + 2
-    network.broadcast(0, "mb", 1_000, None, recipients=[0, 1],
-                      include_self=True)
-    assert network.stats.messages_dropped == dropped + 2 + 2
-    network.broadcast(0, "mb", 1_000, None, include_self=True)
-    assert network.stats.messages_dropped == dropped + 4 + 4
     with pytest.raises(ValueError, match="unregistered"):
         network.broadcast(0, "mb", 1_000, None, recipients=[1, 9])
 

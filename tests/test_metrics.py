@@ -59,7 +59,7 @@ class TestMetricsHub:
         )
         assert ok
         assert hub.committed_tx_total == 100
-        assert hub.latency.mean == pytest.approx(0.6)
+        assert hub.latency_stats().mean == pytest.approx(0.6)
 
     def test_duplicate_commit_ignored(self):
         sim, hub = self.make_hub()
@@ -101,7 +101,7 @@ class TestMetricsHub:
     def test_negative_latency_clamped(self):
         sim, hub = self.make_hub()
         hub.record_commit(1, 10, 1, [(-0.5, 10.0)], commit_time=0.0)
-        assert hub.latency.mean == 0.0
+        assert hub.latency_stats().mean == 0.0
 
     def test_commits_sorted_by_time(self):
         sim, hub = self.make_hub()
@@ -269,4 +269,5 @@ def test_the_hub_hears_each_committed_block_once(kind):
     assert hub.committed_tx_total == reference.committed_tx_total > 0
     assert hub.commit_latencies == reference.commit_latencies
     for p in (0, 50, 99, 100):
-        assert hub.latency.percentile(p) == reference.latency.percentile(p)
+        assert (hub.latency_stats().percentile(p)
+                == reference.latency_stats().percentile(p))

@@ -14,8 +14,9 @@ from repro.sim import Network, RngRegistry, Simulator, lan_topology
 from repro.sim.interfaces import Channel, Envelope
 from repro.types import MicroBlock, make_microblock_id
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
+from repro.verification import Oracle, OracleSuite
 
-from tests.helpers import make_cluster
+from tests.helpers import inject, make_cluster
 
 
 def make_replica(attach_executor=True):
@@ -66,9 +67,45 @@ def test_start_requires_attach():
         replica.start()
 
 
-def test_trace_noop_without_tracer():
-    replica = make_replica()
-    replica.trace("anything", detail=1)  # must not raise
+class LifeTap(Oracle):
+    """The observer tap's three events, as they arrive."""
+
+    def on_attach(self):
+        self.cut = []  # microblock ids, one per creation report
+        self.payloads = {}  # block id -> the microblock ids it carries
+        self.commits = {}  # (node, block id) -> local commit time
+        self.fills = []  # (node, block id, filled_at), one per report
+
+    def on_microblock_created(self, replica, microblock):
+        self.cut.append(microblock.id)
+
+    def on_local_commit(self, replica, proposal):
+        self.payloads[proposal.block_id] = proposal.payload.microblock_ids
+        self.commits[replica.node_id, proposal.block_id] = self.suite.now
+
+    def on_block_resolved(self, replica, block):
+        self.fills.append((replica.node_id, block.block_id, block.filled_at))
+
+
+def test_observer_tap_follows_each_microblock_to_its_fill():
+    exp = make_cluster(n=4, mempool="stratus")
+    tap = LifeTap()
+    OracleSuite([tap]).attach(exp)
+    inject(exp, 0, count=4)
+    inject(exp, 1, count=4)
+    exp.sim.run_until(2.0)
+    assert len(tap.cut) == len(set(tap.cut)) == 2
+    nodes = [replica.node_id for replica in exp.replicas]
+    for mb_id in tap.cut:
+        assert any(
+            all((node, block_id) in tap.commits for node in nodes)
+            for block_id, ids in tap.payloads.items() if mb_id in ids
+        )
+    fills = {(node, block_id): at for node, block_id, at in tap.fills}
+    assert len(fills) == len(tap.fills)
+    assert fills.keys() == tap.commits.keys()
+    for key, filled_at in fills.items():
+        assert filled_at >= tap.commits[key]
 
 
 @pytest.mark.parametrize("consensus", sorted(CONSENSUS_CLASSES))
