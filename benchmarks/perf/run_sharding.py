@@ -6,7 +6,7 @@ Usage::
         [--out benchmarks/perf/BENCH_sharding.json] [--quick] [--jobs N]
 
 Sweeps n in {16, 32, 64, 128} for unsharded Stratus/HotStuff ("S-HS")
-and sharded-stratus ("SS-HS") at shard counts {1, 2, 4, 8}, with every
+and sharded Stratus ("SS-HS") at shard counts {1, 2, 4, 8}, with every
 replica offering 500 tps into 25 Mb/s links. The capacity math is the
 point of the grid: an unsharded replica must receive every microblock
 body, so committed throughput flattens near bandwidth/tx_size
@@ -24,7 +24,10 @@ per-shard availability/conservation checks), in the worker when
   n >= 64 is strictly higher for 4 and 8 shards than unsharded;
 * ``bytes``    — mean per-replica bytes on the wire are non-increasing
   in shard count at every n, strictly decreasing at n >= 64;
-* ``oracles``  — zero violations at every measured point.
+* ``oracles``  — zero violations at every measured point;
+* ``equal``    — one shard is unsharded Stratus: the ``unsharded`` and
+  ``shards1`` cells have equal commit hashes and bytes per replica at
+  every n.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_sharding.json"
 
 #: Replica counts the paper's scalability figures sweep.
 N_GRID = (16, 32, 64, 128)
-#: Shard counts for the sharded-stratus series; None = unsharded S-HS.
+#: Shard counts for the SS-HS series; None = unsharded S-HS.
 SHARD_GRID = (None, 1, 2, 4, 8)
 
 #: Per-replica offered load (tps) — total offered = n * RATE_PER_REPLICA,
@@ -208,6 +211,22 @@ def run_checks(cells: dict, slopes: dict) -> dict:
     checks["bytes"] = {
         "ok": not failures,
         "detail": "per-replica bytes fall with shard count"
+        if not failures else "; ".join(failures),
+    }
+
+    # 4. One shard is the unsharded run: same commits, same bytes.
+    failures = []
+    for n in N_GRID:
+        flat, one = cells[cell_label(n, None)], cells[cell_label(n, 1)]
+        for key in ("commit_hash", "bytes_per_replica"):
+            if flat[key] != one[key]:
+                failures.append(
+                    f"n={n}: {key} unsharded {flat[key]} != "
+                    f"shards1 {one[key]}"
+                )
+    checks["equal"] = {
+        "ok": not failures,
+        "detail": "shards1 equals unsharded at every n"
         if not failures else "; ".join(failures),
     }
     return checks

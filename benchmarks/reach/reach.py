@@ -43,7 +43,7 @@ ENTRIES = [
         """'[{"kind": "delay", "start": 1.0, "end": 1.5, "base": 0.1, "jitter": 0.05}]'""",
     )),
     *(("live", f"-m repro live -n 4 --duration 5 --mempool {mempool}") for mempool in (
-        "stratus", "native", "sharded-stratus --shards 2",
+        "stratus", "native", "stratus --shards 2",
     )),
     *(("live", f"{LIVE} {faults}") for faults in (
         "crash-restart", "crash-partition", "crash-restart --durability interval",

@@ -98,9 +98,9 @@ def _add_run_args(
                         help="mempool kind (default: the preset's, "
                              "stratus under live)")
     parser.add_argument("--shards", type=int, default=None, metavar="S",
-                        help="shard count for the sharded-stratus "
-                             "mempool (implies --mempool sharded-stratus "
-                             "when no mempool is given)")
+                        help="shard count for the stratus mempool "
+                             "(implies --mempool stratus when no mempool "
+                             "is given)")
     parser.add_argument("--rate", type=float, default=rate,
                         help="offered load, tx/s")
     parser.add_argument("--duration", type=float, default=duration,
@@ -137,17 +137,17 @@ def _add_run_args(
 def _protocol_overrides(args) -> dict:
     """Protocol fields the shared run flags set, the same in both runners.
 
-    ``--shards`` implies the sharded mempool and refuses any other named
+    ``--shards`` implies the stratus mempool and refuses any other named
     one, which would otherwise run unsharded.
     """
     overrides = {}
     if args.shards is not None:
-        if args.mempool not in (None, "sharded-stratus"):
+        if args.mempool not in (None, "stratus"):
             raise SystemExit(
-                f"--shards needs --mempool sharded-stratus, "
+                f"--shards needs --mempool stratus, "
                 f"got --mempool {args.mempool}"
             )
-        overrides["mempool"] = "sharded-stratus"
+        overrides["mempool"] = "stratus"
         overrides["sharding"] = ShardingConfig(shards=args.shards)
     elif args.mempool is not None:
         overrides["mempool"] = args.mempool

@@ -13,9 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-MEMPOOL_KINDS = (
-    "native", "simple", "gossip", "narwhal", "stratus", "sharded-stratus",
-)
+MEMPOOL_KINDS = ("native", "simple", "gossip", "narwhal", "stratus")
 CONSENSUS_KINDS = ("hotstuff", "twochain", "streamlet", "pbft")
 
 
@@ -52,7 +50,7 @@ def decode_fields(cls, data: dict, **decoders: Callable):
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """Shard layout for the sharded shared mempool (``sharded-stratus``).
+    """Shard layout for the Stratus mempool.
 
     Deliberately tiny and value-like: the derived structure (membership
     orbits, per-shard quorums) lives in
@@ -60,9 +58,8 @@ class ShardingConfig:
     map from a bumped ``epoch``" rather than a mutation.
 
     * ``shards`` — number of availability shards the microblock space is
-      partitioned into. ``1`` degenerates to unsharded dissemination
-      (every replica in one shard) while keeping certificate-only
-      consensus ordering.
+      partitioned into. ``1`` is unsharded Stratus (every replica in one
+      shard), the layout of a run without one.
     * ``epoch`` — rebalance generation. Bumping it rotates every
       membership deterministically (``(node + epoch) mod n``), the hook
       a reconfiguration protocol would drive; all replicas must agree on
@@ -141,9 +138,9 @@ class ProtocolConfig:
     empty_view_delay: float = 0.005
     streamlet_epoch: float = 0.4
 
-    # -- sharding (sharded-stratus only) -------------------------------------
-    # None means "use ShardingConfig()'s defaults"; any other mempool
-    # kind rejects a layout rather than run unsharded.
+    # -- sharding (stratus only) ---------------------------------------------
+    # None means one shard; any other mempool kind rejects a layout
+    # rather than run unsharded.
     sharding: Optional[ShardingConfig] = None
 
     def __post_init__(self) -> None:
@@ -169,19 +166,17 @@ class ProtocolConfig:
                 f"unknown consensus {self.consensus!r}; "
                 f"choose from {CONSENSUS_KINDS}"
             )
-        if self.sharding is not None and self.mempool != "sharded-stratus":
+        if self.sharding is not None and self.mempool != "stratus":
             raise ValueError(
-                f"sharding needs mempool='sharded-stratus', got "
-                f"{self.mempool!r}"
+                f"sharding needs mempool='stratus', got {self.mempool!r}"
             )
-        if self.mempool == "sharded-stratus" and (
-            self.load_balancing or self.pab_quorum is not None
-        ):
-            # Neither reaches the sharded mempool (its quorum is the
-            # shard's f_s + 1 and there is no shard-aware DLB), so taking
-            # them would run something other than what was asked for.
+        sharded = self.sharding is not None and self.sharding.shards > 1
+        if sharded and (self.load_balancing or self.pab_quorum is not None):
+            # Neither reaches a sharded run (its quorum is the shard's
+            # f_s + 1 and there is no shard-aware DLB), so taking them
+            # would run something other than what was asked for.
             raise ValueError(
-                "mempool='sharded-stratus' supports neither load_balancing "
+                "more than one shard supports neither load_balancing "
                 "nor pab_quorum (the shard quorum is f_s + 1)"
             )
         if self.pab_quorum is not None and not (

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, ShardingConfig
 from repro.faults import FaultSchedule, Window
 from repro.sim.topology import GBPS, MBPS
+from repro.types import sizes
 
 PROTOCOL_PRESETS: dict[str, tuple[str, str]] = {
     "N-HS": ("native", "hotstuff"),
@@ -23,11 +24,14 @@ PROTOCOL_PRESETS: dict[str, tuple[str, str]] = {
     "Narwhal": ("narwhal", "hotstuff"),
     "S-HS": ("stratus", "hotstuff"),
     "S-SL": ("stratus", "streamlet"),
-    "SS-HS": ("sharded-stratus", "hotstuff"),
+    "SS-HS": ("stratus", "hotstuff"),
     "S-HS2": ("stratus", "twochain"),
     "N-HS2": ("native", "twochain"),
     "PBFT": ("native", "pbft"),
 }
+
+#: Presets that shard their Stratus mempool, with their default layout.
+SHARDED_PRESETS: dict[str, ShardingConfig] = {"SS-HS": ShardingConfig()}
 
 
 def _default_batch_bytes(n: int) -> int:
@@ -55,6 +59,8 @@ def tuned_protocol(
     mempool, consensus = PROTOCOL_PRESETS[preset]
     mempool = overrides.get("mempool", mempool)
     consensus = overrides.get("consensus", consensus)
+    sharding = overrides.get("sharding", SHARDED_PRESETS.get(preset))
+    shards = sharding.shards if sharding is not None else 1
     is_wan = topology_kind == "wan"
     one_way_delay = 0.050 if is_wan else 0.002
     bandwidth = 100 * MBPS if is_wan else GBPS
@@ -72,8 +78,11 @@ def tuned_protocol(
         "fetch_timeout": max(0.2, 6 * one_way_delay),
         "lb_query_timeout": max(0.05, 4 * one_way_delay),
         "lb_forward_timeout": max(0.5, 12 * one_way_delay),
-        "load_balancing": mempool == "stratus",
+        # DLB is unsharded Stratus's: there is no shard-aware balancer.
+        "load_balancing": mempool == "stratus" and shards == 1,
     }
+    if sharding is not None:
+        settings["sharding"] = sharding
     if consensus == "streamlet":
         # One epoch must cover proposal dissemination plus a vote round.
         if mempool == "native":
@@ -87,9 +96,13 @@ def tuned_protocol(
             # size), Streamlet's epochs are wall-clock: the leader's
             # (n-1)-fold proposal broadcast must fit well inside one
             # epoch, so cap the entry count by a quarter-epoch byte
-            # budget. Stratus entries carry (f+1)-signature proofs.
-            f = (n - 1) // 3
-            entry_bytes = (f + 1) * 64 + 64 if mempool == "stratus" else 64
+            # budget. One-shard Stratus entries carry (f+1)-signature
+            # certificates; every other entry is budgeted at 64 bytes.
+            entry_bytes = 64
+            if mempool == "stratus" and shards == 1:
+                entry_bytes = sizes.MICROBLOCK_ID + sizes.certificate_bytes(
+                    (n - 1) // 3 + 1, shards
+                )
             budget_bytes = 0.25 * epoch * bandwidth / 8.0
             settings["proposal_max_microblocks"] = max(
                 16, int(budget_bytes / ((n - 1) * entry_bytes))

@@ -58,7 +58,7 @@ def verify_events(
     (``{"t", "node", "kind", "data"}`` with wire-encoded data); returns
     every violation found, empty meaning the live run passed. Passing
     the run's :class:`~repro.config.ProtocolConfig` arms the
-    shard-aware ledger checks for ``sharded-stratus`` runs.
+    shard-aware ledger checks for Stratus runs.
     """
     suite = _LiveSuite(emitted_tx, protocol)
     oracles = [SafetyOracle(), LedgerOracle()]

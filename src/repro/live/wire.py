@@ -26,8 +26,9 @@ connecting:
   v1's ``{"__t__": ...}`` name tagging — a fixed class-tag table over
   :data:`WIRE_TYPES` that writes dataclass fields positionally in
   declaration order, with no field names on the wire. Both the class-tag
-  table and the kind-id table are append-only: reordering either is a
-  wire-format break.
+  table and the kind-id table are positional: appending keeps older
+  frames decodable, any other edit is a wire-format break between
+  peers built from different trees.
 
 Both codecs double as the purity assertion demanded by the live
 runtime: only scalars, lists/tuples/dicts, and the registered pure-data
@@ -49,7 +50,6 @@ from operator import attrgetter
 from typing import Any, Iterator, Optional, Union
 
 from repro.crypto.certificates import QuorumCert
-from repro.crypto.proofs import AvailabilityProof
 from repro.crypto.signatures import Signature
 from repro.mempool.base import MessageKinds
 from repro.sharding.certificate import ShardCertificate
@@ -86,19 +86,17 @@ class WireError(ValueError):
 #: here must be a dataclass whose fields are themselves encodable —
 #: that closure property is what the purity assertion enforces. The
 #: *order* of this table is the binary codec's class-tag assignment:
-#: append new classes at the end, never reorder.
+#: append new classes at the end.
 WIRE_TYPES: dict[str, type] = {
     cls.__name__: cls
     for cls in (
         Signature,
         QuorumCert,
-        AvailabilityProof,
         MicroBlock,
         TxBatch,
         PayloadEntry,
         Payload,
         Proposal,
-        # Appended in PR 10 (sharded mempool); append-only table.
         ShardCertificate,
     )
 }
@@ -111,16 +109,16 @@ CLIENT_BATCH = "client.batch"
 #: Every message kind that crosses the live network, mapped to the
 #: payload classes its top-level object may contain. Used by the
 #: round-trip property tests to sweep the full vocabulary, and — in
-#: declaration order — as the binary codec's kind-id table (append
-#: only, never reorder). The JSON codec is structural and does not
-#: consult this table.
+#: declaration order — as the binary codec's kind-id table (append new
+#: kinds at the end). The JSON codec is structural and does not consult
+#: this table.
 MESSAGE_REGISTRY: dict[str, tuple[type, ...]] = {
     MessageKinds.MICROBLOCK: (MicroBlock,),
     MessageKinds.MICROBLOCK_GOSSIP: (MicroBlock,),
     MessageKinds.MICROBLOCK_FETCH: (MicroBlock,),
     MessageKinds.MICROBLOCK_FORWARD: (MicroBlock,),
     MessageKinds.ACK: (Signature,),
-    MessageKinds.PROOF: (tuple,),          # (mb_id, AvailabilityProof)
+    MessageKinds.PROOF: (tuple,),          # (mb_id, ShardCertificate)
     MessageKinds.FETCH_REQUEST: (int,),    # mb_id
     MessageKinds.RB_ECHO: (int,),          # mb_id
     MessageKinds.RB_READY: (int,),         # mb_id
@@ -137,10 +135,6 @@ MESSAGE_REGISTRY: dict[str, tuple[type, ...]] = {
     MessageKinds.STATE_SNAPSHOT_REQ: (int,),  # requester's applied height
     # (height, last_block_id, digest, tx_applied, blocks_applied, {k: v})
     MessageKinds.STATE_SNAPSHOT: (tuple,),
-    # Sharded mempool (appended in PR 10; append-only table).
-    MessageKinds.SHARD_MICROBLOCK: (MicroBlock,),
-    MessageKinds.SHARD_ACK: (Signature,),
-    MessageKinds.SHARD_CERT: (tuple,),     # (mb_id, ShardCertificate)
 }
 
 

@@ -1,7 +1,7 @@
 """Mempool implementations.
 
 Five mempool families back the protocols evaluated in the paper
-(Table II), and the fifth comes in two scopes:
+(Table II):
 
 * :class:`~repro.mempool.native.NativeMempool` — leader ships full
   transaction data (N-HS, N-SL);
@@ -12,9 +12,8 @@ Five mempool families back the protocols evaluated in the paper
 * :class:`~repro.mempool.narwhal.NarwhalMempool` — Bracha reliable
   broadcast, quadratic message complexity (Narwhal baseline);
 * :class:`~repro.mempool.stratus.StratusMempool` — PAB + DLB
-  (this paper's contribution), with its subclass
-  :class:`~repro.mempool.sharded.ShardedStratusMempool` — the same PAB
-  engine over a per-shard scope plus certificate-only consensus
+  (this paper's contribution); ``ProtocolConfig.sharding`` runs the
+  same mempool over per-shard quorums with certificate-only consensus
   ordering (Arma / BigDipper directions; see DESIGN.md "Sharding").
 """
 
@@ -23,7 +22,6 @@ from repro.mempool.native import NativeMempool, SharedPendingPool
 from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.mempool.gossip_smp import GossipSharedMempool
 from repro.mempool.narwhal import NarwhalMempool
-from repro.mempool.sharded import ShardedStratusMempool
 from repro.mempool.stratus import StratusMempool
 
 MEMPOOL_CLASSES = {
@@ -32,7 +30,6 @@ MEMPOOL_CLASSES = {
     "gossip": GossipSharedMempool,
     "narwhal": NarwhalMempool,
     "stratus": StratusMempool,
-    "sharded-stratus": ShardedStratusMempool,
 }
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "SimpleSharedMempool",
     "GossipSharedMempool",
     "NarwhalMempool",
-    "ShardedStratusMempool",
     "StratusMempool",
     "MEMPOOL_CLASSES",
 ]

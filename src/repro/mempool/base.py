@@ -7,14 +7,14 @@ the implementation), ``MakeProposal`` (:meth:`Mempool.make_payload`), and
 consensus engine needs:
 
 * :meth:`Mempool.verify_payload` — can this payload be trusted? Stratus
-  verifies availability proofs here; an invalid payload triggers a
+  verifies availability certificates here; an invalid payload triggers a
   view-change in the engine.
 * :meth:`Mempool.on_proposal` — consensus stored a valid proposal, voted
   on or not: its ids are referenced from now on, so this replica never
   proposes them a second time.
 * :meth:`Mempool.prepare` — may the replica vote yet? Native and simple
   SMP require the full data before the commit phase; Stratus only needs
-  valid proofs, so it reports readiness immediately (the heart of
+  valid certificates, so it reports readiness immediately (the heart of
   Solution-I).
 
 Mempools that propose microblocks by id (all but native) share one
@@ -65,19 +65,12 @@ class MessageKinds:
     # mempool or consensus engine); see Replica.routes.
     STATE_SNAPSHOT_REQ = "state.snap_req"
     STATE_SNAPSHOT = "state.snap"
-    # Sharded shared mempool (repro.sharding): the body push stays in the
-    # ``mb`` accounting group and the shard ack in ``pab.ack``; the
-    # certificate broadcast is its own (tiny, control-channel) group.
-    SHARD_MICROBLOCK = "mb.shard"
-    SHARD_ACK = "pab.ack.shard"
-    SHARD_CERT = "pab.cert"
 
     MICROBLOCK_KINDS = (
         MICROBLOCK,
         MICROBLOCK_GOSSIP,
         MICROBLOCK_FETCH,
         MICROBLOCK_FORWARD,
-        SHARD_MICROBLOCK,
     )
 
 
@@ -154,6 +147,11 @@ class Mempool(Routed, abc.ABC):
         """``FillProposal``: assemble the full block, fetching missing
         microblocks if needed, then call ``on_full``."""
 
+    #: Report a committed block at commit, from its entries' certificates,
+    #: instead of from its bodies once it fills: a Stratus replica outside
+    #: some shard may never hold that shard's bodies.
+    certificate_only = False
+
     def on_commit(self, proposal: Proposal, commit_time: float) -> None:
         """Commit hook: report metrics once the block is full, then GC.
 
@@ -166,6 +164,15 @@ class Mempool(Routed, abc.ABC):
         """
         self.mark_committed(proposal)
         host = self.host
+        if (
+            self.certificate_only
+            and proposal.block_id not in host.metrics.recorded
+        ):
+            self._report(
+                proposal.block_id,
+                [entry.cert for entry in proposal.payload.entries],
+                commit_time,
+            )
 
         def report(block: Block) -> None:
             if proposal.block_id not in host.metrics.recorded:
@@ -182,7 +189,7 @@ class Mempool(Routed, abc.ABC):
         self.resolve(proposal, report)
 
     def _report(self, block_id: int, parts, commit_time: float) -> None:
-        """Record one block at the hub from its microblocks or their shard
+        """Record one block at the hub from its microblocks or their
         certificates (both carry ``tx_count`` and ``mean_arrival``)."""
         latencies = []
         tx_total = 0
@@ -236,7 +243,7 @@ class Mempool(Routed, abc.ABC):
 
         Implementations resume work that was in flight when the crash
         flushed the network queues — e.g. Stratus re-pushes microblocks
-        whose availability proofs never formed because the acks were
+        whose availability certificates never formed because the acks were
         dropped. Overrides must call ``super().on_restart()`` so an
         attached arrival stream resumes too."""
         if self.batcher is not None:

@@ -1,9 +1,9 @@
 """What every id-referencing shared mempool does with a microblock id.
 
-Simple, gossip, Narwhal and Stratus (flat and sharded) differ in how a
-body is shared, what evidence an entry carries and when a replica may
-vote. Between those decisions an id is in exactly one state at a
-replica — ``proposable -> referenced -> committed``, with
+Simple, gossip, Narwhal and Stratus differ in how a body is shared,
+what evidence an entry carries and when a replica may vote. Between
+those decisions an id is in exactly one state at a replica —
+``proposable -> referenced -> committed``, with
 :meth:`IdMempool.on_abandoned` the only way back — and that lives here
 (DESIGN.md, "One proposal lifecycle").
 """

@@ -21,10 +21,10 @@ from __future__ import annotations
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.crypto import AvailabilityProof
 from repro.mempool.base import MessageKinds
 from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import PabEngine
+from repro.sharding import ShardCertificate
 from repro.sim.engine import Timer
 from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
@@ -33,7 +33,7 @@ from repro.types.microblock import MicroBlock, MicroBlockId
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
-OnAvailable = Callable[[MicroBlockId, AvailabilityProof], None]
+OnAvailable = Callable[[MicroBlockId, ShardCertificate], None]
 
 
 class _ForwardState:
@@ -169,7 +169,7 @@ class LoadBalancer:
         self._forward(state.microblock)
 
     def on_proof_received(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
+        self, mb_id: MicroBlockId, proof: ShardCertificate
     ) -> None:
         """A proof for the unsettled forward ``mb_id`` arrived: settle it.
 
@@ -228,7 +228,7 @@ class LoadBalancer:
         microblock: MicroBlock = envelope.payload
         origin = envelope.src
 
-        def hand_back(mb_id: MicroBlockId, proof: AvailabilityProof) -> None:
+        def hand_back(mb_id: MicroBlockId, proof: ShardCertificate) -> None:
             self._host.network.send(
                 self._host.node_id, origin,
                 MessageKinds.PROOF, proof.size_bytes, (mb_id, proof),

@@ -9,15 +9,24 @@ bodies are fetched from proof signers over the data channel without
 blocking consensus (Solution-I). Load balancing (Solution-II) is
 delegated to :class:`repro.mempool.stratus.dlb.LoadBalancer`.
 
-Which replicas a microblock is pushed to, and what its proof looks like,
-is the PAB scope's business (:meth:`StratusMempool._scope`); everything
-here works on "the scope's proof" and is shared with the sharded
-variant (:class:`repro.mempool.sharded.ShardedStratusMempool`).
+Which replicas a microblock is pushed to is the PAB scope's business
+(:meth:`StratusMempool._scope`), over the run's
+:class:`~repro.sharding.ShardMap`: ``ProtocolConfig.sharding``, or one
+shard of every replica. A proof is a
+:class:`~repro.sharding.ShardCertificate` at every shard count. What a
+shard count changes at a replica follows from its membership alone
+(DESIGN.md, "Sharding"):
+
+* a member of every shard — every replica at one shard — resolves every
+  body and reports a block when it fills, like every other backend;
+* any other replica is *certificate-only*: it resolves the bodies of its
+  own shards (all of them with an executor attached) and reports a
+  block at commit, from the certificates' ``tx_count`` and
+  ``mean_arrival``, since it may never see a foreign body.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
@@ -25,7 +34,8 @@ from repro.mempool.base import OnReady
 from repro.mempool.id_mempool import IdMempool
 from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.estimator import StableTimeEstimator
-from repro.mempool.stratus.pab import NetworkScope, PabEngine
+from repro.mempool.stratus.pab import PabEngine
+from repro.sharding import ShardCertificate, ShardMap, ShardScope
 from repro.sim.interfaces import Handler
 from repro.types.microblock import MicroBlock, MicroBlockId
 from repro.types.proposal import Payload, PayloadEntry, Proposal
@@ -35,13 +45,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class StratusMempool(IdMempool):
-    """Shared mempool with PAB availability proofs and DLB (S-HS, S-SL)."""
+    """Shared mempool with PAB availability certificates and DLB (S-HS,
+    S-SL), sharded when the configuration says so (SS-HS)."""
 
     name = "stratus"
 
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         super().__init__(host, config)
         self.estimator = StableTimeEstimator()
+        self.shard_map = ShardMap.of(config)
         scope = self._scope()
         self.pab = PabEngine(
             host, config, scope, self.store, self.fetcher,
@@ -56,21 +68,20 @@ class StratusMempool(IdMempool):
         # Bound once, like the engine's copies: verify_payload runs per
         # entry of every proposal at every replica.
         self._verify = scope.verify
-        self._slot: str = scope.slot
-        self._proof_of = attrgetter(scope.slot)
+        self.certificate_only = not scope.resolves_all
+        #: Shards whose bodies a certificate-only replica resolves.
+        self._member_of = scope.member_of
         #: DLB endpoint, or None with load balancing off — which it
-        #: always is under sharding (ProtocolConfig rejects the pair).
+        #: always is over several shards (ProtocolConfig rejects the pair).
         self.balancer: Optional[LoadBalancer] = LoadBalancer(
             host, config, self.estimator, self.pab,
             on_available=self._on_self_available,
         ) if config.load_balancing else None
-        self._proofs: dict[MicroBlockId, object] = {}  # pMap
+        self._proofs: dict[MicroBlockId, ShardCertificate] = {}  # pMap
 
-    def _scope(self):
-        """The PAB scope: all ``n`` replicas, ``stability_quorum`` acks."""
-        return NetworkScope(
-            self.host.node_id, self.config.n, self.config.stability_quorum
-        )
+    def _scope(self) -> ShardScope:
+        """The PAB scope: this replica's own shard."""
+        return ShardScope(self.host.node_id, self.shard_map)
 
     # -- client / dissemination -------------------------------------------
 
@@ -127,17 +138,16 @@ class StratusMempool(IdMempool):
 
     def _entry(self, mb_id: MicroBlockId) -> PayloadEntry:
         """MakeProposal pulls proven ids from avaQue *with* their proofs."""
-        return PayloadEntry(mb_id, **{self._slot: self._proofs[mb_id]})
+        return PayloadEntry(mb_id, self._proofs[mb_id])
 
     # -- follower side -----------------------------------------------------
 
     def verify_payload(self, payload: Payload) -> bool:
         """threshold-verify every proof; failure triggers a view-change."""
         verify = self._verify
-        proof_of = self._proof_of
         for entry in payload.entries:
-            proof = proof_of(entry)
-            if proof is None or not verify(proof, entry.mb_id):
+            cert = entry.cert
+            if cert is None or not verify(cert, entry.mb_id):
                 return False
         return True
 
@@ -147,14 +157,11 @@ class StratusMempool(IdMempool):
         # the proofs need anyway: this runs per entry of every proposal
         # at every replica.
         refs, proofs = self._referenced, self._proofs
-        proof_of = self._proof_of
         for entry in proposal.payload.entries:
             mb_id = entry.mb_id
             refs[mb_id] = refs[mb_id] + 1 if mb_id in refs else 1
-            if mb_id not in proofs:
-                proof = proof_of(entry)
-                if proof is not None:
-                    proofs[mb_id] = proof
+            if mb_id not in proofs and entry.cert is not None:
+                proofs[mb_id] = entry.cert
 
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Valid proofs guarantee availability: enter the commit phase now.
@@ -165,11 +172,27 @@ class StratusMempool(IdMempool):
         """
         on_ready()
 
+    def _resolvable(self, entries) -> list[PayloadEntry]:
+        """Entries this replica materializes bodies for.
+
+        All of them at a member of every shard or with an executor
+        (state must be applied in full); otherwise those of its own
+        shards, plus any body that happens to be held already. The rest
+        commit as certificates, which is the whole bandwidth story.
+        """
+        if not self.certificate_only or self.host.executor is not None:
+            return entries
+        shard_of = self.shard_map.shard_of_microblock
+        member_of, held = self._member_of, self.store.blocks
+        return [
+            entry for entry in entries
+            if shard_of(entry.mb_id) in member_of or entry.mb_id in held
+        ]
+
     def _fetch_missing(self, entry: PayloadEntry, proposal: Proposal) -> None:
-        """The proof's signers hold the body (``PAB-Fetch``)."""
-        proof = self._proof_of(entry)
-        if proof is not None:
-            self.fetcher.request(entry.mb_id, proof.signers, grace=True)
+        """The certificate's signers hold the body (``PAB-Fetch``)."""
+        if entry.cert is not None:
+            self.fetcher.request(entry.mb_id, entry.cert.signers, grace=True)
 
     def _discard(self, ids) -> None:
         """Bodies, proofs and PAB state go together."""

@@ -18,16 +18,12 @@ sample of the proof's signers, retrying every ``delta`` seconds
 off the consensus critical path: requests ride the control channel and
 the returned bodies ride the data channel.
 
-**Scopes.** The protocol is one loop; *whom* it runs over is a
-parameter. A scope object decides the push peers, the ack quorum, the
-three wire kinds, how a proof is minted and verified, which
-:class:`~repro.types.proposal.PayloadEntry` slot carries it, and
-whether a replica that learns of a proof for a body it lacks fetches
-right away. :class:`NetworkScope` is unsharded Stratus (all ``n``
-replicas, ``stability_quorum`` acks, :class:`AvailabilityProof`);
-:class:`repro.sharding.ShardScope` is the host's own shard
-(:class:`~repro.sharding.ShardCertificate`). "Proof" below means
-whichever of the two the scope mints.
+**Scope.** The protocol is one loop; *whom* it runs over is a
+:class:`repro.sharding.ShardScope`: the push peers, the ack quorum, how
+a proof (a :class:`~repro.sharding.ShardCertificate`) is minted and
+verified, and whether a replica that learns of a proof for a body it
+lacks fetches right away. At one shard that is all ``n`` replicas and
+``stability_quorum`` acks, as in the paper.
 """
 
 from __future__ import annotations
@@ -35,13 +31,7 @@ from __future__ import annotations
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.crypto import (
-    AvailabilityProof,
-    ProofError,
-    Signature,
-    sign,
-    verify_signature,
-)
+from repro.crypto import Signature, sign
 from repro.mempool.base import MessageKinds
 from repro.mempool.fetching import (
     FetchManager,
@@ -49,6 +39,7 @@ from repro.mempool.fetching import (
     adaptive_retry_delay,
 )
 from repro.mempool.store import MicroBlockStore
+from repro.sharding import CertificateError, ShardCertificate, ShardScope
 from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
@@ -56,78 +47,13 @@ from repro.types.microblock import MicroBlock, MicroBlockId
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
-#: Callback taking ``(microblock id, the scope's proof)``.
-OnProof = Callable[[MicroBlockId, object], None]
+#: Callback taking ``(microblock id, its certificate)``.
+OnProof = Callable[[MicroBlockId, ShardCertificate], None]
 
 #: EWMA smoothing weight for the push->first-remote-ack RTT sample.
 RTT_EWMA_ALPHA = 0.2
 
-__all__ = ["NetworkScope", "PabEngine", "RETRY_STABLE_TIME_FACTOR"]
-
-
-class NetworkScope:
-    """PAB over all ``n`` replicas with concatenated-signature proofs."""
-
-    body_kind = MessageKinds.MICROBLOCK
-    ack_kind = MessageKinds.ACK
-    proof_kind = MessageKinds.PROOF
-    #: The :class:`PayloadEntry` field that carries this scope's proofs.
-    slot = "proof"
-
-    def __init__(self, node_id: int, n: int, quorum: int) -> None:
-        self.n = n
-        #: Acks needed to mint a proof, and signers needed to accept one.
-        self.quorum = quorum
-        self.peers: tuple[int, ...] = tuple(
-            node for node in range(n) if node != node_id
-        )
-
-    def make(
-        self, microblock: MicroBlock, acks: list[Signature]
-    ) -> AvailabilityProof:
-        """Aggregate acks into a proof (``threshold-sign`` in Alg. 1).
-
-        Raises :class:`ProofError` if the acks do not form a valid
-        quorum: too few distinct valid signers, wrong digest, or forged
-        signatures.
-        """
-        mb_id = microblock.id
-        valid_signers: set[int] = set()
-        for ack in acks:
-            if verify_signature(ack, mb_id, self.n):
-                valid_signers.add(ack.signer)
-        if len(valid_signers) < self.quorum:
-            raise ProofError(
-                f"need {self.quorum} distinct valid acks over mb {mb_id}, "
-                f"got {len(valid_signers)}"
-            )
-        return AvailabilityProof(
-            mb_id=mb_id, signers=tuple(sorted(valid_signers))
-        )
-
-    def verify(self, proof: AvailabilityProof, mb_id: MicroBlockId) -> bool:
-        """``threshold-verify`` in Algorithms 2 and 3."""
-        if proof.mb_id != mb_id:
-            return False
-        quorum = self.quorum
-        n = self.n
-        if proof._verified_quorum == quorum and proof._verified_n == n:
-            return True
-        if proof.forged:
-            return False
-        signers = set(proof.signers)
-        if len(signers) != len(proof.signers):
-            return False
-        if any(not 0 <= signer < n for signer in signers):
-            return False
-        if len(signers) < quorum:
-            return False
-        object.__setattr__(proof, "_verified_quorum", quorum)
-        object.__setattr__(proof, "_verified_n", n)
-        return True
-
-    #: Every replica is a witness-to-be: no per-proof rule to ask.
-    fetches_eagerly = None
+__all__ = ["PabEngine", "RETRY_STABLE_TIME_FACTOR"]
 
 
 class _PushState:
@@ -165,7 +91,7 @@ class PabEngine:
         self,
         host: "Replica",
         config: ProtocolConfig,
-        scope,
+        scope: ShardScope,
         store: MicroBlockStore,
         fetcher: FetchManager,
         on_proof: OnProof,
@@ -188,7 +114,7 @@ class PabEngine:
         #: the stable-time estimator has a full window.
         self._ack_rtt: Optional[float] = None
         self._pushes: dict[MicroBlockId, _PushState] = {}
-        self._proofs: dict[MicroBlockId, object] = {}
+        self._proofs: dict[MicroBlockId, ShardCertificate] = {}
         # Everything the scope decides, bound once: the handlers below
         # run per ack, body and proof message, where an indirection
         # through the scope object would be paid n times a microblock.
@@ -196,9 +122,6 @@ class PabEngine:
         self.peers: tuple[int, ...] = scope.peers
         self._peer_set = frozenset(scope.peers)
         self._quorum: int = scope.quorum
-        self._body_kind: str = scope.body_kind
-        self._ack_kind: str = scope.ack_kind
-        self._proof_kind: str = scope.proof_kind
         self._make = scope.make
         self._verify = scope.verify
         self._fetches_eagerly = scope.fetches_eagerly
@@ -234,7 +157,7 @@ class PabEngine:
         state.acks.append(sign(self._host.node_id, microblock.id))
         state.signers.add(self._host.node_id)
         self._host.network.broadcast(
-            self._host.node_id, self._body_kind, microblock.size_bytes,
+            self._host.node_id, MessageKinds.MICROBLOCK, microblock.size_bytes,
             microblock, recipients=list(state.targets),
         )
         self._arm_retry(state)
@@ -305,7 +228,7 @@ class PabEngine:
         missing = [node for node in state.targets if node not in acked]
         if missing:
             self._host.network.broadcast(
-                self._host.node_id, self._body_kind,
+                self._host.node_id, MessageKinds.MICROBLOCK,
                 state.microblock.size_bytes, state.microblock,
                 recipients=missing,
             )
@@ -315,7 +238,7 @@ class PabEngine:
         """Start the recovery phase: disseminate the availability proof."""
         self._proofs[mb_id] = proof
         self._host.network.broadcast(
-            self._host.node_id, self._proof_kind, proof.size_bytes,
+            self._host.node_id, MessageKinds.PROOF, proof.size_bytes,
             (mb_id, proof), Channel.CONTROL,
         )
 
@@ -339,10 +262,10 @@ class PabEngine:
 
     def routes(self) -> dict[str, Handler]:
         return {
-            self._body_kind: self._on_body,
+            MessageKinds.MICROBLOCK: self._on_body,
             MessageKinds.MICROBLOCK_FETCH: self._on_fetched_body,
-            self._ack_kind: self._on_ack,
-            self._proof_kind: self._on_proof_message,
+            MessageKinds.ACK: self._on_ack,
+            MessageKinds.PROOF: self._on_proof_message,
         }
 
     def _on_body(self, envelope: Envelope) -> None:
@@ -357,7 +280,7 @@ class PabEngine:
             # — unless the quorum is known to exist: once a verified
             # proof is held, one more ack proves nothing.
             self._host.network.send(
-                self._host.node_id, envelope.src, self._ack_kind, sizes.ACK,
+                self._host.node_id, envelope.src, MessageKinds.ACK, sizes.ACK,
                 sign(self._host.node_id, microblock.id), Channel.CONTROL,
             )
 
@@ -386,7 +309,7 @@ class PabEngine:
             return
         try:
             proof = self._make(state.microblock, state.acks)
-        except ProofError:
+        except CertificateError:
             return
         self._finish(state)
         elapsed = self._host.sim.now - state.started_at

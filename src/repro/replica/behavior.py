@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.sharding import ShardMap
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import ProtocolConfig
     from repro.replica.node import Replica
@@ -149,9 +151,9 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
     """Build a behavior from its name, tuned to the protocol under test.
 
     The censoring attacker needs protocol-specific witness counts: under
-    Stratus it must reach an ack quorum (the shard's, when sharded) minus
-    its own ack, under Narwhal an echo quorum minus its own echo; against
-    the simple SMP the pure leader-only attack suffices.
+    Stratus it must reach its shard's ack quorum minus its own ack, under
+    Narwhal an echo quorum minus its own echo; against the simple SMP the
+    pure leader-only attack suffices.
     """
     if kind in ("none", "honest"):
         return HonestBehavior()
@@ -159,15 +161,7 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
         return SilentReplica()
     if kind == "censor":
         if config.mempool == "stratus":
-            witnesses = config.stability_quorum - 1
-        elif config.mempool == "sharded-stratus":
-            from repro.config import ShardingConfig
-            from repro.sharding import ShardMap
-
-            shard_map = ShardMap(
-                config.n, config.sharding or ShardingConfig()
-            )
-            witnesses = shard_map.quorum(0) - 1
+            witnesses = ShardMap.of(config).quorum(0) - 1
         elif config.mempool == "narwhal":
             witnesses = 2 * config.f
         else:

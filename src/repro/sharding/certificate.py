@@ -1,15 +1,16 @@
-"""Shard availability certificates (BigDipper-style ordered certificates).
+"""PAB availability certificates (Section IV-A; BigDipper-style ordering).
 
 A :class:`ShardCertificate` asserts that a quorum of the owning shard's
-members hold a microblock body. It is what consensus orders instead of
-the body: proposals reference ``(id, certificate)`` pairs, replicas vote
-on certificate validity, and bodies are fetched lazily from certificate
-signers only where execution needs them.
+members hold a microblock body. At one shard that is the paper's
+availability proof over all ``n`` replicas. It is what consensus orders:
+proposals reference ``(id, certificate)`` pairs, replicas vote on
+certificate validity, and bodies are fetched from certificate signers
+only where they are needed.
 
-Unlike :class:`repro.crypto.AvailabilityProof`, the certificate carries
-the commit-accounting scalars (``tx_count``, ``mean_arrival``) so a
-replica outside the shard can record throughput and latency for a
-committed block without ever receiving the bodies.
+The certificate carries the commit-accounting scalars (``tx_count``,
+``mean_arrival``), so a replica outside the shard can record throughput
+and latency for a committed block without ever receiving the bodies.
+Its shard and origin are not carried: both follow from ``mb_id``.
 
 Minting and verifying live in :class:`repro.sharding.scope.ShardScope`,
 which fixes the shard map they are checked against.
@@ -19,34 +20,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.proofs import ProofError
 from repro.types import sizes
 
 
-class CertificateError(ProofError):
+class CertificateError(ValueError):
     """Raised when a certificate cannot be assembled from the given acks."""
 
 
 @dataclass(frozen=True)
 class ShardCertificate:
-    """Proof that shard ``shard``'s quorum holds microblock ``mb_id``."""
+    """Proof that a quorum of its shard's members hold microblock ``mb_id``."""
 
     mb_id: int
-    shard: int
-    origin: int
     tx_count: int
     mean_arrival: float
     signers: tuple[int, ...]
     forged: bool = False
 
+    # Plain class attributes below, not dataclass fields: neither crosses
+    # the wire.
+
+    #: The minting run's shard count, which picks the signature scheme
+    #: the certificate is charged for (:func:`sizes.certificate_bytes`).
+    #: A scope over several shards stamps it at mint; the simulator
+    #: shares the minted object, and the live runtime charges real frame
+    #: lengths instead.
+    shards = 1
+
+    #: Memoized verification key: one certificate object is shared by
+    #: every receiver of the broadcast or proposal carrying it, so the
+    #: O(quorum) structural check runs once per certificate instead of
+    #: once per receiver. Only successful checks are cached; the
+    #: ``mb_id`` binding is re-checked on every call.
+    _verified_key = None
+
     @property
     def size_bytes(self) -> int:
-        return sizes.shard_certificate_bytes(max(1, len(self.signers)))
-
-    # Memoized verification key (plain class attribute, not a dataclass
-    # field): one certificate object is shared by every receiver of the
-    # broadcast or proposal carrying it, so the O(quorum) structural
-    # check runs once per certificate instead of once per receiver. Only
-    # successful checks are cached; the ``mb_id`` binding is re-checked
-    # on every call.
-    _verified_key = None
+        return sizes.certificate_bytes(max(1, len(self.signers)), self.shards)

@@ -16,13 +16,21 @@ Two mappings live here:
 Each shard tolerates ``f_s = (m - 1) // 3`` Byzantine members out of its
 ``m``-member subset and certifies availability with ``f_s + 1`` acks —
 at least one from a correct member, so a certified body is always
-recoverable (the per-shard PAB-Provable-Availability property).
+recoverable (the per-shard PAB-Provable-Availability property). An
+unsharded run is the map with one shard of all ``n`` replicas, where
+``ProtocolConfig.pab_quorum`` may raise the quorum towards ``2f + 1``.
 """
 
 from __future__ import annotations
 
-from repro.config import ShardingConfig
+from functools import lru_cache
+from typing import Optional
+
+from repro.config import ProtocolConfig, ShardingConfig
 from repro.types.microblock import MicroBlockId, microblock_origin
+
+#: The layout of a run without ``ProtocolConfig.sharding``.
+ONE_SHARD = ShardingConfig(shards=1)
 
 
 class ShardMap:
@@ -33,7 +41,11 @@ class ShardMap:
         "_quorums",
     )
 
-    def __init__(self, n: int, config: ShardingConfig) -> None:
+    def __init__(
+        self, n: int, config: ShardingConfig, quorum: Optional[int] = None
+    ) -> None:
+        """``quorum``, when given, replaces every shard's ``f_s + 1``
+        (``ProtocolConfig`` allows it at one shard only)."""
         if n < 1:
             raise ValueError(f"need at least one replica, got n={n}")
         if config.shards > n:
@@ -52,7 +64,17 @@ class ShardMap:
         )
         self._member_sets = tuple(frozenset(m) for m in self._members)
         self._quorums = tuple(
-            self.f_of(shard) + 1 for shard in range(self.shards)
+            self.f_of(shard) + 1 if quorum is None else quorum
+            for shard in range(self.shards)
+        )
+
+    @staticmethod
+    def of(config: ProtocolConfig) -> "ShardMap":
+        """The map a Stratus run over ``config`` disseminates through,
+        one object for every replica of the run."""
+        sharding = config.sharding or ONE_SHARD
+        return _shared_map(
+            config.n, sharding.shards, sharding.epoch, config.pab_quorum
         )
 
     def _build_members(self, shard: int) -> tuple[int, ...]:
@@ -107,5 +129,14 @@ class ShardMap:
         return (len(self._members[shard]) - 1) // 3
 
     def quorum(self, shard: int) -> int:
-        """Acks needed for a shard certificate (``f_s + 1``)."""
+        """Acks needed for a shard certificate (``f_s + 1`` unless set)."""
         return self._quorums[shard]
+
+
+@lru_cache(maxsize=64)
+def _shared_map(
+    n: int, shards: int, epoch: int, quorum: Optional[int]
+) -> ShardMap:
+    """Maps are immutable, so equal layouts share one: at one shard of
+    n=128 a map per replica is 128 member tuples and sets of 128."""
+    return ShardMap(n, ShardingConfig(shards, epoch), quorum)

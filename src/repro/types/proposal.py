@@ -7,8 +7,8 @@ protocol families:
 * **embedded** — full transaction data inside the proposal (native
   mempool: N-HS, N-SL);
 * **id list** — microblock ids only (simple/gossip/Narwhal SMP);
-* **proven id list** — microblock ids each carrying an availability
-  proof (Stratus).
+* **certified id list** — microblock ids each carrying an availability
+  certificate (Stratus).
 
 A *block* is a proposal whose referenced microblocks have all been
 resolved locally ("full block"); until then it is a partial block.
@@ -25,29 +25,23 @@ from repro.types.microblock import MicroBlock, MicroBlockId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.crypto.certificates import QuorumCert
-    from repro.crypto.proofs import AvailabilityProof
     from repro.sharding.certificate import ShardCertificate
 
 
 @dataclass(frozen=True)
 class PayloadEntry:
     """One microblock reference inside a proposal, optionally carrying
-    the evidence consensus votes on: an availability proof (Stratus) or
-    a shard certificate (sharded-stratus). ``cert`` is appended last so
-    the binary codec's positional layout stays backward-ordered."""
+    the evidence consensus votes on: an availability certificate
+    (Stratus)."""
 
     mb_id: MicroBlockId
-    proof: Optional["AvailabilityProof"] = None
     cert: Optional["ShardCertificate"] = None
 
     @property
     def size_bytes(self) -> int:
-        size = sizes.MICROBLOCK_ID
-        if self.proof is not None:
-            size += self.proof.size_bytes
-        if self.cert is not None:
-            size += self.cert.size_bytes
-        return size
+        if self.cert is None:
+            return sizes.MICROBLOCK_ID
+        return sizes.MICROBLOCK_ID + self.cert.size_bytes
 
 
 @dataclass

@@ -53,10 +53,11 @@ FAULT_KINDS = ("crash", "partition", "loss", "bandwidth", "delay")
 
 #: Mempool pool the fuzzer draws from. Pinned rather than
 #: aliased to ``MEMPOOL_KINDS``: scenario ``i`` is a pure function of
-#: the root seed *and this tuple*, so growing the global registry (e.g.
-#: adding ``sharded-stratus``) must not silently re-point every recorded
-#: corpus cell at a different configuration. New kinds get their own
-#: hand-rolled corpus cells instead (see ``tests/test_fuzz_corpus.py``).
+#: the root seed *and this tuple*, so changing the global registry must
+#: not silently re-point every recorded corpus cell at a different
+#: configuration. The fuzzer draws no ``ProtocolConfig.sharding``; a
+#: sharded run has its own hand-rolled corpus cell instead (see
+#: ``tests/test_fuzz_corpus.py``).
 FUZZ_MEMPOOL_KINDS = ("native", "simple", "gossip", "narwhal", "stratus")
 
 #: The rest of the grid, pinned for the same reason (consensus is drawn

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.config import ShardingConfig
 from repro.consensus.chain import GENESIS_ID
 from repro.consensus.hotstuff import HotStuff
-from repro.mempool import MEMPOOL_CLASSES
 from repro.mempool.simple_smp import SimpleSharedMempool
+from repro.mempool.stratus import StratusMempool
 from repro.types.microblock import make_microblock_id
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 from repro.verification.fuzzer import FuzzOutcome, Scenario, run_scenario
@@ -141,8 +142,8 @@ class SilentPrepareMempool(SimpleSharedMempool):
         """BUG under test: ``on_ready`` is never invoked."""
 
 
-class ShortQuorumScope:
-    """Mixin for the Stratus mempools: a PAB scope one ack short.
+class ShortQuorumScope(StratusMempool):
+    """Stratus with a PAB scope one ack short.
 
     The scope's quorum is what both minting and verifying read, so the
     whole network agrees on the weakened rule (ROADMAP's "quorum f_s
@@ -157,8 +158,8 @@ class ShortQuorumScope:
         return scope
 
 
-class ForgetReferenced:
-    """Mixin for the Stratus mempools: ``on_proposal`` marks nothing.
+class ForgetReferenced(StratusMempool):
+    """Stratus whose ``on_proposal`` marks nothing.
 
     Ids then count as referenced only where a replica built the payload
     itself. A leader that enters its view before the previous proposal
@@ -206,6 +207,13 @@ def _scenario(protocol: Optional[dict] = None, **overrides) -> Scenario:
     return scenario
 
 
+#: The Stratus mutants' cells: a suffix and its protocol overrides.
+STRATUS_CELLS: dict[str, dict] = {
+    "stratus": {},
+    "shards2": {"sharding": ShardingConfig(shards=2)},
+}
+
+
 MUTANTS: dict[str, Mutant] = {
     mutant.name: mutant
     for mutant in (
@@ -250,53 +258,48 @@ MUTANTS: dict[str, Mutant] = {
                 ],
             ),
         ),
-        # One engine, so one mixin covers both scopes: the same seeded
-        # bug and schedule, registered per Stratus kind.
+        # One mempool, so each Stratus bug runs unsharded and again at
+        # two shards under the same schedule.
         *(
             Mutant(
-                name=f"short-quorum-{kind}",
+                name=f"short-quorum-{cell}",
                 description=(
                     "PAB scope mints and accepts proofs one ack short of "
                     "its quorum; under body loss a microblock commits "
                     "while held by fewer honest stores than promised"
                 ),
                 expected_oracle="availability",
-                mempool_cls=type(
-                    f"ShortQuorum{MEMPOOL_CLASSES[kind].__name__}",
-                    (ShortQuorumScope, MEMPOOL_CLASSES[kind]), {},
-                ),
+                mempool_cls=ShortQuorumScope,
                 scenario=_scenario(
-                    mempool=kind,
+                    mempool="stratus",
                     n=7,
                     duration=4.0,
                     fault_spec=[
                         {"kind": "loss", "start": 0.6, "end": 2.1,
                          "rate": 0.8, "channel": "data"},
                     ],
+                    protocol=sharding,
                 ),
             )
-            for kind in ("stratus", "sharded-stratus")
+            for cell, sharding in STRATUS_CELLS.items()
         ),
         *(
             Mutant(
-                name=f"forget-referenced-{kind}",
+                name=f"forget-referenced-{cell}",
                 description=(
                     "on_proposal marks nothing: a leader proposes ids the "
                     "block it builds on already carries, and they commit "
                     "twice on one chain"
                 ),
                 expected_oracle="smp-integrity",
-                mempool_cls=type(
-                    f"ForgetReferenced{MEMPOOL_CLASSES[kind].__name__}",
-                    (ForgetReferenced, MEMPOOL_CLASSES[kind]), {},
-                ),
-                scenario=_scenario(mempool=kind),
+                mempool_cls=ForgetReferenced,
+                scenario=_scenario(mempool="stratus", protocol=sharding),
             )
-            for kind in ("stratus", "sharded-stratus")
+            for cell, sharding in STRATUS_CELLS.items()
         ),
         *(
             Mutant(
-                name=f"pull-before-view-check-{kind}",
+                name=f"pull-before-view-check-{cell}",
                 description=(
                     "a paced empty-view retry pulls its payload before it "
                     "sees that the view moved; the ids leave the queue "
@@ -308,11 +311,11 @@ MUTANTS: dict[str, Mutant] = {
                 # retries in a later one; the load leaves a backlog, so
                 # what a retry drops is uncommitted when the run ends.
                 scenario=_scenario(
-                    mempool=kind, rate_tps=4000.0, duration=2.0,
-                    protocol={"empty_view_delay": 0.6},
+                    mempool="stratus", rate_tps=4000.0, duration=2.0,
+                    protocol={"empty_view_delay": 0.6, **sharding},
                 ),
             )
-            for kind in ("stratus", "sharded-stratus")
+            for cell, sharding in STRATUS_CELLS.items()
         ),
         Mutant(
             name="replay-payload",

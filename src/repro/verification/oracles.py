@@ -35,19 +35,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _shard_map_for(protocol) -> Optional["object"]:
-    """Build the run's :class:`~repro.sharding.ShardMap`, or ``None``.
+    """The run's :class:`~repro.sharding.ShardMap` (one shard when
+    unsharded) for a Stratus run, else ``None``.
 
     Oracles reach the protocol config through a ``getattr`` chain rather
     than :attr:`Oracle.config` so the live replay's duck-typed suite
     (:class:`repro.live.verify._LiveSuite`), which may omit the config
     entirely, still works — it just falls back to the unsharded checks.
     """
-    if protocol is None or protocol.mempool != "sharded-stratus":
+    if protocol is None or protocol.mempool != "stratus":
         return None
-    from repro.config import ShardingConfig
     from repro.sharding import ShardMap
 
-    return ShardMap(protocol.n, protocol.sharding or ShardingConfig())
+    return ShardMap.of(protocol)
 
 
 @dataclass
@@ -320,15 +320,16 @@ class AvailabilityOracle(Oracle):
     how the mutation self-test catches a mempool that skips the proof
     gate.
 
-    For ``sharded-stratus`` the claim is *per shard*: a certificate
-    carries ``quorum(s)`` member acks, so at least ``quorum(s) - byz_s``
-    honest *members of shard s* hold the body — non-members are expected
-    to commit certificates without bodies, so only member stores count.
+    For Stratus the claim is *per shard*: a certificate carries
+    ``quorum(s)`` member acks, so at least ``quorum(s) - byz_s`` honest
+    *members of shard s* hold the body — non-members are expected to
+    commit certificates without bodies, so only member stores count. At
+    one shard that is every replica and the run's PAB quorum.
     """
 
     name = "availability"
 
-    CERTIFYING = ("stratus", "narwhal", "sharded-stratus")
+    CERTIFYING = ("stratus", "narwhal")
 
     def __init__(self, strict: bool = False) -> None:
         super().__init__()
@@ -339,24 +340,24 @@ class AvailabilityOracle(Oracle):
         protocol = self.config.protocol
         self._armed = self._strict or protocol.mempool in self.CERTIFYING
         self._shard_map = _shard_map_for(protocol)
-        byz = len(self.config.byzantine_ids)
+        byz = self.config.byzantine_ids
         if protocol.mempool == "narwhal":
-            self._threshold = max(1, protocol.consensus_quorum - byz)
-        elif protocol.mempool == "stratus":
-            self._threshold = max(1, protocol.stability_quorum - byz)
+            self._threshold = max(1, protocol.consensus_quorum - len(byz))
         else:
-            self._threshold = max(1, protocol.f + 1 - byz)
+            self._threshold = max(1, protocol.f + 1 - len(byz))
+        #: Per shard: (its members, honest member stores required).
+        self._shard_bars = []
+        shard_map = self._shard_map
+        for shard in range(shard_map.shards if shard_map else 0):
+            members = shard_map.member_set(shard)
+            required = shard_map.quorum(shard) - len(byz & members)
+            self._shard_bars.append((members, max(1, required)))
 
     def _shard_bar(self, mb_id) -> tuple[Optional[frozenset[int]], int]:
         """(eligible holders, required count) for one microblock."""
         if self._shard_map is None:
             return None, self._threshold
-        shard = self._shard_map.shard_of_microblock(mb_id)
-        members = self._shard_map.member_set(shard)
-        byz_in = sum(
-            1 for node in self.config.byzantine_ids if node in members
-        )
-        return members, max(1, self._shard_map.quorum(shard) - byz_in)
+        return self._shard_bars[self._shard_map.shard_of_microblock(mb_id)]
 
     @staticmethod
     def _holds(replica: "Replica", mb_id) -> bool:
@@ -397,10 +398,10 @@ class AvailabilityOracle(Oracle):
 class LedgerOracle(Oracle):
     """SMP integrity: committed content is exactly client content.
 
-    Under ``sharded-stratus``, commits are certificate-level: a replica
-    may never resolve a foreign shard's bodies, and throughput is
-    accounted from certificate tx counts. Conservation is therefore
-    checked *per shard* as well — certified transactions committed in a
+    Under Stratus, commits are certificate-level: a replica may never
+    resolve a foreign shard's bodies, and throughput may be accounted
+    from certificate tx counts. Conservation is therefore checked *per
+    shard* as well — certified transactions committed in a
     shard must not exceed transactions batched by that shard's origins —
     and each committed certificate's embedded tx count is cross-checked
     against the honest origin's creation record.
@@ -424,8 +425,8 @@ class LedgerOracle(Oracle):
         # parent links the duplicate check walks.
         self._links: dict[int, tuple[int, int]] = {}
         self._resolved_blocks: set[int] = set()
-        # Per-shard conservation (sharded-stratus only). The getattr
-        # chain tolerates the live replay's duck-typed suite, which may
+        # Per-shard conservation (Stratus only). The getattr chain
+        # tolerates the live replay's duck-typed suite, which may
         # not carry a config at all.
         protocol = getattr(
             getattr(self.suite.experiment, "config", None), "protocol", None
@@ -585,17 +586,17 @@ class LedgerOracle(Oracle):
 
 
 class ConservationOracle(Oracle):
-    """Ledger conservation over the PAB mempools (Stratus, both scopes).
+    """Ledger conservation over the PAB mempool (Stratus).
 
     An id is in one state at a replica, ``proposable -> referenced ->
     committed``, and a microblock is pushed until it is proven. At the
     end of the run, at every correct replica, every id it holds a
-    verified proof for (``AvailabilityProof`` / ``ShardCertificate``) is
-    committed there, carried by a proposal it stores or still in its
-    queue — not pulled into a payload nobody proposed (``stranded``) —
-    and every push it still runs has targets that can make the quorum —
-    no microblock was pushed to nobody (``unshared``). Nothing here is a
-    deadline: an overloaded run that ends with work in flight is clean.
+    verified certificate for is committed there, carried by a proposal
+    it stores or still in its queue — not pulled into a payload nobody
+    proposed (``stranded``) — and every push it still runs has targets
+    that can make the quorum — no microblock was pushed to nobody
+    (``unshared``). Nothing here is a deadline: an overloaded run that
+    ends with work in flight is clean.
     """
 
     name = "conservation"

@@ -7,7 +7,7 @@ but using the production wiring from the harness.
 
 from __future__ import annotations
 
-from repro.config import ProtocolConfig, ShardingConfig
+from repro.config import MEMPOOL_KINDS, ProtocolConfig, ShardingConfig
 from repro.harness import ExperimentConfig, build_experiment
 from repro.types import TxBatch
 
@@ -56,22 +56,29 @@ def make_cluster(
     return build_experiment(config)
 
 
-#: The two mempool kinds that share the PAB engine and Stratus mempool.
+#: The two Stratus cells the PAB tests run, by the name their test ids
+#: carry: unsharded, and ``sharded-stratus`` at two shards.
 STRATUS_KINDS = ("stratus", "sharded-stratus")
+
+#: Every mempool kind, plus the two-shard Stratus cell.
+MEMPOOL_CELLS = (*MEMPOOL_KINDS, "sharded-stratus")
+
+
+def mempool_fields(cell) -> dict:
+    """The protocol fields of one cell of :data:`MEMPOOL_CELLS`."""
+    if cell == "sharded-stratus":
+        return {"mempool": "stratus", "sharding": ShardingConfig(shards=2)}
+    return {"mempool": cell}
 
 
 def stratus_cluster(kind, **kwargs):
-    """A cluster per Stratus kind: n=4 flat (everyone is a push peer),
+    """A cluster per Stratus cell: n=4 flat (everyone is a push peer),
     or n=8 in 2 shards ({0,2,4,6} and {1,3,5,7}), where membership is a
     strict subset and non-members only ever see the certificate."""
-    if kind == "stratus":
-        return make_cluster(n=kwargs.pop("n", 4), mempool=kind, **kwargs)
     overrides = dict(kwargs.pop("protocol_overrides", None) or {})
-    overrides["sharding"] = ShardingConfig(shards=2)
-    return make_cluster(
-        n=kwargs.pop("n", 8), mempool=kind, protocol_overrides=overrides,
-        **kwargs,
-    )
+    overrides.update(mempool_fields(kind))
+    n = kwargs.pop("n", 4 if kind == "stratus" else 8)
+    return make_cluster(n=n, protocol_overrides=overrides, **kwargs)
 
 
 def inject(experiment, replica_id, count=4, payload=128):

@@ -78,7 +78,7 @@ def test_fault_arguments(capsys):
 
 
 def test_shards_flag_on_an_unsharded_preset(capsys):
-    """``--shards`` swaps the mempool under S-HS, whose tuned default is
+    """``--shards`` shards the mempool under S-HS, whose tuned default is
     DLB on; the run must still construct (and commit)."""
     code = run_cli([
         "--preset", "S-HS", "--shards", "2", "--n", "8",
@@ -178,12 +178,13 @@ def _configs_of(monkeypatch, argv):
 ], ids=["sweep", "live"])
 def test_shards_imply_the_sharded_mempool_in_both_runners(monkeypatch, argv):
     [config] = _configs_of(monkeypatch, argv)
-    assert config.protocol.mempool == "sharded-stratus"
+    assert config.protocol.mempool == "stratus"
     assert config.protocol.sharding.shards == 2
+    assert not config.protocol.load_balancing
 
 
 @pytest.mark.parametrize("argv", [
-    ["--preset", "S-HS", "--n", "8", "--mempool", "stratus", "--shards", "2"],
+    ["--preset", "S-HS", "--n", "8", "--mempool", "narwhal", "--shards", "2"],
     ["live", "-n", "8", "--mempool", "native", "--shards", "2"],
 ], ids=["sweep", "live"])
 def test_shards_under_another_named_mempool_exit(argv):

@@ -106,18 +106,20 @@ def test_derived_quantities_are_recomputed_not_serialised():
 )
 def test_sharded_stratus_rejects_settings_it_would_ignore(ignored):
     """The shard quorum is f_s + 1 from the shard map and there is no
-    shard-aware DLB: accepting either would silently run something else."""
+    shard-aware DLB: accepting either would silently run something else.
+    One shard is unsharded Stratus, which takes both."""
     ProtocolConfig(n=4, mempool="stratus", **ignored)  # fine when flat
-    with pytest.raises(ValueError, match="sharded-stratus"):
-        ProtocolConfig(n=4, mempool="sharded-stratus", **ignored)
+    ProtocolConfig(n=4, sharding=ShardingConfig(shards=1), **ignored)
+    with pytest.raises(ValueError, match="more than one shard"):
+        ProtocolConfig(n=4, sharding=ShardingConfig(shards=2), **ignored)
 
 
-@pytest.mark.parametrize("mempool", ["stratus", "narwhal", "native"])
+@pytest.mark.parametrize("mempool", ["narwhal", "native"])
 def test_sharding_layout_needs_the_sharded_mempool(mempool):
     """A layout under a mempool that ignores it would run unsharded."""
     with pytest.raises(ValueError, match="sharding needs"):
         ProtocolConfig(n=8, mempool=mempool,
                        sharding=ShardingConfig(shards=2))
-    sharded = ProtocolConfig(n=8, mempool="sharded-stratus",
+    sharded = ProtocolConfig(n=8, mempool="stratus",
                              sharding=ShardingConfig(shards=2))
     assert sharded.sharding.shards == 2

@@ -1,7 +1,7 @@
 """Integration tests for chained HotStuff."""
 
-from repro.crypto import AvailabilityProof
 from repro.replica.behavior import SilentReplica
+from repro.sharding import ShardCertificate
 from repro.types.proposal import Payload, PayloadEntry
 
 from tests.helpers import inject, make_cluster
@@ -53,8 +53,10 @@ def test_invalid_availability_proof_triggers_view_change():
     exp.sim.run_until(0.1)
     engine = exp.replicas[2].consensus
     mempool = exp.replicas[2].mempool
-    forged = AvailabilityProof(mb_id=42, signers=(0, 1), forged=True)
-    payload = Payload(entries=(PayloadEntry(mb_id=42, proof=forged),))
+    forged = ShardCertificate(
+        mb_id=42, tx_count=1, mean_arrival=0.0, signers=(0, 1), forged=True,
+    )
+    payload = Payload(entries=(PayloadEntry(mb_id=42, cert=forged),))
     assert not mempool.verify_payload(payload)
     before = exp.metrics.view_change_count
     from repro.crypto import GENESIS_QC

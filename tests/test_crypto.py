@@ -4,8 +4,6 @@ import pytest
 
 from repro.crypto import (
     GENESIS_QC,
-    AvailabilityProof,
-    ProofError,
     QuorumCert,
     Signature,
     make_quorum_cert,
@@ -14,8 +12,21 @@ from repro.crypto import (
     verify_signature,
     vote_signature,
 )
-from repro.mempool.stratus.pab import NetworkScope
+from repro.sharding import (
+    ONE_SHARD,
+    CertificateError,
+    ShardCertificate,
+    ShardMap,
+    ShardScope,
+)
 from repro.types.microblock import MicroBlock
+
+
+def cert(signers, mb_id=7, **kwargs):
+    return ShardCertificate(
+        mb_id=mb_id, tx_count=1, mean_arrival=0.0, signers=tuple(signers),
+        **kwargs,
+    )
 
 
 class TestSignatures:
@@ -37,9 +48,9 @@ class TestSignatures:
 
 
 class TestAvailabilityProofs:
-    """Minting and verifying under the flat PAB scope (3-of-4)."""
+    """Minting and verifying under the one-shard PAB scope (3-of-4)."""
 
-    scope = NetworkScope(node_id=0, n=4, quorum=3)
+    scope = ShardScope(0, ShardMap(4, ONE_SHARD, quorum=3))
     mb = MicroBlock(
         id=7, origin=0, tx_count=1, tx_payload=128, created_at=0.0,
         sum_arrival=0.0,
@@ -54,26 +65,26 @@ class TestAvailabilityProofs:
         assert self.scope.verify(proof, 7)
 
     def test_insufficient_acks(self):
-        with pytest.raises(ProofError):
+        with pytest.raises(CertificateError):
             self.scope.make(self.mb, self.acks([0, 1]))
 
     def test_duplicate_signers_not_counted(self):
         acks = self.acks([0, 0, 0, 1])
-        with pytest.raises(ProofError):
+        with pytest.raises(CertificateError):
             self.scope.make(self.mb, acks)
 
     def test_forged_acks_not_counted(self):
         acks = self.acks([0, 1]) + [Signature(2, 7, forged=True)]
-        with pytest.raises(ProofError):
+        with pytest.raises(CertificateError):
             self.scope.make(self.mb, acks)
 
     def test_wrong_digest_acks_not_counted(self):
         acks = self.acks([0, 1]) + [sign(2, digest=8)]
-        with pytest.raises(ProofError):
+        with pytest.raises(CertificateError):
             self.scope.make(self.mb, acks)
 
     def test_forged_proof_rejected(self):
-        forged = AvailabilityProof(mb_id=7, signers=(0, 1, 2), forged=True)
+        forged = cert((0, 1, 2), forged=True)
         assert not self.scope.verify(forged, 7)
 
     def test_mismatched_id_rejected(self):
@@ -81,16 +92,14 @@ class TestAvailabilityProofs:
         assert not self.scope.verify(proof, 8)
 
     def test_undersized_proof_rejected(self):
-        proof = AvailabilityProof(mb_id=7, signers=(0, 1))
-        assert not self.scope.verify(proof, 7)
+        assert not self.scope.verify(cert((0, 1)), 7)
 
     def test_out_of_range_signers_rejected(self):
-        proof = AvailabilityProof(mb_id=7, signers=(0, 1, 99))
-        assert not self.scope.verify(proof, 7)
+        assert not self.scope.verify(cert((0, 1, 99)), 7)
 
     def test_proof_size_scales_with_quorum(self):
-        small = AvailabilityProof(mb_id=1, signers=(0, 1))
-        large = AvailabilityProof(mb_id=1, signers=tuple(range(20)))
+        small = cert((0, 1), mb_id=1)
+        large = cert(range(20), mb_id=1)
         assert large.size_bytes > small.size_bytes
 
 

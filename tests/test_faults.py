@@ -467,11 +467,9 @@ def test_push_retransmits_after_loss_until_quorum():
 def test_discard_cancels_outstanding_fetch():
     exp = make_cluster(rate_tps=0.0, duration=2.0)
     mempool = exp.replicas[0].mempool
-    from repro.crypto import AvailabilityProof
     from repro.types import make_microblock_id
     mb_id = make_microblock_id(1, 99)
-    proof = AvailabilityProof(mb_id=mb_id, signers=(1, 2))
-    mempool.fetcher.request(mb_id, proof.signers, grace=True)
+    mempool.fetcher.request(mb_id, (1, 2), grace=True)
     exp.sim.run_until(1.0)
     assert mempool.fetcher.outstanding == 1
     mempool.pab.discard(mb_id)

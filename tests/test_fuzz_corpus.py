@@ -70,13 +70,12 @@ def test_corpus_scenario_clean(root, index, consensus, mempool):
     assert elapsed < SCENARIO_BUDGET_S
 
 
-# -- sharded-stratus cell ----------------------------------------------------
+# -- sharded Stratus cell ----------------------------------------------------
 #
-# ``sharded-stratus`` is deliberately NOT in the fuzzer's pinned pool
-# (see FUZZ_MEMPOOL_KINDS): adding it there would re-derive every
-# recorded (seed, index) cell above. It gets a hand-rolled chaos cell
-# instead — certificate-only ordering under crash + partition with the
-# shard-aware oracles armed.
+# The fuzzer draws no shard layout (see FUZZ_MEMPOOL_KINDS): adding one
+# would re-derive every recorded (seed, index) cell above. Two shards get
+# a hand-rolled chaos cell instead — certificate-only ordering under
+# crash + partition with the shard-aware oracles armed.
 
 def test_sharded_stratus_hotstuff_chaos_cell():
     from repro.config import ProtocolConfig, ShardingConfig
@@ -86,7 +85,7 @@ def test_sharded_stratus_hotstuff_chaos_cell():
     from repro.verification import standard_suite
 
     protocol = ProtocolConfig(
-        n=8, consensus="hotstuff", mempool="sharded-stratus",
+        n=8, consensus="hotstuff", mempool="stratus",
         sharding=ShardingConfig(shards=2),
         batch_bytes=4 * 128, batch_timeout=0.05, view_timeout=0.5,
     )

@@ -56,7 +56,7 @@ def _shs_dlb_skew_crash() -> ExperimentConfig:
 
 def _sshs_crash_partition() -> ExperimentConfig:
     protocol = ProtocolConfig(
-        n=8, mempool="sharded-stratus", consensus="hotstuff",
+        n=8, mempool="stratus", consensus="hotstuff",
         sharding=ShardingConfig(shards=2), **QUICK,
     )
     return ExperimentConfig(

@@ -51,12 +51,14 @@ class TestPresets:
         assert not tuned_protocol("SMP-HS", 16).load_balancing
 
     def test_tuning_follows_an_overridden_mempool_or_consensus(self):
-        """``repro run --protocol S-HS --shards 4`` overrides the mempool:
+        """``repro run --protocol S-HS --shards 4`` overrides the layout:
         what is derived from it must follow, or the preset's DLB default
-        would reach a mempool that rejects it."""
-        sharded = tuned_protocol("S-HS", 16, mempool="sharded-stratus")
+        would reach a sharded run, which rejects it."""
+        sharded = tuned_protocol("S-HS", 16, sharding=ShardingConfig())
         assert sharded == tuned_protocol("SS-HS", 16)
         assert not sharded.load_balancing
+        one = tuned_protocol("SS-HS", 16, sharding=ShardingConfig(shards=1))
+        assert one.load_balancing
         assert tuned_protocol("N-HS", 16, mempool="stratus").load_balancing
         assert (
             tuned_protocol("S-HS", 16, consensus="streamlet")
@@ -203,12 +205,16 @@ def as_windows(events):
 
 def without_deleted(data):
     """The recorded dict as today's codec spells it: deleted keys gone,
-    an event-grammar schedule as its windows, and a ``fluctuation``
-    window as the one-``delay``-window schedule that replaced it."""
+    an event-grammar schedule as its windows, a ``fluctuation`` window
+    as the one-``delay``-window schedule that replaced it, and the
+    ``sharded-stratus`` mempool as ``stratus`` (its layout says it is
+    sharded)."""
     kept = {
         key: without_deleted(value) if isinstance(value, dict) else value
         for key, value in data.items() if key not in DELETED_KEYS
     }
+    if kept.get("mempool") == "sharded-stratus":
+        kept["mempool"] = "stratus"
     if kept.get("faults") is not None:
         kept["faults"] = as_windows(kept["faults"])
     window = data.get("fluctuation")

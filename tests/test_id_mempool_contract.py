@@ -13,16 +13,16 @@ import pytest
 from repro.crypto import GENESIS_QC
 from repro.types.proposal import Payload, PayloadEntry, Proposal, make_block_id
 
-from tests.helpers import inject, make_cluster, stratus_cluster
+from tests.helpers import STRATUS_KINDS, inject, make_cluster, stratus_cluster
 
-KINDS = ("simple", "gossip", "narwhal", "stratus", "sharded-stratus")
+KINDS = ("simple", "gossip", "narwhal", *STRATUS_KINDS)
 pytestmark = pytest.mark.parametrize("kind", KINDS)
 
 
 def mempool_with_one_proposable_id(kind):
     """Replica 1's mempool once replica 0's microblock is proposable
     there (body delivered / certified / proven), engines frozen."""
-    if kind in ("stratus", "sharded-stratus"):
+    if kind in STRATUS_KINDS:
         exp = stratus_cluster(kind)
     else:
         exp = make_cluster(n=4, mempool=kind)

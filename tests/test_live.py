@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.config import CONSENSUS_KINDS, MEMPOOL_KINDS, ProtocolConfig
+from repro.config import CONSENSUS_KINDS, ProtocolConfig
 from repro.harness import build_experiment
 from repro.harness.config import ExperimentConfig
 from repro.live.network import LiveNetwork
@@ -29,6 +29,8 @@ from repro.sim.topology import lan_topology
 from repro.types.microblock import MicroBlock
 from repro.types.proposal import Payload, Proposal
 from repro.crypto.certificates import QuorumCert
+
+from tests.helpers import MEMPOOL_CELLS, mempool_fields
 
 
 # -- the seam ----------------------------------------------------------------
@@ -365,12 +367,14 @@ def test_verify_events_flags_fabricated_microblocks():
 # -- one assembly --------------------------------------------------------------
 
 @pytest.mark.parametrize("consensus", CONSENSUS_KINDS)
-@pytest.mark.parametrize("mempool", MEMPOOL_KINDS)
+@pytest.mark.parametrize("mempool", MEMPOOL_CELLS)
 def test_sim_and_live_assemble_the_same_stack(mempool, consensus, tmp_path):
     """A live replica process and the simulator put a replica together
     through one function: same classes, equal protocol parameters."""
     config = ExperimentConfig(
-        protocol=ProtocolConfig(n=4, mempool=mempool, consensus=consensus),
+        protocol=ProtocolConfig(
+            n=4, consensus=consensus, **mempool_fields(mempool)
+        ),
         rate_tps=0.0, seed=7,
     )
     simulated = build_experiment(config).replicas[2]
@@ -432,16 +436,14 @@ def test_live_smoke_hotstuff_native():
 
 @pytest.mark.slow
 def test_live_smoke_hotstuff_sharded_two_shards():
-    """n=4 over real TCP with two shards: certificate-only ordering end
-    to end — shard pushes, cert broadcasts, cert-bearing proposals, and
-    the shard-aware replay oracles — on the live runtime."""
-    from repro.config import ShardingConfig
-
+    """n=4 over real TCP with two shards — shard pushes, cert
+    broadcasts, cert-bearing proposals, and the shard-aware replay
+    oracles — on the live runtime. At n=4 the 4-member floor makes both
+    shards span every replica."""
     config = LiveConfig(
         experiment=ExperimentConfig(
             protocol=ProtocolConfig(
-                n=4, mempool="sharded-stratus", consensus="hotstuff",
-                sharding=ShardingConfig(shards=2),
+                n=4, consensus="hotstuff", **mempool_fields("sharded-stratus"),
             ),
             rate_tps=300.0,
             duration=1.2,

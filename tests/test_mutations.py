@@ -2,12 +2,12 @@
 
 This is the verification layer's own verification. Each mutant plants a
 classic BFT/SMP bug (1-chain commits, skipped availability gates, a PAB
-quorum one ack short and a proposal hook that marks nothing, each under
-both the flat and the shard scope, payload replay/fabrication, muted
-votes, a payload pulled before the view is checked); if a refactor
-blinds an oracle, the
-corresponding case here fails. The reverse direction — oracles stay
-silent on correct stacks — is covered by ``tests/test_fuzz_corpus.py``.
+quorum one ack short and a proposal hook that marks nothing, each
+unsharded and at two shards, payload replay/fabrication, muted votes, a
+payload pulled before the view is checked); if a refactor blinds an
+oracle, the corresponding case here fails. The reverse direction —
+oracles stay silent on correct stacks — is covered by
+``tests/test_fuzz_corpus.py``.
 """
 
 import pytest
@@ -19,6 +19,11 @@ from repro.verification import (
     shrink_scenario,
 )
 from repro.verification.fuzzer import run_scenario
+
+from tests.helpers import STRATUS_KINDS
+
+#: The Stratus mutants' name suffix per Stratus test cell.
+MUTANT_CELL = {"stratus": "stratus", "sharded-stratus": "shards2"}
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS), ids=sorted(MUTANTS))
@@ -39,23 +44,23 @@ def test_eager_commit_caught_by_safety_only():
     assert oracles == {"safety"}
 
 
-@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+@pytest.mark.parametrize("kind", STRATUS_KINDS)
 def test_forget_referenced_needs_the_ancestor_rule(kind):
     """The re-proposal lands one view after the first occurrence, before
     its proposer has committed anything: only the ancestor rule of the
     ledger oracle's ``duplicate`` check can see it."""
-    outcome = run_mutant(f"forget-referenced-{kind}")
+    outcome = run_mutant(f"forget-referenced-{MUTANT_CELL[kind]}")
     duplicates = [v for v in outcome.violations if v.kind == "duplicate"]
     assert duplicates
     assert all("built on" in v.message for v in duplicates)
 
 
-@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+@pytest.mark.parametrize("kind", STRATUS_KINDS)
 def test_pull_before_view_check_caught_by_conservation_only(kind):
     """The dropped ids are still in the other replicas' queues and commit
     later, so safety, availability, integrity and liveness see a healthy
     run; only the per-replica id lifecycle is broken."""
-    outcome = run_mutant(f"pull-before-view-check-{kind}")
+    outcome = run_mutant(f"pull-before-view-check-{MUTANT_CELL[kind]}")
     assert outcome.committed_tx > 0
     assert {v.oracle for v in outcome.violations} == {"conservation"}
     assert {v.kind for v in outcome.violations} == {"stranded"}

@@ -22,7 +22,7 @@ from repro.verification.oracles import (
 
 import pytest
 
-from tests.helpers import make_cluster, stratus_cluster
+from tests.helpers import STRATUS_KINDS, make_cluster, stratus_cluster
 
 
 def stub_suite(oracle, honest=(0, 1, 2, 3), emitted_tx=10_000):
@@ -198,7 +198,7 @@ def test_ledger_conservation_counts_unique_microblocks():
 # -- conservation ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+@pytest.mark.parametrize("kind", STRATUS_KINDS)
 def test_conservation_flags_an_id_pulled_for_no_proposal(kind):
     exp = stratus_cluster(kind, rate_tps=400.0)
     suite = OracleSuite([ConservationOracle()]).attach(exp)
@@ -230,7 +230,7 @@ def test_conservation_is_silent_once_somebody_proposes_the_id():
     assert suite.finalize() == []
 
 
-@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+@pytest.mark.parametrize("kind", STRATUS_KINDS)
 def test_conservation_flags_a_microblock_pushed_to_nobody(kind):
     """ROADMAP d0-i: cut while its replica is crashed, a microblock's
     push has no targets, and the restart re-push has none either."""
@@ -284,7 +284,7 @@ def test_honest_ids_excludes_configured_byzantine():
 # -- end to end ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ("stratus", "sharded-stratus"))
+@pytest.mark.parametrize("kind", STRATUS_KINDS)
 @pytest.mark.parametrize("fault", ("censor", "lying"))
 def test_standard_suite_silent_under_byzantine_senders(fault, kind):
     """The senders' own microblocks are batched, proven and committed

@@ -24,7 +24,7 @@ from repro.parallel import JobSpec, experiment_job
 from repro.metrics import WeightedDigest
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.stratus.estimator import StableTimeEstimator
-from repro.mempool.stratus.pab import NetworkScope
+from repro.sharding import ONE_SHARD, ShardMap, ShardScope
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel, Envelope
 from repro.sim.network import LINK_MODELS, Network
@@ -99,7 +99,7 @@ def test_proof_roundtrip_iff_quorum(n, data):
     signer_count = data.draw(st.integers(min_value=0, max_value=n))
     signers = data.draw(st.permutations(range(n))) [:signer_count]
     acks = [sign(s, 7) for s in signers]
-    scope = NetworkScope(node_id=0, n=n, quorum=quorum)
+    scope = ShardScope(0, ShardMap(n, ONE_SHARD, quorum=quorum))
     mb = MicroBlock(
         id=7, origin=0, tx_count=1, tx_payload=128, created_at=0.0,
         sum_arrival=0.0,
@@ -268,9 +268,9 @@ def experiment_configs(draw):
     fault_count = draw(st.integers(0, f))
     protocol = ProtocolConfig(
         n=n,
-        mempool="sharded-stratus" if sharded else "stratus",
+        mempool="stratus",
         consensus=draw(st.sampled_from(["hotstuff", "streamlet", "pbft"])),
-        sharding=draw(st.none() | st.builds(
+        sharding=draw(st.builds(
             ShardingConfig,
             shards=st.integers(1, 4),
             epoch=st.integers(0, 5),

@@ -13,25 +13,20 @@ import dataclasses
 
 import pytest
 
-from repro.config import ShardingConfig
 from repro.crypto import GENESIS_QC, make_quorum_cert, vote_signature
 from repro.types.proposal import Payload, PayloadEntry, Proposal, make_block_id
 
-from tests.helpers import STRATUS_KINDS, inject, make_cluster
+from tests.helpers import STRATUS_KINDS, inject, make_cluster, mempool_fields
 
 MEMPOOLS = (*STRATUS_KINDS, "simple", "narwhal")
 
 
 def frozen_cluster(consensus, mempool):
     """A cluster whose engines neither propose nor time out on their own."""
-    overrides = {"streamlet_epoch": 100.0}
-    n = 4
-    if mempool == "sharded-stratus":
-        overrides["sharding"] = ShardingConfig(shards=2)
-        n = 8
+    overrides = {"streamlet_epoch": 100.0, **mempool_fields(mempool)}
+    n = 8 if mempool == "sharded-stratus" else 4
     exp = make_cluster(
-        n=n, mempool=mempool, consensus=consensus,
-        protocol_overrides=overrides,
+        n=n, consensus=consensus, protocol_overrides=overrides,
     )
     for replica in exp.replicas:
         engine = replica.consensus
@@ -239,10 +234,9 @@ def test_bad_proof_proposal_strands_nothing(mempool):
     exp.sim.run_until(0.5)
     leader_pool = exp.replicas[1].mempool
     entry = leader_pool.make_payload().entries[0]
-    slot = leader_pool._slot
-    forged = dataclasses.replace(getattr(entry, slot), forged=True)
+    forged = dataclasses.replace(entry.cert, forged=True)
     bad = block(1, 1, 1, 0, GENESIS_QC, Payload(entries=(
-        PayloadEntry(entry.mb_id, **{slot: forged}),
+        PayloadEntry(entry.mb_id, forged),
     )))
     engine = exp.replicas[3].consensus
     engine._handle_proposal(bad)

@@ -6,7 +6,6 @@ from repro.config import ProtocolConfig
 from repro.consensus import CONSENSUS_CLASSES
 from repro.crypto import GENESIS_QC
 from repro.kvstore import KVStore
-from repro.mempool import MEMPOOL_CLASSES
 from repro.mempool.base import MessageKinds
 from repro.metrics import MetricsHub
 from repro.replica import Replica
@@ -16,7 +15,7 @@ from repro.types import MicroBlock, make_microblock_id
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
 from repro.verification import Oracle, OracleSuite
 
-from tests.helpers import inject, make_cluster
+from tests.helpers import MEMPOOL_CELLS, inject, make_cluster, mempool_fields
 
 
 def make_replica(attach_executor=True):
@@ -109,10 +108,11 @@ def test_observer_tap_follows_each_microblock_to_its_fill():
 
 
 @pytest.mark.parametrize("consensus", sorted(CONSENSUS_CLASSES))
-@pytest.mark.parametrize("mempool", sorted(MEMPOOL_CLASSES))
+@pytest.mark.parametrize("mempool", sorted(MEMPOOL_CELLS))
 def test_every_kind_sent_has_a_route_at_its_receiver(mempool, consensus):
     exp = make_cluster(
-        n=4, mempool=mempool, consensus=consensus, rate_tps=2000.0,
+        n=4, consensus=consensus, rate_tps=2000.0,
+        protocol_overrides=mempool_fields(mempool),
     )
     exp.sim.run_until(1.0)
     sent = set(exp.network.stats.messages_sent)

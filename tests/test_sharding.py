@@ -1,22 +1,25 @@
 """Shard map and shard certificate units (``repro.sharding``).
 
-The end-to-end behavior of the ``sharded-stratus`` backend rides the
-harness/fuzz suites; this file pins the deterministic structure the
+The end-to-end behavior of sharded Stratus rides the harness/fuzz
+suites; this file pins the deterministic structure the
 whole design rests on — membership layout, per-shard fault tolerance,
 certificate assembly and the validity checks replicas vote on.
 """
 
 import pytest
 
+from dataclasses import replace
+
 from repro.config import ShardingConfig
 from repro.crypto import sign
 from repro.crypto.signatures import Signature
 from repro.sharding import (
+    ONE_SHARD,
     CertificateError,
-    ShardCertificate,
     ShardMap,
     ShardScope,
 )
+from repro.types import sizes
 from repro.types.microblock import MicroBlock, make_microblock_id
 
 
@@ -130,7 +133,7 @@ def test_make_certificate_from_quorum_acks():
     scope = scope_of(shard_map)
     cert = scope.make(mb, _quorum_acks(shard_map, mb, shard))
     assert cert.tx_count == mb.tx_count
-    assert cert.shard == shard
+    assert set(cert.signers) <= shard_map.member_set(shard)
     assert scope.verify(cert, mb.id)
     # Any replica verifies any shard's certificate, member or not.
     assert scope_of(shard_map, node=2).verify(cert, mb.id)
@@ -174,45 +177,36 @@ def test_verify_rejects_wrong_binding_and_structure():
     mb, cert = _valid_cert(shard_map)
     # Wrong microblock id binding.
     assert not scope_of(shard_map).verify(cert, mb.id + 1)
-    # Wrong claimed shard for the origin.
-    wrong_shard = ShardCertificate(
-        mb_id=cert.mb_id, shard=(cert.shard + 1) % 4, origin=cert.origin,
-        tx_count=cert.tx_count, mean_arrival=cert.mean_arrival,
-        signers=cert.signers,
+    # Another origin's id: its shard, recomputed from the id, is not the
+    # one whose members signed.
+    other = make_microblock_id(2, 0)
+    assert shard_map.shard_of_microblock(other) != (
+        shard_map.shard_of_microblock(mb.id)
     )
-    assert not scope_of(shard_map).verify(wrong_shard, mb.id)
+    assert not scope_of(shard_map).verify(replace(cert, mb_id=other), other)
     # Sub-quorum signer set.
-    thin = ShardCertificate(
-        mb_id=cert.mb_id, shard=cert.shard, origin=cert.origin,
-        tx_count=cert.tx_count, mean_arrival=cert.mean_arrival,
-        signers=cert.signers[:shard_map.quorum(cert.shard) - 1] or (),
-    )
+    shard = shard_map.shard_of_microblock(mb.id)
+    thin = replace(cert, signers=cert.signers[:shard_map.quorum(shard) - 1])
     assert not scope_of(shard_map).verify(thin, mb.id)
     # Signers outside the owning shard's membership.
     outsider = next(
-        node for node in range(16)
-        if not shard_map.is_member(node, cert.shard)
+        node for node in range(16) if not shard_map.is_member(node, shard)
     )
-    foreign = ShardCertificate(
-        mb_id=cert.mb_id, shard=cert.shard, origin=cert.origin,
-        tx_count=cert.tx_count, mean_arrival=cert.mean_arrival,
-        signers=tuple(list(cert.signers[:-1]) + [outsider]),
+    foreign = replace(
+        cert, signers=tuple(list(cert.signers[:-1]) + [outsider]),
     )
     assert not scope_of(shard_map).verify(foreign, mb.id)
 
 
 def test_verify_rejects_cert_under_different_map():
-    # A certificate minted under one epoch must not validate under a
-    # rebalanced map whose membership no longer contains its signers.
+    # A certificate minted under one epoch validates under a rebalanced
+    # map only if that map's owning shard still contains its signers.
     old_map = make_map(16, 4)
     _, cert = _valid_cert(old_map)
     new_map = make_map(16, 4, epoch=2)
     mb_id = cert.mb_id
-    valid_under_new = (
-        set(cert.signers) <= new_map.member_set(
-            new_map.shard_of_origin(cert.origin)
-        )
-        and cert.shard == new_map.shard_of_origin(cert.origin)
+    valid_under_new = set(cert.signers) <= new_map.member_set(
+        new_map.shard_of_microblock(mb_id)
     )
     assert scope_of(new_map).verify(cert, mb_id) == valid_under_new
 
@@ -220,18 +214,64 @@ def test_verify_rejects_cert_under_different_map():
 def test_verification_is_memoized_per_map():
     shard_map = make_map(16, 4)
     mb, cert = _valid_cert(shard_map)
-    assert scope_of(shard_map).verify(cert, mb.id)
-    assert cert._verified_key == (shard_map.n, shard_map.config)
+    scope = scope_of(shard_map)
+    assert scope.verify(cert, mb.id)
+    assert cert._verified_key == ((16, 4, 0), scope.quorum)
     # The binding check still runs on the memoized path.
     assert not scope_of(shard_map).verify(cert, mb.id + 1)
 
 
-def test_certificate_wire_size_is_aggregate_not_concatenated():
-    from repro.types import sizes
+def one_shard_scope(quorum, n=10):
+    return ShardScope(1, ShardMap(n, ONE_SHARD, quorum=quorum))
 
-    small = sizes.shard_certificate_bytes(2)
-    wide = sizes.shard_certificate_bytes(22)
-    # One aggregate signature plus 2-byte member indices: widening the
-    # quorum by 20 signers costs 40 bytes, not 20 signatures.
-    assert wide - small == 40
-    assert small > sizes.SHARD_CERT_HEADER
+
+def test_a_certificate_verified_under_q_is_rechecked_under_q_plus_one():
+    """The memo key carries the quorum: at one shard ``pab_quorum`` sets
+    it, and a certificate that met q must not pass where q + 1 is due."""
+    mb = make_mb(origin=1)
+    lax = one_shard_scope(quorum=3)
+    cert = lax.make(mb, [sign(node, mb.id) for node in range(3)])
+    assert lax.verify(cert, mb.id)
+    assert not one_shard_scope(quorum=4).verify(cert, mb.id)
+    assert lax.verify(cert, mb.id)
+
+
+def test_certificate_wire_size_is_aggregate_not_concatenated():
+    mb = make_mb(origin=1)
+    acks = [sign(node, mb.id) for node in range(4)]
+    flat = one_shard_scope(quorum=4).make(mb, acks)
+    assert flat.size_bytes == sizes.certificate_bytes(4, 1) == 4 * 64 + 32
+    shard_map = make_map(16, 4)
+    _, sharded = _valid_cert(shard_map)
+    assert sharded.size_bytes == sizes.certificate_bytes(
+        len(sharded.signers), 4
+    )
+    # Over several shards: one aggregate signature plus 2-byte member
+    # indices: widening the quorum by 20 signers costs 40 bytes, not 20
+    # signatures.
+    wide = sizes.certificate_bytes(22, 4)
+    assert wide - sizes.certificate_bytes(2, 4) == 40
+
+
+# -- one shard is unsharded Stratus -----------------------------------------
+
+def test_one_shard_is_the_unsharded_run():
+    """``ShardingConfig(shards=1)`` builds the run ``sharding=None``
+    builds: same pushes, same certificates and their bytes, same
+    reporting rule, so equal commit hashes and equal bytes sent."""
+    from repro.config import ProtocolConfig
+    from repro.harness import ExperimentConfig, build_experiment
+
+    def run(sharding):
+        protocol = ProtocolConfig(
+            n=7, sharding=sharding, batch_bytes=8 * 128, batch_timeout=0.05,
+        )
+        return build_experiment(ExperimentConfig(
+            protocol=protocol, rate_tps=2000.0, duration=2.0, warmup=0.5,
+            seed=5,
+        )).run()
+
+    flat, one = run(None), run(ShardingConfig(shards=1))
+    assert flat.committed_tx > 0
+    assert one.commit_hash == flat.commit_hash
+    assert one.net_bytes_sent == flat.net_bytes_sent

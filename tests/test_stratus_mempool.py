@@ -1,7 +1,7 @@
 """Unit/integration tests for Stratus mempool bookkeeping (Algorithm 3).
 
-``StratusMempool`` and its sharded subclass share the avaQue / pMap /
-commit / GC bookkeeping, so each case runs under both kinds (see
+``StratusMempool`` keeps one avaQue / pMap / commit / GC bookkeeping at
+every shard count, so each case runs unsharded and at two shards (see
 ``tests.helpers.stratus_cluster`` for the two cluster shapes).
 """
 
@@ -26,11 +26,6 @@ def stratus_of(exp, node):
     return exp.replicas[node].mempool
 
 
-def proof_of(mempool, entry):
-    """The entry's evidence, from the slot the mempool's scope uses."""
-    return getattr(entry, mempool._slot)
-
-
 def proposal_of(payload, counter):
     return Proposal(
         block_id=make_block_id(0, counter), view=9, height=9, proposer=0,
@@ -53,9 +48,8 @@ def test_payload_entries_carry_proofs(kind):
     payload = mempool.make_payload()
     assert payload.entries
     for entry in payload.entries:
-        assert proof_of(mempool, entry).mb_id == entry.mb_id
-        # Exactly one evidence slot is filled: the scope's.
-        assert (entry.proof is None) != (entry.cert is None)
+        assert entry.cert.mb_id == entry.mb_id
+        assert entry.cert.tx_count == 4
 
 
 def test_make_payload_drains_ava_queue(kind):
@@ -90,12 +84,11 @@ def test_verify_payload_accepts_honest_and_rejects_forged(kind):
     honest = stratus_of(exp, 0).make_payload()
     assert mempool.verify_payload(honest)
     entry = honest.entries[0]
-    slot = mempool._slot
-    forged = dataclasses.replace(proof_of(mempool, entry), forged=True)
+    forged = dataclasses.replace(entry.cert, forged=True)
     assert not mempool.verify_payload(Payload(entries=(
-        PayloadEntry(entry.mb_id, **{slot: forged}),
+        PayloadEntry(entry.mb_id, forged),
     )))
-    rebound = PayloadEntry(entry.mb_id + 1, **{slot: proof_of(mempool, entry)})
+    rebound = PayloadEntry(entry.mb_id + 1, entry.cert)
     assert not mempool.verify_payload(Payload(entries=(rebound,)))
     missing_proof = Payload(entries=(PayloadEntry(mb_id=entry.mb_id),))
     assert not mempool.verify_payload(missing_proof)
@@ -113,10 +106,10 @@ def test_abandoned_fork_with_unverified_proof_does_not_requeue(kind):
     known = mempool.make_payload().entries[0]
     unknown_id = known.mb_id + 1
     forged = dataclasses.replace(
-        proof_of(mempool, known), mb_id=unknown_id, forged=True,
+        known.cert, mb_id=unknown_id, forged=True,
     )
     payload = Payload(entries=(
-        PayloadEntry(unknown_id, **{mempool._slot: forged}),
+        PayloadEntry(unknown_id, forged),
     ))
     assert not mempool.verify_payload(payload)
     mempool.on_abandoned(proposal_of(payload, 503))

@@ -1,8 +1,8 @@
 """Integration tests for provably available broadcast inside Stratus.
 
-One engine serves both mempool kinds, so the shared contract is checked
-under both scopes (``tests.helpers.stratus_cluster`` has the two cluster
-shapes).
+One engine serves every shard count, so the shared contract is checked
+unsharded and at two shards (``tests.helpers.stratus_cluster`` has the
+two cluster shapes).
 """
 
 import dataclasses
@@ -145,7 +145,7 @@ def _sharded_with_oracles(**experiment):
     from repro.verification import standard_suite
 
     protocol = ProtocolConfig(
-        n=8, mempool="sharded-stratus", sharding=ShardingConfig(shards=2),
+        n=8, mempool="stratus", sharding=ShardingConfig(shards=2),
         batch_bytes=4 * 128, batch_timeout=0.05, empty_view_delay=0.002,
     )
     config = ExperimentConfig(
@@ -224,12 +224,12 @@ def pab_of(experiment, node):
 
 def acks_sent(experiment, node):
     """Ack messages ``node`` has sent so far (they are fixed-size)."""
-    kind = pab_of(experiment, node)._ack_kind
+    kind = MessageKinds.ACK
     return experiment.network.stats.node_bytes(node, kind) / sizes.ACK
 
 
 def body_bytes_sent(experiment, node):
-    kind = pab_of(experiment, node)._body_kind
+    kind = MessageKinds.MICROBLOCK
     return experiment.network.stats.node_bytes(node, kind)
 
 
@@ -273,7 +273,7 @@ def test_witness_holding_the_proof_stores_a_late_body_without_acking(kind):
     # The proof overtook the body: the witness has one and not the other.
     stratus_of(exp, witness).store.discard(mb_id)
     before = acks_sent(exp, witness)
-    deliver(exp, other, witness, pusher.pab._body_kind, microblock)
+    deliver(exp, other, witness, MessageKinds.MICROBLOCK, microblock)
     assert mb_id in stratus_of(exp, witness).store
     assert acks_sent(exp, witness) == before
 
@@ -293,7 +293,7 @@ def test_duplicate_body_without_a_known_proof_is_still_acked(kind):
     assert pab_of(exp, witness).proof_for(mb_id) is None
     before = acks_sent(exp, witness)
     deliver(
-        exp, other, witness, pusher.pab._body_kind, pusher.store.get(mb_id)
+        exp, other, witness, MessageKinds.MICROBLOCK, pusher.store.get(mb_id)
     )
     assert acks_sent(exp, witness) == before + 1
 
@@ -313,7 +313,7 @@ def test_verified_foreign_proof_retires_a_pending_push(kind):
     state = pab._pushes[mb_id]
     assert not state.done and state.timer is not None
     proof = proof_from(exp, 0, mempool.store.get(mb_id))
-    deliver(exp, pab.peers[0], 0, pab._proof_kind, (mb_id, proof))
+    deliver(exp, pab.peers[0], 0, MessageKinds.PROOF, (mb_id, proof))
     assert mb_id not in pab._pushes
     assert state.done and state.timer is None
     # Reported as available: proof broadcast, id proposable.
@@ -337,7 +337,7 @@ def test_forged_proof_retires_nothing(kind):
     forged = dataclasses.replace(
         proof_from(exp, 0, mempool.store.get(mb_id)), forged=True
     )
-    deliver(exp, pab.peers[0], 0, pab._proof_kind, (mb_id, forged))
+    deliver(exp, pab.peers[0], 0, MessageKinds.PROOF, (mb_id, forged))
     assert mb_id in pab._pushes and not pab._pushes[mb_id].done
 
 
@@ -418,10 +418,10 @@ def test_a_body_discarded_inside_the_grace_is_not_fetched(kind):
     microblock, proof = pusher.store.get(mb_id), mempool.pab.proof_for(mb_id)
     mempool._discard([mb_id])  # the witness starts over, holding nothing
     asked = fetch_requests(exp, witness, mb_id)
-    deliver(exp, 0, witness, pusher.pab._proof_kind, (mb_id, proof))
+    deliver(exp, 0, witness, MessageKinds.PROOF, (mb_id, proof))
     fetcher = mempool.pab._fetcher
     assert mb_id in fetcher._pending  # the proof overtook the body
-    deliver(exp, 0, witness, pusher.pab._body_kind, microblock)
+    deliver(exp, 0, witness, MessageKinds.MICROBLOCK, microblock)
     mempool._discard([mb_id])  # retired before the grace runs out
     assert mb_id not in fetcher._pending
     exp.sim.run_until(exp.sim.now + exp.config.protocol.fetch_timeout)
@@ -444,7 +444,7 @@ def test_an_id_discarded_inside_the_grace_is_never_fetched(kind, discard):
     proof = mempool.pab.proof_for(mb_id)
     mempool._discard([mb_id])  # the witness starts over, holding nothing
     asked = fetch_requests(exp, witness, mb_id)
-    deliver(exp, 0, witness, pusher.pab._proof_kind, (mb_id, proof))
+    deliver(exp, 0, witness, MessageKinds.PROOF, (mb_id, proof))
     assert mb_id in mempool.fetcher._pending
     if discard == "pab":
         mempool.pab.discard(mb_id)
@@ -472,14 +472,14 @@ def test_a_foreign_shards_certificate_is_not_fetched_eagerly():
     cert = mempool.pab.proof_for(mb_id)
     assert cert is not None and mb_id not in mempool.store
     asked = fetch_requests(exp, outsider, mb_id)
-    deliver(exp, 0, outsider, pusher.pab._proof_kind, (mb_id, cert))
+    deliver(exp, 0, outsider, MessageKinds.PROOF, (mb_id, cert))
     assert mb_id not in mempool.fetcher._pending
     exp.sim.run_until(exp.sim.now + 2 * exp.config.protocol.fetch_timeout)
     assert asked == [] and mb_id not in mempool.store
     # A member in the same position does fetch.
     member = pusher.pab.peers[0]
     stratus_of(exp, member)._discard([mb_id])
-    deliver(exp, 0, member, pusher.pab._proof_kind, (mb_id, cert))
+    deliver(exp, 0, member, MessageKinds.PROOF, (mb_id, cert))
     assert mb_id in stratus_of(exp, member).fetcher._pending
 
 
@@ -494,7 +494,7 @@ def test_a_proof_for_a_held_body_registers_nothing(kind):
     pab = pab_of(exp, witness)
     assert mb_id in stratus_of(exp, witness).store
     deadlines = len(pab._fetcher._rounds._heap)
-    deliver(exp, 0, witness, pab._proof_kind, (mb_id, pab.proof_for(mb_id)))
+    deliver(exp, 0, witness, MessageKinds.PROOF, (mb_id, pab.proof_for(mb_id)))
     assert mb_id not in pab._fetcher._pending
     assert len(pab._fetcher._rounds._heap) == deadlines
 
@@ -510,5 +510,5 @@ def test_without_a_proof_in_circulation_every_body_is_acked(fault):
     exp.sim.run_until(0.3)
     pab = pab_of(exp, 6)
     sent = exp.network.stats.messages_sent
-    assert sent[pab._body_kind] >= pab._quorum - 1
-    assert sent[pab._ack_kind] == sent[pab._body_kind]
+    assert sent[MessageKinds.MICROBLOCK] >= pab._quorum - 1
+    assert sent[MessageKinds.ACK] == sent[MessageKinds.MICROBLOCK]

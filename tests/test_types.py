@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.crypto import AvailabilityProof
 from repro.live.wire import (
     decode_frame,
     decode_frame_binary,
@@ -12,6 +11,7 @@ from repro.live.wire import (
     encode_frame_binary,
 )
 from repro.mempool.base import MessageKinds
+from repro.sharding import ShardCertificate
 from repro.sim.interfaces import Channel
 from repro.types import (
     MicroBlock,
@@ -34,6 +34,12 @@ def make_mb(origin=0, counter=0, tx_count=10, payload=128, created=1.0):
         tx_payload=payload,
         created_at=created,
         sum_arrival=created * tx_count,
+    )
+
+
+def make_cert(mb_id, signers=(0, 1, 2)):
+    return ShardCertificate(
+        mb_id=mb_id, tx_count=10, mean_arrival=1.0, signers=signers,
     )
 
 
@@ -100,9 +106,10 @@ class TestPayload:
         assert not payload.is_empty
 
     def test_proven_payload_size_includes_proofs(self):
-        proof = AvailabilityProof(mb_id=1, signers=(0, 1, 2))
-        payload = Payload(entries=(PayloadEntry(mb_id=1, proof=proof),))
-        expected = sizes.MICROBLOCK_ID + proof.size_bytes
+        cert = make_cert(mb_id=1)
+        payload = Payload(entries=(PayloadEntry(mb_id=1, cert=cert),))
+        expected = sizes.MICROBLOCK_ID + sizes.certificate_bytes(3, 1)
+        assert cert.size_bytes == sizes.certificate_bytes(3, 1)
         assert payload.size_bytes == expected
 
     def test_embedded_payload_size(self):
@@ -120,9 +127,8 @@ class TestPayload:
         """Derived values are computed once, and stay out of the fields
         both codecs encode: a read payload round-trips to an equal one."""
         mb = make_mb(tx_count=10)
-        proof = AvailabilityProof(mb_id=mb.id, signers=(0, 1, 2))
         if shape == "entries":
-            payload = Payload(entries=(PayloadEntry(mb.id, proof=proof),))
+            payload = Payload(entries=(PayloadEntry(mb.id, make_cert(mb.id)),))
         else:
             payload = Payload(embedded=(mb,))
         first = payload.microblock_ids
@@ -195,10 +201,12 @@ class TestSizes:
             sizes.microblock_bytes(-1)
 
     def test_proof_bytes_scale_with_quorum(self):
-        small = sizes.availability_proof_bytes(2)
-        large = sizes.availability_proof_bytes(20)
-        assert large - small == 18 * sizes.SIGNATURE
+        """One shard concatenates signatures; more shards aggregate them
+        and pay a 2-byte index per signer."""
+        one = sizes.certificate_bytes
+        assert one(20, 1) - one(2, 1) == 18 * sizes.SIGNATURE
+        assert one(20, 4) - one(2, 4) == 18 * 2
 
     def test_proof_bytes_invalid(self):
         with pytest.raises(ValueError):
-            sizes.availability_proof_bytes(0)
+            sizes.certificate_bytes(0, 1)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.certificates import QuorumCert
-from repro.crypto.proofs import AvailabilityProof
 from repro.crypto.signatures import Signature
 from repro.live.wire import (
     CLIENT_BATCH,
@@ -49,7 +48,6 @@ signatures = st.builds(Signature, signer=nodes, digest=ids,
                        forged=st.booleans())
 qcs = st.builds(QuorumCert, block_id=ids, view=st.integers(0, 1000),
                 signers=signer_sets)
-proofs = st.builds(AvailabilityProof, mb_id=ids, signers=signer_sets)
 microblocks = st.builds(
     MicroBlock,
     id=ids, origin=nodes,
@@ -65,12 +63,11 @@ batches = st.builds(
 )
 shard_certs = st.builds(
     ShardCertificate,
-    mb_id=ids, shard=st.integers(0, 15), origin=nodes,
+    mb_id=ids,
     tx_count=st.integers(min_value=1, max_value=10_000),
     mean_arrival=times, signers=signer_sets, forged=st.booleans(),
 )
 entries = st.builds(PayloadEntry, mb_id=ids,
-                    proof=st.one_of(st.none(), proofs),
                     cert=st.one_of(st.none(), shard_certs))
 payloads = st.builds(
     Payload,
@@ -103,7 +100,7 @@ PAYLOADS_BY_KIND = {
     MessageKinds.MICROBLOCK_FETCH: microblocks,
     MessageKinds.MICROBLOCK_FORWARD: microblocks,
     MessageKinds.ACK: signatures,
-    MessageKinds.PROOF: st.tuples(ids, proofs),
+    MessageKinds.PROOF: st.tuples(ids, shard_certs),
     MessageKinds.FETCH_REQUEST: ids,
     MessageKinds.RB_ECHO: ids,
     MessageKinds.RB_READY: ids,
@@ -121,9 +118,6 @@ PAYLOADS_BY_KIND = {
     CLIENT_BATCH: batches,
     MessageKinds.STATE_SNAPSHOT_REQ: st.integers(0, 10_000),
     MessageKinds.STATE_SNAPSHOT: snapshots,
-    MessageKinds.SHARD_MICROBLOCK: microblocks,
-    MessageKinds.SHARD_ACK: signatures,
-    MessageKinds.SHARD_CERT: st.tuples(ids, shard_certs),
 }
 
 any_message = st.sampled_from(sorted(MESSAGE_REGISTRY)).flatmap(
