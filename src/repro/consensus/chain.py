@@ -224,12 +224,16 @@ class ChainedEngine(ConsensusEngine):
             chain.append(cursor)
             cursor = self.proposals.get(cursor.parent_id)
         unresolved = self._unresolved
+        host, on_commit = self.host, self.mempool.on_commit
         for proposal in reversed(chain):
             self.committed.add(proposal.block_id)
             if proposal.height > self.committed_height:
                 self.committed_height = proposal.height
             unresolved.pop(proposal.block_id, None)
-            self.handle_commit(proposal)
+            # handle_commit, spelled out: every replica commits every block.
+            if host.observer is not None:
+                host.observer.on_local_commit(host, proposal)
+            on_commit(proposal, host.sim.now)
         height = self.committed_height
         for proposal in unresolved.values():
             if proposal.height <= height:

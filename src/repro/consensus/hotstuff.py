@@ -28,7 +28,7 @@ from repro.crypto import (
     vote_signature,
 )
 from repro.mempool.base import MessageKinds
-from repro.sim.interfaces import Envelope, Handler
+from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
 from repro.types.proposal import Proposal
 
@@ -178,9 +178,13 @@ class HotStuff(ChainedEngine):
     def _handle_proposal(self, proposal: Proposal) -> None:
         if proposal.block_id in self.proposals:
             return
-        if not verify_quorum_cert(
-            proposal.justify, self.config.consensus_quorum, self.config.n
-        ):
+        # verify_quorum_cert's memo, read here: a QC is shared by every
+        # receiver, so after the first check this skips the call.
+        justify, config = proposal.justify, self.config
+        if (
+            justify._verified_quorum != config.consensus_quorum
+            or justify._verified_n != config.n
+        ) and not verify_quorum_cert(justify, config.consensus_quorum, config.n):
             return
         if proposal.parent_id not in self.proposals:
             self._park_orphan(proposal)
@@ -213,9 +217,23 @@ class HotStuff(ChainedEngine):
             return
         if proposal.justify.view < self.locked_view:
             return  # safety rule: never contradict the lock
-        self.voted_view = proposal.view
-        leaders = self.host.leader_set
-        next_leader = leaders[(proposal.view + 1) % len(leaders)]
+        self.voted_view = view = proposal.view
+        host = self.host
+        leaders = host.leader_set
+        next_leader = leaders[(view + 1) % len(leaders)]
+        if self.mempool.votes_at_once:
+            # ``prepare`` would call back at once: sign (vote_signature,
+            # spelled out) and send without the closure and its frames.
+            block_id = proposal.block_id
+            signature = Signature(self.node_id, (block_id << 24) ^ view)
+            if next_leader == self.node_id:
+                self._handle_vote(block_id, view, signature)
+            else:
+                host.network.send(
+                    self.node_id, next_leader, MessageKinds.VOTE, sizes.VOTE,
+                    (block_id, view, signature), Channel.CONSENSUS,
+                )
+            return
 
         def cast_vote() -> None:
             signature = vote_signature(

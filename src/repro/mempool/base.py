@@ -142,6 +142,11 @@ class Mempool(Routed, abc.ABC):
         """Gate voting: call ``on_ready`` once the proposal may enter
         the commit phase at this replica."""
 
+    #: ``prepare`` calls ``on_ready`` at once: the payload carries its own
+    #: evidence (certificates, or the data itself), so an engine may vote
+    #: without handing it a callback.
+    votes_at_once = False
+
     @abc.abstractmethod
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
         """``FillProposal``: assemble the full block, fetching missing

@@ -114,6 +114,8 @@ class NarwhalMempool(IdMempool):
 
     # -- follower side -----------------------------------------------------
 
+    votes_at_once = True
+
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Certified ids are provably available: vote without the bodies."""
         on_ready()

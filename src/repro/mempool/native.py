@@ -100,6 +100,8 @@ class NativeMempool(Mempool):
         self.host.notify_microblock(microblock)
         return Payload(embedded=(microblock,))
 
+    votes_at_once = True
+
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         # The data rode inside the proposal; nothing to wait for.
         on_ready()

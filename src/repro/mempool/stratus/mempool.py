@@ -163,6 +163,8 @@ class StratusMempool(IdMempool):
             if mb_id not in proofs and entry.cert is not None:
                 proofs[mb_id] = entry.cert
 
+    votes_at_once = True
+
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Valid proofs guarantee availability: enter the commit phase now.
 

@@ -861,8 +861,25 @@ class Network(Transport):
             return
         if src not in self._handlers or dst not in self._handlers:
             raise ValueError(f"send between unregistered nodes {src}->{dst}")
-        flow = _Flow(kind, size_bytes, payload, channel, (dst,), self.sim.now)
-        self._uplinks[src].enqueue(flow, (
+        now = self.sim.now
+        flow = _Flow(kind, size_bytes, payload, channel, (dst,), now)
+        uplink = self._uplinks[src]
+        if self._fair is None and not uplink.draining and now >= uplink.busy_until:
+            # An idle serial wire (not draining means its FIFOs are empty):
+            # ``enqueue`` -> ``_start_next`` for a one-copy segment, inline.
+            topology = self.topology
+            bandwidth = topology._plain_bandwidth
+            if bandwidth is None:
+                bandwidth = topology.bandwidth(src, now=now)
+            uplink.busy_until = _dispatch(
+                self, flow, src, flow.recipients, size_bytes * 8.0 / bandwidth
+            )
+            stats = self.stats
+            key = (src, kind)
+            stats.bytes_sent[key] = stats.bytes_sent.get(key, 0.0) + size_bytes
+            stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + 1
+            return
+        uplink.enqueue(flow, (
             _DATA if channel is _DATA_MEMBER or not self.priority_channels
             else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
         ))

@@ -6,6 +6,7 @@ from repro.crypto import (
     make_quorum_cert,
     vote_signature,
 )
+from repro.mempool.base import MessageKinds
 from repro.types.proposal import Payload, Proposal, make_block_id
 
 from tests.helpers import make_cluster
@@ -26,6 +27,26 @@ def make_proposal(block_id, view, height, parent_id, justify, proposer=0):
         block_id=block_id, view=view, height=height, proposer=proposer,
         parent_id=parent_id, justify=justify, payload=Payload(),
     )
+
+
+def record_votes(engine):
+    """Block ids ``engine`` votes for, sent or handed to itself: Stratus
+    votes without going through ``prepare``."""
+    voted = []
+    network, handle_vote = engine.host.network, engine._handle_vote
+
+    def send(src, dst, kind, size, payload, *rest):
+        if kind == MessageKinds.VOTE:
+            voted.append(payload[0])
+        network.__class__.send(network, src, dst, kind, size, payload, *rest)
+
+    def own_vote(block_id, view, signature):
+        voted.append(block_id)
+        handle_vote(block_id, view, signature)
+
+    network.send = send
+    engine._handle_vote = own_vote
+    return voted
 
 
 def frozen_cluster():
@@ -81,27 +102,29 @@ def test_lock_blocks_vote_on_stale_justify():
     engine = engine_of(exp, 3)
     engine.locked_view = 5
     engine.cur_view = 6
-    votes = []
-    engine.mempool.prepare = lambda p, cb: votes.append(p)
+    votes = record_votes(engine)
     stale = make_proposal(
         make_block_id(0, 9), 6, 2,
         0, make_qc(0, 0) if False else GENESIS_QC,
     )
     engine._handle_proposal(stale)
     assert votes == []  # justify.view (0) < locked_view (5): no vote
+    fresh = make_proposal(make_block_id(0, 10), 6, 1, 0, make_qc(0, 5))
+    engine.locked_view = 5
+    engine._handle_proposal(fresh)
+    assert votes == [fresh.block_id]  # the lock alone held the vote back
 
 
 def test_votes_only_once_per_view():
     exp = frozen_cluster()
     engine = engine_of(exp, 3)
     engine.cur_view = 1
-    prepared = []
-    engine.mempool.prepare = lambda p, cb: prepared.append(p)
+    voted = record_votes(engine)
     first = make_proposal(make_block_id(1, 5), 1, 1, 0, GENESIS_QC)
     double = make_proposal(make_block_id(2, 5), 1, 1, 0, GENESIS_QC)
     engine._handle_proposal(first)
     engine._handle_proposal(double)  # equivocating leader
-    assert prepared == [first]
+    assert voted == [first.block_id]
 
 
 def test_invalid_justify_rejected():

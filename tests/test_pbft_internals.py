@@ -49,7 +49,7 @@ def test_commit_quorum_commits_once():
     engine = exp.replicas[3].consensus
     proposal = make_pre_prepare(0)
     commits = []
-    engine.handle_commit = commits.append
+    engine.mempool.on_commit = lambda proposal, now: commits.append(proposal)
     engine._handle_proposal(proposal)
     prepare_and_commit(engine, proposal.block_id)
     assert proposal.block_id in engine.committed
@@ -77,7 +77,7 @@ def test_later_commit_quorum_commits_stored_ancestors_in_order():
     engine = exp.replicas[3].consensus
     slots = [make_pre_prepare(seq) for seq in (0, 1)]
     commits = []
-    engine.handle_commit = commits.append
+    engine.mempool.on_commit = lambda proposal, now: commits.append(proposal)
     for proposal in slots:
         engine._handle_proposal(proposal)
     prepare_and_commit(engine, slots[1].block_id)
