@@ -19,7 +19,7 @@ class QuorumCert:
 
     @property
     def size_bytes(self) -> int:
-        return sizes.QC
+        return sizes.certificate_bytes(max(1, len(self.signers)))
 
     # Memoized verification parameters (plain class attributes, not
     # dataclass fields — they stay out of eq/repr/hash). A QC object is

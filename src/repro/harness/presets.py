@@ -13,7 +13,6 @@ from pathlib import Path
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.faults import FaultSchedule, Window
 from repro.sim.topology import GBPS, MBPS
-from repro.types import sizes
 
 PROTOCOL_PRESETS: dict[str, tuple[str, str]] = {
     "N-HS": ("native", "hotstuff"),
@@ -96,16 +95,10 @@ def tuned_protocol(
             # size), Streamlet's epochs are wall-clock: the leader's
             # (n-1)-fold proposal broadcast must fit well inside one
             # epoch, so cap the entry count by a quarter-epoch byte
-            # budget. One-shard Stratus entries carry (f+1)-signature
-            # certificates; every other entry is budgeted at 64 bytes.
-            entry_bytes = 64
-            if mempool == "stratus" and shards == 1:
-                entry_bytes = sizes.MICROBLOCK_ID + sizes.certificate_bytes(
-                    (n - 1) // 3 + 1, shards
-                )
+            # budget, at 64 bytes an entry.
             budget_bytes = 0.25 * epoch * bandwidth / 8.0
             settings["proposal_max_microblocks"] = max(
-                16, int(budget_bytes / ((n - 1) * entry_bytes))
+                16, int(budget_bytes / ((n - 1) * 64))
             )
     if mempool == "native":
         block_bytes = settings["native_block_bytes"]

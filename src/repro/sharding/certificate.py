@@ -37,23 +37,14 @@ class ShardCertificate:
     signers: tuple[int, ...]
     forged: bool = False
 
-    # Plain class attributes below, not dataclass fields: neither crosses
-    # the wire.
-
-    #: The minting run's shard count, which picks the signature scheme
-    #: the certificate is charged for (:func:`sizes.certificate_bytes`).
-    #: A scope over several shards stamps it at mint; the simulator
-    #: shares the minted object, and the live runtime charges real frame
-    #: lengths instead.
-    shards = 1
-
-    #: Memoized verification key: one certificate object is shared by
-    #: every receiver of the broadcast or proposal carrying it, so the
-    #: O(quorum) structural check runs once per certificate instead of
-    #: once per receiver. Only successful checks are cached; the
-    #: ``mb_id`` binding is re-checked on every call.
+    #: Memoized verification key (a plain class attribute, not a
+    #: dataclass field: it does not cross the wire). One certificate
+    #: object is shared by every receiver of the broadcast or proposal
+    #: carrying it, so the O(quorum) structural check runs once per
+    #: certificate instead of once per receiver. Only successful checks
+    #: are cached; the ``mb_id`` binding is re-checked on every call.
     _verified_key = None
 
     @property
     def size_bytes(self) -> int:
-        return sizes.certificate_bytes(max(1, len(self.signers)), self.shards)
+        return sizes.certificate_bytes(max(1, len(self.signers)))

@@ -80,15 +80,12 @@ class ShardScope:
                 f"{microblock.id} in shard {self.shard}, "
                 f"got {len(valid_signers)}"
             )
-        cert = ShardCertificate(
+        return ShardCertificate(
             mb_id=microblock.id,
             tx_count=microblock.tx_count,
             mean_arrival=microblock.mean_arrival,
             signers=tuple(sorted(valid_signers)),
         )
-        if shard_map.shards > 1:
-            object.__setattr__(cert, "shards", shard_map.shards)
-        return cert
 
     def verify(self, cert: ShardCertificate, mb_id: MicroBlockId) -> bool:
         """Certificate-validity vote (``threshold-verify`` in Algorithms

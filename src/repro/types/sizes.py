@@ -2,9 +2,9 @@
 
 The values follow the paper's setting: 128-byte transaction payloads,
 ~100-byte consensus messages (votes, acks), 32-byte ids/hashes, and
-64-byte ECDSA signatures (the prototype concatenates f+1 ECDSA signatures
-instead of using threshold signatures; :func:`certificate_bytes` says when
-a run is charged for which).
+64-byte signatures. Every certificate — a PAB availability certificate
+or a consensus QC — is charged as one aggregate signature
+(:func:`certificate_bytes`), the ``threshold-sign`` of Algorithms 1-3.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ LB_QUERY = 48
 LB_INFO = 56
 """DLB load-status reply (status + id)."""
 
-QC = 3 * HASH + 8
-"""Aggregated quorum certificate carried inside proposals."""
-
 
 def microblock_bytes(tx_count: int, tx_payload: int = TX_PAYLOAD_DEFAULT) -> int:
     """Total wire size of a microblock carrying ``tx_count`` transactions."""
@@ -56,25 +53,16 @@ def microblock_bytes(tx_count: int, tx_payload: int = TX_PAYLOAD_DEFAULT) -> int
     return MICROBLOCK_HEADER + tx_count * tx_payload
 
 
-def certificate_bytes(signers: int, shards: int) -> int:
-    """Wire size of a PAB availability certificate over ``signers`` acks.
+def certificate_bytes(signers: int) -> int:
+    """Wire size of a certificate aggregating ``signers`` signatures.
 
-    The signature scheme follows the run's shard count. One shard pays
-    the prototype's ``signers`` concatenated ECDSA signatures plus the
-    id (Section VI). More shards pay a BLS-style aggregate: a 64-byte
-    header (the id and four 8-byte fields, as sharded runs have always
-    been charged), one constant signature and a 2-byte member index per
-    signer.
-
-    One scheme for every shard count is blocked by two measurements
-    (Python 3.11, seed 0). The aggregate everywhere cut ``shs-lan-128``
-    p50 from 612 to 395 ms but raised its ``py_calls_per_op`` from 7.90
-    to 8.99 (+13.7 %: 283 blocks of 3.2 microblocks instead of 155 of
-    5.8). Concatenation everywhere fails ``run_sharding.py``'s ``bytes``
-    check at n=128.
+    A BLS-style aggregate: a 64-byte header (the id and four 8-byte
+    fields), one constant signature, and a 2-byte member index per
+    signer. The paper's prototype concatenated ``signers`` ECDSA
+    signatures instead (Section VI), which puts ``64 * signers`` bytes
+    per entry into every proposal: at n=128 that is the leader
+    bottleneck the shared mempool removes.
     """
     if signers <= 0:
         raise ValueError(f"signers must be positive, got {signers}")
-    if shards == 1:
-        return signers * SIGNATURE + MICROBLOCK_ID
     return MICROBLOCK_ID + 4 * 8 + SIGNATURE + 2 * signers

@@ -97,6 +97,12 @@ def _preset(name: str, link_model: str):
 
 
 #: cell -> (runner, delivery-trace hash recorded on 8db03bb; eight on PR 23)
+#:
+#: The ten protocol cells were re-recorded when every certificate became
+#: one aggregate signature (``sizes.certificate_bytes``): proposals and
+#: proof broadcasts change size, so every copy after the first proposal
+#: leaves its uplink at another instant. The three netbench cells carry
+#: no certificate and did not move.
 TRACES = {
     # 7 copies of 1 KB every 10 ms per node: no uplink ever queues.
     "netbench8-idle": (
@@ -128,41 +134,41 @@ TRACES = {
     # start order. ``shs7-flaky-data-fair`` did not move.
     "shs7-flaky-data-serial": (
         _preset("flaky-data", "serial"),
-        "af09e926e9fa5d220eb75a796375f70bc5b37ad832cc1fdd4ffd2379385eb603",
+        "a66f8f6fe8c7e7cb3ca81cb2b02eace8dbe9e43d3d38c1fab3f299f41590827e",
     ),
     "shs7-flaky-data-fair": (
         _preset("flaky-data", "fair-share"),
-        "6adcada1d63f58412318916b204af574811daedf0ee2c6af9064fe832e06e75f",
+        "ab5e24474c1e2833c55bc5bea08fa7377844b59db3c24a57970def572b4bafbc",
     ),
     "shs7-crash-partition-serial": (
         _preset("crash-partition", "serial"),
-        "460ad8d9750b90a9983e6f8e3b565f648b77143166b9ec555827c9945509f416",
+        "4d37342729b24d1e390ef6a2500df2b866c4a807286de4321e0517f28d13a19b",
     ),
     "shs7-crash-partition-fair": (
         _preset("crash-partition", "fair-share"),
-        "56f7c10628035a2385b95de3753e768cfa649e69d0b403b4853b9e9a73791880",
+        "eb253a8a61fc7d5c8f5e2868699e9cd5494c9eb77772199f29c9e2bd936ef093",
     ),
     "shs7-crash-restart-serial": (
         _preset("crash-restart", "serial"),
-        "1262e055fa760e37b53b13eacd11539c44dcfc9e092c4fe86cd9854f8cf4c300",
+        "b4c45a2af2c49b4f7e4471abc7b3dd0e3081c3375a476960fc9028989c458fc4",
     ),
     "shs7-crash-restart-fair": (
         _preset("crash-restart", "fair-share"),
-        "91b6b604b858db94f83befc300fad1d2dceec1edfafcf02d2a0b32177e86ee2a",
+        "862649d27041bd2a047e325679dafcd031e85e8e55257a48b7e0e80432508755",
     ),
     "shs7-leader-squeeze-serial": (
         _preset("leader-squeeze", "serial"),
-        "2513459fa22891094e8c4381f4907254205a1b6cc421ce152a5c21038cafeacd",
+        "66279bda9c31b6e1c1406bd52b2bc74be2c15f2b66b0220167d8e5065c81db3a",
     ),
     "shs7-leader-squeeze-fair": (
         _preset("leader-squeeze", "fair-share"),
-        "1e3d1c106f6bba30e630ef206f04b8b0e916b2911b60cb27c2ee9dc2e8e83946",
+        "0f1dbd111ddc1f670a4e0e0ed1d496f47d92f1f46365b18e5d9c9f10540c6598",
     ),
     "shs7-delay-spike-serial": (
         _shs("serial", FaultSchedule([
             Window("delay", 1.0, 2.0, base=0.06, jitter=0.03),
         ]), duration=3.0),
-        "50e57b291c68ecf738c21078f865bae3a5b28ae53f778e9f6bafa9ede7dab78e",
+        "2e4dcc0a12e1c9679bde03d9bbda9d1ecbee5004ae24e5c402865d4ca355763a",
     ),
     # Streamlet/Narwhal n=5, a delay window (24.5 ms, jitter 33 ms), a
     # crash and a restart. Recorded on PR 20, not on 8db03bb (see above),
@@ -175,7 +181,7 @@ TRACES = {
         lambda: build_experiment(
             ScenarioFuzzer(7).scenario(6).experiment_config()
         ).run(),
-        "de03146b7eeba1911309d607d50f8e16cd20d8ee437932752f91b60ff11aa07d",
+        "634fba4e63c21ec1b50261ed5c664e6e544392505d89822220c59e769dacb494",
     ),
 }
 

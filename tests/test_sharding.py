@@ -237,20 +237,18 @@ def test_a_certificate_verified_under_q_is_rechecked_under_q_plus_one():
 
 
 def test_certificate_wire_size_is_aggregate_not_concatenated():
+    """One scheme at every shard count: one aggregate signature plus
+    2-byte member indices, so widening the quorum by 20 signers costs 40
+    bytes, not 20 signatures."""
     mb = make_mb(origin=1)
     acks = [sign(node, mb.id) for node in range(4)]
     flat = one_shard_scope(quorum=4).make(mb, acks)
-    assert flat.size_bytes == sizes.certificate_bytes(4, 1) == 4 * 64 + 32
+    assert flat.size_bytes == sizes.certificate_bytes(4) == 128 + 2 * 4
     shard_map = make_map(16, 4)
     _, sharded = _valid_cert(shard_map)
-    assert sharded.size_bytes == sizes.certificate_bytes(
-        len(sharded.signers), 4
-    )
-    # Over several shards: one aggregate signature plus 2-byte member
-    # indices: widening the quorum by 20 signers costs 40 bytes, not 20
-    # signatures.
-    wide = sizes.certificate_bytes(22, 4)
-    assert wide - sizes.certificate_bytes(2, 4) == 40
+    assert sharded.size_bytes == sizes.certificate_bytes(len(sharded.signers))
+    wide = sizes.certificate_bytes(22)
+    assert wide - sizes.certificate_bytes(2) == 40
 
 
 # -- one shard is unsharded Stratus -----------------------------------------

@@ -23,7 +23,7 @@ from repro.types import (
 )
 from repro.types.microblock import microblock_origin
 from repro.types.proposal import Block, Proposal, make_block_id
-from repro.crypto.certificates import GENESIS_QC
+from repro.crypto.certificates import GENESIS_QC, QuorumCert
 
 
 def make_mb(origin=0, counter=0, tx_count=10, payload=128, created=1.0):
@@ -108,8 +108,8 @@ class TestPayload:
     def test_proven_payload_size_includes_proofs(self):
         cert = make_cert(mb_id=1)
         payload = Payload(entries=(PayloadEntry(mb_id=1, cert=cert),))
-        expected = sizes.MICROBLOCK_ID + sizes.certificate_bytes(3, 1)
-        assert cert.size_bytes == sizes.certificate_bytes(3, 1)
+        expected = sizes.MICROBLOCK_ID + sizes.certificate_bytes(3)
+        assert cert.size_bytes == sizes.certificate_bytes(3)
         assert payload.size_bytes == expected
 
     def test_embedded_payload_size(self):
@@ -172,8 +172,14 @@ class TestProposalAndBlock:
     def test_proposal_size_has_header_and_qc(self):
         proposal = self.make_proposal()
         assert proposal.size_bytes == (
-            sizes.PROPOSAL_HEADER + sizes.QC
+            sizes.PROPOSAL_HEADER + proposal.justify.size_bytes
         )
+
+    def test_qc_is_charged_as_an_aggregate_certificate(self):
+        """A consensus QC and a PAB certificate are one signature scheme."""
+        qc = QuorumCert(block_id=7, view=3, signers=tuple(range(85)))
+        assert qc.size_bytes == sizes.certificate_bytes(len(qc.signers))
+        assert qc.size_bytes == 32 + 32 + 64 + 2 * 85
 
     def test_block_fullness(self):
         mb = make_mb()
@@ -201,12 +207,11 @@ class TestSizes:
             sizes.microblock_bytes(-1)
 
     def test_proof_bytes_scale_with_quorum(self):
-        """One shard concatenates signatures; more shards aggregate them
-        and pay a 2-byte index per signer."""
-        one = sizes.certificate_bytes
-        assert one(20, 1) - one(2, 1) == 18 * sizes.SIGNATURE
-        assert one(20, 4) - one(2, 4) == 18 * 2
+        """One aggregate signature, plus a 2-byte index per signer."""
+        charge = sizes.certificate_bytes
+        assert charge(1) == 32 + 32 + 64 + 2
+        assert charge(20) - charge(2) == 18 * 2
 
     def test_proof_bytes_invalid(self):
         with pytest.raises(ValueError):
-            sizes.certificate_bytes(0, 1)
+            sizes.certificate_bytes(0)
