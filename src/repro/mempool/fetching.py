@@ -36,6 +36,12 @@ FETCH_JITTER = 0.1
 FETCH_MAX_ROUNDS = 25
 #: Most signers asked in one round.
 FETCH_MAX_TARGETS = 4
+#: Most fetches running rounds at once per replica; later ones wait, in
+#: order, for one to end. A replica back from a crash misses hundreds of
+#: bodies, and asking for all of them at once queues that many replies
+#: on its peers' uplinks ahead of their new pushes: every peer's blocks
+#: shrink (on ``shs-wan-skew-crash-16``, from ~32 microblocks to 2-21).
+FETCH_WINDOW = 64
 
 
 def backoff_delay(config: ProtocolConfig, rounds: int, rng) -> float:
@@ -135,6 +141,12 @@ class FetchManager:
         self._grace_at: float | None = None
         #: Retries: jittered, so a heap, and one timer too.
         self._rounds = DeadlineQueue(host.sim, self._round, self._live)
+        #: ``_PendingFetch``es past their first round and still in
+        #: ``_pending`` (at most ``FETCH_WINDOW``), and those due but
+        #: waiting for one of them to end.
+        self._running = 0
+        self._waiting: deque[_PendingFetch] = deque()
+        self._promoting = False
 
     @property
     def outstanding(self) -> int:
@@ -168,8 +180,7 @@ class FetchManager:
                 self._grace_at = deadline
                 self._host.sim.schedule_at(deadline, self._serve_grace)
         else:
-            pending = self._pending[mb_id] = _PendingFetch(mb_id, targets)
-            self._round(pending)
+            self._start(_PendingFetch(mb_id, targets))
 
     def handle_request(self, requester: int, mb_id: MicroBlockId) -> None:
         """Serve a peer's fetch request if we hold the microblock."""
@@ -185,7 +196,9 @@ class FetchManager:
 
     def cancel(self, mb_id: MicroBlockId) -> None:
         """Stop fetching ``mb_id`` (e.g. its block was GC'd or abandoned)."""
-        self._pending.pop(mb_id, None)
+        fetch = self._pending.pop(mb_id, None)
+        if fetch.__class__ is _PendingFetch and fetch.rounds:
+            self._end()
 
     # -- internal ----------------------------------------------------------
 
@@ -203,24 +216,57 @@ class FetchManager:
                 elif deadline > horizon:
                     break
                 else:
-                    pending[mb_id] = fetch = _PendingFetch(mb_id, targets)
                     grace.popleft()
-                    self._round(fetch)
+                    self._start(_PendingFetch(mb_id, targets))
                     continue
             grace.popleft()
         self._grace_at = grace[0][0] if grace else None
         if grace:
             self._host.sim.schedule_at(self._grace_at, self._serve_grace)
 
+    def _start(self, fetch: _PendingFetch) -> None:
+        """Run ``fetch``'s first round now, or once the window has room."""
+        self._pending[fetch.mb_id] = fetch
+        if self._running < FETCH_WINDOW:
+            self._running += 1
+            self._round(fetch)
+        else:
+            self._waiting.append(fetch)
+
+    def _end(self) -> None:
+        """A running fetch left ``_pending``. Waiting ones start in an
+        event of their own: this runs inside the retry queue's wake
+        (``_live``), where a first round must not push onto its heap."""
+        self._running -= 1
+        if self._waiting and not self._promoting:
+            self._promoting = True
+            self._host.sim.schedule(0.0, self._promote)
+
+    def _promote(self) -> None:
+        """Start waiting fetches, oldest first, while the window has
+        room; one cancelled or landed meanwhile is skipped."""
+        self._promoting = False
+        waiting, pending, held = self._waiting, self._pending, self._held
+        while waiting and self._running < FETCH_WINDOW:
+            fetch = waiting.popleft()
+            if pending.get(fetch.mb_id) is not fetch:
+                continue
+            if fetch.mb_id in held:
+                del pending[fetch.mb_id]
+                continue
+            self._running += 1
+            self._round(fetch)
+
     def _live(self, pending: _PendingFetch) -> bool:
         """``pending`` is its id's incarnation (a cancelled and
         re-requested id is a new one) and its body has not landed; a
-        landed one is forgotten here."""
+        landed one is forgotten here, and its window slot freed."""
         mb_id = pending.mb_id
         if self._pending.get(mb_id) is not pending:
             return False
         if mb_id in self._held:
             del self._pending[mb_id]
+            self._end()
             return False
         return True
 
@@ -252,8 +298,9 @@ class FetchManager:
         )
 
     def _abandon(self, pending: _PendingFetch) -> None:
-        self._pending.pop(pending.mb_id, None)
+        del self._pending[pending.mb_id]
         self._host.metrics.record_fetch_abandoned()
+        self._end()
 
 
 def sampled_signers(
