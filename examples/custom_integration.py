@@ -132,7 +132,7 @@ class TwoPhaseToy(ConsensusEngine):
         proposal = envelope.payload
         if proposal.block_id not in self._committed:
             self._committed.add(proposal.block_id)
-            self.handle_commit(proposal)
+            self.mempool.on_commit(proposal, self.host.sim.now)
 
     def _on_proposal(self, proposal):
         if not self.mempool.verify_payload(proposal.payload):
@@ -148,7 +148,7 @@ class TwoPhaseToy(ConsensusEngine):
                 and proposal.block_id not in self._committed):
             self._committed.add(proposal.block_id)
             self.broadcast("ce.commit-notice", sizes.VOTE, proposal)
-            self.handle_commit(proposal)
+            self.mempool.on_commit(proposal, self.host.sim.now)
 
 
 def build(n, mempool_cls, consensus_cls):

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
 from repro.sim.interfaces import Channel, Handler, Routed
-from repro.types.proposal import Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mempool.base import Mempool
@@ -100,15 +99,3 @@ class ConsensusEngine(Routed, abc.ABC):
         self.host.network.broadcast(
             self.node_id, kind, size_bytes, payload, Channel.CONSENSUS
         )
-
-    def handle_commit(self, proposal: Proposal) -> None:
-        """Common commit path: notify mempool (metrics + GC + execution).
-
-        The observer tap fires at the *consensus* commit, before the
-        mempool resolves missing bodies — the moment the safety and
-        availability oracles reason about.
-        """
-        host = self.host
-        if host.observer is not None:
-            host.observer.on_local_commit(host, proposal)
-        self.mempool.on_commit(proposal, host.sim.now)

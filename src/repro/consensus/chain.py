@@ -202,9 +202,6 @@ class ChainedEngine(ConsensusEngine):
             ),
         )
 
-    def _on_proposal(self, envelope: Envelope) -> None:
-        self._handle_proposal(envelope.payload)
-
     def _serve_sync(self, envelope: Envelope) -> None:
         proposal = self.proposals.get(envelope.payload)
         if proposal is None or self.host.behavior.silent:
@@ -224,16 +221,13 @@ class ChainedEngine(ConsensusEngine):
             chain.append(cursor)
             cursor = self.proposals.get(cursor.parent_id)
         unresolved = self._unresolved
-        host, on_commit = self.host, self.mempool.on_commit
+        sim, on_commit = self.host.sim, self.mempool.on_commit
         for proposal in reversed(chain):
             self.committed.add(proposal.block_id)
             if proposal.height > self.committed_height:
                 self.committed_height = proposal.height
             unresolved.pop(proposal.block_id, None)
-            # handle_commit, spelled out: every replica commits every block.
-            if host.observer is not None:
-                host.observer.on_local_commit(host, proposal)
-            on_commit(proposal, host.sim.now)
+            on_commit(proposal, sim.now)
         height = self.committed_height
         for proposal in unresolved.values():
             if proposal.height <= height:

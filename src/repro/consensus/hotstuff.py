@@ -25,15 +25,13 @@ from repro.crypto import (
     Signature,
     make_quorum_cert,
     verify_quorum_cert,
-    vote_signature,
 )
-from repro.mempool.base import MessageKinds
+from repro.mempool.base import MessageKinds, Mempool
 from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
 from repro.types.proposal import Proposal
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mempool.base import Mempool
     from repro.replica.node import Replica
 
 
@@ -69,6 +67,10 @@ class HotStuff(ChainedEngine):
         #: When the current view times out: entering a view only moves
         #: this, and a ``_timer`` that fires before it re-arms itself here.
         self._deadline = 0.0
+        #: The mempool's ``prepare`` is the default, which calls back at
+        #: once: vote without handing it a callback.
+        self._votes_at_once = type(mempool).prepare is Mempool.prepare
+        self._qc_key = (config.consensus_quorum, config.n)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -165,7 +167,7 @@ class HotStuff(ChainedEngine):
 
     def routes(self) -> dict[str, Handler]:
         return {
-            MessageKinds.PROPOSAL: self._on_proposal,
+            MessageKinds.PROPOSAL: lambda env: self._handle_proposal(env.payload),
             MessageKinds.VOTE: lambda env: self._handle_vote(*env.payload),
             MessageKinds.NEW_VIEW: self._on_new_view,
             MessageKinds.SYNC_REQUEST: self._serve_sync,
@@ -178,13 +180,9 @@ class HotStuff(ChainedEngine):
     def _handle_proposal(self, proposal: Proposal) -> None:
         if proposal.block_id in self.proposals:
             return
-        # verify_quorum_cert's memo, read here: a QC is shared by every
-        # receiver, so after the first check this skips the call.
-        justify, config = proposal.justify, self.config
-        if (
-            justify._verified_quorum != config.consensus_quorum
-            or justify._verified_n != config.n
-        ) and not verify_quorum_cert(justify, config.consensus_quorum, config.n):
+        # verify_quorum_cert's memo, read here: one QC serves every receiver.
+        justify, key = proposal.justify, self._qc_key
+        if justify._verified_key != key and not verify_quorum_cert(justify, *key):
             return
         if proposal.parent_id not in self.proposals:
             self._park_orphan(proposal)
@@ -217,37 +215,26 @@ class HotStuff(ChainedEngine):
             return
         if proposal.justify.view < self.locked_view:
             return  # safety rule: never contradict the lock
-        self.voted_view = view = proposal.view
-        host = self.host
-        leaders = host.leader_set
+        self.voted_view = proposal.view
+        if self._votes_at_once:
+            self._cast_vote(proposal)
+        else:
+            self.mempool.prepare(proposal, lambda: self._cast_vote(proposal))
+
+    def _cast_vote(self, proposal: Proposal) -> None:
+        """Sign (``vote_signature``, spelled out) and hand the vote to the
+        next leader."""
+        block_id, view = proposal.block_id, proposal.view
+        leaders = self.host.leader_set
         next_leader = leaders[(view + 1) % len(leaders)]
-        if self.mempool.votes_at_once:
-            # ``prepare`` would call back at once: sign (vote_signature,
-            # spelled out) and send without the closure and its frames.
-            block_id = proposal.block_id
-            signature = Signature(self.node_id, (block_id << 24) ^ view)
-            if next_leader == self.node_id:
-                self._handle_vote(block_id, view, signature)
-            else:
-                host.network.send(
-                    self.node_id, next_leader, MessageKinds.VOTE, sizes.VOTE,
-                    (block_id, view, signature), Channel.CONSENSUS,
-                )
-            return
-
-        def cast_vote() -> None:
-            signature = vote_signature(
-                self.node_id, proposal.block_id, proposal.view
+        signature = Signature(self.node_id, (block_id << 24) ^ view)
+        if next_leader == self.node_id:
+            self._handle_vote(block_id, view, signature)
+        else:
+            self.host.network.send(
+                self.node_id, next_leader, MessageKinds.VOTE, sizes.VOTE,
+                (block_id, view, signature), Channel.CONSENSUS,
             )
-            message = (proposal.block_id, proposal.view, signature)
-            if next_leader == self.node_id:
-                self._handle_vote(proposal.block_id, proposal.view, signature)
-            else:
-                self.send(
-                    next_leader, MessageKinds.VOTE, sizes.VOTE, message
-                )
-
-        self.mempool.prepare(proposal, cast_vote)
 
     def _release_dependents(self, proposal: Proposal) -> None:
         """Process work that was blocked on this proposal's arrival."""

@@ -122,7 +122,7 @@ class Pbft(ChainedEngine):
         # Both vote rounds carry ``(block_id, voter)``.
         prepare, commit = self._on_prepare, self._on_commit_vote
         return {
-            MessageKinds.PROPOSAL: self._on_proposal,
+            MessageKinds.PROPOSAL: lambda env: self._handle_proposal(env.payload),
             MessageKinds.PBFT_PREPARE: lambda env: prepare(*env.payload),
             MessageKinds.PBFT_COMMIT: lambda env: commit(*env.payload),
             MessageKinds.SYNC_REQUEST: self._serve_sync,

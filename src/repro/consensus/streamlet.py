@@ -103,7 +103,7 @@ class Streamlet(ChainedEngine):
 
     def routes(self) -> dict[str, Handler]:
         return {
-            MessageKinds.PROPOSAL: self._on_proposal,
+            MessageKinds.PROPOSAL: lambda env: self._handle_proposal(env.payload),
             MessageKinds.VOTE: lambda env: self._handle_vote(*env.payload),
             MessageKinds.SYNC_REQUEST: self._serve_sync,
         }

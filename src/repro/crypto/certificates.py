@@ -21,14 +21,12 @@ class QuorumCert:
     def size_bytes(self) -> int:
         return sizes.certificate_bytes(max(1, len(self.signers)))
 
-    # Memoized verification parameters (plain class attributes, not
-    # dataclass fields — they stay out of eq/repr/hash). A QC object is
-    # shared by every receiver of the proposal carrying it, so after the
-    # first full check ``verify_quorum_cert`` is two int compares. Only
-    # *successful* checks are cached: forged or malformed certs take the
-    # full path every time.
-    _verified_quorum = -1
-    _verified_n = -1
+    # Memoized ``(quorum, n)`` of the last successful check (a plain class
+    # attribute, not a dataclass field — it stays out of eq/repr/hash). A
+    # QC object is shared by every receiver of the proposal carrying it,
+    # so after the first full check ``verify_quorum_cert`` is one tuple
+    # compare. Forged or malformed certs take the full path every time.
+    _verified_key = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QC(block={self.block_id}, view={self.view}, |S|={len(self.signers)})"
@@ -57,11 +55,10 @@ def make_quorum_cert(
 
 def verify_quorum_cert(qc: QuorumCert, quorum: int, n: int) -> bool:
     """Structural QC verification; the genesis QC is always valid."""
-    if qc._verified_quorum == quorum and qc._verified_n == n:
+    if qc._verified_key == (quorum, n):
         return True
     if qc == GENESIS_QC:
-        object.__setattr__(qc, "_verified_quorum", quorum)
-        object.__setattr__(qc, "_verified_n", n)
+        object.__setattr__(qc, "_verified_key", (quorum, n))
         return True
     if qc.forged:
         return False
@@ -72,8 +69,7 @@ def verify_quorum_cert(qc: QuorumCert, quorum: int, n: int) -> bool:
         return False
     if len(signers) < quorum:
         return False
-    object.__setattr__(qc, "_verified_quorum", quorum)
-    object.__setattr__(qc, "_verified_n", n)
+    object.__setattr__(qc, "_verified_key", (quorum, n))
     return True
 
 

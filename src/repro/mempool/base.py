@@ -137,15 +137,12 @@ class Mempool(Routed, abc.ABC):
         without voting), so its ids are marked as referenced here and
         nowhere else."""
 
-    @abc.abstractmethod
     def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
         """Gate voting: call ``on_ready`` once the proposal may enter
-        the commit phase at this replica."""
-
-    #: ``prepare`` calls ``on_ready`` at once: the payload carries its own
-    #: evidence (certificates, or the data itself), so an engine may vote
-    #: without handing it a callback.
-    votes_at_once = False
+        the commit phase at this replica. By default at once, for a
+        payload that carries its own evidence (certificates, or the data
+        itself); an engine may then vote without a callback."""
+        on_ready()
 
     @abc.abstractmethod
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
@@ -158,17 +155,22 @@ class Mempool(Routed, abc.ABC):
     certificate_only = False
 
     def on_commit(self, proposal: Proposal, commit_time: float) -> None:
-        """Commit hook: report metrics once the block is full, then GC.
+        """Commit hook, for every block the engine commits: tell the
+        observer tap, report metrics once the block is full, then GC.
 
-        The metrics hub keeps a block's first (earliest) report, so only
-        a replica that finds the block unrecorded builds one. Committed
-        ids are marked *before* resolution: resolution can lag behind the
-        commit (missing bodies still being fetched), and a fork abandoned
-        in the same commit sweep must not re-queue ids the canonical
-        chain just committed.
+        The tap fires at the *consensus* commit, before missing bodies
+        are resolved — the moment the safety and availability oracles
+        reason about. The metrics hub keeps a block's first (earliest)
+        report, so only a replica that finds the block unrecorded builds
+        one. Committed ids are marked *before* resolution: resolution can
+        lag behind the commit (missing bodies still being fetched), and a
+        fork abandoned in the same commit sweep must not re-queue ids the
+        canonical chain just committed.
         """
-        self.mark_committed(proposal)
         host = self.host
+        if host.observer is not None:
+            host.observer.on_local_commit(host, proposal)
+        self.mark_committed(proposal)
         if (
             self.certificate_only
             and proposal.block_id not in host.metrics.recorded

@@ -37,10 +37,9 @@ FETCH_MAX_ROUNDS = 25
 #: Most signers asked in one round.
 FETCH_MAX_TARGETS = 4
 #: Most fetches running rounds at once per replica; later ones wait, in
-#: order, for one to end. A replica back from a crash misses hundreds of
-#: bodies, and asking for all of them at once queues that many replies
-#: on its peers' uplinks ahead of their new pushes: every peer's blocks
-#: shrink (on ``shs-wan-skew-crash-16``, from ~32 microblocks to 2-21).
+#: order. A replica back from a crash misses hundreds of bodies, and their
+#: replies, all at once, crowd the pushes off its peers' uplinks: every
+#: peer's blocks shrink (``shs-wan-skew-crash-16``: ~32 microblocks to 2-21).
 FETCH_WINDOW = 64
 
 
@@ -141,9 +140,8 @@ class FetchManager:
         self._grace_at: float | None = None
         #: Retries: jittered, so a heap, and one timer too.
         self._rounds = DeadlineQueue(host.sim, self._round, self._live)
-        #: ``_PendingFetch``es past their first round and still in
-        #: ``_pending`` (at most ``FETCH_WINDOW``), and those due but
-        #: waiting for one of them to end.
+        #: ``_PendingFetch``es in ``_pending`` past their first round (at
+        #: most ``FETCH_WINDOW``), and those due but waiting for a slot.
         self._running = 0
         self._waiting: deque[_PendingFetch] = deque()
         self._promoting = False
@@ -180,7 +178,9 @@ class FetchManager:
                 self._grace_at = deadline
                 self._host.sim.schedule_at(deadline, self._serve_grace)
         else:
-            self._start(_PendingFetch(mb_id, targets))
+            fetch = self._pending[mb_id] = _PendingFetch(mb_id, targets)
+            self._waiting.append(fetch)
+            self._promote()
 
     def handle_request(self, requester: int, mb_id: MicroBlockId) -> None:
         """Serve a peer's fetch request if we hold the microblock."""
@@ -216,35 +216,29 @@ class FetchManager:
                 elif deadline > horizon:
                     break
                 else:
+                    pending[mb_id] = fetch = _PendingFetch(mb_id, targets)
                     grace.popleft()
-                    self._start(_PendingFetch(mb_id, targets))
+                    self._waiting.append(fetch)
                     continue
             grace.popleft()
+        if self._waiting:
+            self._promote()
         self._grace_at = grace[0][0] if grace else None
         if grace:
             self._host.sim.schedule_at(self._grace_at, self._serve_grace)
 
-    def _start(self, fetch: _PendingFetch) -> None:
-        """Run ``fetch``'s first round now, or once the window has room."""
-        self._pending[fetch.mb_id] = fetch
-        if self._running < FETCH_WINDOW:
-            self._running += 1
-            self._round(fetch)
-        else:
-            self._waiting.append(fetch)
-
     def _end(self) -> None:
-        """A running fetch left ``_pending``. Waiting ones start in an
-        event of their own: this runs inside the retry queue's wake
-        (``_live``), where a first round must not push onto its heap."""
+        """A running fetch left ``_pending``. Waiting ones start in an event
+        of their own: a first round must not push onto the heap whose wake
+        runs ``_live``."""
         self._running -= 1
         if self._waiting and not self._promoting:
             self._promoting = True
             self._host.sim.schedule(0.0, self._promote)
 
     def _promote(self) -> None:
-        """Start waiting fetches, oldest first, while the window has
-        room; one cancelled or landed meanwhile is skipped."""
+        """Run first rounds, oldest first, while the window has room; a
+        fetch cancelled or landed while it waited is skipped."""
         self._promoting = False
         waiting, pending, held = self._waiting, self._pending, self._held
         while waiting and self._running < FETCH_WINDOW:

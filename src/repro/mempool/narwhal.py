@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import MessageKinds, OnReady
+from repro.mempool.base import MessageKinds
 from repro.mempool.id_mempool import IdMempool
 from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
@@ -113,12 +113,6 @@ class NarwhalMempool(IdMempool):
         self.fetcher.request(mb_id, provider)
 
     # -- follower side -----------------------------------------------------
-
-    votes_at_once = True
-
-    def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
-        """Certified ids are provably available: vote without the bodies."""
-        on_ready()
 
     def _fetch_missing(self, entry: PayloadEntry, proposal: Proposal) -> None:
         self._fetch_from_readies(entry.mb_id)

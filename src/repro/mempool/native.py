@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import Mempool, OnFull, OnReady
+from repro.mempool.base import Mempool, OnFull
 from repro.types import TxBatch
 from repro.types.microblock import MicroBlock, make_microblock_id
 from repro.types.proposal import Block, Payload, Proposal
@@ -99,12 +99,6 @@ class NativeMempool(Mempool):
         self._counter += 1
         self.host.notify_microblock(microblock)
         return Payload(embedded=(microblock,))
-
-    votes_at_once = True
-
-    def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
-        # The data rode inside the proposal; nothing to wait for.
-        on_ready()
 
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
         block = Block(proposal=proposal)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.mempool.base import OnReady
 from repro.mempool.id_mempool import IdMempool
 from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.estimator import StableTimeEstimator
@@ -162,17 +161,6 @@ class StratusMempool(IdMempool):
             refs[mb_id] = refs[mb_id] + 1 if mb_id in refs else 1
             if mb_id not in proofs and entry.cert is not None:
                 proofs[mb_id] = entry.cert
-
-    votes_at_once = True
-
-    def prepare(self, proposal: Proposal, on_ready: OnReady) -> None:
-        """Valid proofs guarantee availability: enter the commit phase now.
-
-        Missing bodies are fetched from proof signers in the background
-        (FillProposal runs on a thread independent of consensus in the
-        prototype; here, on the data channel via ``resolve``).
-        """
-        on_ready()
 
     def _resolvable(self, entries) -> list[PayloadEntry]:
         """Entries this replica materializes bodies for.

@@ -148,11 +148,13 @@ class _Flow:
 
 
 def _dispatch(
-    network: "Network", flow: _Flow, src: int, dsts, duration: float
+    network: "Network", src: int, dsts, duration: float,
+    kind: str, size: float, payload: object, channel: Channel,
+    enqueued_at: float,
 ) -> float:
-    """The one delivery path of both link models: copies of ``flow`` whose
-    last bytes leave ``src`` back to back, ``duration`` apart from now (a
-    serial segment; a completed fair-share transfer is one copy at
+    """The one delivery path of both link models: copies of one message
+    whose last bytes leave ``src`` back to back, ``duration`` apart from
+    now (a serial segment; a completed fair-share transfer is one copy at
     ``duration`` 0). Returns when the last byte left.
 
     Each copy goes straight into its receiver's arrival queue and arms
@@ -176,11 +178,6 @@ def _dispatch(
     ingresses = network._ingress
     heap = sim._queue
     seq = sim._seq
-    kind = flow.kind
-    size = flow.size_bytes
-    payload = flow.payload
-    channel = flow.channel
-    enqueued_at = flow.enqueued_at
     for dst in dsts:
         end += duration
         envelope = _env_new(Envelope)
@@ -311,7 +308,8 @@ class _Uplink:
             budget = int(self.SEGMENT_MAX_SECONDS / duration)
             copies = min(remaining, self.SEGMENT_MAX_COPIES, max(1, budget))
         end = _dispatch(
-            network, head, node, recipients[index:index + copies], duration
+            network, node, recipients[index:index + copies], duration,
+            head.kind, size, head.payload, head.channel, head.enqueued_at,
         )
         head.next_index = index + copies
         if copies == remaining:
@@ -694,7 +692,10 @@ class _FairShareLinks:
                 del self.down_active[dst][transfer]
                 if flow.channel is _DATA_MEMBER or not network.priority_channels:
                     self.data_in_flight[src] -= 1
-                _dispatch(network, flow, src, (dst,), 0.0)
+                _dispatch(
+                    network, src, (dst,), 0.0, flow.kind, flow.size_bytes,
+                    flow.payload, flow.channel, flow.enqueued_at,
+                )
                 self._dirty_down[dst] = None
                 self._admit(src, now, True)
             self._release()
@@ -862,23 +863,22 @@ class Network(Transport):
         if src not in self._handlers or dst not in self._handlers:
             raise ValueError(f"send between unregistered nodes {src}->{dst}")
         now = self.sim.now
-        flow = _Flow(kind, size_bytes, payload, channel, (dst,), now)
         uplink = self._uplinks[src]
         if self._fair is None and not uplink.draining and now >= uplink.busy_until:
-            # An idle serial wire (not draining means its FIFOs are empty):
-            # ``enqueue`` -> ``_start_next`` for a one-copy segment, inline.
+            # An idle serial wire (not draining: its FIFOs are empty) starts
+            # this one-copy segment, as ``enqueue`` -> ``_start_next`` would.
             topology = self.topology
-            bandwidth = topology._plain_bandwidth
-            if bandwidth is None:
-                bandwidth = topology.bandwidth(src, now=now)
+            bandwidth = topology._plain_bandwidth or topology.bandwidth(src, now=now)
             uplink.busy_until = _dispatch(
-                self, flow, src, flow.recipients, size_bytes * 8.0 / bandwidth
+                self, src, (dst,), size_bytes * 8.0 / bandwidth,
+                kind, size_bytes, payload, channel, now,
             )
             stats = self.stats
             key = (src, kind)
             stats.bytes_sent[key] = stats.bytes_sent.get(key, 0.0) + size_bytes
             stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + 1
             return
+        flow = _Flow(kind, size_bytes, payload, channel, (dst,), now)
         uplink.enqueue(flow, (
             _DATA if channel is _DATA_MEMBER or not self.priority_channels
             else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL

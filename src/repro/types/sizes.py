@@ -54,15 +54,12 @@ def microblock_bytes(tx_count: int, tx_payload: int = TX_PAYLOAD_DEFAULT) -> int
 
 
 def certificate_bytes(signers: int) -> int:
-    """Wire size of a certificate aggregating ``signers`` signatures.
-
-    A BLS-style aggregate: a 64-byte header (the id and four 8-byte
-    fields), one constant signature, and a 2-byte member index per
-    signer. The paper's prototype concatenated ``signers`` ECDSA
-    signatures instead (Section VI), which puts ``64 * signers`` bytes
-    per entry into every proposal: at n=128 that is the leader
-    bottleneck the shared mempool removes.
-    """
+    """Wire size of a BLS-style aggregate of ``signers`` signatures: a
+    64-byte header (the id and four 8-byte fields), one signature and a
+    2-byte member index per signer. The prototype's concatenated ECDSA
+    signatures (Section VI) put ``64 * signers`` bytes per entry into
+    every proposal: at n=128, the leader bottleneck the shared mempool
+    removes."""
     if signers <= 0:
         raise ValueError(f"signers must be positive, got {signers}")
     return MICROBLOCK_ID + 4 * 8 + SIGNATURE + 2 * signers
