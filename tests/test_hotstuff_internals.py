@@ -33,18 +33,19 @@ def record_votes(engine):
     """Block ids ``engine`` votes for, sent or handed to itself: Stratus
     votes without going through ``prepare``."""
     voted = []
-    network, handle_vote = engine.host.network, engine._handle_vote
+    network = engine.host.network
+    send, handle_vote = network.send, engine._handle_vote
 
-    def send(src, dst, kind, size, payload, *rest):
+    def spy_send(src, dst, kind, size, payload, *rest):
         if kind == MessageKinds.VOTE:
             voted.append(payload[0])
-        network.__class__.send(network, src, dst, kind, size, payload, *rest)
+        send(src, dst, kind, size, payload, *rest)
 
     def own_vote(block_id, view, signature):
         voted.append(block_id)
         handle_vote(block_id, view, signature)
 
-    network.send = send
+    network.send = spy_send
     engine._handle_vote = own_vote
     return voted
 
@@ -110,7 +111,6 @@ def test_lock_blocks_vote_on_stale_justify():
     engine._handle_proposal(stale)
     assert votes == []  # justify.view (0) < locked_view (5): no vote
     fresh = make_proposal(make_block_id(0, 10), 6, 1, 0, make_qc(0, 5))
-    engine.locked_view = 5
     engine._handle_proposal(fresh)
     assert votes == [fresh.block_id]  # the lock alone held the vote back
 
