@@ -143,6 +143,8 @@ def _shs_preset(name: str, duration: float = 5.0):
 #: preset crash-restart f3ae8826; crash-partition 94962771 / 3,148;
 #: fig7-disturbance 55b0a4ae / 5,156; flaky-data 3657196d / 5,456;
 #: leader-squeeze a1445c8c. Where no count is given it did not move.
+#: shs16-wan's missing 10,014 tx are the three blocks the parent still
+#: committed at 3.25-3.5 s, inside the crash window, before the stall.
 #: Three crash cells moved again when at most ``FETCH_WINDOW`` fetches
 #: run at once (the restarted replica's catch-up queues the rest), with
 #: the same tx: sshs8x2 179bc46e, preset crash-restart e3b5fd02 and
