@@ -2,6 +2,7 @@
 
 from repro.analysis.model import (
     lbft_max_throughput,
+    pab_ack_row_bytes,
     pbft_max_throughput,
     pbft_batched_max_throughput,
     smp_max_throughput,
@@ -11,6 +12,7 @@ from repro.analysis.model import (
 
 __all__ = [
     "lbft_max_throughput",
+    "pab_ack_row_bytes",
     "pbft_max_throughput",
     "pbft_batched_max_throughput",
     "smp_max_throughput",

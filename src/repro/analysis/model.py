@@ -12,6 +12,8 @@ chosen precisely so that the formulas are exact in the saturated limit.
 
 from __future__ import annotations
 
+from repro.types import sizes
+
 
 def _check(capacity_bps: float, tx_bits: float, n: int) -> None:
     if capacity_bps <= 0:
@@ -114,3 +116,20 @@ def smp_limit_throughput(capacity_bps: float, tx_bits: float, n: int) -> float:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     return capacity_bps * (n - 2) / (tx_bits * (2 * n - 3))
+
+
+def pab_ack_row_bytes(n: int, quorum: int, own: int, others: int) -> float:
+    """Bytes one Stratus replica sends as PAB acks and proofs (Table
+    III's ``acks`` row): one ``sizes.ACK`` for each of the ``others``
+    microblocks other origins cut, and a ``quorum``-signer proof to each
+    of its ``n - 1`` peers for each of the ``own`` microblocks it cut.
+
+    An upper bound without loss or retransmission: a replica that
+    already holds a body's proof does not ack the body.
+    """
+    if n < 2 or quorum < 1 or own < 0 or others < 0:
+        raise ValueError(
+            f"need n >= 2, quorum >= 1 and counts >= 0, got "
+            f"n={n}, quorum={quorum}, own={own}, others={others}"
+        )
+    return others * sizes.ACK + own * (n - 1) * sizes.certificate_bytes(quorum)

@@ -355,7 +355,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
 
 
 def run_fuzz(argv: Sequence[str]) -> int:
-    from repro.parallel import ParallelExecutor
     from repro.verification import (
         ScenarioFuzzer,
         shrink_scenario,
@@ -368,53 +367,50 @@ def run_fuzz(argv: Sequence[str]) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     fuzzer = ScenarioFuzzer(args.seed)
-    executor = ParallelExecutor(jobs=args.jobs)
-    failures = []
 
-    def report(outcome) -> None:
-        status = "ok" if outcome.ok else (
-            f"FAIL ({len(outcome.violations)} violations)"
+    def report(result) -> None:
+        status = (
+            f"FAIL ({len(result.violations)} violations)"
+            if result.violations else "ok"
         )
-        print(f"  {outcome.scenario.label:<44} "
-              f"tx={outcome.committed_tx:<8,} "
-              f"hash={outcome.commit_hash}  {status}")
-        for violation in outcome.violations:
+        print(f"  {result.label:<44} "
+              f"tx={result.committed_tx:<8,} "
+              f"hash={result.commit_hash}  {status}")
+        for violation in result.violations:
             print(f"    [{violation.oracle}/{violation.kind}] "
                   f"{violation.message}")
 
     print(f"fuzz: root seed {args.seed}, scenarios "
           f"{args.start}..{args.start + args.iterations - 1}")
-    outcomes = fuzzer.run(
+    results = fuzzer.run(
         args.iterations, start=args.start,
         stop_on_failure=args.stop_on_failure, on_outcome=report,
-        executor=executor,
+        jobs=args.jobs,
     )
-    for outcome in outcomes:
-        if outcome.ok:
-            continue
-        failures.append(outcome)
-        original = outcome.scenario
+    failures = [
+        (index, result)
+        for index, result in enumerate(results, start=args.start)
+        if result.violations
+    ]
+    for index, result in failures:
+        config = fuzzer.scenario(index)
         shrink_runs = None
         if args.shrink:
-            result = shrink_scenario(original, executor=executor)
-            outcome = result.outcome
-            shrink_runs = result.runs
-            print(f"  shrunk {original.label}: "
-                  f"{len(original.fault_spec)} -> "
-                  f"{len(outcome.scenario.fault_spec)} faults, "
-                  f"duration {original.duration} -> "
-                  f"{outcome.scenario.duration}s ({result.runs} runs)")
+            shrunk = shrink_scenario(config)
+            print(f"  shrunk {config.label}: "
+                  f"{shrunk.removed_faults} faults dropped, duration "
+                  f"{config.duration} -> {shrunk.minimized.duration}s "
+                  f"({shrunk.runs} runs)")
+            config, result = shrunk.minimized, shrunk.outcome
+            shrink_runs = shrunk.runs
         if out_dir is not None:
-            path = out_dir / (
-                f"fuzz-{args.seed}-{original.index:04d}.json"
-            )
+            path = out_dir / f"fuzz-{args.seed}-{index:04d}.json"
             write_artifact(
-                str(path), outcome,
-                original=original if args.shrink else None,
-                shrink_runs=shrink_runs,
+                str(path), config, result, root_seed=args.seed,
+                index=index, shrink_runs=shrink_runs,
             )
             print(f"  wrote {path}")
-    print(f"fuzz: {len(outcomes)} scenarios, {len(failures)} failing")
+    print(f"fuzz: {len(results)} scenarios, {len(failures)} failing")
     return 1 if failures else 0
 
 
@@ -522,15 +518,15 @@ def run_replay(argv: Sequence[str]) -> int:
     )
     parser.add_argument("artifact", help="path to a fuzz artifact JSON")
     args = parser.parse_args(argv)
-    outcome = replay_artifact(args.artifact)
-    print(f"replay: {outcome.scenario.label} "
-          f"tx={outcome.committed_tx:,} hash={outcome.commit_hash}")
-    for violation in outcome.violations:
+    result = replay_artifact(args.artifact)
+    print(f"replay: {result.label} "
+          f"tx={result.committed_tx:,} hash={result.commit_hash}")
+    for violation in result.violations:
         print(f"  [{violation.oracle}/{violation.kind}] {violation.message}")
-    if outcome.ok:
+    if not result.violations:
         print("replay: no violations reproduced")
         return 0
-    print(f"replay: {len(outcome.violations)} violations reproduced")
+    print(f"replay: {len(result.violations)} violations reproduced")
     return 1
 
 

@@ -253,7 +253,7 @@ def _merge(
         config,
         hub,
         emitted_tx=emitted_tx,
-        violations=verify_events(events, emitted_tx, config.protocol),
+        violations=verify_events(events, emitted_tx, config),
         label=(config.label or (
             f"live-{config.protocol.mempool}/{config.protocol.consensus}"
             f"-n{config.protocol.n}"

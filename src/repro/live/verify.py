@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+from repro.harness.config import ExperimentConfig
 from repro.live.wire import from_wire
 from repro.verification.oracles import LedgerOracle, SafetyOracle, Violation
 
@@ -37,12 +38,12 @@ class _LiveSuite:
     offending event.
     """
 
-    def __init__(self, emitted_tx: int, protocol=None) -> None:
+    def __init__(self, emitted_tx: int, config: ExperimentConfig) -> None:
         self.violations: list[Violation] = []
         self.now = 0.0
         self.experiment = SimpleNamespace(
             generator=SimpleNamespace(emitted_tx_count=emitted_tx),
-            config=SimpleNamespace(protocol=protocol),
+            config=config,
         )
 
     def record(self, violation: Violation) -> None:
@@ -50,17 +51,16 @@ class _LiveSuite:
 
 
 def verify_events(
-    events: list[dict], emitted_tx: int, protocol=None
+    events: list[dict], emitted_tx: int, config: ExperimentConfig
 ) -> list[Violation]:
     """Run the safety and SMP-integrity oracles over recorded events.
 
     ``events`` is the merged per-replica record list
     (``{"t", "node", "kind", "data"}`` with wire-encoded data); returns
-    every violation found, empty meaning the live run passed. Passing
-    the run's :class:`~repro.config.ProtocolConfig` arms the
-    shard-aware ledger checks for Stratus runs.
+    every violation found, empty meaning the live run passed. ``config``
+    is the run's own: a Stratus run gets the shard-aware ledger checks.
     """
-    suite = _LiveSuite(emitted_tx, protocol)
+    suite = _LiveSuite(emitted_tx, config)
     oracles = [SafetyOracle(), LedgerOracle()]
     for oracle in oracles:
         oracle.bind(suite)

@@ -85,35 +85,18 @@ class WeightedDigest:
         return self._ordered_values[index]
 
 
-def commit_sequence_hash(
-    commits: Iterable,
-    *,
-    include_microblocks: bool = True,
-    length: int = 0,
-) -> str:
+def commit_sequence_hash(commits: Iterable) -> str:
     """Digest of a run's committed sequence — the determinism fingerprint.
 
     Two runs of the same configuration must produce identical hashes;
     any divergence means nondeterminism leaked into the simulation. The
     parallel executor gates every fan-out path on this: a worker
     process's hash must equal the serial run's.
-
-    ``include_microblocks`` selects between the two historical formats
-    (run results hash the per-block microblock count too; the
-    fuzzer does not). ``length`` truncates the hex digest (0 = full).
     """
     digest = hashlib.sha256()
     for record in commits:
-        if include_microblocks:
-            piece = (
-                f"{record.block_id}:{record.commit_time:.9f}:"
-                f"{record.tx_count}:{record.microblock_count};"
-            )
-        else:
-            piece = (
-                f"{record.block_id}:{record.commit_time:.9f}:"
-                f"{record.tx_count};"
-            )
-        digest.update(piece.encode())
-    hexdigest = digest.hexdigest()
-    return hexdigest[:length] if length else hexdigest
+        digest.update(
+            f"{record.block_id}:{record.commit_time:.9f}:"
+            f"{record.tx_count}:{record.microblock_count};".encode()
+        )
+    return digest.hexdigest()

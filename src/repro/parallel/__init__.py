@@ -1,7 +1,7 @@
 """Parallel experiment execution: process-pool fan-out with determinism.
 
-Every figure sweep, seed-replicated point, fuzz iteration, and shrink
-candidate in this repo is an independent deterministic simulation; this
+Every figure sweep, seed-replicated point and fuzz iteration in this
+repo is an independent deterministic simulation; this
 package runs those sets across cores while keeping results bit-for-bit
 equal to a serial run. See DESIGN.md ("Parallel execution") for the
 spawn-vs-fork rationale and the ordering guarantee.
@@ -24,7 +24,6 @@ from repro.parallel.jobs import (
     JobSpec,
     execute_job,
     experiment_job,
-    scenario_job,
     worker_peak_rss_bytes,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "ParallelExecutor",
     "execute_job",
     "experiment_job",
-    "scenario_job",
     "sweep",
     "worker_peak_rss_bytes",
 ]

@@ -2,12 +2,12 @@
 
 A :class:`JobSpec` is the unit of work the :class:`~repro.parallel.
 executor.ParallelExecutor` ships to a worker process. It deliberately
-contains nothing but plain data — the existing JSON round-trips do the
-heavy lifting (:meth:`repro.harness.config.ExperimentConfig.to_dict` for
-harness jobs, :meth:`repro.verification.fuzzer.Scenario.to_dict` for
-fuzz jobs) — so a spec survives the ``spawn`` start method, where the
-child interpreter re-imports this module from scratch and receives the
-spec by pickling plain dicts, never live simulator objects.
+contains nothing but plain data — the config's own JSON round-trip
+(:meth:`repro.harness.config.ExperimentConfig.to_dict`) does the heavy
+lifting for harness runs and fuzz cases alike — so a spec survives the
+``spawn`` start method, where the child interpreter re-imports this
+module from scratch and receives the spec by pickling plain dicts, never
+live simulator objects.
 
 The worker's answer crosses the boundary the same way: an experiment
 job ships :meth:`repro.harness.result.RunResult.to_dict`, the plain-data
@@ -70,7 +70,8 @@ def experiment_job(
 
     With ``oracles=True`` the worker arms the standard invariant suite
     and the result's ``violations`` list carries whatever it found —
-    how the sharding bench keeps every measured point oracle-checked.
+    how the fuzzer runs its cases and the sharding bench keeps every
+    measured point oracle-checked.
     """
     options: dict = {}
     if timeline_bucket is not None:
@@ -82,34 +83,6 @@ def experiment_job(
         payload=config.to_dict(),
         options=options,
         label=config.label or f"seed{config.seed}",
-    )
-
-
-def scenario_job(
-    scenario,
-    liveness_bound: Optional[float] = None,
-    strict_availability: bool = False,
-    mutant: Optional[str] = None,
-) -> JobSpec:
-    """Spec for one oracle-armed fuzz scenario.
-
-    ``mutant`` names an entry of :data:`repro.verification.mutations.
-    MUTANTS`; the worker re-applies the broken classes, mirroring what
-    artifact replay does, because class objects themselves cannot cross
-    the spawn boundary.
-    """
-    options: dict = {}
-    if liveness_bound is not None:
-        options["liveness_bound"] = liveness_bound
-    if strict_availability:
-        options["strict_availability"] = True
-    if mutant is not None:
-        options["mutant"] = mutant
-    return JobSpec(
-        kind="scenario",
-        payload=scenario.to_dict(),
-        options=options,
-        label=scenario.label,
     )
 
 
@@ -127,30 +100,6 @@ def _run_experiment_job(payload: dict, options: dict) -> dict:
             0.0, config.end_time, bucket,
         )
     return {"result": result.to_dict()}
-
-
-def _run_scenario_job(payload: dict, options: dict) -> dict:
-    from repro.verification.fuzzer import Scenario, run_scenario
-
-    scenario = Scenario.from_dict(payload)
-    mempool_cls = consensus_cls = None
-    strict = bool(options.get("strict_availability", False))
-    mutant_name = options.get("mutant")
-    if mutant_name is not None:
-        from repro.verification.mutations import MUTANTS
-
-        mutant = MUTANTS[mutant_name]
-        mempool_cls = mutant.mempool_cls
-        consensus_cls = mutant.consensus_cls
-        strict = strict or mutant.strict_availability
-    outcome = run_scenario(
-        scenario,
-        liveness_bound=options.get("liveness_bound"),
-        strict_availability=strict,
-        mempool_cls=mempool_cls,
-        consensus_cls=consensus_cls,
-    )
-    return {"outcome": outcome.to_dict(), "ok": outcome.ok}
 
 
 def _run_selftest_job(payload: dict, options: dict) -> dict:
@@ -174,7 +123,6 @@ def _run_selftest_job(payload: dict, options: dict) -> dict:
 
 JOB_KINDS = {
     "experiment": _run_experiment_job,
-    "scenario": _run_scenario_job,
     "selftest": _run_selftest_job,
 }
 

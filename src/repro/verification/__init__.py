@@ -5,15 +5,12 @@ observer tap (``Replica.observer``: consensus commits, microblock
 creations, resolved blocks) and record :class:`Violation` objects
 instead of raising, so a single run can surface every broken invariant
 at once. The scenario
-fuzzer composes randomized experiments from one root seed, and the
-shrinker minimizes a failing scenario into a replayable artifact.
+fuzzer composes randomized experiment configs from one root seed, and
+the shrinker minimizes a failing one into a replayable artifact.
 """
 
 from repro.verification.fuzzer import (
-    FuzzOutcome,
-    Scenario,
     ScenarioFuzzer,
-    commit_sequence_hash,
     default_liveness_bound,
     random_fault_schedule,
     run_scenario,
@@ -44,10 +41,10 @@ from repro.verification.shrink import (
 )
 
 __all__ = [
-    "AvailabilityOracle", "ConservationOracle", "FuzzOutcome", "LedgerOracle",
+    "AvailabilityOracle", "ConservationOracle", "LedgerOracle",
     "LivenessOracle", "MUTANTS", "Mutant", "Oracle", "OracleSuite",
-    "SafetyOracle", "Scenario", "ScenarioFuzzer", "ShrinkResult", "Violation",
-    "commit_sequence_hash", "default_liveness_bound", "load_artifact",
-    "mutant_caught", "random_fault_schedule", "replay_artifact", "run_mutant",
+    "SafetyOracle", "ScenarioFuzzer", "ShrinkResult", "Violation",
+    "default_liveness_bound", "load_artifact", "mutant_caught",
+    "random_fault_schedule", "replay_artifact", "run_mutant",
     "run_scenario", "shrink_scenario", "standard_suite", "write_artifact",
 ]

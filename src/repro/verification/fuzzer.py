@@ -3,31 +3,26 @@
 One integer root seed determines everything: iteration ``i`` derives its
 own RNG stream (``scenario.{i}``) from an :class:`RngRegistry`, draws a
 protocol/mempool/topology/workload combination and a randomized
-self-healing :class:`FaultSchedule`, and runs the experiment with the
-invariant oracles armed. The per-run simulation seed is itself derived
-from the registry, so replaying a recorded scenario reproduces the run
-bit-for-bit — the FoundationDB-style property the shrinker depends on.
+self-healing :class:`FaultSchedule`, and returns them as one
+:class:`ExperimentConfig` — a fuzz case is a config like any other run,
+and its outcome the :class:`RunResult` the oracle-armed run returns. The
+per-run simulation seed is itself derived from the registry, so
+replaying a recorded case reproduces the run bit-for-bit — the
+FoundationDB-style property the shrinker depends on.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.config import (
-    CONSENSUS_KINDS,
-    ProtocolConfig,
-    decode_fields,
-    encode_fields,
-)
+from repro.config import CONSENSUS_KINDS, ProtocolConfig
 from repro.faults.schedule import FaultSchedule
 from repro.harness.config import ExperimentConfig
 from repro.harness.result import RunResult
 from repro.harness.runner import run_experiment
-from repro.metrics import commit_sequence_hash as metrics_commit_hash
 from repro.sim.rng import RngRegistry
-from repro.verification.oracles import Violation, standard_suite
+from repro.verification.oracles import standard_suite
 
 #: Protocol overrides shared by every fuzz scenario: small microblocks
 #: and fast timers so short simulated runs still exercise full commit
@@ -145,165 +140,44 @@ def random_fault_schedule(
     return spec
 
 
-@dataclass
-class Scenario:
-    """One fully determined fuzz case; JSON round-trips for artifacts.
-
-    The derived configuration objects (protocol, fault schedule, full
-    experiment config) are memoized per instance: the shrinker re-runs
-    the same candidate scenario's config accessors in a tight loop, and
-    rebuilding a :class:`FaultSchedule` from dicts each time was pure
-    waste. Mutating ``fault_spec`` in place after a config accessor has
-    been called is unsupported — use :meth:`replaced`, which returns a
-    fresh (cache-empty) instance.
-    """
-
-    seed: int
-    consensus: str
-    mempool: str
-    n: int
-    duration: float
-    topology: str = "lan"
-    rate_tps: float = 500.0
-    warmup: float = 0.5
-    fault_spec: list = field(default_factory=list)
-    index: int = 0
-    root_seed: Optional[int] = None
-    _protocol_cache: Optional[ProtocolConfig] = field(
-        default=None, init=False, repr=False, compare=False,
-    )
-    _schedule_cache: Optional[FaultSchedule] = field(
-        default=None, init=False, repr=False, compare=False,
-    )
-    _experiment_cache: Optional[ExperimentConfig] = field(
-        default=None, init=False, repr=False, compare=False,
-    )
-
-    @property
-    def label(self) -> str:
-        return (
-            f"fuzz[{self.index}]-{self.mempool}/{self.consensus}"
-            f"-n{self.n}-seed{self.seed}"
-        )
-
-    def fault_schedule(self) -> Optional[FaultSchedule]:
-        if not self.fault_spec:
-            return None
-        if self._schedule_cache is None:
-            self._schedule_cache = FaultSchedule.from_spec(self.fault_spec)
-        return self._schedule_cache
-
-    def protocol_config(self) -> ProtocolConfig:
-        if self._protocol_cache is None:
-            self._protocol_cache = ProtocolConfig(
-                n=self.n, consensus=self.consensus, mempool=self.mempool,
-                **QUICK_PROTOCOL,
-            )
-        return self._protocol_cache
-
-    def experiment_config(self) -> ExperimentConfig:
-        if self._experiment_cache is None:
-            self._experiment_cache = ExperimentConfig(
-                protocol=self.protocol_config(),
-                topology_kind=self.topology,
-                rate_tps=self.rate_tps,
-                duration=self.duration,
-                warmup=self.warmup,
-                seed=self.seed,
-                faults=self.fault_schedule(),
-                label=self.label,
-            )
-        return self._experiment_cache
-
-    def to_dict(self) -> dict:
-        return encode_fields(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return decode_fields(cls, data)
-
-    def replaced(self, **changes) -> "Scenario":
-        data = self.to_dict()
-        data.update(changes)
-        return Scenario.from_dict(data)
-
-
-@dataclass
-class FuzzOutcome:
-    """Result of one oracle-armed scenario run."""
-
-    scenario: Scenario
-    violations: list
-    committed_tx: int
-    commit_hash: str
-    events_processed: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return encode_fields(
-            self,
-            scenario=Scenario.to_dict,
-            violations=lambda vs: [v.to_dict() for v in vs],
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FuzzOutcome":
-        return decode_fields(
-            cls, data,
-            scenario=Scenario.from_dict,
-            violations=lambda vs: [Violation.from_dict(v) for v in vs],
-        )
-
-
-def commit_sequence_hash(result: RunResult) -> str:
-    """Digest of the committed sequence — the determinism fingerprint.
-
-    Two runs of the same scenario must produce identical hashes; any
-    divergence means nondeterminism leaked into the simulation.
-    """
-    return metrics_commit_hash(
-        result.metrics.commits, include_microblocks=False, length=16,
-    )
-
-
 def run_scenario(
-    scenario: Scenario,
+    config: ExperimentConfig,
     liveness_bound: Optional[float] = None,
     strict_availability: bool = False,
     mempool_cls: Optional[type] = None,
     consensus_cls: Optional[type] = None,
-) -> FuzzOutcome:
-    """Run one scenario with the oracles armed."""
+) -> RunResult:
+    """Run one fuzz case with the oracles armed.
+
+    The case fails exactly when ``violations`` is non-empty
+    (``RunResult.ok`` also asks for a commit, which a case need not
+    make).
+    """
     suite = standard_suite(
         liveness_bound=liveness_bound,
         strict_availability=strict_availability,
     )
-    result = run_experiment(
-        scenario.experiment_config(), suite,
-        mempool_cls=mempool_cls, consensus_cls=consensus_cls,
-    )
-    return FuzzOutcome(
-        scenario=scenario,
-        violations=list(result.violations),
-        committed_tx=result.committed_tx,
-        commit_hash=commit_sequence_hash(result),
-        events_processed=result.events_processed,
+    return run_experiment(
+        config, suite, mempool_cls=mempool_cls, consensus_cls=consensus_cls,
     )
 
 
 class ScenarioFuzzer:
-    """Derives and runs scenarios from one root seed."""
+    """Derives and runs fuzz cases from one root seed."""
 
     def __init__(self, root_seed: int) -> None:
         self.root_seed = root_seed
-        self._registry = RngRegistry(root_seed)
 
-    def scenario(self, index: int) -> Scenario:
-        """Derive scenario ``index`` (pure function of the root seed)."""
-        rng = self._registry.stream(f"scenario.{index}")
+    def scenario(self, index: int) -> ExperimentConfig:
+        """Derive case ``index`` (pure function of the root seed).
+
+        A fresh registry per call: a registry's stream continues where
+        its last draw stopped, and a case must come out the same however
+        often it is asked for (the CLI derives a failing case again to
+        shrink it).
+        """
+        registry = RngRegistry(self.root_seed)
+        rng = registry.stream(f"scenario.{index}")
         consensus = rng.choice(CONSENSUS_KINDS)
         mempool = rng.choice(FUZZ_MEMPOOL_KINDS)
         n = rng.choice(FUZZ_N_CHOICES)
@@ -319,17 +193,15 @@ class ScenarioFuzzer:
             rng, n=n, consensus=consensus,
             earliest=warmup * 0.8, deadline=deadline,
         )
-        return Scenario(
-            seed=self._registry.derive_seed(f"scenario.{index}.run"),
-            consensus=consensus,
-            mempool=mempool,
-            n=n,
-            duration=duration,
+        seed = registry.derive_seed(f"scenario.{index}.run")
+        return ExperimentConfig(
+            protocol=protocol,
             rate_tps=rate,
+            duration=duration,
             warmup=warmup,
-            fault_spec=fault_spec,
-            index=index,
-            root_seed=self.root_seed,
+            seed=seed,
+            faults=FaultSchedule.from_spec(fault_spec) if fault_spec else None,
+            label=f"fuzz[{index}]-{mempool}/{consensus}-n{n}-seed{seed}",
         )
 
     def run(
@@ -337,41 +209,38 @@ class ScenarioFuzzer:
         iterations: int,
         start: int = 0,
         stop_on_failure: bool = False,
-        on_outcome: Optional[Callable[[FuzzOutcome], None]] = None,
+        on_outcome: Optional[Callable[[RunResult], None]] = None,
         jobs: int = 1,
-        executor: Optional[object] = None,
-    ) -> list[FuzzOutcome]:
-        """Run ``iterations`` scenarios; optionally stop at first failure.
+    ) -> list[RunResult]:
+        """Run ``iterations`` cases; optionally stop at first failure.
 
-        Every width takes one path: ``jobs`` (or an explicit
-        :class:`repro.parallel.ParallelExecutor`) sets how many worker
-        processes the scenarios fan out across, ``1`` running each in
-        this process. Outcomes are reported in submission (index) order,
+        Every width takes one path: each case is an oracle-armed
+        :func:`~repro.parallel.experiment_job`, and ``jobs`` sets how
+        many worker processes they fan out across, ``1`` running each in
+        this process. Results are reported in submission (index) order,
         so the returned list is always the contiguous prefix
         ``start..k`` ending at the first failure under
-        ``stop_on_failure``. Each scenario's simulation is seeded from
-        the root seed alone, so the outcomes — including every
-        commit-sequence hash — are bit-for-bit the same at any width.
+        ``stop_on_failure``. Each case's simulation is seeded from the
+        root seed alone, so the results — including every commit hash —
+        are bit-for-bit the same at any width.
         """
-        from repro.parallel import ParallelExecutor, scenario_job
+        from repro.parallel import ParallelExecutor, experiment_job
 
-        if executor is None:
-            executor = ParallelExecutor(jobs=jobs)
         specs = [
-            scenario_job(self.scenario(index))
+            experiment_job(self.scenario(index), oracles=True)
             for index in range(start, start + iterations)
         ]
-        outcomes: list[FuzzOutcome] = []
-        for job in executor.imap(specs):
+        results: list[RunResult] = []
+        for job in ParallelExecutor(jobs=jobs).imap(specs):
             if job.error is not None:
                 raise RuntimeError(
                     f"fuzz worker failed on {specs[job.index].label}: "
                     f"{job.error}"
                 )
-            outcome = FuzzOutcome.from_dict(job.value["outcome"])
-            outcomes.append(outcome)
+            result = RunResult.from_dict(job.value["result"])
+            results.append(result)
             if on_outcome is not None:
-                on_outcome(outcome)
-            if stop_on_failure and not outcome.ok:
+                on_outcome(result)
+            if stop_on_failure and result.violations:
                 break  # imap cleanup cancels the still-running jobs
-        return outcomes
+        return results

@@ -3,24 +3,27 @@
 Deterministic simulation testing is only trustworthy if the oracles
 demonstrably *catch* the bug classes they claim to cover. Each mutant
 here seeds one classic BFT/SMP bug into an otherwise standard stack, and
-the registry pairs it with a canned scenario under which the expected
+the registry pairs it with a canned run under which the expected
 oracle must fire. ``tests/test_mutations.py`` asserts exactly that, so a
 refactor that silently blinds an oracle breaks the suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import ShardingConfig
+from repro.config import ProtocolConfig, ShardingConfig
 from repro.consensus.chain import GENESIS_ID
 from repro.consensus.hotstuff import HotStuff
+from repro.faults.schedule import FaultSchedule
+from repro.harness.config import ExperimentConfig
+from repro.harness.result import RunResult
 from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.mempool.stratus import StratusMempool
 from repro.types.microblock import make_microblock_id
 from repro.types.proposal import Payload, PayloadEntry, Proposal
-from repro.verification.fuzzer import FuzzOutcome, Scenario, run_scenario
+from repro.verification.fuzzer import QUICK_PROTOCOL, run_scenario
 
 #: Fabricated microblock counters start here so they can never collide
 #: with ids the real batcher hands out during a short run.
@@ -175,42 +178,45 @@ class ForgetReferenced(StratusMempool):
 
 @dataclass(frozen=True)
 class Mutant:
-    """One seeded bug plus the scenario under which it must be caught."""
+    """One seeded bug plus the run under which it must be caught."""
 
     name: str
     description: str
     expected_oracle: str
-    scenario: Scenario
+    config: ExperimentConfig
     mempool_cls: Optional[type] = None
     consensus_cls: Optional[type] = None
     strict_availability: bool = False
 
 
-def _scenario(protocol: Optional[dict] = None, **overrides) -> Scenario:
-    """``protocol`` sets knobs the fuzzer never draws, through the
-    scenario's memo of its protocol config (``replaced`` loses it)."""
-    base = {
-        "seed": 1,
-        "consensus": "hotstuff",
-        "mempool": "simple",
-        "n": 4,
-        "duration": 3.0,
-        "rate_tps": 400.0,
-        "fault_spec": [],
-    }
-    base.update(overrides)
-    scenario = Scenario(**base)
-    if protocol:
-        scenario._protocol_cache = replace(
-            scenario.protocol_config(), **protocol
-        )
-    return scenario
+def _config(
+    faults: Optional[list] = None,
+    seed: int = 1,
+    duration: float = 3.0,
+    rate_tps: float = 400.0,
+    **protocol,
+) -> ExperimentConfig:
+    """A mutant's run: a HotStuff/simple fuzz-style case at n=4 unless
+    ``protocol`` sets other :class:`ProtocolConfig` fields."""
+    fields = {"n": 4, "consensus": "hotstuff", "mempool": "simple"}
+    fields.update(QUICK_PROTOCOL, **protocol)
+    return ExperimentConfig(
+        protocol=ProtocolConfig(**fields),
+        rate_tps=rate_tps,
+        duration=duration,
+        warmup=0.5,
+        seed=seed,
+        faults=FaultSchedule.from_spec(faults) if faults else None,
+    )
 
 
-#: The Stratus mutants' cells: a suffix and its protocol overrides.
+#: The Stratus mutants' cells: a suffix and its protocol fields. The
+#: sharded cell runs at n=7, whose two shards have different members
+#: ((0, 2, 4, 6) and (0, 1, 3, 5)); at n=4 both shards hold every
+#: replica and the run is the unsharded one.
 STRATUS_CELLS: dict[str, dict] = {
     "stratus": {},
-    "shards2": {"sharding": ShardingConfig(shards=2)},
+    "shards2": {"n": 7, "sharding": ShardingConfig(shards=2)},
 }
 
 
@@ -226,7 +232,7 @@ MUTANTS: dict[str, Mutant] = {
             ),
             expected_oracle="safety",
             consensus_cls=EagerCommitHotStuff,
-            scenario=_scenario(
+            config=_config(
                 # Seed re-tuned when the network moved to per-sender
                 # jitter streams (the fork window is schedule-sensitive).
                 seed=15,
@@ -234,7 +240,7 @@ MUTANTS: dict[str, Mutant] = {
                 n=7,
                 duration=5.5,
                 rate_tps=300.0,
-                fault_spec=[
+                faults=[
                     {"kind": "partition", "start": 1.162, "end": 3.48,
                      "groups": [[3], [0, 1, 2, 4, 5, 6]]},
                 ],
@@ -249,10 +255,10 @@ MUTANTS: dict[str, Mutant] = {
             expected_oracle="availability",
             mempool_cls=UngatedSimpleMempool,
             strict_availability=True,
-            scenario=_scenario(
+            config=_config(
                 n=7,
                 duration=4.0,
-                fault_spec=[
+                faults=[
                     {"kind": "loss", "start": 0.6, "end": 2.1,
                      "rate": 0.8, "channel": "data"},
                 ],
@@ -270,18 +276,17 @@ MUTANTS: dict[str, Mutant] = {
                 ),
                 expected_oracle="availability",
                 mempool_cls=ShortQuorumScope,
-                scenario=_scenario(
+                config=_config(
                     mempool="stratus",
-                    n=7,
                     duration=4.0,
-                    fault_spec=[
+                    faults=[
                         {"kind": "loss", "start": 0.6, "end": 2.1,
                          "rate": 0.8, "channel": "data"},
                     ],
-                    protocol=sharding,
+                    **dict(fields, n=7),
                 ),
             )
-            for cell, sharding in STRATUS_CELLS.items()
+            for cell, fields in STRATUS_CELLS.items()
         ),
         *(
             Mutant(
@@ -293,9 +298,9 @@ MUTANTS: dict[str, Mutant] = {
                 ),
                 expected_oracle="smp-integrity",
                 mempool_cls=ForgetReferenced,
-                scenario=_scenario(mempool="stratus", protocol=sharding),
+                config=_config(mempool="stratus", **fields),
             )
-            for cell, sharding in STRATUS_CELLS.items()
+            for cell, fields in STRATUS_CELLS.items()
         ),
         *(
             Mutant(
@@ -310,54 +315,54 @@ MUTANTS: dict[str, Mutant] = {
                 # The pacing outlasts a view, so an empty first attempt
                 # retries in a later one; the load leaves a backlog, so
                 # what a retry drops is uncommitted when the run ends.
-                scenario=_scenario(
+                config=_config(
                     mempool="stratus", rate_tps=4000.0, duration=2.0,
-                    protocol={"empty_view_delay": 0.6, **sharding},
+                    empty_view_delay=0.6, **fields,
                 ),
             )
-            for cell, sharding in STRATUS_CELLS.items()
+            for cell, fields in STRATUS_CELLS.items()
         ),
         Mutant(
             name="replay-payload",
             description="leader re-proposes an already committed microblock",
             expected_oracle="smp-integrity",
             mempool_cls=ReplayingMempool,
-            scenario=_scenario(),
+            config=_config(),
         ),
         Mutant(
             name="fabricate-payload",
             description="leader proposes microblock ids no client produced",
             expected_oracle="smp-integrity",
             mempool_cls=FabricatingMempool,
-            scenario=_scenario(),
+            config=_config(),
         ),
         Mutant(
             name="mute-votes",
             description="prepare never signals readiness; nothing commits",
             expected_oracle="liveness",
             mempool_cls=SilentPrepareMempool,
-            scenario=_scenario(duration=2.5),
+            config=_config(duration=2.5),
         ),
     )
 }
 
 
 def run_mutant(
-    name: str, scenario: Optional[Scenario] = None
-) -> FuzzOutcome:
-    """Run a registered mutant under its (or a custom) scenario."""
+    name: str, config: Optional[ExperimentConfig] = None
+) -> RunResult:
+    """Run a registered mutant under its (or a custom) config."""
     mutant = MUTANTS[name]
     return run_scenario(
-        scenario if scenario is not None else mutant.scenario,
+        config if config is not None else mutant.config,
         strict_availability=mutant.strict_availability,
         mempool_cls=mutant.mempool_cls,
         consensus_cls=mutant.consensus_cls,
     )
 
 
-def mutant_caught(mutant: Mutant, outcome: FuzzOutcome) -> bool:
+def mutant_caught(mutant: Mutant, result: RunResult) -> bool:
     """Did the oracle the mutant targets actually fire?"""
     return any(
         violation.oracle == mutant.expected_oracle
-        for violation in outcome.violations
+        for violation in result.violations
     )

@@ -36,14 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _shard_map_for(protocol) -> Optional["object"]:
     """The run's :class:`~repro.sharding.ShardMap` (one shard when
-    unsharded) for a Stratus run, else ``None``.
-
-    Oracles reach the protocol config through a ``getattr`` chain rather
-    than :attr:`Oracle.config` so the live replay's duck-typed suite
-    (:class:`repro.live.verify._LiveSuite`), which may omit the config
-    entirely, still works — it just falls back to the unsharded checks.
-    """
-    if protocol is None or protocol.mempool != "stratus":
+    unsharded) for a Stratus run, else ``None``."""
+    if protocol.mempool != "stratus":
         return None
     from repro.sharding import ShardMap
 
@@ -425,13 +419,8 @@ class LedgerOracle(Oracle):
         # parent links the duplicate check walks.
         self._links: dict[int, tuple[int, int]] = {}
         self._resolved_blocks: set[int] = set()
-        # Per-shard conservation (Stratus only). The getattr chain
-        # tolerates the live replay's duck-typed suite, which may
-        # not carry a config at all.
-        protocol = getattr(
-            getattr(self.suite.experiment, "config", None), "protocol", None
-        )
-        self._shard_map = _shard_map_for(protocol)
+        # Per-shard conservation (Stratus only).
+        self._shard_map = _shard_map_for(self.config.protocol)
         self._shard_created: dict[int, int] = {}
         self._shard_committed: dict[int, int] = {}
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     lbft_max_throughput,
+    pab_ack_row_bytes,
     pbft_batched_max_throughput,
     pbft_max_throughput,
     smp_limit_throughput,
@@ -88,3 +89,13 @@ def test_invalid_inputs_rejected():
         smp_max_throughput(C, B, 4, 0, 1, 1)
     with pytest.raises(ValueError):
         smp_optimal_microblock_bytes(2, 32)
+
+
+def test_pab_ack_row_known_value():
+    # n=32, q=11: 100-byte acks for 248 foreign microblocks, and 31
+    # copies of a 150-byte aggregate proof for each of 8 own ones.
+    assert pab_ack_row_bytes(32, 11, own=8, others=248) == (
+        248 * 100 + 8 * 31 * 150
+    )
+    with pytest.raises(ValueError):
+        pab_ack_row_bytes(32, 0, own=8, others=248)

@@ -182,9 +182,7 @@ TRACES = {
     # Then a898a9eb... -> de03146b... in the same PR (d0-i): the crashed
     # replica's pending batch is cut after its restart, not while down.
     "fuzz7-6-clipped-delay": (
-        lambda: build_experiment(
-            ScenarioFuzzer(7).scenario(6).experiment_config()
-        ).run(),
+        lambda: build_experiment(ScenarioFuzzer(7).scenario(6)).run(),
         "634fba4e63c21ec1b50261ed5c664e6e544392505d89822220c59e769dacb494",
     ),
 }

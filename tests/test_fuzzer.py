@@ -1,14 +1,16 @@
 """Tests for the scenario fuzzer: derivation, determinism, validity."""
 
+import json
 import random
 
-from repro.config import CONSENSUS_KINDS, MEMPOOL_KINDS
+from repro.config import CONSENSUS_KINDS, MEMPOOL_KINDS, ProtocolConfig
+from repro.faults import FaultSchedule, Window
+from repro.harness.config import ExperimentConfig
 from repro.sim.rng import RngRegistry
 from repro.verification.fuzzer import (
     FUZZ_MEMPOOL_KINDS,
     LIVENESS_MARGIN,
     QUICK_PROTOCOL,
-    Scenario,
     ScenarioFuzzer,
     default_liveness_bound,
     random_fault_schedule,
@@ -23,6 +25,8 @@ def test_scenario_derivation_is_pure():
     b = ScenarioFuzzer(1234)
     for index in (3, 0, 7):
         assert a.scenario(index).to_dict() == b.scenario(index).to_dict()
+    # ...and asking one fuzzer twice for a case gives the same case.
+    assert a.scenario(3) == b.scenario(3)
 
 
 def test_different_roots_diverge():
@@ -45,27 +49,22 @@ def test_derive_seed_stability():
 
 def test_one_root_seed_feeds_all_streams():
     """Satellite check: topology, workload, and fault randomness all
-    trace back to the single root seed (scenario fields + run seed)."""
+    trace back to the single root seed (config fields + run seed)."""
     fuzzer = ScenarioFuzzer(99)
     scenario = fuzzer.scenario(5)
-    assert scenario.root_seed == 99
     assert scenario.seed == RngRegistry(99).derive_seed("scenario.5.run")
+    assert scenario.label.startswith("fuzz[5]-")
     # Replaying the derivation stream reproduces the composition.
-    again = ScenarioFuzzer(99).scenario(5)
-    assert again.fault_spec == scenario.fault_spec
-    assert (again.consensus, again.mempool, again.n, again.rate_tps) == (
-        scenario.consensus, scenario.mempool, scenario.n, scenario.rate_tps
-    )
+    assert ScenarioFuzzer(99).scenario(5) == scenario
 
 
 def test_same_scenario_same_commit_hash():
     """FoundationDB property: re-running a scenario is bit-for-bit
     identical, fingerprinted by the commit-sequence hash."""
-    scenario = Scenario(
-        seed=7, consensus="hotstuff", mempool="stratus", n=4,
-        duration=2.0, rate_tps=300.0,
-        fault_spec=[{"kind": "loss", "start": 0.8, "end": 1.3,
-                     "rate": 0.2}],
+    scenario = ExperimentConfig(
+        protocol=ProtocolConfig(n=4, **QUICK_PROTOCOL),
+        duration=2.0, warmup=0.5, rate_tps=300.0, seed=7,
+        faults=FaultSchedule([Window("loss", 0.8, 1.3, rate=0.2)]),
     )
     first = run_scenario(scenario)
     second = run_scenario(scenario)
@@ -105,10 +104,10 @@ def test_scenarios_cover_protocol_grid():
     seen_mempool = set()
     for index in range(60):
         scenario = fuzzer.scenario(index)
-        seen_consensus.add(scenario.consensus)
-        seen_mempool.add(scenario.mempool)
-        assert scenario.consensus in CONSENSUS_KINDS
-        assert scenario.mempool in MEMPOOL_KINDS
+        seen_consensus.add(scenario.protocol.consensus)
+        seen_mempool.add(scenario.protocol.mempool)
+        assert scenario.protocol.consensus in CONSENSUS_KINDS
+        assert scenario.protocol.mempool in MEMPOOL_KINDS
     assert seen_consensus == set(CONSENSUS_KINDS)
     assert seen_mempool == set(FUZZ_MEMPOOL_KINDS)
     assert set(FUZZ_MEMPOOL_KINDS) <= set(MEMPOOL_KINDS)
@@ -119,16 +118,18 @@ def test_faults_heal_before_liveness_judgement():
     fuzzer = ScenarioFuzzer(11)
     for index in range(20):
         scenario = fuzzer.scenario(index)
-        bound = default_liveness_bound(scenario.protocol_config())
-        for entry in scenario.fault_spec:
-            assert entry["end"] + bound + LIVENESS_MARGIN <= (
+        bound = default_liveness_bound(scenario.protocol)
+        windows = scenario.faults.windows if scenario.faults else ()
+        for window in windows:
+            assert window.end + bound + LIVENESS_MARGIN <= (
                 scenario.warmup + scenario.duration + 0.3
             )
 
 
 def test_scenario_round_trips_through_dict():
     scenario = ScenarioFuzzer(5).scenario(2)
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    data = json.loads(json.dumps(scenario.to_dict()))
+    assert ExperimentConfig.from_dict(data) == scenario
 
 
 def test_quick_protocol_keeps_fetch_view_ratio():

@@ -323,6 +323,12 @@ def _commit_event(t, node, proposal):
     return {"t": t, "node": node, "kind": "commit", "data": to_wire(proposal)}
 
 
+#: The run the replayed events claim to come from (unsharded checks).
+REPLAY_CONFIG = ExperimentConfig(
+    protocol=ProtocolConfig(n=4, mempool="simple"),
+)
+
+
 def test_verify_events_accepts_consistent_chains():
     chain = [_proposal(10, 1, 0), _proposal(11, 2, 10)]
     events = [
@@ -330,7 +336,7 @@ def test_verify_events_accepts_consistent_chains():
         for node in (0, 1)
         for i, prop in enumerate(chain)
     ]
-    assert verify_events(events, emitted_tx=0) == []
+    assert verify_events(events, 0, REPLAY_CONFIG) == []
 
 
 def test_verify_events_flags_a_fork():
@@ -338,7 +344,7 @@ def test_verify_events_flags_a_fork():
         _commit_event(1.0, 0, _proposal(10, 1, 0)),
         _commit_event(1.1, 1, _proposal(99, 1, 0)),  # same height, other block
     ]
-    violations = verify_events(events, emitted_tx=0)
+    violations = verify_events(events, 0, REPLAY_CONFIG)
     assert any(v.kind == "fork" for v in violations)
 
 
@@ -354,14 +360,14 @@ def test_verify_events_flags_fabricated_microblocks():
         entries=tuple(), embedded=(mb,)
     )
     events = [_commit_event(1.0, 0, committed)]  # no creation event
-    violations = verify_events(events, emitted_tx=100)
+    violations = verify_events(events, 100, REPLAY_CONFIG)
     assert any(v.kind == "fabricated" for v in violations)
     # with the creation recorded, the same commit is clean
     events = [
         {"t": 0.5, "node": 0, "kind": "mb", "data": to_wire(mb)},
         _commit_event(1.0, 0, committed),
     ]
-    assert verify_events(events, emitted_tx=100) == []
+    assert verify_events(events, 100, REPLAY_CONFIG) == []
 
 
 # -- one assembly --------------------------------------------------------------

@@ -3,15 +3,20 @@
 This is the verification layer's own verification. Each mutant plants a
 classic BFT/SMP bug (1-chain commits, skipped availability gates, a PAB
 quorum one ack short and a proposal hook that marks nothing, each
-unsharded and at two shards, payload replay/fabrication, muted votes, a
+unsharded and at two shards of n=7, payload replay/fabrication, muted votes, a
 payload pulled before the view is checked); if a refactor blinds an
 oracle, the corresponding case here fails. The reverse direction —
 oracles stay silent on correct stacks — is covered by
 ``tests/test_fuzz_corpus.py``.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.faults import FaultSchedule, Window
+from repro.harness.config import ExperimentConfig
+from repro.sharding import ShardMap
 from repro.verification import (
     MUTANTS,
     mutant_caught,
@@ -72,8 +77,8 @@ def test_mutant_scenarios_pass_without_the_bug():
     # Runs without strict_availability even where the mutant sets it:
     # the strict PAB bar is intentionally unfair to best-effort mempools.
     for name, mutant in sorted(MUTANTS.items()):
-        outcome = run_scenario(mutant.scenario)
-        assert outcome.ok, (
+        outcome = run_scenario(mutant.config)
+        assert not outcome.violations, (
             f"{name}'s scenario fails even without the mutation: "
             + "; ".join(str(v) for v in outcome.violations)
         )
@@ -83,13 +88,39 @@ def test_shrinker_reduces_seeded_failure():
     """End-to-end tentpole check: pad the mute-votes scenario with a
     noise fault window, shrink it, and get the bare scenario back."""
     mutant = MUTANTS["mute-votes"]
-    padded = mutant.scenario.replaced(fault_spec=[
-        {"kind": "loss", "start": 0.7, "end": 1.0, "rate": 0.1},
-    ])
+    padded = dataclasses.replace(mutant.config, faults=FaultSchedule([
+        Window("loss", 0.7, 1.0, rate=0.1),
+    ]))
 
-    def runner(scenario):
-        return run_scenario(scenario, mempool_cls=mutant.mempool_cls)
+    def runner(config):
+        return run_scenario(config, mempool_cls=mutant.mempool_cls)
 
     result = shrink_scenario(padded, runner=runner)
-    assert result.minimized.fault_spec == []
+    assert result.minimized.faults is None
+    assert result.minimized.rate_tps == 100.0
+    assert result.runs == 5
     assert mutant_caught(mutant, result.outcome)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS), ids=sorted(MUTANTS))
+def test_mutant_config_round_trips(name):
+    """Every field a mutant sets — a shard layout, a paced empty view —
+    survives the dict form an artifact and a worker process carry."""
+    config = MUTANTS[name].config
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("stem", [
+    "short-quorum", "forget-referenced", "pull-before-view-check",
+])
+def test_sharded_cells_are_sharded(stem):
+    """A ``*-shards2`` cell's two shards have different members, so it
+    runs something its unsharded twin does not."""
+    sharded = MUTANTS[f"{stem}-shards2"]
+    twin = MUTANTS[f"{stem}-stratus"]
+    shard_map = ShardMap.of(sharded.config.protocol)
+    members = {shard_map.member_set(s) for s in range(shard_map.shards)}
+    assert len(members) == shard_map.shards == 2
+    assert run_mutant(sharded.name).commit_hash != (
+        run_mutant(twin.name).commit_hash
+    )

@@ -8,7 +8,9 @@ suite on a healthy cluster and asserting silence.
 
 from types import SimpleNamespace
 
+from repro.config import ProtocolConfig
 from repro.crypto.certificates import GENESIS_QC
+from repro.harness.config import ExperimentConfig
 from repro.types.microblock import microblock_origin
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 from repro.verification.oracles import (
@@ -31,6 +33,9 @@ def stub_suite(oracle, honest=(0, 1, 2, 3), emitted_tx=10_000):
     suite.experiment = SimpleNamespace(
         sim=SimpleNamespace(now=1.0),
         generator=SimpleNamespace(emitted_tx_count=emitted_tx),
+        config=ExperimentConfig(
+            protocol=ProtocolConfig(n=4, mempool="simple"),
+        ),
     )
     suite._honest = frozenset(honest)
     oracle.bind(suite)
