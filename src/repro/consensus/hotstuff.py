@@ -54,7 +54,8 @@ class HotStuff(ChainedEngine):
         self._new_views: dict[int, dict[int, QuorumCert]] = {}
         self._proposed_views: set[int] = set()
         self._pacing_view: Optional[int] = None
-        # Votes can outrun the (large) proposal they certify: the QC's
+        # Votes can outrun the (large) proposal they certify, or a leader
+        # was down when it was proposed (then it is fetched): the QC's
         # view is proposed for once the certified block lands.
         self._deferred_propose: dict[int, tuple[int, QuorumCert]] = {}
         # Highest view each peer has announced via NEW_VIEW. When f + 1
@@ -144,8 +145,9 @@ class HotStuff(ChainedEngine):
         if stale or self.host.behavior.silent:
             return
         if justify.block_id not in self.proposals:
-            # The certified block (votes outran the proposal body) has not
-            # arrived yet; propose as soon as it does.
+            # The certified block has not arrived yet (votes outran the
+            # proposal body, or this replica was down); propose as soon as
+            # it does.
             self._deferred_propose[justify.block_id] = (view, justify)
             return
         payload = self.mempool.make_payload()
@@ -290,6 +292,11 @@ class HotStuff(ChainedEngine):
             self._enter_view(view)
             if self.cur_view == view:
                 self._try_propose(view, best)
+                self._sync_certified(best)
+
+    def _sync_certified(self, qc: QuorumCert) -> None:
+        """Fetch the certified block a deferred proposal waits on."""
+        self._request_sync(qc.block_id, (qc.block_id >> 40) - 1)
 
     def _maybe_catch_up(self) -> None:
         """Jump forward once f + 1 peers have announced a higher view."""

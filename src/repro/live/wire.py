@@ -127,7 +127,7 @@ MESSAGE_REGISTRY: dict[str, tuple[type, ...]] = {
     MessageKinds.PROPOSAL: (Proposal,),
     MessageKinds.VOTE: (tuple,),           # (block_id[, view], Signature)
     MessageKinds.NEW_VIEW: (tuple,),       # (view, QuorumCert)
-    MessageKinds.SYNC_REQUEST: (int,),     # block_id
+    MessageKinds.SYNC_REQUEST: (tuple,),   # (block_id, committed height)
     MessageKinds.PBFT_PREPARE: (tuple,),   # (block_id, node_id)
     MessageKinds.PBFT_COMMIT: (tuple,),    # (block_id, node_id)
     CLIENT_BATCH: (TxBatch,),

@@ -16,6 +16,7 @@ from typing import Optional
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.consensus.chain import GENESIS_ID
 from repro.consensus.hotstuff import HotStuff
+from repro.consensus.twochain import TwoChainHotStuff
 from repro.faults.schedule import FaultSchedule
 from repro.harness.config import ExperimentConfig
 from repro.harness.result import RunResult
@@ -23,7 +24,9 @@ from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.mempool.stratus import StratusMempool
 from repro.types.microblock import make_microblock_id
 from repro.types.proposal import Payload, PayloadEntry, Proposal
-from repro.verification.fuzzer import QUICK_PROTOCOL, run_scenario
+from repro.verification.fuzzer import (
+    QUICK_PROTOCOL, ScenarioFuzzer, run_scenario,
+)
 
 #: Fabricated microblock counters start here so they can never collide
 #: with ids the real batcher hands out during a short run.
@@ -77,6 +80,16 @@ class PullBeforeViewCheck(HotStuff):
         ):
             self.mempool.make_payload()  # BUG under test: pulled, dropped
         super()._try_propose(view, justify)
+
+
+class ProposeWithoutSync(TwoChainHotStuff):
+    """Defers a proposal on a certified block it lacks, and asks nobody:
+    a leader back from a crash waits out the view it leads."""
+
+    name = "twochain-no-sync"
+
+    def _sync_certified(self, qc) -> None:
+        """BUG under test: the deferred proposal waits for nothing."""
 
 
 class UngatedSimpleMempool(SimpleSharedMempool):
@@ -321,6 +334,16 @@ MUTANTS: dict[str, Mutant] = {
                 ),
             )
             for cell, fields in STRATUS_CELLS.items()
+        ),
+        Mutant(
+            name="propose-without-sync",
+            description="a restarted leader defers on a certified block it "
+            "lacks and asks nobody for it; the view it leads times out",
+            expected_oracle="liveness",
+            consensus_cls=ProposeWithoutSync,
+            # Replica 3 leads view 88 after its restart; the stall needs
+            # all four of the case's fault windows.
+            config=ScenarioFuzzer(7).scenario(19),
         ),
         Mutant(
             name="replay-payload",

@@ -106,7 +106,12 @@ def _preset(name: str, link_model: str):
 #: when at most ``FETCH_WINDOW`` fetches run at once: the restarted
 #: replica's requests leave in another order (crash-partition serial
 #: 4d373427, fair eb253a8a; crash-restart serial b4c45a2a, fair 862649d2
-#: before).
+#: before). Six moved again with one-round-trip chain sync: a sync
+#: answer carries the requested block and its ancestors above the
+#: requester's committed height, so a lagging replica's missing blocks
+#: arrive in one burst instead of one round trip each (crash-partition
+#: serial e9c78af4, fair 0cc49e28; crash-restart serial 71c35a6a, fair
+#: 923f5043; leader-squeeze serial 66279bda, fair 0f1dbd11 before).
 TRACES = {
     # 7 copies of 1 KB every 10 ms per node: no uplink ever queues.
     "netbench8-idle": (
@@ -146,27 +151,27 @@ TRACES = {
     ),
     "shs7-crash-partition-serial": (
         _preset("crash-partition", "serial"),
-        "e9c78af41838bf285599c7cf66bf0a9db62960c844962fface98e46ed49064c6",
+        "ea21bc3de538965886438a90c2d05baff30becaf3a705da192ccb594679b0547",
     ),
     "shs7-crash-partition-fair": (
         _preset("crash-partition", "fair-share"),
-        "0cc49e2813c234905596778b6d6b411764a7e91c9b23cc0dca945917438d9f4c",
+        "e0ce0ddd4853d707bd60c83c6ace7ea9c52e83567c7087dc5023c3430994a540",
     ),
     "shs7-crash-restart-serial": (
         _preset("crash-restart", "serial"),
-        "71c35a6a319ec3a2250adda894b109a850641b42635ee97975e5ccd12fc86466",
+        "128a18cf272a7fd5d79eee3dbe3b671eac8b843e8dee6a14ad6fe966e2344767",
     ),
     "shs7-crash-restart-fair": (
         _preset("crash-restart", "fair-share"),
-        "923f5043827ecc19591ad686373eee0e862ff156785251f313ebb8f2f97fcda8",
+        "6d5a20163ee8dff932b450723f2399da4f767d5d579a7b4334846fbe6cf0a0f0",
     ),
     "shs7-leader-squeeze-serial": (
         _preset("leader-squeeze", "serial"),
-        "66279bda9c31b6e1c1406bd52b2bc74be2c15f2b66b0220167d8e5065c81db3a",
+        "cd34aa5906842866abfb7fad4283b0de36dc4dac0bfb41fa4d986d8d8ce7f851",
     ),
     "shs7-leader-squeeze-fair": (
         _preset("leader-squeeze", "fair-share"),
-        "0f1dbd111ddc1f670a4e0e0ed1d496f47d92f1f46365b18e5d9c9f10540c6598",
+        "86b8c42f247e8fdc954270a2d6106e888584d0e97b7238d38a049a3a80278b93",
     ),
     "shs7-delay-spike-serial": (
         _shs("serial", FaultSchedule([
@@ -181,9 +186,12 @@ TRACES = {
     # arming order; each node's own instants and order are unchanged.
     # Then a898a9eb... -> de03146b... in the same PR (d0-i): the crashed
     # replica's pending batch is cut after its restart, not while down.
+    # And with one-round-trip chain sync (634fba4e... before): the
+    # restarted replica's two sync answers carry 3 and 2 blocks; the
+    # run commits the same 643 tx.
     "fuzz7-6-clipped-delay": (
         lambda: build_experiment(ScenarioFuzzer(7).scenario(6)).run(),
-        "634fba4e63c21ec1b50261ed5c664e6e544392505d89822220c59e769dacb494",
+        "37d25751f283a0f28cdd132bd798434bf5aa42651c9f043036c915e3ca1a01c0",
     ),
 }
 

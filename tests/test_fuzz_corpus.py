@@ -148,3 +148,21 @@ def test_restart_under_chaos_recovers_from_disk(tmp_path, fsync):
     assert [row["node"] for row in report] == [3]
     assert report[0]["source"] == victim.recovery.source
     assert elapsed < SCENARIO_BUDGET_S
+
+
+# -- ROADMAP item 8, case (ii) -----------------------------------------------
+
+def test_restarted_leader_fetches_the_block_its_quorum_certified():
+    """fuzz[19] of root seed 7 (two-chain over simple, n=5), long the one
+    failing case of the seed-7 sweep. Replica 3, back from its crash,
+    leads view 88 holding a new-view quorum whose best QC certifies a
+    block it never received. It now fetches that block at once; when it
+    did not, its proposal waited out the view, and the next commit after
+    the loss window came 2.04 s later, against a 2.0 s bound
+    (``liveness/stalled``). The ``propose-without-sync`` mutant runs this
+    case with the fetch removed."""
+    config = ScenarioFuzzer(7).scenario(19)
+    assert config.protocol.consensus == "twochain"
+    result = run_scenario(config)
+    assert result.violations == [], "\n".join(map(str, result.violations))
+    assert result.committed_tx > 0

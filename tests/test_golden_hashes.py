@@ -172,9 +172,14 @@ GOLDEN = {
     # Re-recorded with the per-ingress arrival queues (PR 23; 78ac61ee...
     # and 2,466 tx before): the loss window's coins are drawn per ingress
     # at its service ends, not across ingresses in global arrival order.
+    # And with one-round-trip chain sync (e925af43... before, same tx):
+    # the restarted replica leads at 4.05 s on a new-view quorum whose
+    # certified block it lacks, and fetches it at once instead of timing
+    # the view out; its catch-up is 2 sync requests answered with 11 and
+    # 6 blocks, where it was 8 requests of one block each.
     "sshs8x2-crash-partition": (
         _sshs_crash_partition,
-        "e925af43c18eef73357db1c9d47696b28bee9a113f8f909f6831f1e01ed4d441",
+        "29032857937e70ab10cea1456782d1ac0832c008d42969390789de8d30cf2ed0",
         2463,
     ),
     "ssl4": (
@@ -206,9 +211,16 @@ GOLDEN = {
         7736,
     ),
     # The five chaos presets under serial links, recorded on 1db3b65.
+    # Three re-recorded with one-round-trip chain sync, same tx: a sync
+    # answer carries the requested block and its ancestors above the
+    # requester's committed height. The restarted replica of
+    # crash-restart catches up with one request answered by 6 blocks
+    # (five requests of one block before; 6893dda4...); crash-partition's
+    # one answer carries 2 blocks (6d15d736...), leader-squeeze's 4
+    # (fa7adc56...).
     "shs7-preset-crash-restart": (
         _shs_preset("crash-restart"),
-        "6893dda48bb2bc4f841993da52e7b1ee660d36ab0ff870120c9012c300f12ae0",
+        "59a15d0d115b106aed98450f251a743f758f6be10317f9434bcdf971e80a60dc",
         5173,
     ),
     # Re-recorded with the per-ingress arrival queues (PR 23; dedc7522...
@@ -217,7 +229,7 @@ GOLDEN = {
     # three coins drawn and discarded first commits 3,168 (4de4f8a1...).
     "shs7-preset-crash-partition": (
         _shs_preset("crash-partition"),
-        "6d15d7366472b05e01e6f35efe372c5b1ed54efa7f34a8d0b10415751cebff5b",
+        "24cc30882fa64145b80bdc06326fdf582a257613536d1bb9631c68262ccd9f9f",
         5173,
     ),
     # 16 s, so the window (t = 5 s to 15 s) opens and closes in the run.
@@ -235,7 +247,7 @@ GOLDEN = {
     ),
     "shs7-preset-leader-squeeze": (
         _shs_preset("leader-squeeze"),
-        "fa7adc5608c6b841cf2e11c8ad801bacdc6f1efcefaa8e468783075b08459bd0",
+        "6c8f37536a225a96429cf655e3f3b7487bd2780e745bb00dee147dc06cf27652",
         5460,
     ),
 }

@@ -32,7 +32,9 @@ from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel
 from repro.types.batch import TxBatch
 from repro.types.microblock import MicroBlock
-from repro.types.proposal import Payload, PayloadEntry, Proposal
+from repro.types.proposal import (
+    Payload, PayloadEntry, Proposal, make_block_id,
+)
 
 # -- strategies generating every registered payload shape --------------------
 
@@ -112,7 +114,7 @@ PAYLOADS_BY_KIND = {
         st.tuples(ids, signatures),
     ),
     MessageKinds.NEW_VIEW: st.tuples(st.integers(0, 1000), qcs),
-    MessageKinds.SYNC_REQUEST: ids,
+    MessageKinds.SYNC_REQUEST: st.tuples(ids, st.integers(0, 10_000)),
     MessageKinds.PBFT_PREPARE: st.tuples(ids, nodes),
     MessageKinds.PBFT_COMMIT: st.tuples(ids, nodes),
     CLIENT_BATCH: batches,
@@ -127,6 +129,21 @@ any_message = st.sampled_from(sorted(MESSAGE_REGISTRY)).flatmap(
 
 def test_registry_and_strategies_cover_the_same_kinds():
     assert set(PAYLOADS_BY_KIND) == set(MESSAGE_REGISTRY)
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_sync_request_round_trips_as_a_pair(codec):
+    """``(block_id, requester's committed height)`` in both codecs; the
+    kind keeps its binary id (the registry is positional)."""
+    request = (make_block_id(15, 2**20 + 3), 4321)
+    frame = get_codec(codec).encode(
+        15, MessageKinds.SYNC_REQUEST, Channel.CONSENSUS, request
+    )
+    decoded = get_codec(codec).decode(frame[4:])
+    assert decoded == (15, MessageKinds.SYNC_REQUEST, Channel.CONSENSUS,
+                       request)
+    assert type(decoded[3]) is tuple
+    assert list(MESSAGE_REGISTRY).index(MessageKinds.SYNC_REQUEST) == 14
 
 
 @given(any_message)
