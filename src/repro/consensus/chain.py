@@ -33,8 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover
 GENESIS_ID = 0
 
 #: Most blocks one sync answer carries, so one small request cannot make a
-#: peer stream its whole chain (a short answer's oldest block is an orphan,
-#: which asks again). The ledger's crash cell needs 14 after a 2 s crash.
+#: peer stream its whole chain. A short answer's oldest block parks as an
+#: orphan and ``_park_orphan`` asks for its parent, so the next answer
+#: continues the walk down to the same height. The ledger's crash cell
+#: needs 14 after a 2 s crash.
 SYNC_SEGMENT_BLOCKS = 32
 
 

@@ -29,7 +29,7 @@ from repro.crypto import (
 from repro.mempool.base import MessageKinds, Mempool
 from repro.sim.interfaces import Channel, Envelope, Handler
 from repro.types import sizes
-from repro.types.proposal import Proposal
+from repro.types.proposal import Proposal, block_proposer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
@@ -40,6 +40,9 @@ class HotStuff(ChainedEngine):
     the commit rule, over :class:`ChainedEngine`'s block tree."""
 
     name = "hotstuff"
+    #: Consecutive-view links from a certified block down to the block
+    #: its QC commits: 2 is the three-chain rule (b0 <- b1 <- b2).
+    commit_links = 2
 
     def __init__(
         self, host: "Replica", mempool: "Mempool", config: ProtocolConfig
@@ -296,7 +299,7 @@ class HotStuff(ChainedEngine):
 
     def _sync_certified(self, qc: QuorumCert) -> None:
         """Fetch the certified block a deferred proposal waits on."""
-        self._request_sync(qc.block_id, (qc.block_id >> 40) - 1)
+        self._request_sync(qc.block_id, block_proposer(qc.block_id))
 
     def _maybe_catch_up(self) -> None:
         """Jump forward once f + 1 peers have announced a higher view."""
@@ -313,22 +316,18 @@ class HotStuff(ChainedEngine):
     def _process_qc(self, qc: QuorumCert) -> None:
         if qc.view > self.high_qc.view:
             self.high_qc = qc
-        certified = self.proposals.get(qc.block_id)
-        if certified is None or certified.block_id == GENESIS_ID:
+        block = self.proposals.get(qc.block_id)
+        if block is None or block.block_id == GENESIS_ID:
             return
-        parent = self.proposals.get(certified.parent_id)
-        if parent is None:
-            return
-        # Two-chain lock: certified extends its parent by one view.
-        if certified.view == parent.view + 1 and parent.view > self.locked_view:
-            self.locked_view = parent.view
-        # Three-chain commit: consecutive views b0 <- b1 <- b2 (=certified).
-        grandparent = self.proposals.get(parent.parent_id)
-        if grandparent is None:
-            return
-        consecutive = (
-            certified.view == parent.view + 1
-            and parent.view == grandparent.view + 1
-        )
-        if consecutive and grandparent.block_id not in self.committed:
-            self._commit_chain(grandparent)
+        # Down the consecutive-view chain under the certified block: lock
+        # one link above the block that commits, commit at the bottom.
+        links = self.commit_links
+        for depth in range(links):
+            if depth == links - 1 and block.view > self.locked_view:
+                self.locked_view = block.view
+            parent = self.proposals.get(block.parent_id)
+            if parent is None or block.view != parent.view + 1:
+                return
+            block = parent
+        if block.block_id not in self.committed:
+            self._commit_chain(block)

@@ -13,29 +13,10 @@ itself rather than its parent.
 from __future__ import annotations
 
 from repro.consensus.hotstuff import HotStuff
-from repro.crypto import QuorumCert
 
 
 class TwoChainHotStuff(HotStuff):
     """Chained HotStuff with the two-chain commit rule."""
 
     name = "twochain"
-
-    def _process_qc(self, qc: QuorumCert) -> None:
-        if qc.view > self.high_qc.view:
-            self.high_qc = qc
-        certified = self.proposals.get(qc.block_id)
-        if certified is None or certified.block_id == 0:
-            return
-        # One-chain lock: lock directly on the certified block's view.
-        if certified.view > self.locked_view:
-            self.locked_view = certified.view
-        parent = self.proposals.get(certified.parent_id)
-        if parent is None or parent.block_id == 0:
-            return
-        # Two-chain commit: parent <- certified with consecutive views.
-        if (
-            certified.view == parent.view + 1
-            and parent.block_id not in self.committed
-        ):
-            self._commit_chain(parent)
+    commit_links = 1

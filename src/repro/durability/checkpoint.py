@@ -23,18 +23,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.config import encode_fields
 from repro.kvstore.store import kv_digest
 
 MAGIC = b"SMPCKPT1"
 _HEADER = struct.Struct("!II")
 _SUFFIX = ".ckpt"
-
-#: Failpoint names the checkpoint writer can trigger.
-CHECKPOINT_FAILPOINTS = (
-    "checkpoint.before_write",
-    "checkpoint.before_rename",
-    "checkpoint.after_rename",
-)
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,9 @@ class Checkpoint:
     data: dict
 
     def encode(self) -> bytes:
-        doc = {
-            "height": self.height,
-            "last_block_id": self.last_block_id,
-            "digest": self.digest,
-            "tx_applied": self.tx_applied,
-            "blocks_applied": self.blocks_applied,
-            "data": [[k, v] for k, v in sorted(self.data.items())],
-        }
+        doc = encode_fields(
+            self, data=lambda data: [[k, v] for k, v in sorted(data.items())]
+        )
         payload = json.dumps(doc, separators=(",", ":")).encode("ascii")
         return MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 

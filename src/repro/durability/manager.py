@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 from repro.config import decode_fields, encode_fields
@@ -83,13 +83,8 @@ class RecoveryInfo:
 
     def to_dict(self) -> dict:
         return {
-            "source": self.source,
-            "duration_s": self.duration_s,
-            "checkpoint_height": self.checkpoint_height,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "wal_blocks_replayed": self.wal_blocks_replayed,
+            **encode_fields(self),
             "wal_replay_blocks_per_sec": self.wal_replay_blocks_per_sec,
-            "wal_torn_tail": self.wal_torn_tail,
         }
 
 
@@ -188,9 +183,9 @@ class DurableKVStore(KVStore):
         if self._blocks_since_checkpoint >= self.config.checkpoint_interval:
             self.write_checkpoint()
 
-    def write_checkpoint(self) -> None:
-        """Persist the full state and truncate the superseded WAL."""
-        checkpoint = Checkpoint(
+    def _checkpoint(self) -> Checkpoint:
+        """The applied state as it stands."""
+        return Checkpoint(
             height=self._last_height,
             last_block_id=self._last_block_id,
             digest=self.state_digest(),
@@ -198,7 +193,10 @@ class DurableKVStore(KVStore):
             blocks_applied=self._blocks_applied,
             data=dict(self._data),
         )
-        self.checkpoint_bytes = self._checkpoints.save(checkpoint)
+
+    def write_checkpoint(self) -> None:
+        """Persist the full state and truncate the superseded WAL."""
+        self.checkpoint_bytes = self._checkpoints.save(self._checkpoint())
         self.checkpoints_written += 1
         self._wal.truncate()
         self._blocks_since_checkpoint = 0
@@ -206,15 +204,9 @@ class DurableKVStore(KVStore):
     # -- snapshot state transfer ---------------------------------------
 
     def snapshot_payload(self) -> tuple:
-        """Wire payload for ``state.snap`` (see MESSAGE_REGISTRY)."""
-        return (
-            self._last_height,
-            self._last_block_id,
-            self.state_digest(),
-            self._tx_applied,
-            self._blocks_applied,
-            dict(self._data),
-        )
+        """Wire payload for ``state.snap`` (see MESSAGE_REGISTRY): the
+        :class:`Checkpoint` fields in order."""
+        return astuple(self._checkpoint())
 
     def install_snapshot(self, payload) -> bool:
         """Adopt a peer snapshot if it is ahead of us and self-consistent.

@@ -45,14 +45,6 @@ FSYNC_POLICIES = ("always", "interval", "off")
 #: Seconds of wall clock between fsyncs under the ``interval`` policy.
 FSYNC_INTERVAL = 0.05
 
-#: Failpoint names the WAL can trigger (crash-point test matrix).
-WAL_FAILPOINTS = (
-    "wal.before_append",
-    "wal.after_append",
-    "wal.after_fsync",
-    "wal.before_truncate",
-)
-
 
 @dataclass(frozen=True)
 class AppliedBlockRecord:

@@ -103,7 +103,6 @@ class LiveRecorder:
         self._scheduler = scheduler
         self._node_id = node_id
         self._file = open(events_path, "w", encoding="utf-8")
-        self.events_recorded = 0
 
     def _record(self, kind: str, data) -> None:
         # One dumps + one write: json.dump streaming into the file
@@ -117,7 +116,6 @@ class LiveRecorder:
         })
         self._file.write(line + "\n")
         self._file.flush()
-        self.events_recorded += 1
 
     def on_local_commit(self, replica, proposal) -> None:
         self._record("commit", proposal)

@@ -30,7 +30,6 @@ class SharedPendingPool:
         self.tx_payload = tx_payload
         self._count = 0
         self._sum_arrival = 0.0
-        self._drawn = 0
 
     @property
     def pending(self) -> int:
@@ -52,7 +51,6 @@ class SharedPendingPool:
         mean = self._sum_arrival / self._count
         self._count -= take
         self._sum_arrival -= mean * take
-        self._drawn += take
         return take, mean * take
 
     def refund(self, count: int, sum_arrival: float) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.harness.result import RunResult

@@ -93,9 +93,8 @@ class Replica:
         self._pre_crash_behavior: Optional[Behavior] = None
         self._exec_buffer: dict[int, Block] = {}
         self._exec_height = 0
-        #: Snapshot state-transfer counters (durable executors only).
+        #: Snapshots sent to peers behind us (durable executors only).
         self.snapshots_served = 0
-        self.snapshots_installed = 0
         network.register(node_id, self.handle)
 
     def attach(
@@ -257,7 +256,6 @@ class Replica:
         self._exec_buffer = {
             h: b for h, b in self._exec_buffer.items() if h > height
         }
-        self.snapshots_installed += 1
         self._drain_exec_buffer()
 
     # -- verification taps ---------------------------------------------

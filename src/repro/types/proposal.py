@@ -81,6 +81,11 @@ def make_block_id(proposer: int, counter: int) -> int:
     return ((proposer + 1) << 40) | counter
 
 
+def block_proposer(block_id: int) -> int:
+    """Recover the proposing replica from a block id."""
+    return (block_id >> 40) - 1
+
+
 @dataclass
 class Proposal:
     """Leader's proposal for one consensus slot."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import ProtocolConfig, ShardingConfig
-from repro.consensus.chain import GENESIS_ID
 from repro.consensus.hotstuff import HotStuff
 from repro.consensus.twochain import TwoChainHotStuff
 from repro.faults.schedule import FaultSchedule
@@ -34,7 +33,8 @@ _FABRICATED_BASE = 1 << 20
 
 
 class EagerCommitHotStuff(HotStuff):
-    """Commits on a bare 1-chain instead of the three-chain rule.
+    """Commits the certified block itself (a bare 1-chain) instead of
+    the three-chain rule, and so never locks.
 
     A certified block that later loses a view-change race is abandoned by
     the canonical chain but was already committed here, so a replica cut
@@ -43,22 +43,7 @@ class EagerCommitHotStuff(HotStuff):
     """
 
     name = "hotstuff-eager"
-
-    def _process_qc(self, qc) -> None:
-        if qc.view > self.high_qc.view:
-            self.high_qc = qc
-        certified = self.proposals.get(qc.block_id)
-        if certified is None or certified.block_id == GENESIS_ID:
-            return
-        parent = self.proposals.get(certified.parent_id)
-        if (
-            parent is not None
-            and certified.view == parent.view + 1
-            and parent.view > self.locked_view
-        ):
-            self.locked_view = parent.view
-        if certified.block_id not in self.committed:
-            self._commit_chain(certified)
+    commit_links = 0
 
 
 class PullBeforeViewCheck(HotStuff):

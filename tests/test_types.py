@@ -22,7 +22,9 @@ from repro.types import (
     sizes,
 )
 from repro.types.microblock import microblock_origin
-from repro.types.proposal import Block, Proposal, make_block_id
+from repro.types.proposal import (
+    Block, Proposal, block_proposer, make_block_id,
+)
 from repro.crypto.certificates import GENESIS_QC, QuorumCert
 
 
@@ -168,6 +170,10 @@ class TestProposalAndBlock:
     def test_block_ids_unique(self):
         ids = {make_block_id(p, c) for p in range(20) for c in range(20)}
         assert len(ids) == 400
+
+    def test_proposer_recoverable(self):
+        assert block_proposer(make_block_id(0, 0)) == 0
+        assert block_proposer(make_block_id(37, 123456)) == 37
 
     def test_proposal_size_has_header_and_qc(self):
         proposal = self.make_proposal()
