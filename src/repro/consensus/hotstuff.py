@@ -155,18 +155,41 @@ class HotStuff(ChainedEngine):
             return
         payload = self.mempool.make_payload()
         if payload.is_empty and self._pacing_view != view:
-            # Pace empty views briefly so an idle chain does not spin at
-            # wire speed (Bamboo regulates proposal frequency similarly).
             self._pacing_view = view
-            self.host.sim.schedule(
-                self.config.empty_view_delay,
-                lambda: self._try_propose(view, justify),
-            )
+            retry = lambda: self._try_propose(view, justify)
+            if self._commits_payload(justify):
+                # The QC still commits payload at the followers: pace the
+                # empty view briefly (Bamboo regulates proposal frequency
+                # similarly) rather than spin at wire speed.
+                delay = self.config.empty_view_delay
+            else:
+                # Nothing to commit: park until the mempool reports a
+                # proposable id, or propose empty after a quarter view
+                # timeout. A leader's own view spans its park, the next
+                # leader's park and the round trips, so each park must
+                # stay under half a view timeout.
+                delay = self.config.view_timeout / 4
+                self.mempool.park(retry)
+            self.host.sim.schedule(delay, retry)
             return
         self._proposed_views.add(view)
         self._propose_block(
             self.proposals[justify.block_id], view, justify, payload
         )
+
+    def _commits_payload(self, justify: QuorumCert) -> bool:
+        """Whether a proposal carrying ``justify`` commits payload at the
+        followers: one of the ``commit_links + 1`` blocks from the
+        certified one down carries some."""
+        proposals = self.proposals
+        block = proposals[justify.block_id]
+        for _ in range(self.commit_links + 1):
+            if block is None:
+                return False
+            if not block.payload.is_empty:
+                return True
+            block = proposals.get(block.parent_id)
+        return False
 
     # -- message handling ----------------------------------------------
 

@@ -5,13 +5,8 @@ from repro.durability.checkpoint import (
     CheckpointStore,
     decode_checkpoint,
 )
-from repro.durability.manager import (
-    DurabilityConfig,
-    DurableKVStore,
-    RecoveryInfo,
-)
+from repro.durability.manager import DurabilityConfig, DurableKVStore
 from repro.durability.wal import (
-    FSYNC_POLICIES,
     AppliedBlockRecord,
     WriteAheadLog,
     encode_payload,
@@ -26,8 +21,6 @@ __all__ = [
     "CheckpointStore",
     "DurabilityConfig",
     "DurableKVStore",
-    "FSYNC_POLICIES",
-    "RecoveryInfo",
     "WriteAheadLog",
     "decode_checkpoint",
     "decode_payload",

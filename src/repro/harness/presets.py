@@ -111,17 +111,31 @@ def tuned_protocol(
     return ProtocolConfig(n=n, **settings)
 
 
-#: Named chaos schedules for the CLI's ``--faults`` flag. Each entry is a
-#: builder taking the replica count, because sensible targets depend on n
-#: (the crash victim is the highest id, never in the leader set under a
-#: ``fault_count`` run; partition groups must fit the membership).
-CHAOS_PRESET_NAMES = (
-    "crash-restart",
-    "crash-partition",
-    "fig7-disturbance",
-    "flaky-data",
-    "leader-squeeze",
-)
+#: Named chaos schedules for the CLI's ``--faults`` flag, each a builder
+#: of its windows from the crash victim, the highest id: never in the
+#: leader set under a ``fault_count`` run (partition groups must fit the
+#: membership, so the presets need n >= 4).
+_CHAOS_PRESETS = {
+    "crash-restart": lambda victim: [
+        Window("crash", 2.0, 4.0, nodes=(victim,)),
+    ],
+    "crash-partition": lambda victim: [
+        Window("crash", 2.0, 4.0, nodes=(victim,)),
+        Window("partition", 2.5, 3.5, groups=((0, 1),)),
+        Window("loss", 2.0, 4.0, rate=0.2, channel="data"),
+    ],
+    "fig7-disturbance": lambda victim: [
+        Window("delay", 5.0, 15.0, base=0.1, jitter=0.05,
+               bandwidth_factor=0.15),
+    ],
+    "flaky-data": lambda victim: [
+        Window("loss", 1.5, 4.5, rate=0.1, channel="data"),
+    ],
+    "leader-squeeze": lambda victim: [
+        Window("bandwidth", 2.0, 4.0, factor=0.1, nodes=(0,)),
+    ],
+}
+CHAOS_PRESET_NAMES = tuple(_CHAOS_PRESETS)
 
 
 def chaos_schedule(name: str, n: int) -> FaultSchedule:
@@ -144,33 +158,11 @@ def chaos_schedule(name: str, n: int) -> FaultSchedule:
     """
     if n < 4:
         raise ValueError(f"chaos presets need n >= 4, got n={n}")
-    victim = n - 1
-    if name == "crash-restart":
-        return FaultSchedule([Window("crash", 2.0, 4.0, nodes=(victim,))])
-    if name == "crash-partition":
-        return FaultSchedule([
-            Window("crash", 2.0, 4.0, nodes=(victim,)),
-            Window("partition", 2.5, 3.5, groups=((0, 1),)),
-            Window("loss", 2.0, 4.0, rate=0.2, channel="data"),
-        ])
-    if name == "fig7-disturbance":
-        return FaultSchedule([
-            Window(
-                "delay", 5.0, 15.0, base=0.1, jitter=0.05,
-                bandwidth_factor=0.15,
-            ),
-        ])
-    if name == "flaky-data":
-        return FaultSchedule([
-            Window("loss", 1.5, 4.5, rate=0.1, channel="data"),
-        ])
-    if name == "leader-squeeze":
-        return FaultSchedule([
-            Window("bandwidth", 2.0, 4.0, factor=0.1, nodes=(0,)),
-        ])
-    raise ValueError(
-        f"unknown chaos preset {name!r}; choose from {CHAOS_PRESET_NAMES}"
-    )
+    if name not in _CHAOS_PRESETS:
+        raise ValueError(
+            f"unknown chaos preset {name!r}; choose from {CHAOS_PRESET_NAMES}"
+        )
+    return FaultSchedule(_CHAOS_PRESETS[name](n - 1))
 
 
 def resolve_fault_spec(

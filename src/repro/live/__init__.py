@@ -19,43 +19,12 @@ Entry point: :func:`repro.live.orchestrator.run_live` (CLI:
 ``python -m repro live``).
 
 Chaos runs reuse the declarative :class:`repro.faults.FaultSchedule`:
-crash/restart become SIGKILL + respawn (:class:`LiveFaultInjector`),
-link faults become per-frame egress shaping (:class:`LinkShaper`) — see
-:mod:`repro.live.chaos`.
+crash/restart become SIGKILL + respawn, link faults become per-frame
+egress shaping — see :mod:`repro.live.chaos`.
 """
 
-from repro.live.chaos import LinkShaper, LiveFaultInjector
 from repro.live.orchestrator import LiveConfig, run_live
 from repro.live.scheduler import RealtimeScheduler
-from repro.live.wire import (
-    CODECS,
-    MESSAGE_REGISTRY,
-    WireCodec,
-    WireError,
-    decode_frame,
-    decode_frame_binary,
-    encode_frame,
-    encode_frame_binary,
-    from_wire,
-    get_codec,
-    to_wire,
-)
+from repro.live.wire import get_codec
 
-__all__ = [
-    "LiveConfig",
-    "run_live",
-    "LinkShaper",
-    "LiveFaultInjector",
-    "RealtimeScheduler",
-    "MESSAGE_REGISTRY",
-    "CODECS",
-    "WireCodec",
-    "WireError",
-    "get_codec",
-    "encode_frame",
-    "decode_frame",
-    "encode_frame_binary",
-    "decode_frame_binary",
-    "to_wire",
-    "from_wire",
-]
+__all__ = ["LiveConfig", "RealtimeScheduler", "get_codec", "run_live"]

@@ -122,6 +122,21 @@ class Mempool(Routed, abc.ABC):
         blocks).
         """
 
+    #: A parked leader's one-shot retry (:meth:`park`), or None.
+    _wake = None
+
+    def park(self, wake: OnReady) -> None:
+        """The leader found nothing to propose: run ``wake`` once, the
+        next time something becomes proposable here."""
+        self._wake = wake
+
+    def _unpark(self) -> None:
+        """Schedule the parked retry as an event of its own, never inline:
+        the enqueue site may be inside a client batch still being cut."""
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            self.host.sim.schedule(0.0, wake)
+
     # -- follower side ---------------------------------------------------
 
     def verify_payload(self, payload: Payload) -> bool:

@@ -44,10 +44,9 @@ class IdMempool(Mempool):
         self.fetcher = FetchManager(host, config, self.store)
         self.batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
         self._proposable: deque[MicroBlockId] = deque()  # avaQue
-        #: Ids in the queue that must not enter it twice. Only a subclass
-        #: that can hear of one id from two sources adds to it (Stratus:
-        #: a push's own completion and the proof broadcast); the drain
-        #: removes every id it pops, taken or skipped.
+        #: Ids in the queue, which none enters twice (Stratus hears of one
+        #: id from a push's own completion and the proof broadcast); the
+        #: drain removes every id it pops, taken or skipped.
         self._queued: set[MicroBlockId] = set()
         #: ``id -> stored, unresolved proposals that carry it``. A key's
         #: presence is what keeps an id out of the next payload; the count
@@ -89,9 +88,17 @@ class IdMempool(Mempool):
 
     def _enqueue(self, mb_id: MicroBlockId) -> None:
         """``mb_id`` became proposable here, unless a proposal got to it
-        first."""
-        if mb_id not in self._referenced and mb_id not in self._committed:
+        first: queue it once and wake a parked leader. Every id enters
+        the queue here."""
+        if (
+            mb_id not in self._queued
+            and mb_id not in self._referenced
+            and mb_id not in self._committed
+        ):
+            self._queued.add(mb_id)
             self._proposable.append(mb_id)
+            if self._wake is not None:
+                self._unpark()
 
     # -- leader side -------------------------------------------------------
 

@@ -120,7 +120,7 @@ class NarwhalMempool(IdMempool):
     def _requeue(self, mb_id: MicroBlockId) -> None:
         state = self._states.get(mb_id)
         if state is not None and state.certified:
-            self._proposable.append(mb_id)
+            self._enqueue(mb_id)
 
     # -- network -----------------------------------------------------------
 

@@ -30,6 +30,8 @@ class SharedPendingPool:
         self.tx_payload = tx_payload
         self._count = 0
         self._sum_arrival = 0.0
+        #: Mempools whose leader is parked on an empty pool, by node id.
+        self.parked: dict[int, Mempool] = {}
 
     @property
     def pending(self) -> int:
@@ -40,8 +42,7 @@ class SharedPendingPool:
             raise ValueError(
                 f"payload {batch.payload_bytes} != pool payload {self.tx_payload}"
             )
-        self._count += batch.count
-        self._sum_arrival += batch.sum_arrival
+        self.refund(batch.count, batch.sum_arrival)
 
     def draw(self, max_bytes: int) -> tuple[int, float]:
         """Remove up to ``max_bytes`` worth of txs; returns (count, sum_arrival)."""
@@ -54,11 +55,16 @@ class SharedPendingPool:
         return take, mean * take
 
     def refund(self, count: int, sum_arrival: float) -> None:
-        """Return transactions from an abandoned proposal to the pool."""
+        """Return transactions to the pool (from a client batch, or from
+        an abandoned proposal) and wake every parked leader."""
         if count <= 0:
             return
         self._count += count
         self._sum_arrival += sum_arrival
+        if self.parked:
+            for mempool in self.parked.values():
+                mempool._unpark()
+            self.parked.clear()
 
 
 class NativeMempool(Mempool):
@@ -81,6 +87,10 @@ class NativeMempool(Mempool):
 
     def rebase_microblock_ids(self, base: int) -> None:
         self._counter = base
+
+    def park(self, wake) -> None:
+        super().park(wake)
+        self._pool.parked[self.node_id] = self
 
     def make_payload(self) -> Payload:
         count, sum_arrival = self._pool.draw(self.config.native_block_bytes)

@@ -41,7 +41,7 @@ class SimpleSharedMempool(IdMempool):
 
     def _requeue(self, mb_id: MicroBlockId) -> None:
         if mb_id in self.store:
-            self._proposable.append(mb_id)
+            self._enqueue(mb_id)
 
     # -- network -----------------------------------------------------------
 

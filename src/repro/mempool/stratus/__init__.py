@@ -12,9 +12,6 @@ Four cooperating pieces:
   consensus engine (Algorithm 3).
 """
 
-from repro.mempool.stratus.pab import PabEngine
-from repro.mempool.stratus.estimator import StableTimeEstimator
-from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.mempool import StratusMempool
 
-__all__ = ["PabEngine", "StableTimeEstimator", "LoadBalancer", "StratusMempool"]
+__all__ = ["StratusMempool"]

@@ -95,20 +95,9 @@ class StratusMempool(IdMempool):
         self.host.metrics.record_stable_time(elapsed)
 
     def _add_available(self, mb_id: MicroBlockId, proof) -> None:
-        """Record ``(id, proof)`` in pMap and push the id onto avaQue.
-
-        ``IdMempool._enqueue`` spelled out (this runs per microblock at
-        every replica), plus at-most-once: one id can be announced by a
-        push's completion and again by the proof broadcast.
-        """
+        """Record ``(id, proof)`` in pMap and push the id onto avaQue."""
         self._proofs[mb_id] = proof
-        if (
-            mb_id not in self._queued
-            and mb_id not in self._referenced
-            and mb_id not in self._committed
-        ):
-            self._queued.add(mb_id)
-            self._proposable.append(mb_id)
+        self._enqueue(mb_id)
 
     def _on_self_available(self, mb_id: MicroBlockId, proof) -> None:
         """A PAB instance this replica owns became available.
@@ -193,7 +182,7 @@ class StratusMempool(IdMempool):
 
     def _requeue(self, mb_id: MicroBlockId) -> None:
         if mb_id in self._proofs:
-            self._add_available(mb_id, self._proofs[mb_id])
+            self._enqueue(mb_id)
 
     # -- network -----------------------------------------------------------
 

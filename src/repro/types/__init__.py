@@ -8,17 +8,14 @@ simulations tractable without changing protocol-visible behaviour.
 
 from repro.types import sizes
 from repro.types.batch import TxBatch
-from repro.types.microblock import MicroBlock, MicroBlockId, make_microblock_id
-from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
+from repro.types.microblock import MicroBlock, make_microblock_id
+from repro.types.proposal import Payload, PayloadEntry
 
 __all__ = [
     "sizes",
     "TxBatch",
     "MicroBlock",
-    "MicroBlockId",
     "make_microblock_id",
     "Payload",
     "PayloadEntry",
-    "Proposal",
-    "Block",
 ]

@@ -49,9 +49,10 @@ class EagerCommitHotStuff(HotStuff):
 class PullBeforeViewCheck(HotStuff):
     """Pulls the payload before it looks at the view (ROADMAP d0-ii).
 
-    A paced empty-view retry that fires after the view moved takes ids
-    out of the queue for a proposal it does not make: they sit at zero
-    stored proposals until somebody else's proposal carries them.
+    A parked leader's retry — its wake, or its park running out — that
+    fires after the view moved takes ids out of the queue for a proposal
+    it does not make: they sit at zero stored proposals until somebody
+    else's proposal carries them.
     """
 
     name = "hotstuff-pull-first"
@@ -59,7 +60,6 @@ class PullBeforeViewCheck(HotStuff):
     def _try_propose(self, view, justify) -> None:
         if (
             self.cur_view > view
-            and view not in self._proposed_views
             and not self.host.behavior.silent
             and justify.block_id in self.proposals
         ):
@@ -232,14 +232,16 @@ MUTANTS: dict[str, Mutant] = {
             consensus_cls=EagerCommitHotStuff,
             config=_config(
                 # Seed re-tuned when the network moved to per-sender
-                # jitter streams (the fork window is schedule-sensitive).
+                # jitter streams (the fork window is schedule-sensitive);
+                # the partition opens just after replica 3, leading view
+                # 101, proposes.
                 seed=15,
                 mempool="native",
                 n=7,
                 duration=5.5,
                 rate_tps=300.0,
                 faults=[
-                    {"kind": "partition", "start": 1.162, "end": 3.48,
+                    {"kind": "partition", "start": 1.191, "end": 3.48,
                      "groups": [[3], [0, 1, 2, 4, 5, 6]]},
                 ],
             ),
@@ -304,19 +306,21 @@ MUTANTS: dict[str, Mutant] = {
             Mutant(
                 name=f"pull-before-view-check-{cell}",
                 description=(
-                    "a paced empty-view retry pulls its payload before it "
+                    "a parked leader's retry pulls its payload before it "
                     "sees that the view moved; the ids leave the queue "
                     "for a proposal nobody makes"
                 ),
                 expected_oracle="conservation",
                 consensus_cls=PullBeforeViewCheck,
-                # The pacing outlasts a view, so an empty first attempt
-                # retries in a later one; the load leaves a backlog, so
-                # what a retry drops is uncommitted when the run ends.
-                config=_config(
-                    mempool="stratus", rate_tps=4000.0, duration=2.0,
-                    empty_view_delay=0.6, **fields,
-                ),
+                # A woken leader's park runs out a quarter view timeout
+                # later, views on. A partition that never heals leaves no
+                # group a quorum ({4, 5, 6} is the third at n=7), so what
+                # a retry drops after it opens is carried by no proposal
+                # when the run ends.
+                config=_config(mempool="stratus", **fields, faults=[
+                    {"kind": "partition", "start": 2.0,
+                     "groups": [[0, 1], [2, 3]]},
+                ]),
             )
             for cell, fields in STRATUS_CELLS.items()
         ),
@@ -326,9 +330,9 @@ MUTANTS: dict[str, Mutant] = {
             "lacks and asks nobody for it; the view it leads times out",
             expected_oracle="liveness",
             consensus_cls=ProposeWithoutSync,
-            # Replica 3 leads view 88 after its restart; the stall needs
-            # all four of the case's fault windows.
-            config=ScenarioFuzzer(7).scenario(19),
+            # Replica 0 leads view 60 after its restart, holding a
+            # new-view quorum whose best QC certifies a block it missed.
+            config=ScenarioFuzzer(210).scenario(21),
         ),
         Mutant(
             name="replay-payload",

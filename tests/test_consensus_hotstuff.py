@@ -1,5 +1,8 @@
 """Integration tests for chained HotStuff."""
 
+import pytest
+
+from repro.consensus.chain import GENESIS_ID
 from repro.replica.behavior import SilentReplica
 from repro.sharding import ShardCertificate
 from repro.types.proposal import Payload, PayloadEntry
@@ -82,11 +85,90 @@ def test_executor_states_converge():
     assert applied.pop() > 0
 
 
-def test_empty_views_advance_chain():
-    exp = make_cluster(n=4, mempool="stratus")  # no load at all
-    exp.sim.run_until(1.0)
-    heights = [replica.consensus.committed_height for replica in exp.replicas]
-    assert max(heights) > 3  # the chain keeps committing empty blocks
+def _parked_leader(exp, step=0.01):
+    """Run until a replica leads its current view and is parked on a
+    mempool with nothing to propose; return that replica."""
+    while exp.sim.now < 10.0:
+        exp.sim.run_until(exp.sim.now + step)
+        for replica in exp.replicas:
+            engine = replica.consensus
+            view = engine.cur_view
+            if (
+                engine.leader_of(view) == replica.node_id
+                and engine._pacing_view == view
+                and view not in engine._proposed_views
+                and replica.mempool._wake is not None
+            ):
+                return replica
+    raise AssertionError("no leader parked in 10 s")
+
+
+def _payload_blocks(replica):
+    return [
+        proposal for proposal in replica.consensus.proposals.values()
+        if not proposal.payload.is_empty
+    ]
+
+
+def test_idle_chain_parks_instead_of_spinning():
+    """No load and no faults for twelve view timeouts: no view changes,
+    the chain still grows, and no leader proposes sooner than a quarter
+    view timeout after the block before."""
+    view_timeout = 0.5
+    exp = make_cluster(
+        n=4, mempool="stratus",
+        protocol_overrides={"view_timeout": view_timeout},
+    )
+    exp.sim.run_until(12 * view_timeout)
+    assert exp.metrics.view_change_count == 0
+    engine = exp.replicas[0].consensus
+    assert engine.committed_height > 3
+    created = sorted(
+        proposal.created_at for proposal in engine.proposals.values()
+        if proposal.block_id != GENESIS_ID
+    )
+    assert len(created) > 3
+    gaps = [later - earlier for earlier, later in zip(created, created[1:])]
+    assert min(created[0], *gaps) >= view_timeout / 4
+
+
+@pytest.mark.parametrize("mempool", ["stratus", "native"])
+def test_parked_leader_proposes_once_an_id_is_proposable(mempool):
+    """The id's enqueue wakes the parked leader, which proposes it in
+    the parked view at that instant (the wake is one event, at delay
+    0), not when the park would have run out."""
+    exp = make_cluster(n=4, mempool=mempool)
+    leader = _parked_leader(exp)
+    view = leader.consensus.cur_view
+    mempool_ = leader.mempool
+    unpark, woken = mempool_._unpark, []
+
+    def record_unpark():
+        woken.append(exp.sim.now)
+        unpark()
+
+    mempool_._unpark = record_unpark
+    inject(exp, leader.node_id)
+    exp.sim.run_until(exp.sim.now + 0.1)
+    [block] = _payload_blocks(leader)
+    assert (block.view, block.proposer) == (view, leader.node_id)
+    assert woken and block.created_at == woken[0]
+
+
+@pytest.mark.parametrize("consensus", ["hotstuff", "twochain"])
+def test_parking_never_holds_back_a_followers_commit(consensus):
+    """Empty views stay paced while their QC still commits payload: the
+    last payload block commits at every replica within the
+    ``commit_links + 1`` paced views after it, well inside one park."""
+    exp = make_cluster(n=4, mempool="stratus", consensus=consensus)
+    leader = _parked_leader(exp)
+    inject(exp, leader.node_id)
+    exp.sim.run_until(exp.sim.now + 0.1)
+    [block] = _payload_blocks(leader)
+    park = exp.config.protocol.view_timeout / 4
+    exp.sim.run_until(block.created_at + park)
+    for replica in exp.replicas:
+        assert block.block_id in replica.consensus.committed
 
 
 def test_leader_rotation_round_robin():

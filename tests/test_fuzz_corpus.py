@@ -159,8 +159,8 @@ def test_restarted_leader_fetches_the_block_its_quorum_certified():
     block it never received. It now fetches that block at once; when it
     did not, its proposal waited out the view, and the next commit after
     the loss window came 2.04 s later, against a 2.0 s bound
-    (``liveness/stalled``). The ``propose-without-sync`` mutant runs this
-    case with the fetch removed."""
+    (``liveness/stalled``). The ``propose-without-sync`` mutant removes
+    the fetch, in fuzz[21] of root seed 210."""
     config = ScenarioFuzzer(7).scenario(19)
     assert config.protocol.consensus == "twochain"
     result = run_scenario(config)

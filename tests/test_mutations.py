@@ -104,7 +104,7 @@ def test_shrinker_reduces_seeded_failure():
 
 @pytest.mark.parametrize("name", sorted(MUTANTS), ids=sorted(MUTANTS))
 def test_mutant_config_round_trips(name):
-    """Every field a mutant sets — a shard layout, a paced empty view —
+    """Every field a mutant sets — a shard layout, a fault schedule —
     survives the dict form an artifact and a worker process carry."""
     config = MUTANTS[name].config
     assert ExperimentConfig.from_dict(config.to_dict()) == config

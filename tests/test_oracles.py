@@ -203,6 +203,17 @@ def test_ledger_conservation_counts_unique_microblocks():
 # -- conservation ----------------------------------------------------------
 
 
+def _run_until_pullable(exp, mempool):
+    """Step until ``mempool`` queues an id no proposal carries yet. A
+    woken leader proposes an id the instant it is proposable, so a
+    queued id is often already carried by the time a step ends."""
+    while not any(
+        mb_id not in mempool._referenced and mb_id not in mempool._committed
+        for mb_id in mempool._proposable
+    ):
+        exp.sim.run_until(exp.sim.now + 0.001)
+
+
 @pytest.mark.parametrize("kind", STRATUS_KINDS)
 def test_conservation_flags_an_id_pulled_for_no_proposal(kind):
     exp = stratus_cluster(kind, rate_tps=400.0)
@@ -211,8 +222,7 @@ def test_conservation_flags_an_id_pulled_for_no_proposal(kind):
     assert suite.finalize() == []
     mempool = exp.replicas[1].mempool
     # Ids keep arriving, so there is something to pull at some instant.
-    while not mempool._proposable:
-        exp.sim.run_until(exp.sim.now + 0.001)
+    _run_until_pullable(exp, mempool)
     dropped = mempool.make_payload().microblock_ids
     assert dropped
     violations = suite.finalize()
@@ -226,8 +236,7 @@ def test_conservation_is_silent_once_somebody_proposes_the_id():
     suite = OracleSuite([ConservationOracle()]).attach(exp)
     exp.sim.run_until(1.5)
     mempool = exp.replicas[1].mempool
-    while not mempool._proposable:
-        exp.sim.run_until(exp.sim.now + 0.001)
+    _run_until_pullable(exp, mempool)
     assert mempool.make_payload().microblock_ids
     # The other replicas still queue those ids: the next leaders propose
     # and commit them, which releases them at replica 1 too.

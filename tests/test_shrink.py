@@ -105,7 +105,7 @@ def test_crash_restart_move_as_one_unit():
 def test_artifact_round_trip(tmp_path):
     """A failing run written to disk replays bit-for-bit, with every
     field its config sets: the pull-before-view-check case needs its
-    ``empty_view_delay=0.6`` to fail at all."""
+    partition to fail at all."""
     for name in ("mute-votes", "pull-before-view-check-stratus"):
         config = MUTANTS[name].config
         result = run_mutant(name)

@@ -207,18 +207,19 @@ def test_garbage_collection_discards_bodies_after_retention(kind, monkeypatch):
     monkeypatch.setattr(id_mempool, "GC_RETENTION", 1.0)
     exp = cluster(kind)
     # With no load only empty blocks commit; they hold nothing to retain.
-    exp.sim.run_until(0.5)
+    # An idle leader proposes one a quarter view timeout after the last.
+    exp.sim.run_until(2.0)
     assert exp.metrics.commits
     for replica in exp.replicas:
         assert not replica.mempool._retained._heap
     inject(exp, 0, count=4)
-    exp.sim.run_until(1.0)
+    exp.sim.run_until(2.5)
     mempool = stratus_of(exp, 0)
     assert exp.metrics.committed_tx_total == 4
     # The committed microblock's body survives the retention window...
     assert len(mempool._retained._heap) == 1 and len(mempool.store) == 1
     # ...then is discarded everywhere along with its proof.
-    exp.sim.run_until(6.0)
+    exp.sim.run_until(7.5)
     assert not mempool._retained._heap
     for node in range(4):
         assert len(stratus_of(exp, node).store) == 0
