@@ -27,7 +27,7 @@ from repro.crypto import (
     verify_quorum_cert,
 )
 from repro.mempool.base import MessageKinds, Mempool
-from repro.sim.interfaces import Channel, Envelope, Handler
+from repro.sim.interfaces import Channel, Envelope, Handler, TimerHandle
 from repro.types import sizes
 from repro.types.proposal import Proposal, block_proposer
 
@@ -57,6 +57,8 @@ class HotStuff(ChainedEngine):
         self._new_views: dict[int, dict[int, QuorumCert]] = {}
         self._proposed_views: set[int] = set()
         self._pacing_view: Optional[int] = None
+        #: The paced or parked view's retry, cancelled at any proposal.
+        self._retry: Optional[TimerHandle] = None
         # Votes can outrun the (large) proposal they certify, or a leader
         # was down when it was proposed (then it is fetched): the QC's
         # view is proposed for once the certified block lands.
@@ -170,8 +172,10 @@ class HotStuff(ChainedEngine):
                 # stay under half a view timeout.
                 delay = self.config.view_timeout / 4
                 self.mempool.park(retry)
-            self.host.sim.schedule(delay, retry)
+            self._retry = self.host.sim.schedule(delay, retry)
             return
+        if self._retry is not None:  # its firing would be a no-op
+            self._retry.cancel()
         self._proposed_views.add(view)
         self._propose_block(
             self.proposals[justify.block_id], view, justify, payload

@@ -90,14 +90,11 @@ class NetworkStats:
     queue_high_watermark: int = 0
     reconnects: int = 0
 
-    def record_send(
-        self, node: int, kind: str, size_bytes: float, count: int = 1
-    ) -> None:
-        """Account ``count`` same-size copies with one set of dict ops."""
-        total = size_bytes * count
+    def record_send(self, node: int, kind: str, size_bytes: float) -> None:
+        """Account one copy (the simulator's link models do this inline)."""
         key = (node, kind)
-        self.bytes_sent[key] = self.bytes_sent.get(key, 0.0) + total
-        self.messages_sent[kind] = self.messages_sent.get(kind, 0) + count
+        self.bytes_sent[key] = self.bytes_sent.get(key, 0.0) + size_bytes
+        self.messages_sent[kind] = self.messages_sent.get(kind, 0) + 1
 
     def cancel_send(self, node: int, kind: str, size_bytes: float) -> None:
         """Un-account one copy a sender's crash cut short: a segment's
@@ -141,10 +138,6 @@ class _Flow:
         self.recipients = recipients  # tuple/list of dst node ids
         self.next_index = 0
         self.enqueued_at = enqueued_at
-
-    @property
-    def remaining(self) -> int:
-        return len(self.recipients) - self.next_index
 
 
 def _dispatch(
@@ -253,32 +246,6 @@ class _Uplink:
         self.draining = True
         _heappush(sim._queue, (self.busy_until, sim._seq, _Uplink._start_next, self))
         sim._seq += 1
-
-    def flush(self) -> int:
-        """Drop every queued copy (the node crashed) and, under
-        fair-share, every transfer in flight; returns the count. Copies
-        of a serial segment in flight are in their receivers' arrival
-        queues: :func:`_ingress_serve` discards those cut short."""
-        dropped = sum(flow.remaining for queue in self.queues for flow in queue)
-        for queue in self.queues:
-            queue.clear()
-        fair = self.network._fair
-        if fair is not None:
-            dropped += fair.flush(self.node)
-        return dropped
-
-    def queued_bytes(self) -> float:
-        """Bytes queued here, plus what fair-share transfers have left."""
-        total = 0.0
-        for queue in self.queues:
-            for flow in queue:
-                total += flow.size_bytes * flow.remaining
-        fair = self.network._fair
-        if fair is not None:
-            now = self.network.sim.now
-            for t in fair.up_active[self.node]:
-                total += max(0.0, t.remaining_bits - t.rate * (now - t.updated)) / 8.0
-        return total
 
     def _start_next(self) -> None:
         """Put the next segment on the serial wire; also the drain event
@@ -412,7 +379,7 @@ def _ingress_serve(ingress: "_Ingress") -> None:
     if fair is not None:  # a flush the handler armed: after the re-arm
         fair.in_event = False
         if fair._reserved >= 0:
-            fair._release()
+            _fair_flush(fair)
 
 
 class _Ingress:
@@ -444,17 +411,6 @@ class _Ingress:
         #: The instant of the armed service end (``inf`` = none armed).
         self.wake = _INF
 
-    def flush(self) -> int:
-        """Drop every judged-but-unprocessed message (the node crashed).
-
-        Copies still in ``arrivals`` are judged by the armed service end
-        as lost to this crash, each counted there once.
-        """
-        dropped = sum(len(queue) for queue in self.queues)
-        for queue in self.queues:
-            queue.clear()
-        return dropped
-
 
 class _Transfer:
     """One active fair-share transmission: one copy of ``flow``, src->dst."""
@@ -473,86 +429,92 @@ class _Transfer:
         self.finish_at = now
 
 
+class _BandwidthAt(dict):
+    """Each node's ``Topology.bandwidth`` at one instant, read at its
+    first lookup: on a topology that is not plain ``B`` may move with no
+    membership change (a squeeze or delay window's edge)."""
+
+    def __init__(self, read, now: float) -> None:
+        self.read = read
+        self.now = now
+
+    def __missing__(self, node: int) -> float:
+        bandwidth = self[node] = self.read(node, now=self.now)
+        return bandwidth
+
+
 def _fair_flush(fair: "_FairShareLinks") -> None:
     """Rate recompute for every dirty link, once per sim instant: run
     inline at the end of the network event that dirtied them, or as the
-    heap entry of the sequence number they reserved (``_release``).
+    heap entry of the sequence number they reserved when a queued entry
+    precedes it.
 
     Every membership change since the last flush happened at this
     instant, so settling progress at the old rate and assigning the new
     share at one timestamp is exact, and a burst settles each transfer
-    once.
+    once: the transfers of the dirty uplinks, then those of the dirty
+    downlinks not settled already, each set in node order.
 
-    A link's share ``B / |active|`` moves only with its membership: on a
-    plain topology it is computed per dirty link and kept in
-    ``up_share``/``down_share``; otherwise ``B`` may move with no
-    membership change (a squeeze or delay window's edge), so each link
-    the flush touches is read through ``Topology.bandwidth`` now, into
-    tables that die with the flush.
+    A link's share ``B / members`` moves only with its member count
+    (``up_count``/``down_count``) on a plain topology; otherwise ``B``
+    is read per touched node, into a table that dies with the flush.
 
     A transfer whose rate comes out as it was is not settled: its
     ``finish_at`` still holds. Settled or not, each is held against its
     uplink's armed wake, which moves when the earliest finish lies
     before it (or none is armed).
     """
-    fair._flush_armed = False
-    up = fair.up_active
-    down = fair.down_active
-    dirty_up, fair._dirty_up = fair._dirty_up, {}
-    dirty_down, fair._dirty_down = fair._dirty_down, {}
-    if len(dirty_up) > 1:  # node order; one dirty link needs no sort
-        dirty_up = sorted(dirty_up)
-    if len(dirty_down) > 1:
-        dirty_down = sorted(dirty_down)
-    pending = {
-        transfer: None
-        for links, nodes in ((up, dirty_up), (down, dirty_down))
-        for node in nodes for transfer in links[node]
-    }
     sim = fair.network.sim
     now = sim.now
-    bandwidth = fair.network.topology._plain_bandwidth
-    if bandwidth is None:
-        up_share, down_share = {}, {}
-        read = fair.network.topology.bandwidth
-        for transfer in pending:
-            src, dst = transfer.src, transfer.dst
-            if src not in up_share:
-                up_share[src] = read(src, now=now) / len(up[src])
-            if dst not in down_share:
-                down_share[dst] = read(dst, now=now) / len(down[dst])
-    else:
-        up_share, down_share = fair.up_share, fair.down_share
-        for node in dirty_up:
-            if up[node]:
-                up_share[node] = bandwidth / len(up[node])
-        for node in dirty_down:
-            if down[node]:
-                down_share[node] = bandwidth / len(down[node])
+    reserved = fair._reserved
+    if reserved >= 0:  # the end of the event that reserved it
+        fair._reserved = -1
+        entry = (now, reserved, _fair_flush, fair)
+        if sim._queue and sim._queue[0] < entry:
+            _heappush(sim._queue, entry)
+            return
+    dirty_up = fair._dirty_up
+    ups, downs = [*dirty_up], [*fair._dirty_down]
+    fair._dirty_up, fair._dirty_down = {}, {}
+    if ups[1:]:  # node order; one dirty link needs no sort
+        ups.sort()
+    if downs[1:]:
+        downs.sort()
+    topology = fair.network.topology
+    bandwidth = fair.bandwidth
+    if topology._plain_bandwidth is None:
+        bandwidth = _BandwidthAt(topology.bandwidth, now)
+    up_count, down_count = fair.up_count, fair.down_count
     wake = fair.wake
     earlier: dict[int, None] = {}
     settled = 0
-    for transfer in pending:
-        src = transfer.src
-        rate = up_share[src]
-        share = down_share[transfer.dst]
-        if share < rate:
-            rate = share
-        if rate != transfer.rate:
-            settled += 1
-            elapsed = now - transfer.updated
-            if elapsed > 0.0:
-                transfer.remaining_bits -= transfer.rate * elapsed
-                if transfer.remaining_bits < 0.0:
-                    transfer.remaining_bits = 0.0
-            transfer.updated = now
-            transfer.rate = rate
-            transfer.finish_at = (
-                now + transfer.remaining_bits / rate if rate > 0 else now
-            )
-        if transfer.finish_at < wake[src] - 1e-12:
-            wake[src] = transfer.finish_at
-            earlier[src] = None
+    skip: dict[int, None] = {}  # senders the uplink pass settled
+    for links, nodes in ((fair.up_active, ups), (fair.down_active, downs)):
+        for node in nodes:
+            for transfer in links[node]:
+                src, dst = transfer.src, transfer.dst
+                if src in skip:
+                    continue
+                rate = bandwidth[src] / up_count[src]
+                share = bandwidth[dst] / down_count[dst]
+                if share < rate:
+                    rate = share
+                if rate != transfer.rate:
+                    settled += 1
+                    elapsed = now - transfer.updated
+                    if elapsed > 0.0:
+                        transfer.remaining_bits -= transfer.rate * elapsed
+                        if transfer.remaining_bits < 0.0:
+                            transfer.remaining_bits = 0.0
+                    transfer.updated = now
+                    transfer.rate = rate
+                    transfer.finish_at = (
+                        now + transfer.remaining_bits / rate if rate > 0 else now
+                    )
+                if transfer.finish_at < wake[src] - 1e-12:
+                    wake[src] = transfer.finish_at
+                    earlier[src] = None
+        skip = dirty_up
     fair.settle_ops += settled
     for src in earlier:  # one entry per uplink, at the minimum it ended on
         _heappush(sim._queue, (wake[src], sim._seq, fair._on_wake, src))
@@ -563,14 +525,14 @@ class _FairShareLinks:
     """What fair-share adds to the uplinks' FIFOs, for the whole network.
 
     Per node: the active outbound (uplink) and inbound (downlink)
-    transfers, and DATA admission gated by ``slots`` concurrent
-    transfers. A transfer runs at
+    transfers and their counts, and DATA admission gated by ``slots``
+    concurrent transfers. A transfer runs at
     ``min(B_up / |up_active|, B_down / |down_active|)``, which depends
     only on membership counts, so nothing cascades (the simpy Container
     technique of SNIPPETS Snippet 1 without per-byte token events).
     Membership changes mark their links *dirty* and one flush per sim
     instant re-rates the transfers on them (:func:`_fair_flush`), at the
-    end of the network event that dirtied them (:meth:`_release`).
+    end of the network event that dirtied them.
 
     An uplink keeps one armed event, at the earliest ``finish_at`` among
     its transfers (``wake``; :meth:`_uplink_wake`): the flush moves it
@@ -588,20 +550,22 @@ class _FairShareLinks:
         # Dicts as ordered sets: O(1) add/remove, deterministic iteration.
         self.up_active: list[dict[_Transfer, None]] = [{} for _ in range(n)]
         self.down_active: list[dict[_Transfer, None]] = [{} for _ in range(n)]
+        #: ``len`` of each of the two, kept beside them.
+        self.up_count: list[int] = [0] * n
+        self.down_count: list[int] = [0] * n
         #: DATA transfers currently holding one of ``slots`` per uplink.
         self.data_in_flight: list[int] = [0] * n
-        #: Links whose membership changed since the last rate flush.
+        #: Links whose membership changed since the last rate flush; a
+        #: flush is armed while any is.
         self._dirty_up: dict[int, None] = {}
         self._dirty_down: dict[int, None] = {}
-        self._flush_armed = False
-        #: True while a network event runs; its end releases the flush
+        #: True while a network event runs; its end runs the flush
         #: reserved in it under sequence number ``_reserved`` (-1: none).
         self.in_event = False
         self._reserved = -1
-        #: A plain topology's ``B / |active|`` per non-empty link as of
-        #: its last flush (a topology is plain, or not, for a whole run).
-        self.up_share: list[float] = [0.0] * n
-        self.down_share: list[float] = [0.0] * n
+        #: ``B`` per node with no window applied: the plain bandwidth
+        #: while the topology is plain (an override never is).
+        self.bandwidth = [network.topology.bandwidth(node) for node in range(n)]
         #: The instant of each uplink's armed wake (``inf`` = none armed).
         self.wake: list[float] = [_INF] * n
         self._on_wake = self._uplink_wake
@@ -610,18 +574,21 @@ class _FairShareLinks:
 
     def _admit(self, src: int, now: float, changed: bool = False) -> None:
         """Start as many of ``src``'s queued copies as admission rules
-        allow, a run of one flow's copies per ``record_send``. Each
-        started transfer's downlink goes dirty, ``src``'s uplink too if
-        anything started or just left it (``changed``), and one flush is
-        armed for this instant behind every event queued for it: its
-        sequence number is taken now, its entry pushed now unless
-        ``in_event``."""
+        allow, a run of one flow's copies at a time, each run accounted
+        with one pair of dict updates. Each started transfer's downlink
+        goes dirty, ``src``'s uplink too if anything started or just left
+        it (``changed``), and one flush is armed for this instant behind
+        every event queued for it: its sequence number is taken now, its
+        entry pushed now unless ``in_event``."""
         network = self.network
         queues = network._uplinks[src].queues
         up = self.up_active[src]
         down = self.down_active
+        down_count = self.down_count
         dirty_down = self._dirty_down
         in_flight = self.data_in_flight
+        stats = network.stats
+        started = 0
         while True:
             if queues[_CONSENSUS]:
                 queue = queues[_CONSENSUS]
@@ -641,69 +608,73 @@ class _FairShareLinks:
             if copies == remaining:
                 queue.popleft()
             head.next_index = index + copies
-            network.stats.record_send(src, head.kind, head.size_bytes, copies)
+            kind = head.kind
+            key = (src, kind)
+            stats.bytes_sent[key] = (
+                stats.bytes_sent.get(key, 0.0) + head.size_bytes * copies
+            )
+            stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + copies
             for dst in head.recipients[index:index + copies]:
                 transfer = _Transfer(head, src, dst, now)
                 up[transfer] = None
                 down[dst][transfer] = None
+                down_count[dst] += 1
                 dirty_down[dst] = None
-            changed = True
-        if changed:
-            self._dirty_up[src] = None
-            if not self._flush_armed:
-                self._flush_armed = True
+            started += copies
+        if started or changed:
+            self.up_count[src] += started
+            if not self._dirty_up:
                 sim = network.sim
                 if self.in_event:
                     self._reserved = sim._seq
                 else:
                     _heappush(sim._queue, (now, sim._seq, _fair_flush, self))
                 sim._seq += 1
-
-    def _release(self) -> None:
-        """A network event's end: run the flush reserved in it, or push it
-        under its seq if a queued entry precedes ``(now, seq)``."""
-        self.in_event = False
-        if self._reserved >= 0:
-            sim = self.network.sim
-            entry = (sim.now, self._reserved, _fair_flush, self)
-            self._reserved = -1
-            if sim._queue and sim._queue[0] < entry:
-                _heappush(sim._queue, entry)
-            else:
-                _fair_flush(self)
+            self._dirty_up[src] = None
 
     def _uplink_wake(self, src: int) -> None:
         """``src``'s earliest finish is due (fire-path callback): every
-        transfer of the uplink due by now completes, in start order —
-        delivered, its slot freed, the next copy admitted — and the
-        flush they arm, released at the end, re-rates the rest."""
+        transfer of the uplink due by now completes, in start order, and
+        is delivered; then one admission refills the freed slots, and the
+        flush it arms re-rates the rest. Admitting once after every
+        completion starts the same copies in the same order as admitting
+        after each: a completion frees a DATA slot and changes nothing
+        else admission reads."""
         network = self.network
-        now = network.sim.now
+        sim = network.sim
+        now = sim.now
         if self.wake[src] != now:
             return  # superseded: a finish moved earlier and was armed
         self.wake[src] = _INF
         transfers = self.up_active[src]
         due = [t for t in transfers if t.finish_at <= now + 1e-12]
         if due:
-            self.in_event = True
             for transfer in due:
                 flow, dst = transfer.flow, transfer.dst
                 del transfers[transfer]
                 del self.down_active[dst][transfer]
+                self.down_count[dst] -= 1
+                self._dirty_down[dst] = None
+                self.up_count[src] -= 1
                 if flow.channel is _DATA_MEMBER or not network.priority_channels:
                     self.data_in_flight[src] -= 1
                 _dispatch(
                     network, src, (dst,), 0.0, flow.kind, flow.size_bytes,
                     flow.payload, flow.channel, flow.enqueued_at,
                 )
-                self._dirty_down[dst] = None
-                self._admit(src, now, True)
-            self._release()
+            self.in_event = True
+            self._admit(src, now, True)
+            self.in_event = False
+            if self._reserved >= 0:
+                _fair_flush(self)
         elif transfers:
             # Rates fell since this was armed: nothing has finished yet
             # (pushed at ``finish`` itself, not at a ``now + delay``).
-            sim = network.sim
-            self.wake[src] = finish = min(t.finish_at for t in transfers)
+            finish = _INF
+            for transfer in transfers:
+                if transfer.finish_at < finish:
+                    finish = transfer.finish_at
+            self.wake[src] = finish
             _heappush(sim._queue, (finish, sim._seq, self._on_wake, src))
             sim._seq += 1
 
@@ -717,6 +688,8 @@ class _FairShareLinks:
             flow, src, dst = transfer.flow, transfer.src, transfer.dst
             del self.up_active[src][transfer]
             del self.down_active[dst][transfer]
+            self.up_count[src] -= 1
+            self.down_count[dst] -= 1
             if flow.channel is _DATA_MEMBER or not network.priority_channels:
                 self.data_in_flight[src] -= 1
             network.stats.cancel_send(src, flow.kind, flow.size_bytes)
@@ -817,16 +790,27 @@ class Network(Transport):
         )
 
     def set_node_down(self, node: int) -> None:
-        """Crash ``node``'s endpoint: its egress and ingress queues are
-        flushed (counted as dropped) and, until :meth:`set_node_up`,
-        every message from or to it is discarded."""
+        """Crash ``node``'s endpoint: the copies its uplink and ingress
+        queues hold and, under fair-share, its transfers both ways are
+        dropped and counted, and so is every message from or to it until
+        :meth:`set_node_up`. Copies of a serial segment in flight, and
+        copies in its arrival queue, are judged and counted by their
+        receiver's service end (:func:`_ingress_serve`)."""
         if node in self._down:
             return
         self._down.add(node)
         self._flush_at[node] = self.sim.now
-        self._up_at[node] = float("inf")
-        flushed = self._uplinks[node].flush() + self._ingress[node].flush()
-        self.stats.messages_dropped += flushed
+        self._up_at[node] = _INF
+        stats = self.stats
+        for queue in self._uplinks[node].queues:
+            for flow in queue:
+                stats.messages_dropped += len(flow.recipients) - flow.next_index
+            queue.clear()
+        for queue in self._ingress[node].queues:
+            stats.messages_dropped += len(queue)
+            queue.clear()
+        if self._fair is not None:
+            stats.messages_dropped += self._fair.flush(node)
 
     def set_node_up(self, node: int) -> None:
         """Re-register a crashed node's endpoint (restart)."""
@@ -943,21 +927,32 @@ class Network(Transport):
         return targets
 
     def queued_bytes(self, node: int) -> float:
-        """Bytes currently waiting in ``node``'s egress queues."""
-        return self._uplinks[node].queued_bytes()
+        """Bytes waiting in ``node``'s egress queues, plus what its
+        fair-share transfers have left."""
+        total = 0.0
+        for queue in self._uplinks[node].queues:
+            for flow in queue:
+                total += flow.size_bytes * (len(flow.recipients) - flow.next_index)
+        if self._fair is not None:
+            now = self.sim.now
+            for t in self._fair.up_active[node]:
+                left = t.remaining_bits - t.rate * (now - t.updated)
+                if left > 0.0:
+                    total += left / 8.0
+        return total
 
     def expected_transfer_seconds(
         self, src: int, size_bytes: float, copies: int = 1
-    ) -> Optional[float]:
+    ) -> float:
         """Seconds to clear ``src``'s whole egress backlog plus ``copies``
-        new copies at the current bandwidth: the floor under
-        retransmission timers (``adaptive_retry_delay``), so congestion
-        does not masquerade as loss."""
-        bandwidth = self.topology.bandwidth(src, now=self.sim.now)
-        if bandwidth <= 0:
-            return None
-        backlog = self.queued_bytes(src)
-        return (backlog + size_bytes * copies) * 8.0 / bandwidth
+        new copies at the current bandwidth (at least 1 b/s): the floor
+        under retransmission timers (``adaptive_retry_delay``), so
+        congestion does not masquerade as loss."""
+        topology = self.topology
+        bandwidth = topology._plain_bandwidth or topology.bandwidth(
+            src, now=self.sim.now
+        )
+        return (self.queued_bytes(src) + size_bytes * copies) * 8.0 / bandwidth
 
     # -- internal ----------------------------------------------------------
 

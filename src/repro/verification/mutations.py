@@ -49,10 +49,10 @@ class EagerCommitHotStuff(HotStuff):
 class PullBeforeViewCheck(HotStuff):
     """Pulls the payload before it looks at the view (ROADMAP d0-ii).
 
-    A parked leader's retry — its wake, or its park running out — that
-    fires after the view moved takes ids out of the queue for a proposal
-    it does not make: they sit at zero stored proposals until somebody
-    else's proposal carries them.
+    A parked leader's retry that fires after the view moved — the wake
+    a park left set when it ran out and proposed empty — takes ids out
+    of the queue for a proposal it does not make: they sit at zero
+    stored proposals until somebody else's proposal carries them.
     """
 
     name = "hotstuff-pull-first"
@@ -312,15 +312,14 @@ MUTANTS: dict[str, Mutant] = {
                 ),
                 expected_oracle="conservation",
                 consensus_cls=PullBeforeViewCheck,
-                # A woken leader's park runs out a quarter view timeout
-                # later, views on. A partition that never heals leaves no
-                # group a quorum ({4, 5, 6} is the third at n=7), so what
-                # a retry drops after it opens is carried by no proposal
-                # when the run ends.
-                config=_config(mempool="stratus", **fields, faults=[
-                    {"kind": "partition", "start": 2.0,
-                     "groups": [[0, 1], [2, 3]]},
-                ]),
+                # At 10 tx/s a park can run out with nothing proposable,
+                # leaving its wake set to fire views on. A partition that
+                # never heals leaves no group a quorum ({4, 5, 6} is the
+                # third at n=7), so what a retry drops after it opens is
+                # carried by no proposal when the run ends.
+                config=_config(mempool="stratus", rate_tps=10.0, **fields,
+                               faults=[{"kind": "partition", "start": 2.0,
+                                        "groups": [[0, 1], [2, 3]]}]),
             )
             for cell, fields in STRATUS_CELLS.items()
         ),

@@ -136,10 +136,12 @@ def test_idle_chain_parks_instead_of_spinning():
 def test_parked_leader_proposes_once_an_id_is_proposable(mempool):
     """The id's enqueue wakes the parked leader, which proposes it in
     the parked view at that instant (the wake is one event, at delay
-    0), not when the park would have run out."""
+    0), not when the park would have run out; the park's fallback is
+    cancelled, not left to fire as a no-op."""
     exp = make_cluster(n=4, mempool=mempool)
     leader = _parked_leader(exp)
     view = leader.consensus.cur_view
+    fallback = leader.consensus._retry
     mempool_ = leader.mempool
     unpark, woken = mempool_._unpark, []
 
@@ -153,6 +155,7 @@ def test_parked_leader_proposes_once_an_id_is_proposable(mempool):
     [block] = _payload_blocks(leader)
     assert (block.view, block.proposer) == (view, leader.node_id)
     assert woken and block.created_at == woken[0]
+    assert fallback.cancelled
 
 
 @pytest.mark.parametrize("consensus", ["hotstuff", "twochain"])

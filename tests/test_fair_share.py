@@ -170,6 +170,47 @@ def test_peer_crash_restores_survivor_to_full_rate(scaled):
     assert log == [(1.5, 0, 1, "bulk")]
 
 
+def _assert_counts_match(fair):
+    for node, (up, down) in enumerate(zip(fair.up_active, fair.down_active)):
+        assert fair.up_count[node] == len(up)
+        assert fair.down_count[node] == len(down)
+        data = sum(t.flow.channel is Channel.DATA for t in up)
+        assert fair.data_in_flight[node] == data <= fair.slots
+
+
+def test_link_counts_match_the_active_sets_after_every_event():
+    # Replicas 0-4 fan out on all three channels, their DATA copies
+    # through two slots; replica 3 crashes while sending and replica 5,
+    # which sends nothing, while receiving. The per-link counts and the
+    # DATA slots in use are checked against the active sets after every
+    # event.
+    sim, network, log = make_net(n=6, delay=0.001, fair_share_slots=2)
+    fair = network._fair
+    for src in range(5):
+        for channel in Channel:
+            size = 100_000 if channel is Channel.DATA else 1_000
+            network.broadcast(src, "mb", size, None, channel)
+    slot_limited = []
+
+    def crash(node, outbound):
+        assert (fair.up_count if outbound else fair.down_count)[node] > 0
+        network.set_node_down(node)
+
+    sim.schedule(0.05, lambda: crash(3, outbound=True))
+    sim.schedule(0.7, lambda: crash(5, outbound=False))
+    while sim.run(max_events=1):
+        _assert_counts_match(fair)
+        slot_limited.append(any(
+            uplink.queues[Channel.DATA.value]
+            and fair.data_in_flight[node] == fair.slots
+            for node, uplink in enumerate(network._uplinks)
+        ))
+    assert any(slot_limited)
+    assert network.stats.messages_dropped > 0 and log
+    assert fair.up_count == fair.down_count == fair.data_in_flight == [0] * 6
+    assert not any(fair.up_active) and not any(fair.down_active)
+
+
 def test_queued_bytes_tracks_waiting_and_active_transfers():
     sim, network, log = make_net(fair_share_slots=1)
     network.broadcast(0, "mb", 1_000_000, None)
@@ -260,6 +301,34 @@ def test_equal_transfers_on_one_uplink_finish_on_one_wake():
     sim.run()
     assert len(log) == k
     assert sim.processed == 1 + 2 + k  # one wake, two flushes, k services
+
+
+def test_equal_copies_through_fewer_slots_refill_after_the_wake():
+    # Five equal DATA copies through two slots: each wake completes two
+    # copies and delivers both, then one admission refills both slots.
+    # Both services are queued at the completion instant ahead of the
+    # sequence number that admission's flush reserves, so the flush runs
+    # after both; admitting once per completion ran it between them, and
+    # each pair's second receiver saw the refill settled ([2, 4, 4, 5, 5]).
+    # The delivery instants, the settle count and the event count are
+    # the ones recorded with one admission per completion.
+    k = 5
+    times, seen = [], []
+
+    def reply(network, env):
+        times.append(network.sim.now)
+        seen.append(network._fair.settle_ops)
+
+    sim, network, log = make_net(n=k + 1, fair_share_slots=2, reply=reply)
+    network.broadcast(0, "mb", 1_000, None)
+    sim.run()
+    assert [dst for _, _, dst, _ in log] == [1, 2, 3, 4, 5]
+    assert times == [0.002, 0.002, 0.004, 0.004, 0.005]
+    assert seen == [2, 2, 4, 4, 5]
+    assert network._fair.settle_ops == 5
+    # Initial flush; per pair a wake, a flush event and two services;
+    # the last copy's wake, flush and service.
+    assert sim.processed == 12
 
 
 def test_wake_that_fires_early_rearms_at_the_new_finish():
