@@ -174,8 +174,11 @@ class HotStuff(ChainedEngine):
                 self.mempool.park(retry)
             self._retry = self.host.sim.schedule(delay, retry)
             return
-        if self._retry is not None:  # its firing would be a no-op
+        # Firing after this, the park's timer or its wake is a no-op:
+        # cancel the one, drop the other (a park that ran out left it).
+        if self._retry is not None:
             self._retry.cancel()
+        self.mempool._wake = None
         self._proposed_views.add(view)
         self._propose_block(
             self.proposals[justify.block_id], view, justify, payload

@@ -3,9 +3,9 @@
 :func:`measure_window` turns a finished run's :class:`MetricsHub` into a
 :class:`RunResult`. The simulator (``runner.summarize``), a parallel
 worker (which ships ``result.to_dict()`` back to its parent) and the
-live orchestrator (over the hub it merges from the replica processes)
-all report through it, so a table, an aggregate or a differential check
-reads the same fields from any of them.
+live orchestrator (over the hub it replays from the replicas' event
+logs) all report through it, so a table, an aggregate or a differential
+check reads the same fields from any of them.
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ def measure_window(
     """Measure ``[warmup, warmup + duration)`` of a finished run.
 
     ``known`` holds the fields a back end knows and the hub does not
-    (event count and wall clock, the network handle, a live run's
-    per-replica rows); it also overrides what the hub would say where a
-    merged hub cannot (a live run's view changes and recovery rows).
+    (event count and wall clock, the network handle and bytes sent, a
+    live run's per-replica rows).
     """
     start, end = config.warmup, config.end_time
     latency = metrics.latency_stats(start, end)

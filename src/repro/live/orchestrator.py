@@ -3,23 +3,28 @@
 ``run_live`` takes the same :class:`ExperimentConfig` the simulator
 takes (topology fields are ignored — the localhost kernel path *is* the
 network), spawns one OS process per replica, drives the workload from
-the parent, and merges the per-replica results back into the
-:class:`MetricsHub` report format so live and simulated numbers are
-directly comparable.
+the parent, and reports through the same :func:`measure_window` the
+simulator does, so live and simulated numbers are directly comparable.
 
-Merging recovers the sim's measurement semantics: every replica records
-every block it commits locally, and the parent deduplicates by block id
-keeping the *earliest* wall-clock commit — the live equivalent of "the
-first correct replica to commit reports it".
+What a run reports comes from one record: every replica incarnation
+streams its hub calls and observer taps to an event log as they happen,
+and the parent replays the merged logs once into one
+:class:`MetricsHub` and one oracle suite (:mod:`repro.live.verify`).
+Every replica reports every block it commits, and the hub keeps the
+*earliest* commit of each — the live equivalent of "the first correct
+replica to commit reports it". A replica's end-of-run result JSON adds
+only what its transport and executor say of themselves (the
+``per_replica`` rows and the bytes sent).
 
 Chaos runs (``experiment.faults``) execute the schedule's crash/restart
 timeline via :class:`~repro.live.chaos.LiveFaultInjector` — SIGKILL and
 fresh-interpreter respawn against the same port map — while its link
-windows ship to every replica in the spawn spec. The merged report then
+windows ship to every replica in the spawn spec. The report then
 carries the same per-fault-window recovery metrics
-(:meth:`MetricsHub.fault_report`) the simulator produces, and the oracle
-replay runs over event logs streamed to disk, so even a SIGKILLed
-incarnation's record survives into the safety check.
+(:meth:`MetricsHub.fault_report`) the simulator produces, and since the
+event logs are flushed line by line, a SIGKILLed incarnation's commits,
+view changes, fetches and microblocks count in the report and the
+safety check alike; only its result JSON is lost.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional
 
 from repro.harness.config import ExperimentConfig
@@ -40,9 +44,8 @@ from repro.harness.result import RunResult, measure_window
 from repro.live.chaos import LiveFaultInjector
 from repro.live.client import run_client
 from repro.live.replica_proc import replica_main
-from repro.live.verify import verify_events
+from repro.live.verify import replay_events
 from repro.live.wire import get_codec
-from repro.metrics import MetricsHub
 from repro.verification.oracles import Violation
 
 #: Wall-clock seconds between process spawn and protocol t=0. Must cover
@@ -86,10 +89,10 @@ class LiveConfig:
 #: What a replica's result document says of itself, copied into its
 #: ``per_replica`` row as it is.
 _ROW_KEYS = (
-    "node_id", "generation", "bytes_in", "bytes_out", "messages_delivered",
-    "frames_dropped", "queue_high_watermark", "reconnects", "frames_shed",
-    "executed_height", "state_digest", "snapshot_installs",
-    "snapshots_served",
+    "node_id", "generation", "commits", "bytes_in", "bytes_out",
+    "messages_delivered", "frames_dropped", "queue_high_watermark",
+    "reconnects", "frames_shed", "recovery_source", "executed_height",
+    "state_digest", "snapshot_installs", "snapshots_served",
 )
 
 
@@ -213,66 +216,23 @@ def _merge(
     fault_timeline: Optional[list[dict]] = None,
     wire_codec: str = "binary",
 ) -> RunResult:
-    # The merged hub's clock is the end of the run, for good.
-    hub = MetricsHub(SimpleNamespace(now=config.end_time))
-    commits = sorted(
-        (
-            commit
-            for result in replica_results
-            for commit in result["commits"]
-        ),
-        key=lambda c: (c["commit_time"], c["block_id"]),
-    )
-    for commit in commits:
-        hub.record_commit(
-            block_id=commit["block_id"],
-            tx_count=commit["tx_count"],
-            microblock_count=commit["microblock_count"],
-            latencies=[tuple(pair) for pair in commit["latencies"]],
-            commit_time=commit["commit_time"],
-        )
-    if config.faults is not None:
-        for window in config.faults.windows:
-            hub.record_fault_window(window)
-
+    hub, violations = replay_events(events, config, emitted_tx)
     replica_results = sorted(
         replica_results, key=lambda r: (r["node_id"], r["generation"]),
     )
-    recovery_report = None
-    if config.durability is not None:
-        recovery_report = [
-            {
-                "node": result["node_id"],
-                "generation": result["generation"],
-                **result["recovery"],
-            }
-            for result in replica_results
-            if result["recovery"] is not None
-        ]
     return measure_window(
         config,
         hub,
         emitted_tx=emitted_tx,
-        violations=verify_events(events, emitted_tx, config),
+        violations=violations,
         label=(config.label or (
             f"live-{config.protocol.mempool}/{config.protocol.consensus}"
             f"-n{config.protocol.n}"
         )),
-        # The merged hub holds commits only: view changes and bytes
-        # arrive as per-replica counts, recoveries as per-incarnation rows.
-        view_changes=sum(r["view_changes"] for r in replica_results),
         net_bytes_sent=sum(r["bytes_out"] for r in replica_results),
-        recovery_report=recovery_report,
         wall_clock_s=wall_clock_s,
         per_replica=[
-            {
-                **{key: result[key] for key in _ROW_KEYS},
-                "commits": len(result["commits"]),
-                "recovery_source": (
-                    result["recovery"]["source"]
-                    if result["recovery"] is not None else None
-                ),
-            }
+            {key: result[key] for key in _ROW_KEYS}
             for result in replica_results
         ],
         fault_timeline=list(fault_timeline or []),

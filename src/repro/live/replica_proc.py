@@ -13,17 +13,20 @@ Differences from the sim wiring, all environmental:
   instead of drawing a stream from the run-wide registry;
 * the native mempool's pending pool is per-process — in-sim it is a
   run-wide object, which no real deployment can have;
-* commits are recorded by *every* replica into its local
-  :class:`MetricsHub`; the orchestrator deduplicates by block id when
-  merging, recovering the sim's first-commit semantics.
+* the replica's metrics hub and observer is its own
+  :class:`LiveRecorder`, not the run-wide hub and oracle suite: every
+  replica reports every block it commits, and the hub calls and
+  observer taps stream to ``spec["events_path"]`` as flushed JSONL *as
+  they happen*. The orchestrator replays every replica's stream into one
+  hub and one suite, so a replica SIGKILLed by the chaos layer still
+  counts: its commits, view changes and fetches, and its microblock
+  creations for the ledger check (a microblock is recorded before it is
+  broadcast — if it reached any peer, its creation line reached the
+  page cache).
 
-On exit the process writes one JSON document (metrics summary) to
-``spec["result_path"]``. Protocol events for oracle replay stream to
-``spec["events_path"]`` as flushed JSONL *as they happen*: a replica
-SIGKILLed by the chaos layer loses its end-of-run summary but not its
-event record, so the orchestrator's safety/ledger replay stays complete
-across crash faults (a microblock is recorded before it is broadcast —
-if it reached any peer, its creation line reached the page cache).
+On exit the process writes one JSON document to ``spec["result_path"]``:
+what its transport and executor say of themselves, the row the
+orchestrator prints per incarnation.
 
 Chaos wiring: ``spec["faults"]`` (when present) is the fault schedule's
 ``to_spec()``; its link windows (the schedule's windows without the
@@ -38,6 +41,7 @@ import asyncio
 import json
 import random
 import signal
+from typing import Optional
 
 from repro.config import ProtocolConfig
 from repro.durability import DurabilityConfig
@@ -56,43 +60,27 @@ from repro.sim.interfaces import Scheduler
 SHUTDOWN_GRACE = 0.5
 
 
-class RecordingMetricsHub(MetricsHub):
-    """MetricsHub that additionally keys latency pairs by block id.
+class LiveRecorder(MetricsHub):
+    """A live replica's metrics hub and observer, streaming to disk.
 
-    The orchestrator deduplicates commits *across* replicas by block id;
-    to rebuild the merged latency digest it needs the winning commit's
-    own ``(latency, weight)`` pairs, which the base hub flattens away.
-    """
+    Every hub call protocol code makes that the run reports
+    (``record_commit`` when fresh here, ``record_view_change``,
+    ``record_fetch``, ``record_forward``, ``record_recovery``) and every
+    observer tap the oracles read (``on_local_commit``,
+    ``on_microblock_created``) becomes one JSONL line. The orchestrator
+    replays the merged, time-sorted lines of all replicas into the
+    simulator's own :class:`MetricsHub` and :class:`OracleSuite` (see
+    :mod:`repro.live.verify`). A commit report is stamped with its
+    commit time, so the replay keeps a block's earliest commit, the live
+    equivalent of "the first correct replica to commit reports it".
+    Observer data is encoded through :func:`to_wire`, which keeps it
+    JSON-able and double-checks event purity. ``on_block_resolved`` is
+    not recorded: ``Block`` objects are local assembly state, not wire
+    data, and no live oracle consumes them.
 
-    def __init__(self, sim: Scheduler) -> None:
-        super().__init__(sim)
-        self.commit_latencies: dict[int, list[tuple[float, float]]] = {}
-
-    def record_commit(self, block_id, tx_count, microblock_count,
-                      latencies, commit_time=None) -> bool:
-        fresh = super().record_commit(
-            block_id, tx_count, microblock_count, latencies, commit_time
-        )
-        if fresh:
-            self.commit_latencies[block_id] = [
-                (latency, weight) for latency, weight in latencies
-            ]
-        return fresh
-
-
-class LiveRecorder:
-    """Replica observer streaming wire-encoded protocol events to disk.
-
-    The orchestrator replays the merged, time-sorted event stream from
-    all replicas through the real :class:`repro.verification` oracles
-    (see :mod:`repro.live.verify`). Encoding through :func:`to_wire`
-    keeps the record JSON-able and double-checks event purity.
-    ``on_block_resolved`` is not recorded: ``Block`` objects are local
-    assembly state, not wire data, and no live oracle consumes them.
-
-    Events are written line-by-line with an explicit flush so they
-    survive SIGKILL: a crash loses at most work the kernel never saw,
-    and a microblock's creation line is flushed *before* the mempool
+    Lines are written one by one with an explicit flush so they survive
+    SIGKILL: a crash loses at most work the kernel never saw, and a
+    microblock's creation line is flushed *before* the mempool
     broadcasts it (``notify_microblock`` precedes ``_emit``), so the
     ledger oracle can never see a commit of a microblock whose creation
     record died with its origin.
@@ -100,28 +88,61 @@ class LiveRecorder:
 
     def __init__(self, scheduler: Scheduler, node_id: int,
                  events_path: str) -> None:
-        self._scheduler = scheduler
+        super().__init__(scheduler)
         self._node_id = node_id
         self._file = open(events_path, "w", encoding="utf-8")
 
-    def _record(self, kind: str, data) -> None:
+    def _record(self, kind: str, data, t: Optional[float] = None) -> None:
         # One dumps + one write: json.dump streaming into the file
         # handle costs dozens of tiny TextIOWrapper writes per event,
         # which at saturation charged the recorder ~25% of replica CPU.
         line = json.dumps({
-            "t": self._scheduler.now,
+            "t": self._sim.now if t is None else t,
             "node": self._node_id,
             "kind": kind,
-            "data": to_wire(data),
+            "data": data,
         })
         self._file.write(line + "\n")
         self._file.flush()
 
+    # -- hub calls ---------------------------------------------------------
+
+    def record_commit(self, block_id, tx_count, microblock_count,
+                      latencies, commit_time=None) -> bool:
+        if not super().record_commit(
+            block_id, tx_count, microblock_count, latencies, commit_time
+        ):
+            return False
+        when = self._sim.now if commit_time is None else commit_time
+        self._record(
+            "record_commit",
+            [block_id, tx_count, microblock_count, latencies, when], when,
+        )
+        return True
+
+    def record_view_change(self, replica: int, view: int) -> None:
+        super().record_view_change(replica, view)
+        self._record("record_view_change", [replica, view])
+
+    def record_fetch(self) -> None:
+        super().record_fetch()
+        self._record("record_fetch", [])
+
+    def record_forward(self) -> None:
+        super().record_forward()
+        self._record("record_forward", [])
+
+    def record_recovery(self, node: int, info: dict) -> None:
+        super().record_recovery(node, info)
+        self._record("record_recovery", [node, info])
+
+    # -- observer taps -----------------------------------------------------
+
     def on_local_commit(self, replica, proposal) -> None:
-        self._record("commit", proposal)
+        self._record("commit", to_wire(proposal))
 
     def on_microblock_created(self, replica, microblock) -> None:
-        self._record("mb", microblock)
+        self._record("mb", to_wire(microblock))
 
     def on_block_resolved(self, replica, block) -> None:
         pass
@@ -133,15 +154,17 @@ class LiveRecorder:
 def build_replica(
     spec: dict, scheduler: Scheduler, network: LiveNetwork
 ) -> tuple[Replica, LiveRecorder]:
-    """One replica from a spawn spec: the shared assembly, then what
-    only a live process needs (id rebase, event recorder, client hook)."""
+    """One replica from a spawn spec: the shared assembly over the event
+    recorder, then what only a live process needs (id rebase, recovery
+    report, client hook)."""
     protocol = ProtocolConfig.from_dict(spec["protocol"])
     node_id = spec["node_id"]
     durability = spec.get("durability")
+    recorder = LiveRecorder(scheduler, node_id, spec["events_path"])
     replica = assemble_replica(
         node_id, protocol, scheduler, network,
         random.Random((spec["seed"] << 16) | node_id),
-        RecordingMetricsHub(scheduler),
+        recorder,
         durability=(
             DurabilityConfig.from_spec(durability) if durability else None
         ),
@@ -158,7 +181,12 @@ def build_replica(
         # every view it leads times out.
         replica.mempool.rebase_microblock_ids(generation << 32)
         replica.consensus.rebase_block_ids(generation << 32)
-    recorder = LiveRecorder(scheduler, node_id, spec["events_path"])
+    if replica.executor is not None:
+        # Every incarnation reports how its executor came up: fresh, or
+        # from the disk a killed one left.
+        recorder.record_recovery(node_id, {
+            "generation": generation, **replica.executor.recovery.to_dict(),
+        })
     replica.observer = recorder
     network.client_handler = (
         lambda envelope: replica.on_client_batch(envelope.payload)
@@ -226,22 +254,11 @@ async def _run(spec: dict) -> dict:
     if executor is not None:
         executor.close()
 
-    metrics = replica.metrics
     return {
         "node_id": spec["node_id"],
         "generation": spec.get("generation", 0),
         "wire_codec": network.codec.name,
-        "commits": [
-            {
-                "block_id": rec.block_id,
-                "commit_time": rec.commit_time,
-                "tx_count": rec.tx_count,
-                "microblock_count": rec.microblock_count,
-                "latencies": metrics.commit_latencies.get(rec.block_id, []),
-            }
-            for rec in metrics.commits
-        ],
-        "view_changes": metrics.view_change_count,
+        "commits": len(recorder.recorded),
         "bytes_in": network.bytes_in,
         "bytes_out": network.bytes_out,
         "messages_delivered": network.stats.messages_delivered,
@@ -249,8 +266,8 @@ async def _run(spec: dict) -> dict:
         "queue_high_watermark": network.stats.queue_high_watermark,
         "reconnects": network.stats.reconnects,
         "frames_shed": shaper.frames_shed if shaper is not None else 0,
-        "recovery": (
-            executor.recovery.to_dict() if executor is not None else None
+        "recovery_source": (
+            executor.recovery.source if executor is not None else None
         ),
         "executed_height": (
             executor.last_height if executor is not None else None

@@ -1,20 +1,21 @@
-"""Replay live protocol events through the real invariant oracles.
+"""Replay a live run's event logs into the simulator's own hub and oracles.
 
-Every replica process records its commits and microblock creations as
-wire-encoded events (:class:`repro.live.replica_proc.LiveRecorder`).
-The orchestrator merges the streams, sorts by wall-clock time, decodes
-them back into protocol objects, and feeds them through the *unchanged*
+Every replica process streams its hub calls and observer taps as
+JSONL records (:class:`repro.live.replica_proc.LiveRecorder`). The
+orchestrator merges the streams of every incarnation, killed ones
+included, and :func:`replay_events` feeds them in time order to one
+:class:`~repro.metrics.MetricsHub` and one
+:class:`~repro.verification.oracles.OracleSuite` holding the *unchanged*
 :class:`~repro.verification.oracles.SafetyOracle` and
-:class:`~repro.verification.oracles.LedgerOracle` — the acceptance bar
-is that the live run satisfies the same invariants the simulator is held
-to.
+:class:`~repro.verification.oracles.LedgerOracle`. The hub is what the
+run reports, as the simulator's is, and the acceptance bar is that the
+live run satisfies the same invariants the simulator is held to.
 
 The other three oracles are not replayed. The availability and
 conservation oracles inspect live mempool state (stores, proofs,
-queues), which is gone once the processes exit. The liveness oracle
-reads a run's metrics hub and clock; a live chaos run's fault windows
-are judged instead by the per-window recovery metrics in its merged
-report.
+queues), which is gone once the processes exit. A live chaos run's
+fault windows are judged by the per-window recovery metrics of its
+report, not by the liveness oracle.
 """
 
 from __future__ import annotations
@@ -23,59 +24,49 @@ from types import SimpleNamespace
 
 from repro.harness.config import ExperimentConfig
 from repro.live.wire import from_wire
-from repro.verification.oracles import LedgerOracle, SafetyOracle, Violation
+from repro.metrics import MetricsHub
+from repro.verification.oracles import (
+    LedgerOracle,
+    OracleSuite,
+    SafetyOracle,
+    Violation,
+)
 
-__all__ = ["verify_events"]
+__all__ = ["replay_events"]
 
 
-class _LiveSuite:
-    """Duck-typed stand-in for :class:`OracleSuite` during replay.
+def replay_events(
+    events: list[dict], config: ExperimentConfig, emitted_tx: int
+) -> tuple[MetricsHub, list[Violation]]:
+    """The run's hub and the safety and SMP-integrity violations.
 
-    Oracles touch exactly three suite surfaces when reporting and
-    finalizing: ``record``, ``now``, and
-    ``experiment.generator.emitted_tx_count``. ``now`` is stepped to
-    each event's recorded time so violation timestamps point at the
-    offending event.
+    ``events`` is the merged per-replica record list (``{"t", "node",
+    "kind", "data"}``): a ``record_*`` kind is that hub call with
+    ``data`` as its arguments, ``commit`` and ``mb`` are observer taps
+    with wire-encoded data. The replay clock steps to each record's
+    time, so hub stamps and violation times point at the event; it ends
+    at ``config.end_time``. ``config`` is the run's own: its fault
+    windows go to the hub, and a Stratus run gets the shard-aware ledger
+    checks. No violations means the live run passed.
     """
-
-    def __init__(self, emitted_tx: int, config: ExperimentConfig) -> None:
-        self.violations: list[Violation] = []
-        self.now = 0.0
-        self.experiment = SimpleNamespace(
+    clock = SimpleNamespace(now=0.0)
+    hub = MetricsHub(clock)
+    if config.faults is not None:
+        for window in config.faults.windows:
+            hub.record_fault_window(window)
+    suite = OracleSuite([SafetyOracle(), LedgerOracle()]).attach(
+        SimpleNamespace(
+            config=config, sim=clock, metrics=hub, replicas=[],
             generator=SimpleNamespace(emitted_tx_count=emitted_tx),
-            config=config,
         )
-
-    def record(self, violation: Violation) -> None:
-        self.violations.append(violation)
-
-
-def verify_events(
-    events: list[dict], emitted_tx: int, config: ExperimentConfig
-) -> list[Violation]:
-    """Run the safety and SMP-integrity oracles over recorded events.
-
-    ``events`` is the merged per-replica record list
-    (``{"t", "node", "kind", "data"}`` with wire-encoded data); returns
-    every violation found, empty meaning the live run passed. ``config``
-    is the run's own: a Stratus run gets the shard-aware ledger checks.
-    """
-    suite = _LiveSuite(emitted_tx, config)
-    oracles = [SafetyOracle(), LedgerOracle()]
-    for oracle in oracles:
-        oracle.bind(suite)
-        oracle.on_attach()
-
+    )
+    taps = {"commit": suite.on_local_commit, "mb": suite.on_microblock_created}
     for event in sorted(events, key=lambda e: (e["t"], e["node"])):
-        suite.now = event["t"]
-        replica = SimpleNamespace(node_id=event["node"])
-        data = from_wire(event["data"])
-        for oracle in oracles:
-            if event["kind"] == "commit":
-                oracle.on_local_commit(replica, data)
-            elif event["kind"] == "mb":
-                oracle.on_microblock_created(replica, data)
-
-    for oracle in oracles:
-        oracle.finalize()
-    return suite.violations
+        clock.now = event["t"]
+        kind, data = event["kind"], event["data"]
+        if kind in taps:
+            taps[kind](SimpleNamespace(node_id=event["node"]), from_wire(data))
+        else:
+            getattr(hub, kind)(*data)
+    clock.now = config.end_time
+    return hub, suite.finalize()

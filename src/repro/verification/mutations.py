@@ -46,27 +46,6 @@ class EagerCommitHotStuff(HotStuff):
     commit_links = 0
 
 
-class PullBeforeViewCheck(HotStuff):
-    """Pulls the payload before it looks at the view (ROADMAP d0-ii).
-
-    A parked leader's retry that fires after the view moved — the wake
-    a park left set when it ran out and proposed empty — takes ids out
-    of the queue for a proposal it does not make: they sit at zero
-    stored proposals until somebody else's proposal carries them.
-    """
-
-    name = "hotstuff-pull-first"
-
-    def _try_propose(self, view, justify) -> None:
-        if (
-            self.cur_view > view
-            and not self.host.behavior.silent
-            and justify.block_id in self.proposals
-        ):
-            self.mempool.make_payload()  # BUG under test: pulled, dropped
-        super()._try_propose(view, justify)
-
-
 class ProposeWithoutSync(TwoChainHotStuff):
     """Defers a proposal on a certified block it lacks, and asks nobody:
     a leader back from a crash waits out the view it leads."""
@@ -299,27 +278,6 @@ MUTANTS: dict[str, Mutant] = {
                 expected_oracle="smp-integrity",
                 mempool_cls=ForgetReferenced,
                 config=_config(mempool="stratus", **fields),
-            )
-            for cell, fields in STRATUS_CELLS.items()
-        ),
-        *(
-            Mutant(
-                name=f"pull-before-view-check-{cell}",
-                description=(
-                    "a parked leader's retry pulls its payload before it "
-                    "sees that the view moved; the ids leave the queue "
-                    "for a proposal nobody makes"
-                ),
-                expected_oracle="conservation",
-                consensus_cls=PullBeforeViewCheck,
-                # At 10 tx/s a park can run out with nothing proposable,
-                # leaving its wake set to fire views on. A partition that
-                # never heals leaves no group a quorum ({4, 5, 6} is the
-                # third at n=7), so what a retry drops after it opens is
-                # carried by no proposal when the run ends.
-                config=_config(mempool="stratus", rate_tps=10.0, **fields,
-                               faults=[{"kind": "partition", "start": 2.0,
-                                        "groups": [[0, 1], [2, 3]]}]),
             )
             for cell, fields in STRATUS_CELLS.items()
         ),

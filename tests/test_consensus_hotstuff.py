@@ -158,6 +158,34 @@ def test_parked_leader_proposes_once_an_id_is_proposable(mempool):
     assert fallback.cancelled
 
 
+@pytest.mark.parametrize("mempool", ["stratus", "native"])
+def test_a_park_that_runs_out_drops_its_wake(mempool):
+    """Nothing turns proposable: the park's fallback proposes the view
+    empty, and the wake goes with it instead of firing later as a
+    no-op retry of a view already proposed."""
+    exp = make_cluster(n=4, mempool=mempool)
+    leader = _parked_leader(exp)
+    view = leader.consensus.cur_view
+    exp.sim.run_until(exp.sim.now + exp.config.protocol.view_timeout / 4)
+    assert view in leader.consensus._proposed_views
+    assert leader.mempool._wake is None
+
+
+def test_a_retry_after_the_view_moved_pulls_nothing():
+    """A parked view's retry that fires once the replica is in a later
+    view returns before it pulls: the proposable ids stay queued."""
+    exp = make_cluster(n=4, mempool="simple")
+    leader = _parked_leader(exp)
+    engine, mempool = leader.consensus, leader.mempool
+    view, justify = engine.cur_view, engine.high_qc
+    engine._enter_view(view + 1)
+    mempool._wake = None  # keep the enqueue below from waking it
+    mempool._enqueue(0xFEED)
+    engine._try_propose(view, justify)
+    assert list(mempool._proposable) == [0xFEED]
+    assert view not in engine._proposed_views
+
+
 @pytest.mark.parametrize("consensus", ["hotstuff", "twochain"])
 def test_parking_never_holds_back_a_followers_commit(consensus):
     """Empty views stay paced while their QC still commits payload: the

@@ -18,7 +18,7 @@ from repro.live.orchestrator import (
     run_live,
 )
 from repro.live.scheduler import RealtimeScheduler
-from repro.live.verify import verify_events
+from repro.live.verify import replay_events
 from repro.live.wire import to_wire
 from repro.mempool.base import MessageKinds
 from repro.sim.interfaces import Channel, DeadlineQueue, Scheduler, Transport
@@ -336,7 +336,7 @@ def test_verify_events_accepts_consistent_chains():
         for node in (0, 1)
         for i, prop in enumerate(chain)
     ]
-    assert verify_events(events, 0, REPLAY_CONFIG) == []
+    assert replay_events(events, REPLAY_CONFIG, 0)[1] == []
 
 
 def test_verify_events_flags_a_fork():
@@ -344,7 +344,7 @@ def test_verify_events_flags_a_fork():
         _commit_event(1.0, 0, _proposal(10, 1, 0)),
         _commit_event(1.1, 1, _proposal(99, 1, 0)),  # same height, other block
     ]
-    violations = verify_events(events, 0, REPLAY_CONFIG)
+    violations = replay_events(events, REPLAY_CONFIG, 0)[1]
     assert any(v.kind == "fork" for v in violations)
 
 
@@ -360,14 +360,14 @@ def test_verify_events_flags_fabricated_microblocks():
         entries=tuple(), embedded=(mb,)
     )
     events = [_commit_event(1.0, 0, committed)]  # no creation event
-    violations = verify_events(events, 100, REPLAY_CONFIG)
+    violations = replay_events(events, REPLAY_CONFIG, 100)[1]
     assert any(v.kind == "fabricated" for v in violations)
     # with the creation recorded, the same commit is clean
     events = [
         {"t": 0.5, "node": 0, "kind": "mb", "data": to_wire(mb)},
         _commit_event(1.0, 0, committed),
     ]
-    assert verify_events(events, 100, REPLAY_CONFIG) == []
+    assert replay_events(events, REPLAY_CONFIG, 100)[1] == []
 
 
 # -- one assembly --------------------------------------------------------------
@@ -402,7 +402,7 @@ def test_sim_and_live_assemble_the_same_stack(mempool, consensus, tmp_path):
     assert live.leader_set == simulated.leader_set
     assert type(live.behavior) is type(simulated.behavior)
     assert live.executor is None and simulated.executor is None
-    assert live.observer is recorder
+    assert live.observer is recorder and live.metrics is recorder
 
 
 # -- 4-replica localhost smoke runs ------------------------------------------

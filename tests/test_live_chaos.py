@@ -13,8 +13,10 @@ from repro.harness.presets import chaos_schedule, resolve_fault_spec
 from repro.faults import FaultSchedule, LinkFaults, Window
 from repro.live.chaos import LinkShaper, LIVE_LINK_BANDWIDTH_BPS
 from repro.live.network import DATA_QUEUE_CAP, LiveNetwork, _PeerLink
+from repro.live import orchestrator
 from repro.live.orchestrator import LiveConfig, allocate_ports, run_live
 from repro.live.scheduler import RealtimeScheduler
+from repro.live.verify import replay_events
 from repro.mempool.base import MessageKinds
 from repro.sim.engine import Simulator
 from repro.sim.interfaces import Channel, Envelope
@@ -302,7 +304,14 @@ def _chaos_config(preset, duration=8.0, rate=200.0):
 
 
 @pytest.mark.slow
-def test_live_crash_restart_respawns_and_recovers():
+def test_live_crash_restart_respawns_and_recovers(monkeypatch):
+    streamed = []
+
+    def spy(events, config, emitted_tx):
+        streamed.extend(events)
+        return replay_events(events, config, emitted_tx)
+
+    monkeypatch.setattr(orchestrator, "replay_events", spy)
     result = run_live(_chaos_config("crash-restart"))
     assert result.violations == []
     assert result.committed_blocks > 0
@@ -316,6 +325,23 @@ def test_live_crash_restart_respawns_and_recovers():
     assert [e["event"] for e in result.fault_timeline] == [
         "crash", "restart",
     ]
+    # What generation 0 streamed before its SIGKILL at t=2 counts: the
+    # blocks it reported are in the run's hub, and every streamed hub
+    # call, its own among them, is one in the report.
+    killed = {
+        event["data"][0]
+        for event in streamed
+        if event["node"] == 3 and event["t"] < 2.0
+        and event["kind"] == "record_commit"
+    }
+    assert killed and killed <= result.metrics.recorded
+
+    def calls(kind):
+        return sum(1 for event in streamed if event["kind"] == kind)
+
+    assert result.view_changes == calls("record_view_change")
+    assert result.fetch_count == calls("record_fetch")
+    assert result.forwarded_microblocks == calls("record_forward")
     # Recovery gauges are finite: commits resumed after the window.
     (window,) = result.fault_report
     assert window["kind"] == "crash"

@@ -1,8 +1,17 @@
 """Unit tests for the metrics hub and weighted digest."""
 
+import json
+
 import pytest
 
-from repro.live.replica_proc import RecordingMetricsHub
+from repro.harness import (
+    ExperimentConfig,
+    build_experiment,
+    chaos_schedule,
+    tuned_protocol,
+)
+from repro.live.replica_proc import LiveRecorder
+from repro.live.verify import replay_events
 from repro.metrics import MetricsHub, WeightedDigest
 from repro.sim.engine import Simulator
 
@@ -249,8 +258,8 @@ class EveryReport:
 @pytest.mark.parametrize("kind", STRATUS_KINDS)
 def test_the_hub_hears_each_committed_block_once(kind):
     exp = stratus_cluster(kind, rate_tps=2000.0, duration=2.0)
-    hub = RecordingMetricsHub(exp.sim)
-    reference = RecordingMetricsHub(exp.sim)
+    hub = MetricsHub(exp.sim)
+    reference = MetricsHub(exp.sim)
     reported = []
     record = hub.record_commit
 
@@ -267,7 +276,57 @@ def test_the_hub_hears_each_committed_block_once(kind):
     assert len(reported) > 10
     assert hub.commits == reference.commits
     assert hub.committed_tx_total == reference.committed_tx_total > 0
-    assert hub.commit_latencies == reference.commit_latencies
     for p in (0, 50, 99, 100):
         assert (hub.latency_stats().percentile(p)
                 == reference.latency_stats().percentile(p))
+
+
+def _skewed_crash_cell():
+    """n=8 over WAN links with Zipf clients and a crash-restart: view
+    changes, fetches and DLB forwards all happen."""
+    return ExperimentConfig(
+        tuned_protocol(
+            "S-HS", 8, "wan", batch_bytes=16_384, batch_timeout=0.1,
+            lb_samples=3,
+        ),
+        topology_kind="wan", link_model="fair-share", selector="zipf1",
+        rate_tps=40_000, faults=chaos_schedule("crash-restart", 8),
+        warmup=1.0, duration=4.0, seed=7,
+    )
+
+
+def test_replayed_event_logs_rebuild_the_simulators_hub(tmp_path):
+    """A simulated run wired as live replicas are, each replica its own
+    ``LiveRecorder`` hub and observer, replays into the hub the
+    simulator itself keeps for the same run."""
+    reference = build_experiment(_skewed_crash_cell())
+    reference.sim.run_until(reference.config.end_time)
+    expected = reference.metrics
+
+    exp = build_experiment(_skewed_crash_cell())
+    logs = [tmp_path / f"{replica.node_id}.jsonl" for replica in exp.replicas]
+    for replica, log in zip(exp.replicas, logs):
+        recorder = LiveRecorder(exp.sim, replica.node_id, str(log))
+        replica.metrics = replica.observer = recorder
+    exp.sim.run_until(exp.config.end_time)
+    for replica in exp.replicas:
+        replica.metrics.close()
+    events = [
+        json.loads(line)
+        for log in logs
+        for line in log.read_text(encoding="utf-8").splitlines()
+    ]
+    hub, violations = replay_events(
+        events, exp.config, exp.generator.emitted_tx_count
+    )
+
+    assert violations == []
+    assert hub.commits == expected.commits
+    assert hub.committed_tx_total == expected.committed_tx_total > 0
+    for p in (0, 50, 99, 100):
+        assert (hub.latency_stats().percentile(p)
+                == expected.latency_stats().percentile(p))
+    assert hub.view_change_count == expected.view_change_count > 0
+    assert hub.fetch_count == expected.fetch_count > 0
+    assert hub.forwarded_microblocks == expected.forwarded_microblocks > 0
+    assert hub.fault_report() == expected.fault_report()

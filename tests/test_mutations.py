@@ -3,8 +3,8 @@
 This is the verification layer's own verification. Each mutant plants a
 classic BFT/SMP bug (1-chain commits, skipped availability gates, a PAB
 quorum one ack short and a proposal hook that marks nothing, each
-unsharded and at two shards of n=7, payload replay/fabrication, muted votes, a
-payload pulled before the view is checked); if a refactor blinds an
+unsharded and at two shards of n=7, payload replay/fabrication, muted
+votes, a restarted leader that never syncs); if a refactor blinds an
 oracle, the corresponding case here fails. The reverse direction —
 oracles stay silent on correct stacks — is covered by
 ``tests/test_fuzz_corpus.py``.
@@ -60,17 +60,6 @@ def test_forget_referenced_needs_the_ancestor_rule(kind):
     assert all("built on" in v.message for v in duplicates)
 
 
-@pytest.mark.parametrize("kind", STRATUS_KINDS)
-def test_pull_before_view_check_caught_by_conservation_only(kind):
-    """The dropped ids are still in the other replicas' queues and commit
-    later, so safety, availability, integrity and liveness see a healthy
-    run; only the per-replica id lifecycle is broken."""
-    outcome = run_mutant(f"pull-before-view-check-{MUTANT_CELL[kind]}")
-    assert outcome.committed_tx > 0
-    assert {v.oracle for v in outcome.violations} == {"conservation"}
-    assert {v.kind for v in outcome.violations} == {"stranded"}
-
-
 def test_mutant_scenarios_pass_without_the_bug():
     """Each mutant's scenario is clean on the unmutated stack — the
     violation comes from the seeded bug, not the schedule."""
@@ -110,9 +99,7 @@ def test_mutant_config_round_trips(name):
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
-@pytest.mark.parametrize("stem", [
-    "short-quorum", "forget-referenced", "pull-before-view-check",
-])
+@pytest.mark.parametrize("stem", ["short-quorum", "forget-referenced"])
 def test_sharded_cells_are_sharded(stem):
     """A ``*-shards2`` cell's two shards have different members, so it
     runs something its unsharded twin does not."""

@@ -104,9 +104,9 @@ def test_crash_restart_move_as_one_unit():
 
 def test_artifact_round_trip(tmp_path):
     """A failing run written to disk replays bit-for-bit, with every
-    field its config sets: the pull-before-view-check case needs its
-    partition to fail at all."""
-    for name in ("mute-votes", "pull-before-view-check-stratus"):
+    field its config sets: the eager-commit case needs its seed, size
+    and partition to fail at all."""
+    for name in ("mute-votes", "eager-commit"):
         config = MUTANTS[name].config
         result = run_mutant(name)
         assert result.violations
