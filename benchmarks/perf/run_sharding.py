@@ -41,8 +41,7 @@ from typing import Optional
 
 from repro.config import ShardingConfig
 from repro.harness import ExperimentConfig, tuned_protocol
-from repro.parallel import ParallelExecutor, experiment_job
-from repro.parallel.jobs import execute_job
+from repro.parallel import run_configs
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_sharding.json"
 
@@ -248,28 +247,20 @@ def main(argv: Optional[list] = None) -> int:
 
     scale = 0.5 if args.quick else 1.0
     work = grid(scale)
-    specs = [experiment_job(config, oracles=True) for _, _, config in work]
-
-    print(f"[sharding] {len(specs)} cell(s), jobs={args.jobs}, "
+    print(f"[sharding] {len(work)} cell(s), jobs={args.jobs}, "
           f"quick={args.quick}", flush=True)
     started = time.perf_counter()
-    if args.jobs > 1:
-        executor = ParallelExecutor(jobs=args.jobs)
-        results = executor.map(specs)
-        summaries = []
-        for (n, shards, _), job in zip(work, results):
-            if job.error is not None:
-                raise SystemExit(
-                    f"[sharding] {cell_label(n, shards)} failed after "
-                    f"{job.attempts} attempt(s): {job.error}"
-                )
-            summaries.append(job.value["result"])
-    else:
-        summaries = []
-        for (n, shards, _), spec in zip(work, specs):
-            summaries.append(execute_job(spec.to_dict())["result"])
+    summaries = []
+    results = run_configs(
+        (config for _, _, config in work), args.jobs, oracles=True,
+    )
+    try:
+        for (n, shards, _), result in zip(work, results):
+            summaries.append(result.to_dict())
             print(f"[sharding]   {cell_label(n, shards)}: "
-                  f"{summaries[-1]['committed_tx']} tx committed", flush=True)
+                  f"{result.committed_tx} tx committed", flush=True)
+    except RuntimeError as exc:
+        raise SystemExit(f"[sharding] {exc}")
     elapsed = time.perf_counter() - started
 
     cells = {}

@@ -425,8 +425,6 @@ def build_live_parser() -> argparse.ArgumentParser:
                         default="hotstuff", help="consensus engine")
     parser.add_argument("-n", type=int, default=4, help="replica count")
     _add_run_args(parser, rate=1_000.0, duration=10.0)
-    parser.add_argument("--tick", type=float, default=0.01,
-                        help="client submission tick, seconds")
     parser.add_argument("--startup-grace", type=float, default=None,
                         help="seconds allowed for replica processes to "
                              "boot before protocol t=0")
@@ -448,7 +446,7 @@ def run_live_cmd(argv: Sequence[str]) -> int:
     protocol = ProtocolConfig(n=args.n, consensus=args.protocol, **overrides)
     name = f"{protocol.mempool}/{args.protocol}"
     config = _experiment(
-        args, protocol, live=True, tick=args.tick, data_dir=args.data_dir,
+        args, protocol, live=True, data_dir=args.data_dir,
         label=f"live-{name}-n{args.n}",
     )
     live = LiveConfig(experiment=config, wire_codec=args.wire_codec)

@@ -188,6 +188,12 @@ class ProtocolConfig:
             )
         if self.lb_samples < 1:
             raise ValueError(f"lb_samples must be >= 1, got {self.lb_samples}")
+        if self.empty_view_delay >= self.view_timeout:
+            # Every paced view would outlast its own timeout: no commits.
+            raise ValueError(
+                f"empty_view_delay ({self.empty_view_delay}) must be below "
+                f"view_timeout ({self.view_timeout})"
+            )
         if not 0.0 < self.fetch_sample_fraction <= 1.0:
             raise ValueError(
                 "fetch_sample_fraction must be in (0, 1], "

@@ -31,7 +31,6 @@ class ExperimentConfig:
     selector: str = "uniform"
     fault: str = "none"
     fault_count: int = 0
-    tick: float = 0.01
     attach_executor: bool = False
     priority_channels: bool = True
     #: Link model: "serial" store-and-forward (Appendix-A exact) or

@@ -235,7 +235,6 @@ def build_experiment(
         rate_tps=config.rate_tps,
         tx_payload=protocol.tx_payload,
         selector=make_selector(config),
-        tick=config.tick,
         mode=config.workload_mode,
         offered_clients=config.offered_clients,
     )

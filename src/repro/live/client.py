@@ -58,7 +58,6 @@ async def run_client(
         rate_tps=config.rate_tps,
         tx_payload=config.protocol.tx_payload,
         selector=make_selector(config),
-        tick=config.tick,
     )
 
     await scheduler.sleep_until(0.0)

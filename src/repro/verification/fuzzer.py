@@ -215,7 +215,7 @@ class ScenarioFuzzer:
         """Run ``iterations`` cases; optionally stop at first failure.
 
         Every width takes one path: each case is an oracle-armed
-        :func:`~repro.parallel.experiment_job`, and ``jobs`` sets how
+        :func:`~repro.parallel.run_config` call, and ``jobs`` sets how
         many worker processes they fan out across, ``1`` running each in
         this process. Results are reported in submission (index) order,
         so the returned list is always the contiguous prefix
@@ -224,23 +224,14 @@ class ScenarioFuzzer:
         root seed alone, so the results — including every commit hash —
         are bit-for-bit the same at any width.
         """
-        from repro.parallel import ParallelExecutor, experiment_job
+        from repro.parallel import run_configs
 
-        specs = [
-            experiment_job(self.scenario(index), oracles=True)
-            for index in range(start, start + iterations)
-        ]
+        cases = (self.scenario(i) for i in range(start, start + iterations))
         results: list[RunResult] = []
-        for job in ParallelExecutor(jobs=jobs).imap(specs):
-            if job.error is not None:
-                raise RuntimeError(
-                    f"fuzz worker failed on {specs[job.index].label}: "
-                    f"{job.error}"
-                )
-            result = RunResult.from_dict(job.value["result"])
+        for result in run_configs(cases, jobs, oracles=True):
             results.append(result)
             if on_outcome is not None:
                 on_outcome(result)
             if stop_on_failure and result.violations:
-                break  # imap cleanup cancels the still-running jobs
+                break  # closing run_configs cancels the running cases
         return results

@@ -7,6 +7,9 @@ but using the production wiring from the harness.
 
 from __future__ import annotations
 
+import os
+import time
+
 from repro.config import MEMPOOL_KINDS, ProtocolConfig, ShardingConfig
 from repro.harness import ExperimentConfig, build_experiment
 from repro.types import TxBatch
@@ -90,3 +93,23 @@ def inject(experiment, replica_id, count=4, payload=128):
     )
     replica.on_client_batch(batch)
     return batch
+
+
+def probe(command):
+    """Executor plumbing probe: echo, sleep, raise or die on command.
+
+    ``command`` is ``(action, arg)``. A module-level function, so a
+    spawned worker imports it as ``tests.helpers``; it gives the
+    executor's ordering, clean-exception, crash-isolation and early-close
+    paths something deterministic to run without building a simulation.
+    """
+    action, arg = command
+    if action == "sleep":
+        time.sleep(arg)
+    elif action == "raise":
+        raise RuntimeError(arg)
+    elif action == "exit":
+        # A hard worker death (segfault, OOM-kill): no exception, no
+        # result message, just a closed pipe and a non-zero exit code.
+        os._exit(arg)
+    return action, arg, os.getpid()

@@ -83,6 +83,15 @@ def test_fetch_sample_fraction_validated():
         ProtocolConfig(n=4, fetch_sample_fraction=1.5)
 
 
+def test_empty_view_delay_below_view_timeout():
+    """A paced view that outlasts its own timeout never commits."""
+    for delay in (0.5, 0.6):
+        with pytest.raises(ValueError, match=r"\(0\.5\)") as caught:
+            ProtocolConfig(n=4, view_timeout=0.5, empty_view_delay=delay)
+        assert f"({delay})" in str(caught.value)
+    ProtocolConfig(n=4, view_timeout=0.5, empty_view_delay=0.499)
+
+
 def test_derived_quantities_are_recomputed_not_serialised():
     """f, the quorums and txs_per_microblock are computed once per
     instance: a copy gets its own, and none of them is a field."""

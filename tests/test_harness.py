@@ -173,6 +173,7 @@ DELETED_KEYS = {
     "fetch_jitter", "fetch_max_rounds", "gossip_fanout", "pbft_window",
     "gc_retention", "busy_margin", "busy_slack", "byzantine",
     "fsync_interval", "snapshot_transfer", "shard_size", "data_limiter",
+    "tick",
 }
 
 

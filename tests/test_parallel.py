@@ -4,12 +4,13 @@ The determinism tests are the hash gate the whole package hangs on: a
 parallel run must be bit-for-bit the serial run, for fuzz sweeps,
 seed-replicated points, and benchmark grid cells alike. The unit tests
 exercise the executor's failure plumbing (crash isolation, early
-close) through the self-test job kind, which needs no simulator.
+close) through ``tests.helpers.probe``, which needs no simulator.
 """
 
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -20,14 +21,9 @@ from repro.harness import (
     RunResult,
     run_experiment,
 )
-from repro.parallel import (
-    JobSpec,
-    ParallelExecutor,
-    execute_job,
-    experiment_job,
-    sweep,
-)
+from repro.parallel import ParallelExecutor, run_config, sweep
 from repro.verification import ScenarioFuzzer, Violation
+from tests.helpers import probe
 
 
 def small_config(**kwargs):
@@ -43,9 +39,8 @@ def seed_replicas(seeds):
     return [dataclasses.replace(small_config(), seed=seed) for seed in seeds]
 
 
-def selftest(action, **payload):
-    payload["action"] = action
-    return JobSpec(kind="selftest", payload=payload, label=action)
+def run_probes(jobs, *commands):
+    return list(ParallelExecutor(jobs=jobs).imap(probe, commands))
 
 
 def deterministic_dict(result: RunResult) -> dict:
@@ -57,33 +52,24 @@ def deterministic_dict(result: RunResult) -> dict:
 
 class TestExecutorUnit:
     def test_results_in_submission_order(self):
-        executor = ParallelExecutor(jobs=2)
         # The first job sleeps past the second's finish; order must hold.
-        specs = [
-            selftest("sleep", seconds=0.5, echo="slow"),
-            selftest("echo", echo="fast"),
-            selftest("echo", echo="also-fast"),
-        ]
-        results = executor.map(specs)
+        results = run_probes(
+            2, ("sleep", 0.5), ("echo", "fast"), ("echo", "also-fast"),
+        )
         assert [job.index for job in results] == [0, 1, 2]
         assert all(job.ok for job in results)
-        assert results[1].value["echo"] == "fast"
+        assert results[1].value[:2] == ("echo", "fast")
 
     def test_clean_exception_not_retried(self):
-        executor = ParallelExecutor(jobs=2)
-        [job] = executor.map([selftest("raise", message="boom")])
+        [job] = run_probes(2, ("raise", "boom"))
         assert not job.ok
         assert "boom" in job.error
         assert not job.crashed
 
     def test_crash_is_isolated(self):
-        executor = ParallelExecutor(jobs=2)
-        specs = [
-            selftest("echo", echo="before"),
-            selftest("exit", code=3),
-            selftest("echo", echo="after"),
-        ]
-        results = executor.map(specs)
+        results = run_probes(
+            2, ("echo", "before"), ("exit", 3), ("echo", "after"),
+        )
         assert results[0].ok and results[2].ok  # neighbors unaffected
         dead = results[1]
         assert not dead.ok
@@ -91,39 +77,24 @@ class TestExecutorUnit:
         assert "exited with code 3" in dead.error
 
     def test_serial_path_runs_in_process(self):
-        executor = ParallelExecutor(jobs=1)
-        ok, bad = executor.map([
-            selftest("echo", echo="hi"), selftest("raise"),
-        ])
-        import os
-
-        assert ok.value["pid"] == os.getpid()  # no subprocess at jobs=1
+        ok, bad = run_probes(1, ("echo", "hi"), ("raise", "boom"))
+        assert ok.value[2] == os.getpid()  # no subprocess at jobs=1
         assert not bad.ok and "RuntimeError" in bad.error
 
     def test_early_close_cancels_stragglers(self):
         executor = ParallelExecutor(jobs=2)
-        specs = [
-            selftest("echo", echo="first"),
-            selftest("sleep", seconds=60),
-        ]
-        iterator = executor.imap(specs)
+        iterator = executor.imap(probe, [("echo", "first"), ("sleep", 60)])
         assert next(iterator).ok
         iterator.close()  # must terminate the sleeper, not hang
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
-        with pytest.raises(TypeError):
-            ParallelExecutor(jobs=1).map(["not a spec"])
 
 
 class TestJobSpecs:
-    def test_experiment_spec_round_trips(self):
-        spec = experiment_job(small_config(), timeline_bucket=1.0)
-        clone = JobSpec.from_dict(spec.to_dict())
-        assert clone == spec
-        assert clone.label == "par-test"
-        assert clone.options == {"timeline_bucket": 1.0}
+    """What crosses the process boundary: a config dict in, a result
+    dict out."""
 
     def test_summary_round_trips_with_int_percentiles(self):
         result = run_experiment(small_config())
@@ -141,8 +112,8 @@ class TestJobSpecs:
     def test_summary_matches_result(self):
         """What a worker ships is what the run measured in-process."""
         result = run_experiment(small_config())
-        shipped = execute_job(experiment_job(small_config()).to_dict())
-        clone = RunResult.from_dict(shipped["result"])
+        shipped = run_config((small_config().to_dict(), False, None))
+        clone = RunResult.from_dict(json.loads(json.dumps(shipped)))
         assert deterministic_dict(clone) == deterministic_dict(result)
         assert clone.commit_hash == result.commit_hash
         assert clone.latency_percentile(99) == result.latency.percentile(99)

@@ -20,7 +20,6 @@ from repro.harness import (
     chaos_schedule,
 )
 from repro.live.chaos import LIVE_LINK_BANDWIDTH_BPS, LinkShaper
-from repro.parallel import JobSpec, experiment_job
 from repro.metrics import WeightedDigest
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.stratus.estimator import StableTimeEstimator
@@ -327,10 +326,6 @@ def experiment_configs(draw):
 def test_experiment_config_round_trips_through_json(config):
     data = config.to_dict()
     assert ExperimentConfig.from_dict(json.loads(json.dumps(data))) == config
-    # The spawn spec of a parallel job is that dict, one level down.
-    spec = experiment_job(config)
-    assert JobSpec.from_dict(spec.to_dict()) == spec
-    assert spec.payload == data
 
 
 @given(experiment_configs())
@@ -343,7 +338,6 @@ def test_every_config_field_is_serialised(config):
         config.protocol,
         config.protocol.sharding or ShardingConfig(),
         NetBenchConfig(),
-        experiment_job(config),
     ):
         names = [spec.name for spec in dataclasses.fields(obj)]
         assert list(obj.to_dict()) == names
