@@ -19,6 +19,7 @@ import os
 from pathlib import Path
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
+from repro.faults import FaultSchedule, Window
 from repro.parallel import sweep as parallel_sweep
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -39,6 +40,18 @@ def write_result(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
+
+
+def censoring_senders(n: int, count: int):
+    """Fig. 8's adversary: the ``count`` highest ids censor from t=0 (a
+    ``swap`` window each, which also keeps them out of the leader set);
+    None when ``count`` is 0."""
+    if not count:
+        return None
+    return FaultSchedule([
+        Window("swap", 0.0, nodes=(node,), behavior="censor")
+        for node in range(n - count, n)
+    ])
 
 
 def capacity_config(

@@ -17,7 +17,7 @@ import pytest
 from repro import ExperimentConfig, run_experiment, tuned_protocol
 from repro.harness.report import format_table
 
-from _common import run_once, write_result
+from _common import censoring_senders, run_once, write_result
 
 N = 31
 F = (N - 1) // 3
@@ -33,7 +33,7 @@ def run(pab_quorum: int, sample_fraction: float, byz: int = 0):
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="lan", bandwidth_bps=100e6,
         rate_tps=RATE, duration=4.0, warmup=1.5, seed=21,
-        fault="censor" if byz else "none", fault_count=byz,
+        faults=censoring_senders(N, byz),
         label=f"q{pab_quorum}-a{sample_fraction}-byz{byz}",
     ))
 

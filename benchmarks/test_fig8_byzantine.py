@@ -22,7 +22,9 @@ import pytest
 from repro import ExperimentConfig, tuned_protocol
 from repro.harness.report import format_table
 
-from _common import run_grid, run_once, scaled, write_result
+from _common import (
+    censoring_senders, run_grid, run_once, scaled, write_result,
+)
 
 SIZES = scaled(default=[31, 61], full=[100, 200])
 BYZ_FRACTIONS = (0.0, 0.1, 0.2, 0.3)
@@ -40,7 +42,7 @@ def cell_config(preset: str, n: int, byz: int, quorum: str):
     return ExperimentConfig(
         protocol=protocol, topology_kind="lan",
         rate_tps=RATE, duration=4.0, warmup=1.5, seed=5,
-        fault="censor" if byz else "none", fault_count=byz,
+        faults=censoring_senders(n, byz),
         label=f"{preset}-{quorum}-n{n}-byz{byz}",
     )
 

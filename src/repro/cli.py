@@ -66,7 +66,7 @@ from repro.harness import (
     resolve_fault_spec,
     tuned_protocol,
 )
-from repro.harness.config import FAULTS, SELECTORS, TOPOLOGIES
+from repro.harness.config import SELECTORS, TOPOLOGIES
 from repro.sim.network import LINK_MODELS
 from repro.workload.generator import WORKLOAD_MODES
 
@@ -77,7 +77,7 @@ FAULTS_HELP = (
     f"({', '.join(CHAOS_PRESET_NAMES)}), inline JSON "
     '(\'[{"kind": "crash", "start": 2.0, "end": 4.0, "nodes": [3]}, '
     '...]\'; one entry per fault window, "end" omitted when it never '
-    'heals), '
+    'heals; a "swap" at start 0 is a Byzantine replica), '
     "or @file.json"
 )
 
@@ -263,7 +263,7 @@ def _print_results_table(
 def _print_reports(results: list[RunResult]) -> None:
     """Fault windows, durable recoveries and timelines of sim or live runs."""
     for result in results:
-        if result.fault_report is not None:
+        if result.fault_report:  # swaps are no fault windows
             _print_fault_report(result.label, result.fault_report)
     for result in results:
         if result.recovery_report:
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--topology", choices=TOPOLOGIES, default="lan")
     parser.add_argument("--bandwidth", type=float, default=None,
                         help="per-replica bandwidth override, bits/s")
-    parser.add_argument("--fault", choices=FAULTS, default="none")
-    parser.add_argument("--fault-count", type=int, default=0)
     for field, kind in SWEEP_OVERRIDES:
         parser.add_argument("--" + field.replace("_", "-"), type=kind,
                             default=None)
@@ -571,8 +569,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 args, protocol,
                 topology_kind=args.topology,
                 bandwidth_bps=args.bandwidth,
-                fault=args.fault,
-                fault_count=args.fault_count,
                 link_model=args.link_model,
                 workload_mode=args.workload_mode,
                 offered_clients=args.clients,

@@ -17,6 +17,9 @@ one entry per window, ``end`` omitted when the fault never heals::
       "jitter": 0.05, "bandwidth_factor": 0.15},
      {"kind": "swap", "start": 3.0, "nodes": [2], "behavior": "censor"}]
 
+A swap at ``start`` 0 is how a replica is Byzantine for the whole run:
+it is built with that behavior and never leads.
+
 The windows are what the metrics hub reports recovery per and what both
 network backends evaluate link faults from
 (:class:`~repro.faults.windows.LinkFaults`); :meth:`FaultSchedule.timeline`
@@ -228,8 +231,9 @@ class FaultSchedule:
         return [_window_to_dict(window) for window in self.windows]
 
     def validate(self, n: int) -> None:
-        """Check every window against a network of ``n`` replicas, and
-        that no replica's crashes overlap."""
+        """Check every window against a network of ``n`` replicas, that
+        no replica's crashes overlap, and that at most f = (n-1)//3
+        replicas are Byzantine from the start."""
         down_until: dict[int, float] = {}  # node -> end of its last crash
         for window in self.windows:
             _check(window, n)
@@ -241,14 +245,35 @@ class FaultSchedule:
                         f"t={window.start}"
                     )
                 down_until[node] = window.end
+        byzantine, f = len(self.initial_behaviors()), (n - 1) // 3
+        if byzantine > f:
+            raise ValueError(
+                f"{byzantine} replicas are Byzantine from the start; "
+                f"n={n} tolerates f={f}"
+            )
+
+    def initial_behaviors(self) -> dict[int, str]:
+        """Node -> behavior of each replica Byzantine from construction.
+
+        A swap at ``start`` 0 is not an event: the last one naming a
+        replica is the behavior it is built with, and a non-honest one
+        keeps it out of the leader set.
+        """
+        at_start = {
+            window.nodes[0]: window.behavior for window in self.windows
+            if window.kind == "swap" and window.start == 0.0
+        }
+        return {
+            node: kind for node, kind in at_start.items() if kind != "honest"
+        }
 
     def validate_live(self, n: int) -> None:
         """Validate for the live backend (stricter than :meth:`validate`).
 
         Behavior swaps have no live realization yet — a running OS
-        process cannot be handed a new ``Behavior`` object over the wall
-        — so schedules containing them are rejected up front instead of
-        silently dropping the swap.
+        process cannot be handed a new ``Behavior`` object over the wall,
+        nor is one built with it — so schedules containing them (at t=0
+        too) are rejected up front instead of silently running honest.
         """
         self.validate(n)
         for window in self.windows:
@@ -262,9 +287,11 @@ class FaultSchedule:
         """``(at, "crash" | "restart" | "swap", window)`` in time order.
 
         A crash restarts at its ``end`` (never when unbounded); a swap
-        acts at its ``start``. Steps at one instant keep the order of
-        their windows, so a restart comes before any crash or swap that
-        starts at that instant (its own window started earlier).
+        acts at its ``start``, except at 0, where it is the replica's
+        behavior from construction (:meth:`initial_behaviors`). Steps at
+        one instant keep the order of their windows, so a restart comes
+        before any crash or swap that starts at that instant (its own
+        window started earlier).
         """
         steps: list[tuple[float, str, Window]] = []
         for window in self.windows:
@@ -272,7 +299,7 @@ class FaultSchedule:
                 steps.append((window.start, "crash", window))
                 if window.end != math.inf:
                     steps.append((window.end, "restart", window))
-            elif window.kind == "swap":
+            elif window.kind == "swap" and window.start > 0.0:
                 steps.append((window.start, "swap", window))
         steps.sort(key=lambda step: step[0])
         return steps

@@ -11,7 +11,6 @@ from repro.faults import FaultSchedule
 
 TOPOLOGIES = ("lan", "wan")
 SELECTORS = ("uniform", "zipf1", "zipf10")
-FAULTS = ("none", "silent", "censor", "lying")
 
 
 @dataclass
@@ -29,8 +28,6 @@ class ExperimentConfig:
     warmup: float = 1.0
     seed: int = 1
     selector: str = "uniform"
-    fault: str = "none"
-    fault_count: int = 0
     attach_executor: bool = False
     priority_channels: bool = True
     #: Link model: "serial" store-and-forward (Appendix-A exact) or
@@ -45,7 +42,9 @@ class ExperimentConfig:
     #: way, so simulation cost does not depend on it).
     offered_clients: Optional[int] = None
     #: Scripted fault schedule (crashes, partitions, loss, squeeze and
-    #: delay windows...), realised by :class:`repro.faults.FaultInjector`.
+    #: delay windows, behavior swaps), realised by
+    #: :class:`repro.faults.FaultInjector`; a swap at t=0 is a replica
+    #: Byzantine for the whole run.
     faults: Optional[FaultSchedule] = None
     #: Durable state machine (WAL + checkpoints); implies an executor on
     #: every replica. None keeps the purely in-memory KVStore.
@@ -60,21 +59,12 @@ class ExperimentConfig:
         # them (Network, WorkloadGenerator), which own their choices.
         for name, choices in (
             ("topology_kind", TOPOLOGIES), ("selector", SELECTORS),
-            ("fault", FAULTS),
         ):
             if getattr(self, name) not in choices:
                 raise ValueError(
                     f"{name} must be one of {choices}, "
                     f"got {getattr(self, name)!r}"
                 )
-        if self.fault == "none" and self.fault_count:
-            raise ValueError("fault_count requires a fault kind")
-        if self.fault != "none" and self.fault_count <= 0:
-            raise ValueError(f"fault {self.fault!r} requires fault_count > 0")
-        if self.fault_count > self.protocol.f:
-            raise ValueError(
-                f"fault_count {self.fault_count} exceeds f={self.protocol.f}"
-            )
         if self.duration <= 0 or self.warmup < 0:
             raise ValueError("duration must be > 0 and warmup >= 0")
         if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
@@ -96,12 +86,6 @@ class ExperimentConfig:
     @property
     def end_time(self) -> float:
         return self.warmup + self.duration
-
-    @property
-    def byzantine_ids(self) -> frozenset[int]:
-        """Faulty replicas take the highest ids (never in the leader set)."""
-        n = self.protocol.n
-        return frozenset(range(n - self.fault_count, n))
 
     def to_dict(self) -> dict:
         """JSON-able form; round-trips through :meth:`from_dict`.

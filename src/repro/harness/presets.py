@@ -112,9 +112,8 @@ def tuned_protocol(
 
 
 #: Named chaos schedules for the CLI's ``--faults`` flag, each a builder
-#: of its windows from the crash victim, the highest id: never in the
-#: leader set under a ``fault_count`` run (partition groups must fit the
-#: membership, so the presets need n >= 4).
+#: of its windows from the crash victim, the highest id (partition
+#: groups must fit the membership, so the presets need n >= 4).
 _CHAOS_PRESETS = {
     "crash-restart": lambda victim: [
         Window("crash", 2.0, 4.0, nodes=(victim,)),

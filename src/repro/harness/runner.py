@@ -22,13 +22,13 @@ from typing import Optional
 from repro.config import ProtocolConfig
 from repro.consensus import CONSENSUS_CLASSES
 from repro.durability import DurabilityConfig, DurableKVStore
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, FaultSchedule
 from repro.harness.config import ExperimentConfig
 from repro.harness.result import RunResult, measure_window
 from repro.kvstore import KVStore
 from repro.mempool import MEMPOOL_CLASSES, NativeMempool, SharedPendingPool
 from repro.metrics import MetricsHub
-from repro.replica import Behavior, HonestBehavior, Replica, behavior_for
+from repro.replica import Behavior, Replica, behavior_for
 from repro.sim import (
     Network,
     RngRegistry,
@@ -105,14 +105,6 @@ def make_selector(config: ExperimentConfig):
     if config.selector == "zipf1":
         return ZipfSelector(n, s=1.01, v=1.0)
     return ZipfSelector(n, s=1.01, v=10.0)
-
-
-def _make_behavior(
-    config: ExperimentConfig, node_id: int
-) -> Optional[Behavior]:
-    if node_id not in config.byzantine_ids:
-        return HonestBehavior()
-    return behavior_for(config.fault, config.protocol)
 
 
 def assemble_replica(
@@ -202,9 +194,11 @@ def build_experiment(
     )
     metrics = MetricsHub(sim)
 
+    # A replica Byzantine from the start is built so (a silent one starts
+    # differently) and never leads; later swaps are injector events.
+    byzantine = (config.faults or FaultSchedule()).initial_behaviors()
     leader_set = tuple(
-        node for node in range(protocol.n)
-        if node not in config.byzantine_ids
+        node for node in range(protocol.n) if node not in byzantine
     )
     # In-sim the native mempool's pending pool is one run-wide object.
     shared_pool = SharedPendingPool(protocol.tx_payload)
@@ -219,7 +213,7 @@ def build_experiment(
         replicas.append(assemble_replica(
             node_id, protocol, sim, network,
             rng.stream(f"replica.{node_id}"), metrics,
-            behavior=_make_behavior(config, node_id),
+            behavior=behavior_for(byzantine.get(node_id, "honest"), protocol),
             leader_set=leader_set,
             shared_pool=shared_pool,
             mempool_cls=mempool_cls,

@@ -150,9 +150,7 @@ class LiveFaultInjector:
         kill: Callable[[int], None],
         respawn: Callable[[int], None],
     ) -> None:
-        self._steps = [
-            step for step in schedule.timeline() if step[1] != "swap"
-        ]
+        self._steps = schedule.timeline()  # no swaps: validate_live
         self._epoch = epoch
         self._kill = kill
         self._respawn = respawn

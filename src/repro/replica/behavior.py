@@ -142,9 +142,8 @@ class ProofWithholder(Behavior):
     withholds_proofs = True
 
 
-#: Behavior names accepted by ``behavior_for`` (harness faults, chaos
-#: ``swap`` windows). "none" and "honest" are synonyms.
-BEHAVIOR_KINDS = ("none", "honest", "silent", "censor", "lying", "withhold")
+#: Behavior names accepted by ``behavior_for`` (chaos ``swap`` windows).
+BEHAVIOR_KINDS = ("honest", "silent", "censor", "lying", "withhold")
 
 
 def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
@@ -155,7 +154,7 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
     Narwhal an echo quorum minus its own echo; against the simple SMP the
     pure leader-only attack suffices.
     """
-    if kind in ("none", "honest"):
+    if kind == "honest":
         return HonestBehavior()
     if kind == "silent":
         return SilentReplica()

@@ -73,18 +73,16 @@ class Violation:
 def honest_ids(config: "ExperimentConfig") -> frozenset[int]:
     """Replicas whose observations the oracles trust.
 
-    Configured Byzantine replicas and any replica a scripted ``swap``
-    window turns non-honest are excluded for the whole run;
-    crashed-and-restarted replicas stay honest (crash-recovery model).
+    Any replica a ``swap`` window turns non-honest, at t=0 or mid-run, is
+    excluded for the whole run; crashed-and-restarted replicas stay
+    honest (crash-recovery model).
     """
-    suspect = set(config.byzantine_ids)
-    if config.faults is not None:
-        for window in config.faults.windows:
-            if window.kind == "swap" and window.behavior != "honest":
-                suspect.add(window.nodes[0])
-    return frozenset(
-        node for node in range(config.protocol.n) if node not in suspect
-    )
+    windows = config.faults.windows if config.faults is not None else ()
+    suspect = {
+        window.nodes[0] for window in windows
+        if window.kind == "swap" and window.behavior != "honest"
+    }
+    return frozenset(range(config.protocol.n)) - suspect
 
 
 class Oracle:
@@ -334,7 +332,8 @@ class AvailabilityOracle(Oracle):
         protocol = self.config.protocol
         self._armed = self._strict or protocol.mempool in self.CERTIFYING
         self._shard_map = _shard_map_for(protocol)
-        byz = self.config.byzantine_ids
+        faults = self.config.faults
+        byz = set(faults.initial_behaviors() if faults is not None else ())
         if protocol.mempool == "narwhal":
             self._threshold = max(1, protocol.consensus_quorum - len(byz))
         else:

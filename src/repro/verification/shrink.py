@@ -1,16 +1,16 @@
 """Automatic shrinking of failing fuzz cases.
 
 Greedy delta-debugging over a case's degrees of freedom: drop whole
-fault windows (a crash carries its restart as its ``end``), narrow the
-surviving ones, halve the run duration, reduce the cluster size, and
-thin the workload — accepting each step only while the original oracle
-still fires. Every candidate is a ``dataclasses.replace`` of the
-:class:`ExperimentConfig`, of one of its windows or of its
-:class:`ProtocolConfig`, so whatever the case sets (a shard layout, a
-mutant's timer) survives the walk. The minimized config round-trips
-through a JSON artifact (:func:`write_artifact` / :func:`replay_artifact`)
-so a failure found by a nightly fuzz run can be reproduced from the file
-alone.
+fault windows (a crash carries its restart as its ``end``, a Byzantine
+replica is its swap at t=0), narrow the surviving ones, halve the run
+duration, reduce the cluster size, and thin the workload — accepting
+each step only while the original oracle still fires. Every candidate
+is a ``dataclasses.replace`` of the :class:`ExperimentConfig`, of one of
+its windows or of its :class:`ProtocolConfig`, so whatever the case sets
+(a shard layout, a mutant's timer) survives the walk. The minimized
+config round-trips through a JSON artifact (:func:`write_artifact` /
+:func:`replay_artifact`) so a failure found by a nightly fuzz run can be
+reproduced from the file alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.result import RunResult
 from repro.verification.fuzzer import run_scenario
 
-ARTIFACT_FORMAT = "repro-fuzz-artifact-v3"
+ARTIFACT_FORMAT = "repro-fuzz-artifact-v4"
 
 Runner = Callable[[ExperimentConfig], RunResult]
 Accepted = Optional[Tuple[ExperimentConfig, RunResult]]
@@ -137,8 +137,9 @@ def _duration_chain(current: ExperimentConfig) -> List[ExperimentConfig]:
 
 def _cluster_candidates(current: ExperimentConfig) -> List[ExperimentConfig]:
     """Pass-4 candidates: n = 4 or 5, below the highest replica any
-    fault names; a config the smaller n cannot hold (more shards than
-    replicas, more Byzantine replicas than f) is no candidate."""
+    fault names (a Byzantine replica is its t=0 swap); a config the
+    smaller n cannot hold (more shards than replicas, more swaps at t=0
+    than f) is no candidate."""
     highest = max(
         (node for window in _windows(current) for node in window.nodes),
         default=-1,

@@ -11,8 +11,26 @@ import os
 import time
 
 from repro.config import MEMPOOL_KINDS, ProtocolConfig, ShardingConfig
+from repro.faults import FaultSchedule, Window
 from repro.harness import ExperimentConfig, build_experiment
 from repro.types import TxBatch
+
+
+def byzantine_schedule(n, count, behavior, windows=()):
+    """``windows`` plus the ``count`` highest ids Byzantine from the
+    start: a ``swap`` to ``behavior`` at t=0 each."""
+    return FaultSchedule([
+        *(Window("swap", 0.0, nodes=(node,), behavior=behavior)
+          for node in range(n - count, n)),
+        *windows,
+    ])
+
+
+def byzantine_nodes(config):
+    """The replicas a config makes Byzantine from the start."""
+    if config.faults is None:
+        return frozenset()
+    return frozenset(config.faults.initial_behaviors())
 
 
 def make_cluster(
@@ -34,8 +52,15 @@ def make_cluster(
     """Build a running experiment with zero default client load.
 
     Tests inject traffic explicitly via ``inject`` or rely on the
-    generator by passing ``rate_tps``.
+    generator by passing ``rate_tps``. ``fault_count`` replicas, the
+    highest ids, are ``fault`` Byzantine from the start
+    (:func:`byzantine_schedule`).
     """
+    if fault_count:
+        faults = experiment_overrides.pop("faults", None)
+        experiment_overrides["faults"] = byzantine_schedule(
+            n, fault_count, fault, faults.windows if faults else (),
+        )
     overrides = dict(protocol_overrides or {})
     overrides.setdefault("mempool", mempool)
     overrides.setdefault("consensus", consensus)
@@ -50,8 +75,6 @@ def make_cluster(
         duration=duration,
         warmup=warmup,
         seed=seed,
-        fault=fault,
-        fault_count=fault_count,
         selector=selector,
         attach_executor=attach_executor,
         **experiment_overrides,

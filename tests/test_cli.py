@@ -68,11 +68,13 @@ def test_timeline_flag(capsys):
 
 
 def test_fault_arguments(capsys):
+    """Two replicas silent for the whole run: a swap each at t=0."""
     code = run_cli([
         "--preset", "S-HS", "--n", "7",
         "--rate", "1000", "--duration", "1.0", "--warmup", "0.5",
-        "--batch-bytes", "1024",
-        "--fault", "silent", "--fault-count", "2",
+        "--batch-bytes", "1024", "--faults",
+        '[{"kind": "swap", "start": 0.0, "nodes": [5], "behavior": "silent"}, '
+        '{"kind": "swap", "start": 0.0, "nodes": [6], "behavior": "silent"}]',
     ])
     assert code == 0
 

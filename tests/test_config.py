@@ -7,6 +7,8 @@ import pytest
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.harness import ExperimentConfig
 
+from tests.helpers import byzantine_nodes, byzantine_schedule
+
 
 def test_f_derivation():
     assert ProtocolConfig(n=4).f == 1
@@ -65,10 +67,14 @@ def test_txs_per_microblock_at_least_one():
 
 
 def test_byzantine_bounded_by_f():
-    config = ExperimentConfig(ProtocolConfig(n=4), fault="silent", fault_count=1)
-    assert config.byzantine_ids == {3}
-    with pytest.raises(ValueError):
-        ExperimentConfig(ProtocolConfig(n=4), fault="silent", fault_count=2)
+    config = ExperimentConfig(
+        ProtocolConfig(n=4), faults=byzantine_schedule(4, 1, "silent"),
+    )
+    assert byzantine_nodes(config) == {3}
+    with pytest.raises(ValueError, match="2 replicas .* f=1"):
+        ExperimentConfig(
+            ProtocolConfig(n=4), faults=byzantine_schedule(4, 2, "silent"),
+        )
 
 
 def test_lb_samples_validated():

@@ -7,7 +7,7 @@ from repro.replica.behavior import SilentReplica
 from repro.sharding import ShardCertificate
 from repro.types.proposal import Payload, PayloadEntry
 
-from tests.helpers import inject, make_cluster
+from tests.helpers import byzantine_nodes, inject, make_cluster
 
 
 def test_commits_with_native_mempool():
@@ -212,7 +212,7 @@ def test_leader_rotation_round_robin():
 def test_leader_set_excludes_byzantine():
     exp = make_cluster(n=7, mempool="stratus", fault="silent", fault_count=2)
     engine = exp.replicas[0].consensus
-    byzantine = exp.config.byzantine_ids
+    byzantine = byzantine_nodes(exp.config)
     leaders = {engine.leader_of(view) for view in range(100)}
     assert leaders.isdisjoint(byzantine)
 

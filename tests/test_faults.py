@@ -125,10 +125,15 @@ class TestFaultSchedule:
         (Window("loss", 1.0, 2.0, rate=1.5), "loss rate"),
         (Window("loss", 1.0, 2.0, rate=0.5, channel="bulk"), "channel"),
         (Window("swap", 1.0, nodes=(1,), behavior="rogue"), "behavior"),
+        # A rule across windows: at most f replicas Byzantine from t=0.
+        ([Window("swap", 0.0, nodes=(2,), behavior="silent"),
+          Window("swap", 0.0, nodes=(3,), behavior="censor")],
+         r"2 replicas are Byzantine from the start; n=4 tolerates f=1"),
     ])
     def test_out_of_range_window_rejected(self, window, match):
+        windows = window if isinstance(window, list) else [window]
         with pytest.raises(ValueError, match=match):
-            FaultSchedule([window]).validate(4)
+            FaultSchedule(windows).validate(4)
 
     def test_windows_pair_crash_with_restart(self):
         schedule = FaultSchedule([

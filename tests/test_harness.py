@@ -26,6 +26,8 @@ from repro.replica.behavior import (
     SilentReplica,
 )
 
+from tests.helpers import byzantine_schedule
+
 
 class TestPresets:
     def test_all_acronyms_resolve(self):
@@ -86,19 +88,15 @@ class TestExperimentConfig:
         protocol = kwargs.pop("protocol", ProtocolConfig(n=7))
         return ExperimentConfig(protocol=protocol, **kwargs)
 
-    def test_byzantine_ids_are_highest(self):
-        config = self.make(fault="silent", fault_count=2)
-        assert config.byzantine_ids == frozenset({5, 6})
-
-    def test_fault_count_bounded_by_f(self):
-        with pytest.raises(ValueError):
-            self.make(fault="silent", fault_count=3)  # f=2 for n=7
-
-    def test_fault_requires_count(self):
-        with pytest.raises(ValueError):
-            self.make(fault="silent")
-        with pytest.raises(ValueError):
-            self.make(fault_count=1)
+    def test_byzantine_from_start_bounded_by_f(self):
+        """At most f replicas may take a non-honest swap at t=0; an
+        honest one, or a swap later on, does not count."""
+        self.make(faults=byzantine_schedule(7, 2, "silent", [
+            Window("swap", 0.0, nodes=(0,), behavior="honest"),
+            Window("swap", 1.0, nodes=(1,), behavior="censor"),
+        ]))
+        with pytest.raises(ValueError, match="3 replicas .* f=2"):
+            self.make(faults=byzantine_schedule(7, 3, "silent"))
 
     def test_invalid_selector(self):
         with pytest.raises(ValueError):
@@ -144,7 +142,7 @@ def recorded_configs():
                 "SS-HS", 16, "lan", sharding=ShardingConfig(shards=4),
             ),
             bandwidth_bps=100e6, bandwidth_map={3: 5e6, 11: 2.5e7},
-            faults=FaultSchedule([Window(
+            faults=byzantine_schedule(16, 2, "silent", [Window(
                 "delay", 2.0, 3.5, base=0.1, jitter=0.05,
                 bandwidth_factor=0.15,
             )]),
@@ -152,8 +150,7 @@ def recorded_configs():
                 fsync="interval", checkpoint_interval=8,
             ),
             data_dir="/tmp/repro-recorded", workload_mode="aggregate",
-            offered_clients=1000, fault="silent", fault_count=2,
-            attach_executor=True, label="recorded",
+            offered_clients=1000, attach_executor=True, label="recorded",
         ),
         "netbench": NetBenchConfig(
             n=16, msg_bytes=65_536, rate_per_node=40.0, duration=0.5,
@@ -164,8 +161,9 @@ def recorded_configs():
 
 #: Fields deleted since the recording: options nothing ever set (each a
 #: constant beside its reader now, at the recorded value),
-#: ``fluctuation``, a second spelling of a delay fault, and
-#: ``data_limiter``, the data-channel token bucket, deleted with it.
+#: ``fluctuation``, a second spelling of a delay fault, ``data_limiter``,
+#: the data-channel token bucket, deleted with it, and ``fault`` /
+#: ``fault_count``, a second spelling of t=0 behavior swaps.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
     "estimator_percentile", "fluctuation",
@@ -173,7 +171,7 @@ DELETED_KEYS = {
     "fetch_jitter", "fetch_max_rounds", "gossip_fanout", "pbft_window",
     "gc_retention", "busy_margin", "busy_slack", "byzantine",
     "fsync_interval", "snapshot_transfer", "shard_size", "data_limiter",
-    "tick",
+    "tick", "fault", "fault_count",
 }
 
 
@@ -207,7 +205,8 @@ def as_windows(events):
 def without_deleted(data):
     """The recorded dict as today's codec spells it: deleted keys gone,
     an event-grammar schedule as its windows, a ``fluctuation`` window
-    as the one-``delay``-window schedule that replaced it, and the
+    as the one-``delay``-window schedule that replaced it, ``fault`` on
+    the ``fault_count`` highest ids as a swap to it at t=0 each, and the
     ``sharded-stratus`` mempool as ``stratus`` (its layout says it is
     sharded)."""
     kept = {
@@ -226,6 +225,12 @@ def without_deleted(data):
             base=window["base"], jitter=window["jitter"],
             bandwidth_factor=window["throughput_factor"],
         )]).to_spec()
+    if data.get("fault_count"):
+        n = data["protocol"]["n"]
+        kept["faults"] = byzantine_schedule(
+            n, data["fault_count"], data["fault"],
+            FaultSchedule.from_spec(kept["faults"] or []).windows,
+        ).to_spec()
     return kept
 
 
@@ -254,6 +259,8 @@ class TestBuildExperiment:
             assert isinstance(replica.behavior, HonestBehavior)
 
     def test_behaviors_assigned(self):
+        """A swap at t=0 is the replica's behavior from construction,
+        before ``start``: no queue event applies it."""
         for fault, cls in [
             ("silent", SilentReplica),
             ("censor", CensoringSender),
@@ -261,19 +268,28 @@ class TestBuildExperiment:
         ]:
             config = ExperimentConfig(
                 protocol=ProtocolConfig(n=7), rate_tps=0.0,
-                fault=fault, fault_count=2,
+                faults=byzantine_schedule(7, 2, fault),
             )
+            assert config.faults.timeline() == []
             exp = build_experiment(config)
             assert isinstance(exp.replicas[6].behavior, cls)
             assert isinstance(exp.replicas[0].behavior, HonestBehavior)
 
     def test_leader_set_excludes_byzantine(self):
+        """Only a non-honest swap at t=0 keeps a replica out of the
+        leader set, whatever its id; a later swap or an honest one
+        does not."""
         config = ExperimentConfig(
             protocol=ProtocolConfig(n=7), rate_tps=0.0,
-            fault="silent", fault_count=2,
+            faults=FaultSchedule([
+                Window("swap", 0.0, nodes=(1,), behavior="silent"),
+                Window("swap", 0.0, nodes=(6,), behavior="censor"),
+                Window("swap", 0.0, nodes=(2,), behavior="honest"),
+                Window("swap", 1.0, nodes=(3,), behavior="silent"),
+            ]),
         )
         exp = build_experiment(config)
-        assert exp.replicas[0].leader_set == (0, 1, 2, 3, 4)
+        assert exp.replicas[0].leader_set == (0, 2, 3, 4, 5)
 
     def test_executor_attachment(self):
         config = ExperimentConfig(

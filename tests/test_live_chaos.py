@@ -188,18 +188,23 @@ def test_resolve_fault_spec_shares_one_grammar():
 
 
 def test_validate_live_rejects_behavior_swaps():
-    schedule = FaultSchedule([
-        Window("swap", 1.0, nodes=(0,), behavior="silent"),
-    ])
-    schedule.validate(4)  # fine in-sim
-    with pytest.raises(ValueError, match="live backend"):
-        schedule.validate_live(4)
-    config = ExperimentConfig(
-        protocol=ProtocolConfig(n=4, mempool="stratus", consensus="hotstuff"),
-        rate_tps=10.0, duration=1.0, faults=schedule,
-    )
-    with pytest.raises(ValueError, match="live backend"):
-        LiveConfig(experiment=config)  # inherits experiment.faults
+    """Mid-run, and at t=0: a replica Byzantine from the start would
+    otherwise run honest in its own process. Nothing is spawned."""
+    for start in (1.0, 0.0):
+        schedule = FaultSchedule([
+            Window("swap", start, nodes=(0,), behavior="silent"),
+        ])
+        schedule.validate(4)  # fine in-sim
+        with pytest.raises(ValueError, match="live backend"):
+            schedule.validate_live(4)
+        config = ExperimentConfig(
+            protocol=ProtocolConfig(
+                n=4, mempool="stratus", consensus="hotstuff",
+            ),
+            rate_tps=10.0, duration=1.0, faults=schedule,
+        )
+        with pytest.raises(ValueError, match="live backend"):
+            LiveConfig(experiment=config)  # inherits experiment.faults
 
 
 def test_every_chaos_preset_splits_cleanly_for_live():

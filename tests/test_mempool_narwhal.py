@@ -2,7 +2,7 @@
 
 from repro.mempool.base import MessageKinds
 
-from tests.helpers import inject, make_cluster
+from tests.helpers import byzantine_nodes, inject, make_cluster
 
 
 def mempool_of(experiment, node):
@@ -42,7 +42,7 @@ def test_censor_must_reach_witness_quorum_to_commit():
     witnesses to certify; its content then commits even though the
     origin refuses fetches (witnesses serve them instead)."""
     exp = make_cluster(n=4, mempool="narwhal", fault="censor", fault_count=1)
-    byzantine = sorted(exp.config.byzantine_ids)
+    byzantine = sorted(byzantine_nodes(exp.config))
     inject(exp, byzantine[0], count=4)
     exp.sim.run_until(3.0)
     assert exp.metrics.committed_tx_total == 4

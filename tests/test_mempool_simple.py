@@ -3,7 +3,7 @@
 from repro.mempool import id_mempool
 from repro.mempool.base import MessageKinds
 
-from tests.helpers import inject, make_cluster
+from tests.helpers import byzantine_nodes, inject, make_cluster
 
 
 def mempool_of(experiment, node):
@@ -44,7 +44,7 @@ def test_censoring_sender_forces_fetch_from_leader():
     """A Byzantine sender shares only with the leader; followers must
     fetch the body from the proposer before voting (Problem-I)."""
     exp = make_cluster(n=7, mempool="simple", fault="censor", fault_count=2)
-    byzantine = sorted(exp.config.byzantine_ids)
+    byzantine = sorted(byzantine_nodes(exp.config))
     inject(exp, byzantine[0], count=4)
     exp.sim.run_until(5.0)
     assert exp.metrics.fetch_count > 0

@@ -24,7 +24,12 @@ from repro.verification.oracles import (
 
 import pytest
 
-from tests.helpers import STRATUS_KINDS, make_cluster, stratus_cluster
+from tests.helpers import (
+    STRATUS_KINDS,
+    byzantine_nodes,
+    make_cluster,
+    stratus_cluster,
+)
 
 
 def stub_suite(oracle, honest=(0, 1, 2, 3), emitted_tx=10_000):
@@ -292,7 +297,7 @@ def test_honest_ids_excludes_configured_byzantine():
     exp = make_cluster(n=4, mempool="simple", fault="silent", fault_count=1)
     honest = honest_ids(exp.config)
     assert len(honest) == 3
-    assert honest == frozenset(range(4)) - exp.config.byzantine_ids
+    assert honest == frozenset(range(4)) - byzantine_nodes(exp.config)
 
 
 # -- end to end ------------------------------------------------------------
@@ -308,7 +313,7 @@ def test_standard_suite_silent_under_byzantine_senders(fault, kind):
     )
     suite = standard_suite().attach(exp)
     exp.sim.run_until(3.0)
-    byzantine = exp.config.byzantine_ids
+    byzantine = byzantine_nodes(exp.config)
     committed_from_byzantine = [
         mb_id
         for mb_id in exp.replicas[0].mempool._committed

@@ -33,6 +33,8 @@ from repro.types import TxBatch
 from repro.types.microblock import MicroBlock
 from repro.workload import ZipfSelector, zipf_weights
 
+from tests.helpers import byzantine_schedule
+
 
 # -- weighted digest -----------------------------------------------------
 
@@ -264,7 +266,27 @@ def experiment_configs(draw):
     n = draw(st.sampled_from([4, 7, 16]))
     f = (n - 1) // 3
     sharded = draw(st.booleans())
-    fault_count = draw(st.integers(0, f))
+    faults = draw(
+        st.none()
+        | st.sampled_from(CHAOS_PRESET_NAMES).map(
+            lambda name: chaos_schedule(name, n)
+        )
+        | st.builds(
+            lambda start, duration, **spike: FaultSchedule([
+                Window("delay", start, start + duration, **spike),
+            ]),
+            start=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
+            base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
+            bandwidth_factor=_positive(0.01, 1.0),
+        )
+    )
+    byzantine = draw(st.integers(0, f))
+    if byzantine:
+        behavior = draw(st.sampled_from(("silent", "censor", "lying")))
+        faults = byzantine_schedule(
+            n, byzantine, behavior,
+            faults.windows if faults is not None else (),
+        )
     protocol = ProtocolConfig(
         n=n,
         mempool="stratus",
@@ -290,27 +312,12 @@ def experiment_configs(draw):
         rate_tps=draw(_positive(0.0, 1e6)),
         seed=draw(st.integers(0, 2 ** 32)),
         selector=draw(st.sampled_from(["uniform", "zipf1", "zipf10"])),
-        fault="silent" if fault_count else "none",
-        fault_count=fault_count,
         attach_executor=draw(st.booleans()),
         priority_channels=draw(st.booleans()),
         link_model=draw(st.sampled_from(LINK_MODELS)),
         workload_mode=draw(st.sampled_from(["ticks", "aggregate"])),
         offered_clients=draw(st.none() | st.integers(1, 10 ** 6)),
-        faults=draw(
-            st.none()
-            | st.sampled_from(CHAOS_PRESET_NAMES).map(
-                lambda name: chaos_schedule(name, n)
-            )
-            | st.builds(
-                lambda start, duration, **spike: FaultSchedule([
-                    Window("delay", start, start + duration, **spike),
-                ]),
-                start=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
-                base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
-                bandwidth_factor=_positive(0.01, 1.0),
-            )
-        ),
+        faults=faults,
         durability=draw(st.none() | st.builds(
             DurabilityConfig,
             fsync=st.sampled_from(["always", "interval", "off"]),

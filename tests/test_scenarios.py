@@ -9,6 +9,8 @@ import pytest
 from repro import ExperimentConfig, run_experiment, tuned_protocol
 from repro.faults import FaultSchedule, Window
 
+from tests.helpers import byzantine_schedule
+
 
 def run_fluctuation(preset: str) -> tuple:
     """Fig. 7 setup: WAN, 25K tx/s, 1 s view timer, 5 s disturbance."""
@@ -70,7 +72,7 @@ def run_byzantine(preset: str, byz: int, n: int = 31, **overrides):
     result = run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="lan", bandwidth_bps=100e6,
         rate_tps=40_000, duration=4.0, warmup=1.5, seed=5,
-        fault="censor" if byz else "none", fault_count=byz,
+        faults=byzantine_schedule(n, byz, "censor") if byz else None,
         label=f"{preset}-byz{byz}",
     ))
     return result

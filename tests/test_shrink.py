@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.faults import FaultSchedule
 from repro.harness.config import ExperimentConfig
 from repro.verification import (
     MUTANTS,
+    Violation,
     load_artifact,
     replay_artifact,
     run_mutant,
@@ -94,12 +96,36 @@ def test_crash_restart_move_as_one_unit():
         with_faults(base, [{"kind": "bandwidth", "start": 1.0, "end": 2.0,
                             "factor": 0.5, "nodes": [0, 4]}])
     )] == [5]
-    # ...nor below what the config needs: two Byzantine replicas need
-    # f >= 2, which neither n=4 nor n=5 has.
-    byzantine = dataclasses.replace(
-        base, fault="silent", fault_count=2, faults=None,
-    )
+    # ...nor below what the config needs: two replicas Byzantine from
+    # the start need f >= 2, which neither n=4 nor n=5 has.
+    byzantine = with_faults(base, [
+        {"kind": "swap", "start": 0.0, "nodes": [0], "behavior": "silent"},
+        {"kind": "swap", "start": 0.0, "nodes": [1], "behavior": "silent"},
+    ])
     assert _cluster_candidates(byzantine) == []
+
+
+def test_shrinker_drops_a_byzantine_replica_the_failure_does_not_need():
+    """A Byzantine replica is a swap window at t=0, so pass 1 drops it
+    like any other fault when the violation survives without it."""
+    base = MUTANTS["mute-votes"].config
+    needed = {"kind": "crash", "start": 1.0, "end": 2.0, "nodes": [1]}
+    scenario = with_faults(base, [
+        {"kind": "swap", "start": 0.0, "nodes": [3], "behavior": "censor"},
+        needed,
+    ])
+    violation = Violation("liveness", "stall", 0.0, "no commit")
+
+    def runner(config):
+        """Fails while the crash is scheduled as is, whatever else is."""
+        fails = (
+            config.faults is not None and needed in config.faults.to_spec()
+        )
+        return SimpleNamespace(violations=[violation] if fails else [])
+
+    result = shrink_scenario(scenario, runner=runner)
+    assert result.minimized.faults.to_spec() == [needed]
+    assert result.removed_faults == 1
 
 
 def test_artifact_round_trip(tmp_path):
@@ -133,8 +159,12 @@ def test_artifact_rejects_foreign_format(tmp_path):
     with pytest.raises(ValueError):
         load_artifact(str(path))
     # A v1 artifact holds fault specs in the retired event grammar, a
-    # v2 one a scenario record that dropped every field it did not draw.
-    for old in ("repro-fuzz-artifact-v1", "repro-fuzz-artifact-v2"):
+    # v2 one a scenario record that dropped every field it did not draw,
+    # a v3 one the deleted ``fault`` / ``fault_count`` fields.
+    for old in (
+        "repro-fuzz-artifact-v1", "repro-fuzz-artifact-v2",
+        "repro-fuzz-artifact-v3",
+    ):
         path.write_text(json.dumps({"format": old}))
         with pytest.raises(ValueError, match=old):
             load_artifact(str(path))

@@ -14,7 +14,7 @@ import pytest
 
 from repro.mempool import id_mempool
 
-from tests.helpers import inject, make_cluster
+from tests.helpers import byzantine_nodes, inject, make_cluster
 
 SMP_KINDS = ("simple", "gossip", "narwhal", "stratus")
 
@@ -61,7 +61,7 @@ def test_smp_inclusion_under_censoring(kind):
     exp = make_cluster(
         n=7, mempool=kind, fault="censor", fault_count=2,
     )
-    byzantine = sorted(exp.config.byzantine_ids)
+    byzantine = sorted(byzantine_nodes(exp.config))
     inject(exp, byzantine[0], count=4)
     inject(exp, 0, count=4)
     exp.sim.run_until(8.0)
@@ -73,14 +73,14 @@ def test_smp_stability_under_censoring(kind):
     exp = make_cluster(
         n=7, mempool=kind, fault="censor", fault_count=2,
     )
-    byzantine = sorted(exp.config.byzantine_ids)
+    byzantine = sorted(byzantine_nodes(exp.config))
     inject(exp, byzantine[0], count=4)
     exp.sim.run_until(10.0)
     committed_ids = set()
     for replica in exp.replicas:
         committed_ids |= replica.mempool._committed
     correct = [r for r in exp.replicas
-               if r.node_id not in exp.config.byzantine_ids]
+               if r.node_id not in byzantine_nodes(exp.config)]
     assert committed_ids
     for replica in correct:
         for mb_id in committed_ids:

@@ -1,6 +1,6 @@
 """Integration tests for distributed load balancing (Algorithm 4)."""
 
-from tests.helpers import inject, make_cluster
+from tests.helpers import byzantine_nodes, inject, make_cluster
 
 
 def stratus_of(experiment, node):
@@ -63,7 +63,7 @@ def test_lying_proxy_gets_banned_and_microblock_retried():
             "lb_forward_timeout": 0.3,
         },
     )
-    byzantine = sorted(exp.config.byzantine_ids)[0]
+    byzantine = sorted(byzantine_nodes(exp.config))[0]
     # Give honest candidates a real (non-zero) status so the lying
     # proxy's advertised 0.0 wins the power-of-d choice.
     for node in range(4):

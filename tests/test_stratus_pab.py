@@ -18,6 +18,8 @@ from repro.types import sizes
 
 from tests.helpers import (
     STRATUS_KINDS as KINDS,
+    byzantine_nodes,
+    byzantine_schedule,
     inject,
     make_cluster,
     stratus_cluster as cluster,
@@ -114,14 +116,14 @@ def test_censoring_sender_body_recovered_via_fetch():
     body with only a quorum's worth of replicas, every correct replica
     eventually fetches and delivers it."""
     exp = make_cluster(n=7, mempool="stratus", fault="censor", fault_count=2)
-    byzantine = sorted(exp.config.byzantine_ids)
+    byzantine = sorted(byzantine_nodes(exp.config))
     inject(exp, byzantine[0], count=4)
     exp.sim.run_until(0.2)
     sender_store = stratus_of(exp, byzantine[0]).store
     assert len(sender_store) == 1
     mb_id = sender_store.ids[0]
     exp.sim.run_until(5.0)
-    correct = [n for n in range(7) if n not in exp.config.byzantine_ids]
+    correct = [n for n in range(7) if n not in byzantine_nodes(exp.config)]
     for node in correct:
         assert mb_id in stratus_of(exp, node).store, f"replica {node} missing"
     assert exp.metrics.fetch_count > 0
@@ -129,7 +131,7 @@ def test_censoring_sender_body_recovered_via_fetch():
 
 def test_censored_microblock_still_commits():
     exp = make_cluster(n=7, mempool="stratus", fault="censor", fault_count=2)
-    byzantine = sorted(exp.config.byzantine_ids)
+    byzantine = sorted(byzantine_nodes(exp.config))
     inject(exp, byzantine[0], count=4)
     exp.sim.run_until(5.0)
     assert exp.metrics.committed_tx_total >= 4
@@ -161,9 +163,11 @@ def test_sharded_censor_reaches_a_bare_shard_quorum_and_commits():
     (the shard quorum is 2); the certificate still forms, the microblock
     commits, and the members it skipped — the censor serves no fetches —
     recover the body from the certificate's other signer."""
-    exp, suite = _sharded_with_oracles(fault="censor", fault_count=1)
+    exp, suite = _sharded_with_oracles(
+        faults=byzantine_schedule(8, 1, "censor"),
+    )
     censor = exp.replicas[7]
-    assert exp.config.byzantine_ids == {7}
+    assert byzantine_nodes(exp.config) == {7}
     inject(exp, 7, count=4)
     exp.sim.run_until(0.05)
     mb_id = censor.mempool.store.ids[0]
@@ -181,7 +185,9 @@ def test_sharded_censor_reaches_a_bare_shard_quorum_and_commits():
 
 
 def test_sharded_silent_origin_never_certifies():
-    exp, suite = _sharded_with_oracles(fault="silent", fault_count=1)
+    exp, suite = _sharded_with_oracles(
+        faults=byzantine_schedule(8, 1, "silent"),
+    )
     inject(exp, 7, count=4)   # the silent replica's clients
     inject(exp, 0, count=4)   # honest clients
     exp.sim.run_until(5.0)
