@@ -47,6 +47,7 @@ import cProfile
 import json
 import math
 import pstats
+import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -505,15 +506,20 @@ def run_live_cmd(argv: Sequence[str]) -> int:
 
 
 def run_replay(argv: Sequence[str]) -> int:
-    from repro.verification import replay_artifact
+    from repro.verification import load_artifact, replay_artifact
 
     parser = argparse.ArgumentParser(
         prog="repro replay",
-        description="Re-run the scenario stored in a fuzz artifact; "
-                    "exit non-zero if the violation still reproduces.",
+        description="Re-run the scenario stored in a fuzz artifact; exit 1 "
+                    "if its violation reproduces, 2 if it cannot be read.",
     )
     parser.add_argument("artifact", help="path to a fuzz artifact JSON")
     args = parser.parse_args(argv)
+    try:
+        load_artifact(args.artifact)
+    except (OSError, ValueError) as error:
+        print(f"replay: cannot read {args.artifact}: {error}", file=sys.stderr)
+        return 2
     result = replay_artifact(args.artifact)
     print(f"replay: {result.label} "
           f"tx={result.committed_tx:,} hash={result.commit_hash}")
@@ -527,11 +533,7 @@ def run_replay(argv: Sequence[str]) -> int:
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        import sys
-
-        argv = sys.argv[1:]
-    argv = list(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "fuzz":
         return run_fuzz(argv[1:])
     if argv and argv[0] == "replay":

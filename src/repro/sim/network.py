@@ -35,7 +35,7 @@ arrival.
 from __future__ import annotations
 
 from bisect import insort as _insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
 from operator import attrgetter
@@ -77,11 +77,12 @@ _arrived_at = attrgetter("arrived_at")
 @dataclass
 class NetworkStats:
     """Per-run accounting used by the Table III bandwidth benches. A send
-    updates two counters; byte totals are summed from ``bytes_sent``
+    adds to two counters; byte totals are summed from ``bytes_sent``
     when asked for, after a run (whole bytes: exact in any order)."""
 
-    bytes_sent: dict[tuple[int, str], float] = field(default_factory=dict)
-    messages_sent: dict[str, int] = field(default_factory=dict)
+    #: (node, kind) -> bytes and kind -> copies, zero until added to.
+    bytes_sent: dict = field(default_factory=lambda: defaultdict(float))
+    messages_sent: dict = field(default_factory=lambda: defaultdict(int))
     messages_delivered: int = 0
     messages_dropped: int = 0
     # Live-backend gauges (0 in-sim): frames shed by the bounded per-peer
@@ -92,9 +93,8 @@ class NetworkStats:
 
     def record_send(self, node: int, kind: str, size_bytes: float) -> None:
         """Account one copy (the simulator's link models do this inline)."""
-        key = (node, kind)
-        self.bytes_sent[key] = self.bytes_sent.get(key, 0.0) + size_bytes
-        self.messages_sent[kind] = self.messages_sent.get(kind, 0) + 1
+        self.bytes_sent[(node, kind)] += size_bytes
+        self.messages_sent[kind] += 1
 
     def cancel_send(self, node: int, kind: str, size_bytes: float) -> None:
         """Un-account one copy a sender's crash cut short: a segment's
@@ -119,23 +119,28 @@ class NetworkStats:
 
 class _Flow:
     """One send or broadcast awaiting serialization: one payload, its
-    dsts, one egress-queue slot. The link model takes its copies a run
-    at a time (``next_index``)."""
+    ``copies`` dsts, the egress FIFO it belongs to (``index``). The link
+    model takes its copies a run at a time (``next_index``)."""
 
     __slots__ = (
-        "kind", "size_bytes", "payload", "channel", "recipients",
-        "next_index", "enqueued_at",
+        "kind", "size_bytes", "payload", "channel", "recipients", "copies",
+        "index", "next_index", "enqueued_at",
     )
 
     def __init__(
-        self, kind: str, size_bytes: float, payload: object,
-        channel: Channel, recipients, enqueued_at: float,
+        self, kind: str, size_bytes: float, payload: object, channel: Channel,
+        recipients, copies: int, enqueued_at: float, priority: bool,
     ) -> None:
         self.kind = kind
         self.size_bytes = size_bytes
         self.payload = payload
         self.channel = channel
         self.recipients = recipients  # tuple/list of dst node ids
+        self.copies = copies  # len(recipients)
+        self.index = (
+            _DATA if channel is _DATA_MEMBER or not priority
+            else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
+        )
         self.next_index = 0
         self.enqueued_at = enqueued_at
 
@@ -147,7 +152,7 @@ def _dispatch(
 ) -> float:
     """The one delivery path of both link models: copies of one message
     whose last bytes leave ``src`` back to back, ``duration`` apart from
-    now (a serial segment; a completed fair-share transfer is one copy at
+    now (a serial segment; the due copies of one fair-share flow, at
     ``duration`` 0). Returns when the last byte left.
 
     Each copy goes straight into its receiver's arrival queue and arms
@@ -206,7 +211,8 @@ def _dispatch(
 class _Uplink:
     """One replica's egress: three priority FIFOs, under both link models.
 
-    Under ``fair-share`` :class:`_FairShareLinks` admits from them.
+    Under ``fair-share`` only DATA waits, in its FIFO, for a slot
+    (:meth:`_FairShareLinks._admit`); the others start at enqueue.
     Under ``serial`` they drain into one wire, idle or transmitting (a
     segment holds the wire until ``busy_until``). The serializer works
     in *segments*: it takes the head flow, expands up to
@@ -231,11 +237,15 @@ class _Uplink:
         #: True while a drain event for ``busy_until`` is in the heap.
         self.draining = False
 
-    def enqueue(self, flow: _Flow, index: int) -> None:
-        self.queues[index].append(flow)
+    def enqueue(self, flow: _Flow) -> None:
         network = self.network
-        if network._fair is not None:
-            network._fair._admit(self.node, network.sim.now)
+        fair = network._fair
+        if fair is not None and flow.index != _DATA:
+            fair._start(self.node, flow, flow.copies, network.sim.now)
+            return
+        self.queues[flow.index].append(flow)
+        if fair is not None:
+            fair._admit(self.node, network.sim.now)
             return
         if self.draining:
             return
@@ -266,7 +276,7 @@ class _Uplink:
         duration = size * 8.0 / bandwidth
         recipients = head.recipients
         index = head.next_index
-        remaining = len(recipients) - index
+        remaining = head.copies - index
         if remaining == 1:
             copies = 1
         elif duration <= 0.0:
@@ -284,9 +294,8 @@ class _Uplink:
         # ``NetworkStats.record_send``, inline on the per-segment path.
         stats = network.stats
         kind = head.kind
-        key = (node, kind)
-        stats.bytes_sent[key] = stats.bytes_sent.get(key, 0.0) + size * copies
-        stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + copies
+        stats.bytes_sent[(node, kind)] += size * copies
+        stats.messages_sent[kind] += copies
         self.busy_until = end
         if queues[_CONSENSUS] or queues[_CONTROL] or queues[_DATA]:
             self.draining = True
@@ -413,20 +422,12 @@ class _Ingress:
 
 
 class _Transfer:
-    """One active fair-share transmission: one copy of ``flow``, src->dst."""
+    """One active fair-share transmission: one copy of ``flow``, src->dst
+    (its slots filled by :meth:`_FairShareLinks._start`: no ``__init__``)."""
 
     __slots__ = (
         "flow", "src", "dst", "remaining_bits", "rate", "updated", "finish_at",
     )
-
-    def __init__(self, flow: _Flow, src: int, dst: int, now: float) -> None:
-        self.flow = flow
-        self.src = src
-        self.dst = dst
-        self.remaining_bits = flow.size_bytes * 8.0
-        self.rate = 0.0
-        self.updated = now
-        self.finish_at = now
 
 
 class _BandwidthAt(dict):
@@ -572,74 +573,64 @@ class _FairShareLinks:
         #: Settles performed (``tests/test_fair_share.py`` bounds them).
         self.settle_ops = 0
 
-    def _admit(self, src: int, now: float, changed: bool = False) -> None:
-        """Start as many of ``src``'s queued copies as admission rules
-        allow, a run of one flow's copies at a time, each run accounted
-        with one pair of dict updates. Each started transfer's downlink
-        goes dirty, ``src``'s uplink too if anything started or just left
-        it (``changed``), and one flush is armed for this instant behind
-        every event queued for it: its sequence number is taken now, its
-        entry pushed now unless ``in_event``."""
-        network = self.network
-        queues = network._uplinks[src].queues
+    def _start(self, src: int, flow: _Flow, copies: int, now: float) -> None:
+        """A run start (DATA from :meth:`_admit`, consensus or control
+        whole at enqueue): ``flow``'s next ``copies`` copies become
+        transfers, accounted with two ``+=``, and their links go dirty.
+        The first dirty link arms this instant's flush behind every event
+        queued for it: its sequence number taken now, its entry pushed
+        now unless ``in_event``."""
+        index = flow.next_index
+        flow.next_index = index + copies
+        stats = self.network.stats
+        stats.bytes_sent[(src, flow.kind)] += flow.size_bytes * copies
+        stats.messages_sent[flow.kind] += copies
         up = self.up_active[src]
-        down = self.down_active
-        down_count = self.down_count
-        dirty_down = self._dirty_down
-        in_flight = self.data_in_flight
-        stats = network.stats
-        started = 0
-        while True:
-            if queues[_CONSENSUS]:
-                queue = queues[_CONSENSUS]
-            elif queues[_CONTROL]:
-                queue = queues[_CONTROL]
-            elif queues[_DATA] and in_flight[src] < self.slots:
-                queue = queues[_DATA]
+        for dst in flow.recipients[index:index + copies]:
+            transfer = _Transfer()
+            transfer.flow = flow
+            transfer.src = src
+            transfer.dst = dst
+            transfer.remaining_bits = flow.size_bytes * 8.0
+            transfer.rate = 0.0
+            transfer.updated = transfer.finish_at = now
+            up[transfer] = None
+            self.down_active[dst][transfer] = None
+            self.down_count[dst] += 1
+            self._dirty_down[dst] = None
+        self.up_count[src] += copies
+        if not self._dirty_up:
+            sim = self.network.sim
+            if self.in_event:
+                self._reserved = sim._seq
             else:
-                break
+                _heappush(sim._queue, (now, sim._seq, _fair_flush, self))
+            sim._seq += 1
+        self._dirty_up[src] = None
+
+    def _admit(self, src: int, now: float) -> None:
+        """Start what ``src``'s DATA FIFO holds as far as its free slots
+        allow, a run of one flow's copies at a time (:meth:`_start`)."""
+        queue = self.network._uplinks[src].queues[_DATA]
+        free = self.slots - self.data_in_flight[src]
+        while queue and free:
             head = queue[0]
-            index = head.next_index
-            copies = remaining = len(head.recipients) - index
-            if queue is queues[_DATA]:
-                if copies > self.slots - in_flight[src]:
-                    copies = self.slots - in_flight[src]
-                in_flight[src] += copies
-            if copies == remaining:
+            copies = head.copies - head.next_index
+            if copies > free:
+                copies = free
+            else:
                 queue.popleft()
-            head.next_index = index + copies
-            kind = head.kind
-            key = (src, kind)
-            stats.bytes_sent[key] = (
-                stats.bytes_sent.get(key, 0.0) + head.size_bytes * copies
-            )
-            stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + copies
-            for dst in head.recipients[index:index + copies]:
-                transfer = _Transfer(head, src, dst, now)
-                up[transfer] = None
-                down[dst][transfer] = None
-                down_count[dst] += 1
-                dirty_down[dst] = None
-            started += copies
-        if started or changed:
-            self.up_count[src] += started
-            if not self._dirty_up:
-                sim = network.sim
-                if self.in_event:
-                    self._reserved = sim._seq
-                else:
-                    _heappush(sim._queue, (now, sim._seq, _fair_flush, self))
-                sim._seq += 1
-            self._dirty_up[src] = None
+            free -= copies
+            self.data_in_flight[src] += copies
+            self._start(src, head, copies, now)
 
     def _uplink_wake(self, src: int) -> None:
         """``src``'s earliest finish is due (fire-path callback): every
-        transfer of the uplink due by now completes, in start order, and
-        is delivered; then one admission refills the freed slots, and the
-        flush it arms re-rates the rest. Admitting once after every
-        completion starts the same copies in the same order as admitting
-        after each: a completion frees a DATA slot and changes nothing
-        else admission reads."""
+        transfer due by now completes, in start order, each flow's due
+        copies in one :func:`_dispatch`; then one admission refills the
+        freed slots (the copies, in the order, of one admission per
+        completion: a completion frees a DATA slot and nothing else
+        admission reads), and the flush the wake arms re-rates the rest."""
         network = self.network
         sim = network.sim
         now = sim.now
@@ -647,24 +638,37 @@ class _FairShareLinks:
             return  # superseded: a finish moved earlier and was armed
         self.wake[src] = _INF
         transfers = self.up_active[src]
-        due = [t for t in transfers if t.finish_at <= now + 1e-12]
-        if due:
-            for transfer in due:
-                flow, dst = transfer.flow, transfer.dst
+        runs = []  # (flow, dsts) per run of one flow's due copies (+=: no call)
+        flow = None
+        for transfer in [*transfers]:
+            if transfer.finish_at <= now + 1e-12:
+                dst = transfer.dst
                 del transfers[transfer]
                 del self.down_active[dst][transfer]
                 self.down_count[dst] -= 1
                 self._dirty_down[dst] = None
                 self.up_count[src] -= 1
-                if flow.channel is _DATA_MEMBER or not network.priority_channels:
+                if transfer.flow is not flow:
+                    flow = transfer.flow
+                    dsts = []
+                    runs += ((flow, dsts),)
+                dsts += (dst,)
+                if flow.index == _DATA:
                     self.data_in_flight[src] -= 1
+        if runs:
+            for flow, dsts in runs:
                 _dispatch(
-                    network, src, (dst,), 0.0, flow.kind, flow.size_bytes,
+                    network, src, dsts, 0.0, flow.kind, flow.size_bytes,
                     flow.payload, flow.channel, flow.enqueued_at,
                 )
-            self.in_event = True
-            self._admit(src, now, True)
-            self.in_event = False
+            # The uplink changed; its flush is armed after the dispatches.
+            if not self._dirty_up:
+                self._reserved = sim._seq
+                sim._seq += 1
+            self._dirty_up[src] = None
+            if (network._uplinks[src].queues[_DATA]
+                    and self.data_in_flight[src] < self.slots):
+                self._admit(src, now)
             if self._reserved >= 0:
                 _fair_flush(self)
         elif transfers:
@@ -680,22 +684,27 @@ class _FairShareLinks:
 
     def flush(self, node: int) -> int:
         """Crash teardown, after the node's FIFOs were cleared: kill its
-        transfers both ways (their bytes un-accounted), admit what waits
-        behind them; returns the count."""
+        transfers both ways (their bytes un-accounted), mark their links
+        dirty and admit what waits behind them; returns the count."""
         victims = [*self.up_active[node], *self.down_active[node]]
-        network = self.network
+        sim = self.network.sim
+        if victims and not self._dirty_up:  # as :meth:`_start` arms it
+            if self.in_event:
+                self._reserved = sim._seq
+            else:
+                _heappush(sim._queue, (sim.now, sim._seq, _fair_flush, self))
+            sim._seq += 1
         for transfer in victims:
             flow, src, dst = transfer.flow, transfer.src, transfer.dst
             del self.up_active[src][transfer]
             del self.down_active[dst][transfer]
             self.up_count[src] -= 1
             self.down_count[dst] -= 1
-            if flow.channel is _DATA_MEMBER or not network.priority_channels:
+            if flow.index == _DATA:
                 self.data_in_flight[src] -= 1
-            network.stats.cancel_send(src, flow.kind, flow.size_bytes)
-        for transfer in victims:
-            self._dirty_down[transfer.dst] = None
-            self._admit(transfer.src, network.sim.now, True)
+            self.network.stats.cancel_send(src, flow.kind, flow.size_bytes)
+            self._dirty_up[src] = self._dirty_down[dst] = None
+            self._admit(src, sim.now)
         return len(victims)
 
 
@@ -723,7 +732,6 @@ class Network(Transport):
         #: When False, every message shares one FIFO class — ablates the
         #: paper's "consensus channel first" optimization (Section VI).
         self.priority_channels = priority_channels
-        self.link_model = link_model
         self.stats = NetworkStats()
         # One jitter stream per sender, so concurrent uplinks never
         # interleave on a shared RNG (aggregate mode == tick mode).
@@ -804,7 +812,7 @@ class Network(Transport):
         stats = self.stats
         for queue in self._uplinks[node].queues:
             for flow in queue:
-                stats.messages_dropped += len(flow.recipients) - flow.next_index
+                stats.messages_dropped += flow.copies - flow.next_index
             queue.clear()
         for queue in self._ingress[node].queues:
             stats.messages_dropped += len(queue)
@@ -858,14 +866,12 @@ class Network(Transport):
                 kind, size_bytes, payload, channel, now,
             )
             stats = self.stats
-            key = (src, kind)
-            stats.bytes_sent[key] = stats.bytes_sent.get(key, 0.0) + size_bytes
-            stats.messages_sent[kind] = stats.messages_sent.get(kind, 0) + 1
+            stats.bytes_sent[(src, kind)] += size_bytes
+            stats.messages_sent[kind] += 1
             return
-        flow = _Flow(kind, size_bytes, payload, channel, (dst,), now)
-        uplink.enqueue(flow, (
-            _DATA if channel is _DATA_MEMBER or not self.priority_channels
-            else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
+        uplink.enqueue(_Flow(
+            kind, size_bytes, payload, channel, (dst,), 1, now,
+            self.priority_channels,
         ))
 
     def broadcast(
@@ -888,41 +894,34 @@ class Network(Transport):
             if targets is None:
                 targets = self._build_default_recipients(src)
         else:
-            handlers = self._handlers
-            for dst in recipients:
-                if dst != src and dst not in handlers:
+            targets = [dst for dst in recipients if dst != src]
+            for dst in targets:
+                if dst not in self._handlers:
                     raise ValueError(
                         f"send between unregistered nodes {src}->{dst}"
                     )
-            targets = [dst for dst in recipients if dst != src]
+        copies = len(targets)
         if src in self._down:
-            self.stats.messages_dropped += len(targets)
+            self.stats.messages_dropped += copies
             return
         if self._down:
-            live = [dst for dst in targets if dst not in self._down]
-            self.stats.messages_dropped += len(targets) - len(live)
-            targets = live
-        if not targets:
+            targets = [dst for dst in targets if dst not in self._down]
+            self.stats.messages_dropped += copies - len(targets)
+            copies = len(targets)
+        if not copies:
             return
-        flow = _Flow(kind, size_bytes, payload, channel, targets, self.sim.now)
-        self._uplinks[src].enqueue(flow, (
-            _DATA if channel is _DATA_MEMBER or not self.priority_channels
-            else _CONSENSUS if channel is _CONSENSUS_MEMBER else _CONTROL
+        self._uplinks[src].enqueue(_Flow(
+            kind, size_bytes, payload, channel, targets, copies, self.sim.now,
+            self.priority_channels,
         ))
 
     def _build_default_recipients(self, src: int) -> tuple:
-        if src not in self._handlers:
-            raise ValueError(f"broadcast from unregistered node {src}")
-        handlers = self._handlers
-        targets = tuple(
-            node for node in range(self.topology.n)
-            if node != src and node in handlers
-        )
-        missing = self.topology.n - 1 - len(targets)
+        missing = self.topology.n - len(self._handlers)
         if missing:
             raise ValueError(
                 f"broadcast from {src} with {missing} unregistered nodes"
             )
+        targets = tuple(node for node in range(self.topology.n) if node != src)
         self._default_recipients[src] = targets
         return targets
 
@@ -932,7 +931,7 @@ class Network(Transport):
         total = 0.0
         for queue in self._uplinks[node].queues:
             for flow in queue:
-                total += flow.size_bytes * (len(flow.recipients) - flow.next_index)
+                total += flow.size_bytes * (flow.copies - flow.next_index)
         if self._fair is not None:
             now = self.sim.now
             for t in self._fair.up_active[node]:
@@ -948,10 +947,8 @@ class Network(Transport):
         new copies at the current bandwidth (at least 1 b/s): the floor
         under retransmission timers (``adaptive_retry_delay``), so
         congestion does not masquerade as loss."""
-        topology = self.topology
-        bandwidth = topology._plain_bandwidth or topology.bandwidth(
-            src, now=self.sim.now
-        )
+        topology, now = self.topology, self.sim.now
+        bandwidth = topology._plain_bandwidth or topology.bandwidth(src, now=now)
         return (self.queued_bytes(src) + size_bytes * copies) * 8.0 / bandwidth
 
     # -- internal ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the command-line runner."""
 
+import json
 import os
 import subprocess
 import sys
@@ -119,6 +120,31 @@ def test_malformed_fault_spec_exits_with_a_message():
     )
     assert done.returncode == 1
     assert "bad --faults spec" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_replay_of_an_unreadable_artifact_exits_2(tmp_path, capsys):
+    """An artifact of a retired format, or a path with no file, is a
+    one-line reason on stderr and exit 2, never a traceback and never
+    exit 1, which says the violation reproduced."""
+    old = tmp_path / "fuzz-v3.json"
+    old.write_text(json.dumps({
+        "format": "repro-fuzz-artifact-v3",
+        "config": {"fault": "silent", "fault_count": 1},
+    }))
+    for path in (old, tmp_path / "missing.json"):
+        assert run_cli(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"replay: cannot read {path}: ")
+        assert len(err.splitlines()) == 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "replay", str(old)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert "repro-fuzz-artifact-v3" in done.stderr
     assert "Traceback" not in done.stderr
 
 

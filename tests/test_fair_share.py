@@ -180,10 +180,12 @@ def _assert_counts_match(fair):
 
 def test_link_counts_match_the_active_sets_after_every_event():
     # Replicas 0-4 fan out on all three channels, their DATA copies
-    # through two slots; replica 3 crashes while sending and replica 5,
-    # which sends nothing, while receiving. The per-link counts and the
-    # DATA slots in use are checked against the active sets after every
-    # event.
+    # through two slots; replica 0 sends a control broadcast while its
+    # DATA waits on full slots, replica 3 crashes while sending and
+    # replica 5, which sends nothing, while receiving. The per-link
+    # counts and the DATA slots in use are checked against the active
+    # sets after every event, and no FIFO may hold a consensus or
+    # control flow: those start whole at enqueue.
     sim, network, log = make_net(n=6, delay=0.001, fair_share_slots=2)
     fair = network._fair
     for src in range(5):
@@ -192,14 +194,27 @@ def test_link_counts_match_the_active_sets_after_every_event():
             network.broadcast(src, "mb", size, None, channel)
     slot_limited = []
 
+    def control_while_data_waits():
+        assert network._uplinks[0].queues[Channel.DATA.value]
+        assert fair.data_in_flight[0] == fair.slots
+        active = fair.up_count[0]
+        network.broadcast(0, "ctl", 1_000, None, Channel.CONTROL)
+        assert fair.up_count[0] == active + 5
+
     def crash(node, outbound):
         assert (fair.up_count if outbound else fair.down_count)[node] > 0
         network.set_node_down(node)
 
+    sim.schedule(0.01, control_while_data_waits)
     sim.schedule(0.05, lambda: crash(3, outbound=True))
     sim.schedule(0.7, lambda: crash(5, outbound=False))
     while sim.run(max_events=1):
         _assert_counts_match(fair)
+        assert all(
+            flow.channel is Channel.DATA
+            for uplink in network._uplinks
+            for queue in uplink.queues for flow in queue
+        )
         slot_limited.append(any(
             uplink.queues[Channel.DATA.value]
             and fair.data_in_flight[node] == fair.slots
@@ -207,6 +222,7 @@ def test_link_counts_match_the_active_sets_after_every_event():
         ))
     assert any(slot_limited)
     assert network.stats.messages_dropped > 0 and log
+    assert sum(kind == "ctl" for *_, kind in log) == 5
     assert fair.up_count == fair.down_count == fair.data_in_flight == [0] * 6
     assert not any(fair.up_active) and not any(fair.down_active)
 
@@ -329,6 +345,44 @@ def test_equal_copies_through_fewer_slots_refill_after_the_wake():
     # Initial flush; per pair a wake, a flush event and two services;
     # the last copy's wake, flush and service.
     assert sim.processed == 12
+
+
+def test_a_broadcast_that_completes_in_one_wake_keeps_its_draws():
+    # A DATA and a consensus broadcast of equal bodies start together on
+    # one uplink and finish together: one wake completes all eight
+    # copies, each flow's four in one dispatch, in start order. The
+    # jittered delivery instants and their order, and the event count
+    # (the flush at 0, the wake, eight services and one superseded
+    # service end), were recorded with one dispatch per copy.
+    topology = Topology(n=5, one_way_delay=0.01, bandwidth_bps=8e6,
+                        delay_jitter=0.002, proc_per_message=50e-6)
+    sim = Simulator()
+    network = Network(sim, topology, RngRegistry(7),
+                      link_model="fair-share", fair_share_slots=8)
+    log = []
+    for node in range(5):
+        network.register(
+            node, lambda env: log.append((sim.now, env.src, env.dst, env.kind))
+        )
+    fair = network._fair
+    wakes = []
+    wake = fair._on_wake
+    fair._on_wake = lambda src: (wakes.append(sim.now), wake(src))
+    network.broadcast(0, "mb", 100_000, None)
+    network.broadcast(0, "proposal", 100_000, None, Channel.CONSENSUS)
+    sim.run()
+    assert wakes == [0.8]
+    assert log == [
+        (0.8080844404739531, 0, 4, "mb"),
+        (0.8090244527428211, 0, 4, "proposal"),
+        (0.8094618418630382, 0, 1, "proposal"),
+        (0.8097174450564023, 0, 1, "mb"),
+        (0.8108175043060936, 0, 3, "mb"),
+        (0.8111766554939355, 0, 3, "proposal"),
+        (0.8116484194533579, 0, 2, "mb"),
+        (0.8116984194533579, 0, 2, "proposal"),
+    ]
+    assert sim.processed == 11
 
 
 def test_wake_that_fires_early_rearms_at_the_new_finish():
