@@ -47,7 +47,7 @@ ENTRIES = [
     )),
     *(("live", f"{LIVE} {faults}") for faults in (
         "crash-restart", "crash-partition", "crash-restart --durability interval",
-        "crash-restart --protocol pbft --mempool native", "leader-squeeze",
+        "crash-restart --protocol streamlet --mempool native", "leader-squeeze",
     )),
     ("ledger", "benchmarks/ledger/run.py --smoke --reps 1"),
     ("bench", "benchmarks/perf/run_sharding.py --quick --out {tmp}/sharding.json"),

@@ -15,7 +15,7 @@ and S-HS, and prints the model curves the appendix plots.
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.model import (
     lbft_max_throughput,
     pbft_batched_max_throughput,
     smp_limit_throughput,

@@ -4,8 +4,8 @@ Shared Mempool" (Stratus, ICDE 2023).
 The package implements the Stratus shared mempool — provably available
 broadcast (PAB) plus distributed load balancing (DLB) — together with the
 full substrate the paper's evaluation needs: a deterministic discrete-event
-network simulator with bandwidth serialization, chained HotStuff,
-Streamlet, and PBFT consensus engines, four baseline mempools, Byzantine
+network simulator with bandwidth serialization, chained HotStuff (three-
+and two-chain) and Streamlet consensus engines, four baseline mempools, Byzantine
 behaviours, workload generation, and an experiment harness.
 
 Quickstart::

@@ -3,8 +3,6 @@
 from repro.analysis.model import (
     lbft_max_throughput,
     pab_ack_row_bytes,
-    pbft_max_throughput,
-    pbft_batched_max_throughput,
     smp_max_throughput,
     smp_limit_throughput,
     smp_optimal_microblock_bytes,
@@ -13,8 +11,6 @@ from repro.analysis.model import (
 __all__ = [
     "lbft_max_throughput",
     "pab_ack_row_bytes",
-    "pbft_max_throughput",
-    "pbft_batched_max_throughput",
     "smp_max_throughput",
     "smp_limit_throughput",
     "smp_optimal_microblock_bytes",

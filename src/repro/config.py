@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 MEMPOOL_KINDS = ("native", "simple", "gossip", "narwhal", "stratus")
-CONSENSUS_KINDS = ("hotstuff", "twochain", "streamlet", "pbft")
+CONSENSUS_KINDS = ("hotstuff", "twochain", "streamlet")
 
 
 def encode_fields(obj, **encoders: Callable) -> dict:
@@ -54,26 +54,18 @@ class ShardingConfig:
 
     Deliberately tiny and value-like: the derived structure (membership
     orbits, per-shard quorums) lives in
-    :class:`repro.sharding.map.ShardMap`, so a rebalance is "build a new
-    map from a bumped ``epoch``" rather than a mutation.
+    :class:`repro.sharding.map.ShardMap`.
 
     * ``shards`` — number of availability shards the microblock space is
       partitioned into. ``1`` is unsharded Stratus (every replica in one
       shard), the layout of a run without one.
-    * ``epoch`` — rebalance generation. Bumping it rotates every
-      membership deterministically (``(node + epoch) mod n``), the hook
-      a reconfiguration protocol would drive; all replicas must agree on
-      the epoch, exactly like they agree on ``n``.
     """
 
     shards: int = 2
-    epoch: int = 0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
     def to_dict(self) -> dict:
         return encode_fields(self)

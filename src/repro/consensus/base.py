@@ -75,7 +75,7 @@ class ConsensusEngine(Routed, abc.ABC):
         minted, and ``(proposer, counter)`` block ids must stay unique
         across incarnations — peers silently drop a proposal whose id they
         have already accepted, so a colliding id wedges every view the
-        respawned replica leads. All four engines in this package
+        respawned replica leads. All three engines in this package
         inherit :class:`~repro.consensus.chain.ChainedEngine`'s; an
         engine written outside it may leave this unsupported.
         """

@@ -1,6 +1,6 @@
 """The block tree every chained engine keeps, written once.
 
-HotStuff (both commit rules), Streamlet and PBFT differ in how a block
+HotStuff (both commit rules) and Streamlet differ in how a block
 gets certified and when a certified block commits. What happens to a
 proposal around those two decisions is the same — ``stored ->
 unresolved -> committed | abandoned``, orphans parked until chain sync
@@ -44,8 +44,7 @@ class ChainedEngine(ConsensusEngine):
     """Block tree, chain sync and the commit walk of a chained engine.
 
     ``sync_period`` is how long to wait for a requested block before
-    asking the next holder (HotStuff's and PBFT's view timeout,
-    Streamlet's epoch).
+    asking the next holder (HotStuff's view timeout, Streamlet's epoch).
     """
 
     def __init__(

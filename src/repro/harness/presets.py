@@ -26,7 +26,6 @@ PROTOCOL_PRESETS: dict[str, tuple[str, str]] = {
     "SS-HS": ("stratus", "hotstuff"),
     "S-HS2": ("stratus", "twochain"),
     "N-HS2": ("native", "twochain"),
-    "PBFT": ("native", "pbft"),
 }
 
 #: Presets that shard their Stratus mempool, with their default layout.

@@ -95,12 +95,12 @@ class RunResult:
         """Any percentile while the digest is held, else the carried ones."""
         if self.latency is not None:
             return self.latency.percentile(p)
-        if int(p) not in self.latency_percentiles:
+        if p not in self.latency_percentiles:
             raise ValueError(
                 f"result only carries percentiles "
                 f"{sorted(self.latency_percentiles)}, asked for {p}"
             )
-        return self.latency_percentiles[int(p)]
+        return self.latency_percentiles[p]
 
     def to_dict(self) -> dict:
         """JSON-able form, without the handles.

@@ -128,8 +128,6 @@ MESSAGE_REGISTRY: dict[str, tuple[type, ...]] = {
     MessageKinds.VOTE: (tuple,),           # (block_id[, view], Signature)
     MessageKinds.NEW_VIEW: (tuple,),       # (view, QuorumCert)
     MessageKinds.SYNC_REQUEST: (tuple,),   # (block_id, committed height)
-    MessageKinds.PBFT_PREPARE: (tuple,),   # (block_id, node_id)
-    MessageKinds.PBFT_COMMIT: (tuple,),    # (block_id, node_id)
     CLIENT_BATCH: (TxBatch,),
     # Snapshot state transfer (appended in PR 8; append-only table).
     MessageKinds.STATE_SNAPSHOT_REQ: (int,),  # requester's applied height

@@ -59,8 +59,6 @@ class MessageKinds:
     VOTE = "ce.vote"
     NEW_VIEW = "ce.newview"
     SYNC_REQUEST = "ce.sync"
-    PBFT_PREPARE = "ce.prepare"
-    PBFT_COMMIT = "ce.commit"
     # State-transfer kinds are routed to the replica itself (not the
     # mempool or consensus engine); see Replica.routes.
     STATE_SNAPSHOT_REQ = "state.snap_req"

@@ -9,9 +9,9 @@ Two mappings live here:
 * **Membership** — which replicas disseminate and certify a shard's
   microblocks. Memberships are strided orbits over the replica ring
   (shard ``s`` owns ``s, s + S, s + 2S, ...``), padded along the ring
-  when the orbit is smaller than the requested size, then rotated by the
-  config ``epoch`` for rebalancing. Every replica is a member of its own
-  shard, so the pusher's local copy counts toward the quorum.
+  when the orbit is smaller than the requested size. Every replica is a
+  member of its own shard, so the pusher's local copy counts toward the
+  quorum.
 
 Each shard tolerates ``f_s = (m - 1) // 3`` Byzantine members out of its
 ``m``-member subset and certifies availability with ``f_s + 1`` acks —
@@ -37,7 +37,7 @@ class ShardMap:
     """Derived shard structure for an ``n``-replica network."""
 
     __slots__ = (
-        "n", "config", "shards", "shard_size", "_members", "_member_sets",
+        "n", "shards", "shard_size", "_members", "_member_sets",
         "_quorums",
     )
 
@@ -53,7 +53,6 @@ class ShardMap:
                 f"cannot split {n} replicas into {config.shards} shards"
             )
         self.n = n
-        self.config = config
         self.shards = config.shards
         #: Replicas per shard membership: large enough that every shard
         #: tolerates at least one fault whenever ``n >= 4``, and the
@@ -73,9 +72,7 @@ class ShardMap:
         """The map a Stratus run over ``config`` disseminates through,
         one object for every replica of the run."""
         sharding = config.sharding or ONE_SHARD
-        return _shared_map(
-            config.n, sharding.shards, sharding.epoch, config.pab_quorum
-        )
+        return _shared_map(config.n, sharding.shards, config.pab_quorum)
 
     def _build_members(self, shard: int) -> tuple[int, ...]:
         members: list[int] = []
@@ -95,20 +92,13 @@ class ShardMap:
                 seen.add(node)
                 members.append(node)
             offset += 1
-        epoch = self.config.epoch
-        if epoch:
-            members = [(node + epoch) % self.n for node in members]
         return tuple(sorted(members))
 
     # -- keying --------------------------------------------------------
 
     def shard_of_origin(self, origin: int) -> int:
-        """Shard that disseminates microblocks cut by ``origin``.
-
-        Inverts the epoch rotation so a replica stays a member of the
-        shard that owns its own microblocks across rebalances.
-        """
-        return (origin - self.config.epoch) % self.shards
+        """Shard that disseminates microblocks cut by ``origin``."""
+        return origin % self.shards
 
     def shard_of_microblock(self, mb_id: MicroBlockId) -> int:
         return self.shard_of_origin(microblock_origin(mb_id))
@@ -134,9 +124,7 @@ class ShardMap:
 
 
 @lru_cache(maxsize=64)
-def _shared_map(
-    n: int, shards: int, epoch: int, quorum: Optional[int]
-) -> ShardMap:
+def _shared_map(n: int, shards: int, quorum: Optional[int]) -> ShardMap:
     """Maps are immutable, so equal layouts share one: at one shard of
     n=128 a map per replica is 128 member tuples and sets of 128."""
-    return ShardMap(n, ShardingConfig(shards, epoch), quorum)
+    return ShardMap(n, ShardingConfig(shards), quorum)

@@ -52,7 +52,7 @@ class ShardScope:
             None if self.resolves_all else self._in_own_shards
         )
         #: What a memoized verification was checked against, bar the quorum.
-        self._layout = (shard_map.n, shard_map.shards, shard_map.config.epoch)
+        self._layout = (shard_map.n, shard_map.shards)
 
     def make(
         self, microblock: MicroBlock, acks: list[Signature]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from repro.config import CONSENSUS_KINDS, ProtocolConfig
+from repro.config import ProtocolConfig
 from repro.faults.schedule import FaultSchedule
 from repro.harness.config import ExperimentConfig
 from repro.harness.result import RunResult
@@ -46,18 +46,18 @@ LIVENESS_MARGIN = 0.5
 
 FAULT_KINDS = ("crash", "partition", "loss", "bandwidth", "delay")
 
-#: Mempool pool the fuzzer draws from. Pinned rather than
-#: aliased to ``MEMPOOL_KINDS``: scenario ``i`` is a pure function of
-#: the root seed *and this tuple*, so changing the global registry must
-#: not silently re-point every recorded corpus cell at a different
-#: configuration. The fuzzer draws no ``ProtocolConfig.sharding``; a
-#: sharded run has its own hand-rolled corpus cell instead (see
-#: ``tests/test_fuzz_corpus.py``).
+#: Consensus and mempool pools the fuzzer draws from. Pinned rather
+#: than aliased to ``CONSENSUS_KINDS`` / ``MEMPOOL_KINDS``: scenario
+#: ``i`` is a pure function of the root seed *and these tuples*, so
+#: changing a global registry must not silently re-point every recorded
+#: corpus cell at a different configuration. The fuzzer draws no
+#: ``ProtocolConfig.sharding``; a sharded run has its own hand-rolled
+#: corpus cell instead (see ``tests/test_fuzz_corpus.py``).
+FUZZ_CONSENSUS_KINDS = ("hotstuff", "twochain", "streamlet")
 FUZZ_MEMPOOL_KINDS = ("native", "simple", "gossip", "narwhal", "stratus")
 
-#: The rest of the grid, pinned for the same reason (consensus is drawn
-#: from ``CONSENSUS_KINDS``): replica counts, seconds measured, offered
-#: tx/s.
+#: The rest of the grid, pinned for the same reason: replica counts,
+#: seconds measured, offered tx/s.
 FUZZ_N_CHOICES = (4, 5, 7)
 FUZZ_DURATION_RANGE = (3.0, 5.0)
 FUZZ_RATE_RANGE = (100.0, 600.0)
@@ -79,7 +79,6 @@ def default_liveness_bound(protocol: ProtocolConfig) -> float:
 def random_fault_schedule(
     rng: random.Random,
     n: int,
-    consensus: str = "hotstuff",
     earliest: float = 0.5,
     deadline: float = 3.0,
     max_events: int = 4,
@@ -87,17 +86,12 @@ def random_fault_schedule(
     """Draw a valid, self-healing fault-schedule spec from ``rng``.
 
     Every disturbance heals by ``deadline`` (crashes restart, partitions
-    expire), at most ``f`` replicas ever crash, and PBFT's fixed leader
-    (replica 0) is never crashed — constraints under which the liveness
-    oracle's recovery bound is a fair demand.
+    expire) and at most ``f`` replicas ever crash — constraints under
+    which the liveness oracle's recovery bound is a fair demand.
     """
     if deadline - earliest < 0.2 or max_events <= 0:
         return []
     f = (n - 1) // 3
-    crash_pool = [
-        node for node in range(n)
-        if not (consensus == "pbft" and node == 0)
-    ]
     crashed: set[int] = set()
     spec: list[dict] = []
     for _ in range(rng.randint(1, max_events)):
@@ -105,10 +99,9 @@ def random_fault_schedule(
         start = round(rng.uniform(earliest, deadline - 0.2), 3)
         duration = round(rng.uniform(0.2, deadline - start), 3)
         if kind == "crash":
-            pool = [node for node in crash_pool if node not in crashed]
-            if len(crashed) >= f or not pool:
+            if len(crashed) >= f:
                 continue
-            node = rng.choice(pool)
+            node = rng.choice([v for v in range(n) if v not in crashed])
             crashed.add(node)
             spec.append({
                 "kind": "crash", "start": start,
@@ -178,7 +171,7 @@ class ScenarioFuzzer:
         """
         registry = RngRegistry(self.root_seed)
         rng = registry.stream(f"scenario.{index}")
-        consensus = rng.choice(CONSENSUS_KINDS)
+        consensus = rng.choice(FUZZ_CONSENSUS_KINDS)
         mempool = rng.choice(FUZZ_MEMPOOL_KINDS)
         n = rng.choice(FUZZ_N_CHOICES)
         duration = round(rng.uniform(*FUZZ_DURATION_RANGE), 3)
@@ -190,8 +183,7 @@ class ScenarioFuzzer:
         bound = default_liveness_bound(protocol)
         deadline = warmup + duration - bound - LIVENESS_MARGIN
         fault_spec = random_fault_schedule(
-            rng, n=n, consensus=consensus,
-            earliest=warmup * 0.8, deadline=deadline,
+            rng, n=n, earliest=warmup * 0.8, deadline=deadline,
         )
         seed = registry.derive_seed(f"scenario.{index}.run")
         return ExperimentConfig(

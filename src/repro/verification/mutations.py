@@ -24,7 +24,7 @@ from repro.mempool.stratus import StratusMempool
 from repro.types.microblock import make_microblock_id
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 from repro.verification.fuzzer import (
-    QUICK_PROTOCOL, ScenarioFuzzer, run_scenario,
+    QUICK_PROTOCOL, run_scenario,
 )
 
 #: Fabricated microblock counters start here so they can never collide
@@ -288,8 +288,19 @@ MUTANTS: dict[str, Mutant] = {
             expected_oracle="liveness",
             consensus_cls=ProposeWithoutSync,
             # Replica 0 leads view 60 after its restart, holding a
-            # new-view quorum whose best QC certifies a block it missed.
-            config=ScenarioFuzzer(210).scenario(21),
+            # new-view quorum whose best QC certifies a block it missed
+            # (fuzz[21] of root seed 210 before the consensus pool was
+            # pinned to three engines).
+            config=_config(
+                consensus="twochain", mempool="gossip",
+                seed=6006115235551441403, duration=3.512, rate_tps=177.6,
+                faults=[
+                    {"kind": "crash", "start": 0.925, "end": 1.161,
+                     "nodes": [0]},
+                    {"kind": "loss", "start": 0.925, "end": 1.246,
+                     "rate": 0.203},
+                ],
+            ),
         ),
         Mutant(
             name="replay-payload",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.model import (
     lbft_max_throughput,
     pab_ack_row_bytes,
     pbft_batched_max_throughput,

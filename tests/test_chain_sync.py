@@ -1,8 +1,8 @@
 """Orphan parking and chain sync, once, for every chained engine.
 
-``ChainedEngine`` owns the code; HotStuff, two-chain HotStuff, Streamlet
-and PBFT only decide when to call it, so each case runs against all
-four. White-box: blocks are handed to ``_handle_proposal`` directly and
+``ChainedEngine`` owns the code; HotStuff, two-chain HotStuff and
+Streamlet only decide when to call it, so each case runs against all
+three. White-box: blocks are handed to ``_handle_proposal`` directly and
 sync requests are read off ``engine.send``. A request carries
 ``(block_id, requester's committed height)``; the answer is the block
 and its ancestors above that height, oldest first.
@@ -23,7 +23,7 @@ from repro.verification import standard_suite
 
 from tests.helpers import make_cluster
 
-ENGINES = ("hotstuff", "twochain", "streamlet", "pbft")
+ENGINES = ("hotstuff", "twochain", "streamlet")
 SYNC_PERIOD = 0.5
 every_engine = pytest.mark.parametrize("consensus", ENGINES)
 hotstuff_engines = pytest.mark.parametrize(
@@ -42,7 +42,7 @@ def frozen_cluster(consensus):
     for replica in exp.replicas:
         engine = replica.consensus
         engine.suspend()
-        engine._try_propose = engine._schedule_pump = lambda *a, **k: None
+        engine._try_propose = lambda *a, **k: None
     exp.sim.run_until(0.3)  # drain what start() had already sent
     return exp
 

@@ -21,8 +21,9 @@ partition edge, a crash that cuts copies on the wire and in the ingress,
 a restart, a squeezed uplink); and one delay window under serial links,
 which takes the uplink's fan-out through ``Topology.delay``.
 
-One cell is *not* the parent's: ``fuzz7-6-clipped-delay`` (corpus
-scenario root 7 index 6) runs under a delay window whose jitter exceeds
+One cell is *not* the parent's: ``fuzz7-6-clipped-delay`` (scenario
+root 7 index 6 as the fuzzer drew it from four consensus engines, now
+spelled out) runs under a delay window whose jitter exceeds
 its base, so delays clip to 0 and a copy's wire time plus propagation can
 be shorter than the receive-side processing cost. There the order of
 same-instant handlers of *different* nodes follows the order the events
@@ -45,7 +46,7 @@ from repro.harness.netbench import NetBenchConfig, run_netbench
 from repro.harness.presets import chaos_schedule
 from repro.harness.runner import build_experiment
 from repro.sim.network import Network
-from repro.verification import ScenarioFuzzer
+from repro.verification.fuzzer import QUICK_PROTOCOL
 
 from tests.test_golden_hashes import QUICK
 
@@ -198,7 +199,19 @@ TRACES = {
     # restarted replica's two sync answers carry 3 and 2 blocks; the
     # run commits the same 643 tx.
     "fuzz7-6-clipped-delay": (
-        lambda: build_experiment(ScenarioFuzzer(7).scenario(6)).run(),
+        lambda: build_experiment(ExperimentConfig(
+            protocol=ProtocolConfig(
+                n=5, mempool="narwhal", consensus="streamlet",
+                **QUICK_PROTOCOL,
+            ),
+            rate_tps=154.1, duration=3.909, warmup=0.5,
+            seed=2029791996802715077,
+            faults=FaultSchedule.from_spec([
+                {"kind": "delay", "start": 0.715, "end": 1.5619999999999998,
+                 "base": 0.0245, "jitter": 0.033, "bandwidth_factor": 0.656},
+                {"kind": "crash", "start": 1.611, "end": 1.83, "nodes": [1]},
+            ]),
+        )).run(),
         "37d25751f283a0f28cdd132bd798434bf5aa42651c9f043036c915e3ca1a01c0",
     ),
 }

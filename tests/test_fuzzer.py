@@ -8,6 +8,7 @@ from repro.faults import FaultSchedule, Window
 from repro.harness.config import ExperimentConfig
 from repro.sim.rng import RngRegistry
 from repro.verification.fuzzer import (
+    FUZZ_CONSENSUS_KINDS,
     FUZZ_MEMPOOL_KINDS,
     LIVENESS_MARGIN,
     QUICK_PROTOCOL,
@@ -83,21 +84,13 @@ def test_fault_schedules_are_self_healing():
             assert entry["end"] <= 3.2  # every fault heals
 
 
-def test_fault_schedule_never_crashes_pbft_leader():
-    for seed in range(30):
-        rng = random.Random(seed)
-        spec = random_fault_schedule(rng, n=4, consensus="pbft")
-        assert all(
-            e["nodes"] != [0] for e in spec if e["kind"] == "crash"
-        )
-
-
 def test_scenarios_cover_protocol_grid():
     """A modest sweep draws from the full consensus x mempool space.
 
-    The mempool pool is the fuzzer's *pinned* default
-    (``FUZZ_MEMPOOL_KINDS``), not the global registry: recorded corpus
-    cells must not shift when a new mempool kind is registered.
+    The pools are the fuzzer's *pinned* defaults
+    (``FUZZ_CONSENSUS_KINDS``, ``FUZZ_MEMPOOL_KINDS``), not the global
+    registries: recorded corpus cells must not shift when an engine or
+    a mempool kind is registered or removed.
     """
     fuzzer = ScenarioFuzzer(3)
     seen_consensus = set()
@@ -108,8 +101,9 @@ def test_scenarios_cover_protocol_grid():
         seen_mempool.add(scenario.protocol.mempool)
         assert scenario.protocol.consensus in CONSENSUS_KINDS
         assert scenario.protocol.mempool in MEMPOOL_KINDS
-    assert seen_consensus == set(CONSENSUS_KINDS)
+    assert seen_consensus == set(FUZZ_CONSENSUS_KINDS)
     assert seen_mempool == set(FUZZ_MEMPOOL_KINDS)
+    assert set(FUZZ_CONSENSUS_KINDS) <= set(CONSENSUS_KINDS)
     assert set(FUZZ_MEMPOOL_KINDS) <= set(MEMPOOL_KINDS)
 
 

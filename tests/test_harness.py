@@ -162,8 +162,9 @@ def recorded_configs():
 #: Fields deleted since the recording: options nothing ever set (each a
 #: constant beside its reader now, at the recorded value),
 #: ``fluctuation``, a second spelling of a delay fault, ``data_limiter``,
-#: the data-channel token bucket, deleted with it, and ``fault`` /
-#: ``fault_count``, a second spelling of t=0 behavior swaps.
+#: the data-channel token bucket, deleted with it, ``fault`` /
+#: ``fault_count``, a second spelling of t=0 behavior swaps, and the
+#: sharding layout's ``epoch``, a rebalance hook no run ever moved off 0.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
     "estimator_percentile", "fluctuation",
@@ -171,7 +172,7 @@ DELETED_KEYS = {
     "fetch_jitter", "fetch_max_rounds", "gossip_fanout", "pbft_window",
     "gc_retention", "busy_margin", "busy_slack", "byzantine",
     "fsync_interval", "snapshot_transfer", "shard_size", "data_limiter",
-    "tick", "fault", "fault_count",
+    "tick", "fault", "fault_count", "epoch",
 }
 
 

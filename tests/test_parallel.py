@@ -109,6 +109,14 @@ class TestJobSpecs:
             clone.latency_percentile(75)
         assert result.latency_percentile(75) >= result.latency_percentile(50)
 
+    def test_summary_answers_only_the_carried_percentiles(self):
+        """A fractional percentile is not rounded down to a carried one."""
+        clone = RunResult.from_dict(run_experiment(small_config()).to_dict())
+        assert clone.latency_percentile(99.0) == clone.latency_percentiles[99]
+        for p in (99.9, 50.5, 90):
+            with pytest.raises(ValueError, match="only carries"):
+                clone.latency_percentile(p)
+
     def test_summary_matches_result(self):
         """What a worker ships is what the run measured in-process."""
         result = run_experiment(small_config())

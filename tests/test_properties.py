@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ProtocolConfig, ShardingConfig
+from repro.config import CONSENSUS_KINDS, ProtocolConfig, ShardingConfig
 from repro.crypto import sign
 from repro.durability import DurabilityConfig
 from repro.faults import FaultSchedule, LinkFaults, Window
@@ -290,11 +290,9 @@ def experiment_configs(draw):
     protocol = ProtocolConfig(
         n=n,
         mempool="stratus",
-        consensus=draw(st.sampled_from(["hotstuff", "streamlet", "pbft"])),
+        consensus=draw(st.sampled_from(CONSENSUS_KINDS)),
         sharding=draw(st.builds(
-            ShardingConfig,
-            shards=st.integers(1, 4),
-            epoch=st.integers(0, 5),
+            ShardingConfig, shards=st.integers(1, 4),
         )) if sharded else None,
         pab_quorum=(
             None if sharded

@@ -31,9 +31,9 @@ def frozen_cluster(consensus, mempool):
     for replica in exp.replicas:
         engine = replica.consensus
         engine.suspend()
-        # HotStuff proposes through _try_propose, PBFT's leader through
-        # its pump; Streamlet's epoch clock is what suspend cancelled.
-        engine._try_propose = engine._schedule_pump = lambda *a, **k: None
+        # HotStuff proposes through _try_propose; Streamlet's epoch
+        # clock is what suspend cancelled.
+        engine._try_propose = lambda *a, **k: None
     exp.sim.run_until(0.01)  # flush what start() had already scheduled
     return exp
 
@@ -251,9 +251,7 @@ def test_bad_proof_proposal_strands_nothing(mempool):
     assert engine.mempool.make_payload().is_empty
 
 
-@pytest.mark.parametrize(
-    "consensus", ("hotstuff", "twochain", "streamlet", "pbft")
-)
+@pytest.mark.parametrize("consensus", ("hotstuff", "twochain", "streamlet"))
 def test_marking_does_not_route_through_prepare(consensus):
     """The vote gate can be stubbed out (as the vote-counting tests do)
     without un-marking anything."""

@@ -127,11 +127,12 @@ def test_every_kind_sent_has_a_route_at_its_receiver(mempool, consensus):
 
 def test_an_unrouted_kind_is_ignored():
     """A live peer may send any registered kind: one no layer of this
-    replica routes (a PBFT prepare to HotStuff, a snapshot request to a
-    replica without a durable executor) is dropped, not raised."""
+    replica routes (a Narwhal echo to a Stratus replica, a snapshot
+    request to a replica without a durable executor) is dropped, not
+    raised."""
     exp = make_cluster(n=4, consensus="hotstuff")
     for kind, payload in (
-        (MessageKinds.PBFT_PREPARE, (1, 1)),
+        (MessageKinds.RB_ECHO, 1),
         (MessageKinds.STATE_SNAPSHOT_REQ, 0),
     ):
         exp.replicas[0].handle(Envelope(

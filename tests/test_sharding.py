@@ -23,8 +23,8 @@ from repro.types import sizes
 from repro.types.microblock import MicroBlock, make_microblock_id
 
 
-def make_map(n=16, shards=4, **kwargs):
-    return ShardMap(n, ShardingConfig(shards=shards, **kwargs))
+def make_map(n=16, shards=4):
+    return ShardMap(n, ShardingConfig(shards=shards))
 
 
 def make_mb(origin=1, counter=0, tx_count=10):
@@ -87,31 +87,17 @@ def test_quorum_tolerates_f_byzantine_members():
 def test_every_shard_has_the_same_size_and_quorum():
     # ShardScope verifies certificates of *any* shard against its own
     # shard's quorum; that rests on the map padding every membership to
-    # shard_size, whatever n, shard count and epoch.
-    for n, shards, kwargs in (
-        (7, 2, {}), (10, 3, {}), (16, 8, {}), (13, 4, {"epoch": 5}),
-        (64, 4, {}), (9, 2, {}),
-    ):
-        shard_map = make_map(n, shards, **kwargs)
+    # shard_size, whatever n and shard count.
+    for n, shards in ((7, 2), (10, 3), (16, 8), (13, 4), (64, 4), (9, 2)):
+        shard_map = make_map(n, shards)
         for shard in range(shards):
             assert len(shard_map.members(shard)) == shard_map.shard_size
             assert shard_map.quorum(shard) == shard_map.quorum(0)
 
 
-def test_epoch_rotation_rebalances_but_keeps_own_membership():
-    base = make_map(16, 4)
-    rotated = make_map(16, 4, epoch=3)
-    assert rotated.members(0) != base.members(0)
-    for origin in range(16):
-        shard = rotated.shard_of_origin(origin)
-        assert rotated.is_member(origin, shard)
-
-
 def test_invalid_configs_are_rejected():
     with pytest.raises(ValueError, match="cannot split"):
         make_map(4, 8)
-    with pytest.raises(ValueError, match="epoch"):
-        make_map(8, 2, epoch=-1)
 
 
 # -- certificates ------------------------------------------------------------
@@ -198,25 +184,12 @@ def test_verify_rejects_wrong_binding_and_structure():
     assert not scope_of(shard_map).verify(foreign, mb.id)
 
 
-def test_verify_rejects_cert_under_different_map():
-    # A certificate minted under one epoch validates under a rebalanced
-    # map only if that map's owning shard still contains its signers.
-    old_map = make_map(16, 4)
-    _, cert = _valid_cert(old_map)
-    new_map = make_map(16, 4, epoch=2)
-    mb_id = cert.mb_id
-    valid_under_new = set(cert.signers) <= new_map.member_set(
-        new_map.shard_of_microblock(mb_id)
-    )
-    assert scope_of(new_map).verify(cert, mb_id) == valid_under_new
-
-
 def test_verification_is_memoized_per_map():
     shard_map = make_map(16, 4)
     mb, cert = _valid_cert(shard_map)
     scope = scope_of(shard_map)
     assert scope.verify(cert, mb.id)
-    assert cert._verified_key == ((16, 4, 0), scope.quorum)
+    assert cert._verified_key == ((16, 4), scope.quorum)
     # The binding check still runs on the memoized path.
     assert not scope_of(shard_map).verify(cert, mb.id + 1)
 

@@ -115,8 +115,6 @@ PAYLOADS_BY_KIND = {
     ),
     MessageKinds.NEW_VIEW: st.tuples(st.integers(0, 1000), qcs),
     MessageKinds.SYNC_REQUEST: st.tuples(ids, st.integers(0, 10_000)),
-    MessageKinds.PBFT_PREPARE: st.tuples(ids, nodes),
-    MessageKinds.PBFT_COMMIT: st.tuples(ids, nodes),
     CLIENT_BATCH: batches,
     MessageKinds.STATE_SNAPSHOT_REQ: st.integers(0, 10_000),
     MessageKinds.STATE_SNAPSHOT: snapshots,

@@ -89,7 +89,7 @@ def test_aggregate_emitted_count_mid_run_matches_ticks():
 def test_aggregate_mode_rejects_batcherless_mempools():
     # The native mempool has no microblock batcher to pull from.
     base = ExperimentConfig(
-        protocol=tuned_protocol("PBFT", n=4),
+        protocol=tuned_protocol("N-HS", n=4),
         rate_tps=1_000, duration=1.0, warmup=0.0, seed=1,
         workload_mode="aggregate",
     )
