@@ -32,8 +32,8 @@ PYTEST = "-m pytest -q -p no:cacheprovider"
 #: README's shapes. pytest-benchmark pauses profilers, hence ``--benchmark-disable``.
 ENTRIES = [
     *(("example", f"examples/{path.name}") for path in sorted((REPO / "examples").glob("*.py"))),
-    ("cli", "-m repro fuzz --seed 7 --iterations 10"),
-    ("cli", "-m repro fuzz --seed 7 --iterations 10 --jobs 2 --shrink --out {tmp}/fuzz"),
+    ("cli", "-m repro fuzz --seed 7 --iterations 17"),
+    ("cli", "-m repro fuzz --seed 7 --iterations 17 --jobs 2 --shrink --out {tmp}/fuzz"),
     ("cli", SWEEP),
     ("cli", f"{SWEEP} --topology wan --link-model fair-share --jobs 2"),
     ("cli", "-m repro --n 64 --rate 250000 --workload-mode aggregate --duration 1 --profile"),

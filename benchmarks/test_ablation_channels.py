@@ -23,9 +23,10 @@ from _common import run_once, write_result
 N_STEADY = 16
 RATE_STEADY = 62_000.0
 N_DISTURB = 32
-WINDOW = FaultSchedule([Window(
-    "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
-)])
+WINDOW = FaultSchedule([  # Fig. 7's disturbance
+    Window("delay", 4.0, 9.0, base=0.1, jitter=0.05),
+    Window("bandwidth", 4.0, 9.0, factor=0.15),
+])
 
 
 def run_steady(priority: bool):

@@ -12,6 +12,7 @@ the gap to a homogeneous deployment.
 import pytest
 
 from repro import ExperimentConfig, run_experiment, tuned_protocol
+from repro.faults import FaultSchedule, Window
 from repro.harness.report import format_table
 
 from _common import run_once, write_result
@@ -23,7 +24,8 @@ N = 16
 # not-busy — its stable time is high but constant).
 RATE = 30_000.0
 SLOW_FRACTION = 0.25
-SLOW_BPS = 25e6  # quarter of the 100 Mb/s WAN default
+WAN_BPS = 100e6  # the WAN topology's default uplink
+SLOW_FACTOR = 0.25  # a slow replica's share of it: 25 Mb/s
 
 
 def run(load_balancing: bool, heterogeneous: bool):
@@ -32,14 +34,15 @@ def run(load_balancing: bool, heterogeneous: bool):
         batch_bytes=16 * 1024, batch_timeout=0.1,
         load_balancing=load_balancing, lb_samples=3,
     )
-    slow = int(N * SLOW_FRACTION)
-    bandwidth_map = (
-        {node: SLOW_BPS for node in range(slow)} if heterogeneous else None
-    )
+    # A slow replica is a bandwidth window on it from t=0 that never
+    # heals.
+    slow = FaultSchedule([
+        Window("bandwidth", 0.0, factor=SLOW_FACTOR, nodes=(node,))
+        for node in range(int(N * SLOW_FRACTION))
+    ]) if heterogeneous else None
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=RATE,
-        duration=6.0, warmup=3.0, seed=17,
-        bandwidth_map=bandwidth_map,
+        duration=6.0, warmup=3.0, seed=17, faults=slow,
         label=f"hetero{heterogeneous}-dlb{load_balancing}",
     ))
 
@@ -67,7 +70,7 @@ def test_ablation_heterogeneous_bandwidth(benchmark):
         ["variant", "tput (tx/s)", "lat (ms)", "forwards"],
         rows,
         title=(f"Ablation — {int(SLOW_FRACTION * N)} of {N} replicas at "
-               f"{SLOW_BPS / 1e6:.0f} Mb/s (uniform load, WAN)"),
+               f"{WAN_BPS * SLOW_FACTOR / 1e6:.0f} Mb/s (uniform load, WAN)"),
     )
     write_result("ablation_heterogeneous", table)
 

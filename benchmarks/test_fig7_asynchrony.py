@@ -7,9 +7,10 @@ the congested leader, so view-changes storm — then slowly recovers by
 draining accumulated proposals. S-HS keeps committing at the speed of
 the degraded network and never view-changes.
 
-Substitution (DESIGN.md): the delay window also scales effective link
-bandwidth to 15%, standing in for TCP goodput collapse under heavy
-jitter, which is what actually strands microblock bodies in flight.
+Substitution (DESIGN.md): a bandwidth window over the delay window's
+interval scales every uplink to 15%, standing in for TCP goodput
+collapse under heavy jitter, which is what actually strands microblock
+bodies in flight.
 """
 
 import pytest
@@ -22,9 +23,10 @@ from _common import run_once, scaled, write_result
 
 N = scaled(default=[32], full=[64])[0]
 RATE = 25_000.0
-WINDOW = FaultSchedule([Window(
-    "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
-)])
+WINDOW = FaultSchedule([
+    Window("delay", 4.0, 9.0, base=0.1, jitter=0.05),
+    Window("bandwidth", 4.0, 9.0, factor=0.15),  # TCP goodput collapse
+])
 END = 14.0
 
 

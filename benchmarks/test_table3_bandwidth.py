@@ -24,6 +24,7 @@ from repro import ExperimentConfig, tuned_protocol
 from repro.analysis import pab_ack_row_bytes
 from repro.harness.report import format_table, mbps
 from repro.mempool.base import MessageKinds
+from repro.sharding import ShardMap
 
 from _common import run_once, scaled, write_result
 
@@ -78,7 +79,7 @@ def run_fixed_leader(preset: str) -> dict:
         ]
         predicted = [
             pab_ack_row_bytes(
-                N, protocol.stability_quorum,
+                N, ShardMap.of(protocol).quorum(0),
                 own=cut[node], others=sum(cut) - cut[node],
             )
             for node in range(1, N)

@@ -16,8 +16,11 @@ from repro.faults import FaultSchedule, Window
 from repro.harness import format_table
 
 WARMUP = 1.0
-DISTURBANCE = Window(
-    "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
+DISTURBANCE = Window("delay", 4.0, 9.0, base=0.1, jitter=0.05)
+# The TCP goodput collapse under that jitter: every uplink at 15% over
+# the same interval.
+GOODPUT_COLLAPSE = Window(
+    "bandwidth", DISTURBANCE.start, DISTURBANCE.end, factor=0.15,
 )
 
 
@@ -29,7 +32,7 @@ def run(preset: str):
     return run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=25_000,
         duration=13.0, warmup=WARMUP, seed=3, label=preset,
-        faults=FaultSchedule([DISTURBANCE]),
+        faults=FaultSchedule([DISTURBANCE, GOODPUT_COLLAPSE]),
     ))
 
 

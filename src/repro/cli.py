@@ -78,7 +78,8 @@ FAULTS_HELP = (
     f"({', '.join(CHAOS_PRESET_NAMES)}), inline JSON "
     '(\'[{"kind": "crash", "start": 2.0, "end": 4.0, "nodes": [3]}, '
     '...]\'; one entry per fault window, "end" omitted when it never '
-    'heals; a "swap" at start 0 is a Byzantine replica), '
+    'heals; a "swap" at start 0 is a Byzantine replica, a "bandwidth" '
+    'window from 0 with no "end" a slow one), '
     "or @file.json"
 )
 

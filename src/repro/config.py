@@ -83,14 +83,14 @@ class ProtocolConfig:
     transaction payloads, 128 KB microblocks, PAB quorum ``f + 1``,
     power-of-d sampling with ``d = 1``.
 
-    Four derived quantities are computed once at construction and read
+    Three derived quantities are computed once at construction and read
     as plain attributes on the event path: ``f`` (fault tolerance, the
     largest f with n >= 3f + 1), ``consensus_quorum`` (votes per quorum
-    certificate, 2f + 1), ``stability_quorum`` (PAB ack quorum q in
-    [f+1, 2f+1], default f + 1) and ``txs_per_microblock``
-    (transactions that fill a microblock at the batch size). They are
-    not dataclass fields — not serialised, not compared — and
-    ``dataclasses.replace`` recomputes them because it constructs anew.
+    certificate, 2f + 1) and ``txs_per_microblock`` (transactions that
+    fill a microblock at the batch size). They are not dataclass fields
+    — not serialised, not compared — and ``dataclasses.replace``
+    recomputes them because it constructs anew. The PAB ack quorum
+    (``pab_quorum``, else f + 1) is :meth:`repro.sharding.ShardMap.quorum`.
     """
 
     n: int
@@ -140,9 +140,6 @@ class ProtocolConfig:
             raise ValueError(f"BFT needs n >= 4, got n={self.n}")
         self.f = (self.n - 1) // 3
         self.consensus_quorum = 2 * self.f + 1
-        self.stability_quorum = (
-            self.pab_quorum if self.pab_quorum is not None else self.f + 1
-        )
         self.txs_per_microblock = max(1, self.batch_bytes // self.tx_payload)
         if self.sharding is not None and self.sharding.shards > self.n:
             raise ValueError(

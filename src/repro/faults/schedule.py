@@ -14,11 +14,15 @@ one entry per window, ``end`` omitted when the fault never heals::
      {"kind": "bandwidth", "start": 1.0, "end": 3.0, "factor": 0.1,
       "nodes": [0]},
      {"kind": "delay", "start": 5.0, "end": 15.0, "base": 0.1,
-      "jitter": 0.05, "bandwidth_factor": 0.15},
+      "jitter": 0.05},
+     {"kind": "bandwidth", "start": 5.0, "end": 15.0, "factor": 0.15},
      {"kind": "swap", "start": 3.0, "nodes": [2], "behavior": "censor"}]
 
 A swap at ``start`` 0 is how a replica is Byzantine for the whole run:
-it is built with that behavior and never leads.
+it is built with that behavior and never leads. A ``bandwidth`` window
+at ``start`` 0 with no ``end`` is how a replica's uplink is slower than
+the run's base rate; one over a delay window's interval is the TCP
+goodput collapse under that window's jitter (Fig. 7).
 
 The windows are what the metrics hub reports recovery per and what both
 network backends evaluate link faults from
@@ -45,8 +49,8 @@ _KEYS = {
     "crash": (("nodes",), ("end",)),
     "partition": (("groups",), ("end",)),
     "loss": (("end", "rate"), ("kinds", "channel", "nodes")),
-    "bandwidth": (("end", "factor"), ("nodes",)),
-    "delay": (("end", "base"), ("jitter", "bandwidth_factor")),
+    "bandwidth": (("factor",), ("end", "nodes")),
+    "delay": (("end", "base"), ("jitter",)),
     "swap": (("nodes", "behavior"), ()),
 }
 
@@ -79,7 +83,7 @@ def _str(value, key: str) -> str:
 
 _PARSERS = {
     "start": _real, "end": _real, "rate": _real, "factor": _real,
-    "base": _real, "jitter": _real, "bandwidth_factor": _real,
+    "base": _real, "jitter": _real,
     "nodes": lambda value, key: _list(value, key, int),
     "groups": lambda value, key: tuple(
         _list(group, key, int) for group in _list(value, key, list)
@@ -185,11 +189,6 @@ def _check(window: Window, n: int) -> None:
     elif kind == "delay":
         if window.base < 0 or window.jitter < 0:
             raise ValueError("delay base and jitter must be >= 0")
-        if not 0.0 < window.bandwidth_factor <= 1.0:
-            raise ValueError(
-                "bandwidth_factor must be in (0, 1], "
-                f"got {window.bandwidth_factor}"
-            )
     elif kind == "swap" and window.behavior not in BEHAVIOR_KINDS:
         raise ValueError(
             f"behavior must be one of {BEHAVIOR_KINDS}, "

@@ -32,8 +32,10 @@ class Window:
     rendered as "never"). A crash or swap names its one replica in
     ``nodes``; a partition's ``nodes`` are derived from its ``groups``.
     A swap is an instant: at ``start`` the replica's behavior becomes
-    ``behavior``, and it has no end. Fields past ``nodes`` belong to one
-    kind each and keep their defaults on the others.
+    ``behavior``, and it has no end. A ``bandwidth`` window scales its
+    nodes' uplink by ``factor``: one from t=0 that never heals is a
+    replica slower than the run's base rate. Fields past ``nodes``
+    belong to one kind each and keep their defaults on the others.
     """
 
     kind: str
@@ -47,7 +49,6 @@ class Window:
     factor: float = 1.0  # bandwidth
     base: float = 0.0  # delay
     jitter: float = 0.0  # delay
-    bandwidth_factor: float = 1.0  # delay
     behavior: str = ""  # swap
 
     def __post_init__(self) -> None:
@@ -140,17 +141,13 @@ class LinkFaults:
                 )
         return None
 
-    def bandwidth_factor(self, now: float, node: int) -> float:
+    def squeeze_factor(self, now: float, node: int) -> float:
         """What ``node``'s egress bandwidth is scaled by at ``now``:
-        the product of its active squeezes, then of the active delay
-        windows' goodput factors."""
+        the product of its active squeezes."""
         factor = 1.0
         for window in self.squeezes:
             if window.start <= now < window.end and (
                 not window.nodes or node in window.nodes
             ):
                 factor *= window.factor
-        for window in self.delays:
-            if window.start <= now < window.end:
-                factor *= window.bandwidth_factor
         return factor

@@ -20,9 +20,6 @@ class ExperimentConfig:
     protocol: ProtocolConfig
     topology_kind: str = "lan"  # one of TOPOLOGIES
     bandwidth_bps: Optional[float] = None  # override topology default
-    # Per-replica bandwidth overrides (node -> bits/s): models the
-    # heterogeneous-capacity deployments of Problem-II.
-    bandwidth_map: Optional[dict[int, float]] = None
     rate_tps: float = 10_000.0
     duration: float = 5.0
     warmup: float = 1.0
@@ -44,7 +41,8 @@ class ExperimentConfig:
     #: Scripted fault schedule (crashes, partitions, loss, squeeze and
     #: delay windows, behavior swaps), realised by
     #: :class:`repro.faults.FaultInjector`; a swap at t=0 is a replica
-    #: Byzantine for the whole run.
+    #: Byzantine for the whole run, an unending squeeze from t=0 one
+    #: slower than ``bandwidth_bps`` (Problem-II's unequal resources).
     faults: Optional[FaultSchedule] = None
     #: Durable state machine (WAL + checkpoints); implies an executor on
     #: every replica. None keeps the purely in-memory KVStore.
@@ -71,11 +69,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"bandwidth_bps must be > 0, got {self.bandwidth_bps}"
             )
-        for node, bandwidth in (self.bandwidth_map or {}).items():
-            if bandwidth <= 0:
-                raise ValueError(
-                    f"bandwidth_map[{node}] must be > 0, got {bandwidth}"
-                )
         if self.offered_clients is not None and self.offered_clients <= 0:
             raise ValueError(
                 f"offered_clients must be positive, got {self.offered_clients}"
@@ -93,13 +86,11 @@ class ExperimentConfig:
         This is the spawn-safe wire format ``repro.parallel`` and the
         live spawn spec use to hand a run to another process. Plain
         fields serialise as they are; the nested objects (protocol, fault
-        schedule, durability) and the int-keyed map each name their
-        flattening here.
+        schedule, durability) each name their flattening here.
         """
         return encode_fields(
             self,
             protocol=ProtocolConfig.to_dict,
-            bandwidth_map=lambda m: {str(node): bw for node, bw in m.items()},
             faults=FaultSchedule.to_spec,
             durability=DurabilityConfig.to_spec,
         )
@@ -109,7 +100,6 @@ class ExperimentConfig:
         return decode_fields(
             cls, data,
             protocol=ProtocolConfig.from_dict,
-            bandwidth_map=lambda m: {int(node): bw for node, bw in m.items()},
             faults=FaultSchedule.from_spec,
             durability=DurabilityConfig.from_spec,
         )

@@ -123,8 +123,8 @@ _CHAOS_PRESETS = {
         Window("loss", 2.0, 4.0, rate=0.2, channel="data"),
     ],
     "fig7-disturbance": lambda victim: [
-        Window("delay", 5.0, 15.0, base=0.1, jitter=0.05,
-               bandwidth_factor=0.15),
+        Window("delay", 5.0, 15.0, base=0.1, jitter=0.05),
+        Window("bandwidth", 5.0, 15.0, factor=0.15),
     ],
     "flaky-data": lambda victim: [
         Window("loss", 1.5, 4.5, rate=0.1, channel="data"),
@@ -145,9 +145,10 @@ def chaos_schedule(name: str, n: int) -> FaultSchedule:
       replicas {0, 1} and a 20 % data-channel loss window; while the crash
       and partition overlap no quorum exists anywhere, so the run shows a
       stall, a heal, and a measurable time-to-recover.
-    * ``fig7-disturbance`` — the paper's Fig. 7 NetEm window as a delay
-      window: 10 s of 100 ms ± 50 ms one-way delay with TCP goodput
-      collapse, starting at t=5 s.
+    * ``fig7-disturbance`` — the paper's Fig. 7 NetEm window, starting
+      at t=5 s: a delay window of 10 s of 100 ms ± 50 ms one-way delay,
+      and a bandwidth window over the same 10 s scaling every uplink to
+      15 %, the TCP goodput collapse under that jitter.
     * ``flaky-data`` — 10 % loss on the DATA channel for 3 s: microblock
       bodies go missing while small consensus messages survive, stressing
       the fetch/recovery path specifically.

@@ -88,13 +88,10 @@ class RunningExperiment:
 def _make_topology(config: ExperimentConfig) -> Topology:
     make = _TOPOLOGIES[config.topology_kind]
     n = config.protocol.n
-    topo = (
+    return (
         make(n) if config.bandwidth_bps is None
         else make(n, config.bandwidth_bps)
     )
-    for node, bandwidth in (config.bandwidth_map or {}).items():
-        topo.set_bandwidth(node, bandwidth)
-    return topo
 
 
 def make_selector(config: ExperimentConfig):

@@ -12,7 +12,8 @@ OS-level reality, split into the crashes and restarts of its
   that rebinds the same port and resyncs through the ordinary
   chain-sync / PAB-fetch paths over re-established TCP connections.
 * **Link faults** (partition, loss, delay+jitter, bandwidth
-  squeeze) are evaluated per frame by :class:`LinkShaper` inside each
+  squeeze, a slow replica being a squeeze from t=0 that never heals)
+  are evaluated per frame by :class:`LinkShaper` inside each
   replica's :class:`~repro.live.network.LiveNetwork`, through the same
   :class:`~repro.faults.LinkFaults` the simulator asks. Every process
   receives the same window list in its spawn spec and evaluates it
@@ -119,13 +120,13 @@ class LinkShaper:
         """Seconds to hold a frame before writing it to the socket.
 
         An active delay window contributes its sampled one-way delay;
-        bandwidth squeezes (and delay windows' goodput-collapse factor)
-        throttle via the token bucket against the scaled nominal link
-        rate.
+        bandwidth squeezes (a slow replica's from t=0 on, a goodput
+        collapse's over its delay window) throttle via the token bucket
+        against the scaled nominal link rate.
         """
         now = self._clock.now
         delay = self._faults.delay(now, self._rng) or 0.0
-        factor = self._faults.bandwidth_factor(now, self.node_id)
+        factor = self._faults.squeeze_factor(now, self.node_id)
         if factor < 1.0:
             rate = LIVE_LINK_BANDWIDTH_BPS * factor / 8.0
             delay += self._bucket.delay(now, rate, size)

@@ -1,10 +1,11 @@
 """Live run orchestrator: n replica processes + 1 in-process client.
 
 ``run_live`` takes the same :class:`ExperimentConfig` the simulator
-takes (topology fields are ignored — the localhost kernel path *is* the
-network), spawns one OS process per replica, drives the workload from
-the parent, and reports through the same :func:`measure_window` the
-simulator does, so live and simulated numbers are directly comparable.
+takes (it rejects the simulator's link settings — the localhost kernel
+path *is* the network), spawns one OS process per replica, drives the
+workload from the parent, and reports through the same
+:func:`measure_window` the simulator does, so live and simulated numbers
+are directly comparable.
 
 What a run reports comes from one record: every replica incarnation
 streams its hub calls and observer taps to an event log as they happen,
@@ -66,7 +67,9 @@ class LiveConfig:
     ``experiment.faults`` runs as real chaos (crash/restart as
     SIGKILL/respawn, link faults as frame shaping); ``durability`` and
     ``data_dir`` (inside the run's scratch dir, deleted with it, when
-    None) put the durable state machine under every replica.
+    None) put the durable state machine under every replica. The
+    simulator's link settings (``bandwidth_bps``, ``topology_kind``,
+    ``link_model``) have no live meaning and are rejected when set.
     """
 
     experiment: ExperimentConfig
@@ -81,8 +84,20 @@ class LiveConfig:
     wire_codec: str = "binary"
 
     def __post_init__(self) -> None:
-        if self.experiment.faults is not None:
-            self.experiment.faults.validate_live(self.experiment.protocol.n)
+        experiment = self.experiment
+        if experiment.faults is not None:
+            experiment.faults.validate_live(experiment.protocol.n)
+        changed = {
+            "bandwidth_bps": experiment.bandwidth_bps is not None,
+            "topology_kind": experiment.topology_kind != "lan",
+            "link_model": experiment.link_model != "serial",
+        }
+        sim_only = [name for name, is_set in changed.items() if is_set]
+        if sim_only:
+            raise ValueError(
+                f"live runs over localhost TCP, which has no {sim_only}; "
+                "shape its links with delay and bandwidth fault windows"
+            )
         get_codec(self.wire_codec)  # fail fast on unknown codec names
 
 

@@ -23,7 +23,7 @@ the returned bodies ride the data channel.
 a proof (a :class:`~repro.sharding.ShardCertificate`) is minted and
 verified, and whether a replica that learns of a proof for a body it
 lacks fetches right away. At one shard that is all ``n`` replicas and
-``stability_quorum`` acks, as in the paper.
+``pab_quorum`` (else f + 1) acks, as in the paper.
 """
 
 from __future__ import annotations

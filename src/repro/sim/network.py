@@ -433,7 +433,7 @@ class _Transfer:
 class _BandwidthAt(dict):
     """Each node's ``Topology.bandwidth`` at one instant, read at its
     first lookup: on a topology that is not plain ``B`` may move with no
-    membership change (a squeeze or delay window's edge)."""
+    membership change (a squeeze's edge)."""
 
     def __init__(self, read, now: float) -> None:
         self.read = read
@@ -565,7 +565,7 @@ class _FairShareLinks:
         self.in_event = False
         self._reserved = -1
         #: ``B`` per node with no window applied: the plain bandwidth
-        #: while the topology is plain (an override never is).
+        #: while the topology is plain.
         self.bandwidth = [network.topology.bandwidth(node) for node in range(n)]
         #: The instant of each uplink's armed wake (``inf`` = none armed).
         self.wake: list[float] = [_INF] * n

@@ -1,4 +1,4 @@
-"""Network topologies: delays, bandwidth maps, link faults.
+"""Network topologies: delays, bandwidth, link faults.
 
 Two presets mirror the paper's testbeds (Section VII-A):
 
@@ -9,8 +9,10 @@ Two presets mirror the paper's testbeds (Section VII-A):
 
 A topology may hold the run's :class:`repro.faults.LinkFaults`; its
 delay windows replace the base delay and its squeezes scale bandwidth
-while they are active (the Fig. 7 experiment is one delay window: every
-message sees 100 ms ± 50 ms one-way instead of the normal link delay).
+while they are active (the Fig. 7 experiment is one delay window, every
+message seeing 100 ms ± 50 ms one-way instead of the normal link delay,
+and a squeeze over the same interval; a slower replica is a squeeze on
+it from t=0 that never ends).
 """
 
 from __future__ import annotations
@@ -69,54 +71,39 @@ class Topology:
         self._base_delay = one_way_delay
         self._jitter = delay_jitter
         self._default_bandwidth = float(bandwidth_bps)
-        self._bandwidth_overrides: dict[int, float] = {}
         #: Evaluator of the run's link-fault windows, asked at ``now`` by
         #: :meth:`delay` and :meth:`bandwidth` (and by the network's
         #: delivery path for drops); ``None`` without such windows.
         self.link_faults: Optional[LinkFaults] = None
         #: What :meth:`bandwidth` returns for every node and instant while
-        #: no override is installed and no fault window can move it, else
-        #: ``None``: the link models' one "is the topology plain" test,
-        #: kept current by the two mutators below.
+        #: no squeeze window can move it, else ``None``: the link models'
+        #: one "is the topology plain" test, kept current by
+        #: :meth:`set_link_faults`.
         self._plain_bandwidth: Optional[float] = (
             self._default_bandwidth if self._default_bandwidth > 1.0 else 1.0
         )
 
     # -- configuration ----------------------------------------------------
 
-    def set_bandwidth(self, node: int, bandwidth_bps: float) -> None:
-        """Give ``node`` a non-default egress bandwidth (heterogeneity)."""
-        self._check_node(node)
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        self._bandwidth_overrides[node] = float(bandwidth_bps)
-        self._bandwidth_changed()
-
     def set_link_faults(self, faults: LinkFaults) -> None:
         """Hold the evaluator of the run's link-fault windows."""
         self.link_faults = faults
-        self._bandwidth_changed()
-
-    def _bandwidth_changed(self) -> None:
-        faults = self.link_faults
-        self._plain_bandwidth = None if (
-            self._bandwidth_overrides
-            or (faults is not None and (faults.squeezes or faults.delays))
-        ) else max(self._default_bandwidth, 1.0)
+        self._plain_bandwidth = (
+            None if faults.squeezes else max(self._default_bandwidth, 1.0)
+        )
 
     # -- queries -----------------------------------------------------------
 
     def bandwidth(self, node: int, now: Optional[float] = None) -> float:
         """Egress bandwidth of ``node`` in bits per second.
 
-        When ``now`` is given, the fault windows active at that instant
-        scale it: bandwidth squeezes, and delay windows' goodput factor
-        (TCP goodput collapse under heavy jitter).
+        When ``now`` is given, the bandwidth squeezes active at that
+        instant scale it.
         """
         self._check_node(node)
-        base = self._bandwidth_overrides.get(node, self._default_bandwidth)
+        base = self._default_bandwidth
         if now is not None and self.link_faults is not None:
-            base *= self.link_faults.bandwidth_factor(now, node)
+            base *= self.link_faults.squeeze_factor(now, node)
         return max(base, 1.0)
 
     def base_delay(self, src: int, dst: int) -> float:

@@ -124,10 +124,14 @@ def random_fault_schedule(
             entry["nodes"] = sorted(rng.sample(
                 range(n), rng.randint(1, max(1, n // 2))
             ))
-        else:  # delay
+        else:  # delay, and the goodput collapse under it
             entry["base"] = round(rng.uniform(0.02, 0.08), 4)
             entry["jitter"] = round(rng.uniform(0.0, 0.04), 4)
-            entry["bandwidth_factor"] = round(rng.uniform(0.4, 1.0), 3)
+            spec.append(entry)
+            entry = {
+                "kind": "bandwidth", "start": start, "end": entry["end"],
+                "factor": round(rng.uniform(0.4, 1.0), 3),
+            }
         spec.append(entry)
     spec.sort(key=lambda entry: entry["start"])
     return spec

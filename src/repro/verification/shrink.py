@@ -25,7 +25,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.result import RunResult
 from repro.verification.fuzzer import run_scenario
 
-ARTIFACT_FORMAT = "repro-fuzz-artifact-v4"
+ARTIFACT_FORMAT = "repro-fuzz-artifact-v5"
 
 Runner = Callable[[ExperimentConfig], RunResult]
 Accepted = Optional[Tuple[ExperimentConfig, RunResult]]

@@ -6,6 +6,7 @@ from repro.replica.behavior import (
     LyingProxy,
     SilentReplica,
 )
+from repro.sharding import ShardMap
 
 from tests.helpers import make_cluster
 
@@ -47,7 +48,8 @@ def test_censoring_sender_with_proof_reaches_quorum():
     leader = host.consensus.current_leader()
     assert leader in targets
     # Leader plus at least quorum-1 witnesses (its own ack completes q).
-    assert len(targets) >= exp.config.protocol.stability_quorum - 1
+    quorum = ShardMap.of(exp.config.protocol).quorum(0)
+    assert len(targets) >= quorum - 1
     assert 6 not in targets
 
 

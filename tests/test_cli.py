@@ -98,7 +98,8 @@ def test_disturbance_window(capsys):
         "--rate", "1000", "--duration", "2.0", "--warmup", "0.5",
         "--batch-bytes", "1024", "--faults",
         '[{"kind": "delay", "start": 1.0, "end": 1.5, "base": 0.1, '
-        '"jitter": 0.05, "bandwidth_factor": 0.15}]',
+        '"jitter": 0.05}, '
+        '{"kind": "bandwidth", "start": 1.0, "end": 1.5, "factor": 0.15}]',
     ])
     assert code == 0
     assert "delay" in capsys.readouterr().out  # its fault-window row

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import ProtocolConfig, ShardingConfig
 from repro.harness import ExperimentConfig
+from repro.sharding import ShardMap
 
 from tests.helpers import byzantine_nodes, byzantine_schedule
 
@@ -24,12 +25,12 @@ def test_consensus_quorum_is_2f_plus_1():
 
 def test_stability_quorum_defaults_to_f_plus_1():
     config = ProtocolConfig(n=100)
-    assert config.stability_quorum == 34
+    assert ShardMap.of(config).quorum(0) == 34
 
 
 def test_stability_quorum_override():
     config = ProtocolConfig(n=100, pab_quorum=67)
-    assert config.stability_quorum == 67
+    assert ShardMap.of(config).quorum(0) == 67
 
 
 def test_pab_quorum_bounds_enforced():
@@ -105,14 +106,14 @@ def test_derived_quantities_are_recomputed_not_serialised():
     grown = dataclasses.replace(
         config, n=100, pab_quorum=40, batch_bytes=4096
     )
-    assert (config.f, config.consensus_quorum, config.stability_quorum,
+    assert (config.f, config.consensus_quorum, ShardMap.of(config).quorum(0),
             config.txs_per_microblock) == (1, 3, 2, 8)
-    assert (grown.f, grown.consensus_quorum, grown.stability_quorum,
+    assert (grown.f, grown.consensus_quorum, ShardMap.of(grown).quorum(0),
             grown.txs_per_microblock) == (33, 67, 40, 32)
-    derived = {"f", "consensus_quorum", "stability_quorum",
-               "txs_per_microblock"}
+    derived = {"f", "consensus_quorum", "txs_per_microblock"}
     assert not derived & set(grown.to_dict())
-    assert ProtocolConfig.from_dict(grown.to_dict()).stability_quorum == 40
+    again = ProtocolConfig.from_dict(grown.to_dict())
+    assert ShardMap.of(again).quorum(0) == 40
 
 
 @pytest.mark.parametrize(

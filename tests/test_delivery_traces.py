@@ -208,7 +208,9 @@ TRACES = {
             seed=2029791996802715077,
             faults=FaultSchedule.from_spec([
                 {"kind": "delay", "start": 0.715, "end": 1.5619999999999998,
-                 "base": 0.0245, "jitter": 0.033, "bandwidth_factor": 0.656},
+                 "base": 0.0245, "jitter": 0.033},
+                {"kind": "bandwidth", "start": 0.715,
+                 "end": 1.5619999999999998, "factor": 0.656},
                 {"kind": "crash", "start": 1.611, "end": 1.83, "nodes": [1]},
             ]),
         )).run(),

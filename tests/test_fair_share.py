@@ -86,10 +86,14 @@ def test_rate_is_min_of_uplink_and_downlink_share(scaled):
 
 
 def test_bandwidth_override_bounds_the_downlink_share():
-    # Receiver 0 has a 4 Mbit/s downlink while sender 1 has the default
-    # 8 Mbit/s uplink: the transfer is downlink-bound and takes 2 s.
+    # Receiver 0 is a slow replica (a t=0 squeeze to 4 Mbit/s that never
+    # heals) while sender 1 has the default 8 Mbit/s uplink: the
+    # transfer is downlink-bound and takes 2 s.
     sim, network, log = make_net()
-    network.topology.set_bandwidth(0, 4e6)
+    network.set_link_faults(LinkFaults(
+        [Window("bandwidth", 0.0, factor=0.5, nodes=(0,))],
+        random.Random(0),
+    ))
     network.send(1, 0, "bulk", 1_000_000, None)
     sim.run()
     assert log == [(2.0, 1, 0, "bulk")]

@@ -135,6 +135,24 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match=match):
             FaultSchedule(windows).validate(4)
 
+    def test_open_ended_bandwidth_window_is_a_slow_replica(self):
+        """A ``bandwidth`` window may omit its end, as a crash may: from
+        t=0 it is a replica whose uplink runs below the base rate for
+        the whole run."""
+        schedule = FaultSchedule.from_spec([
+            {"kind": "bandwidth", "start": 0.0, "factor": 0.25,
+             "nodes": [1]},
+        ])
+        schedule.validate(4)
+        (window,) = schedule.windows
+        assert math.isinf(window.end)
+        assert "end" not in schedule.to_spec()[0]
+        exp = make_cluster(rate_tps=0.0, duration=1.0, faults=schedule)
+        full = exp.topology.bandwidth(0)
+        assert exp.topology.bandwidth(1, now=0.0) == 0.25 * full
+        assert exp.topology.bandwidth(1, now=1e9) == 0.25 * full
+        assert exp.topology.bandwidth(0, now=0.0) == full
+
     def test_windows_pair_crash_with_restart(self):
         schedule = FaultSchedule([
             Window("swap", 4.0, nodes=(0,), behavior="censor"),
@@ -161,12 +179,13 @@ class TestFaultSchedule:
                    kinds=("mb",), nodes=(1,)),
             Window("partition", 2.0, groups=((0, 1), (2,))),
             Window("bandwidth", 1.0, 3.0, factor=0.1, nodes=(0,)),
-            Window("delay", 0.5, 1.5, base=0.1, jitter=0.05,
-                   bandwidth_factor=0.15),
+            Window("delay", 0.5, 1.5, base=0.1, jitter=0.05),
+            Window("bandwidth", 0.5, 1.5, factor=0.15),
         ])
-        # Start order; schedule order where starts tie (loss, partition).
+        # Start order; schedule order where starts tie (delay and its
+        # goodput collapse, loss and partition).
         assert [w.kind for w in schedule.windows] == [
-            "delay", "bandwidth", "loss", "partition",
+            "delay", "bandwidth", "bandwidth", "loss", "partition",
         ]
         partition = schedule.windows[-1]
         assert partition.nodes == (0, 1, 2) and math.isinf(partition.end)
@@ -355,7 +374,7 @@ def test_window_is_half_open_on_the_callers_clock():
         return (
             faults.drops(now, 0, 1, "mb", None),
             faults.delay(now, rng),
-            faults.bandwidth_factor(now, 0),
+            faults.squeeze_factor(now, 0),
         )
 
     outside = (False, None, 1.0)

@@ -54,6 +54,10 @@ CORPUS = [
 PICK_ROOTS = (7, 42)
 PICK_SWEEP = 40
 
+#: CI's fuzz smoke runs ``repro fuzz --seed 7 --iterations 17``: the
+#: shortest root-7 prefix that draws every mempool (gossip first at 16).
+SMOKE_ITERATIONS = 17
+
 #: Per-scenario wall-clock budget, generous for slow CI machines.
 SCENARIO_BUDGET_S = 30.0
 
@@ -79,6 +83,15 @@ def test_corpus_is_the_first_pick():
         (root, index, consensus, mempool)
         for (consensus, mempool), (root, index) in picks.items()
     ) == CORPUS
+
+
+def test_smoke_prefix_draws_every_mempool():
+    fuzzer = ScenarioFuzzer(7)
+    drawn = {
+        fuzzer.scenario(index).protocol.mempool
+        for index in range(SMOKE_ITERATIONS)
+    }
+    assert drawn == set(FUZZ_MEMPOOL_KINDS)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +214,9 @@ def test_restarted_leader_fetches_the_block_its_quorum_certified():
             {"kind": "partition", "start": 1.135, "end": 1.54,
              "groups": [[1, 2, 4], [0, 3]]},
             {"kind": "delay", "start": 1.308, "end": 1.573, "base": 0.0551,
-             "jitter": 0.0129, "bandwidth_factor": 0.965},
+             "jitter": 0.0129},
+            {"kind": "bandwidth", "start": 1.308, "end": 1.573,
+             "factor": 0.965},
             {"kind": "crash", "start": 1.403, "end": 1.632, "nodes": [3]},
         ]),
     )

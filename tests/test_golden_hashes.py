@@ -109,9 +109,10 @@ def _shs_wan_fair_squeeze(*more_faults) -> ExperimentConfig:
 
 
 def _shs_wan_fair_squeeze_fluctuation() -> ExperimentConfig:
-    return _shs_wan_fair_squeeze(Window(
-        "delay", 2.5, 3.5, base=0.06, jitter=0.03, bandwidth_factor=0.5,
-    ))
+    return _shs_wan_fair_squeeze(
+        Window("delay", 2.5, 3.5, base=0.06, jitter=0.03),
+        Window("bandwidth", 2.5, 3.5, factor=0.5),
+    )
 
 
 def _shs_preset(name: str, duration: float = 5.0):

@@ -116,12 +116,16 @@ class TestExperimentConfig:
         the topology default instead of failing."""
         with pytest.raises(ValueError, match="bandwidth_bps"):
             self.make(bandwidth_bps=bandwidth)
-        with pytest.raises(ValueError, match=r"bandwidth_map\[2\]"):
-            self.make(bandwidth_map={1: 5e6, 2: bandwidth})
-        config = self.make(bandwidth_bps=5e6, bandwidth_map={1: 2e6})
+        with pytest.raises(ValueError, match="bandwidth factor"):
+            self.make(faults=FaultSchedule([
+                Window("bandwidth", 0.0, factor=bandwidth, nodes=(2,)),
+            ]))
+        config = self.make(bandwidth_bps=5e6, faults=FaultSchedule([
+            Window("bandwidth", 0.0, factor=0.4, nodes=(1,)),
+        ]))
         topology = build_experiment(config).topology
-        assert topology.bandwidth(0) == 5e6
-        assert topology.bandwidth(1) == 2e6
+        assert topology.bandwidth(0, now=0.0) == 5e6
+        assert topology.bandwidth(1, now=0.0) == 2e6
 
 
 def recorded_configs():
@@ -141,11 +145,13 @@ def recorded_configs():
             tuned_protocol(
                 "SS-HS", 16, "lan", sharding=ShardingConfig(shards=4),
             ),
-            bandwidth_bps=100e6, bandwidth_map={3: 5e6, 11: 2.5e7},
-            faults=byzantine_schedule(16, 2, "silent", [Window(
-                "delay", 2.0, 3.5, base=0.1, jitter=0.05,
-                bandwidth_factor=0.15,
-            )]),
+            bandwidth_bps=100e6,
+            faults=byzantine_schedule(16, 2, "silent", [
+                Window("bandwidth", 0.0, factor=0.05, nodes=(3,)),
+                Window("bandwidth", 0.0, factor=0.25, nodes=(11,)),
+                Window("delay", 2.0, 3.5, base=0.1, jitter=0.05),
+                Window("bandwidth", 2.0, 3.5, factor=0.15),
+            ]),
             durability=DurabilityConfig(
                 fsync="interval", checkpoint_interval=8,
             ),
@@ -163,8 +169,9 @@ def recorded_configs():
 #: constant beside its reader now, at the recorded value),
 #: ``fluctuation``, a second spelling of a delay fault, ``data_limiter``,
 #: the data-channel token bucket, deleted with it, ``fault`` /
-#: ``fault_count``, a second spelling of t=0 behavior swaps, and the
-#: sharding layout's ``epoch``, a rebalance hook no run ever moved off 0.
+#: ``fault_count``, a second spelling of t=0 behavior swaps, the
+#: sharding layout's ``epoch``, a rebalance hook no run ever moved off 0,
+#: and ``bandwidth_map``, a second spelling of t=0 bandwidth windows.
 DELETED_KEYS = {
     "extra", "recovery_fetch_delay", "estimator_window",
     "estimator_percentile", "fluctuation",
@@ -172,7 +179,7 @@ DELETED_KEYS = {
     "fetch_jitter", "fetch_max_rounds", "gossip_fanout", "pbft_window",
     "gc_retention", "busy_margin", "busy_slack", "byzantine",
     "fsync_interval", "snapshot_transfer", "shard_size", "data_limiter",
-    "tick", "fault", "fault_count", "epoch",
+    "tick", "fault", "fault_count", "epoch", "bandwidth_map",
 }
 
 
@@ -205,11 +212,13 @@ def as_windows(events):
 
 def without_deleted(data):
     """The recorded dict as today's codec spells it: deleted keys gone,
-    an event-grammar schedule as its windows, a ``fluctuation`` window
-    as the one-``delay``-window schedule that replaced it, ``fault`` on
-    the ``fault_count`` highest ids as a swap to it at t=0 each, and the
-    ``sharded-stratus`` mempool as ``stratus`` (its layout says it is
-    sharded)."""
+    an event-grammar schedule as its windows, a ``bandwidth_map`` entry
+    as a ``bandwidth`` window on its node from t=0 that never heals (at
+    its rate over the recorded ``bandwidth_bps``), a ``fluctuation``
+    window as the ``delay`` window that replaced it plus its goodput
+    factor's twin ``bandwidth`` window, ``fault`` on the ``fault_count``
+    highest ids as a swap to it at t=0 each, and the ``sharded-stratus``
+    mempool as ``stratus`` (its layout says it is sharded)."""
     kept = {
         key: without_deleted(value) if isinstance(value, dict) else value
         for key, value in data.items() if key not in DELETED_KEYS
@@ -218,14 +227,27 @@ def without_deleted(data):
         kept["mempool"] = "stratus"
     if kept.get("faults") is not None:
         kept["faults"] = as_windows(kept["faults"])
+    added = [
+        Window("bandwidth", 0.0, factor=rate / data["bandwidth_bps"],
+               nodes=(node,))
+        for node, rate in sorted(
+            (int(node), rate)
+            for node, rate in (data.get("bandwidth_map") or {}).items()
+        )
+    ]
     window = data.get("fluctuation")
     if window is not None:
-        assert kept["faults"] is None
-        kept["faults"] = FaultSchedule([Window(
-            "delay", window["start"], window["start"] + window["duration"],
-            base=window["base"], jitter=window["jitter"],
-            bandwidth_factor=window["throughput_factor"],
-        )]).to_spec()
+        start, end = window["start"], window["start"] + window["duration"]
+        added += [
+            Window("delay", start, end,
+                   base=window["base"], jitter=window["jitter"]),
+            Window("bandwidth", start, end,
+                   factor=window["throughput_factor"]),
+        ]
+    if added:
+        kept["faults"] = FaultSchedule([
+            *FaultSchedule.from_spec(kept["faults"] or []).windows, *added,
+        ]).to_spec()
     if data.get("fault_count"):
         n = data["protocol"]["n"]
         kept["faults"] = byzantine_schedule(

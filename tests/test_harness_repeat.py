@@ -1,5 +1,5 @@
-"""Tests for seed-replicated points, heterogeneous bandwidth and topology
-choice in the harness."""
+"""Tests for seed-replicated points, slow replicas and topology choice
+in the harness."""
 
 import dataclasses
 import statistics
@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.faults import FaultSchedule, Window
 from repro.harness import ExperimentConfig, build_experiment
 from repro.parallel import sweep
 
@@ -41,15 +42,22 @@ class TestRunReplicated:
         assert first.latency_mean == second.latency_mean
 
 
-class TestBandwidthMap:
+def slow(node, factor):
+    """Replica ``node`` at ``factor`` of the LAN uplink for the whole run."""
+    return FaultSchedule([
+        Window("bandwidth", 0.0, factor=factor, nodes=(node,)),
+    ])
+
+
+class TestSlowReplica:
     def test_overrides_apply(self):
-        config = small_config(bandwidth_map={1: 5_000_000.0})
+        config = small_config(faults=slow(1, 0.005))
         exp = build_experiment(config)
-        assert exp.topology.bandwidth(1) == 5_000_000.0
-        assert exp.topology.bandwidth(0) > 5_000_000.0
+        assert exp.topology.bandwidth(1, now=0.0) == pytest.approx(5e6)
+        assert exp.topology.bandwidth(0, now=0.0) == 1e9
 
     def test_slow_replica_still_commits(self):
-        config = small_config(bandwidth_map={3: 2_000_000.0})
+        config = small_config(faults=slow(3, 0.002))
         exp = build_experiment(config)
         exp.sim.run_until(2.0)
         assert exp.metrics.committed_tx_total > 0

@@ -89,8 +89,8 @@ def test_shaper_loss_respects_channel_filter_and_seed():
 
 
 def test_shaper_delay_window_samples_base_plus_jitter():
-    # Pure latency spike: bandwidth_factor 1.0 keeps the token bucket
-    # out, so the sampled hold time is exactly base ± jitter.
+    # Pure latency spike: with no bandwidth window the token bucket
+    # stays out, so the sampled hold time is exactly base ± jitter.
     windows = [Window("delay", 1.0, 2.0, base=0.1, jitter=0.05)]
     clock = _Clock(1.5)
     shaper = _shaper(windows, clock=clock)
@@ -114,6 +114,23 @@ def test_shaper_bandwidth_squeeze_throttles_via_token_bucket():
     # A squeeze scoped to node 0 leaves other nodes unshaped.
     other = _shaper(windows, node_id=2, clock=clock)
     assert other.write_delay(1, 1024 * 1024, Channel.DATA) == 0.0
+
+
+def test_shaper_throttles_a_slow_replica_from_the_first_frame():
+    """A slow replica is a squeeze on it from t=0 that never heals: its
+    egress is shaped from the first frame on, and stays shaped."""
+    windows = [Window("bandwidth", 0.0, factor=0.25, nodes=(1,))]
+    clock = _Clock(0.0)
+    slow = _shaper(windows, node_id=1, clock=clock)
+    rate = LIVE_LINK_BANDWIDTH_BPS * 0.25 / 8.0
+    size = 512 * 1024  # twice the burst: the first frame already waits
+    assert slow.write_delay(0, size, Channel.DATA) == pytest.approx(
+        (size - 256 * 1024) / rate
+    )
+    clock.now = 1e6
+    assert slow.write_delay(0, 2 * size, Channel.DATA) > 0.0
+    fast = _shaper(windows, node_id=0, clock=_Clock(0.0))
+    assert fast.write_delay(1, size, Channel.DATA) == 0.0
 
 
 # -- one evaluator under both backends ---------------------------------------
@@ -205,6 +222,21 @@ def test_validate_live_rejects_behavior_swaps():
         )
         with pytest.raises(ValueError, match="live backend"):
             LiveConfig(experiment=config)  # inherits experiment.faults
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth_bps", 5e6), ("topology_kind", "wan"),
+    ("link_model", "fair-share"),
+])
+def test_live_config_rejects_simulator_link_settings(field, value):
+    """Live runs over localhost TCP: a link setting it would silently
+    ignore is refused, naming the windows it does shape."""
+    config = ExperimentConfig(
+        protocol=ProtocolConfig(n=4), rate_tps=10.0, duration=1.0,
+        **{field: value},
+    )
+    with pytest.raises(ValueError, match=f"{field}.*bandwidth fault"):
+        LiveConfig(experiment=config)
 
 
 def test_every_chaos_preset_splits_cleanly_for_live():

@@ -272,14 +272,24 @@ def experiment_configs(draw):
             lambda name: chaos_schedule(name, n)
         )
         | st.builds(
-            lambda start, duration, **spike: FaultSchedule([
+            lambda start, duration, factor, **spike: FaultSchedule([
                 Window("delay", start, start + duration, **spike),
+                Window("bandwidth", start, start + duration, factor=factor),
             ]),
             start=_positive(0.0, 10.0), duration=_positive(0.1, 10.0),
             base=_positive(0.0, 1.0), jitter=_positive(0.0, 1.0),
-            bandwidth_factor=_positive(0.01, 1.0),
+            factor=_positive(0.01, 1.0),
         )
     )
+    slow = draw(st.dictionaries(
+        st.integers(0, n - 1), _positive(0.01, 1.0), max_size=3,
+    ))
+    if slow:
+        faults = FaultSchedule([
+            *(faults.windows if faults is not None else ()),
+            *(Window("bandwidth", 0.0, factor=factor, nodes=(node,))
+              for node, factor in slow.items()),
+        ])
     byzantine = draw(st.integers(0, f))
     if byzantine:
         behavior = draw(st.sampled_from(("silent", "censor", "lying")))
@@ -304,9 +314,6 @@ def experiment_configs(draw):
         protocol,
         topology_kind=draw(st.sampled_from(["lan", "wan"])),
         bandwidth_bps=draw(st.none() | _positive()),
-        bandwidth_map=draw(st.none() | st.dictionaries(
-            st.integers(0, n - 1), _positive(), max_size=3,
-        )),
         rate_tps=draw(_positive(0.0, 1e6)),
         seed=draw(st.integers(0, 2 ** 32)),
         selector=draw(st.sampled_from(["uniform", "zipf1", "zipf10"])),
@@ -383,15 +390,14 @@ _link_windows = st.one_of(
               kinds=st.sampled_from([(), ("mb",), ("vote", "mb.fetch")]),
               channel=st.sampled_from([None, "data", "consensus"]),
               nodes=_node_sets),
-    st.builds(_window, st.just("bandwidth"), _ticks, _spans,
+    st.builds(_window, st.just("bandwidth"), _ticks,
+              st.just(math.inf) | _spans,
               factor=st.floats(0.05, 1.0), nodes=_node_sets),
     # jitter < base: a delay sampled inside a window is never 0.0, which
     # is what the shaper reports outside every window.
-    st.builds(lambda start, span, base, share, bandwidth_factor: _window(
-                  "delay", start, span, base=base, jitter=base * share,
-                  bandwidth_factor=bandwidth_factor),
-              _ticks, _spans, st.floats(0.001, 0.5), st.floats(0.0, 0.9),
-              st.floats(0.05, 1.0)),
+    st.builds(lambda start, span, base, share: _window(
+                  "delay", start, span, base=base, jitter=base * share),
+              _ticks, _spans, st.floats(0.001, 0.5), st.floats(0.0, 0.9)),
 )
 _frames = st.lists(
     st.tuples(

@@ -21,9 +21,10 @@ def run_fluctuation(preset: str) -> tuple:
     result = run_experiment(ExperimentConfig(
         protocol=protocol, topology_kind="wan", rate_tps=25_000,
         duration=13.0, warmup=1.0, seed=3, label=preset,
-        faults=FaultSchedule([Window(
-            "delay", 4.0, 9.0, base=0.1, jitter=0.05, bandwidth_factor=0.15,
-        )]),
+        faults=FaultSchedule([
+            Window("delay", 4.0, 9.0, base=0.1, jitter=0.05),
+            Window("bandwidth", 4.0, 9.0, factor=0.15),
+        ]),
     ))
     hub = result.metrics
     return (

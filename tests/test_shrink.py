@@ -39,7 +39,8 @@ def padded_failing_scenario():
     """The mute-votes case buried under irrelevant fault windows."""
     return with_faults(MUTANTS["mute-votes"].config, [
         {"kind": "delay", "start": 0.6, "end": 1.0,
-         "base": 0.03, "jitter": 0.01, "bandwidth_factor": 0.9},
+         "base": 0.03, "jitter": 0.01},
+        {"kind": "bandwidth", "start": 0.6, "end": 1.0, "factor": 0.9},
         {"kind": "bandwidth", "start": 1.2, "end": 1.6,
          "factor": 0.5, "nodes": [0, 1]},
     ])
@@ -48,17 +49,17 @@ def padded_failing_scenario():
 def test_shrinker_drops_irrelevant_fault_events():
     scenario = padded_failing_scenario()
     result = shrink_scenario(scenario, runner=mute_runner)
-    # The serial greedy walk: two drops, then the rate chain (400 -> 200
+    # The serial greedy walk: three drops, then the rate chain (400 -> 200
     # -> 100 tps) fails at every link; the duration stays at 2.5 s.
     assert result.minimized == dataclasses.replace(
         MUTANTS["mute-votes"].config, rate_tps=100.0,
     )
     assert result.minimized.faults is None
-    assert result.removed_faults == 2
+    assert result.removed_faults == 3
     assert any(
         v.oracle == "liveness" for v in result.outcome.violations
     )
-    assert result.runs == 6
+    assert result.runs == 7
 
 
 def test_shrinker_refuses_passing_scenario():

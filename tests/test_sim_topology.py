@@ -39,13 +39,6 @@ def test_self_delay_is_zero(rng):
     assert topo.delay(2, 2, now=0.0, rng=rng) == 0.0
 
 
-def test_bandwidth_override():
-    topo = lan_topology(4)
-    topo.set_bandwidth(1, 5 * MBPS)
-    assert topo.bandwidth(1) == 5 * MBPS
-    assert topo.bandwidth(0) == GBPS
-
-
 def test_delay_jitter_bounded():
     topo = Topology(4, one_way_delay=0.01, bandwidth_bps=GBPS,
                     delay_jitter=0.002)
@@ -73,7 +66,8 @@ def test_fluctuation_window_overrides_base_delay():
 
 def test_fluctuation_window_edges():
     faults = LinkFaults(
-        [Window("delay", 10.0, 15.0, base=0.2, bandwidth_factor=0.5)],
+        [Window("delay", 10.0, 15.0, base=0.2),
+         Window("bandwidth", 10.0, 15.0, factor=0.5)],
         random.Random(0),
     )
     rng = random.Random(5)
@@ -81,7 +75,8 @@ def test_fluctuation_window_edges():
     assert faults.delay(10.0, rng) == pytest.approx(0.2)
     assert faults.delay(14.999, rng) == pytest.approx(0.2)
     assert faults.delay(15.0, rng) is None
-    # The goodput factor follows the same edges, through the topology.
+    # The goodput collapse over the same interval follows the same
+    # edges, through the topology.
     topo = wan_topology(4)
     topo.set_link_faults(faults)
     assert [topo.bandwidth(0, now=now) for now in (9.999, 10.0, 15.0)] == [
@@ -105,7 +100,5 @@ def test_node_bounds_checked():
     topo = lan_topology(4)
     with pytest.raises(ValueError):
         topo.bandwidth(4)
-    with pytest.raises(ValueError):
-        topo.set_bandwidth(-1, GBPS)
     with pytest.raises(ValueError):
         topo.base_delay(0, 9)
