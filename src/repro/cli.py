@@ -305,13 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
                         default="ticks",
                         help="client arrival generation: per-tick batches "
                              "or lazily-replayed aggregate streams "
-                             "(identical schedules, far fewer events)")
+                             "(bit-exact with ticks, and no cheaper on "
+                             "protocol runs)")
     parser.add_argument("--clients", type=int, default=None,
                         metavar="COUNT",
                         help="offered client population the rate stands "
-                             "for (recorded in results; requires "
-                             "--workload-mode aggregate to be cheap at "
-                             "large counts)")
+                             "for (recorded in results only; arrivals are "
+                             "aggregate in either mode, so the count does "
+                             "not change a run's cost)")
     parser.add_argument("--timeline", action="store_true",
                         help="print a per-second throughput timeline")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",

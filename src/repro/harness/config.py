@@ -31,8 +31,9 @@ class ExperimentConfig:
     #: "fair-share" (concurrent transfers split uplink/downlink capacity).
     link_model: str = "serial"
     #: Workload mode: "ticks" (per-tick batches) or "aggregate"
-    #: (lazily-replayed arrival streams; identical schedules, far fewer
-    #: events — see DESIGN.md "Simulator scale-out").
+    #: (lazily-replayed arrival streams). The two are bit-exact, and
+    #: aggregate is not cheaper on the protocol cells: its streams wake
+    #: at each tick that arms a flush or fills a microblock.
     workload_mode: str = "ticks"
     #: Descriptive size of the client population the offered rate stands
     #: for (recorded in benchmark metadata; arrivals are aggregate either

@@ -128,8 +128,9 @@ def assemble_replica(
     durable under ``data_dir/replica-<id>`` when ``durability`` is set,
     in-memory when only ``attach_executor`` is, else none. The native
     mempool draws from ``shared_pool`` — run-wide in the simulator, the
-    replica's own when none is passed (a live process: clients submit to
-    every replica, so rotating leaders still find transactions).
+    replica's own when none is passed (a live process: the client sends
+    each replica only its selector share, so a leader proposes only the
+    transactions that reached it).
     """
     if mempool_cls is None:
         mempool_cls = MEMPOOL_CLASSES[protocol.mempool]

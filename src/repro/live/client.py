@@ -14,14 +14,14 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.runner import make_selector
 from repro.live.network import LiveNetwork
 from repro.live.scheduler import RealtimeScheduler
-from repro.live.wire import CLIENT_BATCH
+from repro.mempool.base import MessageKinds
 from repro.sim.interfaces import Channel
 from repro.types import TxBatch
 from repro.workload import WorkloadGenerator
 
-#: Node id the client stamps as frame source. Replicas never route on
-#: it (``client.batch`` has its own dispatch hook), it only has to stay
-#: clear of real replica ids.
+#: Node id the client stamps as frame source. Replicas route
+#: ``client.batch`` by kind and never read it; it only has to stay clear
+#: of real replica ids.
 CLIENT_ID = -1
 
 
@@ -34,7 +34,7 @@ class _ReplicaProxy:
 
     def on_client_batch(self, batch: TxBatch) -> None:
         self._network.send(
-            CLIENT_ID, self._node_id, CLIENT_BATCH,
+            CLIENT_ID, self._node_id, MessageKinds.CLIENT_BATCH,
             batch.total_bytes, batch, Channel.DATA,
         )
 
@@ -43,7 +43,7 @@ async def run_client(
     config: ExperimentConfig,
     ports: dict[int, int],
     epoch: float,
-    wire_codec: str = "binary",
+    wire_codec: str,
 ) -> int:
     """Submit the workload until ``config.end_time``; returns tx emitted."""
     loop = asyncio.get_running_loop()

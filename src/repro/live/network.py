@@ -3,10 +3,10 @@
 One :class:`LiveNetwork` instance serves exactly one replica process: it
 listens on its own localhost port and keeps one outbound connection per
 peer. Frames are the length-prefixed bodies of :mod:`repro.live.wire`
-in the run's configured codec (binary v2 by default, JSON v1 for
-comparison); every connection opens with the codec preamble, and an
-inbound stream announcing a *different* codec is rejected — a live run
-is single-codec by construction. Per-peer, per-channel FIFO ordering
+in the run's one codec (binary v2 by default, JSON v1 for comparison),
+which every process takes from its spawn spec; an inbound stream that
+does not decode in it raises :class:`WireError` and is dropped, and the
+other peers' streams keep delivering. Per-peer, per-channel FIFO ordering
 falls out of TCP plus the single writer task per link, satisfying the
 :class:`Transport` ordering contract the protocol recovery paths rely
 on.
@@ -56,13 +56,7 @@ import random
 from collections import deque
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.live.wire import (
-    CLIENT_BATCH,
-    FrameDecoder,
-    WireCodec,
-    WireError,
-    get_codec,
-)
+from repro.live.wire import FrameDecoder, WireCodec, WireError, get_codec
 from repro.sim.interfaces import Channel, Envelope, Handler, Scheduler, Transport
 from repro.sim.network import NetworkStats
 
@@ -104,12 +98,10 @@ class _PeerLink:
         port: int,
         stats: NetworkStats,
         shaper: Optional["LinkShaper"] = None,
-        codec: Union[str, WireCodec] = "binary",
     ) -> None:
         self.dst = dst
         self.host = host
         self.port = port
-        self.codec = get_codec(codec)
         self.task: Optional[asyncio.Task] = None
         self.bytes_out = 0
         self.connected = False
@@ -163,11 +155,6 @@ class _PeerLink:
                     return
                 self.connected = True
                 try:
-                    # Every TCP stream opens with the codec preamble so
-                    # the acceptor knows the frame format (and rejects a
-                    # mixed-codec peer) before the first frame.
-                    writer.write(self.codec.preamble)
-                    self.bytes_out += len(self.codec.preamble)
                     drained = await self._pump(writer)
                 except (ConnectionError, OSError):
                     # Peer process exited or reset mid-write: the frame
@@ -287,9 +274,6 @@ class LiveNetwork(Transport):
         self.stats = NetworkStats()
         self.bytes_in = 0
         self._handler: Optional[Handler] = None
-        #: Hook for the synthetic ``client.batch`` kind, which must not
-        #: reach ``Replica.handle`` (it only routes protocol kinds).
-        self.client_handler: Optional[Handler] = None
         self._links: dict[int, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._accepted: set[asyncio.StreamWriter] = set()
@@ -325,8 +309,7 @@ class LiveNetwork(Transport):
             if node == self.node_id:
                 continue
             link = _PeerLink(
-                node, self.host, port, self.stats, shaper=self.shaper,
-                codec=self.codec,
+                node, self.host, port, self.stats, shaper=self.shaper
             )
             link.task = loop.create_task(link.run())
             self._links[node] = link
@@ -449,10 +432,9 @@ class LiveNetwork(Transport):
     async def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Every inbound stream must open with the preamble matching this
-        # node's codec; a mixed-codec (or non-wire) peer raises WireError
-        # on the first read and the stream is abandoned below.
-        decoder = FrameDecoder(self.codec, negotiate=True)
+        # A stream in another codec (or not a wire stream at all)
+        # raises WireError on its first frame and is abandoned below.
+        decoder = FrameDecoder(self.codec)
         self._accepted.add(writer)
         try:
             while True:
@@ -481,11 +463,6 @@ class LiveNetwork(Transport):
     def _dispatch(self, envelope: Envelope) -> None:
         if self._closed:
             self.stats.messages_dropped += 1
-            return
-        if envelope.kind == CLIENT_BATCH:
-            if self.client_handler is not None:
-                self.stats.messages_delivered += 1
-                self.client_handler(envelope)
             return
         if self._handler is None:
             self.stats.messages_dropped += 1

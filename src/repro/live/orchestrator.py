@@ -13,9 +13,10 @@ and the parent replays the merged logs once into one
 :class:`MetricsHub` and one oracle suite (:mod:`repro.live.verify`).
 Every replica reports every block it commits, and the hub keeps the
 *earliest* commit of each — the live equivalent of "the first correct
-replica to commit reports it". A replica's end-of-run result JSON adds
-only what its transport and executor say of themselves (the
-``per_replica`` rows and the bytes sent).
+replica to commit reports it". The last record of an incarnation's log
+that exits on its own is its ``result`` row: what its transport and
+executor say of themselves (the ``per_replica`` rows and the bytes
+sent), which the replay never sees.
 
 Chaos runs (``experiment.faults``) execute the schedule's crash/restart
 timeline via :class:`~repro.live.chaos.LiveFaultInjector` — SIGKILL and
@@ -25,7 +26,7 @@ carries the same per-fault-window recovery metrics
 (:meth:`MetricsHub.fault_report`) the simulator produces, and since the
 event logs are flushed line by line, a SIGKILLed incarnation's commits,
 view changes, fetches and microblocks count in the report and the
-safety check alike; only its result JSON is lost.
+safety check alike; only its ``result`` row is missing.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ class LiveConfig:
     experiment: ExperimentConfig
     host: str = "127.0.0.1"
     startup_grace: float = DEFAULT_STARTUP_GRACE
-    #: Directory for per-replica result JSON files (a temp dir when None).
+    #: Directory for per-replica event logs (a temp dir when None).
     scratch_dir: Optional[str] = None
     #: Frame format on the wire: ``binary`` (struct-packed v2, the
     #: default hot path) or ``json`` (v1, kept for comparison and
-    #: debugging). Every process in the run uses the same codec; the
-    #: per-connection preamble rejects a mismatched peer.
+    #: debugging). Every process of the run takes it from the one spawn
+    #: spec; nothing on the wire names it.
     wire_codec: str = "binary"
 
     def __post_init__(self) -> None:
@@ -99,16 +100,6 @@ class LiveConfig:
                 "shape its links with delay and bandwidth fault windows"
             )
         get_codec(self.wire_codec)  # fail fast on unknown codec names
-
-
-#: What a replica's result document says of itself, copied into its
-#: ``per_replica`` row as it is.
-_ROW_KEYS = (
-    "node_id", "generation", "commits", "bytes_in", "bytes_out",
-    "messages_delivered", "frames_dropped", "queue_high_watermark",
-    "reconnects", "frames_shed", "recovery_source", "executed_height",
-    "state_digest", "snapshot_installs", "snapshots_served",
-)
 
 
 def allocate_ports(n: int, host: str = "127.0.0.1") -> dict[int, int]:
@@ -139,10 +130,9 @@ class _Incarnation:
     node_id: int
     generation: int
     process: multiprocessing.Process
-    result_path: str
     events_path: str
     #: True when the chaos injector SIGKILLed it: its nonzero exit and
-    #: missing result file are the *point*, not failures.
+    #: missing ``result`` row are the *point*, not failures.
     killed: bool = False
 
 
@@ -161,12 +151,12 @@ class _ProcessTable:
             self.current[node_id].generation + 1
             if node_id in self.current else 0
         )
-        stem = f"replica-{node_id}-g{generation}"
         spec = dict(self._base_spec)
         spec["node_id"] = node_id
         spec["generation"] = generation
-        spec["result_path"] = str(Path(self._scratch) / f"{stem}.json")
-        spec["events_path"] = str(Path(self._scratch) / f"{stem}.events.jsonl")
+        spec["events_path"] = str(
+            Path(self._scratch) / f"replica-{node_id}-g{generation}.jsonl"
+        )
         process = self._context.Process(
             target=replica_main, args=(spec,), daemon=True
         )
@@ -175,7 +165,6 @@ class _ProcessTable:
             node_id=node_id,
             generation=generation,
             process=process,
-            result_path=spec["result_path"],
             events_path=spec["events_path"],
         )
         self.all.append(incarnation)
@@ -189,14 +178,20 @@ class _ProcessTable:
             incarnation.process.kill()
 
 
-def _read_events(table: _ProcessTable, failures: list[str]) -> list[dict]:
-    """Merge every incarnation's streamed event log.
+def _read_events(
+    incarnations: list[_Incarnation], failures: list[str]
+) -> tuple[list[dict], list[dict]]:
+    """Merge every incarnation's streamed event log: (the records the
+    replay reads, the ``per_replica`` rows).
 
+    A ``result`` record is a row, not an event. An incarnation that
+    exits on its own writes one, last; a SIGKILLed one has none.
     Tolerates a truncated final line on killed incarnations (SIGKILL
     can land mid-write); any other unreadable line is a real failure.
     """
     events: list[dict] = []
-    for incarnation in table.all:
+    rows: list[dict] = []
+    for incarnation in incarnations:
         try:
             with open(incarnation.events_path, encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
@@ -207,11 +202,12 @@ def _read_events(table: _ProcessTable, failures: list[str]) -> list[dict]:
                     f"(gen {incarnation.generation}) produced no event log"
                 )
             continue
+        row = None
         for index, line in enumerate(lines):
             if not line.strip():
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except ValueError:
                 if incarnation.killed and index == len(lines) - 1:
                     continue  # torn final write under SIGKILL
@@ -219,22 +215,31 @@ def _read_events(table: _ProcessTable, failures: list[str]) -> list[dict]:
                     f"replica {incarnation.node_id} event log line "
                     f"{index + 1} unreadable"
                 )
-    return events
+                continue
+            if event["kind"] == "result":
+                row = event["data"]
+            else:
+                events.append(event)
+        if row is not None:
+            rows.append(row)
+        elif not incarnation.killed:
+            failures.append(
+                f"replica {incarnation.node_id} "
+                f"(gen {incarnation.generation}) logged no result"
+            )
+    return events, rows
 
 
 def _merge(
     config: ExperimentConfig,
-    replica_results: list[dict],
+    rows: list[dict],
     events: list[dict],
     emitted_tx: int,
     wall_clock_s: float,
-    fault_timeline: Optional[list[dict]] = None,
-    wire_codec: str = "binary",
+    fault_timeline: Optional[list[dict]],
+    wire_codec: str,
 ) -> RunResult:
     hub, violations = replay_events(events, config, emitted_tx)
-    replica_results = sorted(
-        replica_results, key=lambda r: (r["node_id"], r["generation"]),
-    )
     return measure_window(
         config,
         hub,
@@ -244,12 +249,11 @@ def _merge(
             f"live-{config.protocol.mempool}/{config.protocol.consensus}"
             f"-n{config.protocol.n}"
         )),
-        net_bytes_sent=sum(r["bytes_out"] for r in replica_results),
+        net_bytes_sent=sum(row["bytes_out"] for row in rows),
         wall_clock_s=wall_clock_s,
-        per_replica=[
-            {key: result[key] for key in _ROW_KEYS}
-            for result in replica_results
-        ],
+        per_replica=sorted(
+            rows, key=lambda row: (row["node_id"], row["generation"])
+        ),
         fault_timeline=list(fault_timeline or []),
         wire_codec=wire_codec,
     )
@@ -260,11 +264,11 @@ async def _drive(
     ports: dict[int, int],
     epoch: float,
     injector: Optional[LiveFaultInjector],
-    wire_codec: str = "binary",
+    wire_codec: str,
 ) -> int:
     """Run the client driver and the fault timeline concurrently."""
     client = asyncio.ensure_future(
-        run_client(config, ports, epoch, wire_codec=wire_codec)
+        run_client(config, ports, epoch, wire_codec)
     )
     if injector is None:
         return await client
@@ -316,8 +320,7 @@ def run_live(live: LiveConfig) -> RunResult:
                 schedule, epoch, kill=table.kill, respawn=table.spawn
             )
         emitted_tx = asyncio.run(
-            _drive(config, ports, epoch, injector,
-                   wire_codec=live.wire_codec)
+            _drive(config, ports, epoch, injector, live.wire_codec)
         )
 
         deadline = epoch + config.end_time + JOIN_SLACK
@@ -340,27 +343,15 @@ def run_live(live: LiveConfig) -> RunResult:
                     f"replica pid {process.pid} exited {process.exitcode}"
                 )
 
-        replica_results = []
-        for incarnation in table.all:
-            try:
-                with open(incarnation.result_path, encoding="utf-8") as handle:
-                    replica_results.append(json.load(handle))
-            except (OSError, ValueError):
-                if not incarnation.killed:
-                    failures.append(
-                        f"replica {incarnation.node_id} "
-                        f"(gen {incarnation.generation}) "
-                        "produced no result file"
-                    )
-        events = _read_events(table, failures)
+        events, rows = _read_events(table.all, failures)
 
-    if not replica_results:
+    if not rows:
         raise RuntimeError(
             "live run produced no replica results: " + "; ".join(failures)
         )
 
     result = _merge(
-        config, replica_results, events, emitted_tx,
+        config, rows, events, emitted_tx,
         wall_clock_s=time.perf_counter() - started,
         fault_timeline=injector.timeline if injector is not None else None,
         wire_codec=live.wire_codec,

@@ -24,9 +24,9 @@ Differences from the sim wiring, all environmental:
   broadcast — if it reached any peer, its creation line reached the
   page cache).
 
-On exit the process writes one JSON document to ``spec["result_path"]``:
+On exit the process appends one ``result`` record to the same log:
 what its transport and executor say of themselves, the row the
-orchestrator prints per incarnation.
+orchestrator prints per incarnation. A SIGKILLed incarnation has none.
 
 Chaos wiring: ``spec["faults"]`` (when present) is the fault schedule's
 ``to_spec()``; its link windows (the schedule's windows without the
@@ -147,7 +147,9 @@ class LiveRecorder(MetricsHub):
     def on_block_resolved(self, replica, block) -> None:
         pass
 
-    def close(self) -> None:
+    def close(self, row: dict) -> None:
+        """Append the incarnation's ``per_replica`` row, last, and close."""
+        self._record("result", row)
         self._file.close()
 
 
@@ -156,7 +158,7 @@ def build_replica(
 ) -> tuple[Replica, LiveRecorder]:
     """One replica from a spawn spec: the shared assembly over the event
     recorder, then what only a live process needs (id rebase, recovery
-    report, client hook)."""
+    report)."""
     protocol = ProtocolConfig.from_dict(spec["protocol"])
     node_id = spec["node_id"]
     durability = spec.get("durability")
@@ -188,13 +190,10 @@ def build_replica(
             "generation": generation, **replica.executor.recovery.to_dict(),
         })
     replica.observer = recorder
-    network.client_handler = (
-        lambda envelope: replica.on_client_batch(envelope.payload)
-    )
     return replica, recorder
 
 
-async def _run(spec: dict) -> dict:
+async def _run(spec: dict) -> None:
     loop = asyncio.get_running_loop()
     scheduler = RealtimeScheduler(loop, epoch=spec["epoch"])
     ports = {int(node): port for node, port in spec["ports"].items()}
@@ -216,7 +215,7 @@ async def _run(spec: dict) -> dict:
         )
     network = LiveNetwork(
         spec["node_id"], ports, scheduler, shaper=shaper,
-        codec=spec.get("wire_codec", "binary"),
+        codec=spec["wire_codec"],
     )
     await network.start()
 
@@ -250,14 +249,9 @@ async def _run(spec: dict) -> dict:
 
     replica.consensus.suspend()
     await network.close()
-    recorder.close()
-    if executor is not None:
-        executor.close()
-
-    return {
+    recorder.close({
         "node_id": spec["node_id"],
         "generation": spec.get("generation", 0),
-        "wire_codec": network.codec.name,
         "commits": len(recorder.recorded),
         "bytes_in": network.bytes_in,
         "bytes_out": network.bytes_out,
@@ -279,11 +273,11 @@ async def _run(spec: dict) -> dict:
             executor.snapshot_installs if executor is not None else None
         ),
         "snapshots_served": replica.snapshots_served,
-    }
+    })
+    if executor is not None:
+        executor.close()
 
 
 def replica_main(spec: dict) -> None:
-    """Process entry point: run one replica, write its result JSON."""
-    result = asyncio.run(_run(spec))
-    with open(spec["result_path"], "w", encoding="utf-8") as handle:
-        json.dump(result, handle)
+    """Process entry point: run one replica until its spec's end."""
+    asyncio.run(_run(spec))

@@ -9,9 +9,8 @@ Every message crossing a live TCP connection is one *frame*:
     | endian length  |                                        |
     +----------------+----------------------------------------+
 
-Two frame-body formats exist, selected per connection by a 4-byte
-preamble (``b"SMP"`` + version byte) each side writes immediately after
-connecting:
+Two frame-body formats exist. A run uses one, named by its spawn spec
+(``LiveConfig.wire_codec``), so no byte on the stream says which:
 
 * **v1 (json)** — a UTF-8 JSON document ``{"src", "kind", "ch", "p"}``
   whose payload is encoded *structurally*: plain scalars pass through,
@@ -29,6 +28,10 @@ connecting:
   table and the kind-id table are positional: appending keeps older
   frames decodable, any other edit is a wire-format break between
   peers built from different trees.
+
+Bytes in the other format, or from no wire at all, fail the
+:data:`MAX_FRAME_BYTES` length cap or the strict body decode and raise
+:class:`WireError`; the transport then abandons that stream.
 
 Both codecs double as the purity assertion demanded by the live
 runtime: only scalars, lists/tuples/dicts, and the registered pure-data
@@ -62,9 +65,6 @@ __all__ = [
     "WireError",
     "WIRE_TYPES",
     "MESSAGE_REGISTRY",
-    "CLIENT_BATCH",
-    "WIRE_MAGIC",
-    "PREAMBLE_SIZE",
     "WireCodec",
     "CODECS",
     "get_codec",
@@ -101,11 +101,6 @@ WIRE_TYPES: dict[str, type] = {
     )
 }
 
-#: Synthetic kind for client->replica workload submission; replicas
-#: route it to ``Mempool.on_client_batch`` (it never exists in-sim,
-#: where the workload generator calls the mempool directly).
-CLIENT_BATCH = "client.batch"
-
 #: Every message kind that crosses the live network, mapped to the
 #: payload classes its top-level object may contain. Used by the
 #: round-trip property tests to sweep the full vocabulary, and — in
@@ -128,7 +123,7 @@ MESSAGE_REGISTRY: dict[str, tuple[type, ...]] = {
     MessageKinds.VOTE: (tuple,),           # (block_id[, view], Signature)
     MessageKinds.NEW_VIEW: (tuple,),       # (view, QuorumCert)
     MessageKinds.SYNC_REQUEST: (tuple,),   # (block_id, committed height)
-    CLIENT_BATCH: (TxBatch,),
+    MessageKinds.CLIENT_BATCH: (TxBatch,),
     # Snapshot state transfer (appended in PR 8; append-only table).
     MessageKinds.STATE_SNAPSHOT_REQ: (int,),  # requester's applied height
     # (height, last_block_id, digest, tx_applied, blocks_applied, {k: v})
@@ -499,38 +494,26 @@ def decode_frame_binary(body: bytes) -> tuple[int, str, Channel, Any]:
         raise WireError(f"malformed frame: {exc}") from exc
 
 
-# -- codec selection + connection preamble -----------------------------------
-
-#: Stream preamble: magic + one version byte, written once per TCP
-#: connection before the first frame. The version byte names the frame
-#: format for the rest of the stream.
-WIRE_MAGIC = b"SMP"
-PREAMBLE_SIZE = len(WIRE_MAGIC) + 1
+# -- codec selection ---------------------------------------------------------
 
 
 class WireCodec:
-    """One frame-body format: name, preamble version, encode/decode."""
+    """One frame-body format: its name, encode and decode."""
 
-    __slots__ = ("name", "version", "preamble", "encode", "decode")
+    __slots__ = ("name", "encode", "decode")
 
-    def __init__(self, name: str, version: int, encode, decode) -> None:
+    def __init__(self, name: str, encode, decode) -> None:
         self.name = name
-        self.version = version
-        self.preamble = WIRE_MAGIC + bytes([version])
         self.encode = encode
         self.decode = decode
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WireCodec({self.name!r}, v{self.version})"
+        return f"WireCodec({self.name!r})"
 
 
 CODECS: dict[str, WireCodec] = {
-    "json": WireCodec("json", 1, encode_frame, decode_frame),
-    "binary": WireCodec("binary", 2, encode_frame_binary,
-                        decode_frame_binary),
-}
-_CODEC_BY_VERSION: dict[int, WireCodec] = {
-    codec.version: codec for codec in CODECS.values()
+    "json": WireCodec("json", encode_frame, decode_frame),
+    "binary": WireCodec("binary", encode_frame_binary, decode_frame_binary),
 }
 
 
@@ -550,72 +533,26 @@ class FrameDecoder:
     """Incremental frame reassembly over an arbitrary byte stream.
 
     Feed whatever chunks the socket yields; iterate the completed
-    messages. Partial frames are buffered across feeds. Reassembly is
-    read-offset based: consumed bytes are reclaimed in one amortized
-    compaction instead of a per-frame ``del buffer[:end]``, so a burst
-    of thousands of coalesced frames in one read costs O(total), not
-    O(total**2) memmove.
-
-    With ``negotiate=True`` the stream must open with the 4-byte
-    preamble; the decoder picks the frame format from the version byte.
-    Passing ``codec`` alongside pins the expectation: a peer announcing
-    any *other* codec is rejected with :class:`WireError` (the live
-    network's mixed-codec guard). Without ``negotiate`` the decoder
-    reads raw frames in the given codec (default v1 JSON), which is
-    what the unit tests and any pre-preamble tooling use.
+    messages, decoded by ``codec``. Partial frames are buffered across
+    feeds. Reassembly is read-offset based: consumed bytes are reclaimed
+    in one amortized compaction instead of a per-frame
+    ``del buffer[:end]``, so a burst of thousands of coalesced frames in
+    one read costs O(total), not O(total**2) memmove.
     """
 
-    def __init__(
-        self,
-        codec: Union[str, WireCodec, None] = None,
-        *,
-        negotiate: bool = False,
-    ) -> None:
-        pinned = None if codec is None else get_codec(codec)
-        self._codec = pinned if pinned is not None else CODECS["json"]
-        self._expect = pinned
-        self._negotiate = negotiate
+    def __init__(self, codec: Union[str, WireCodec]) -> None:
+        self._decode = get_codec(codec).decode
         self._buffer = bytearray()
         self._offset = 0
 
-    @property
-    def codec(self) -> WireCodec:
-        """The codec in effect (post-negotiation, when negotiating)."""
-        return self._codec
-
     def feed(self, data: bytes) -> Iterator[tuple[int, str, Channel, Any]]:
         self._buffer.extend(data)
-        if self._negotiate and not self._read_preamble():
-            return
-        decode = self._codec.decode
+        decode = self._decode
         while True:
             frame = self._next_frame()
             if frame is None:
                 return
             yield decode(frame)
-
-    def _read_preamble(self) -> bool:
-        buffer = self._buffer
-        if len(buffer) - self._offset < PREAMBLE_SIZE:
-            return False
-        start = self._offset
-        raw = bytes(buffer[start:start + PREAMBLE_SIZE])
-        if raw[:len(WIRE_MAGIC)] != WIRE_MAGIC:
-            raise WireError(
-                f"bad stream preamble {raw!r} (not a live wire stream?)"
-            )
-        codec = _CODEC_BY_VERSION.get(raw[-1])
-        if codec is None:
-            raise WireError(f"unsupported wire format version {raw[-1]}")
-        if self._expect is not None and codec is not self._expect:
-            raise WireError(
-                f"peer speaks wire codec {codec.name!r} but this node is "
-                f"configured for {self._expect.name!r}"
-            )
-        self._codec = codec
-        self._offset = start + PREAMBLE_SIZE
-        self._negotiate = False
-        return True
 
     def _next_frame(self) -> Optional[bytes]:
         buffer = self._buffer

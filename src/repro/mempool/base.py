@@ -63,6 +63,9 @@ class MessageKinds:
     # mempool or consensus engine); see Replica.routes.
     STATE_SNAPSHOT_REQ = "state.snap_req"
     STATE_SNAPSHOT = "state.snap"
+    # A live client's transactions (``Replica.routes``). In the
+    # simulator the workload generator calls the replica directly.
+    CLIENT_BATCH = "client.batch"
 
     MICROBLOCK_KINDS = (
         MICROBLOCK,

@@ -79,7 +79,7 @@ class LoadBalancer:
 
     def handle_new_microblock(self, microblock: MicroBlock) -> None:
         """Entry point for freshly batched microblocks (NEWMB event)."""
-        if not self._config.load_balancing or not self._estimator.is_busy():
+        if not self._estimator.is_busy():
             self._push_self(microblock)
             return
         self._since_probe += 1

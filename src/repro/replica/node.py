@@ -227,14 +227,17 @@ class Replica:
         )
 
     def routes(self) -> dict[str, Handler]:
-        """The replica's own kinds: snapshot state transfer, which only a
-        durable executor serves and installs."""
-        if not hasattr(self.executor, "snapshot_payload"):
-            return {}
-        return {
-            MessageKinds.STATE_SNAPSHOT_REQ: self._serve_snapshot,
-            MessageKinds.STATE_SNAPSHOT: self._install_snapshot,
-        }
+        """The replica's own kinds: a live client's batches, and snapshot
+        state transfer, which only a durable executor serves and
+        installs."""
+        routes = {MessageKinds.CLIENT_BATCH: self._on_client_frame}
+        if hasattr(self.executor, "snapshot_payload"):
+            routes[MessageKinds.STATE_SNAPSHOT_REQ] = self._serve_snapshot
+            routes[MessageKinds.STATE_SNAPSHOT] = self._install_snapshot
+        return routes
+
+    def _on_client_frame(self, envelope: Envelope) -> None:
+        self.on_client_batch(envelope.payload)
 
     def _serve_snapshot(self, envelope: Envelope) -> None:
         """A peer behind us asked: send it our whole state."""

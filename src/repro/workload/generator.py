@@ -15,10 +15,10 @@ the stream wakes only at ticks that change its batcher's behavior
 (the tick that arms the flush timer, the tick that fills a microblock)
 and digests the backlog in bulk, and the batcher pulls the remaining
 backlog just before its flush timer fires. Identical floats, identical
-delivery times, identical commit hashes — but the event count scales
-with *microblocks emitted* rather than with ticks, so an offered load
-standing in for a million clients costs no more to simulate than a
-small one. Requires every replica's mempool to expose a
+delivery times, identical commit hashes. It is not cheaper on the
+protocol cells: a stream wakes per replica at each tick that arms a
+flush or fills a microblock, which is about as many events as the tick
+mode schedules. Requires every replica's mempool to expose a
 :class:`~repro.mempool.batching.MicroBlockBatcher`.
 """
 

@@ -14,12 +14,15 @@ from repro.live.network import LiveNetwork
 from repro.live.replica_proc import build_replica
 from repro.live.orchestrator import (
     LiveConfig,
+    _Incarnation,
+    _merge,
+    _read_events,
     allocate_ports,
     run_live,
 )
 from repro.live.scheduler import RealtimeScheduler
 from repro.live.verify import replay_events
-from repro.live.wire import to_wire
+from repro.live.wire import get_codec, to_wire
 from repro.mempool.base import MessageKinds
 from repro.sim.interfaces import Channel, DeadlineQueue, Scheduler, Transport
 from repro.sim.engine import Simulator
@@ -223,6 +226,50 @@ def test_live_network_delivers_between_two_endpoints():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("foreign", [
+    get_codec("json").encode(2, MessageKinds.RB_READY, Channel.CONTROL, 5),
+    b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n",
+], ids=["json-frames", "not-wire"])
+def test_live_network_drops_a_foreign_stream_and_keeps_its_peers(foreign):
+    """A binary node fed another codec's frames, or bytes from no wire,
+    closes that stream alone: its peer's frames keep arriving."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        ports = allocate_ports(2)
+        scheduler = RealtimeScheduler(loop)
+        bob = LiveNetwork(1, {1: ports[1]}, scheduler, codec="binary")
+        received = []
+        bob.register(1, received.append)
+        await bob.start()
+        alice = LiveNetwork(0, ports, scheduler, codec="binary")
+        await alice.start(listen=False)
+
+        async def send_and_wait(sequence):
+            alice.send(0, 1, MessageKinds.FETCH_REQUEST, 8, sequence,
+                       Channel.CONTROL)
+            deadline = loop.time() + 5.0
+            while len(received) <= sequence and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+
+        await send_and_wait(0)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", ports[1]
+        )
+        writer.write(foreign)
+        await writer.drain()
+        # Bob abandons the stream: it closes from his side.
+        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        writer.close()
+        await send_and_wait(1)
+        await alice.close()
+        await bob.close()
+        assert [(env.src, env.payload) for env in received] == [
+            (0, 0), (0, 1),
+        ]
+
+    asyncio.run(scenario())
+
+
 def test_live_network_rejects_foreign_registration():
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -275,7 +322,6 @@ def test_broadcast_encodes_once_per_payload():
 
         class CountingCodec:
             name = real_codec.name
-            preamble = real_codec.preamble
             decode = staticmethod(real_codec.decode)
 
             @staticmethod
@@ -370,6 +416,47 @@ def test_verify_events_flags_fabricated_microblocks():
     assert replay_events(events, REPLAY_CONFIG, 100)[1] == []
 
 
+def _log(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
+def test_a_killed_incarnation_has_no_row_but_its_commits_count(tmp_path):
+    """The last record of an incarnation that exits on its own is its
+    ``per_replica`` row; a SIGKILLed one has no row (and may end on a
+    torn line), yet the commits it logged are in the run's hub. The
+    replay never sees a ``result`` record."""
+    def commit(t, node, block_id):
+        return {"t": t, "node": node, "kind": "record_commit",
+                "data": [block_id, 4, 1, [[0.1, 4]], t]}
+
+    row = {"node_id": 0, "generation": 0, "bytes_out": 10}
+    survivor = _Incarnation(0, 0, None, str(tmp_path / "r0.jsonl"))
+    _log(tmp_path / "r0.jsonl", [
+        commit(1.0, 0, 10),
+        {"t": 2.0, "node": 0, "kind": "result", "data": row},
+    ])
+    victim = _Incarnation(3, 0, None, str(tmp_path / "r3.jsonl"),
+                          killed=True)
+    _log(tmp_path / "r3.jsonl", [commit(0.5, 3, 9)])
+    with open(victim.events_path, "a", encoding="utf-8") as handle:
+        handle.write('{"t": 0.6, "node"')  # torn by SIGKILL
+
+    failures = []
+    events, rows = _read_events([survivor, victim], failures)
+    assert failures == []
+    assert rows == [row]
+    assert all(event["kind"] != "result" for event in events)
+    result = _merge(REPLAY_CONFIG, rows, events, 8, 1.0, None, "binary")
+    assert [r["node_id"] for r in result.per_replica] == [0]
+    assert result.metrics.recorded == {9, 10}
+    assert result.committed_tx == 8
+
+    # An incarnation that was not killed and logged no row failed.
+    _log(tmp_path / "r0.jsonl", [commit(1.0, 0, 10)])
+    _read_events([survivor], failures)
+    assert failures == ["replica 0 (gen 0) logged no result"]
+
+
 # -- one assembly --------------------------------------------------------------
 
 @pytest.mark.parametrize("consensus", CONSENSUS_KINDS)
@@ -394,7 +481,7 @@ def test_sim_and_live_assemble_the_same_stack(mempool, consensus, tmp_path):
         "events_path": str(tmp_path / "events.jsonl"),
     }
     live, recorder = build_replica(spec, scheduler, network)
-    recorder.close()
+    recorder.close({})
 
     assert type(live.mempool) is type(simulated.mempool)
     assert type(live.consensus) is type(simulated.consensus)

@@ -352,7 +352,7 @@ def test_live_crash_restart_respawns_and_recovers(monkeypatch):
     result = run_live(_chaos_config("crash-restart"))
     assert result.violations == []
     assert result.committed_blocks > 0
-    # The victim was SIGKILLed (its gen-0 summary died with it — only
+    # The victim was SIGKILLed (its gen-0 result row died with it — only
     # its streamed event log survives) and respawned; the respawned
     # generation rejoined (TCP reconnect + chain sync) and committed
     # again before the run ended.

@@ -1,7 +1,5 @@
 """Unit tests for the metrics hub and weighted digest."""
 
-import json
-
 import pytest
 
 from repro.harness import (
@@ -10,6 +8,7 @@ from repro.harness import (
     chaos_schedule,
     tuned_protocol,
 )
+from repro.live.orchestrator import _Incarnation, _read_events
 from repro.live.replica_proc import LiveRecorder
 from repro.live.verify import replay_events
 from repro.metrics import MetricsHub, WeightedDigest
@@ -310,12 +309,13 @@ def test_replayed_event_logs_rebuild_the_simulators_hub(tmp_path):
         replica.metrics = replica.observer = recorder
     exp.sim.run_until(exp.config.end_time)
     for replica in exp.replicas:
-        replica.metrics.close()
-    events = [
-        json.loads(line)
-        for log in logs
-        for line in log.read_text(encoding="utf-8").splitlines()
-    ]
+        replica.metrics.close({"node_id": replica.node_id, "generation": 0})
+    failures = []
+    events, rows = _read_events([
+        _Incarnation(replica.node_id, 0, None, str(log))
+        for replica, log in zip(exp.replicas, logs)
+    ], failures)
+    assert failures == [] and len(rows) == len(exp.replicas)
     hub, violations = replay_events(
         events, exp.config, exp.generator.emitted_tx_count
     )

@@ -11,7 +11,7 @@ from repro.metrics import MetricsHub
 from repro.replica import Replica
 from repro.sim import Network, RngRegistry, Simulator, lan_topology
 from repro.sim.interfaces import Channel, Envelope
-from repro.types import MicroBlock, make_microblock_id
+from repro.types import MicroBlock, TxBatch, make_microblock_id
 from repro.types.proposal import Block, Payload, PayloadEntry, Proposal
 from repro.verification import Oracle, OracleSuite
 
@@ -140,3 +140,26 @@ def test_an_unrouted_kind_is_ignored():
             channel=Channel.CONSENSUS,
         ))
     assert not exp.network.stats.messages_sent
+
+
+def test_a_client_batch_frame_is_routed_like_every_other_kind():
+    """A live client's ``client.batch`` goes through the route table to
+    ``on_client_batch``; a crashed replica drops it."""
+    exp = make_cluster(n=4, consensus="hotstuff")
+    replica = exp.replicas[0]
+    taken = []
+    replica.mempool.on_client_batch = taken.append
+    batch = TxBatch(count=3, payload_bytes=128, mean_arrival=0.0)
+
+    def deliver():
+        replica.handle(Envelope(
+            src=-1, dst=0, kind=MessageKinds.CLIENT_BATCH,
+            size_bytes=batch.total_bytes, payload=batch,
+            channel=Channel.DATA,
+        ))
+
+    deliver()
+    assert taken == [batch]
+    replica.crash()
+    deliver()
+    assert taken == [batch]

@@ -1,6 +1,6 @@
 """Wire-codec tests: round-trips over the full message registry for both
-codecs, purity rejection, frame reassembly, preamble negotiation, and
-decoder fuzz (torn/garbage/oversized streams)."""
+codecs, purity rejection, frame reassembly, foreign-stream rejection,
+and decoder fuzz (torn/garbage/oversized streams)."""
 
 import struct
 import time
@@ -11,11 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.certificates import QuorumCert
 from repro.crypto.signatures import Signature
 from repro.live.wire import (
-    CLIENT_BATCH,
     CODECS,
     MESSAGE_REGISTRY,
-    PREAMBLE_SIZE,
-    WIRE_MAGIC,
     FrameDecoder,
     WireError,
     decode_frame,
@@ -115,7 +112,7 @@ PAYLOADS_BY_KIND = {
     ),
     MessageKinds.NEW_VIEW: st.tuples(st.integers(0, 1000), qcs),
     MessageKinds.SYNC_REQUEST: st.tuples(ids, st.integers(0, 10_000)),
-    CLIENT_BATCH: batches,
+    MessageKinds.CLIENT_BATCH: batches,
     MessageKinds.STATE_SNAPSHOT_REQ: st.integers(0, 10_000),
     MessageKinds.STATE_SNAPSHOT: snapshots,
 }
@@ -293,7 +290,7 @@ def _sample_frames(count, codec="json"):
 def test_frame_decoder_handles_byte_by_byte_feed():
     frames = _sample_frames(3)
     stream = b"".join(frames)
-    decoder = FrameDecoder()
+    decoder = FrameDecoder("json")
     messages = []
     for i in range(len(stream)):
         messages.extend(decoder.feed(stream[i:i + 1]))
@@ -302,14 +299,14 @@ def test_frame_decoder_handles_byte_by_byte_feed():
 
 def test_frame_decoder_handles_coalesced_frames():
     frames = _sample_frames(5)
-    decoder = FrameDecoder()
+    decoder = FrameDecoder("json")
     messages = list(decoder.feed(b"".join(frames)))
     assert len(messages) == 5
     assert [src for src, _, _, _ in messages] == list(range(5))
 
 
 def test_frame_decoder_rejects_oversized_length_prefix():
-    decoder = FrameDecoder()
+    decoder = FrameDecoder("json")
     with pytest.raises(WireError, match="exceeds limit"):
         list(decoder.feed(struct.pack(">I", 2**31) + b"xxxx"))
 
@@ -358,51 +355,32 @@ def test_frame_decoder_keeps_partial_frame_across_burst_feeds():
     assert rest[0][3] == 99 * 17
 
 
-# -- preamble negotiation ----------------------------------------------------
+# -- foreign streams ---------------------------------------------------------
+#
+# A run's codec comes from its spawn spec and nothing on the wire names
+# it: bytes in the other codec, or from no wire at all, must fail the
+# frame-length cap or the strict body decode.
 
-def _preamble_stream(codec_name, messages=3):
-    codec = get_codec(codec_name)
-    return codec.preamble + b"".join(
-        codec.encode(7, MessageKinds.RB_READY, Channel.CONTROL, index)
+def _stream(codec_name, messages=3):
+    encode = get_codec(codec_name).encode
+    return b"".join(
+        encode(7, MessageKinds.RB_READY, Channel.CONTROL, index)
         for index in range(messages)
     )
 
 
-@pytest.mark.parametrize("codec_name", sorted(CODECS))
-def test_negotiating_decoder_selects_codec_from_preamble(codec_name):
-    decoder = FrameDecoder(negotiate=True)
-    messages = list(decoder.feed(_preamble_stream(codec_name)))
-    assert [payload for _, _, _, payload in messages] == [0, 1, 2]
-    assert decoder.codec.name == codec_name
-
-
-@pytest.mark.parametrize("codec_name", sorted(CODECS))
-def test_negotiating_decoder_survives_byte_by_byte_preamble(codec_name):
-    decoder = FrameDecoder(codec_name, negotiate=True)
-    stream = _preamble_stream(codec_name)
-    messages = []
-    for index in range(len(stream)):
-        messages.extend(decoder.feed(stream[index:index + 1]))
-    assert len(messages) == 3
-
-
 def test_mixed_codec_stream_is_rejected():
-    decoder = FrameDecoder("binary", negotiate=True)
-    with pytest.raises(WireError, match="configured for 'binary'"):
-        list(decoder.feed(_preamble_stream("json")))
-    decoder = FrameDecoder("json", negotiate=True)
-    with pytest.raises(WireError, match="configured for 'json'"):
-        list(decoder.feed(_preamble_stream("binary")))
+    for codec_name, foreign in (("binary", "json"), ("json", "binary")):
+        decoder = FrameDecoder(codec_name)
+        with pytest.raises(WireError, match="malformed frame"):
+            list(decoder.feed(_stream(foreign)))
 
 
-def test_garbage_preamble_is_rejected():
-    decoder = FrameDecoder(negotiate=True)
-    with pytest.raises(WireError, match="bad stream preamble"):
-        list(decoder.feed(b"HTTP/1.1 200 OK\r\n"))
-    decoder = FrameDecoder(negotiate=True)
-    with pytest.raises(WireError, match="unsupported wire format"):
-        list(decoder.feed(WIRE_MAGIC + b"\x7f" + b"xxxx"))
-    assert len(WIRE_MAGIC) + 1 == PREAMBLE_SIZE
+def test_non_wire_stream_is_rejected():
+    for codec_name in sorted(CODECS):
+        decoder = FrameDecoder(codec_name)
+        with pytest.raises(WireError, match="exceeds limit"):
+            list(decoder.feed(b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n"))
 
 
 # -- decoder fuzz ------------------------------------------------------------
@@ -417,11 +395,11 @@ def test_torn_stream_reassembles_exactly(payload_ids, data, codec_name):
     """Arbitrary tearing of a multi-frame stream never loses or reorders
     a message — the incremental decoder is split-point oblivious."""
     codec = get_codec(codec_name)
-    stream = codec.preamble + b"".join(
+    stream = b"".join(
         codec.encode(0, MessageKinds.FETCH_REQUEST, Channel.CONTROL, value)
         for value in payload_ids
     )
-    decoder = FrameDecoder(codec_name, negotiate=True)
+    decoder = FrameDecoder(codec_name)
     received = []
     position = 0
     while position < len(stream):
