@@ -5,8 +5,8 @@ listens on its own localhost port and keeps one outbound connection per
 peer. Frames are the length-prefixed bodies of :mod:`repro.live.wire`
 in the run's one codec (binary v2 by default, JSON v1 for comparison),
 which every process takes from its spawn spec; an inbound stream that
-does not decode in it raises :class:`WireError` and is dropped, and the
-other peers' streams keep delivering. Per-peer, per-channel FIFO ordering
+does not decode in it is dropped and counted (``streams_dropped``), and
+the other peers' streams keep delivering. Per-peer, per-channel FIFO ordering
 falls out of TCP plus the single writer task per link, satisfying the
 :class:`Transport` ordering contract the protocol recovery paths rely
 on.
@@ -448,10 +448,10 @@ class LiveNetwork(Transport):
                         self.scheduler.now,
                     )
                     self._dispatch(envelope)
-        except (ConnectionError, WireError):
-            # A reset peer or desynced stream only loses that stream's
-            # remaining messages — again within the Transport contract.
-            pass
+        except WireError:  # desynced or foreign: it loses its own messages
+            self.stats.streams_dropped += 1
+        except ConnectionError:
+            pass  # a reset peer: its own link counts the reconnect
         except asyncio.CancelledError:
             # Loop teardown mid-read (asyncio.run cancelling leftover
             # tasks); swallowing keeps shutdown quiet.

@@ -259,6 +259,7 @@ async def _run(spec: dict) -> None:
         "frames_dropped": network.stats.frames_dropped,
         "queue_high_watermark": network.stats.queue_high_watermark,
         "reconnects": network.stats.reconnects,
+        "streams_dropped": network.stats.streams_dropped,
         "frames_shed": shaper.frames_shed if shaper is not None else 0,
         "recovery_source": (
             executor.recovery.source if executor is not None else None

@@ -1,31 +1,23 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a classic calendar queue: events are ``(time, sequence,
-callback)`` triples ordered by time with the insertion sequence breaking
-ties, which makes every run fully deterministic for a fixed seed and
-schedule of callbacks.
-
-Protocol code interacts with the engine through three operations:
-
-* :meth:`Simulator.schedule` — run a callback after a delay,
-* :meth:`Simulator.schedule_at` — run a callback at an absolute time,
-* :meth:`Simulator.run` / :meth:`Simulator.run_until` — drive the loop.
-
-Timers (view-change timers, fetch timeouts, proxy timeouts) are cancellable
-via the returned :class:`Timer` handle.
+A calendar queue: entries are ordered by time, the insertion sequence
+breaking ties, so every run is deterministic for a fixed seed and
+schedule. Protocol code calls :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at`, which return a cancellable
+:class:`Timer`, and drives :meth:`Simulator.run` /
+:meth:`Simulator.run_until`.
 
 Performance notes: the heap stores plain tuples, ``(time, seq, None,
-timer)`` for a :class:`Timer` and ``(time, seq, callback, arg)`` for
-:meth:`Simulator.schedule_fire`, ordered by C-level tuple comparison
-(``seq`` is unique, so nothing behind it is compared); the run loop
-tells them apart by ``entry[2] is None``, not by a ``len()`` call per
-fired event. A fire-entry allocates nothing and cannot be cancelled: the
-network pushes its chains' tuples itself (uplink drains, ingress
-services, fair-share wakes and flushes, which guard staleness
-themselves); ``schedule_fire`` serves loopback delivery and the
-dissemination bench. Cancelled timers stay in the heap (cancellation is
-O(1)) and are compacted away once they outnumber the live ones: chaos
-runs cancel view/fetch timers by the thousand.
+timer)`` and the fire-entry ``(time, seq, callback, arg)``, ordered by
+C-level tuple comparison (``seq`` is unique); the loop tells them apart
+by ``entry[2] is None``, not by a ``len()`` per event. A fire-entry
+allocates nothing and cannot be cancelled: serial drains, fair-share
+flushes, loopback and the dissemination bench. Ingress services and uplink
+wakes take the timer form with tokens of their own (any object with
+``callback``, ``cancelled`` and ``fired``), re-armed after each fire and
+cancelled when an earlier arm supersedes one. Cancelled entries are
+skipped uncounted (O(1) to cancel) and compacted away once they
+outnumber the live ones: chaos runs cancel timers by the thousand.
 """
 
 from __future__ import annotations
@@ -91,8 +83,7 @@ class Simulator(Scheduler):
     )
 
     def __init__(self) -> None:
-        # Entries are (time, seq, None, Timer) or raw
-        # (time, seq, callback, arg) fire-tuples; see schedule_fire.
+        # Timer-form and fire-entries: see the module docstring.
         self._queue: list[tuple] = []
         self._seq = 0
         #: Current simulated time in seconds; only the loop moves it.
@@ -128,9 +119,8 @@ class Simulator(Scheduler):
         return timer
 
     def schedule_fire(self, delay: float, callback, arg) -> None:
-        """No-allocation fast path: run ``callback(arg)`` after ``delay``.
-        No handle, no cancelling: for the simulator's own hot chains,
-        whose callbacks check staleness themselves."""
+        """No-allocation fast path: run ``callback(arg)`` after ``delay``,
+        with no handle and so no cancelling."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         seq = self._seq

@@ -8,28 +8,23 @@ per-recipient copies, so enqueueing a 127-recipient broadcast is O(1).
 Two link models (``link_model``) drain the same FIFOs:
 
 **serial** (default) — the store-and-forward model under which the
-paper's Appendix-A throughput formulas are exact: the uplink is one wire
-of finite bandwidth; a message of ``size`` bytes occupies it for
-``size * 8 / bandwidth`` seconds, then takes the topology's one-way
-delay to the receiver's handler; a broadcast to ``n - 1`` peers
-serializes ``n - 1`` copies, which is what makes a leader shipping
-megabyte proposals the bottleneck.
+paper's Appendix-A throughput formulas are exact: a message of ``size``
+bytes occupies the uplink's one wire for ``size * 8 / bandwidth``
+seconds, then takes the topology's one-way delay, so a leader shipping
+megabyte proposals to ``n - 1`` peers is the bottleneck.
 
 **fair-share** — concurrent transfers split link capacity instead of
 queueing (:class:`_FairShareLinks`, the simpy ``Container``
-uplink/downlink technique; DESIGN.md "Simulator scale-out"). A transfer
-runs at ``min(B_up / |up_active|, B_down / |down_active|)``; rates move
-only when a transfer starts or finishes, in one settle pass per sim
-instant over the touched ("dirty") links, and an uplink keeps one armed
-event, at its earliest finish. Bulk (DATA) transfers pass a bounded slot
-pool per uplink; consensus and control bypass it.
+uplink/downlink technique; DESIGN.md "Simulator scale-out") at
+``min(B_up / |up_active|, B_down / |down_active|)``, re-rated once per
+sim instant over the touched links; bulk (DATA) transfers pass a
+bounded slot pool per uplink.
 
-A copy whose last byte left — a serial segment's, or a completed
-transfer — takes one delivery path (:func:`_dispatch`): it has no heap
-entry of its own but goes into its receiver's arrival queue, and a
-receiver keeps one entry, the end of its next service (:class:`_Ingress`,
-which serves the same three classes) — one event per service, not per
-arrival.
+A copy whose last byte left takes one delivery path (:func:`_dispatch`)
+into its receiver's arrival queue. Each receiver (:class:`_Ingress`)
+and each fair-share uplink keeps one heap entry, re-armed after it
+fires and cancelled when an earlier arm supersedes it: an event per
+service or completion wake, none per arrival, none that does nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from __future__ import annotations
 from bisect import insort as _insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappush as _heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional
@@ -86,10 +82,11 @@ class NetworkStats:
     messages_delivered: int = 0
     messages_dropped: int = 0
     # Live-backend gauges (0 in-sim): frames shed by the bounded per-peer
-    # send queues, their deepest, and TCP connections re-established.
+    # send queues, their deepest, TCP reconnects, undecodable streams.
     frames_dropped: int = 0
     queue_high_watermark: int = 0
     reconnects: int = 0
+    streams_dropped: int = 0
 
     def record_send(self, node: int, kind: str, size_bytes: float) -> None:
         """Account one copy (the simulator's link models do this inline)."""
@@ -201,8 +198,14 @@ def _dispatch(
         free_at = ingress.free_at
         wake = arrived + proc if free_at <= arrived else free_at + proc
         if wake < ingress.wake:
+            if ingress.wake != _INF:  # superseded: its entry is skipped
+                token = ingress.token
+                token.cancelled = True
+                sim.cancelled_pending += 1
+                ingress.token = fresh = _Wake()
+                fresh.callback, fresh.cancelled = token.callback, False
             ingress.wake = wake
-            _heappush(heap, (wake, seq, _ingress_serve, ingress))
+            _heappush(heap, (wake, seq, None, ingress.token))
             seq += 1
     sim._seq = seq
     return end
@@ -304,26 +307,33 @@ class _Uplink:
             sim._seq += 1
 
 
+class _Wake:
+    """An ingress's or uplink's heap entry, ``(at, seq, None, wake)`` in
+    :class:`~repro.sim.engine.Timer` form; no ``__init__``, no frame."""
+
+    __slots__ = ("callback", "cancelled", "fired")
+
+
 #: Terminates every arrival queue: a copy that never arrives.
 _NEVER = Envelope(-1, -1, "", 0.0, None)
 _NEVER.arrived_at = _INF
 
 
 def _ingress_serve(ingress: "_Ingress") -> None:
-    """The end of one service: an ingress's one event (fire-path callback).
+    """The end of one service: the callback of the ingress's token.
 
     Every copy that had arrived by this service's start is judged, in
     arrival order and for its ``arrived_at``: cut short by its sender's
     crash, receiver down on arrival, drop filter and loss coin, receiver
     crashed since. What passes joins its class FIFO, the head of the
-    highest class gets the handler and the next service end is armed. A
-    lone candidate skips the FIFOs: nothing waited, nothing overtakes it.
+    highest class gets the handler, and the token that fired is re-armed
+    for the next service end (no handler arms its own ingress: no copy
+    goes to its sender). A lone candidate skips the FIFOs: nothing
+    waited, nothing overtakes it.
     """
     network = ingress.network
     sim = network.sim
     now = sim.now
-    if ingress.wake != now:
-        return  # superseded: a later-dispatched copy arrived earlier
     ingress.wake = _INF
     proc = network._proc
     queues = ingress.queues
@@ -383,7 +393,7 @@ def _ingress_serve(ingress: "_Ingress") -> None:
         wake = arrived + proc if free_at <= arrived else free_at + proc
     if wake < ingress.wake:
         ingress.wake = wake
-        _heappush(sim._queue, (wake, sim._seq, _ingress_serve, ingress))
+        _heappush(sim._queue, (wake, sim._seq, None, ingress.token))
         sim._seq += 1
     if fair is not None:  # a flush the handler armed: after the re-arm
         fair.in_event = False
@@ -400,14 +410,12 @@ class _Ingress:
 
     A copy is pushed at dispatch into its receiver's ``arrivals``,
     ordered by ``arrived_at`` (dispatch order among equal instants), and
-    the ingress keeps one heap entry: the end of its next service,
-    ``max(free_at, earliest pending arrival) + proc``
-    (:func:`_ingress_serve`). A copy dispatched later that would be
-    served earlier arms an earlier entry; the superseded one finds
-    ``wake`` moved and fires as a no-op.
+    the ingress keeps one heap entry, the end of its next service at
+    ``max(free_at, earliest pending arrival) + proc``. A copy dispatched
+    later that is served earlier cancels it and arms a fresh token.
     """
 
-    __slots__ = ("network", "queues", "free_at", "arrivals", "wake")
+    __slots__ = ("network", "queues", "free_at", "arrivals", "wake", "token")
 
     def __init__(self, network: "Network") -> None:
         self.network = network
@@ -417,8 +425,10 @@ class _Ingress:
         self.free_at = -1.0
         #: Copies not yet judged, then a sentinel (no length test to read).
         self.arrivals: list[Envelope] = [_NEVER]
-        #: The instant of the armed service end (``inf`` = none armed).
+        #: The armed service end (``inf``: none) and its entry's token.
         self.wake = _INF
+        self.token = token = _Wake()
+        token.callback, token.cancelled = partial(_ingress_serve, self), False
 
 
 class _Transfer:
@@ -451,19 +461,13 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
     precedes it.
 
     Every membership change since the last flush happened at this
-    instant, so settling progress at the old rate and assigning the new
-    share at one timestamp is exact, and a burst settles each transfer
-    once: the transfers of the dirty uplinks, then those of the dirty
-    downlinks not settled already, each set in node order.
-
-    A link's share ``B / members`` moves only with its member count
-    (``up_count``/``down_count``) on a plain topology; otherwise ``B``
-    is read per touched node, into a table that dies with the flush.
-
-    A transfer whose rate comes out as it was is not settled: its
-    ``finish_at`` still holds. Settled or not, each is held against its
-    uplink's armed wake, which moves when the earliest finish lies
-    before it (or none is armed).
+    instant, so settling at the old rate and re-rating at one timestamp
+    is exact, and each transfer settles once: the dirty uplinks', then
+    the dirty downlinks' not settled already, each set in node order.
+    ``B`` is read per touched node unless the topology is plain, and a
+    transfer whose rate is unchanged is not settled. Each is held
+    against its uplink's armed wake, which moves when its finish lies
+    before it (or none is armed), cancelling the entry it moved from.
     """
     sim = fair.network.sim
     now = sim.now
@@ -487,7 +491,7 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
         bandwidth = _BandwidthAt(topology.bandwidth, now)
     up_count, down_count = fair.up_count, fair.down_count
     wake = fair.wake
-    earlier: dict[int, None] = {}
+    earlier: dict[int, float] = {}  # moved uplinks: the wake each had
     settled = 0
     skip: dict[int, None] = {}  # senders the uplink pass settled
     for links, nodes in ((fair.up_active, ups), (fair.down_active, downs)):
@@ -513,12 +517,20 @@ def _fair_flush(fair: "_FairShareLinks") -> None:
                         now + transfer.remaining_bits / rate if rate > 0 else now
                     )
                 if transfer.finish_at < wake[src] - 1e-12:
+                    if src not in earlier:
+                        earlier[src] = wake[src]
                     wake[src] = transfer.finish_at
-                    earlier[src] = None
         skip = dirty_up
     fair.settle_ops += settled
+    tokens = fair.tokens
     for src in earlier:  # one entry per uplink, at the minimum it ended on
-        _heappush(sim._queue, (wake[src], sim._seq, fair._on_wake, src))
+        if earlier[src] != _INF:  # superseded: its entry is skipped
+            token = tokens[src]
+            token.cancelled = True
+            sim.cancelled_pending += 1
+            tokens[src] = fresh = _Wake()
+            fresh.callback, fresh.cancelled = token.callback, False
+        _heappush(sim._queue, (wake[src], sim._seq, None, tokens[src]))
         sim._seq += 1
 
 
@@ -527,19 +539,13 @@ class _FairShareLinks:
 
     Per node: the active outbound (uplink) and inbound (downlink)
     transfers and their counts, and DATA admission gated by ``slots``
-    concurrent transfers. A transfer runs at
-    ``min(B_up / |up_active|, B_down / |down_active|)``, which depends
-    only on membership counts, so nothing cascades (the simpy Container
-    technique of SNIPPETS Snippet 1 without per-byte token events).
-    Membership changes mark their links *dirty* and one flush per sim
-    instant re-rates the transfers on them (:func:`_fair_flush`), at the
-    end of the network event that dirtied them.
-
-    An uplink keeps one armed event, at the earliest ``finish_at`` among
-    its transfers (``wake``; :meth:`_uplink_wake`): the flush moves it
-    when that minimum moves earlier, the wake re-arms itself when rates
-    fell and it fires early, and an entry it was moved away from fires
-    as a no-op.
+    concurrent transfers. A transfer's rate depends only on membership
+    counts, so nothing cascades (SNIPPETS Snippet 1's simpy Container
+    without per-byte token events): membership changes mark links
+    *dirty* and one flush per sim instant re-rates them
+    (:func:`_fair_flush`). An uplink keeps one armed entry (``wake``,
+    ``tokens``) at its earliest ``finish_at``: the flush moves it
+    earlier, the wake re-arms itself when rates fell and it fired early.
     """
 
     def __init__(self, network: "Network", slots: int) -> None:
@@ -567,9 +573,12 @@ class _FairShareLinks:
         #: ``B`` per node with no window applied: the plain bandwidth
         #: while the topology is plain.
         self.bandwidth = [network.topology.bandwidth(node) for node in range(n)]
-        #: The instant of each uplink's armed wake (``inf`` = none armed).
+        #: Each uplink's armed wake (``inf``: none) and its entry's token.
         self.wake: list[float] = [_INF] * n
-        self._on_wake = self._uplink_wake
+        self.tokens: list[_Wake] = [_Wake() for _ in range(n)]
+        for src, token in enumerate(self.tokens):
+            token.callback = partial(self._uplink_wake, src)
+            token.cancelled = False
         #: Settles performed (``tests/test_fair_share.py`` bounds them).
         self.settle_ops = 0
 
@@ -625,7 +634,7 @@ class _FairShareLinks:
             self._start(src, head, copies, now)
 
     def _uplink_wake(self, src: int) -> None:
-        """``src``'s earliest finish is due (fire-path callback): every
+        """``src``'s earliest finish is due (its token's callback): every
         transfer due by now completes, in start order, each flow's due
         copies in one :func:`_dispatch`; then one admission refills the
         freed slots (the copies, in the order, of one admission per
@@ -634,8 +643,6 @@ class _FairShareLinks:
         network = self.network
         sim = network.sim
         now = sim.now
-        if self.wake[src] != now:
-            return  # superseded: a finish moved earlier and was armed
         self.wake[src] = _INF
         transfers = self.up_active[src]
         runs = []  # (flow, dsts) per run of one flow's due copies (+=: no call)
@@ -679,7 +686,7 @@ class _FairShareLinks:
                 if transfer.finish_at < finish:
                     finish = transfer.finish_at
             self.wake[src] = finish
-            _heappush(sim._queue, (finish, sim._seq, self._on_wake, src))
+            _heappush(sim._queue, (finish, sim._seq, None, self.tokens[src]))
             sim._seq += 1
 
     def flush(self, node: int) -> int:

@@ -136,3 +136,16 @@ def probe(command):
         # result message, just a closed pipe and a non-zero exit code.
         os._exit(arg)
     return action, arg, os.getpid()
+
+
+def run_counting_skips(sim):
+    """Run ``sim`` to the end one event at a time; return the instants of
+    the cancelled entries the loop skipped (each seen in the heap after
+    the event that cancelled it), in order."""
+    skipped = {}
+    while True:
+        for at, seq, callback, token in sim._queue:
+            if callback is None and token.cancelled:
+                skipped[seq] = at
+        if not sim.run(max_events=1):
+            return sorted(skipped.values())

@@ -12,11 +12,16 @@ import random
 
 import pytest
 
+import repro.sim.network as sim_network
 from repro.faults import LinkFaults, Window
-from repro.sim.engine import Simulator
+from repro.harness import (
+    ExperimentConfig, build_experiment, chaos_schedule, tuned_protocol,
+)
+from repro.sim.engine import Simulator, Timer
 from repro.sim.network import LINK_MODELS, Channel, Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
+from tests.helpers import run_counting_skips
 
 
 def make_net(n=3, bandwidth=8e6, delay=0.0, jitter=0.0, proc=0.0,
@@ -355,9 +360,10 @@ def test_a_broadcast_that_completes_in_one_wake_keeps_its_draws():
     # A DATA and a consensus broadcast of equal bodies start together on
     # one uplink and finish together: one wake completes all eight
     # copies, each flow's four in one dispatch, in start order. The
-    # jittered delivery instants and their order, and the event count
-    # (the flush at 0, the wake, eight services and one superseded
-    # service end), were recorded with one dispatch per copy.
+    # jittered delivery instants and their order were recorded with one
+    # dispatch per copy, and so were the 11 events then: the flush at 0,
+    # the wake, eight services and one superseded service end, which is
+    # now cancelled and skipped, not fired.
     topology = Topology(n=5, one_way_delay=0.01, bandwidth_bps=8e6,
                         delay_jitter=0.002, proc_per_message=50e-6)
     sim = Simulator()
@@ -368,13 +374,13 @@ def test_a_broadcast_that_completes_in_one_wake_keeps_its_draws():
         network.register(
             node, lambda env: log.append((sim.now, env.src, env.dst, env.kind))
         )
-    fair = network._fair
+    token = network._fair.tokens[0]
     wakes = []
-    wake = fair._on_wake
-    fair._on_wake = lambda src: (wakes.append(sim.now), wake(src))
+    wake = token.callback
+    token.callback = lambda: (wakes.append(sim.now), wake())
     network.broadcast(0, "mb", 100_000, None)
     network.broadcast(0, "proposal", 100_000, None, Channel.CONSENSUS)
-    sim.run()
+    skipped = run_counting_skips(sim)
     assert wakes == [0.8]
     assert log == [
         (0.8080844404739531, 0, 4, "mb"),
@@ -386,7 +392,8 @@ def test_a_broadcast_that_completes_in_one_wake_keeps_its_draws():
         (0.8116484194533579, 0, 2, "mb"),
         (0.8116984194533579, 0, 2, "proposal"),
     ]
-    assert sim.processed == 11
+    assert sim.processed == 10
+    assert skipped == [0.8097174450564023]
 
 
 def test_wake_that_fires_early_rearms_at_the_new_finish():
@@ -563,7 +570,7 @@ def test_replies_from_handlers_reproduce_recorded_delivery_times():
         network.register(node, handler)
     for src in range(3):
         network.broadcast(src, "mb", 100_000, None)
-    sim.run()
+    skipped = run_counting_skips(sim)
     assert log == [
         (0.20809837003278522, 2, 0, "mb"), (0.2095400603700105, 0, 1, "mb"),
         (0.2095900603700105, 2, 1, "mb"), (0.20962379914812904, 1, 2, "mb"),
@@ -580,7 +587,20 @@ def test_replies_from_handlers_reproduce_recorded_delivery_times():
     ]
     assert network._fair.settle_ops == 30
     # 65 events there: the fifteen flushes that settled in-event are gone.
-    assert sim.processed == 50
+    # 50 while superseded entries fired as no-ops. Each such entry's
+    # re-arm landed on its instant, so the superseded entry served and
+    # the re-arm was the no-op; now the re-arm serves, in its own place
+    # among that instant's entries, and the superseded entry is skipped:
+    # the six below. Three flushes that queued behind a no-op (at the
+    # 0.2115, 0.2116 and 0.5098 deliveries) run inside their event, and
+    # the three uplink wakes at 0.5 run in re-arm order (1, 0, 2, not
+    # 0, 1, 2), so node 3's copy from 1 arms its ingress first and
+    # supersedes nothing: 40 + 6 + 3 + 1 = 50.
+    assert sim.processed == 40
+    assert skipped == [
+        0.21149581046525467, 0.21157265210941373, 0.22589151950008654,
+        0.5, 0.5, 0.5,
+    ]
 
 
 def test_fair_share_runs_are_deterministic():
@@ -594,3 +614,101 @@ def test_fair_share_runs_are_deterministic():
         return log
 
     assert run() == run()
+
+
+
+def _crash_run(monkeypatch=None, stale=None, compact=None):
+    """A jittered fair-share S-HS run at n=4 whose replica 3 crashes at
+    2 s and restarts at 4 s; returns its delivery log. ``stale`` collects
+    every ingress service or uplink wake that runs at an instant other
+    than its holder's armed wake; ``compact(sim, network)`` runs every
+    0.25 s from 1 s (a no-op timer stands in for it when None, so runs
+    with and without it share one schedule)."""
+    if stale is not None:
+        serve = sim_network._ingress_serve
+        wake = sim_network._FairShareLinks._uplink_wake
+
+        def checked_serve(ingress):
+            if ingress.wake != ingress.network.sim.now:
+                stale.append(("ingress", ingress.network.sim.now))
+            serve(ingress)
+
+        def checked_wake(fair, src):
+            if fair.wake[src] != fair.network.sim.now:
+                stale.append(("uplink", src, fair.network.sim.now))
+            wake(fair, src)
+
+        monkeypatch.setattr(sim_network, "_ingress_serve", checked_serve)
+        monkeypatch.setattr(
+            sim_network._FairShareLinks, "_uplink_wake", checked_wake
+        )
+    config = ExperimentConfig(
+        tuned_protocol("S-HS", 4, "wan", batch_bytes=16_384,
+                       batch_timeout=0.1),
+        topology_kind="wan", link_model="fair-share", selector="zipf1",
+        rate_tps=2_000, faults=chaos_schedule("crash-restart", 4),
+        warmup=0.5, duration=5.0, seed=7,
+    )
+    experiment = build_experiment(config)
+    sim, network = experiment.sim, experiment.network
+    log = []
+    for node, handler in enumerate(network._handler_list):
+        network._handler_list[node] = (
+            lambda env, handler=handler: (
+                log.append((sim.now, env.src, env.dst, env.kind)),
+                handler(env),
+            )
+        )
+    for step in range(17):
+        sim.schedule_at(
+            1.0 + 0.25 * step,
+            (lambda: compact(sim, network)) if compact else (lambda: None),
+        )
+    experiment.run()
+    return log
+
+
+def _superseded(sim):
+    """The cancelled network wake entries waiting in ``sim``'s heap."""
+    return [
+        entry for entry in sim._queue
+        if entry[2] is None and entry[3].cancelled
+        and not isinstance(entry[3], Timer)
+    ]
+
+
+def test_a_crash_run_serves_and_wakes_only_at_the_armed_instant(monkeypatch):
+    # A superseded entry is cancelled and the loop skips it: no ingress
+    # service and no uplink wake runs at an instant it was moved away
+    # from, though the run supersedes entries throughout.
+    stale, waiting = [], []
+    log = _crash_run(
+        monkeypatch, stale=stale,
+        compact=lambda sim, network: waiting.append(len(_superseded(sim))),
+    )
+    assert stale == []
+    assert len(log) > 1000 and sum(waiting) > 0
+
+
+def test_compaction_mid_run_keeps_live_wakes_and_the_delivery_log():
+    dropped = []
+
+    def compact(sim, network):
+        armed = [
+            (holder.wake, holder.token) for holder in network._ingress
+        ] + list(zip(network._fair.wake, network._fair.tokens))
+        superseded = len(_superseded(sim))
+        sim.drain_cancelled()
+        assert _superseded(sim) == []
+        dropped.append(superseded)
+        live = {
+            id(entry[3]): entry[0] for entry in sim._queue
+            if entry[2] is None
+        }
+        for wake, token in armed:
+            assert not token.cancelled
+            if wake != math.inf:
+                assert live[id(token)] == wake
+
+    assert _crash_run(compact=compact) == _crash_run()
+    assert len(dropped) == 17 and sum(dropped) > 0

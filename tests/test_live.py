@@ -266,6 +266,10 @@ def test_live_network_drops_a_foreign_stream_and_keeps_its_peers(foreign):
         assert [(env.src, env.payload) for env in received] == [
             (0, 0), (0, 1),
         ]
+        # Bob counts the stream he dropped; Alice, whose link only
+        # carried good frames, counts none.
+        assert bob.stats.streams_dropped == 1
+        assert alice.stats.streams_dropped == 0
 
     asyncio.run(scenario())
 

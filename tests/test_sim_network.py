@@ -9,6 +9,7 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Channel, Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
+from tests.helpers import run_counting_skips
 
 
 def make_network(n=3, bandwidth=8_000_000, delay=0.01, proc=0.0):
@@ -254,28 +255,34 @@ class TestEventEconomy:
         sim, net, inboxes = make_network(n=3, proc=self.PROC)
         net.send(1, 0, "m", 1_000_000, "slow")  # arrives at 1.01
         sim.schedule(0.5, lambda: net.send(2, 0, "m", 1000, "quick"))
-        sim.run()
+        skipped = run_counting_skips(sim)
         quick = 0.5 + self.ARRIVAL
         assert [(when, env.payload) for when, env in inboxes[0]] == [
             (quick + self.PROC, "quick"), (1.01 + self.PROC, "slow"),
         ]
         assert [env.arrived_at for _, env in inboxes[0]] == [quick, 1.01]
-        # The timer, two services, and the entry "slow" armed at dispatch,
-        # which "quick" superseded: re-armed for the same instant, one of
-        # the two entries there serves and the other is a no-op.
-        assert sim.processed == 1 + 2 + 1
+        # The timer and two services. Superseded entries are cancelled,
+        # not fired: the entry "slow" armed at dispatch, which "quick"
+        # superseded, is skipped, and "slow" is served by the re-arm for
+        # the same instant (4 events while it fired as a no-op).
+        assert sim.processed == 1 + 2
+        assert skipped == [1.01 + self.PROC]
 
-    def test_superseded_entry_inside_a_service_is_a_no_op(self):
+    def test_superseded_entry_inside_a_service_is_cancelled(self):
         sim, net, inboxes = make_network(n=3, proc=1.0)
         net.send(1, 0, "m", 1_000_000, "slow")  # arrives at 1.01
         sim.schedule(0.5, lambda: net.send(2, 0, "m", 1000, "quick"))
-        sim.run()
+        skipped = run_counting_skips(sim)
         # "slow" arrives inside "quick"'s service and waits for its end.
         quick_done = (0.5 + self.ARRIVAL) + 1.0
         assert [(when, env.payload) for when, env in inboxes[0]] == [
             (quick_done, "quick"), (quick_done + 1.0, "slow"),
         ]
-        assert sim.processed == 1 + 2 + 1  # as many as before PR 23
+        # Superseded entries are cancelled, not fired: the timer and two
+        # services, and the entry "slow" armed at dispatch is skipped
+        # (4 events while it fired as a no-op).
+        assert sim.processed == 1 + 2
+        assert skipped == [1.01 + 1.0]
 
     def test_consensus_copy_arriving_inside_a_service_does_not_overtake(self):
         sim, net, inboxes = make_network(n=4, proc=self.PROC)
